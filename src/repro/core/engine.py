@@ -22,12 +22,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
-from ..dictionary.encoding import Dictionary, encode_dataset
+from ..dictionary.encoding import Dictionary, encode_columns, encode_dataset
 from ..kernels import KernelBackend, resolve_backend
 from ..litemat.encoder import HierarchyEncoding
 from ..litemat.planner import HybridPlan, plan_hybrid
 from ..litemat.view import HybridTripleView
-from ..rdf.ntriples import parse_file
+from ..rdf.ntriples import read_columns
 from ..rdf.terms import Term, Triple
 from ..rules.rulesets import get_ruleset
 from ..rules.spec import Rule, RuleContext, Vocab
@@ -251,8 +251,21 @@ class InferrayEngine:
         return len(triple_list)
 
     def load_file(self, path: str) -> int:
-        """Parse and load an N-Triples file."""
-        return self.load_triples(parse_file(path))
+        """Parse and load an N-Triples file; returns the count added.
+
+        The file goes from interned terms to per-property id columns
+        without a ``Triple`` per statement, and gets the ids
+        :meth:`load_triples` would give the same statements.  A
+        malformed line raises before anything is loaded.
+        """
+        _, pairs, encoded = encode_columns(
+            *read_columns(path), dictionary=self.dictionary
+        )
+        self._asserted.extend(encoded)
+        for property_id, flat_pairs in pairs.items():
+            self.main.add_pairs(property_id, flat_pairs)
+        self._materialized = False
+        return len(encoded)
 
     def load_encoded_pairs(self, property_id: int, flat_pairs) -> None:
         """Low-level loader for already-encoded pair data (benchmarks)."""

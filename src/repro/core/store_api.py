@@ -479,16 +479,34 @@ class Store(_ReadAPI):
         return store
 
     def add_file(self, path: str) -> int:
-        """Schedule every triple of a file; returns the count scheduled.
+        """Assert every triple of a file; returns the count.
 
         ``.ttl`` / ``.turtle`` files are parsed as Turtle, anything
-        else as N-Triples.
+        else as N-Triples.  All or nothing: a malformed line raises
+        with no triple of the file asserted.
+
+        An N-Triples file added while nothing is queued and no closure
+        has been materialized is encoded straight into the engine
+        (:meth:`InferrayEngine.load_file`) — same ids as queueing its
+        triples, without building them; inference still waits for the
+        next read.  Otherwise the triples are queued like :meth:`add`.
+        Encoding at once means the dictionary's rule for later data
+        (a term already numbered as a resource cannot become a
+        property, :class:`~repro.dictionary.encoding.DictionaryError`)
+        applies from the first file on: load schema before data, or
+        both in one file.
         """
         if path.endswith((".ttl", ".turtle")):
             from ..rdf.turtle import parse_turtle_file
 
             return self.add(parse_turtle_file(path))
-        return self.add(parse_file(path))
+        if (
+            self._pending_adds
+            or self._pending_removes
+            or self._engine.is_materialized
+        ):
+            return self.add(parse_file(path))
+        return self._engine.load_file(path)
 
     # ------------------------------------------------------------------
     # Mutations (lazy)
@@ -501,9 +519,11 @@ class Store(_ReadAPI):
         """
         if isinstance(triples, Triple):
             triples = [triples]
-        before = len(self._pending_adds)
-        self._pending_adds.extend(triples)
-        return len(self._pending_adds) - before
+        # Drained first: extend() would keep what a parser yielded
+        # before it raised.
+        batch = list(triples)
+        self._pending_adds.extend(batch)
+        return len(batch)
 
     def remove(self, triples: Union[Triple, Iterable[Triple]]) -> int:
         """Schedule asserted triples for retraction; returns the count

@@ -5,6 +5,7 @@ from .encoding import (
     DictionaryError,
     EncodedTriple,
     PROPERTY_BASE,
+    encode_columns,
     encode_dataset,
     scan_property_terms,
 )
@@ -14,6 +15,7 @@ __all__ = [
     "DictionaryError",
     "EncodedTriple",
     "PROPERTY_BASE",
+    "encode_columns",
     "encode_dataset",
     "scan_property_terms",
 ]

@@ -35,6 +35,7 @@ arrays rather than hash maps.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Term, Triple
@@ -221,6 +222,18 @@ class Dictionary:
         return (PROPERTY_BASE + 1, PROPERTY_BASE + len(self._resource_terms))
 
 
+#: ``roles`` entry for rdf:type in the property-position scans: the
+#: subject is a property when the object is a property-marking class.
+_TYPE_ROLE = ("type",)
+
+
+def _property_role(predicate: Term) -> tuple:
+    """Which positions of a ``predicate`` statement denote properties."""
+    if predicate == RDF.type:
+        return _TYPE_ROLE
+    return PROPERTY_POSITION_PREDICATES.get(predicate, ())
+
+
 def scan_property_terms(triples: Sequence[Triple]) -> List[Term]:
     """First pass of :func:`encode_dataset`: collect property-position terms.
 
@@ -228,21 +241,23 @@ def scan_property_terms(triples: Sequence[Triple]) -> List[Term]:
     objects of schema predicates that denote properties (see module doc).
     """
     seen: Dict[Term, None] = {}
-    for triple in triples:
-        if triple.predicate not in seen:
-            seen[triple.predicate] = None
-        positions = PROPERTY_POSITION_PREDICATES.get(triple.predicate)
-        if positions:
-            if "subject" in positions and triple.subject not in seen:
-                seen[triple.subject] = None
-            if "object" in positions and triple.object not in seen:
-                seen[triple.object] = None
-        elif (
-            triple.predicate == RDF.type
-            and triple.object in PROPERTY_MARKING_TYPES
-            and triple.subject not in seen
-        ):
-            seen[triple.subject] = None
+    roles: Dict[Term, tuple] = {}
+    role_of = roles.get
+    for subject, predicate, obj in triples:
+        positions = role_of(predicate)
+        if positions is None:
+            seen.setdefault(predicate)
+            positions = roles[predicate] = _property_role(predicate)
+        if not positions:
+            continue
+        if positions is _TYPE_ROLE:
+            if obj in PROPERTY_MARKING_TYPES:
+                seen.setdefault(subject)
+            continue
+        if "subject" in positions:
+            seen.setdefault(subject)
+        if "object" in positions:
+            seen.setdefault(obj)
     return list(seen)
 
 
@@ -260,5 +275,86 @@ def encode_dataset(
         dictionary = Dictionary()
     for term in scan_property_terms(triples):
         dictionary.encode_property(term)
-    encoded = [dictionary.encode_triple(triple) for triple in triples]
+    # Dictionary.encode_triple, inlined: after pass 1 every predicate
+    # has its property id, and a known term costs one probe, no call.
+    known = dictionary._ids.get
+    encode_resource = dictionary.encode_resource
+    encoded: List[EncodedTriple] = []
+    append = encoded.append
+    for subject, predicate, obj in triples:
+        subject_id = known(subject)
+        if subject_id is None:
+            subject_id = encode_resource(subject)
+        object_id = known(obj)
+        if object_id is None:
+            object_id = encode_resource(obj)
+        append((subject_id, known(predicate), object_id))
     return dictionary, encoded
+
+
+def encode_columns(
+    terms: Sequence[Term],
+    subjects: Sequence[int],
+    predicates: Sequence[int],
+    objects: Sequence[int],
+    dictionary: Optional[Dictionary] = None,
+) -> Tuple[Dictionary, Dict[int, array], List[EncodedTriple]]:
+    """:func:`encode_dataset` over interned columns, partitioned by property.
+
+    Statement ``i`` is ``(terms[subjects[i]], terms[predicates[i]],
+    terms[objects[i]])`` — the shape :func:`repro.rdf.ntriples.read_columns`
+    returns.  The same two passes run in the same order, so the ids are
+    the ones :func:`encode_dataset` would assign to the same statements;
+    the dictionary is probed once per entry of ``terms`` instead of once
+    per occurrence, and every occurrence after that is a list lookup.
+
+    Returns the dictionary, the flat ``⟨s, o⟩`` id pairs of each
+    property (keyed by property id, in first-seen order — what
+    :meth:`repro.store.triple_store.TripleStore.add_pairs` takes) and
+    the encoded triples in input order.
+    """
+    if dictionary is None:
+        dictionary = Dictionary()
+    ids: List[Optional[int]] = [None] * len(terms)
+
+    # Pass 1, as scan_property_terms: every predicate, then whatever the
+    # statement puts in a property position.  ``roles[p]`` caches, per
+    # predicate, which positions those are (or that it is rdf:type).
+    encode_property = dictionary.encode_property
+    roles: List[Optional[tuple]] = [None] * len(terms)
+    for s, p, o in zip(subjects, predicates, objects):
+        positions = roles[p]
+        if positions is None:
+            ids[p] = encode_property(terms[p])
+            positions = roles[p] = _property_role(terms[p])
+        if not positions:
+            continue
+        if positions is _TYPE_ROLE:
+            if ids[s] is None and terms[o] in PROPERTY_MARKING_TYPES:
+                ids[s] = encode_property(terms[s])
+            continue
+        if "subject" in positions and ids[s] is None:
+            ids[s] = encode_property(terms[s])
+        if "object" in positions and ids[o] is None:
+            ids[o] = encode_property(terms[o])
+
+    # Pass 2, as encode_triple: subject, then object, first seen first.
+    encode_resource = dictionary.encode_resource
+    pairs: Dict[int, array] = {}
+    encoded: List[EncodedTriple] = []
+    append = encoded.append
+    for s, p, o in zip(subjects, predicates, objects):
+        subject_id = ids[s]
+        if subject_id is None:
+            subject_id = ids[s] = encode_resource(terms[s])
+        object_id = ids[o]
+        if object_id is None:
+            object_id = ids[o] = encode_resource(terms[o])
+        property_id = ids[p]
+        column = pairs.get(property_id)
+        if column is None:
+            column = pairs[property_id] = array("q")
+        column.append(subject_id)
+        column.append(object_id)
+        append((subject_id, property_id, object_id))
+    return dictionary, pairs, encoded

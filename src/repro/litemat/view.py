@@ -284,12 +284,13 @@ class HybridTripleView:
         if members == [pid]:
             return list(self._stored(pid).iter_pairs())
         kernels = self._kernels
+        # tolist(): compressed pair arrays do not take strided slices.
         flat = kernels.sort_pairs(
             kernels.concat(
                 [self._stored(q).pairs for q in members]
             ),
             dedup=True,
-        )
+        ).tolist()
         return list(zip(flat[0::2], flat[1::2]))
 
     # -- bound lookups --------------------------------------------------

@@ -188,6 +188,41 @@ class TestGrammarConformance:
         t = parse_line("<http://a> <http://p> <http://b> .# comment")
         assert t.object == IRI("http://b")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "<http://a b> <http://p> <http://o> .",  # space
+            '<a"b> <http://p> <http://o> .',  # quote
+            '<http://a> <http://p> "x"^^<d t> .',  # in a datatype IRI
+            "<http://a> <http://p{> <http://o> .",
+            "<http://a> <http://p}> <http://o> .",
+            "<http://a> <http://p> <http://o|o> .",
+            "<http://a> <http://p> <http://o^o> .",
+            "<http://a> <http://p> <http://o`o> .",
+            "<http://a<b> <http://p> <http://o> .",
+            "<http://a\tb> <http://p> <http://o> .",  # raw tab
+            "<http://a\x00b> <http://p> <http://o> .",
+            "<http://a\\b> <http://p> <http://o> .",  # backslash, no UCHAR
+            "<http://a\\tb> <http://p> <http://o> .",  # ECHAR is not UCHAR
+        ],
+    )
+    def test_iriref_forbidden_characters_rejected(self, line):
+        # IRIREF ::= '<' ([^#x00-#x20<>"{}|^`\] | UCHAR)* '>' — the
+        # old parser took everything up to '>'.
+        with pytest.raises(NTriplesError) as excinfo:
+            parse_line(line, 7)
+        assert excinfo.value.line_no == 7
+
+    def test_iriref_forbidden_character_allowed_as_uchar(self):
+        t = parse_line("<http://a\\u0020b> <http://p> <http://o> .")
+        assert t.subject == IRI("http://a b")
+
+    def test_iriref_bad_uchar_keeps_its_diagnostic(self):
+        with pytest.raises(NTriplesError, match="truncated"):
+            parse_line("<http://a\\u00e> <http://p> <http://o> .")
+        with pytest.raises(NTriplesError, match="invalid hex"):
+            parse_line("<http://a\\u12zz> <http://p> <http://o> .")
+
 
 class TestDocuments:
     def test_multi_line_document(self):
@@ -219,6 +254,19 @@ class TestDocuments:
         count = write_file(triples, path)
         assert count == 2
         assert list(parse_file(path)) == triples
+
+    def test_file_with_byte_order_mark(self, tmp_path):
+        # Editors on Windows write UTF-8 with a BOM; it is not part of
+        # the first statement.
+        path = tmp_path / "bom.nt"
+        path.write_bytes(
+            b"\xef\xbb\xbf<http://a> <http://p> <http://b> .\n"
+            b"<http://c> <http://p> \"lit\" .\n"
+        )
+        assert list(parse_file(str(path))) == [
+            Triple(IRI("http://a"), IRI("http://p"), IRI("http://b")),
+            Triple(IRI("http://c"), IRI("http://p"), Literal("lit")),
+        ]
 
 
 _iri_strategy = st.builds(
