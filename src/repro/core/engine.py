@@ -256,7 +256,9 @@ class InferrayEngine:
         The file goes from interned terms to per-property id columns
         without a ``Triple`` per statement, and gets the ids
         :meth:`load_triples` would give the same statements.  A
-        malformed line raises before anything is loaded.
+        malformed line, or a term that would have to leave the
+        resource numbering for the property one, raises with nothing
+        loaded.
         """
         _, pairs, encoded = encode_columns(
             *read_columns(path), dictionary=self.dictionary
@@ -751,19 +753,11 @@ class InferrayEngine:
         else:
             stats.parallel_speedup = 1.0
 
-    def retract_and_rematerialize(
-        self,
-        triples: Iterable[Triple],
-        *,
-        timeout_seconds: Optional[float] = None,
-    ) -> MaterializationStats:
-        """Remove asserted triples and recompute the closure from scratch.
+    def retract(self, triples: Iterable[Triple]) -> None:
+        """Remove asserted triples, leaving the store unmaterialized.
 
-        Forward-chaining has no cheap deletion — "forward-chaining
-        requires full materialization after deletion" (paper §1) — so
-        this rebuilds the store from the surviving asserted triples and
-        re-runs :meth:`materialize` (bounded by ``timeout_seconds``).
-        Triples never asserted (inferred or unknown) are ignored.
+        The store is rebuilt from the surviving asserted triples;
+        triples never asserted (inferred or unknown) are ignored.
         """
         to_remove = set()
         for triple in triples:
@@ -782,6 +776,21 @@ class InferrayEngine:
         )
         self.main.add_encoded(surviving)
         self._materialized = False
+
+    def retract_and_rematerialize(
+        self,
+        triples: Iterable[Triple],
+        *,
+        timeout_seconds: Optional[float] = None,
+    ) -> MaterializationStats:
+        """Remove asserted triples and recompute the closure from scratch.
+
+        Forward-chaining has no cheap deletion — "forward-chaining
+        requires full materialization after deletion" (paper §1) — so
+        this is :meth:`retract` followed by :meth:`materialize` (bounded
+        by ``timeout_seconds``).
+        """
+        self.retract(triples)
         return self.materialize(timeout_seconds=timeout_seconds)
 
     @property

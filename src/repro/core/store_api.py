@@ -53,7 +53,11 @@ from typing import (
     Union,
 )
 
-from ..dictionary.encoding import Dictionary, EncodedTriple
+from ..dictionary.encoding import (
+    Dictionary,
+    DictionaryError,
+    EncodedTriple,
+)
 from ..faults import fire as _fire_fault
 from ..kernels import KernelBackend
 from ..query.bgp import Query, TriplePattern, parse_bgp
@@ -490,23 +494,25 @@ class Store(_ReadAPI):
         (:meth:`InferrayEngine.load_file`) — same ids as queueing its
         triples, without building them; inference still waits for the
         next read.  Otherwise the triples are queued like :meth:`add`.
-        Encoding at once means the dictionary's rule for later data
-        (a term already numbered as a resource cannot become a
-        property, :class:`~repro.dictionary.encoding.DictionaryError`)
-        applies from the first file on: load schema before data, or
-        both in one file.
+        Either way, everything added before the first read is numbered
+        as one dataset: a later file may use as a property a term an
+        earlier one used only as a resource.
         """
         if path.endswith((".ttl", ".turtle")):
             from ..rdf.turtle import parse_turtle_file
 
             return self.add(parse_turtle_file(path))
-        if (
+        if not (
             self._pending_adds
             or self._pending_removes
             or self._engine.is_materialized
         ):
-            return self.add(parse_file(path))
-        return self._engine.load_file(path)
+            try:
+                return self._engine.load_file(path)
+            except DictionaryError:
+                # Queued instead: the first flush renumbers the union.
+                pass
+        return self.add(parse_file(path))
 
     # ------------------------------------------------------------------
     # Mutations (lazy)
@@ -610,7 +616,19 @@ class Store(_ReadAPI):
         self._pending_adds = []
         self._pending_removes = []
         try:
-            if removes:
+            if not engine.is_materialized:
+                # No closure yet: everything asserted so far is still
+                # one dataset, closed once.
+                if removes:
+                    engine.retract(removes)
+                    removes = []
+                try:
+                    engine.load_triples(adds)
+                except DictionaryError:
+                    engine = self._renumbered_with(adds)
+                adds = []
+                stats = engine.materialize(timeout_seconds=timeout)
+            elif removes:
                 # Deletion: forward chaining requires a rebuild
                 # (paper §1).
                 stats = engine.retract_and_rematerialize(
@@ -622,20 +640,35 @@ class Store(_ReadAPI):
                         adds, timeout_seconds=timeout
                     )
                     adds = []
-            elif engine.is_materialized:
+            else:
                 stats = engine.materialize_incremental(
                     adds, timeout_seconds=timeout
                 )
                 adds = []
-            else:
-                engine.load_triples(adds)
-                adds = []
-                stats = engine.materialize(timeout_seconds=timeout)
         except BaseException:
             self._restore_pending(adds, removes)
             raise
         self._commit_flush(stats)
         return stats
+
+    def _renumbered_with(self, adds: List[Triple]) -> InferrayEngine:
+        """Swap in an engine holding the asserted triples plus ``adds``.
+
+        ``adds`` uses as a property a term the not-yet-materialized
+        engine numbered as a resource.  No closure depends on those ids
+        yet, so the union is numbered afresh as one dataset — the ids
+        it would have had queued whole.  Raises, with the old engine
+        still in place, if the union cannot be numbered either.
+        """
+        old = self._engine
+        decode = old.dictionary.decode_triple
+        union = [decode(encoded) for encoded in old.asserted_encoded()]
+        union.extend(adds)
+        engine = self.config.make_engine()
+        engine.load_triples(union)
+        self._engine = engine
+        old.close()
+        return engine
 
     def _commit_flush(self, stats: MaterializationStats) -> None:
         """Record a successful flush: stats and a new closure epoch."""

@@ -92,6 +92,21 @@ class Dictionary:
         self._ids[term] = new_id
         return new_id
 
+    def encode_properties(self, terms: Iterable[Term]) -> List[int]:
+        """:meth:`encode_property` for each term, all or nothing.
+
+        When one of them is already a resource the ids this call
+        allocated are released before :class:`DictionaryError` leaves.
+        """
+        mark = len(self._property_terms)
+        try:
+            return [self.encode_property(term) for term in terms]
+        except DictionaryError:
+            for term in self._property_terms[mark:]:
+                del self._ids[term]
+            del self._property_terms[mark:]
+            raise
+
     def encode_resource(self, term: Term) -> int:
         """Return the id for ``term`` in subject/object position.
 
@@ -222,16 +237,45 @@ class Dictionary:
         return (PROPERTY_BASE + 1, PROPERTY_BASE + len(self._resource_terms))
 
 
-#: ``roles`` entry for rdf:type in the property-position scans: the
+#: ``roles`` entry for rdf:type in :func:`_property_positions`: the
 #: subject is a property when the object is a property-marking class.
 _TYPE_ROLE = ("type",)
 
 
-def _property_role(predicate: Term) -> tuple:
-    """Which positions of a ``predicate`` statement denote properties."""
-    if predicate == RDF.type:
-        return _TYPE_ROLE
-    return PROPERTY_POSITION_PREDICATES.get(predicate, ())
+def _property_positions(
+    terms: Sequence[Term],
+    subjects: Sequence[int],
+    predicates: Sequence[int],
+    objects: Sequence[int],
+) -> List[int]:
+    """:func:`scan_property_terms` over term columns, as table positions.
+
+    ``roles[p]`` caches, per predicate, which positions of its
+    statements denote properties.
+    """
+    found: Dict[int, None] = {}
+    roles: List[Optional[tuple]] = [None] * len(terms)
+    for s, p, o in zip(subjects, predicates, objects):
+        positions = roles[p]
+        if positions is None:
+            found.setdefault(p)
+            predicate = terms[p]
+            positions = roles[p] = (
+                _TYPE_ROLE
+                if predicate == RDF.type
+                else PROPERTY_POSITION_PREDICATES.get(predicate, ())
+            )
+        if not positions:
+            continue
+        if positions is _TYPE_ROLE:
+            if terms[o] in PROPERTY_MARKING_TYPES:
+                found.setdefault(s)
+            continue
+        if "subject" in positions:
+            found.setdefault(s)
+        if "object" in positions:
+            found.setdefault(o)
+    return list(found)
 
 
 def scan_property_terms(triples: Sequence[Triple]) -> List[Term]:
@@ -241,23 +285,21 @@ def scan_property_terms(triples: Sequence[Triple]) -> List[Term]:
     objects of schema predicates that denote properties (see module doc).
     """
     seen: Dict[Term, None] = {}
-    roles: Dict[Term, tuple] = {}
-    role_of = roles.get
-    for subject, predicate, obj in triples:
-        positions = role_of(predicate)
-        if positions is None:
-            seen.setdefault(predicate)
-            positions = roles[predicate] = _property_role(predicate)
-        if not positions:
-            continue
-        if positions is _TYPE_ROLE:
-            if obj in PROPERTY_MARKING_TYPES:
-                seen.setdefault(subject)
-            continue
-        if "subject" in positions:
-            seen.setdefault(subject)
-        if "object" in positions:
-            seen.setdefault(obj)
+    for triple in triples:
+        if triple.predicate not in seen:
+            seen[triple.predicate] = None
+        positions = PROPERTY_POSITION_PREDICATES.get(triple.predicate)
+        if positions:
+            if "subject" in positions and triple.subject not in seen:
+                seen[triple.subject] = None
+            if "object" in positions and triple.object not in seen:
+                seen[triple.object] = None
+        elif (
+            triple.predicate == RDF.type
+            and triple.object in PROPERTY_MARKING_TYPES
+            and triple.subject not in seen
+        ):
+            seen[triple.subject] = None
     return list(seen)
 
 
@@ -269,26 +311,13 @@ def encode_dataset(
 
     Pass 1 registers every property-position term as a property; pass 2
     encodes the triples.  Returns the (possibly supplied) dictionary and
-    the encoded triple list.
+    the encoded triple list.  A :class:`DictionaryError` (pass 1 is
+    where it arises) leaves the dictionary as it was.
     """
     if dictionary is None:
         dictionary = Dictionary()
-    for term in scan_property_terms(triples):
-        dictionary.encode_property(term)
-    # Dictionary.encode_triple, inlined: after pass 1 every predicate
-    # has its property id, and a known term costs one probe, no call.
-    known = dictionary._ids.get
-    encode_resource = dictionary.encode_resource
-    encoded: List[EncodedTriple] = []
-    append = encoded.append
-    for subject, predicate, obj in triples:
-        subject_id = known(subject)
-        if subject_id is None:
-            subject_id = encode_resource(subject)
-        object_id = known(obj)
-        if object_id is None:
-            object_id = encode_resource(obj)
-        append((subject_id, known(predicate), object_id))
+    dictionary.encode_properties(scan_property_terms(triples))
+    encoded = [dictionary.encode_triple(triple) for triple in triples]
     return dictionary, encoded
 
 
@@ -299,7 +328,7 @@ def encode_columns(
     objects: Sequence[int],
     dictionary: Optional[Dictionary] = None,
 ) -> Tuple[Dictionary, Dict[int, array], List[EncodedTriple]]:
-    """:func:`encode_dataset` over interned columns, partitioned by property.
+    """:func:`encode_dataset` over term columns, partitioned by property.
 
     Statement ``i`` is ``(terms[subjects[i]], terms[predicates[i]],
     terms[objects[i]])`` — the shape :func:`repro.rdf.ntriples.read_columns`
@@ -307,38 +336,25 @@ def encode_columns(
     the ones :func:`encode_dataset` would assign to the same statements;
     the dictionary is probed once per entry of ``terms`` instead of once
     per occurrence, and every occurrence after that is a list lookup.
+    Two entries may hold equal terms (two spellings in a file): they
+    get one id.
 
     Returns the dictionary, the flat ``⟨s, o⟩`` id pairs of each
     property (keyed by property id, in first-seen order — what
     :meth:`repro.store.triple_store.TripleStore.add_pairs` takes) and
-    the encoded triples in input order.
+    the encoded triples in input order.  A :class:`DictionaryError`
+    leaves the dictionary as it was.
     """
     if dictionary is None:
         dictionary = Dictionary()
     ids: List[Optional[int]] = [None] * len(terms)
+    found = _property_positions(terms, subjects, predicates, objects)
+    property_ids = dictionary.encode_properties(
+        [terms[position] for position in found]
+    )
+    for position, property_id in zip(found, property_ids):
+        ids[position] = property_id
 
-    # Pass 1, as scan_property_terms: every predicate, then whatever the
-    # statement puts in a property position.  ``roles[p]`` caches, per
-    # predicate, which positions those are (or that it is rdf:type).
-    encode_property = dictionary.encode_property
-    roles: List[Optional[tuple]] = [None] * len(terms)
-    for s, p, o in zip(subjects, predicates, objects):
-        positions = roles[p]
-        if positions is None:
-            ids[p] = encode_property(terms[p])
-            positions = roles[p] = _property_role(terms[p])
-        if not positions:
-            continue
-        if positions is _TYPE_ROLE:
-            if ids[s] is None and terms[o] in PROPERTY_MARKING_TYPES:
-                ids[s] = encode_property(terms[s])
-            continue
-        if "subject" in positions and ids[s] is None:
-            ids[s] = encode_property(terms[s])
-        if "object" in positions and ids[o] is None:
-            ids[o] = encode_property(terms[o])
-
-    # Pass 2, as encode_triple: subject, then object, first seen first.
     encode_resource = dictionary.encode_resource
     pairs: Dict[int, array] = {}
     encoded: List[EncodedTriple] = []
@@ -358,3 +374,4 @@ def encode_columns(
         column.append(object_id)
         append((subject_id, property_id, object_id))
     return dictionary, pairs, encoded
+

@@ -15,6 +15,7 @@ from repro.core.store_api import Store
 from repro.datasets import bsbm_like, lubm_like, subclass_tree
 from repro.dictionary.encoding import (
     Dictionary,
+    DictionaryError,
     encode_columns,
     encode_dataset,
 )
@@ -182,6 +183,90 @@ class TestRoutesAssignIdenticalIds:
         whole = Store.from_file(path, **options)
         assert set(store.triples()) == set(whole.triples())
         assert store.asserted() == whole.asserted()
+
+        # The other order: whatever the halves share is numbered as if
+        # both had been queued and encoded together.
+        swapped = Store(**options)
+        swapped.add_file(second)
+        swapped.add_file(first)
+        queued = Store(triples[half:] + triples[:half], **options)
+        swapped.materialize()
+        queued.materialize()
+        assert state(swapped.engine) == state(queued.engine)
+
+
+DATA = [
+    Triple(ex("bart"), ex("likes"), ex("knows")),
+    Triple(ex("bart"), RDF.type, ex("Human")),
+]
+# Uses ex:knows — so far only an object — as a property, after a
+# predicate the dictionary has not seen.
+SCHEMA = [
+    Triple(ex("bart"), ex("admires"), ex("lisa")),
+    Triple(ex("knows"), RDFS.subPropertyOf, ex("related")),
+    Triple(ex("bart"), ex("knows"), ex("lisa")),
+    Triple(ex("Human"), RDFS.subClassOf, ex("Mammal")),
+]
+
+
+@pytest.fixture
+def data_then_schema(tmp_path):
+    data, schema = str(tmp_path / "data.nt"), str(tmp_path / "schema.nt")
+    write_file(DATA, data)
+    write_file(SCHEMA, schema)
+    return data, schema
+
+
+class TestInputBeforeTheFirstFlushIsOneDataset:
+    """Data first, schema second: the schema promotes a term the data
+    used as a resource.  Before any closure exists that must not raise
+    — the union is numbered like one queued dataset."""
+
+    def assert_like_queued(self, store, triples):
+        queued = Store(triples)
+        assert store.n_asserted == len(triples)
+        store.materialize()
+        queued.materialize()
+        assert state(store.engine) == state(queued.engine)
+        assert Triple(ex("bart"), ex("related"), ex("lisa")) in store
+        assert Triple(ex("bart"), RDF.type, ex("Mammal")) in store
+
+    def test_two_files(self, data_then_schema):
+        data, schema = data_then_schema
+        store = Store()
+        assert store.add_file(data) == len(DATA)
+        assert store.add_file(schema) == len(SCHEMA)
+        self.assert_like_queued(store, DATA + SCHEMA)
+
+    def test_file_then_triples(self, data_then_schema):
+        data, _ = data_then_schema
+        store = Store.from_file(data)
+        assert store.add(SCHEMA) == len(SCHEMA)
+        self.assert_like_queued(store, DATA + SCHEMA)
+
+    def test_file_then_remove_then_triples(self, data_then_schema):
+        data, _ = data_then_schema
+        store = Store.from_file(data)
+        assert store.remove(DATA[1]) == 1
+        store.add(SCHEMA)
+        store.materialize()
+        assert store.asserted() == [DATA[0]] + SCHEMA
+        assert Triple(ex("bart"), ex("related"), ex("lisa")) in store
+        assert Triple(ex("bart"), RDF.type, ex("Mammal")) not in store
+
+    def test_rejected_input_leaves_the_dictionary_alone(
+        self, data_then_schema
+    ):
+        data, schema = data_then_schema
+        engine = InferrayEngine()
+        engine.load_file(data)
+        before = state(engine)
+        with pytest.raises(DictionaryError):
+            engine.load_file(schema)
+        assert state(engine) == before
+        with pytest.raises(DictionaryError):
+            engine.load_triples(SCHEMA)
+        assert state(engine) == before
 
 
 class TestEncodeColumns:

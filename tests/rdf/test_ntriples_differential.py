@@ -61,9 +61,72 @@ def check_line(line, line_no=1):
 # ----------------------------------------------------------------------
 # Generated lines
 # ----------------------------------------------------------------------
+# Three kinds, in comparable shares: well-formed statements without an
+# escape (the pattern's subset), well-formed statements with escapes
+# (the cursor parser's alone), and lines with something wrong in them.
+#
 # Characters a term may hold that are not line breaks to the parser but
-# are to str.splitlines(), plus the ones each production forbids.
-_ODD = "\x0b\x0c\x1c\x85  \xa0é\U0001f600"
+# are to str.splitlines(), plus a few beyond ASCII.
+_ODD_IN_IRI = "\x85\u2028\u2029\xa0é\U0001f600"
+_ODD = "\x0b\x0c\x1c" + _ODD_IN_IRI
+
+
+def _joined(pieces, max_size):
+    return st.lists(st.sampled_from(pieces), max_size=max_size).map("".join)
+
+
+def _well_formed_terms(escapes):
+    """(subject-or-object IRIs and blank nodes, literals) — all legal;
+    with ``escapes`` some spell characters as ECHAR / UCHAR."""
+    iri_pieces = list("abcXYZ019:/#._-~%") + list(_ODD_IN_IRI)
+    lexical_pieces = list("abc 012.#<>@^\t{}|`'") + list(_ODD)
+    datatypes = ["^^<http://dt/a>", "^^<>"]
+    if escapes:
+        # Repeated: about every other piece drawn is an escape.
+        iri_pieces += ["\\u00e9", "\\U0001F600", "\\u0020"] * 8
+        lexical_pieces += [
+            '\\"', "\\\\", "\\n", "\\t", "\\'", "\\u0041", "\\U0001F600",
+        ] * 4
+        datatypes += ["^^<http://dt/\\u00e9>"]
+    iri = _joined(iri_pieces, 12).map(lambda body: f"<http://x/{body}>")
+    iri = st.one_of(iri, iri, st.just("<>"))
+    bnode = st.one_of(
+        st.text(alphabet="ab01_-", min_size=1, max_size=6).map("_:".__add__),
+        st.sampled_from(["_:b1", "_:b.1", "_:a..b", "_:0", "_:é"]),
+    )
+    suffix = st.sampled_from(
+        ["", "", "@en", "@en-GB", "@en-us-2020"] + datatypes
+    )
+    literal = st.tuples(_joined(lexical_pieces, 10), suffix).map(
+        lambda parts: f'"{parts[0]}"{parts[1]}'
+    )
+    return iri, bnode, literal
+
+
+_blank = st.sampled_from(["", " ", "  ", "\t", " \t "])
+_end = st.sampled_from(
+    ["", "\n", "\r\n", "\r", " ", " # note", "# note\n", " # x\n", "\n\n",
+     " # a\rb"]
+)
+
+
+@st.composite
+def well_formed_lines(draw, escapes):
+    """A statement the grammar accepts, blanks and comment included."""
+    iri, bnode, literal = _well_formed_terms(escapes)
+    subject = draw(st.one_of(iri, bnode))
+    obj = draw(st.one_of(iri, bnode, literal, literal))
+    # A blank-node label runs to the next blank: one must follow it,
+    # except that dots ending the label are given back as the '.'.
+    after_subject = draw(_blank) or (" " if subject[0] == "_" else "")
+    before_dot, end = draw(_blank), draw(_end)
+    if obj[0] == "_" and not before_dot and end.startswith("#"):
+        end = " " + end
+    return (
+        draw(_blank) + subject + after_subject + draw(iri)
+        + draw(_blank) + obj + before_dot + "." + end
+    )
+
 
 _iri_body = st.text(
     alphabet=st.sampled_from(
@@ -86,14 +149,11 @@ _bnode = st.one_of(
     st.text(alphabet="ab01._-", min_size=0, max_size=6).map("_:".__add__),
     st.sampled_from(["_:b1", "_:b.1", "_:b1.", "_:b..", "_:", "_b", "_:é"]),
 )
-_lexical = st.lists(
-    st.sampled_from(
-        list("abc 012.#<>@^\t") + list(_ODD)
-        + ['\\"', "\\\\", "\\n", "\\u0041", "\\U0001F600", "\\u00", "\\x",
-           "\\"]
-    ),
-    max_size=10,
-).map("".join)
+_lexical = _joined(
+    list("abc 012.#<>@^\t") + list(_ODD)
+    + ['\\"', "\\\\", "\\n", "\\u0041", "\\U0001F600", "\\u00", "\\x", "\\"],
+    10,
+)
 _suffix = st.sampled_from(
     ["", "@en", "@en-GB", "@en-us-2020", "@", "@1fr", "@en-", "@été",
      "^^<http://dt/a>", "^^<http://d t>", "^^<http://dt/\\u00e9>", "^^dt",
@@ -104,30 +164,45 @@ _literal = st.tuples(_lexical, _suffix).map(
 )
 _gap = st.sampled_from(["", " ", "  ", "\t", " \t ", "\x0b", "\xa0"])
 _tail = st.sampled_from(
-    ["", "\n", "\r\n", "\r", " ", " # note", "# note\n", " # x\n",
+    ["", "\n", "\r\n", "\r", " ", " # note", "# note\n", " # x\n",
      " extra", " .", "\n\n", " # a\rb"]
 )
 
 
 @st.composite
-def statement_lines(draw):
+def doubtful_lines(draw):
+    """Statement-shaped, every part drawn from legal and illegal
+    spellings alike: terms in the wrong position, forbidden characters,
+    broken escapes, odd blanks, a missing or doubled '.'."""
     subject = draw(st.one_of(_iri, _bnode, _literal))
     predicate = draw(st.one_of(_iri, _iri, _bnode))
     obj = draw(st.one_of(_iri, _bnode, _literal, _literal))
     gaps = [draw(_gap) for _ in range(4)]
     dot = draw(st.sampled_from([".", ".", ".", "", ".."]))
-    line = (
+    return (
         gaps[0] + subject + gaps[1] + predicate + gaps[2] + obj
         + gaps[3] + dot + draw(_tail)
     )
-    # One character dropped or doubled somewhere: most malformed input
-    # is a well-formed line with a slip in it.
-    slip = draw(st.integers(min_value=-1, max_value=len(line) - 1))
-    if slip >= 0 and draw(st.booleans()):
-        line = line[:slip] + line[slip + 1 :]
-    elif slip >= 0 and draw(st.booleans()):
-        line = line[:slip] + line[slip] + line[slip:]
-    return line
+
+
+@st.composite
+def slipped_lines(draw):
+    """A well-formed line with one character dropped or doubled: most
+    malformed input is that."""
+    line = draw(well_formed_lines(draw(st.booleans())))
+    slip = draw(st.integers(min_value=0, max_value=len(line) - 1))
+    if draw(st.booleans()):
+        return line[:slip] + line[slip + 1 :]
+    return line[:slip] + line[slip] + line[slip:]
+
+
+def statement_lines():
+    return st.one_of(
+        well_formed_lines(False),
+        well_formed_lines(True),
+        doubtful_lines(),
+        slipped_lines(),
+    )
 
 
 @settings(max_examples=1500, deadline=None)
@@ -142,12 +217,22 @@ def test_arbitrary_text_agrees(line):
     check_line(line)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.booleans().flatmap(well_formed_lines))
+def test_well_formed_lines_are_accepted(line):
+    """The generator's well-formed half is what it says: without that,
+    the agreement above would mostly compare error messages."""
+    assert outcome(cursor_parse, line, 1)[0] == "ok"
+
+
 def test_generator_reaches_both_sides():
-    """The strategy is not vacuous: it yields pattern hits, cursor-only
-    statements and rejected lines."""
+    """The strategy is not vacuous: pattern hits, cursor-only statements
+    and rejected lines each make up a real share of what it yields."""
     seen = {"pattern": 0, "cursor": 0, "error": 0}
 
-    @settings(max_examples=600, deadline=None, database=None)
+    # derandomize: the shares below are the same on every run.
+    @settings(max_examples=600, deadline=None, database=None,
+              derandomize=True)
     @given(statement_lines())
     def tally(line):
         if pattern_parse(line) is not None:
@@ -158,7 +243,8 @@ def test_generator_reaches_both_sides():
             seen["error"] += 1
 
     tally()
-    assert all(seen.values()), seen
+    total = sum(seen.values())
+    assert all(count >= total // 10 for count in seen.values()), seen
 
 
 # ----------------------------------------------------------------------
