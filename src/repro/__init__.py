@@ -11,8 +11,6 @@ The common entry points are re-exported here:
   ``save()`` / ``Store.load()`` persistence.
 * :class:`InferrayEngine` — the forward-chaining reasoner (Algorithm 1)
   the Store drives.
-* :func:`infer` / :func:`infer_with_stats` / :class:`InferredModel` —
-  deprecated one-shot helpers, kept as shims over the Store.
 * :mod:`repro.rdf` — terms, vocabularies, N-Triples I/O.
 * :mod:`repro.rules` — the Table-5 catalogue and ruleset selections.
 * :mod:`repro.baselines` — comparator engines (hash-join, RETE, naive).
@@ -34,12 +32,6 @@ Quickstart::
     store.save("closure.store")            # reload later in O(read)
 """
 
-from .core.api import (
-    InferredModel,
-    infer,
-    infer_with_stats,
-    load_and_materialize,
-)
 from .core.engine import (
     FixedPointError,
     InferrayEngine,
@@ -67,7 +59,6 @@ __version__ = "1.2.0"
 __all__ = [
     "FixedPointError",
     "InferrayEngine",
-    "InferredModel",
     "MaterializationStats",
     "MaterializationTimeout",
     "Query",
@@ -84,9 +75,6 @@ __all__ = [
     "TriplePattern",
     "Var",
     "__version__",
-    "infer",
-    "infer_with_stats",
     "is_store_file",
-    "load_and_materialize",
     "parse_bgp",
 ]

@@ -124,10 +124,6 @@ class BaselineReasoner:
         """Decoded snapshot — the cross-engine comparison currency."""
         return set(self.triples())
 
-    def encoded_set(self) -> Set[EncodedTriple]:
-        """Raw encoded snapshot."""
-        return set(self.facts)
-
     def _finish_stats(
         self,
         started: float,

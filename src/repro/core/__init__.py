@@ -1,6 +1,5 @@
 """The Inferray engine (paper Algorithm 1) and its high-level API."""
 
-from .api import InferredModel, infer, infer_with_stats, load_and_materialize
 from .engine import (
     FixedPointError,
     InferrayEngine,
@@ -12,12 +11,8 @@ from .scheduler import ParallelRuleScheduler, resolve_workers
 __all__ = [
     "FixedPointError",
     "InferrayEngine",
-    "InferredModel",
     "MaterializationStats",
     "MaterializationTimeout",
     "ParallelRuleScheduler",
-    "infer",
-    "infer_with_stats",
-    "load_and_materialize",
     "resolve_workers",
 ]

@@ -53,11 +53,22 @@ class MaterializationTimeout(RuntimeError):
 
 @dataclass
 class MaterializationStats:
-    """Outcome of one :meth:`InferrayEngine.materialize` run."""
+    """Outcome of one run of the engine's fixed-point driver.
 
+    Batch and incremental flushes, full and hybrid, fill every field
+    the same way; ``InferrayEngine.stats`` is always the record of the
+    last run that did work (the already-materialized no-op returns a
+    zero-work record without replacing it).
+    """
+
+    #: Triples stored when rule work began: everything asserted so far
+    #: is in — for an incremental flush that includes the delta it adds.
     n_input: int = 0
+    #: Triples the rules derived (closure prepass included):
+    #: ``n_total - n_input``.  Asserted triples never count.
     n_inferred: int = 0
     n_total: int = 0
+    #: Fixed-point iterations this run fired.
     iterations: int = 0
     closure_pairs: int = 0
     closure_seconds: float = 0.0
@@ -192,23 +203,22 @@ class InferrayEngine:
         self.vocab = Vocab(self.dictionary)
         self.kernels = resolve_backend(backend, algorithm=algorithm)
         self.workers = 1 if tracer is not None else resolve_workers(workers)
-        self.scheduler = ParallelRuleScheduler(
-            self.rules,
-            workers=self.workers,
-            mode=parallel_mode,
-            vocab=self.vocab,
-            kernels=self.kernels,
-            algorithm=algorithm,
-            split_threshold=split_threshold,
-        )
-        self.main = TripleStore(
-            algorithm=algorithm,
-            tracer=tracer,
-            cache_os=os_cache,
-            backend=self.kernels,
-        )
+
+        def scheduler_for(rules: List[Rule]) -> ParallelRuleScheduler:
+            return ParallelRuleScheduler(
+                rules,
+                workers=self.workers,
+                mode=parallel_mode,
+                vocab=self.vocab,
+                kernels=self.kernels,
+                algorithm=algorithm,
+                split_threshold=split_threshold,
+            )
+
+        self.scheduler = scheduler_for(self.rules)
         self.algorithm = algorithm
         self.tracer = tracer
+        self.main = self._empty_store(os_cache)
         self.max_iterations = max_iterations
         self.stats: Optional[MaterializationStats] = None
         self._materialized = False
@@ -228,15 +238,17 @@ class InferrayEngine:
         if materialize_mode == "hybrid":
             self._hybrid_plan = plan_hybrid(self.rules, self.ruleset_name)
             if self._hybrid_plan.absorbed:
-                self._reduced_scheduler = ParallelRuleScheduler(
-                    self._hybrid_plan.reduced_rules,
-                    workers=self.workers,
-                    mode=parallel_mode,
-                    vocab=self.vocab,
-                    kernels=self.kernels,
-                    algorithm=algorithm,
-                    split_threshold=split_threshold,
+                self._reduced_scheduler = scheduler_for(
+                    self._hybrid_plan.reduced_rules
                 )
+
+    def _empty_store(self, cache_os: bool) -> TripleStore:
+        return TripleStore(
+            algorithm=self.algorithm,
+            tracer=self.tracer,
+            cache_os=cache_os,
+            backend=self.kernels,
+        )
 
     # ------------------------------------------------------------------
     # Loading
@@ -269,11 +281,6 @@ class InferrayEngine:
         self._materialized = False
         return len(encoded)
 
-    def load_encoded_pairs(self, property_id: int, flat_pairs) -> None:
-        """Low-level loader for already-encoded pair data (benchmarks)."""
-        self.main.add_pairs(property_id, flat_pairs)
-        self._materialized = False
-
     # ------------------------------------------------------------------
     # Algorithm 1
     # ------------------------------------------------------------------
@@ -287,96 +294,179 @@ class InferrayEngine:
         skipped entirely and a zero-work stats record is returned
         (``self.stats`` keeps the stats of the last *real* run).
 
-        With ``materialize_mode='hybrid'`` the run goes through the
-        reduced-catalogue flush (:meth:`_materialize_hybrid`), falling
-        back to the full catalogue when the planner absorbed nothing or
-        a schema guard trips.
+        With ``materialize_mode='hybrid'`` the run fires the reduced
+        catalogue, falling back to the full one when the planner
+        absorbed nothing or a schema guard trips.
 
         Raises :class:`MaterializationTimeout` when ``timeout_seconds``
         elapses (checked between iterations).
         """
         if self._materialized:
-            return MaterializationStats(
-                n_input=self.main.n_triples,
-                n_total=self.main.n_triples,
-                workers=self.workers,
-                parallel_mode=self.parallel_mode,
-                n_waves=self.scheduler.n_waves,
-                materialize_mode=self.materialize_mode,
-                absorbed_rules=list(self.absorbed_rule_names),
-                hybrid_fallback=self._hybrid_fallback_reason,
-            )
-        if self.materialize_mode == "hybrid":
-            return self._materialize_hybrid(timeout_seconds=timeout_seconds)
-        return self._materialize_full(timeout_seconds=timeout_seconds)
+            stats = self._blank_stats(self.scheduler)
+            stats.n_total = stats.n_input
+            stats.absorbed_rules = list(self.absorbed_rule_names)
+            return stats
+        return self._flush(time.perf_counter(), timeout_seconds)
 
-    def _materialize_full(
-        self, *, timeout_seconds: Optional[float] = None
+    def _blank_stats(
+        self, scheduler: ParallelRuleScheduler
     ) -> MaterializationStats:
-        """The full-catalogue flush (Algorithm 1 verbatim)."""
-        stats = MaterializationStats(
+        """A zero-work record labelled with the engine's current state."""
+        return MaterializationStats(
             n_input=self.main.n_triples,
             workers=self.workers,
-            parallel_mode=self.parallel_mode,
-            n_waves=self.scheduler.n_waves,
+            parallel_mode=scheduler.effective_mode,
+            n_waves=scheduler.n_waves,
+            materialize_mode=self.materialize_mode,
+            hybrid_fallback=self._hybrid_fallback_reason,
         )
+
+    def materialize_incremental(
+        self,
+        triples: Iterable[Triple],
+        *,
+        timeout_seconds: Optional[float] = None,
+    ) -> MaterializationStats:
+        """Add triples to an already-materialized store, semi-naively.
+
+        Unlike ``load_triples() + materialize()`` — which re-fires every
+        rule with ``new = main`` — this seeds the fixed point with only
+        the genuinely-new delta, so an addition touching one property
+        re-derives only what that delta can produce.  θ-rules handle the
+        delta by re-closing the affected properties (paper §4.1: closure
+        inputs never shrink, so re-closing is sound and idempotent).
+
+        The engine must already be materialized; the result is
+        identical to batch materialization of the union (tested).
+        """
+        if not self._materialized:
+            raise RuntimeError(
+                "materialize_incremental requires a prior materialize()"
+            )
         started = time.perf_counter()
-        deadline = None if timeout_seconds is None else started + timeout_seconds
+        # The closure is incomplete until the delta fixed point lands:
+        # clear the flag so an abort (timeout) leaves the engine marked
+        # stale and the next materialize() recovers instead of serving
+        # a partially-updated closure as complete.
+        self._materialized = False
+        _, encoded = encode_dataset(list(triples), self.dictionary)
+        self._asserted.extend(encoded)
+        seed = InferredBuffers()
+        for subject, property_id, obj in encoded:
+            seed.emit(property_id, subject, obj)
+        delta = self.main.merge_inferred(seed)
+        return self._flush(started, timeout_seconds, delta)
+
+    def _flush(
+        self,
+        started: float,
+        timeout_seconds: Optional[float],
+        delta: Optional[TripleStore] = None,
+    ) -> MaterializationStats:
+        """Set the driver up for this engine's mode and run it.
+
+        ``delta`` is what an incremental flush just merged into
+        ``main`` (``None`` for a batch run over everything loaded).
+        """
+        self.mark_hybrid_fallback(None)
+        # Line 3: the first iteration sees everything as new.
+        scheduler, prepass = self.scheduler, (self._theta_prepass,)
+        new, iteration = self.main, 0
+        if self.materialize_mode == "hybrid":
+            # Semi-naive seeding cannot catch what a *schema* delta does
+            # to the encoding (new subClassOf edges change every
+            # absorbed answer) nor re-run the hierarchy pre-pass, so
+            # hybrid additions re-fire the whole hybrid flush.  That is
+            # still the reduced catalogue over the already-closed store
+            # plus the delta — prepass rows are monotone entailments,
+            # so the re-run is idempotent — and it re-checks the guards
+            # against the updated schema.  A fallback runs whole too:
+            # the store may hold only a reduced closure to complete.
+            self._hybrid_fallback_reason = self._hybrid_refusal()
+            if self._hybrid_fallback_reason is None:
+                scheduler = self._reduced_scheduler
+                prepass = (self._hybrid_prepass, self._theta_prepass)
+        elif delta is not None:
+            # Start past the θ pre-pass skip: deltas must re-close.
+            prepass, new, iteration = (), delta, 1
+        return self._fixed_point(
+            scheduler, prepass, new, iteration, started, timeout_seconds
+        )
+
+    def _fixed_point(
+        self,
+        scheduler: ParallelRuleScheduler,
+        prepass,
+        new: TripleStore,
+        iteration: int,
+        started: float,
+        timeout_seconds: Optional[float],
+    ) -> MaterializationStats:
+        """Algorithm 1 — the engine's only copy of it.
+
+        ``scheduler`` owns the rule catalogue to fire.  Each ``prepass``
+        step is called as ``step(rules, out)``, reads the whole store,
+        emits into ``out`` and returns the closure pairs it accounts
+        for (line 2); their output is merged before the loop.  ``new``
+        is the first iteration's delta and ``iteration`` the count the
+        loop starts after: 0 for a run whose pre-pass closed the θ
+        properties (θ rules skip iteration 1), 1 for a delta run.
+
+        The engine is unmaterialized on entry and stays so on any
+        exception, so the next :meth:`materialize` redoes the flush
+        from what is stored.
+        """
+        deadline = (
+            None if timeout_seconds is None else started + timeout_seconds
+        )
+        first_iteration = iteration
+        stats = self._blank_stats(scheduler)
 
         # Line 2: transitivity closures on the dedicated layout.
         closure_started = time.perf_counter()
         prepass_buffers = InferredBuffers()
-        prepass_ctx = RuleContext(
-            main=self.main,
-            new=self.main,
-            out=prepass_buffers,
-            vocab=self.vocab,
-            kernels=self.kernels,
-        )
-        theta_rules = [rule for rule in self.rules if rule.rule_class == "theta"]
-        for rule in theta_rules:
-            stats.closure_pairs += rule.prepass(prepass_ctx)
+        for step in prepass:
+            stats.closure_pairs += step(scheduler.rules, prepass_buffers)
         if prepass_buffers:
             self.main.merge_inferred(prepass_buffers)
         stats.closure_seconds = time.perf_counter() - closure_started
 
-        # Line 3: the first iteration sees everything as new.
-        new = self.main
-        iteration = 0
-
         # Lines 4-8: fixed point, rules fired through the wave scheduler.
-        # The executor pick is decided up front from the committed
-        # snapshot; session() may downgrade the decision in place (a
+        # The executor pick is decided from the committed snapshot —
+        # after the delta merge and the pre-pass, so the estimate sees
+        # the real (main, new) shapes and a small increment on a huge
+        # store still picks the cheapest substrate for the delta's
+        # work.  session() may downgrade the decision in place (a
         # picked process substrate that cannot start degrades to
-        # threads), so the stats read it *after* the session is live —
-        # they record what the run actually used.
-        decision = self.scheduler.decide(self.main, new)
-        with self.scheduler.session(decision) as executor:
-            stats.parallel_mode = decision.mode
-            stats.parallel_fallback = decision.fallback
-            stats.parallel_decision = decision.as_dict()
+        # threads), and so may mid-wave self-healing while iterations
+        # run, so the stats read it after the loop — they record what
+        # the run actually used.
+        decision = scheduler.decide(self.main, new)
+        with scheduler.session(decision) as executor:
             while new:
                 iteration += 1
                 if iteration > self.max_iterations:
                     raise FixedPointError(
                         f"no fixed point after {self.max_iterations} "
                         f"iterations (workers={self.workers}, "
-                        f"mode={self.parallel_mode})"
+                        f"mode={scheduler.effective_mode})"
                     )
                 if deadline is not None and time.perf_counter() > deadline:
                     raise MaterializationTimeout(
                         f"inferray: timeout after {timeout_seconds}s "
                         f"(iteration {iteration}, workers={self.workers}, "
-                        f"mode={self.parallel_mode})"
+                        f"mode={scheduler.effective_mode})"
                     )
                 infer_started = time.perf_counter()
-                outcome = self.scheduler.run_iteration(
+                outcome = scheduler.run_iteration(
                     main=self.main,
                     new=new,
                     vocab=self.vocab,
                     kernels=self.kernels,
                     iteration=iteration,
-                    theta_prepass_done=bool(theta_rules),
+                    # Read only by θ rules, only at iteration 1 — which
+                    # only a run that pre-passed its catalogue reaches.
+                    theta_prepass_done=True,
                     executor=executor,
                 )
                 stats.inference_seconds += (
@@ -388,33 +478,52 @@ class InferrayEngine:
                 new = self.main.merge_inferred(outcome.out)
                 stats.merge_seconds += time.perf_counter() - merge_started
 
-        # Re-read after the loop: mid-wave self-healing may have
-        # degraded the decision while iterations ran.
         stats.parallel_mode = decision.mode
         stats.parallel_fallback = decision.fallback
         stats.parallel_decision = decision.as_dict()
-        stats.iterations = iteration
+        stats.iterations = iteration - first_iteration
         stats.n_total = self.main.n_triples
         stats.n_inferred = stats.n_total - stats.n_input
-        stats.total_seconds = time.perf_counter() - started
         self._finalize_parallel_stats(stats)
+        if self._hybrid_encoding is not None:
+            # The hybrid pre-pass encoded the hierarchies: reads compose
+            # the absorbed rules' answers back in through this view.
+            self._activate_hybrid_view()
+        stats.absorbed_rules = list(self.absorbed_rule_names)
+        stats.total_seconds = time.perf_counter() - started
         self.stats = stats
         self._materialized = True
         return stats
 
+    def _theta_prepass(self, rules, out: InferredBuffers) -> int:
+        """Close every θ rule's properties over the loaded data."""
+        ctx = RuleContext(
+            main=self.main,
+            new=self.main,
+            out=out,
+            vocab=self.vocab,
+            kernels=self.kernels,
+        )
+        return sum(
+            rule.prepass(ctx) for rule in rules if rule.rule_class == "theta"
+        )
+
     # ------------------------------------------------------------------
     # Hybrid (LiteMat-style) flush
     # ------------------------------------------------------------------
-    def _hybrid_guard_reason(self) -> Optional[str]:
-        """Why the stored schema forbids absorbing rules, or None.
+    def _hybrid_refusal(self) -> Optional[str]:
+        """Why this flush cannot run the reduced catalogue, or None.
 
-        The encoding treats ``rdf:type``, ``rdfs:subClassOf/
-        subPropertyOf`` and ``rdfs:domain/range`` as fixed vocabulary.
-        Data that redefines that vocabulary — a sub-property of
-        ``rdfs:subClassOf``, a domain declared on ``rdf:type`` — would
-        route inference *into* the absorbed tables, so such inputs run
-        the full catalogue instead (correct, just not reduced).
+        Either the planner absorbed nothing, or the stored schema
+        forbids absorbing.  The encoding treats ``rdf:type``,
+        ``rdfs:subClassOf/subPropertyOf`` and ``rdfs:domain/range`` as
+        fixed vocabulary.  Data that redefines that vocabulary — a
+        sub-property of ``rdfs:subClassOf``, a domain declared on
+        ``rdf:type`` — would route inference *into* the absorbed tables,
+        so such inputs run the full catalogue (correct, just not reduced).
         """
+        if self._reduced_scheduler is None:
+            return f"ruleset {self.ruleset_name!r} has no absorbable rules"
         vocab = self.vocab
         reserved = {
             vocab.type,
@@ -442,20 +551,14 @@ class InferrayEngine:
                         )
         return None
 
-    def _build_hybrid_encoding(self) -> HierarchyEncoding:
-        """Interval-encode the stored subClassOf/subPropertyOf graphs."""
-        vocab = self.vocab
-        subclass = self.main.table(vocab.subClassOf)
-        subprop = self.main.table(vocab.subPropertyOf)
-        return HierarchyEncoding(
-            subclass.iter_pairs() if subclass is not None else (),
-            subprop.iter_pairs() if subprop is not None else (),
-        )
+    def _hybrid_prepass(self, rules, out: InferredBuffers) -> int:
+        """Line 2 for the absorbed rules: encode, then type the members
+        of sub-property tables under domain/range.
 
-    def _hierarchy_prepass(
-        self, encoding: HierarchyEncoding, out: InferredBuffers
-    ) -> int:
-        """Type the members of sub-property tables under domain/range.
+        The interval encoding of the stored subClassOf/subPropertyOf
+        graphs stands in for the absorbed θ closures (its reach pairs
+        are the closure pairs reported); θ rules still in the reduced
+        catalogue close their properties as usual.
 
         The one interaction between absorbed and materialized rules the
         planner exempts: with PRP-SPO1 (or SCM-DOM2/RNG2) absorbed,
@@ -468,6 +571,12 @@ class InferrayEngine:
         firings.  Rows are genuine entailments, so re-running the pass
         on incremental flushes is idempotent (monotone).
         """
+        subclass = self.main.table(self.vocab.subClassOf)
+        subprop = self.main.table(self.vocab.subPropertyOf)
+        encoding = self._hybrid_encoding = HierarchyEncoding(
+            subclass.iter_pairs() if subclass is not None else (),
+            subprop.iter_pairs() if subprop is not None else (),
+        )
         plan = self._hybrid_plan
         vocab = self.vocab
         kernels = self.kernels
@@ -476,7 +585,6 @@ class InferrayEngine:
             jobs.append((vocab.domain, True))
         if plan.copy_data or plan.expand_range_properties:
             jobs.append((vocab.range, False))
-        emitted = 0
         for schema_pid, use_subjects in jobs:
             schema = self.main.table(schema_pid)
             if schema is None:
@@ -496,137 +604,20 @@ class InferrayEngine:
                             vocab.type,
                             kernels.pair_with_constant(members, cls),
                         )
-                        emitted += len(members)
-        return emitted
-
-    def _materialize_hybrid(
-        self, *, timeout_seconds: Optional[float] = None
-    ) -> MaterializationStats:
-        """Reduced-catalogue flush: encode, pre-pass, fixed point, view."""
-        self._hybrid_view = None
-        self._hybrid_encoding = None
-        plan = self._hybrid_plan
-        if self._reduced_scheduler is None or not plan.absorbed:
-            reason = (
-                f"ruleset {self.ruleset_name!r} has no absorbable rules"
-            )
-        else:
-            reason = self._hybrid_guard_reason()
-        if reason is not None:
-            self._hybrid_fallback_reason = reason
-            stats = self._materialize_full(timeout_seconds=timeout_seconds)
-            stats.materialize_mode = "hybrid"
-            stats.absorbed_rules = []
-            stats.hybrid_fallback = reason
-            return stats
-
-        self._hybrid_fallback_reason = None
-        scheduler = self._reduced_scheduler
-        stats = MaterializationStats(
-            n_input=self.main.n_triples,
-            workers=self.workers,
-            parallel_mode=scheduler.effective_mode,
-            n_waves=scheduler.n_waves,
-            materialize_mode="hybrid",
-            absorbed_rules=list(plan.absorbed),
-        )
-        started = time.perf_counter()
-        deadline = (
-            None if timeout_seconds is None else started + timeout_seconds
-        )
-
-        # Line 2 equivalents: the interval encoding stands in for the
-        # absorbed θ closures; the hierarchy pre-pass covers the
-        # absorbed half of PRP-DOM/PRP-RNG; any θ rule still in the
-        # reduced catalogue closes its properties as usual.
-        closure_started = time.perf_counter()
-        encoding = self._build_hybrid_encoding()
-        stats.closure_pairs += (
+        return (
             encoding.classes_up.n_reach_pairs()
             + encoding.props_up.n_reach_pairs()
         )
-        prepass_buffers = InferredBuffers()
-        self._hierarchy_prepass(encoding, prepass_buffers)
-        prepass_ctx = RuleContext(
-            main=self.main,
-            new=self.main,
-            out=prepass_buffers,
-            vocab=self.vocab,
-            kernels=self.kernels,
-        )
-        theta_rules = [
-            rule
-            for rule in plan.reduced_rules
-            if rule.rule_class == "theta"
-        ]
-        for rule in theta_rules:
-            stats.closure_pairs += rule.prepass(prepass_ctx)
-        if prepass_buffers:
-            self.main.merge_inferred(prepass_buffers)
-        stats.closure_seconds = time.perf_counter() - closure_started
 
-        new = self.main
-        iteration = 0
-        decision = scheduler.decide(self.main, new)
-        with scheduler.session(decision) as executor:
-            stats.parallel_mode = decision.mode
-            stats.parallel_fallback = decision.fallback
-            stats.parallel_decision = decision.as_dict()
-            while new:
-                iteration += 1
-                if iteration > self.max_iterations:
-                    raise FixedPointError(
-                        f"no fixed point after {self.max_iterations} "
-                        f"iterations (workers={self.workers}, "
-                        f"mode={scheduler.effective_mode})"
-                    )
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise MaterializationTimeout(
-                        f"inferray: timeout after {timeout_seconds}s "
-                        f"(iteration {iteration}, workers={self.workers}, "
-                        f"mode={scheduler.effective_mode})"
-                    )
-                infer_started = time.perf_counter()
-                outcome = scheduler.run_iteration(
-                    main=self.main,
-                    new=new,
-                    vocab=self.vocab,
-                    kernels=self.kernels,
-                    iteration=iteration,
-                    theta_prepass_done=True,
-                    executor=executor,
-                )
-                stats.inference_seconds += (
-                    time.perf_counter() - infer_started
-                )
-                self._accumulate_outcome(stats, outcome)
-
-                merge_started = time.perf_counter()
-                new = self.main.merge_inferred(outcome.out)
-                stats.merge_seconds += time.perf_counter() - merge_started
-
-        # Re-read after the loop: mid-wave self-healing may have
-        # degraded the decision while iterations ran.
-        stats.parallel_mode = decision.mode
-        stats.parallel_fallback = decision.fallback
-        stats.parallel_decision = decision.as_dict()
-        stats.iterations = iteration
-        stats.n_total = self.main.n_triples
-        stats.n_inferred = stats.n_total - stats.n_input
-        stats.total_seconds = time.perf_counter() - started
-        self._finalize_parallel_stats(stats)
-        self._hybrid_encoding = encoding
+    def _activate_hybrid_view(self) -> None:
+        """Serve reads through the current encoding (fresh per flush)."""
         self._hybrid_view = HybridTripleView(
-            self.main, encoding, plan, self.vocab, self.kernels
+            self.main,
+            self._hybrid_encoding,
+            self._hybrid_plan,
+            self.vocab,
+            self.kernels,
         )
-        self.stats = stats
-        self._materialized = True
-        return stats
-
-    @property
-    def hybrid_plan(self) -> Optional[HybridPlan]:
-        """The planner's absorbed/materialized split (hybrid mode only)."""
-        return self._hybrid_plan
 
     @property
     def hybrid_view(self) -> Optional[HybridTripleView]:
@@ -664,8 +655,9 @@ class InferrayEngine:
         """Why the last hybrid flush ran the full catalogue (or None)."""
         return self._hybrid_fallback_reason
 
-    def mark_hybrid_fallback(self, reason: str) -> None:
-        """Record an externally-decided fallback (persistence path)."""
+    def mark_hybrid_fallback(self, reason: Optional[str]) -> None:
+        """Drop the hybrid view; ``reason`` says why reads are served
+        from ``main`` instead (None: no flush has decided yet)."""
         self._hybrid_view = None
         self._hybrid_encoding = None
         self._hybrid_fallback_reason = reason
@@ -696,13 +688,7 @@ class InferrayEngine:
             payload["encoding"]
         )
         self._hybrid_fallback_reason = None
-        self._hybrid_view = HybridTripleView(
-            self.main,
-            self._hybrid_encoding,
-            self._hybrid_plan,
-            self.vocab,
-            self.kernels,
-        )
+        self._activate_hybrid_view()
         return True
 
     @property
@@ -721,9 +707,15 @@ class InferrayEngine:
         scheduler registers a ``weakref.finalize``), but explicit close
         is deterministic and is what ``Store.close()`` calls.
         """
-        self.scheduler.close()
-        if self._reduced_scheduler is not None:
-            self._reduced_scheduler.close()
+        for scheduler in self.schedulers:
+            scheduler.close()
+
+    @property
+    def schedulers(self) -> List[ParallelRuleScheduler]:
+        """The full-catalogue scheduler and, in hybrid mode with rules
+        absorbed, the reduced one."""
+        reduced = self._reduced_scheduler
+        return [self.scheduler] + ([reduced] if reduced is not None else [])
 
     def _accumulate_outcome(self, stats, outcome) -> None:
         """Fold one scheduled iteration's observability into ``stats``."""
@@ -750,30 +742,21 @@ class InferrayEngine:
             stats.parallel_speedup = (
                 stats.rule_busy_seconds / stats.inference_seconds
             )
-        else:
-            stats.parallel_speedup = 1.0
 
     def retract(self, triples: Iterable[Triple]) -> None:
         """Remove asserted triples, leaving the store unmaterialized.
 
         The store is rebuilt from the surviving asserted triples;
-        triples never asserted (inferred or unknown) are ignored.
+        triples never asserted (inferred or unknown) are ignored, and
+        when that is all of them nothing is touched — the closure, if
+        there is one, stays complete.
         """
-        to_remove = set()
-        for triple in triples:
-            subject_id = self.dictionary.id_of(triple.subject)
-            property_id = self.dictionary.id_of(triple.predicate)
-            object_id = self.dictionary.id_of(triple.object)
-            if None not in (subject_id, property_id, object_id):
-                to_remove.add((subject_id, property_id, object_id))
+        to_remove = {self.dictionary.ids_of(triple) for triple in triples}
         surviving = [e for e in self._asserted if e not in to_remove]
+        if len(surviving) == len(self._asserted):
+            return
         self._asserted = surviving
-        self.main = TripleStore(
-            algorithm=self.algorithm,
-            tracer=self.tracer,
-            cache_os=self.main.cache_os,
-            backend=self.kernels,
-        )
+        self.main = self._empty_store(self.main.cache_os)
         self.main.add_encoded(surviving)
         self._materialized = False
 
@@ -788,7 +771,8 @@ class InferrayEngine:
         Forward-chaining has no cheap deletion — "forward-chaining
         requires full materialization after deletion" (paper §1) — so
         this is :meth:`retract` followed by :meth:`materialize` (bounded
-        by ``timeout_seconds``).
+        by ``timeout_seconds``).  When nothing asserted is removed the
+        closure still stands and the zero-work record comes back.
         """
         self.retract(triples)
         return self.materialize(timeout_seconds=timeout_seconds)
@@ -833,144 +817,20 @@ class InferrayEngine:
         # Persistent worker pools carry the vocabulary they were
         # initialized with; adopting a new dictionary invalidates them,
         # so recycle the pools (they restart lazily with the new vocab).
-        self.scheduler.vocab = self.vocab
-        self.scheduler.close()
-        if self._reduced_scheduler is not None:
-            self._reduced_scheduler.vocab = self.vocab
-            self._reduced_scheduler.close()
-        self.main = TripleStore(
-            algorithm=self.algorithm,
-            tracer=self.tracer,
-            cache_os=self.main.cache_os,
-            backend=self.kernels,
-        )
+        for scheduler in self.schedulers:
+            scheduler.vocab = self.vocab
+            scheduler.close()
+        self.main = self._empty_store(self.main.cache_os)
         for property_id, flat_pairs in tables:
             self.main.load_table(property_id, flat_pairs, presorted=True)
         self._asserted = [tuple(item) for item in asserted_encoded]
         self._materialized = bool(materialized)
-        self._hybrid_view = None
-        self._hybrid_encoding = None
-        self._hybrid_fallback_reason = None
+        self.mark_hybrid_fallback(None)
         self.stats = None
 
     def memory_bytes(self) -> int:
         """Bytes held by the store's pair arrays and caches."""
         return self.main.memory_bytes()
-
-    def materialize_incremental(
-        self,
-        triples: Iterable[Triple],
-        *,
-        timeout_seconds: Optional[float] = None,
-    ) -> MaterializationStats:
-        """Add triples to an already-materialized store, semi-naively.
-
-        Unlike ``load_triples() + materialize()`` — which re-fires every
-        rule with ``new = main`` — this seeds the fixed point with only
-        the genuinely-new delta, so an addition touching one property
-        re-derives only what that delta can produce.  θ-rules handle the
-        delta by re-closing the affected properties (paper §4.1: closure
-        inputs never shrink, so re-closing is sound and idempotent).
-
-        The engine must already be materialized; the result is
-        identical to batch materialization of the union (tested).
-        """
-        if not self._materialized:
-            raise RuntimeError(
-                "materialize_incremental requires a prior materialize()"
-            )
-        if self.materialize_mode == "hybrid":
-            # Semi-naive seeding cannot catch what a *schema* delta does
-            # to the encoding (new subClassOf edges change every
-            # absorbed answer) nor re-run the hierarchy pre-pass, so
-            # hybrid additions re-fire the whole hybrid flush.  That is
-            # still the reduced catalogue over the already-closed store
-            # plus the delta — prepass rows are monotone entailments,
-            # so the re-run is idempotent — and it re-checks the guards
-            # against the updated schema.
-            self._materialized = False
-            triple_list = list(triples)
-            _, encoded = encode_dataset(triple_list, self.dictionary)
-            self._asserted.extend(encoded)
-            seed = InferredBuffers()
-            for subject, property_id, obj in encoded:
-                seed.emit(property_id, subject, obj)
-            self.main.merge_inferred(seed)
-            return self._materialize_hybrid(timeout_seconds=timeout_seconds)
-        # The closure is incomplete until the delta fixed point lands:
-        # clear the flag so an abort (timeout) leaves the engine marked
-        # stale and the next materialize() recovers instead of serving
-        # a partially-updated closure as complete.
-        self._materialized = False
-        stats = MaterializationStats(
-            n_input=self.main.n_triples,
-            workers=self.workers,
-            parallel_mode=self.parallel_mode,
-            n_waves=self.scheduler.n_waves,
-        )
-        started = time.perf_counter()
-        deadline = None if timeout_seconds is None else started + timeout_seconds
-
-        triple_list = list(triples)
-        _, encoded = encode_dataset(triple_list, self.dictionary)
-        self._asserted.extend(encoded)
-        seed = InferredBuffers()
-        for subject, property_id, obj in encoded:
-            seed.emit(property_id, subject, obj)
-        new = self.main.merge_inferred(seed)
-
-        iteration = 1  # start past the θ pre-pass skip: deltas must close
-        # Decide *after* the delta merge: the estimate sees the real
-        # (main, delta) shapes, so a small increment on a huge store
-        # still picks the cheapest substrate for the delta's work.
-        decision = self.scheduler.decide(self.main, new)
-        with self.scheduler.session(decision) as executor:
-            stats.parallel_mode = decision.mode
-            stats.parallel_fallback = decision.fallback
-            stats.parallel_decision = decision.as_dict()
-            while new:
-                iteration += 1
-                if iteration > self.max_iterations:
-                    raise FixedPointError(
-                        f"no fixed point after {self.max_iterations} "
-                        f"iterations (workers={self.workers}, "
-                        f"mode={self.parallel_mode})"
-                    )
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise MaterializationTimeout(
-                        f"inferray: incremental timeout after "
-                        f"{timeout_seconds}s (workers={self.workers}, "
-                        f"mode={self.parallel_mode})"
-                    )
-                infer_started = time.perf_counter()
-                outcome = self.scheduler.run_iteration(
-                    main=self.main,
-                    new=new,
-                    vocab=self.vocab,
-                    kernels=self.kernels,
-                    iteration=iteration,
-                    theta_prepass_done=True,
-                    executor=executor,
-                )
-                stats.inference_seconds += (
-                    time.perf_counter() - infer_started
-                )
-                self._accumulate_outcome(stats, outcome)
-
-                merge_started = time.perf_counter()
-                new = self.main.merge_inferred(outcome.out)
-                stats.merge_seconds += time.perf_counter() - merge_started
-
-        stats.parallel_mode = decision.mode
-        stats.parallel_fallback = decision.fallback
-        stats.parallel_decision = decision.as_dict()
-        stats.iterations = iteration - 1
-        stats.n_total = self.main.n_triples
-        stats.n_inferred = stats.n_total - stats.n_input
-        stats.total_seconds = time.perf_counter() - started
-        self._finalize_parallel_stats(stats)
-        self._materialized = True
-        return stats
 
     # ------------------------------------------------------------------
     # Results
@@ -1005,25 +865,15 @@ class InferrayEngine:
         hybrid mode this answers through :attr:`read_view`, so absorbed
         (virtual) entailments match like stored ones.
         """
-        ids: List[Optional[int]] = []
-        for term in (subject, predicate, obj):
-            if term is None:
-                ids.append(None)
-            else:
-                term_id = self.dictionary.id_of(term)
-                if term_id is None:
-                    return
-                ids.append(term_id)
+        ids = self.dictionary.pattern_ids(subject, predicate, obj)
+        if ids is None:
+            return
         decode = self.dictionary.decode_triple
-        for encoded in self.read_view.query(ids[0], ids[1], ids[2]):
+        for encoded in self.read_view.query(*ids):
             yield decode(encoded)
 
     def contains(self, triple: Triple) -> bool:
         """Membership test for one decoded triple (read-view semantics,
         like :meth:`query`)."""
-        subject_id = self.dictionary.id_of(triple.subject)
-        property_id = self.dictionary.id_of(triple.predicate)
-        object_id = self.dictionary.id_of(triple.object)
-        if None in (subject_id, property_id, object_id):
-            return False
-        return (subject_id, property_id, object_id) in self.read_view
+        ids = self.dictionary.ids_of(triple)
+        return ids is not None and ids in self.read_view

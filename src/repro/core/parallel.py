@@ -30,15 +30,13 @@ instead, without pickling the store:
   the ``fork`` and ``spawn`` start methods work (CI runs both).
 
 Mode selection (:func:`resolve_parallel_mode`): ``"process"`` /
-``"thread"`` force an executor; ``"auto"`` (the default) picks
-processes exactly where threads cannot scale — the pure-Python
-backend — and threads for the NumPy backend, whose kernels release
-the GIL and skip the export memcpy.
+``"thread"`` force an executor; ``"auto"`` (the default) leaves the
+pick to the scheduler's cost model
+(:meth:`repro.core.scheduler.ParallelRuleScheduler.decide`).
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import sys
 import warnings
@@ -46,6 +44,7 @@ from array import array
 from multiprocessing import get_context, resource_tracker, shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..env import env_choice, env_int
 from ..faults import fire as _fire_fault
 from ..kernels import KernelBackend, resolve_backend
 from ..rules.spec import Rule, RuleContext, Vocab
@@ -106,47 +105,24 @@ def process_mode_supported() -> bool:
     return _shm_unlink is not None
 
 
-def resolve_parallel_mode(
-    mode: Optional[str],
-    *,
-    backend_name: Optional[str] = None,
-) -> str:
+def resolve_parallel_mode(mode: Optional[str]) -> str:
     """Normalize a ``parallel_mode`` request.
 
     ``None`` reads :data:`PARALLEL_MODE_ENV` (defaulting to ``auto``);
     an unknown value from the environment warns and falls back to
-    ``auto`` (matching ``REPRO_WORKERS``' forgiving parse), while an
-    unknown value passed explicitly raises.  When ``backend_name`` is
-    given, ``auto`` is eagerly resolved with the legacy backend
-    dispatch — ``process`` on the pure-Python kernel backend (where
-    threads are GIL-serialized), ``thread`` on vectorized backends;
-    without it ``auto`` is returned unresolved so the caller's cost
-    model can pick per materialization.  The caller applies the mode
-    only when ``workers > 1``.
+    ``auto``, while an unknown value passed explicitly raises.  ``auto``
+    is returned unresolved: the scheduler's cost model picks per
+    materialization.  The caller applies the mode only when
+    ``workers > 1``.
     """
-    from_env = False
     if mode is None:
-        mode = os.environ.get(PARALLEL_MODE_ENV, "").strip().lower() or "auto"
-        from_env = True
+        return env_choice(PARALLEL_MODE_ENV, "auto", PARALLEL_MODES)
     mode = mode.lower()
     if mode not in PARALLEL_MODES:
-        if from_env:
-            warnings.warn(
-                f"{PARALLEL_MODE_ENV}={mode!r} is not one of "
-                f"{PARALLEL_MODES}; using 'auto'",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            mode = "auto"
-        else:
-            raise ValueError(
-                f"unknown parallel mode {mode!r}; expected one of "
-                f"{PARALLEL_MODES}"
-            )
-    if mode == "auto" and backend_name is not None:
-        if backend_name == "python" and process_mode_supported():
-            return "process"
-        return "thread"
+        raise ValueError(
+            f"unknown parallel mode {mode!r}; expected one of "
+            f"{PARALLEL_MODES}"
+        )
     return mode
 
 
@@ -157,30 +133,15 @@ def resolve_split_threshold(threshold: Optional[int]) -> int:
     :data:`DEFAULT_SPLIT_THRESHOLD`; non-numeric environment values
     warn and fall back rather than crash.
     """
-    if threshold is None:
-        raw = os.environ.get(SPLIT_THRESHOLD_ENV, "").strip()
-        if not raw:
-            return DEFAULT_SPLIT_THRESHOLD
-        try:
-            threshold = int(raw)
-        except ValueError:
-            warnings.warn(
-                f"{SPLIT_THRESHOLD_ENV}={raw!r} is not an integer pair "
-                f"count; using the default "
-                f"({DEFAULT_SPLIT_THRESHOLD})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return DEFAULT_SPLIT_THRESHOLD
-        if threshold < 0:
-            warnings.warn(
-                f"{SPLIT_THRESHOLD_ENV}={raw!r} is negative; treating "
-                f"as 0 (splitting disabled)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 0
-    return max(0, int(threshold))
+    if threshold is not None:
+        return max(0, int(threshold))
+    return env_int(
+        SPLIT_THRESHOLD_ENV,
+        DEFAULT_SPLIT_THRESHOLD,
+        noun="pair count",
+        otherwise=f"using the default ({DEFAULT_SPLIT_THRESHOLD})",
+        floor=(0, 0, "is negative; treating as 0 (splitting disabled)"),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -626,9 +587,7 @@ class ProcessSession:
                 "use parallel_mode='thread'"
             ) from error
         if start_method is None:
-            start_method = (
-                os.environ.get(START_METHOD_ENV, "").strip() or None
-            )
+            start_method = env_choice(START_METHOD_ENV, None)
         from concurrent.futures import ProcessPoolExecutor
 
         try:

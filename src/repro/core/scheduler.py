@@ -82,9 +82,10 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from ..env import env_int
 from ..kernels import KernelBackend, resolve_backend
 from ..rules.depgraph import RuleDependencyGraph
 from ..rules.spec import Rule, RuleContext, Vocab
@@ -142,51 +143,28 @@ def resolve_workers(workers: Optional[int]) -> int:
     Explicit values are trusted: ``0`` and negatives mean "all cores"
     (``os.cpu_count()``), positives pass through.  ``None`` reads the
     :data:`WORKERS_ENV` environment variable (defaulting to 1 —
-    sequential), and environment values are *sanitized* rather than
-    trusted, since a stray shell export should never crash or
-    oversubscribe an engine: non-numeric values warn and fall back to
-    sequential, negatives warn and use all cores, and anything above
-    4× the core count warns and clamps to that ceiling.
+    sequential), sanitized (see :mod:`repro.env`): non-numeric values
+    warn and fall back to sequential, negatives warn and use all cores,
+    and anything above 4× the core count warns and clamps to it.
     """
-    if workers is not None:
-        workers = int(workers)
-        if workers <= 0:
-            return os.cpu_count() or 1
-        return workers
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
     cores = os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"{WORKERS_ENV}={raw!r} is not an integer worker count; "
-            "running sequentially (workers=1)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
-    if value == 0:
-        return cores
-    if value < 0:
-        warnings.warn(
-            f"{WORKERS_ENV}={value} is negative; using all {cores} "
-            "core(s)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return cores
-    ceiling = 4 * cores
-    if value > ceiling:
-        warnings.warn(
-            f"{WORKERS_ENV}={value} would oversubscribe {cores} core(s); "
-            f"clamping to {ceiling} (4x cores)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return ceiling
-    return value
+    if workers is not None:
+        return max(int(workers), 0) or cores
+    top = 4 * cores
+    value = env_int(
+        WORKERS_ENV,
+        1,
+        noun="worker count",
+        otherwise="running sequentially (workers=1)",
+        floor=(0, cores, f"is negative; using all {cores} core(s)"),
+        ceiling=(
+            top,
+            top,
+            f"would oversubscribe {cores} core(s); clamping to {top} "
+            "(4x cores)",
+        ),
+    )
+    return value or cores
 
 
 def resolve_parallel_cores(cores: Optional[int] = None) -> int:
@@ -197,31 +175,17 @@ def resolve_parallel_cores(cores: Optional[int] = None) -> int:
     values warn and fall back to the detected count) and defaults to
     ``os.cpu_count()``.
     """
-    detected = os.cpu_count() or 1
     if cores is not None:
         return max(1, int(cores))
-    raw = os.environ.get(PARALLEL_CORES_ENV, "").strip()
-    if not raw:
-        return detected
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"{PARALLEL_CORES_ENV}={raw!r} is not an integer core "
-            f"count; using the detected {detected}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return detected
-    if value < 1:
-        warnings.warn(
-            f"{PARALLEL_CORES_ENV}={value} is not positive; using the "
-            f"detected {detected}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return detected
-    return value
+    detected = os.cpu_count() or 1
+    using = f"using the detected {detected}"
+    return env_int(
+        PARALLEL_CORES_ENV,
+        detected,
+        noun="core count",
+        otherwise=using,
+        floor=(1, detected, f"is not positive; {using}"),
+    )
 
 
 def resolve_crossover(
@@ -231,32 +195,18 @@ def resolve_crossover(
 
     Explicit values are trusted (clamped to >= 0; ``0`` means "always
     profitable"); ``None`` reads ``env``, where non-numeric or negative
-    values warn and fall back to ``default`` — a stray shell export
-    must never crash an engine (mirrors ``$REPRO_WORKERS``).
+    values warn and fall back to ``default``.
     """
     if value is not None:
         return max(0, int(value))
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
-    try:
-        parsed = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"{env}={raw!r} is not an integer pair count; using the "
-            f"default ({default})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    if parsed < 0:
-        warnings.warn(
-            f"{env}={parsed} is negative; using the default ({default})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    return parsed
+    using = f"using the default ({default})"
+    return env_int(
+        env,
+        default,
+        noun="pair count",
+        otherwise=using,
+        floor=(0, default, f"is negative; {using}"),
+    )
 
 
 @dataclass
@@ -285,18 +235,7 @@ class ExecutorDecision:
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready view (stats / bench reports)."""
-        return {
-            "mode": self.mode,
-            "requested": self.requested,
-            "forced": self.forced,
-            "workers": self.workers,
-            "cores": self.cores,
-            "estimated_pairs": self.estimated_pairs,
-            "thread_crossover": self.thread_crossover,
-            "process_crossover": self.process_crossover,
-            "reason": self.reason,
-            "fallback": self.fallback,
-        }
+        return asdict(self)
 
 
 class _PoolBox:

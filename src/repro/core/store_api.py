@@ -32,15 +32,6 @@ diff over small int tuples — instead of decoding the whole closure.
 
 from __future__ import annotations
 
-import io
-import json
-import os
-import struct
-import sys
-import tempfile
-import warnings
-import zlib
-from array import array
 from dataclasses import dataclass, replace
 from typing import (
     Dict,
@@ -53,19 +44,30 @@ from typing import (
     Union,
 )
 
-from ..dictionary.encoding import (
-    Dictionary,
-    DictionaryError,
-    EncodedTriple,
-)
-from ..faults import fire as _fire_fault
+from ..dictionary.encoding import DictionaryError, EncodedTriple
+from ..env import env_choice
 from ..kernels import KernelBackend
 from ..query.bgp import Query, TriplePattern, parse_bgp
 from ..rdf.graph import Graph
 from ..rdf.ntriples import parse_file
-from ..rdf.terms import Term, Triple, term_from_record, term_to_record
+from ..rdf.terms import Term, Triple
 from ..rules.spec import Rule
 from .engine import MATERIALIZE_MODES, InferrayEngine, MaterializationStats
+# The format's names stay importable from here (tests, repro/__init__).
+from .store_file import (  # noqa: F401
+    _SUPPORTED_VERSIONS,
+    STORE_FORMAT_VERSION,
+    STORE_MAGIC,
+    StoreChecksumError,
+    StoreCorruptionError,
+    StoreFormatError,
+    StoreMagicError,
+    StoreTruncationError,
+    StoreVersionError,
+    is_store_file,
+    read_store,
+    write_store,
+)
 
 __all__ = [
     "Snapshot",
@@ -79,81 +81,6 @@ __all__ = [
     "StoreVersionError",
     "is_store_file",
 ]
-
-#: Magic bytes opening every serialized store file.
-STORE_MAGIC = b"REPRO-STORE\x00"
-
-#: Current on-disk format version.  Version 2 added the
-#: ``"materialize"`` header key and the optional ``"sections"`` list
-#: (named blobs appended after the asserted data — readers skip
-#: sections they do not recognize, with a warning, so the section
-#: mechanism is forward-compatible).  Version-1 files still load and
-#: are treated as full-mode stores.  Version 3 adds per-table
-#: ``"encoding": "crp1"`` entries: a compressed-backend store writes
-#: its delta-encoded block streams verbatim (``n_bytes`` encoded bytes
-#: instead of ``n_values * 8`` raw ones), so a compressed closure
-#: reloads in O(compressed read) with its blocks intact.  Version 4
-#: adds integrity metadata: a ``"crc32"`` on every table and section
-#: entry, an ``"asserted_crc32"``, and the total ``"payload_bytes"``
-#: after the header — the reader verifies each blob against its
-#: checksum and fails with a :class:`StoreChecksumError` naming the
-#: blob and its file offset instead of loading silently corrupted
-#: data.  Versions 1–3 (no checksums) still load unchanged.
-STORE_FORMAT_VERSION = 4
-
-#: Format version that introduced compressed table entries (kept for
-#: reference; every new file is written as v4 regardless of backend).
-_COMPRESSED_FORMAT_VERSION = 3
-
-#: On-disk format versions this build reads.
-_SUPPORTED_VERSIONS = (1, 2, 3, 4)
-
-
-class StoreFormatError(ValueError):
-    """Raised when a file is not a readable serialized store."""
-
-
-class StoreCorruptionError(StoreFormatError):
-    """A store file is damaged (as opposed to merely incompatible).
-
-    ``section`` names the part of the file that failed (for example
-    ``"header"``, ``"table pid=7"``, ``"asserted"``, or
-    ``"section 'litemat'"``) and ``offset`` is the byte position where
-    the damage was detected, when known.  Both are folded into the
-    message and kept as attributes for programmatic use.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        section: Optional[str] = None,
-        offset: Optional[int] = None,
-    ) -> None:
-        detail = message
-        if section is not None:
-            detail = f"{detail} [section: {section}]"
-        if offset is not None:
-            detail = f"{detail} [offset: {offset}]"
-        super().__init__(detail)
-        self.section = section
-        self.offset = offset
-
-
-class StoreMagicError(StoreCorruptionError):
-    """The file does not start with the store magic bytes."""
-
-
-class StoreTruncationError(StoreCorruptionError):
-    """The file ends before a declared blob is complete."""
-
-
-class StoreChecksumError(StoreCorruptionError):
-    """A blob's CRC32 does not match its header entry (v4 files)."""
-
-
-class StoreVersionError(StoreCorruptionError):
-    """The file declares a format version this build cannot read."""
 
 
 @dataclass(frozen=True)
@@ -196,7 +123,7 @@ class StoreConfig:
         """The effective mode after the ``$REPRO_MATERIALIZE`` default."""
         mode = self.materialize
         if mode is None:
-            mode = os.environ.get("REPRO_MATERIALIZE") or "full"
+            mode = env_choice("REPRO_MATERIALIZE", "full")
         if mode not in MATERIALIZE_MODES:
             raise ValueError(
                 f"materialize must be one of {MATERIALIZE_MODES}, "
@@ -248,13 +175,8 @@ class _ReadAPI:
     def contains(self, triple: Triple) -> bool:
         """Membership test against the closure."""
         tables, dictionary, _ = self._view()
-        ids = tuple(
-            dictionary.id_of(term)
-            for term in (triple.subject, triple.predicate, triple.object)
-        )
-        if None in ids:
-            return False
-        return (ids[0], ids[1], ids[2]) in tables
+        ids = dictionary.ids_of(triple)
+        return ids is not None and ids in tables
 
     def __contains__(self, triple: Triple) -> bool:
         return self.contains(triple)
@@ -339,19 +261,13 @@ class _ReadAPI:
     ) -> Iterator[Triple]:
         """Decoded single-pattern query (``None`` = wildcard)."""
         tables, dictionary, _ = self._view()
-        ids: List[Optional[int]] = []
-        for term in (subject, predicate, obj):
-            if term is None:
-                ids.append(None)
-            else:
-                term_id = dictionary.id_of(term)
-                if term_id is None:
-                    return iter(())
-                ids.append(term_id)
+        ids = dictionary.pattern_ids(subject, predicate, obj)
+        if ids is None:
+            return iter(())
 
         def generate() -> Iterator[Triple]:
             decode = dictionary.decode_triple
-            for encoded in tables.query(ids[0], ids[1], ids[2]):
+            for encoded in tables.query(*ids):
                 yield decode(encoded)
 
         return generate()
@@ -467,7 +383,7 @@ class Store(_ReadAPI):
             self.add(triples)
 
     # ------------------------------------------------------------------
-    # Construction helpers
+    # Building a store
     # ------------------------------------------------------------------
     @classmethod
     def from_file(
@@ -566,21 +482,12 @@ class Store(_ReadAPI):
                 continue
             seen.add(triple)
             hit = triple in dequeued
-            if self._encode_known(triple) in engine_asserted:
+            if self._engine.dictionary.ids_of(triple) in engine_asserted:
                 self._pending_removes.append(triple)
                 hit = True
             if hit:
                 scheduled += 1
         return scheduled
-
-    def _encode_known(self, triple: Triple):
-        """The encoded id triple, or ``None`` for unknown terms."""
-        dictionary = self._engine.dictionary
-        ids = tuple(
-            dictionary.id_of(term)
-            for term in (triple.subject, triple.predicate, triple.object)
-        )
-        return None if None in ids else ids
 
     @property
     def stale(self) -> bool:
@@ -607,12 +514,8 @@ class Store(_ReadAPI):
         timeout = self.config.timeout_seconds
         adds = self._pending_adds
         removes = self._pending_removes
-        if not adds and not removes:
-            if engine.is_materialized:
-                return None
-            stats = engine.materialize(timeout_seconds=timeout)
-            self._commit_flush(stats)
-            return stats
+        if engine.is_materialized and not adds and not removes:
+            return None
         self._pending_adds = []
         self._pending_removes = []
         try:
@@ -628,27 +531,25 @@ class Store(_ReadAPI):
                     engine = self._renumbered_with(adds)
                 adds = []
                 stats = engine.materialize(timeout_seconds=timeout)
-            elif removes:
-                # Deletion: forward chaining requires a rebuild
-                # (paper §1).
-                stats = engine.retract_and_rematerialize(
-                    removes, timeout_seconds=timeout
-                )
-                removes = []
+            else:
+                if removes:
+                    # Deletion: forward chaining requires a rebuild
+                    # (paper §1).
+                    stats = engine.retract_and_rematerialize(
+                        removes, timeout_seconds=timeout
+                    )
+                    removes = []
                 if adds:
                     stats = engine.materialize_incremental(
                         adds, timeout_seconds=timeout
                     )
                     adds = []
-            else:
-                stats = engine.materialize_incremental(
-                    adds, timeout_seconds=timeout
-                )
-                adds = []
         except BaseException:
             self._restore_pending(adds, removes)
             raise
-        self._commit_flush(stats)
+        # A successful flush: its stats, and a new closure epoch.
+        self._last_stats = stats
+        self._epoch += 1
         return stats
 
     def _renumbered_with(self, adds: List[Triple]) -> InferrayEngine:
@@ -670,11 +571,6 @@ class Store(_ReadAPI):
         old.close()
         return engine
 
-    def _commit_flush(self, stats: MaterializationStats) -> None:
-        """Record a successful flush: stats and a new closure epoch."""
-        self._last_stats = stats
-        self._epoch += 1
-
     def _restore_pending(
         self, adds: List[Triple], removes: List[Triple]
     ) -> None:
@@ -689,12 +585,9 @@ class Store(_ReadAPI):
         """
         if adds or removes:
             absorbed = set(self._engine.asserted_encoded())
-            adds = [
-                t for t in adds if self._encode_known(t) not in absorbed
-            ]
-            removes = [
-                t for t in removes if self._encode_known(t) in absorbed
-            ]
+            ids_of = self._engine.dictionary.ids_of
+            adds = [t for t in adds if ids_of(t) not in absorbed]
+            removes = [t for t in removes if ids_of(t) in absorbed]
         self._pending_adds = adds + self._pending_adds
         self._pending_removes = removes + self._pending_removes
 
@@ -830,128 +723,14 @@ class Store(_ReadAPI):
     def save(self, path: str) -> int:
         """Serialize the materialized closure; returns bytes written.
 
-        The file holds the dictionary's term lists plus every
-        property's committed (sorted-unique) pair array and the
-        asserted id triples, so :meth:`load` restores the closure in
-        O(read) without re-running inference.
-
-        The write is crash-safe: the bytes go to a temporary file in
-        the same directory, which is fsynced and atomically
-        ``os.replace``\\ d over ``path`` (the directory is fsynced too,
-        so the rename itself survives power loss).  A crash at any
-        point leaves either the previous file intact or the complete
-        new one — never a torn mix.  Every blob carries a CRC32 in the
-        header (format v4) that :meth:`load` verifies.
+        :meth:`load` restores the closure from the file in O(read),
+        without re-running inference.  The write is crash-safe and
+        checksummed — a crash at any point leaves either the previous
+        file intact or the complete new one, never a torn mix (see
+        :func:`repro.core.store_file.write_store`).
         """
         self._refresh()
-        engine = self._engine
-        property_terms, resource_terms = engine.dictionary.term_lists()
-        table_entries = []
-        blobs: List[bytes] = []
-        for property_id, flat in engine.main.table_arrays():
-            serialize = getattr(flat, "serialize", None)
-            if serialize is not None:
-                # Compressed backend: store the self-describing block
-                # stream verbatim — reload costs O(compressed read) and
-                # the encoded blocks survive the round trip unchanged.
-                blob = serialize()
-                table_entries.append(
-                    {
-                        "pid": property_id,
-                        "n_values": len(flat),
-                        "encoding": "crp1",
-                        "n_bytes": len(blob),
-                        "crc32": zlib.crc32(blob),
-                    }
-                )
-            else:
-                blob = _flat_to_le_bytes(flat)
-                table_entries.append(
-                    {
-                        "pid": property_id,
-                        "n_values": len(flat),
-                        "crc32": zlib.crc32(blob),
-                    }
-                )
-            blobs.append(blob)
-        asserted_flat = array("q")
-        for subject, property_id, obj in engine.asserted_encoded():
-            asserted_flat.append(subject)
-            asserted_flat.append(property_id)
-            asserted_flat.append(obj)
-        # "materialize" records what the stored *tables* represent: a
-        # hybrid flush that fell back to the full catalogue stores the
-        # complete closure, so its file is a full-mode file.
-        hybrid_state = engine.hybrid_state_payload()
-        sections: List[dict] = []
-        section_blobs: List[bytes] = []
-        if hybrid_state is not None:
-            blob = json.dumps(
-                hybrid_state, separators=(",", ":")
-            ).encode("utf-8")
-            sections.append(
-                {
-                    "name": "litemat",
-                    "n_bytes": len(blob),
-                    "crc32": zlib.crc32(blob),
-                }
-            )
-            section_blobs.append(blob)
-        asserted_bytes = _flat_to_le_bytes(asserted_flat)
-        body_bytes = (
-            sum(len(blob) for blob in blobs)
-            + len(asserted_bytes)
-            + sum(len(blob) for blob in section_blobs)
-        )
-        header = {
-            "format": "repro-store",
-            "version": STORE_FORMAT_VERSION,
-            "ruleset": engine.ruleset_name,
-            "algorithm": engine.algorithm,
-            "materialized": engine.is_materialized,
-            "materialize": "hybrid" if hybrid_state is not None else "full",
-            "n_triples": engine.n_triples,
-            "property_terms": [term_to_record(t) for t in property_terms],
-            "resource_terms": [term_to_record(t) for t in resource_terms],
-            "tables": table_entries,
-            "n_asserted": len(asserted_flat) // 3,
-            "asserted_crc32": zlib.crc32(asserted_bytes),
-            "payload_bytes": body_bytes,
-            "sections": sections,
-        }
-        payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        # Crash safety: write everything to a same-directory temp file,
-        # force it to disk, then atomically rename over the target.  A
-        # fault anywhere in between leaves the previous file untouched.
-        target = os.path.abspath(path)
-        directory = os.path.dirname(target) or os.curdir
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(target) + ".", suffix=".tmp"
-        )
-        written = 0
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                written += handle.write(STORE_MAGIC)
-                written += handle.write(struct.pack("<I", len(payload)))
-                written += handle.write(payload)
-                _fire_fault("persist.write", target)
-                for blob in blobs:
-                    written += handle.write(blob)
-                written += handle.write(asserted_bytes)
-                for blob in section_blobs:
-                    written += handle.write(blob)
-                handle.flush()
-                _fire_fault("persist.fsync", target)
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        _fsync_directory(directory)
-        return written
+        return write_store(self._engine, path)
 
     @classmethod
     def load(
@@ -976,35 +755,22 @@ class Store(_ReadAPI):
         ``materialize="hybrid"`` already holds the complete closure and
         serves it as-is (nothing absorbed until the next flush).
         """
-        with open(path, "rb") as handle:
-            header, tables, asserted, sections = _read_store_file(handle)
+        header, dictionary, tables, asserted, sections = read_store(path)
         saved_mode = header.get("materialize", "full")
-        overrides = dict(options)
         if config is None:
-            if "ruleset" not in overrides:
-                overrides["ruleset"] = header["ruleset"]
-            if "algorithm" not in overrides:
-                overrides["algorithm"] = header["algorithm"]
-            if "materialize" not in overrides:
-                overrides["materialize"] = saved_mode
-            config = StoreConfig(**overrides)
-        elif overrides:
-            config = replace(config, **overrides)
+            saved = {
+                "ruleset": header["ruleset"],
+                "algorithm": header["algorithm"],
+                "materialize": saved_mode,
+            }
+            config = StoreConfig(**{**saved, **options})
+        elif options:
+            config = replace(config, **options)
         if config.ruleset == "custom":
             raise StoreFormatError(
                 f"{path!r} was saved from a custom rule list; pass an "
                 "explicit ruleset= to Store.load()"
             )
-        try:
-            dictionary = Dictionary.from_term_lists(
-                [term_from_record(r) for r in header["property_terms"]],
-                [term_from_record(r) for r in header["resource_terms"]],
-            )
-        except (KeyError, TypeError, ValueError, IndexError) as error:
-            raise StoreCorruptionError(
-                f"corrupt dictionary term records: {error!r}",
-                section="header",
-            ) from error
         store = cls(config=config)
         engine = store._engine
         materialized = bool(header["materialized"])
@@ -1028,290 +794,3 @@ class Store(_ReadAPI):
                     "complete; nothing absorbed until the next flush)"
                 )
         return store
-
-
-# ----------------------------------------------------------------------
-# Serialization plumbing
-# ----------------------------------------------------------------------
-def _fsync_directory(directory: str) -> None:
-    """Force a directory's entry table to disk (best effort).
-
-    Needed after ``os.replace`` for the rename itself to be durable.
-    Some filesystems refuse to fsync a directory fd; that only costs
-    durability of the rename, never atomicity, so failures are ignored.
-    """
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)
-
-
-def _flat_to_le_bytes(flat) -> bytes:
-    """A flat int64 sequence as little-endian bytes (any backend)."""
-    if isinstance(flat, array) and flat.typecode == "q":
-        if sys.byteorder == "little":
-            return flat.tobytes()
-        swapped = array("q", flat)
-        swapped.byteswap()
-        return swapped.tobytes()
-    astype = getattr(flat, "astype", None)
-    if astype is not None:  # numpy ndarray
-        return astype("<i8", copy=False).tobytes()
-    fallback = array("q", (int(value) for value in flat))
-    return _flat_to_le_bytes(fallback)
-
-
-def _le_bytes_to_flat(data: bytes) -> array:
-    """Little-endian bytes back to a host-order ``array('q')``."""
-    flat = array("q")
-    flat.frombytes(data)
-    if sys.byteorder == "big":
-        flat.byteswap()
-    return flat
-
-
-def _crp1_to_flat(blob: bytes, entry: dict):
-    """A ``"crp1"`` table blob back to a :class:`CompressedPairs`.
-
-    Deserialization rebuilds the encoded blocks exactly as written —
-    a compressed-backend reader adopts them as-is (O(read) reload,
-    blocks shared with nothing to re-encode); any other backend's
-    ``asarray`` decodes them into its native flat type on restore.
-    """
-    from ..kernels import numpy_available
-    from ..kernels.compressed_backend import (
-        CompressedPairs,
-        _NumpyCodec,
-        _PythonCodec,
-    )
-
-    codec = _NumpyCodec() if numpy_available() else _PythonCodec()
-    try:
-        pairs = CompressedPairs.deserialize(blob, codec)
-    except ValueError as error:
-        raise StoreFormatError(
-            f"corrupt compressed table (pid {entry.get('pid')}): {error}"
-        ) from error
-    if len(pairs) != entry["n_values"]:
-        raise StoreFormatError(
-            f"compressed table (pid {entry.get('pid')}) decodes to "
-            f"{len(pairs)} values, header says {entry['n_values']}"
-        )
-    return pairs
-
-
-#: Header keys every readable store file (v1+) must carry.
-_REQUIRED_HEADER_KEYS = (
-    "ruleset",
-    "algorithm",
-    "materialized",
-    "property_terms",
-    "resource_terms",
-    "tables",
-    "n_asserted",
-)
-
-
-def _read_blob(handle, n_bytes: int, section: str, offset: int) -> bytes:
-    """Read exactly ``n_bytes`` or raise a located truncation error."""
-    blob = handle.read(n_bytes)
-    if len(blob) != n_bytes:
-        raise StoreTruncationError(
-            f"truncated store file: {section} declares {n_bytes} bytes "
-            f"but only {len(blob)} remain",
-            section=section,
-            offset=offset,
-        )
-    return blob
-
-
-def _check_crc(blob: bytes, entry, key: str, section: str, offset: int):
-    """Verify a blob against its header CRC32, when one is present.
-
-    v1–v3 files carry no checksums; their entries simply lack the key
-    and are accepted as-is.  Header-only rewrites (version downgrades,
-    extra sections) leave blob checksums valid, so presence — not the
-    declared version — gates verification.
-    """
-    expected = entry.get(key) if isinstance(entry, dict) else None
-    if expected is None:
-        return
-    actual = zlib.crc32(blob)
-    if actual != expected:
-        raise StoreChecksumError(
-            f"checksum mismatch in {section}: stored crc32={expected}, "
-            f"computed crc32={actual}",
-            section=section,
-            offset=offset,
-        )
-
-
-def _read_store_file(handle: io.BufferedIOBase):
-    """Parse a serialized store:
-    (header, [(pid, flat)…], asserted, {section name: payload}).
-
-    Optional header sections the build does not recognize are skipped
-    with a warning (their byte length is in the header), so files from
-    newer writers degrade gracefully instead of failing to load.
-
-    Every failure surfaces as a :class:`StoreCorruptionError` subclass
-    naming the damaged section and its byte offset — raw
-    ``struct.error`` / ``json.JSONDecodeError`` / ``KeyError`` from a
-    malformed file never escape.
-    """
-    magic = handle.read(len(STORE_MAGIC))
-    if magic != STORE_MAGIC:
-        raise StoreMagicError(
-            "not a repro store file (bad magic)", section="magic", offset=0
-        )
-    offset = len(STORE_MAGIC)
-    length_bytes = _read_blob(handle, 4, "header length", offset)
-    (header_len,) = struct.unpack("<I", length_bytes)
-    offset += 4
-    header_bytes = _read_blob(handle, header_len, "header", offset)
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise StoreCorruptionError(
-            f"corrupt store header: {error}", section="header", offset=offset
-        ) from error
-    if not isinstance(header, dict):
-        raise StoreCorruptionError(
-            "corrupt store header: not a JSON object",
-            section="header",
-            offset=offset,
-        )
-    if header.get("version") not in _SUPPORTED_VERSIONS:
-        raise StoreVersionError(
-            f"unsupported store format version {header.get('version')!r} "
-            f"(this build reads versions {_SUPPORTED_VERSIONS})",
-            section="header",
-            offset=offset,
-        )
-    for key in _REQUIRED_HEADER_KEYS:
-        if key not in header:
-            raise StoreCorruptionError(
-                f"store header is missing required key {key!r}",
-                section="header",
-                offset=offset,
-            )
-    offset += header_len
-    try:
-        return (header,) + _read_store_body(handle, header, offset)
-    except StoreFormatError:
-        raise
-    except (
-        AttributeError,
-        KeyError,
-        TypeError,
-        ValueError,
-        struct.error,
-    ) as error:
-        # A hostile or damaged header can make any body field the
-        # wrong type or shape; surface it as corruption, located at
-        # least to the body, instead of leaking the raw error.
-        raise StoreCorruptionError(
-            f"malformed store header field: {error!r}",
-            section="header",
-            offset=offset,
-        ) from error
-
-
-def _read_store_body(handle, header: dict, offset: int):
-    declared = header.get("payload_bytes")
-    if declared is not None:
-        # Whole-payload truncation check up front, from the total
-        # length v4 headers declare.  Extra trailing bytes are fine
-        # (a newer writer may append sections this build skips);
-        # missing bytes are not.
-        position = handle.tell()
-        remaining = handle.seek(0, io.SEEK_END) - position
-        handle.seek(position)
-        if remaining < declared:
-            raise StoreTruncationError(
-                f"truncated store file: header declares a "
-                f"{declared}-byte payload but only {remaining} bytes "
-                "remain",
-                section="payload",
-                offset=offset,
-            )
-    tables = []
-    for index, entry in enumerate(header["tables"]):
-        encoding = entry.get("encoding")
-        section = f"table pid={entry.get('pid')}"
-        if encoding == "crp1":
-            n_bytes = int(entry["n_bytes"])
-            blob = _read_blob(handle, n_bytes, section, offset)
-            _check_crc(blob, entry, "crc32", section, offset)
-            tables.append((entry["pid"], _crp1_to_flat(blob, entry)))
-        elif encoding is None:
-            n_bytes = int(entry["n_values"]) * 8
-            if n_bytes < 0:
-                raise StoreCorruptionError(
-                    f"negative n_values in table entry {index}",
-                    section=section,
-                    offset=offset,
-                )
-            blob = _read_blob(handle, n_bytes, section, offset)
-            _check_crc(blob, entry, "crc32", section, offset)
-            tables.append((entry["pid"], _le_bytes_to_flat(blob)))
-        else:
-            raise StoreFormatError(
-                f"unknown table encoding {encoding!r} (this build reads "
-                "raw and 'crp1' tables)"
-            )
-        offset += n_bytes
-    n_bytes = int(header["n_asserted"]) * 3 * 8
-    if n_bytes < 0:
-        raise StoreCorruptionError(
-            "negative n_asserted in store header",
-            section="asserted",
-            offset=offset,
-        )
-    blob = _read_blob(handle, n_bytes, "asserted", offset)
-    _check_crc(blob, header, "asserted_crc32", "asserted", offset)
-    offset += n_bytes
-    flat = _le_bytes_to_flat(blob)
-    asserted = [
-        (flat[i], flat[i + 1], flat[i + 2]) for i in range(0, len(flat), 3)
-    ]
-    sections: Dict[str, dict] = {}
-    for entry in header.get("sections", ()):
-        name = entry.get("name")
-        n_bytes = int(entry.get("n_bytes", 0))
-        section = f"section {name!r}"
-        blob = _read_blob(handle, n_bytes, section, offset)
-        _check_crc(blob, entry, "crc32", section, offset)
-        if name == "litemat":
-            try:
-                sections[name] = json.loads(blob.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise StoreCorruptionError(
-                    f"corrupt store section {name!r}: {error}",
-                    section=section,
-                    offset=offset,
-                ) from error
-        else:
-            warnings.warn(
-                f"repro store: skipping unknown optional section "
-                f"{name!r} ({n_bytes} bytes); the file was probably "
-                "written by a newer build",
-                stacklevel=4,
-            )
-        offset += n_bytes
-    return tables, asserted, sections
-
-
-def is_store_file(path: str) -> bool:
-    """Whether ``path`` starts with the serialized-store magic bytes."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(STORE_MAGIC)) == STORE_MAGIC
-    except OSError:
-        return False

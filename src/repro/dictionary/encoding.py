@@ -135,6 +135,26 @@ class Dictionary:
         """The id of ``term`` if already encoded, else ``None``."""
         return self._ids.get(term)
 
+    def ids_of(self, triple: Triple) -> Optional[EncodedTriple]:
+        """The (s, p, o) id triple if all three terms are already
+        encoded, else ``None`` — a probe, nothing is allocated."""
+        get = self._ids.get
+        ids = (get(triple.subject), get(triple.predicate), get(triple.object))
+        return None if None in ids else ids
+
+    def pattern_ids(self, *terms: Optional[Term]) -> Optional[List]:
+        """Ids for a pattern's terms, ``None`` wildcards kept; ``None``
+        overall when a bound term was never encoded (matches nothing).
+        A plain loop: the BGP evaluator calls this once per probe."""
+        ids = []
+        for term in terms:
+            if term is not None:
+                term = self._ids.get(term)
+                if term is None:
+                    return None
+            ids.append(term)
+        return ids
+
     def decode(self, term_id: int) -> Term:
         """Return the term for an id.
 

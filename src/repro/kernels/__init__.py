@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 from typing import Optional, Union
 
+from ..env import env_choice
 from .base import KernelBackend
 from .python_backend import PYTHON_KERNELS, PythonKernels
 
@@ -127,7 +128,7 @@ def resolve_backend(
     if backend == "auto" and algorithm != "auto":
         return PYTHON_KERNELS
     if backend == "auto":
-        backend = os.environ.get("REPRO_KERNELS", "auto") or "auto"
+        backend = env_choice("REPRO_KERNELS", "auto")
     if backend == "auto":
         return get_backend("numpy") if numpy_available() else PYTHON_KERNELS
     if backend in ("numpy", "compressed") and algorithm != "auto":

@@ -124,9 +124,6 @@ class HierarchyEncoding:
     def subclass_set(self, cls: int) -> frozenset:
         return frozenset((cls, *self.classes_down.reachable_nodes(cls)))
 
-    def superproperty_set(self, prop: int) -> frozenset:
-        return frozenset((prop, *self.props_up.reachable_nodes(prop)))
-
     def subproperty_set(self, prop: int) -> frozenset:
         return frozenset((prop, *self.props_down.reachable_nodes(prop)))
 

@@ -14,7 +14,7 @@ PRP-RNG: the engine's hybrid flush compensates for their interaction
 with the encoding — a schema-sized pre-pass types the subjects/objects
 of sub-property tables, and the virtual ``rdf:type`` expansion covers
 the superclass closure of their output (see
-``InferrayEngine._hierarchy_prepass``).
+``InferrayEngine._hybrid_prepass``).
 
 One non-local coupling is enforced on top of the feeds-graph fixed
 point: absorbing SCM-DOM1 / SCM-RNG1 (class-expansion of domain/range

@@ -324,12 +324,10 @@ class ReasoningServer:
     def _degraded_total(self) -> int:
         """Mid-wave self-healing degradations across the engine's
         schedulers (mirrored into ``repro_flush_degraded_total``)."""
-        engine = self._store.engine
-        total = engine.scheduler.degraded_total
-        reduced = getattr(engine, "_reduced_scheduler", None)
-        if reduced is not None:
-            total += reduced.degraded_total
-        return total
+        return sum(
+            scheduler.degraded_total
+            for scheduler in self._store.engine.schedulers
+        )
 
     async def _writer_loop(self) -> None:
         loop = asyncio.get_running_loop()

@@ -301,39 +301,17 @@ class TestFailurePaths:
 
 
 class TestModeResolution:
-    def test_auto_prefers_process_on_python(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_MODE", raising=False)
-        assert (
-            parallel.resolve_parallel_mode(None, backend_name="python")
-            == "process"
-        )
-
-    def test_auto_prefers_thread_on_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_MODE", raising=False)
-        assert (
-            parallel.resolve_parallel_mode(None, backend_name="numpy")
-            == "thread"
-        )
-
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_MODE", "thread")
-        assert (
-            parallel.resolve_parallel_mode(None, backend_name="python")
-            == "thread"
-        )
+        assert parallel.resolve_parallel_mode(None) == "thread"
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_MODE", "thread")
-        assert (
-            parallel.resolve_parallel_mode(
-                "process", backend_name="numpy"
-            )
-            == "process"
-        )
+        assert parallel.resolve_parallel_mode("process") == "process"
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="parallel mode"):
-            parallel.resolve_parallel_mode("greenlet", backend_name="python")
+            parallel.resolve_parallel_mode("greenlet")
 
     def test_unknown_env_mode_warns_and_falls_back(self, monkeypatch):
         # A stray shell export must never crash an engine — mirror the
@@ -341,16 +319,6 @@ class TestModeResolution:
         monkeypatch.setenv("REPRO_PARALLEL_MODE", "greenlet")
         with pytest.warns(RuntimeWarning, match="REPRO_PARALLEL_MODE"):
             assert parallel.resolve_parallel_mode(None) == "auto"
-
-    def test_unknown_env_mode_still_dispatches_on_backend(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", "greenlet")
-        with pytest.warns(RuntimeWarning, match="REPRO_PARALLEL_MODE"):
-            resolved = parallel.resolve_parallel_mode(
-                None, backend_name="numpy"
-            )
-        assert resolved == "thread"
 
     def test_without_backend_auto_stays_unresolved(self, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL_MODE", raising=False)

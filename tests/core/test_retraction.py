@@ -38,20 +38,32 @@ class TestRetraction:
         before = set(engine.triples())
         # (Bart type mammal) is inferred, not asserted: retraction only
         # removes asserted triples, so the closure is unchanged.
-        engine.retract_and_rematerialize(
-            [Triple(ex("Bart"), RDF.type, ex("mammal"))]
+        self.assert_no_work(
+            engine, before, [Triple(ex("Bart"), RDF.type, ex("mammal"))]
         )
-        assert set(engine.triples()) == before
 
     def test_retract_unknown_triple_is_noop(self):
         engine = InferrayEngine("rdfs-default")
         engine.load_triples(BASE)
         engine.materialize()
         before = set(engine.triples())
-        engine.retract_and_rematerialize(
-            [Triple(ex("nobody"), RDF.type, ex("nothing"))]
+        self.assert_no_work(
+            engine, before, [Triple(ex("nobody"), RDF.type, ex("nothing"))]
         )
+
+    @staticmethod
+    def assert_no_work(engine, before, triples):
+        """Removing nothing asserted must not rebuild or re-derive."""
+        main, last_run = engine.main, engine.stats
+        stats = engine.retract_and_rematerialize(triples)
+        assert engine.main is main
+        assert engine.is_materialized
+        assert engine.stats is last_run
+        assert stats.iterations == 0 and stats.n_inferred == 0
+        assert stats.n_total == len(before)
         assert set(engine.triples()) == before
+        engine.retract(triples)
+        assert engine.main is main and engine.is_materialized
 
     def test_retract_everything(self):
         engine = InferrayEngine("rdfs-default")

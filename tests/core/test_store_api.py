@@ -540,61 +540,3 @@ class TestStoreConfig:
             engine.retract_and_rematerialize(
                 [DATA[-1]], timeout_seconds=1e-12
             )
-
-
-class TestDeprecatedShims:
-    def test_infer_warns_and_works(self):
-        from repro.core.api import infer
-
-        with pytest.warns(DeprecationWarning):
-            graph = infer(DATA)
-        assert Triple(ex("Bart"), RDF.type, ex("animal")) in graph
-
-    def test_infer_with_stats_warns(self):
-        from repro.core.api import infer_with_stats
-
-        with pytest.warns(DeprecationWarning):
-            graph, stats = infer_with_stats(DATA)
-        if stats.materialize_mode == "hybrid":
-            # The graph decodes the *served* closure; stats count the
-            # stored (reduced) one.
-            assert len(graph) > stats.n_input
-        else:
-            assert stats.n_inferred > 0
-            assert len(graph) == stats.n_total
-
-    def test_inferred_model_warns_and_diffs_encoded(self):
-        from repro.core.api import InferredModel
-
-        with pytest.warns(DeprecationWarning):
-            model = InferredModel(DATA)
-        deductions = model.deductions()
-        assert Triple(ex("Bart"), RDF.type, ex("animal")) in deductions
-        assert all(t not in set(DATA) for t in deductions)
-
-    def test_load_and_materialize_warns(self, tmp_path):
-        from repro.core.api import load_and_materialize
-        from repro.rdf.ntriples import write_file
-
-        path = str(tmp_path / "d.nt")
-        write_file(
-            [
-                Triple(IRI("http://h"), RDFS.subClassOf, IRI("http://m")),
-                Triple(IRI("http://b"), RDF.type, IRI("http://h")),
-            ],
-            path,
-        )
-        with pytest.warns(DeprecationWarning):
-            engine = load_and_materialize(path)
-        assert engine.contains(
-            Triple(IRI("http://b"), RDF.type, IRI("http://m"))
-        )
-
-    def test_top_level_imports_still_work(self):
-        import repro
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # imports alone must not warn
-            assert repro.infer is not None
-            assert repro.InferredModel is not None
-            assert repro.Store is not None
