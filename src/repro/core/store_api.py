@@ -47,7 +47,7 @@ from typing import (
 from ..dictionary.encoding import DictionaryError, EncodedTriple
 from ..env import env_choice
 from ..kernels import KernelBackend
-from ..query.bgp import Query, TriplePattern, parse_bgp
+from ..query.bgp import Query, SolutionTable, TriplePattern, parse_bgp
 from ..rdf.graph import Graph
 from ..rdf.ntriples import parse_file
 from ..rdf.terms import Term, Triple
@@ -281,13 +281,15 @@ class _ReadAPI:
             return Query([bgp])
         return Query(list(bgp))
 
+    def evaluate(self, bgp: QueryInput) -> SolutionTable:
+        """All BGP solutions as id columns — nothing decoded yet, so
+        ``len()`` is free and a caller decodes only the rows it returns
+        (:meth:`SolutionTable.head`, then ``bindings()``)."""
+        return self._as_query(bgp).evaluate(self)
+
     def solutions(self, bgp: QueryInput) -> List[Dict[str, Term]]:
         """All BGP solutions as ``{variable name: Term}`` dicts."""
-        query = self._as_query(bgp)
-        return [
-            {var.name: term for var, term in bindings.items()}
-            for bindings in query.execute(self)
-        ]
+        return self.evaluate(bgp).bindings()
 
     def select(
         self, bgp: QueryInput, *variables
@@ -691,8 +693,8 @@ class Store(_ReadAPI):
         self._refresh()
         engine = self._engine
         # The engine's asserted list is handed out uncopied — reads
-        # only iterate it (copying per read would cost O(n_asserted)
-        # on every BGP binding probe); snapshot() freezes its own copy.
+        # only iterate it (copying would cost O(n_asserted) on every
+        # read); snapshot() freezes its own copy.
         # ``read_view`` is ``main`` in full mode and the hybrid virtual
         # view (stored tables + interval-encoding rewrite) in hybrid
         # mode — every read above this line is mode-agnostic.

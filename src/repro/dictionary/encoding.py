@@ -144,8 +144,7 @@ class Dictionary:
 
     def pattern_ids(self, *terms: Optional[Term]) -> Optional[List]:
         """Ids for a pattern's terms, ``None`` wildcards kept; ``None``
-        overall when a bound term was never encoded (matches nothing).
-        A plain loop: the BGP evaluator calls this once per probe."""
+        overall when a bound term was never encoded (matches nothing)."""
         ids = []
         for term in terms:
             if term is not None:
@@ -172,6 +171,19 @@ class Dictionary:
             if 0 <= index < len(self._resource_terms):
                 return self._resource_terms[index]
         raise KeyError(f"unknown term id {term_id}")
+
+    def decode_column(self, term_ids: Iterable[int]) -> List[Term]:
+        """Decode a column of ids read from the store (so all allocated)
+        — one list lookup per id, no per-term call."""
+        properties = self._property_terms
+        resources = self._resource_terms
+        first_resource = PROPERTY_BASE + 1
+        return [
+            resources[term_id - first_resource]
+            if term_id > PROPERTY_BASE
+            else properties[PROPERTY_BASE - term_id]
+            for term_id in term_ids
+        ]
 
     def decode_triple(self, encoded: EncodedTriple) -> Triple:
         """Decode an (s, p, o) id triple back to RDF terms."""

@@ -37,6 +37,7 @@ duplicate pairs.  Kernels never mutate their inputs.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Sequence, Tuple
 
 
@@ -202,6 +203,40 @@ class KernelBackend:
             while index < n_values and sorted_values[index] <= high:
                 out.append(sorted_values[index])
                 index += 1
+        return out
+
+    # -- columns (set-at-a-time query evaluation) -------------------------
+    # A *column* is one strided half of a decoded flat array (or any
+    # int sequence); results are native columns.  The BGP evaluator
+    # feeds ⟨key, row number⟩ pairs to :meth:`merge_join` and gathers the
+    # joined rows back with :meth:`take`.
+    def index_by_key(self, column):
+        """Flat pairs ⟨column[i], i⟩ sorted on the key (ties by row): a
+        column keyed for a join whose companions are its row numbers."""
+        order = array(
+            "q", sorted(range(len(column)), key=column.__getitem__)
+        )
+        out = array("q", bytes(16 * len(order)))
+        out[0::2] = self.take(column, order)
+        out[1::2] = order
+        return out
+
+    def take(self, column, indices):
+        """``column[i]`` for every i of ``indices``, in that order."""
+        return array("q", [column[i] for i in indices])
+
+    def where_equal(self, column1, column2):
+        """Ascending row indices at which two equal-length columns agree."""
+        return array(
+            "q",
+            [i for i, (a, b) in enumerate(zip(column1, column2)) if a == b],
+        )
+
+    def repeat(self, values, counts):
+        """``values[i]`` repeated ``counts[i]`` times, concatenated."""
+        out = array("q")
+        for value, count in zip(values, counts):
+            out.extend(array("q", (value,)) * count)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover

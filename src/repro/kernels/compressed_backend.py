@@ -820,6 +820,19 @@ class CompressedKernels(KernelBackend):
     def select_in_ranges(self, sorted_values, ranges) -> Sequence[int]:
         return self._inner.select_in_ranges(sorted_values, ranges)
 
+    # -- columns (always decoded: the inner backend's own) ---------------
+    def index_by_key(self, column):
+        return self._inner.index_by_key(column)
+
+    def take(self, column, indices):
+        return self._inner.take(column, indices)
+
+    def where_equal(self, column1, column2):
+        return self._inner.where_equal(column1, column2)
+
+    def repeat(self, values, counts):
+        return self._inner.repeat(values, counts)
+
     # -- accounting -----------------------------------------------------
     def flat_nbytes(self, flat, seen: Optional[set] = None) -> int:
         if isinstance(flat, CompressedPairs):

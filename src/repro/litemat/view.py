@@ -6,8 +6,10 @@
 flush stores, composing the hierarchy encoding in so every read sees
 the same answers the fully materialized closure would give — without
 those triples existing.  ``repro.Store`` routes its reads, snapshots
-and BGP evaluation through this object, so :mod:`repro.query.bgp`
-needs no changes.
+and BGP evaluation through this object: :mod:`repro.query.bgp` reads
+id columns through the same ``columns()`` / ``table_size()`` /
+``property_ids()`` accessor the stored tables answer, so it is the
+same evaluator in both modes.
 
 Virtual table semantics (S = stored tables, reach sets from
 :class:`~repro.litemat.encoder.HierarchyEncoding`; each expansion is
@@ -34,6 +36,8 @@ snapshot views taken over the same arrays).
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .encoder import HierarchyEncoding
@@ -143,6 +147,53 @@ class HybridTripleView:
         else:
             for s, o in self._virtual_pairs(pid):
                 yield (s, pid, o)
+
+    # -- id columns (the BGP evaluator's accessor) ----------------------
+    @property
+    def kernels(self):
+        """The kernel backend the stored tables execute on."""
+        return self._kernels
+
+    def property_ids(self) -> List[int]:
+        """Ids of every property with a (possibly virtual) row."""
+        return self._virtual_pids()
+
+    def table_size(self, property_id: int) -> int:
+        """Number of virtual rows of one property."""
+        return len(self._virtual_pairs(property_id))
+
+    def columns(
+        self,
+        property_id: int,
+        key: Optional[int] = None,
+        *,
+        by_object: bool = False,
+    ):
+        """One virtual property's rows as a decoded flat pair array:
+        the contract of :meth:`TripleStore.columns`, answered from the
+        encoding.  A keyed lookup wraps the interval-backed
+        :meth:`_objects_of` / :meth:`_subjects_of` (a class constant
+        stays a ``select_in_ranges`` scan); a whole table is the cached
+        enumeration, flattened once per view and order.
+        """
+        kernels = self._kernels
+        if key is not None:
+            lookup = self._subjects_of if by_object else self._objects_of
+            return kernels.pair_with_constant(
+                lookup(property_id, key), key, constant_as_object=False
+            )
+        cache_key = ("columns", property_id, by_object)
+        flat = self._state.get(cache_key)
+        if flat is None:
+            if by_object:
+                flat = kernels.os_view(self.columns(property_id))
+            else:
+                flat = array(
+                    "q", chain.from_iterable(self._virtual_pairs(property_id))
+                )
+            flat = kernels.concat([flat])
+            self._state[cache_key] = flat
+        return flat
 
     # -- virtual property-id universe ----------------------------------
     def _stored(self, pid: int):

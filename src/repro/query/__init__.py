@@ -3,6 +3,7 @@
 from .bgp import (
     BGPSyntaxError,
     Query,
+    SolutionTable,
     TriplePattern,
     Var,
     parse_bgp,
@@ -12,6 +13,7 @@ from .bgp import (
 __all__ = [
     "BGPSyntaxError",
     "Query",
+    "SolutionTable",
     "TriplePattern",
     "Var",
     "parse_bgp",

@@ -6,18 +6,31 @@ query engine."  This module is that consumer — a small conjunctive
 (SPARQL-BGP-style) query evaluator that runs over the *closed* store,
 needing no inference of its own.
 
-Hybrid mode (:mod:`repro.litemat`) preserves that property from the
-evaluator's point of view: the ``engine`` handed to
-:meth:`Query.execute` is the store facade, whose pattern lookups route
-through the engine's read view — in hybrid mode a
-:class:`repro.litemat.view.HybridTripleView` that answers
-rdfs7/rdfs9-style patterns from the interval encoding.  The rewrite
-composes *beneath* this module; nothing here changes per mode.
+Evaluation is set-at-a-time over encoded ids, on the sorted ⟨s, o⟩ /
+⟨o, s⟩ columns the store keeps for merge joins:
+
+* constants are resolved to ids once (a never-encoded constant means
+  no solutions);
+* every pattern's exact cardinality is read off the tables — the length
+  of a ``key_slice`` for a bound subject or object, the table size
+  otherwise — and patterns are taken smallest first, one that shares a
+  variable with what is already bound before one that does not;
+* a columnar binding table (one id column per variable) is extended per
+  pattern with the store's :class:`~repro.kernels.KernelBackend`:
+  a ``merge_join`` whose companions on the bound side are row numbers,
+  or one ``key_slice`` probe per bound row when the bound side is small
+  next to the table (:func:`_use_probes`);
+* the result is a :class:`SolutionTable` of id columns; terms are
+  decoded only for the rows a caller asks for.
+
+Hybrid mode (:mod:`repro.litemat`) composes *beneath* this module: the
+read view handed in answers the same column accessor
+(``columns(property_id, key, by_object=…)``) from its interval
+encoding, so nothing here changes per mode or per backend.
 
 Variables are :class:`Var` instances (``Var("x")`` or the ``?name``
-shorthand of :func:`parse_pattern`); evaluation binds them left to
-right, driving each pattern through the engine's indexed
-``query(s, p, o)`` lookups, most-selective pattern first.
+shorthand of :func:`parse_pattern`).  Solution order is deterministic
+for a given snapshot and query, and otherwise unspecified.
 
 The :class:`repro.Store` facade folds this evaluator into its unified
 ``query()`` entry point — ``store.query("?s rdf:type ex:Person")``
@@ -28,10 +41,10 @@ tests for full usage).
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..core.engine import InferrayEngine
 from ..rdf.terms import IRI, Literal, Term
 from ..rdf.vocabulary import OWL, RDF, RDFS, XSD
 
@@ -65,26 +78,6 @@ class TriplePattern:
             for t in (self.subject, self.predicate, self.object)
             if isinstance(t, Var)
         ]
-
-    def resolve(self, bindings: Bindings) -> "TriplePattern":
-        """Substitute bound variables."""
-
-        def sub(term: PatternTerm) -> PatternTerm:
-            if isinstance(term, Var):
-                return bindings.get(term, term)
-            return term
-
-        return TriplePattern(
-            sub(self.subject), sub(self.predicate), sub(self.object)
-        )
-
-    def selectivity(self, bindings: Bindings) -> int:
-        """Bound-position count under current bindings (higher = better)."""
-        resolved = self.resolve(bindings)
-        return sum(
-            not isinstance(t, Var)
-            for t in (resolved.subject, resolved.predicate, resolved.object)
-        )
 
 
 def parse_pattern(
@@ -213,12 +206,335 @@ def parse_bgp(text: str) -> List[TriplePattern]:
     return patterns
 
 
+
+
+# ----------------------------------------------------------------------
+# Set-at-a-time evaluation over encoded ids
+# ----------------------------------------------------------------------
+#: One position of a pattern at the id level: a variable's name, or the
+#: dictionary id of a constant.
+_Position = Union[str, int]
+
+#: Table rows one per-row lookup is worth in a merge join.  The join
+#: passes over the whole table, a lookup binary-searches it: measured on
+#: the numpy kernels a lookup is ≈2 µs and the join ≈5–8 ns a table row
+#: (the interpreted kernels cross over earlier and lose little here).
+_ROWS_PER_PROBE = 256
+
+
+def _use_probes(n_bound: int, n_rows: int) -> bool:
+    """Extend ``n_bound`` binding rows by one lookup each rather than a
+    merge join over ``n_rows`` table rows: only when the bound side is
+    small next to the table."""
+    return n_bound * _ROWS_PER_PROBE < n_rows
+
+
+class SolutionTable:
+    """BGP solutions as id columns: one column per variable, one row
+    per solution, ``len()`` the number of solutions.
+
+    Nothing is decoded until asked: :meth:`head` cuts rows and
+    :meth:`distinct` projects and de-duplicates on ids, so a caller
+    pays the dictionary only for the terms it returns.
+    """
+
+    __slots__ = ("variables", "columns", "_n", "_dictionary")
+
+    def __init__(self, variables, columns, n: int, dictionary):
+        #: Variable names, one per column.
+        self.variables: Tuple[str, ...] = tuple(variables)
+        #: Id columns (``array('q')`` or ``ndarray``), each ``n`` long.
+        self.columns: List = list(columns)
+        self._n = n
+        self._dictionary = dictionary
+
+    def __len__(self) -> int:
+        return self._n
+
+    def column(self, name: str):
+        """The id column of one variable."""
+        return self.columns[self.variables.index(name)]
+
+    def head(self, limit: int) -> "SolutionTable":
+        """The first ``limit`` solutions."""
+        if limit >= self._n:
+            return self
+        return SolutionTable(
+            self.variables,
+            [column[:limit] for column in self.columns],
+            limit,
+            self._dictionary,
+        )
+
+    def distinct(self, names: Sequence[str]) -> "SolutionTable":
+        """The projection on ``names``, duplicate rows dropped by id,
+        first-seen order kept."""
+        if not names:
+            return SolutionTable((), [], min(self._n, 1), self._dictionary)
+        rows = dict.fromkeys(
+            zip(*(self.column(name).tolist() for name in names))
+        )
+        columns = [array("q", column) for column in zip(*rows)]
+        return SolutionTable(
+            names,
+            columns or [array("q") for _ in names],
+            len(rows),
+            self._dictionary,
+        )
+
+    def term_rows(self) -> Iterator[Tuple[Term, ...]]:
+        """Every solution decoded, as a tuple in :attr:`variables` order."""
+        if not self.columns:
+            return iter([()] * self._n)
+        decode = self._dictionary.decode_column
+        return zip(*(decode(column.tolist()) for column in self.columns))
+
+    def bindings(self) -> List[Dict[str, Term]]:
+        """Every solution decoded, as a ``{variable name: Term}`` dict."""
+        names = self.variables
+        return [dict(zip(names, row)) for row in self.term_rows()]
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"<SolutionTable {self._n} × {list(self.variables)}>"
+
+
+def _id_view(source):
+    """The read view (id tables) and dictionary behind an
+    :class:`InferrayEngine`, a ``Store`` or a ``Snapshot``."""
+    facade_view = getattr(source, "_view", None)
+    if facade_view is None:
+        return source.read_view, source.dictionary
+    tables, dictionary, _ = facade_view()
+    return tables, dictionary
+
+
+def _substitute(position: _Position, p: _Position, pid: int) -> _Position:
+    """``position`` once the predicate ``p`` is the property ``pid``:
+    the id wherever the predicate's variable stands."""
+    return pid if position == p else position
+
+
+class _Evaluation:
+    """One query run: a binding table extended pattern by pattern."""
+
+    def __init__(self, view, dictionary):
+        self.view = view
+        self.kernels = view.kernels
+        self.dictionary = dictionary
+        #: Keyed lookups of this run: the slice that gave a pattern its
+        #: cardinality is the one its evaluation reads.
+        self._slices: Dict[Tuple[int, int, bool], object] = {}
+
+    def table(self, variables, columns, n: int) -> SolutionTable:
+        return SolutionTable(variables, columns, n, self.dictionary)
+
+    def slice(self, pid: int, key: int, by_object: bool = False):
+        """``view.columns(pid, key, by_object=…)``, once per run."""
+        rows = self._slices.get((pid, key, by_object))
+        if rows is None:
+            rows = self.view.columns(pid, key, by_object=by_object)
+            self._slices[pid, key, by_object] = rows
+        return rows
+
+    def cardinality(self, s: _Position, p: _Position, o: _Position) -> int:
+        """Exact number of triples matching one pattern on its own (an
+        upper bound when one variable fills both subject and object)."""
+        view = self.view
+        total = 0
+        for pid in (p,) if isinstance(p, int) else view.property_ids():
+            s_here, o_here = _substitute(s, p, pid), _substitute(o, p, pid)
+            if isinstance(s_here, int) and isinstance(o_here, int):
+                total += (s_here, pid, o_here) in view
+            elif isinstance(s_here, int):
+                total += len(self.slice(pid, s_here)) // 2
+            elif isinstance(o_here, int):
+                total += len(self.slice(pid, o_here, True)) // 2
+            else:
+                total += view.table_size(pid)
+        return total
+
+    def order(self, compiled: List[Tuple[_Position, ...]]) -> List[int]:
+        """Evaluation order: greedily the smallest exact cardinality,
+        among the patterns that share a variable with those already
+        taken (or have none) while there is one — a cross product only
+        when nothing connected is left."""
+        if len(compiled) == 1:
+            return [0]
+        cardinality = [self.cardinality(*pattern) for pattern in compiled]
+        variables = [
+            {position for position in pattern if isinstance(position, str)}
+            for pattern in compiled
+        ]
+        remaining = list(range(len(compiled)))
+        bound: set = set()
+        order = []
+        while remaining:
+            connected = [
+                i for i in remaining
+                if not variables[i] or variables[i] & bound
+            ]
+            best = min(connected or remaining, key=cardinality.__getitem__)
+            remaining.remove(best)
+            bound |= variables[best]
+            order.append(best)
+        return order
+
+    def gather(self, table: SolutionTable, rows) -> SolutionTable:
+        take = self.kernels.take
+        return self.table(
+            table.variables,
+            [take(column, rows) for column in table.columns],
+            len(rows),
+        )
+
+    def extend(
+        self, table: SolutionTable, s: _Position, p: _Position, o: _Position
+    ) -> SolutionTable:
+        """``table`` ⋈ the triples matching ⟨s, p, o⟩."""
+        if isinstance(p, int):
+            return self.extend_table(table, p, s, o)
+        # A variable predicate is the union, over the tables, of the
+        # pattern with that property's id in place of the variable —
+        # in every position: one term has one id everywhere.
+        kernels = self.kernels
+        property_ids = self.view.property_ids()
+        bound = p in table.variables
+        if bound:
+            p_column = table.column(p)
+            property_ids = sorted(set(property_ids) & set(p_column.tolist()))
+        parts = []
+        for pid in property_ids:
+            rows = table
+            if bound:
+                rows = self.gather(table, kernels.where_equal(
+                    p_column, kernels.repeat((pid,), (len(table),))
+                ))
+            part = self.extend_table(
+                rows, pid, _substitute(s, p, pid), _substitute(o, p, pid)
+            )
+            if len(part):
+                parts.append((pid, part))
+        if not parts:
+            return table.head(0)
+        variables = parts[0][1].variables
+        columns = [
+            kernels.concat([part.columns[i] for _, part in parts])
+            for i in range(len(variables))
+        ]
+        sizes = [len(part) for _, part in parts]
+        if not bound:
+            variables += (p,)
+            columns.append(
+                kernels.repeat([pid for pid, _ in parts], sizes)
+            )
+        return self.table(variables, columns, sum(sizes))
+
+    def extend_table(
+        self, table: SolutionTable, pid: int, s: _Position, o: _Position
+    ) -> SolutionTable:
+        """``table`` ⋈ the rows of one property matching ⟨s, o⟩."""
+        view, kernels = self.view, self.kernels
+        s_bound = s in table.variables
+        o_bound = o in table.variables
+        if isinstance(s, int) and isinstance(o, int):
+            return table if (s, pid, o) in view else table.head(0)
+        if not (s_bound or o_bound):
+            return self.cross(table, self.scan(pid, s, o))
+        # Orient the pattern on a bound variable: ⟨key, other⟩ rows,
+        # read from the ⟨s, o⟩ or the ⟨o, s⟩ view accordingly.
+        by_object = not s_bound
+        key, other = (o, s) if by_object else (s, o)
+        keys = table.column(key)
+        if isinstance(other, int):
+            # ⟨other, key⟩ rows of the constant, in the opposite view.
+            matches = self.slice(pid, other, not by_object)
+            n_rows = len(matches) // 2
+        else:
+            matches = None
+            n_rows = view.table_size(pid)
+        if _use_probes(len(table), n_rows):
+            rows, companions = self.probe(pid, keys, other, by_object)
+        else:
+            if matches is None:
+                matches = view.columns(pid, by_object=by_object)
+            else:
+                matches = kernels.swap(matches)
+            joined = kernels.merge_join(kernels.index_by_key(keys), matches)
+            rows, companions = joined[0::2], joined[1::2]
+        if other in table.variables:
+            # Bound as well (or the same variable twice): a row filter.
+            agree = kernels.where_equal(
+                kernels.take(table.column(other), rows), companions
+            )
+            return self.gather(table, kernels.take(rows, agree))
+        extended = self.gather(table, rows)
+        if isinstance(other, str):
+            extended.variables += (other,)
+            extended.columns.append(companions)
+        return extended
+
+    def probe(self, pid: int, keys, other: _Position, by_object: bool):
+        """``(row numbers, companions)`` of ``keys`` ⋈ one property, by
+        one lookup per bound row (companions ``None`` for a constant
+        ``other``: a membership test)."""
+        view, kernels = self.view, self.kernels
+        keys = keys.tolist()
+        if isinstance(other, int):
+            hits = [
+                i for i, key in enumerate(keys)
+                if ((other, pid, key) if by_object else (key, pid, other))
+                in view
+            ]
+            return kernels.concat([array("q", hits)]), None
+        chunks = [self.slice(pid, key, by_object)[1::2] for key in keys]
+        rows = kernels.repeat(range(len(keys)), [len(c) for c in chunks])
+        return rows, kernels.concat(chunks)
+
+    def scan(self, pid: int, s: _Position, o: _Position) -> SolutionTable:
+        """The rows of one property matching ⟨s, o⟩, no variable bound."""
+        view, kernels = self.view, self.kernels
+        if isinstance(s, int):
+            column = self.slice(pid, s)[1::2]
+            return self.table((o,), [column], len(column))
+        if isinstance(o, int):
+            column = self.slice(pid, o, True)[1::2]
+            return self.table((s,), [column], len(column))
+        flat = view.columns(pid)
+        subjects, objects = flat[0::2], flat[1::2]
+        if s == o:
+            column = kernels.take(
+                subjects, kernels.where_equal(subjects, objects)
+            )
+            return self.table((s,), [column], len(column))
+        return self.table((s, o), [subjects, objects], len(subjects))
+
+    def cross(
+        self, left: SolutionTable, right: SolutionTable
+    ) -> SolutionTable:
+        """Cross product (the patterns share no variable)."""
+        if not left.variables:
+            return right  # left is the one-row unit table
+        kernels = self.kernels
+        # A merge join on one constant key pairs every row with every row.
+        pairs = kernels.merge_join(
+            kernels.index_by_key(kernels.repeat((0,), (len(left),))),
+            kernels.index_by_key(kernels.repeat((0,), (len(right),))),
+        )
+        product = self.gather(left, pairs[0::2])
+        product.variables += right.variables
+        product.columns += self.gather(right, pairs[1::2]).columns
+        return product
+
+
 class Query:
     """A conjunctive query: a sequence of triple patterns.
 
-    ``execute`` yields one bindings dict per solution; ``select``
-    projects chosen variables as tuples (with duplicate solutions
-    collapsed, SELECT DISTINCT semantics).
+    :meth:`evaluate` returns the solutions as id columns
+    (:class:`SolutionTable`); ``execute`` decodes one bindings dict per
+    solution, ``select`` projects chosen variables as tuples (duplicate
+    rows collapsed on ids, SELECT DISTINCT semantics) and ``ask`` only
+    counts.  All of them accept an :class:`InferrayEngine`, a ``Store``
+    or a ``Snapshot``.
     """
 
     def __init__(self, patterns: Sequence[TriplePattern]):
@@ -231,68 +547,84 @@ class Query:
         """Build from (s, p, o) tuples using :func:`parse_pattern`."""
         return cls([parse_pattern(*pattern) for pattern in pattern_triples])
 
-    def _match_pattern(
-        self,
-        engine: InferrayEngine,
-        pattern: TriplePattern,
-        bindings: Bindings,
-    ) -> Iterator[Bindings]:
-        resolved = pattern.resolve(bindings)
-        query_args: List[Optional[Term]] = []
-        for term in (resolved.subject, resolved.predicate, resolved.object):
-            query_args.append(None if isinstance(term, Var) else term)
-        for triple in engine.query(*query_args):
-            new_bindings = dict(bindings)
-            consistent = True
-            for position, value in zip(
-                (resolved.subject, resolved.predicate, resolved.object),
-                (triple.subject, triple.predicate, triple.object),
-            ):
-                if isinstance(position, Var):
-                    bound = new_bindings.get(position)
-                    if bound is None:
-                        new_bindings[position] = value
-                    elif bound != value:
-                        consistent = False
-                        break
-            if consistent:
-                yield new_bindings
+    def variables(self) -> List[str]:
+        """Names of the query's variables, in order of first occurrence."""
+        names: Dict[str, None] = {}
+        for pattern in self.patterns:
+            for variable in pattern.variables():
+                names[variable.name] = None
+        return list(names)
 
-    def execute(self, engine: InferrayEngine) -> Iterator[Bindings]:
-        """Yield every solution's bindings over the materialized store."""
+    def _compile(self, dictionary) -> Optional[List[Tuple[_Position, ...]]]:
+        """Patterns at the id level; ``None`` when a constant was never
+        encoded (nothing can match it)."""
+        id_of = dictionary.id_of
+        compiled = []
+        for pattern in self.patterns:
+            positions: List[_Position] = []
+            for term in (pattern.subject, pattern.predicate, pattern.object):
+                if isinstance(term, Var):
+                    positions.append(term.name)
+                    continue
+                term_id = id_of(term)
+                if term_id is None:
+                    return None
+                positions.append(term_id)
+            compiled.append(tuple(positions))
+        return compiled
 
-        def recurse(
-            remaining: List[TriplePattern], bindings: Bindings
-        ) -> Iterator[Bindings]:
-            if not remaining:
-                yield bindings
-                return
-            # Most selective pattern under current bindings first.
-            best_index = max(
-                range(len(remaining)),
-                key=lambda i: remaining[i].selectivity(bindings),
+    def plan(self, engine) -> List[TriplePattern]:
+        """The patterns in the order :meth:`evaluate` takes them."""
+        view, dictionary = _id_view(engine)
+        compiled = self._compile(dictionary)
+        if compiled is None:
+            return list(self.patterns)
+        order = _Evaluation(view, dictionary).order(compiled)
+        return [self.patterns[i] for i in order]
+
+    def evaluate(self, engine) -> SolutionTable:
+        """Every solution, as id columns over the materialized store."""
+        view, dictionary = _id_view(engine)
+        evaluation = _Evaluation(view, dictionary)
+        variables = self.variables()
+        compiled = self._compile(dictionary)
+        table = evaluation.table((), [], 1 if compiled else 0)
+        if compiled:
+            for index in evaluation.order(compiled):
+                table = evaluation.extend(table, *compiled[index])
+                if not len(table):
+                    break
+        if not len(table):
+            return evaluation.table(
+                variables, [view.kernels.concat(()) for _ in variables], 0
             )
-            pattern = remaining[best_index]
-            rest = remaining[:best_index] + remaining[best_index + 1:]
-            for extended in self._match_pattern(engine, pattern, bindings):
-                yield from recurse(rest, extended)
+        return evaluation.table(
+            variables, [table.column(name) for name in variables], len(table)
+        )
 
-        yield from recurse(self.patterns, {})
+    def execute(self, engine) -> Iterator[Bindings]:
+        """Yield every solution's bindings over the materialized store."""
+        table = self.evaluate(engine)
+        variables = [Var(name) for name in table.variables]
+        for row in table.term_rows():
+            yield dict(zip(variables, row))
 
     def select(
-        self, engine: InferrayEngine, *variables: Union[Var, str]
+        self, engine, *variables: Union[Var, str]
     ) -> List[Tuple[Term, ...]]:
         """Distinct projected solutions, in first-seen order."""
-        projection = [
-            v if isinstance(v, Var) else Var(v.lstrip("?")) for v in variables
+        names = [
+            v.name if isinstance(v, Var) else v.lstrip("?") for v in variables
         ]
-        seen = {}
-        for bindings in self.execute(engine):
-            row = tuple(bindings[v] for v in projection)
-            if row not in seen:
-                seen[row] = None
-        return list(seen)
+        available = self.variables()
+        for name in names:
+            if name not in available:
+                raise ValueError(
+                    f"cannot project on ?{name}: the query's variables are "
+                    + (", ".join(f"?{v}" for v in available) or "(none)")
+                )
+        return list(self.evaluate(engine).distinct(names).term_rows())
 
-    def ask(self, engine: InferrayEngine) -> bool:
+    def ask(self, engine) -> bool:
         """True iff the query has at least one solution."""
-        return next(self.execute(engine), None) is not None
+        return len(self.evaluate(engine)) > 0

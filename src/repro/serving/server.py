@@ -591,18 +591,21 @@ class ReasoningServer:
         snapshot = self._pin_epoch(request)
         started = time.monotonic()
 
-        def run() -> List[dict]:
-            return snapshot.solutions(text)
+        def run() -> Tuple[int, List[dict]]:
+            # Every solution is counted; only the rows returned are
+            # decoded (limit < 0: all of them).
+            table = snapshot.evaluate(text)
+            returned = table if limit < 0 else table.head(limit)
+            return len(table), returned.bindings()
 
         loop = asyncio.get_running_loop()
         try:
-            solutions = await loop.run_in_executor(self._read_pool, run)
+            n_total, solutions = await loop.run_in_executor(
+                self._read_pool, run
+            )
         except BGPSyntaxError as error:
             raise HTTPError(400, f"bad BGP: {error}")
         self.metrics.read_latency.observe(time.monotonic() - started)
-        n_total = len(solutions)
-        if limit >= 0:
-            solutions = solutions[:limit]
         payload = {
             "epoch": snapshot.epoch,
             "n": n_total,

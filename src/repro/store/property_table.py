@@ -182,16 +182,30 @@ class PropertyTable:
         """Pair-index range [start, end) of rows with this subject."""
         return self._kernels.key_slice(self._pairs, subject)
 
+    def columns(self, key: Optional[int] = None, *, by_object: bool = False):
+        """Rows of this table as a decoded flat pair array — the column
+        accessor of the BGP evaluator.
+
+        In ⟨s, o⟩ order, or ⟨o, s⟩ (objects at even indices, from the
+        lazily cached view) with ``by_object``.  ``key`` keeps only the
+        rows whose first component equals it: a binary-searched slice
+        whose length is that lookup's exact cardinality.  The result
+        takes strided slices on every backend (``[0::2]`` / ``[1::2]``
+        are the two id columns) and must not be mutated.
+        """
+        view = self.os_pairs() if by_object else self._pairs
+        if key is None:
+            return self._kernels.concat([view])
+        start, end = self._kernels.key_slice(view, key)
+        return view[2 * start: 2 * end]
+
     def objects_of(self, subject: int) -> List[int]:
         """All objects paired with ``subject`` (sorted)."""
-        start, end = self.subject_slice(subject)
-        return [self._pairs[2 * i + 1] for i in range(start, end)]
+        return self.columns(subject)[1::2].tolist()
 
     def subjects_of(self, obj: int) -> List[int]:
         """All subjects paired with ``obj`` (sorted; uses the o-s view)."""
-        view = self.os_pairs()
-        start, end = self._kernels.key_slice(view, obj)
-        return [view[2 * i + 1] for i in range(start, end)]
+        return self.columns(obj, by_object=True)[1::2].tolist()
 
     def iter_pairs(self) -> Iterator[Tuple[int, int]]:
         """Iterate ⟨s, o⟩ tuples in sorted order."""

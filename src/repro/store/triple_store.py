@@ -366,6 +366,25 @@ class TripleStore:
                 for s, o in table.iter_pairs():
                     yield (s, pid, o)
 
+    def columns(
+        self,
+        property_id: int,
+        key: Optional[int] = None,
+        *,
+        by_object: bool = False,
+    ):
+        """One property's rows as a decoded flat pair array; see
+        :meth:`PropertyTable.columns`.  An absent property is empty."""
+        table = self._tables.get(property_id)
+        if table is None:
+            return self._kernels.concat(())
+        return table.columns(key, by_object=by_object)
+
+    def table_size(self, property_id: int) -> int:
+        """Number of rows of one property (0 when absent)."""
+        table = self._tables.get(property_id)
+        return 0 if table is None else table.n_pairs
+
     def as_set(self) -> set:
         """Snapshot as a set of (s, p, o) tuples (tests)."""
         return set(self.triples())

@@ -197,6 +197,38 @@ def test_pair_with_constant_and_concat_match(np_kernels, dist):
     )
 
 
+def test_column_primitives_match(np_kernels, dist):
+    """index_by_key / take / where_equal / repeat — the column side of
+    the BGP evaluator — on numpy and on compressed (which hands them to
+    its inner backend) against the interpreted reference."""
+    _, flat = dist
+    native = np_kernels.concat([flat])
+    rng = random.Random(len(flat))
+    for kernels in (np_kernels, get_backend("compressed")):
+        for column, mine in ((flat[0::2], native[0::2]),
+                             (flat[1::2], native[1::2])):
+            keyed = as_ints(kernels.index_by_key(mine))
+            assert keyed == as_ints(PYTHON_KERNELS.index_by_key(column))
+            # Sorted on the key, ties by row; companions are the rows.
+            assert keyed[0::2] == sorted(column)
+            assert [column[row] for row in keyed[1::2]] == keyed[0::2]
+            rows = [rng.randrange(len(column)) for _ in column[:40]]
+            assert as_ints(kernels.take(mine, kernels.concat([rows]))) == [
+                column[row] for row in rows
+            ]
+            counts = [rng.randrange(4) for _ in column]
+            assert as_ints(kernels.repeat(mine, counts)) == as_ints(
+                PYTHON_KERNELS.repeat(column, counts)
+            )
+        agree = as_ints(kernels.where_equal(native[0::2], native[1::2]))
+        assert agree == [
+            i for i, (a, b) in enumerate(zip(flat[0::2], flat[1::2]))
+            if a == b
+        ]
+        assert as_ints(kernels.repeat((7,), (3,))) == [7, 7, 7]
+        assert as_ints(kernels.repeat(range(3), [2, 0, 1])) == [0, 0, 2]
+
+
 def test_cross_backend_array_adoption(np_kernels):
     """numpy kernels accept array('q') and python kernels accept ndarray."""
     flat = array("q", [4, 1, 2, 9, 2, 9, 0, 0])

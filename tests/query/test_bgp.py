@@ -120,10 +120,38 @@ class TestValidation:
         with pytest.raises(ValueError):
             Query([])
 
+    @pytest.mark.parametrize("cls, solutions", [("student", 2), ("none", 0)])
+    def test_unknown_projection_variable(self, engine, cls, solutions):
+        # Used to be a bare KeyError with solutions, [] without.
+        query = Query.parse(("?x", RDF.type, ex(cls)), ("?x", "?p", "?o"))
+        assert len(query.select(engine, "x")) == solutions
+        for projection in (("x", "who"), (Var("who"),), ("?who",)):
+            with pytest.raises(ValueError) as raised:
+                query.select(engine, *projection)
+            assert "?who" in str(raised.value)
+            assert "?x, ?p, ?o" in str(raised.value)
+
+    def test_unknown_projection_variable_through_the_store(self):
+        from repro import Store
+
+        store = Store([Triple(ex("a"), ex("p"), ex("b"))])
+        for text in ("?s ex:p ?o", "?s ex:q ?o"):
+            with pytest.raises(ValueError, match=r"\?x.*\?s, \?o"):
+                store.select(text, "s", "x")
+            with pytest.raises(ValueError, match=r"\?x.*\?s, \?o"):
+                store.snapshot().select(text, "x")
+        with pytest.raises(ValueError, match=r"\(none\)"):
+            store.select("ex:a ex:p ex:b", "x")
+        assert store.select("ex:a ex:p ex:b") == [()]
+        assert store.select("ex:a ex:p ex:a") == []
+
     def test_pattern_selectivity(self):
+        # The bound-count ordering lives on in the oracle only.
+        from oracle import selectivity
+
         pattern = TriplePattern(Var("s"), RDF.type, ex("c"))
-        assert pattern.selectivity({}) == 2
-        assert pattern.selectivity({Var("s"): ex("a")}) == 3
+        assert selectivity(pattern, {}) == 2
+        assert selectivity(pattern, {Var("s"): ex("a")}) == 3
 
 
 class TestParseBGP:

@@ -135,6 +135,65 @@ def test_post_query_with_limit(served):
     assert payload["returned"] == 1
 
 
+@pytest.fixture(scope="module")
+def big_scan():
+    """1,200 humans: a scan larger than the default limit of 1,000."""
+    names = [f"h{i:04d}" for i in range(1200)]
+    store = Store(
+        base_triples()[:2]
+        + [Triple(ex(name), RDF.type, ex("human")) for name in names]
+    )
+    everyone = store.snapshot().solutions(f"?who a <{EX}mammal>")
+    assert len(everyone) == 1200
+    with ServerThread(store, port=0) as handle:
+        client = Client(handle.address)
+        yield client, handle, [s["who"].n3() for s in everyone]
+        client.close()
+
+
+@pytest.mark.parametrize("limit, returned", [
+    (0, 0), (1, 1), (100, 100), (-1, 1200), (None, 1000), (5000, 1200),
+])
+def test_limit_cuts_what_is_returned_not_what_is_counted(
+    big_scan, limit, returned
+):
+    client, handle, everyone = big_scan
+    assert handle.server.default_limit == 1000
+    suffix = "" if limit is None else f"&limit={limit}"
+    status, _, payload = client.request(
+        "GET", f"/query?q={MAMMAL_Q}{suffix}"
+    )
+    assert status == 200
+    assert payload["n"] == 1200
+    assert payload["returned"] == returned
+    # The body is the first `returned` solutions, in the snapshot's order.
+    assert [s["who"] for s in payload["solutions"]] == everyone[:returned]
+    # POST carries the limit in its JSON body.
+    body = {"query": f"?who a <{EX}mammal>"}
+    if limit is not None:
+        body["limit"] = limit
+    status, _, posted = client.request("POST", "/query", json.dumps(body))
+    assert status == 200
+    assert posted == payload
+
+
+def test_only_the_returned_rows_are_decoded(big_scan, monkeypatch):
+    from repro.dictionary.encoding import Dictionary
+
+    client, _, _ = big_scan
+    decoded = []
+    decode_column = Dictionary.decode_column
+
+    def spy(self, term_ids):
+        decoded.append(len(term_ids))
+        return decode_column(self, term_ids)
+
+    monkeypatch.setattr(Dictionary, "decode_column", spy)
+    _, _, payload = client.request("GET", f"/query?q={MAMMAL_Q}&limit=7")
+    assert (payload["n"], payload["returned"]) == (1200, 7)
+    assert decoded == [7]
+
+
 def test_reader_pinned_to_an_epoch_never_sees_newer_writes(served):
     _, _, client = served
     pinned = 1
