@@ -13,9 +13,10 @@ transitivity pre-pass.
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Iterable, List, Tuple
 
+from ..kernels.base import KernelBackend
+from ..kernels.python_backend import PYTHON_KERNELS
 from .nuutila import transitive_closure_pairs
 from .unionfind import UnionFind
 
@@ -34,33 +35,29 @@ def connected_component_edges(edges: List[Edge]) -> List[List[Edge]]:
 
 
 def closed_pairs(
-    edges: Iterable[Edge],
-    *,
-    split_components: bool = True,
-) -> array:
+    edges: Iterable[Edge], *, kernels: KernelBackend = PYTHON_KERNELS
+):
     """Full transitive closure as a flat pair array.
 
-    Parameters
-    ----------
-    edges:
-        Directed edges over integer node ids.
-    split_components:
-        Apply the paper's UNION-FIND component split before closing
-        (``False`` runs Nuutila over the whole graph at once; results
-        are identical — kept for the ablation benchmark).
+    ``edges`` are directed edges over integer node ids; the result is in
+    ``kernels``' native flat type, every closed pair once.  The edges are
+    grouped by weakly connected component before closing: the reach
+    index numbers nodes in first-seen order and its SCC pass visits them
+    in that order, so each component gets its own contiguous run of
+    closure ids — the output, order included, is the per-component
+    closures concatenated, written by one kernel call.
     """
-    edge_list = list(edges)
-    if not edge_list:
-        return array("q")
-    if not split_components:
-        return transitive_closure_pairs(edge_list)
-    out = array("q")
-    for component in connected_component_edges(edge_list):
-        out.extend(transitive_closure_pairs(component))
-    return out
+    grouped = [
+        edge
+        for component in connected_component_edges(list(edges))
+        for edge in component
+    ]
+    return transitive_closure_pairs(grouped, kernels=kernels)
 
 
-def symmetric_transitive_closure_pairs(edges: Iterable[Edge]) -> array:
+def symmetric_transitive_closure_pairs(
+    edges: Iterable[Edge], *, kernels: KernelBackend = PYTHON_KERNELS
+):
     """Closure for symmetric-transitive properties (owl:sameAs, §4.1).
 
     "To compute the transitivity closure on the symmetric property, we
@@ -73,4 +70,4 @@ def symmetric_transitive_closure_pairs(edges: Iterable[Edge]) -> array:
     for source, target in edges:
         doubled.append((source, target))
         doubled.append((target, source))
-    return closed_pairs(doubled)
+    return closed_pairs(doubled, kernels=kernels)

@@ -16,7 +16,12 @@ Pipeline of :func:`transitive_closure_pairs`:
    occupies one contiguous id interval and sink-ward reachable sets
    coalesce into few intervals (Cotton's density trick);
 4. one pass over components in emission order unions successor sets;
-5. emit the closed edge list, mapping closure ids back to the input ids.
+5. emit the closed edge list: the index, read as flat columns (each
+   component's closure-id run, its reach intervals, the closure id →
+   input id relabel), goes to the kernel backend's
+   :meth:`~repro.kernels.base.KernelBackend.cross_intervals`, which
+   writes every member × reached id pair in one pass (vectorised on the
+   NumPy backend).
 
 A component reaches itself iff it is non-trivial (size > 1) or carries a
 self-loop, which yields the ⟨x, x⟩ pairs required by the semantics of
@@ -25,9 +30,10 @@ transitive properties over cycles.
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from ..kernels.base import KernelBackend
+from ..kernels.python_backend import PYTHON_KERNELS
 from .intervals import IntervalSet
 
 Edge = Tuple[int, int]
@@ -202,20 +208,50 @@ class ReachIndex:
         originals = self.original_of_closure
         return [originals[cid] for cid in reachable]
 
-    def components(self):
-        """Yield ``(member_closure_ids, reach)`` in emission order."""
-        for comp_index, (low, high) in enumerate(self.component_intervals):
-            yield range(low, high + 1), self.component_reach[comp_index]
+    def interval_columns(self):
+        """The index as flat columns, one row per component in emission
+        order: ``(member_lows, member_counts, interval_counts,
+        interval_lows, interval_highs, relabel)``.
+
+        Component *g* holds closure ids ``member_lows[g]`` to
+        ``member_lows[g] + member_counts[g] - 1``; its reach is the next
+        ``interval_counts[g]`` inclusive ``[interval_lows[i],
+        interval_highs[i]]`` intervals (none when it reaches nothing);
+        ``relabel`` is :attr:`original_of_closure`.  This is the argument
+        list of :meth:`~repro.kernels.base.KernelBackend.cross_intervals`.
+        """
+        member_lows: List[int] = []
+        member_counts: List[int] = []
+        interval_counts: List[int] = []
+        interval_lows: List[int] = []
+        interval_highs: List[int] = []
+        for (low, high), reachable in zip(
+            self.component_intervals, self.component_reach
+        ):
+            member_lows.append(low)
+            member_counts.append(high - low + 1)
+            intervals = reachable.intervals()
+            interval_counts.append(len(intervals))
+            for start, end in intervals:
+                interval_lows.append(start)
+                interval_highs.append(end)
+        return (
+            member_lows,
+            member_counts,
+            interval_counts,
+            interval_lows,
+            interval_highs,
+            self.original_of_closure,
+        )
 
     def n_reach_pairs(self) -> int:
         """Size of the closed edge relation this index encodes."""
-        total = 0
-        for members, reachable in self.components():
-            count = sum(
-                high - low + 1 for low, high in reachable.intervals()
+        return sum(
+            (high - low + 1) * len(reachable)
+            for (low, high), reachable in zip(
+                self.component_intervals, self.component_reach
             )
-            total += len(members) * count
-        return total
+        )
 
     def n_intervals(self) -> int:
         """Total intervals across the per-component reach sets."""
@@ -296,8 +332,8 @@ def build_reach_index(edges: Iterable[Edge]) -> ReachIndex:
 def transitive_closure_pairs(
     edges: Iterable[Edge],
     *,
-    include_input: bool = True,
-) -> array:
+    kernels: KernelBackend = PYTHON_KERNELS,
+):
     """Closed edge set of a digraph, as a flat ⟨s, o⟩ pair array.
 
     Parameters
@@ -305,46 +341,18 @@ def transitive_closure_pairs(
     edges:
         Directed edges over arbitrary (64-bit) integer node ids; cycles
         and duplicates are fine.
-    include_input:
-        When True (default) the result is the full closure including the
-        input edges; when False, input edges that are *not* re-derived
-        are still included (the closure is a superset of the input by
-        definition) — the flag exists so callers can request only the
-        derivable pairs minus the originals.
+    kernels:
+        The backend that writes the pairs; the result is its native
+        flat type (``array('q')`` for the default pure-Python kernels).
 
     Returns
     -------
-    array('q')
-        Flat pair array, one ⟨source, target⟩ per closed edge, grouped
-        by component emission order (callers sort as needed).
+    Flat pair array, one ⟨source, target⟩ per closed edge, each exactly
+    once, grouped by component emission order (callers sort as needed).
     """
-    edge_list = list(edges)
-    out = array("q")
-    if not edge_list:
-        return out
-
-    index = build_reach_index(edge_list)
-    originals = index.original_of_closure
-
-    # Emit the closed pairs, mapping ids back.
-    original_inputs = None
-    if not include_input:
-        original_inputs = set(edge_list)
-    for members, reachable in index.components():
-        if not reachable:
-            continue
-        targets = [originals[value] for value in reachable]
-        for member in members:
-            source = originals[member]
-            for target in targets:
-                if original_inputs is not None and (
-                    source,
-                    target,
-                ) in original_inputs:
-                    continue
-                out.append(source)
-                out.append(target)
-    return out
+    return kernels.cross_intervals(
+        *build_reach_index(edges).interval_columns()
+    )
 
 
 def transitive_closure(edges: Iterable[Edge]) -> set:

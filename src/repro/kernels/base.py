@@ -239,5 +239,44 @@ class KernelBackend:
             out.extend(array("q", (value,)) * count)
         return out
 
+    # -- closure emission (θ pre-pass, §4.1) ----------------------------
+    def cross_intervals(
+        self,
+        member_lows,
+        member_counts,
+        interval_counts,
+        interval_lows,
+        interval_highs,
+        relabel,
+    ):
+        """Flat pairs ⟨relabel[m], relabel[t]⟩ for interval-coded groups.
+
+        Group *g* has members ``member_lows[g]`` to ``member_lows[g] +
+        member_counts[g] - 1`` and owns the next ``interval_counts[g]``
+        inclusive ``[interval_lows[i], interval_highs[i]]`` intervals.
+        For each group in order, each member in ascending order, each
+        covered t in ascending order, emits ⟨relabel[m], relabel[t]⟩ —
+        the closed pairs of a :class:`repro.closure.nuutila.ReachIndex`
+        read through its ``interval_columns()``.  Generic nested loop;
+        the reference the vectorised override is tested against.
+        """
+        out = array("q")
+        interval = 0
+        for low, count, n_intervals in zip(
+            member_lows, member_counts, interval_counts
+        ):
+            targets = [
+                relabel[value]
+                for i in range(interval, interval + n_intervals)
+                for value in range(interval_lows[i], interval_highs[i] + 1)
+            ]
+            interval += n_intervals
+            for member in range(low, low + count):
+                source = relabel[member]
+                for target in targets:
+                    out.append(source)
+                    out.append(target)
+        return out
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name}>"

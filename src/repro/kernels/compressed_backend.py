@@ -833,6 +833,25 @@ class CompressedKernels(KernelBackend):
     def repeat(self, values, counts):
         return self._inner.repeat(values, counts)
 
+    def cross_intervals(
+        self,
+        member_lows,
+        member_counts,
+        interval_counts,
+        interval_lows,
+        interval_highs,
+        relabel,
+    ):
+        # A transient rule emission: stays in the inner native type.
+        return self._inner.cross_intervals(
+            member_lows,
+            member_counts,
+            interval_counts,
+            interval_lows,
+            interval_highs,
+            relabel,
+        )
+
     # -- accounting -----------------------------------------------------
     def flat_nbytes(self, flat, seen: Optional[set] = None) -> int:
         if isinstance(flat, CompressedPairs):

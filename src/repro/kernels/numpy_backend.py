@@ -13,7 +13,9 @@ whole-array NumPy operations over ``int64`` vectors:
 * merge-join — group boundaries from boundary masks,
   ``np.intersect1d`` on the distinct keys, and the per-key cross
   products materialized with the repeat/offset trick (no Python-level
-  loop over matches).
+  loop over matches);
+* θ closure emission — every component member × its reach intervals,
+  expanded with the same trick (no loop over members or pairs).
 
 The dictionary's dense flat-int encoding (ids are small consecutive
 ints) is what makes the store's pair arrays directly usable as NumPy
@@ -120,6 +122,14 @@ def _interleave(evens: np.ndarray, odds: np.ndarray) -> np.ndarray:
     out = np.empty(2 * evens.size, dtype=INT64)
     out[0::2] = evens
     out[1::2] = odds
+    return out
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i], starts[i] + 1, …`` (``lengths[i]`` values each),
+    concatenated — the repeat/offset trick, no Python-level loop."""
+    out = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    out += np.arange(out.size, dtype=INT64)
     return out
 
 
@@ -393,6 +403,39 @@ class NumpyKernels(KernelBackend):
 
     def repeat(self, values, counts):
         return np.repeat(np.asarray(values, dtype=INT64), counts)
+
+    # -- closure emission -------------------------------------------------
+    def cross_intervals(
+        self,
+        member_lows,
+        member_counts,
+        interval_counts,
+        interval_lows,
+        interval_highs,
+        relabel,
+    ):
+        # One *segment* per (member, reach interval), member-major: a run
+        # of output pairs with one source and consecutive targets.  Every
+        # column is segment-sized except the output and the transient
+        # one-half columns written into it.
+        lows = np.asarray(interval_lows, dtype=INT64)
+        widths = np.asarray(interval_highs, dtype=INT64) - lows + 1
+        n_intervals = np.asarray(interval_counts, dtype=INT64)
+        counts = np.asarray(member_counts, dtype=INT64)
+        relabel = np.asarray(relabel, dtype=INT64)
+        members = _ranges(np.asarray(member_lows, dtype=INT64), counts)
+        member_intervals = np.repeat(n_intervals, counts)
+        segments = _ranges(
+            np.repeat(np.cumsum(n_intervals) - n_intervals, counts),
+            member_intervals,
+        )
+        segment_widths = widths[segments]
+        out = np.empty(2 * int(segment_widths.sum()), dtype=INT64)
+        out[0::2] = np.repeat(
+            relabel[np.repeat(members, member_intervals)], segment_widths
+        )
+        out[1::2] = relabel[_ranges(lows[segments], segment_widths)]
+        return out
 
 
 #: Shared stateless instance.

@@ -518,9 +518,11 @@ class ThetaRule(Rule):
             return 0
         edges = list(table.iter_pairs())
         if symmetric:
-            closed = symmetric_transitive_closure_pairs(edges)
+            closed = symmetric_transitive_closure_pairs(
+                edges, kernels=ctx.kernels
+            )
         else:
-            closed = closed_pairs(edges)
+            closed = closed_pairs(edges, kernels=ctx.kernels)
         ctx.out.extend(pid, closed)
         tracer = ctx.main.tracer
         if tracer is not None:

@@ -1,5 +1,7 @@
 """Unit tests for the component split and symmetric closures."""
 
+import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,11 +10,22 @@ from repro.closure.components import (
     connected_component_edges,
     symmetric_transitive_closure_pairs,
 )
-from repro.closure.nuutila import transitive_closure
+from repro.closure.nuutila import transitive_closure, transitive_closure_pairs
+from repro.kernels import get_backend, numpy_available
+
+#: Every backend this environment can run (the compressed one composes
+#: over numpy when it is importable, over the python kernels otherwise).
+BACKENDS = ["python", "compressed"] + (["numpy"] if numpy_available() else [])
 
 
 def as_pairs(flat):
     return set(zip(flat[0::2], flat[1::2]))
+
+
+def nx_closure(edges):
+    """Pairs (u, v) joined by a non-empty path (see test_nuutila)."""
+    closed = nx.transitive_closure(nx.DiGraph(edges), reflexive=False)
+    return set(closed.edges())
 
 
 class TestComponentSplit:
@@ -38,10 +51,9 @@ class TestClosedPairs:
         assert len(closed_pairs([])) == 0
 
     def test_split_equals_no_split(self):
+        # transitive_closure runs Nuutila over the whole, unsplit graph.
         edges = [(1, 2), (2, 3), (10, 11), (11, 10), (20, 21)]
-        with_split = as_pairs(closed_pairs(edges, split_components=True))
-        without = as_pairs(closed_pairs(edges, split_components=False))
-        assert with_split == without
+        assert as_pairs(closed_pairs(edges)) == transitive_closure(edges)
 
     def test_matches_nuutila(self):
         edges = [(1, 2), (2, 3), (3, 1), (5, 6)]
@@ -72,10 +84,53 @@ class TestSymmetricClosure:
 @given(
     st.lists(
         st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=30
-    ),
-    st.booleans(),
+    )
 )
-def test_split_invariance_property(edges, split):
-    """Component splitting never changes the closure."""
-    reference = transitive_closure(edges)
-    assert as_pairs(closed_pairs(edges, split_components=split)) == reference
+def test_split_invariance_property(edges):
+    """Component splitting never changes the closure, and one run over
+    the grouped edges emits exactly the per-component runs in turn."""
+    assert as_pairs(closed_pairs(edges)) == transitive_closure(edges)
+    per_component = []
+    for component in connected_component_edges(edges):
+        per_component += transitive_closure_pairs(component)
+    assert list(closed_pairs(edges)) == per_component
+
+
+@st.composite
+def digraphs(draw):
+    """Edges over up to three disjoint id ranges — several weak
+    components, ids past 2⁴⁰ — with cycles, self-loops and duplicate
+    edges all reachable by the draw."""
+    edges = []
+    for part in range(draw(st.integers(1, 3))):
+        base = part << 40
+        edges += [
+            (base + s, base + o)
+            for s, o in draw(
+                st.lists(
+                    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                    max_size=18,
+                )
+            )
+        ]
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=6))
+    return edges
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(edges=digraphs())
+def test_closures_match_networkx_on_every_backend(backend, edges):
+    """Each closed pair once, and exactly the oracle's pairs, whatever
+    backend emits them (``closure_pairs`` counts rely on both)."""
+    kernels = get_backend(backend)
+    doubled = edges + [(o, s) for s, o in edges]
+    for close, oracle in (
+        (closed_pairs, nx_closure(edges)),
+        (symmetric_transitive_closure_pairs, nx_closure(doubled)),
+    ):
+        flat = [int(value) for value in close(edges, kernels=kernels)]
+        pairs = list(zip(flat[0::2], flat[1::2]))
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == oracle

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.closure.nuutila import (
+    build_reach_index,
     strongly_connected_components,
     transitive_closure,
     transitive_closure_pairs,
@@ -96,11 +97,6 @@ class TestClosureSmall:
         assert (1, 4) in closure
         assert len(closure) == 5
 
-    def test_include_input_false_excludes_originals(self):
-        flat = transitive_closure_pairs([(1, 2), (2, 3)], include_input=False)
-        pairs = set(zip(flat[0::2], flat[1::2]))
-        assert pairs == {(1, 3)}
-
 
 class TestClosureShapes:
     @pytest.mark.parametrize("n", [2, 5, 20, 60])
@@ -129,5 +125,8 @@ class TestClosureShapes:
     )
 )
 def test_closure_matches_networkx(edges):
-    """Random digraphs (with cycles/self-loops) match the oracle."""
-    assert transitive_closure(edges) == nx_closure(edges)
+    """Random digraphs (with cycles/self-loops) match the oracle, and
+    the reach index counts exactly the pairs it emits."""
+    expected = nx_closure(edges)
+    assert transitive_closure(edges) == expected
+    assert build_reach_index(edges).n_reach_pairs() == len(expected)

@@ -16,7 +16,9 @@ from array import array
 
 import pytest
 
+from repro.closure.nuutila import build_reach_index
 from repro.kernels import get_backend, numpy_available
+from repro.kernels.compressed_backend import CompressedKernels
 from repro.kernels.python_backend import PYTHON_KERNELS
 
 pytestmark = pytest.mark.skipif(
@@ -61,6 +63,51 @@ def _distributions():
 
 
 DISTRIBUTIONS = dict(_distributions())
+
+
+def _interval_layouts():
+    """cross_intervals inputs: groups of one or several members, reach
+    of zero to four intervals (adjacent and disjoint), relabel ids on
+    both sides of 2**40; plus two read off real reach indexes."""
+    rng = random.Random(SEED ^ 0x7E7A)
+    yield "no-groups", ([], [], [], [], [], [])
+    for case in range(24):
+        member_counts = [
+            rng.choice((1, 1, 1, 2, 3, 6)) for _ in range(rng.randrange(1, 9))
+        ]
+        n_ids = sum(member_counts)
+        member_lows = [sum(member_counts[:g]) for g in range(len(member_counts))]
+        interval_counts, lows, highs = [], [], []
+        for _ in member_counts:
+            count, position = 0, rng.randrange(2)
+            for _ in range(rng.randrange(5)):
+                low = position + rng.choice((0, 0, 1, 3))
+                high = low + rng.randrange(3)
+                if high >= n_ids:
+                    break
+                lows.append(low)
+                highs.append(high)
+                count += 1
+                position = high + 1
+            interval_counts.append(count)
+        relabel = [
+            rng.choice((0, 2 ** 32, 2 ** 40, 2 ** 62)) + rng.randrange(2 ** 20)
+            for _ in range(n_ids)
+        ]
+        yield f"random-{case}", (
+            member_lows, member_counts, interval_counts, lows, highs, relabel
+        )
+    chain_and_cycle = [(i, i + 1) for i in range(9)] + [(20, 21), (21, 20)]
+    yield "index-chain-cycle", build_reach_index(
+        chain_and_cycle
+    ).interval_columns()
+    tree_with_loop = [(k, (k - 1) // 2) for k in range(1, 15)] + [(2, 2)]
+    yield "index-tree-selfloop", build_reach_index(
+        [(s + 2 ** 40, o + 2 ** 40) for s, o in tree_with_loop]
+    ).interval_columns()
+
+
+INTERVAL_LAYOUTS = dict(_interval_layouts())
 
 
 def as_ints(flat):
@@ -227,6 +274,27 @@ def test_column_primitives_match(np_kernels, dist):
         ]
         assert as_ints(kernels.repeat((7,), (3,))) == [7, 7, 7]
         assert as_ints(kernels.repeat(range(3), [2, 0, 1])) == [0, 0, 2]
+
+
+@pytest.mark.parametrize("layout", sorted(INTERVAL_LAYOUTS))
+def test_cross_intervals_matches(np_kernels, layout):
+    """The θ emission primitive: python ≡ numpy ≡ compressed (both
+    inner backends), order included."""
+    columns = INTERVAL_LAYOUTS[layout]
+    expected = as_ints(PYTHON_KERNELS.cross_intervals(*columns))
+    _, member_counts, interval_counts, lows, highs, _ = columns
+    widths = [high - low + 1 for low, high in zip(lows, highs)]
+    ends = [sum(interval_counts[: g + 1]) for g in range(len(member_counts))]
+    assert len(expected) == 2 * sum(
+        count * sum(widths[end - n_intervals: end])
+        for count, n_intervals, end in zip(member_counts, interval_counts, ends)
+    )
+    for kernels in (
+        np_kernels,
+        CompressedKernels(np_kernels),
+        CompressedKernels(PYTHON_KERNELS),
+    ):
+        assert as_ints(kernels.cross_intervals(*columns)) == expected
 
 
 def test_cross_backend_array_adoption(np_kernels):
