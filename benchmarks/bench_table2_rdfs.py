@@ -20,28 +20,25 @@ Parallel: --workers N (default 4) additionally measures the Inferray
          engine sequentially vs under the dependency-aware parallel
          rule scheduler with N workers (rdfs-default fragment) and
          reports per-dataset throughput; --workers 1 skips it.
-         --parallel-mode thread|process pins the executor substrate
-         (default: the scheduler's cost model), and --modes (implied
-         by --json) adds an auto vs thread vs process vs
-         sharded-process comparison over the same workloads.
+         --parallel-mode thread forces the thread pool (default: the
+         scheduler's cost model), and --modes (implied by --json) adds
+         an auto vs thread comparison over the same workloads.
 Repeats: every cell is warmed up --warmup times (default 1) and timed
          --runs times (default 3); cells report the median, and the
          max-min spread rides along in the JSON so reports show noise.
-Scale:   --scale [smoke|full|xl] measures the executor substrates on
-         scale workloads (BSBM-10k up to BSBM-1M, LUBM-500/5000),
-         records the cost-model decision per cell, derives measured
-         sequential->thread->process crossover points, and measures
-         the persistent-pool payoff (pool kept across incremental
-         flushes vs torn down per flush).  The crossover defaults in
-         repro.core.scheduler are anchored to this section.
+Scale:   --scale [smoke|full|xl] measures the executors on scale
+         workloads (BSBM-10k up to BSBM-1M, LUBM-500/5000), records
+         the cost-model decision per cell and derives the measured
+         sequential->thread crossover point.  The crossover default in
+         repro.core.scheduler is anchored to this section.
 JSON:    --json [PATH] additionally writes a machine-readable record
          set (default PATH: BENCH_table2.json) — one entry per cell
          with dataset, engine, backend, ruleset, seconds, n_inferred,
          plus a top-level "parallel" section with the
          sequential-vs-parallel cells and the mean speedup, a
          "parallel_modes" section with the per-mode speedups, and —
-         under --scale — a "scale" section with the per-substrate
-         scale cells, crossovers and the pool-reuse comparison.
+         under --scale — a "scale" section with the per-executor
+         scale cells and crossovers.
 Smoke:   --smoke restricts to one tiny dataset with a single run per
          cell (the CI smoke job uses --smoke --json and validates the
          parallel section; the scale smoke job adds
@@ -52,7 +49,6 @@ Pytest:  pytest benchmarks/bench_table2_rdfs.py --benchmark-only
 import argparse
 import json
 import statistics
-import time
 
 import pytest
 
@@ -206,11 +202,6 @@ PARALLEL_MODE_LEGS = [
     # chose, so the report shows whether auto beat the forced legs.
     ("auto", {"parallel_mode": "auto"}),
     ("thread", {"parallel_mode": "thread"}),
-    ("process", {"parallel_mode": "process"}),
-    # Forced intra-rule sharding: a low split threshold makes CAX-SCO
-    # and the other join executors fan out across the workers even on
-    # bench-sized inputs.
-    ("process-sharded", {"parallel_mode": "process", "split_threshold": 512}),
 ]
 
 
@@ -218,7 +209,7 @@ def run_parallel_modes_comparison(
     workers, *, backend="auto", fragment="rdfs-default", timeout=TIMEOUT,
     warmup=1, runs=3, subset=None, sequential_cells=None
 ):
-    """Auto vs thread vs process vs sharded-process, vs sequential.
+    """Auto vs thread, vs sequential.
 
     One sequential baseline per dataset, then every
     :data:`PARALLEL_MODE_LEGS` configuration at ``workers=N`` on the
@@ -228,8 +219,8 @@ def run_parallel_modes_comparison(
     instead of re-running them.  Returns the ``parallel_modes`` JSON
     section: per-dataset cells (seconds + speedup per mode, plus the
     substrate the ``auto`` leg's cost model picked) and per-mode mean
-    speedups — the thread-vs-process payoff record for the repo's
-    bench trajectory.
+    speedups — the thread-pool payoff record for the repo's bench
+    trajectory.
     """
     from repro.kernels import resolve_backend
 
@@ -322,7 +313,7 @@ def measure_parallel_sections(
 
 
 # ----------------------------------------------------------------------
-# Scale section: substrate crossovers + persistent-pool payoff
+# Scale section: executor crossovers
 # ----------------------------------------------------------------------
 
 #: Scale workloads per tier, smallest first (crossover detection walks
@@ -346,16 +337,15 @@ SCALE_FACTORIES = {
 SCALE_LEGS = [
     ("auto", {"parallel_mode": "auto"}),
     ("thread", {"parallel_mode": "thread"}),
-    ("process", {"parallel_mode": "process"}),
 ]
 
 
 def _project_multicore_pick(decision, backend_name, cores=4):
     """What the cost model would pick at ``cores`` cores.
 
-    Re-evaluates the recorded estimate against the recorded crossovers
+    Re-evaluates the recorded estimate against the recorded crossover
     (the core-count gate is the only input that differs), so a one-core
-    bench box can still report the substrate the same workload would
+    bench box can still report the executor the same workload would
     get on a multicore machine.
     """
     if decision is None:
@@ -363,31 +353,27 @@ def _project_multicore_pick(decision, backend_name, cores=4):
     estimated = decision.get("estimated_pairs")
     if estimated is None or cores < 2:
         return None
-    if backend_name != "python":
-        if estimated < decision["thread_crossover"]:
-            return "sequential"
-        return "thread"
-    if estimated < decision["process_crossover"]:
+    if backend_name == "python":
+        return "sequential"  # GIL-bound kernels never take threads
+    if estimated < decision["thread_crossover"]:
         return "sequential"
-    return "process"
+    return "thread"
 
 
 def run_scale_section(
     workers, *, backend="auto", fragment="rdfs-default", tier="full",
     timeout=TIMEOUT, warmup=1, runs=3
 ):
-    """Executor substrates on scale workloads + the pool-reuse payoff.
+    """Executors on scale workloads.
 
     For every tier workload: a sequential baseline, then each
-    :data:`SCALE_LEGS` substrate at ``workers=N`` — each cell records
+    :data:`SCALE_LEGS` executor at ``workers=N`` — each cell records
     median/spread/speedup and (for ``auto``) the cost model's full
     decision.  From the cells the section derives the measured
-    crossover per substrate (the smallest workload where it beat
+    crossover per executor (the smallest workload where it beat
     sequential; ``null`` until one does, which on a one-core box is
     expected — the report also carries the pick the same estimate
-    would get at four cores).  Ends with
-    :func:`run_pool_reuse_comparison`, the persistent-pool half of the
-    story.
+    would get at four cores).
     """
     from repro.core.scheduler import resolve_parallel_cores
     from repro.kernels import resolve_backend
@@ -449,10 +435,6 @@ def run_scale_section(
                 ),
             }
         )
-    pool_reuse = run_pool_reuse_comparison(
-        workers, backend=backend, fragment=fragment, timeout=timeout,
-        warmup=warmup, runs=runs,
-    )
     return {
         "tier": tier,
         "workers": workers,
@@ -463,91 +445,6 @@ def run_scale_section(
         "runs": runs,
         "datasets": datasets,
         "measured_crossovers": crossovers,
-        "pool_reuse": pool_reuse,
-    }
-
-
-def run_pool_reuse_comparison(
-    workers, *, backend="auto", fragment="rdfs-default", timeout=TIMEOUT,
-    warmup=1, runs=3, scale=10_000, batches=6, batch_size=250
-):
-    """Persistent pool vs pool-per-flush over incremental flushes.
-
-    The Store-lifetime worker pools exist for exactly this pattern: a
-    long-lived :class:`~repro.core.store_api.Store` absorbing write
-    batches through incremental flushes.  Both legs build the same
-    BSBM base store under forced process mode, then time ``batches``
-    add+flush rounds; the *cold* leg calls ``engine.close()`` before
-    every flush (pool torn down, every shared-memory segment
-    re-exported — the pre-persistence lifecycle), the *persistent* leg
-    reuses the pool and the identity-keyed segments the way a served
-    store does.  ``speedup`` is cold/persistent — the cell the scale
-    gate expects to clear 1 even on one core, since pool spawn and
-    re-export costs are pure overhead regardless of parallelism.
-    """
-    from repro.core.parallel import ProcessModeUnavailable, process_mode_supported
-    from repro.core.store_api import Store
-
-    if workers <= 1 or not process_mode_supported():
-        return None
-    data = list(bsbm_like(scale))
-    delta = batches * batch_size
-    base, tail = data[:-delta], data[-delta:]
-    batch_list = [
-        tail[i * batch_size:(i + 1) * batch_size] for i in range(batches)
-    ]
-
-    def once(cold):
-        with Store(
-            base, ruleset=fragment, backend=backend, workers=workers,
-            parallel_mode="process", timeout_seconds=timeout,
-        ) as store:
-            store.materialize()  # initial full build (untimed)
-            started = time.perf_counter()
-            for batch in batch_list:
-                if cold:
-                    store.engine.close()  # next flush rebuilds the pool
-                store.add(batch)
-                store.materialize()
-            elapsed = time.perf_counter() - started
-            session = store.engine.scheduler.process_session
-            segments = session.export_stats() if session is not None else {}
-        return elapsed, segments
-
-    def leg(cold):
-        segments = {}
-        for _ in range(warmup):
-            once(cold)
-        timings = []
-        for _ in range(runs):
-            elapsed, segments = once(cold)
-            timings.append(elapsed)
-        return (
-            statistics.median(timings),
-            max(timings) - min(timings),
-            segments,
-        )
-
-    try:
-        persistent_seconds, persistent_spread, segments = leg(False)
-        cold_seconds, cold_spread, _ = leg(True)
-    except ProcessModeUnavailable as error:
-        print(f"pool-reuse comparison skipped: {error}")
-        return None
-    return {
-        "dataset": f"BSBM-{scale // 1000}k",
-        "ruleset": fragment,
-        "parallel_mode": "process",
-        "workers": workers,
-        "batches": batches,
-        "batch_size": batch_size,
-        "persistent_seconds": persistent_seconds,
-        "persistent_spread_seconds": persistent_spread,
-        "cold_seconds": cold_seconds,
-        "cold_spread_seconds": cold_spread,
-        "speedup": cold_seconds / persistent_seconds,
-        "segments_created": segments.get("segments_created"),
-        "segments_reused": segments.get("segments_reused"),
     }
 
 
@@ -584,15 +481,6 @@ def _report_scale(section):
             if hit else "not reached"
         )
         print(f"  crossover[{label}]: {where}")
-    reuse = section.get("pool_reuse")
-    if reuse:
-        print(
-            f"  pool reuse ({reuse['dataset']}, {reuse['batches']} "
-            f"incremental flushes): persistent "
-            f"{reuse['persistent_seconds']:.3f}s vs cold "
-            f"{reuse['cold_seconds']:.3f}s -> {reuse['speedup']:.2f}x "
-            f"(segments reused: {reuse['segments_reused']})"
-        )
 
 
 def _report_parallel_modes(section):
@@ -797,18 +685,17 @@ def main(argv=None):
     )
     parser.add_argument(
         "--parallel-mode",
-        choices=("auto", "thread", "process"),
+        choices=("auto", "thread"),
         default=None,
-        help="executor substrate for the seq-vs-parallel comparison "
+        help="executor for the seq-vs-parallel comparison "
         "(default: the scheduler's cost model picks per flush)",
     )
     parser.add_argument(
         "--modes",
         action="store_true",
         default=None,
-        help="also measure auto vs thread vs process vs "
-        "sharded-process at --workers (the parallel_modes report "
-        "section; implied by --json)",
+        help="also measure auto vs thread at --workers (the "
+        "parallel_modes report section; implied by --json)",
     )
     parser.add_argument(
         "--warmup",
@@ -833,10 +720,10 @@ def main(argv=None):
         default=None,
         choices=tuple(SCALE_TIERS),
         metavar="TIER",
-        help="also measure the executor substrates on scale workloads "
-        "(smoke: BSBM-10k; full: up to LUBM-5000; xl: adds BSBM-1M), "
-        "derive the measured crossovers and the persistent-pool "
-        "payoff (the 'scale' report section)",
+        help="also measure the executors on scale workloads "
+        "(smoke: BSBM-10k; full: up to LUBM-5000; xl: adds BSBM-1M) "
+        "and derive the measured crossovers (the 'scale' report "
+        "section)",
     )
     args = parser.parse_args(argv)
 

@@ -10,8 +10,8 @@ property-as-variable rules, sameAs machinery).
 
 Run:     python benchmarks/bench_table3_rdfsplus.py
 Parallel: --workers N runs the Inferray engine through the parallel
-         rule scheduler (--parallel-mode thread|process picks the
-         executor; default: the engine's auto policy), so the
+         rule scheduler (--parallel-mode thread forces the thread
+         pool; default: the engine's auto policy), so the
          RDFS-Plus closure benchmarks exercise the same scheduler the
          Table-2 harness measures.
 Pytest:  pytest benchmarks/bench_table3_rdfsplus.py --benchmark-only
@@ -84,10 +84,10 @@ def add_scheduler_arguments(parser):
     )
     parser.add_argument(
         "--parallel-mode",
-        choices=("auto", "thread", "process"),
+        choices=("auto", "thread"),
         default=None,
-        help="executor substrate for --workers > 1 (default: the "
-        "engine's auto policy)",
+        help="executor for --workers > 1 (default: the engine's auto "
+        "policy)",
     )
 
 

@@ -13,8 +13,8 @@ at much shorter chains.
 
 Run:     python benchmarks/bench_table4_closure.py
 Parallel: --workers N runs the Inferray engine through the parallel
-         rule scheduler (--parallel-mode thread|process picks the
-         executor substrate), exercising the θ pre-pass under the
+         rule scheduler (--parallel-mode thread forces the thread
+         pool), exercising the θ pre-pass under the
          scheduler at every chain length.
 Pytest:  pytest benchmarks/bench_table4_closure.py --benchmark-only
 """

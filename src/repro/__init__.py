@@ -38,7 +38,7 @@ from .core.engine import (
     MaterializationStats,
     MaterializationTimeout,
 )
-from .core.parallel import PARALLEL_MODES, ProcessModeUnavailable
+from .core.scheduler import PARALLEL_MODES
 from .core.store_api import (
     Snapshot,
     Store,

@@ -24,7 +24,7 @@ import sys
 from typing import List, Optional
 
 from .core.engine import MATERIALIZE_MODES
-from .core.parallel import PARALLEL_MODES, ProcessModeUnavailable
+from .core.scheduler import PARALLEL_MODES
 from .core.store_api import Store, StoreFormatError, is_store_file
 from .kernels import BACKEND_NAMES, KernelUnavailableError
 from .query.bgp import BGPSyntaxError, parse_bgp
@@ -56,11 +56,10 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         "--parallel-mode",
         choices=PARALLEL_MODES,
         default=None,
-        help="executor for --workers > 1: 'process' runs shared-memory "
-        "worker processes (scales the pure-Python backend past the "
-        "GIL), 'thread' a thread pool; 'auto' lets the scheduler's "
-        "cost model pick sequential/thread/process per flush from the "
-        "estimated work (default: $REPRO_PARALLEL_MODE or auto)",
+        help="executor for --workers > 1: 'thread' always uses the "
+        "thread pool; 'auto' lets the scheduler's cost model pick "
+        "sequential/thread per flush from the estimated work and the "
+        "kernel backend (default: $REPRO_PARALLEL_MODE or auto)",
     )
 
 
@@ -350,8 +349,6 @@ def _run_stats(args: argparse.Namespace) -> int:
           f"({stats.parallel_mode}, {stats.n_waves} scheduler wave(s))")
     if stats.parallel_decision is not None:
         print(f"executor pick:     {stats.parallel_decision['reason']}")
-    if stats.parallel_fallback:
-        print(f"executor fallback: {stats.parallel_fallback}")
     # In hybrid mode the entailed closure is larger than what is
     # stored: report the entailed counts (what queries answer), plus
     # the reduced resident closure.
@@ -374,12 +371,6 @@ def _run_stats(args: argparse.Namespace) -> int:
             f"({stats.rule_busy_seconds * 1000:.1f} ms busy across "
             f"{stats.workers} {stats.parallel_mode} workers)"
         )
-    if stats.rule_shards:
-        shards = ", ".join(
-            f"{name}x{count}"
-            for name, count in sorted(stats.rule_shards.items())
-        )
-        print(f"intra-rule splits: {shards}")
     if stats.per_rule:
         print("per-rule emissions (raw, pre-dedup):")
         for name, count in sorted(
@@ -573,11 +564,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (
-        KernelUnavailableError,
-        ProcessModeUnavailable,
-        StoreFormatError,
-    ) as error:
+    except (KernelUnavailableError, StoreFormatError) as error:
         print(f"repro: {error}", file=sys.stderr)
         return 2
     except FileNotFoundError as error:

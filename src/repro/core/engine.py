@@ -78,21 +78,14 @@ class MaterializationStats:
     per_rule: Dict[str, int] = field(default_factory=dict)
     #: Workers the rule scheduler ran with (1 = sequential).
     workers: int = 1
-    #: Executor substrate the run *actually* used: 'sequential',
-    #: 'thread' or 'process' (recorded from the resolved decision, so a
-    #: mid-session fallback is reflected here, not the request).
+    #: Executor substrate the run used: 'sequential' or 'thread'
+    #: (recorded from the resolved decision, not the request).
     parallel_mode: str = "sequential"
     #: The scheduler's recorded executor pick for this run (see
     #: :class:`repro.core.scheduler.ExecutorDecision`), as a plain dict.
     parallel_decision: Optional[dict] = None
-    #: Why a picked process substrate degraded to threads (None if the
-    #: run used the substrate it picked) — mirrors ``hybrid_fallback``.
-    parallel_fallback: Optional[str] = None
     #: Waves in the scheduler's dependency stratification.
     n_waves: int = 0
-    #: Rules that were split into key-range shards, with the largest
-    #: shard count observed across iterations.
-    rule_shards: Dict[str, int] = field(default_factory=dict)
     #: Wall-clock seconds per wave index, summed across iterations.
     per_wave_seconds: List[float] = field(default_factory=list)
     #: Per-rule firing seconds, summed across iterations.
@@ -154,20 +147,12 @@ class InferrayEngine:
         means all cores.  Engines with a memory ``tracer`` always run
         sequentially (the tracer records a single address stream).
     parallel_mode:
-        Executor substrate for ``workers > 1``: ``'thread'``,
-        ``'process'`` (shared-memory worker processes — the mode that
-        scales the pure-Python backend past the GIL) or ``'auto'``
-        (the scheduler's cost model picks sequential/thread/process
-        per flush from the estimated work; see
-        :meth:`ParallelRuleScheduler.decide`).  ``None`` (default)
-        reads ``$REPRO_PARALLEL_MODE``, falling back to ``'auto'``.
-    split_threshold:
-        Estimated join-input pairs above which one rule firing is
-        split into key-range shards that run as independent scheduler
-        tasks (intra-rule parallelism; CAX-SCO over the type table is
-        the motivating case).  ``None`` reads
-        ``$REPRO_SPLIT_THRESHOLD`` (default 16384); ``0`` disables
-        splitting.  Only parallel runs split.
+        Executor for ``workers > 1``: ``'thread'`` (always the thread
+        pool) or ``'auto'`` (the scheduler's cost model picks
+        sequential or thread per flush from the estimated work and the
+        kernel backend; see :meth:`ParallelRuleScheduler.decide`).
+        ``None`` (default) reads ``$REPRO_PARALLEL_MODE``, falling
+        back to ``'auto'``.
     materialize_mode:
         ``'full'`` (default) materializes the whole closure;
         ``'hybrid'`` runs the LiteMat-style reduced catalogue — rules
@@ -190,7 +175,6 @@ class InferrayEngine:
         os_cache: bool = True,
         workers: Optional[int] = None,
         parallel_mode: Optional[str] = None,
-        split_threshold: Optional[int] = None,
         materialize_mode: str = "full",
     ):
         if isinstance(ruleset, str):
@@ -212,7 +196,6 @@ class InferrayEngine:
                 vocab=self.vocab,
                 kernels=self.kernels,
                 algorithm=algorithm,
-                split_threshold=split_threshold,
             )
 
         self.scheduler = scheduler_for(self.rules)
@@ -436,11 +419,7 @@ class InferrayEngine:
         # after the delta merge and the pre-pass, so the estimate sees
         # the real (main, new) shapes and a small increment on a huge
         # store still picks the cheapest substrate for the delta's
-        # work.  session() may downgrade the decision in place (a
-        # picked process substrate that cannot start degrades to
-        # threads), and so may mid-wave self-healing while iterations
-        # run, so the stats read it after the loop — they record what
-        # the run actually used.
+        # work.
         decision = scheduler.decide(self.main, new)
         with scheduler.session(decision) as executor:
             while new:
@@ -479,7 +458,6 @@ class InferrayEngine:
                 stats.merge_seconds += time.perf_counter() - merge_started
 
         stats.parallel_mode = decision.mode
-        stats.parallel_fallback = decision.fallback
         stats.parallel_decision = decision.as_dict()
         stats.iterations = iteration - first_iteration
         stats.n_total = self.main.n_triples
@@ -694,12 +672,12 @@ class InferrayEngine:
     @property
     def parallel_mode(self) -> str:
         """The scheduler's effective executor substrate: 'sequential',
-        'thread', 'process', or 'auto' before the first cost-model
-        decision has been made."""
+        'thread', or 'auto' before the first cost-model decision has
+        been made."""
         return self.scheduler.effective_mode
 
     def close(self) -> None:
-        """Release persistent worker pools and shared-memory segments.
+        """Shut down the schedulers' persistent thread pools.
 
         Idempotent, and the engine stays usable — the next parallel
         materialization lazily restarts its pool.  Dropping the last
@@ -721,10 +699,6 @@ class InferrayEngine:
         """Fold one scheduled iteration's observability into ``stats``."""
         for name, count in outcome.rule_counts.items():
             stats.per_rule[name] = stats.per_rule.get(name, 0) + count
-        for name, shards in outcome.rule_shards.items():
-            stats.rule_shards[name] = max(
-                stats.rule_shards.get(name, 0), shards
-            )
         for name, seconds in outcome.rule_seconds.items():
             stats.per_rule_seconds[name] = (
                 stats.per_rule_seconds.get(name, 0.0) + seconds
@@ -814,12 +788,8 @@ class InferrayEngine:
         """
         self.dictionary = dictionary
         self.vocab = Vocab(dictionary)
-        # Persistent worker pools carry the vocabulary they were
-        # initialized with; adopting a new dictionary invalidates them,
-        # so recycle the pools (they restart lazily with the new vocab).
         for scheduler in self.schedulers:
             scheduler.vocab = self.vocab
-            scheduler.close()
         self.main = self._empty_store(self.main.cache_os)
         for property_id, flat_pairs in tables:
             self.main.load_table(property_id, flat_pairs, presorted=True)

@@ -101,16 +101,11 @@ class StoreConfig:
     #: Workers for the parallel rule scheduler; ``None`` reads
     #: ``$REPRO_WORKERS`` (default 1), ``0`` means all cores.
     workers: Optional[int] = None
-    #: Executor substrate for ``workers > 1``: 'thread' or 'process'
-    #: force one; 'auto' lets the scheduler's cost model pick
-    #: sequential/thread/process per flush from the estimated work
-    #: (see :meth:`ParallelRuleScheduler.decide`); ``None`` reads
-    #: ``$REPRO_PARALLEL_MODE``.
+    #: Executor for ``workers > 1``: 'thread' forces the thread pool;
+    #: 'auto' lets the scheduler's cost model pick sequential/thread
+    #: per flush (see :meth:`ParallelRuleScheduler.decide`); ``None``
+    #: reads ``$REPRO_PARALLEL_MODE``.
     parallel_mode: Optional[str] = None
-    #: Join-input pairs above which one rule firing is split into
-    #: key-range shards; ``None`` reads ``$REPRO_SPLIT_THRESHOLD``
-    #: (default 16384), ``0`` disables intra-rule splitting.
-    split_threshold: Optional[int] = None
     #: Entailment mode: 'full' materializes the whole closure, 'hybrid'
     #: absorbs the hierarchy-shaped rules into the LiteMat-style
     #: interval encoding (:mod:`repro.litemat`) and answers them at
@@ -141,7 +136,6 @@ class StoreConfig:
             os_cache=self.os_cache,
             workers=self.workers,
             parallel_mode=self.parallel_mode,
-            split_threshold=self.split_threshold,
             materialize_mode=self.resolved_materialize,
         )
 
@@ -662,21 +656,20 @@ class Store(_ReadAPI):
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the store's worker pools and shared-memory segments.
+        """Shut down the store's rule-firing thread pools.
 
-        Parallel flushes keep their worker pool (and, in process mode,
-        the exported shared-memory segments) alive between flushes so
-        incremental updates never pay a pool cold start; ``close()``
-        tears that state down deterministically.  Idempotent, and the
-        store stays *readable and writable* — the next parallel flush
-        lazily restarts its pool.  Garbage collection would reap the
-        pools too (``weakref.finalize``), but long-lived processes
-        (servers, notebooks) should close explicitly — or use the
-        store as a context manager::
+        Parallel flushes keep their thread pool alive between flushes
+        so incremental updates never pay a pool cold start; ``close()``
+        shuts it down deterministically.  Idempotent, and the store
+        stays *readable and writable* — the next parallel flush lazily
+        restarts its pool.  Garbage collection would reap the pools too
+        (``weakref.finalize``), but long-lived processes (servers,
+        notebooks) should close explicitly — or use the store as a
+        context manager::
 
             with Store(triples, workers=4) as store:
                 ...  # pools live here
-            # pools and segments released
+            # pools shut down
         """
         self._engine.close()
 

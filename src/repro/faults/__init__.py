@@ -1,7 +1,7 @@
 """Deterministic fault injection for chaos testing.
 
-The engine's durability seams (atomic save, shared-memory attach,
-worker processes, the serving flush pipeline) call
+The engine's durability seams (atomic save, the serving flush
+pipeline and its write-ahead log) call
 :func:`repro.faults.fire` with a labeled site name.  When nothing is
 armed the call is a cheap no-op; when a matching
 :class:`~repro.faults.registry.FaultSpec` is armed the site raises a
@@ -13,10 +13,10 @@ Arm faults either in-process::
     with repro.faults.inject("persist.write"):
         store.save(path)          # raises InjectedFault mid-save
 
-or across process boundaries via ``$REPRO_FAULTS`` (worker processes
-and subprocesses inherit the environment)::
+or across process boundaries via ``$REPRO_FAULTS`` (subprocesses
+inherit the environment)::
 
-    REPRO_FAULTS="parallel.worker:kill:after=1" python -m pytest ...
+    REPRO_FAULTS="serving.flush:raise:after=1" python -m repro serve ...
 
 See :mod:`repro.faults.registry` for the spec grammar.
 """

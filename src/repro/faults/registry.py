@@ -8,12 +8,10 @@ Spec grammar (one entry, ``;``-separated in ``$REPRO_FAULTS``)::
     One of :data:`FAULT_SITES` (unknown sites are accepted with a
     warning so older builds tolerate newer specs).
 ``action``
-    ``raise`` (default) raises a deterministic exception at the seam —
-    :class:`InjectedFault` everywhere except ``shm.attach``, which
-    raises :class:`FileNotFoundError` to mirror the real failure of a
-    vanished shared-memory segment.  ``kill`` terminates the current
-    process with ``os._exit`` (exit code :data:`KILL_EXIT_CODE`),
-    simulating kill -9 at the seam.
+    ``raise`` (default) raises a deterministic :class:`InjectedFault`
+    at the seam.  ``kill`` terminates the current process with
+    ``os._exit`` (exit code :data:`KILL_EXIT_CODE`), simulating kill -9
+    at the seam.
 ``after=N``
     Skip the first ``N`` hits of the site before firing (default 0).
 ``times=N``
@@ -26,14 +24,13 @@ Spec grammar (one entry, ``;``-separated in ``$REPRO_FAULTS``)::
 Examples::
 
     persist.write
-    parallel.worker:kill:after=1
     serving.flush:raise:after=1:times=-1
-    shm.attach:raise:p=0.5:seed=7
+    serving.wal:kill:after=1
+    persist.fsync:raise:p=0.5:seed=7
 
-State (hit counters, RNG streams) is per-process; worker processes
-and subprocesses re-arm from ``$REPRO_FAULTS`` on their first
-:func:`fire` call, which is how :func:`inject` reaches across fork and
-spawn boundaries.
+State (hit counters, RNG streams) is per-process; subprocesses re-arm
+from ``$REPRO_FAULTS`` on their first :func:`fire` call, which is how
+:func:`inject` reaches across process boundaries.
 """
 
 from __future__ import annotations
@@ -56,8 +53,6 @@ KILL_EXIT_CODE = 70
 FAULT_SITES = (
     "persist.write",
     "persist.fsync",
-    "parallel.worker",
-    "shm.attach",
     "serving.flush",
     "serving.wal",
 )
@@ -175,9 +170,9 @@ def _rearm(specs: List[FaultSpec], signature: Optional[str]) -> None:
 def _sync_with_env() -> None:
     """Re-arm from ``$REPRO_FAULTS`` whenever its value changes.
 
-    This is how forked/spawned worker processes (which inherit the
-    environment but not this module's state) pick up the specs armed
-    by the parent's :func:`inject` context manager.
+    This is how subprocesses (which inherit the environment but not
+    this module's state) pick up the specs armed by the parent's
+    :func:`inject` context manager.
     """
     env = os.environ.get(ENV_VAR, "")
     if env == _env_signature:
@@ -214,9 +209,6 @@ def fire(site: str, detail: str = "") -> None:
         message = f"{message} ({detail})"
     if spec.action == "kill":
         os._exit(KILL_EXIT_CODE)
-    if site == "shm.attach":
-        # Mirror the real failure mode: the segment vanished.
-        raise FileNotFoundError(message)
     raise InjectedFault(message)
 
 
@@ -236,8 +228,8 @@ def inject(*specs: Union[str, FaultSpec]) -> Iterator[None]:
     """Arm ``specs`` for the duration of the block.
 
     Accepts spec strings (the grammar above) or :class:`FaultSpec`
-    objects.  Also exports the specs via ``$REPRO_FAULTS`` so worker
-    processes forked or spawned *inside* the block inherit them; both
+    objects.  Also exports the specs via ``$REPRO_FAULTS`` so
+    subprocesses started *inside* the block inherit them; both
     the registry and the environment are restored on exit.
     """
     parsed: List[FaultSpec] = []

@@ -85,17 +85,6 @@ class KernelBackend:
             seen.add(key)
         return 8 * len(flat)
 
-    def from_buffer(self, buffer, n_values: int, *, offset: int = 0):
-        """A zero-copy read-only flat view over ``n_values`` int64 values.
-
-        ``buffer`` is any object exposing the buffer protocol over raw
-        host-order int64 data (the process-parallel executor hands in
-        ``multiprocessing.shared_memory`` buffers); ``offset`` counts
-        *values*, not bytes.  The view aliases the buffer — it must not
-        be mutated and must not outlive it.
-        """
-        raise NotImplementedError
-
     # -- sorting & the Figure-5 merge -----------------------------------
     def sort_pairs(self, flat, *, dedup: bool = True, algorithm: str = "auto"):
         """Sort a flat pair array on (even, odd); optionally deduplicate.
@@ -163,8 +152,8 @@ class KernelBackend:
         """First pair index whose even component is ``>= key``.
 
         Generic binary search over the flat layout; backends may
-        override with a vectorized search.  Used by the intra-rule
-        sharding to cut a sorted view at a key-range boundary.
+        override with a vectorized search.  The compressed backend
+        cuts its decoded windows at key-group boundaries with it.
         """
         low, high = 0, len(sorted_flat) // 2
         while low < high:

@@ -30,8 +30,7 @@ Design rules:
   (``sort_pairs``, ``merge_new``'s merged table, ``os_view``,
   ``asarray``) compress.
 
-Byte order is the host's, matching the repo-wide assumption for the
-shared-memory pair buffers (little-endian on every supported platform).
+Byte order is the host's (little-endian on every supported platform).
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ except ImportError:  # pragma: no cover
     _np = None
 
 #: Pairs per compression block.  Chunk boundaries elsewhere (the
-#: InferredBuffers absorb path, shared-memory export) align with these
-#: blocks because blocks are the unit of sharing and of decode.
+#: InferredBuffers absorb path) align with these blocks because blocks
+#: are the unit of sharing and of decode.
 BLOCK_PAIRS = 1024
 
 #: Per-block header: n_pairs, width_s, width_o, first_s, first_o,
@@ -61,7 +60,7 @@ _HEADER = struct.Struct("<HBBqqqq")
 
 #: Serialized-stream magic.  The leading 0xff byte makes the first
 #: int64 of a serialized stream negative, which no dictionary id ever
-#: is — ``from_buffer`` uses this to sniff compressed vs raw segments.
+#: is — so a reader can tell a compressed stream from raw pairs.
 _MAGIC = b"\xffCRPR01\n"
 
 _U64 = (1 << 64) - 1
@@ -352,13 +351,7 @@ class CompressedPairs:
 
     def tobytes(self) -> bytes:
         """The *raw* host-order int64 image (decompressed copy)."""
-        parts = []
-        for flat in self.iter_block_arrays():
-            parts.append(
-                flat.tobytes() if not isinstance(flat, memoryview)
-                else bytes(flat)
-            )
-        return b"".join(parts)
+        return b"".join(flat.tobytes() for flat in self.iter_block_arrays())
 
     # -- accounting & sharing -------------------------------------------
     def nbytes(self, seen: Optional[set] = None) -> int:
@@ -379,7 +372,7 @@ class CompressedPairs:
 
     # -- serialization --------------------------------------------------
     def serialize(self) -> bytes:
-        """Self-describing byte stream (shared memory / persistence)."""
+        """Self-describing byte stream (persistence)."""
         parts = [_MAGIC, struct.pack("<qq", self.n_pairs, len(self._blocks))]
         for block in self._blocks:
             parts.append(struct.pack("<q", len(block)))
@@ -401,7 +394,7 @@ class CompressedPairs:
             offset += 8
             # Copy out of the backing buffer: encoded blocks are small
             # (that is the point), and owning them keeps block lifetime
-            # independent of shared-memory segment teardown.
+            # independent of the buffer's.
             block = bytes(view[offset: offset + length])
             offset += length
             blocks.append(block)
@@ -530,20 +523,6 @@ class CompressedKernels(KernelBackend):
         if not parts:
             return self._inner.empty()
         return self._inner.concat(parts)
-
-    def from_buffer(self, buffer, n_values: int, *, offset: int = 0):
-        view = memoryview(buffer)[8 * offset:]
-        if bytes(view[: len(_MAGIC)]) == _MAGIC:
-            pairs = CompressedPairs.deserialize(view, self._codec)
-            if len(pairs) != n_values:
-                raise ValueError(
-                    f"compressed segment carries {len(pairs)} values, "
-                    f"manifest says {n_values}"
-                )
-            return pairs
-        # Raw int64 segment (e.g. worker output buffers): keep it a
-        # zero-copy view; every primitive here accepts raw flats.
-        return self._inner.from_buffer(buffer, n_values, offset=offset)
 
     # -- decompression helpers ------------------------------------------
     def _raw(self, flat):

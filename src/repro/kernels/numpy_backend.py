@@ -158,10 +158,6 @@ class NumpyKernels(KernelBackend):
             # Zero-copy adoption via the buffer protocol; callers treat
             # kernel inputs as read-only, so aliasing is safe.
             return np.frombuffer(flat, dtype=INT64)
-        if isinstance(flat, memoryview):
-            if flat.nbytes == 0:
-                return np.empty(0, dtype=INT64)
-            return np.frombuffer(flat, dtype=INT64)
         return np.asarray(list(flat), dtype=INT64)
 
     def empty(self):
@@ -177,13 +173,6 @@ class NumpyKernels(KernelBackend):
         if len(parts) == 1:
             return parts[0]
         return np.concatenate(parts)
-
-    def from_buffer(self, buffer, n_values: int, *, offset: int = 0):
-        # Zero-copy adoption of a shared-memory segment; the ndarray
-        # aliases the buffer, which the caller keeps alive.
-        return np.frombuffer(
-            buffer, dtype=INT64, count=n_values, offset=8 * offset
-        )
 
     # -- sorting & the Figure-5 merge -----------------------------------
     def sort_pairs(self, flat, *, dedup: bool = True, algorithm: str = "auto"):

@@ -29,30 +29,13 @@ class PythonKernels(KernelBackend):
     def asarray(self, flat):
         if isinstance(flat, array) and flat.typecode == "q":
             return flat
-        if isinstance(flat, memoryview):
-            # Shared-memory views (see from_buffer) materialize through
-            # one memcpy; byte order is the host's on both sides.
-            out = array("q")
-            out.frombytes(flat.tobytes())
-            return out
         return array("q", flat)
 
     def empty(self):
         return array("q")
 
     def copy_flat(self, flat):
-        if isinstance(flat, memoryview):
-            return self.asarray(flat)
         return array("q", flat)
-
-    def from_buffer(self, buffer, n_values: int, *, offset: int = 0):
-        # A memoryview cast supports len / indexing / slicing /
-        # iteration / tolist / tobytes — everything the read paths of
-        # PropertyTable and the join kernels touch — without copying
-        # the shared segment.  Kernels that need a native array go
-        # through asarray(), which materializes on demand.
-        view = memoryview(buffer)[8 * offset: 8 * (offset + n_values)]
-        return view.cast("q")
 
     def concat(self, chunks: Sequence):
         if len(chunks) == 1:

@@ -31,52 +31,12 @@ from ..closure.components import (
 )
 
 
-def shard_join_views(kernels, view1, view2, shard):
-    """Restrict both sides of a merge join to one key-range shard.
-
-    ``shard`` is ``(index, count)``.  The key domain is partitioned by
-    boundary keys sampled at equi-spaced pair positions of the larger
-    view — deterministic, because every shard of the same firing reads
-    the same committed views — giving half-open ranges ``[bₖ, bₖ₊₁)``
-    with open outer ends.  A join key's whole group therefore lands in
-    exactly one shard, so the union of all shards' join outputs equals
-    the unsplit join.  Returns ``(None, None)`` when the shard's range
-    is empty on either side.
-    """
-    index, count = shard
-    base = view1 if len(view1) >= len(view2) else view2
-    n_pairs = len(base) // 2
-    lo_key = base[2 * ((index * n_pairs) // count)] if index > 0 else None
-    hi_key = (
-        base[2 * (((index + 1) * n_pairs) // count)]
-        if index < count - 1
-        else None
-    )
-    if lo_key is not None and hi_key is not None and lo_key == hi_key:
-        return None, None
-    sliced = []
-    for view in (view1, view2):
-        start = (
-            0 if lo_key is None else kernels.key_lower_bound(view, lo_key)
-        )
-        end = (
-            len(view) // 2
-            if hi_key is None
-            else kernels.key_lower_bound(view, hi_key)
-        )
-        if start >= end:
-            return None, None
-        sliced.append(view[2 * start: 2 * end])
-    return sliced[0], sliced[1]
-
-
 def _two_leg_input_size(legs) -> int:
     """Total pair count feeding a two-leg merge-join executor.
 
     ``legs`` yields ``(table1, table2)`` pairs (``None`` entries are
     skipped); the sum is the quantity the merge joins scan linearly —
-    the same estimate the shard planner and the executor-selection
-    cost model both gate on.
+    the estimate the executor-selection cost model gates on.
     """
     size = 0
     for table1, table2 in legs:
@@ -84,16 +44,6 @@ def _two_leg_input_size(legs) -> int:
             continue
         size += table1.n_pairs + table2.n_pairs
     return size
-
-
-def _two_leg_shard_plan(legs, *, max_shards, threshold):
-    """Shard count for a two-leg merge-join executor, or ``None``."""
-    if max_shards < 2 or threshold <= 0:
-        return None
-    size = _two_leg_input_size(legs)
-    if size < threshold:
-        return None
-    return max(2, min(max_shards, -(-size // threshold)))
 
 
 def merge_join_groups(
@@ -169,23 +119,6 @@ class AlphaRule(Rule):
         self.head_subject = head_subject
         self.head_object = head_object
 
-    def apply(self, ctx: RuleContext) -> None:
-        self._apply(ctx, None)
-
-    def apply_shard(self, ctx: RuleContext, shard) -> None:
-        self._apply(ctx, shard)
-
-    def shard_plan(self, *, main, new, vocab, max_shards, threshold):
-        pid1 = vocab[self.p1]
-        pid2 = vocab[self.p2]
-        legs = [
-            (table_or_none(store1, pid1), table_or_none(store2, pid2))
-            for store1, store2 in ((new, main), (main, new))
-        ]
-        return _two_leg_shard_plan(
-            legs, max_shards=max_shards, threshold=threshold
-        )
-
     def estimate_join_input(self, *, main, new, vocab):
         pid1 = vocab[self.p1]
         pid2 = vocab[self.p2]
@@ -195,7 +128,7 @@ class AlphaRule(Rule):
         ]
         return _two_leg_input_size(legs)
 
-    def _apply(self, ctx: RuleContext, shard) -> None:
+    def apply(self, ctx: RuleContext) -> None:
         kernels = ctx.kernels
         pid1 = ctx.vocab[self.p1]
         pid2 = ctx.vocab[self.p2]
@@ -210,10 +143,6 @@ class AlphaRule(Rule):
                 continue
             view1 = table1.pairs if self.pos1 == "s" else table1.os_pairs()
             view2 = table2.pairs if self.pos2 == "s" else table2.os_pairs()
-            if shard is not None:
-                view1, view2 = shard_join_views(kernels, view1, view2, shard)
-                if view1 is None:
-                    continue
             joined = kernels.merge_join(view1, view2, swap=not subject_first)
             if len(joined):
                 ctx.out.extend(out_pid, joined)
@@ -594,22 +523,6 @@ class IterativeTransitivityRule(Rule):
         super().__init__(name)
         self.prop = prop
 
-    def apply(self, ctx: RuleContext) -> None:
-        self._apply(ctx, None)
-
-    def apply_shard(self, ctx: RuleContext, shard) -> None:
-        self._apply(ctx, shard)
-
-    def shard_plan(self, *, main, new, vocab, max_shards, threshold):
-        pid = vocab[self.prop]
-        legs = [
-            (table_or_none(left, pid), table_or_none(right, pid))
-            for left, right in ((new, main), (main, new))
-        ]
-        return _two_leg_shard_plan(
-            legs, max_shards=max_shards, threshold=threshold
-        )
-
     def estimate_join_input(self, *, main, new, vocab):
         pid = vocab[self.prop]
         legs = [
@@ -618,7 +531,7 @@ class IterativeTransitivityRule(Rule):
         ]
         return _two_leg_input_size(legs)
 
-    def _apply(self, ctx: RuleContext, shard) -> None:
+    def apply(self, ctx: RuleContext) -> None:
         pid = ctx.vocab[self.prop]
         emitted = 0
         for left_store, right_store in (
@@ -630,15 +543,7 @@ class IterativeTransitivityRule(Rule):
             if left is None or right is None:
                 continue
             # join var b: object of the left pattern, subject of the right.
-            view1 = left.os_pairs()
-            view2 = right.pairs
-            if shard is not None:
-                view1, view2 = shard_join_views(
-                    ctx.kernels, view1, view2, shard
-                )
-                if view1 is None:
-                    continue
-            joined = ctx.kernels.merge_join(view1, view2)
+            joined = ctx.kernels.merge_join(left.os_pairs(), right.pairs)
             if len(joined):
                 ctx.out.extend(pid, joined)
                 emitted += len(joined) // 2

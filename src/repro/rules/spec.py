@@ -10,7 +10,7 @@ current iteration plus the output buffers rules emit into.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..dictionary.encoding import Dictionary
 from ..kernels import KernelBackend
@@ -127,39 +127,6 @@ class Rule:
         """Fire the rule once for the current iteration."""
         raise NotImplementedError
 
-    # -- intra-rule work splitting (scheduler hook) --------------------
-    def shard_plan(
-        self,
-        *,
-        main: TripleStore,
-        new: TripleStore,
-        vocab: Vocab,
-        max_shards: int,
-        threshold: int,
-    ) -> Optional[int]:
-        """Number of key-range shards this firing should split into.
-
-        Returns ``None`` (the default — executor not splittable, or the
-        estimated join input is below ``threshold`` pairs) or a shard
-        count in ``[2, max_shards]``.  A plan of *n* makes the scheduler
-        fire :meth:`apply_shard` with ``shard=(k, n)`` for every
-        ``k < n`` instead of one :meth:`apply` call; the shards' private
-        outputs are absorbed in shard order, and the Figure-5 sort+dedup
-        keeps the committed closure byte-identical to the unsplit run.
-        """
-        return None
-
-    def apply_shard(self, ctx: RuleContext, shard: Tuple[int, int]) -> None:
-        """Fire one key-range shard ``(index, count)`` of this rule.
-
-        Only called when :meth:`shard_plan` returned a count; the union
-        of all shards' emissions must equal the emissions of one
-        :meth:`apply` call on the same ``(main, new)`` snapshot.
-        """
-        raise NotImplementedError(
-            f"rule {self.name} does not support intra-rule sharding"
-        )
-
     def estimate_join_input(
         self,
         *,
@@ -172,9 +139,9 @@ class Rule:
         The executor-selection cost model sums these estimates over the
         catalogue (floored by the committed store size, which covers
         rules that return ``None``) to decide whether a materialization
-        is big enough for a parallel substrate to pay off.  Like
-        :meth:`shard_plan`, implementations must stay O(1) table-size
-        lookups — the estimate runs before *every* flush.
+        is big enough for the thread pool to pay off.  Implementations
+        must stay O(1) table-size lookups — the estimate runs before
+        *every* flush.
         """
         return None
 

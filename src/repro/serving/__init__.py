@@ -77,7 +77,7 @@ def run(
         print("repro: interrupted", file=sys.stderr)
         return 130
     finally:
-        # The writer task's flushes share the store's persistent worker
-        # pool across batches; once the process is done serving, release
-        # the pool and its shared-memory segments deterministically.
+        # The writer task's flushes share the store's persistent thread
+        # pool across batches; once the process is done serving, shut
+        # the pool down deterministically.
         store.close()

@@ -64,9 +64,6 @@ class ServingMetrics:
         self.errors_total = 0  # 4xx/5xx other than back-pressure
         self.flush_total = 0
         self.flush_failures_total = 0
-        #: Flushes that landed only after the parallel executor
-        #: self-healed mid-wave (broken pool / vanished segment).
-        self.flush_degraded_total = 0
         # Write-ahead log counters (all zero when serving without one).
         self.wal_appended_total = 0
         self.wal_append_errors_total = 0
@@ -141,11 +138,6 @@ class ServingMetrics:
         emit("errors_total", self.errors_total)
         emit("flush_total", self.flush_total)
         emit("flush_failures_total", self.flush_failures_total)
-        # Degradations belong to the flush pipeline as a whole, not
-        # just serving — emitted under the engine-wide name.
-        lines.append(
-            f"repro_flush_degraded_total {self.flush_degraded_total}"
-        )
         emit("wal_appended_total", self.wal_appended_total)
         emit("wal_append_errors_total", self.wal_append_errors_total)
         emit("wal_replayed_total", self.wal_replayed_total)

@@ -321,14 +321,6 @@ class ReasoningServer:
         self._wal.checkpoint(upto_seq)
         self.metrics.wal_checkpoints_total += 1
 
-    def _degraded_total(self) -> int:
-        """Mid-wave self-healing degradations across the engine's
-        schedulers (mirrored into ``repro_flush_degraded_total``)."""
-        return sum(
-            scheduler.degraded_total
-            for scheduler in self._store.engine.schedulers
-        )
-
     async def _writer_loop(self) -> None:
         loop = asyncio.get_running_loop()
         waiters: List[asyncio.Future] = []
@@ -378,7 +370,6 @@ class ReasoningServer:
                 continue
             consecutive_failures = 0
             self._oldest_unflushed = None
-            self.metrics.flush_degraded_total = self._degraded_total()
             if snapshot is not None:
                 self._publish(
                     snapshot,
@@ -659,7 +650,6 @@ class ReasoningServer:
                 "p50_seconds": reads.percentile(0.5),
                 "p99_seconds": reads.percentile(0.99),
             },
-            "flush_degraded_total": self._degraded_total(),
             "wal": self._wal_stats(),
         }
         return 200, json_body(payload), "application/json", {}
@@ -714,7 +704,6 @@ class ReasoningServer:
                 gauges["wal_last_checkpoint_age_seconds"] = (
                     now - self._wal.last_checkpoint_at
                 )
-        self.metrics.flush_degraded_total = self._degraded_total()
         raw_gauges = {
             "repro_hybrid_absorbed_rules": len(
                 self._store.engine.absorbed_rule_names

@@ -232,24 +232,6 @@ class TripleStore:
             property_id, flat_pairs, presorted=presorted
         )
 
-    def attach_shared_table(self, property_id: int, flat_view) -> None:
-        """Install one table over an externally-owned committed view.
-
-        ``flat_view`` must already be sorted-unique on ⟨s, o⟩ — the
-        invariant every committed pair array satisfies — and is adopted
-        *without* copy or re-sort (the view may be a
-        ``kernels.from_buffer`` alias of a shared-memory segment, which
-        is what the process-parallel workers hand in).  The caller owns
-        the backing buffer's lifetime; this store must be treated as
-        read-only while attached.
-        """
-        if not len(flat_view):
-            self._tables.pop(property_id, None)
-            return
-        table = self._new_table(property_id)
-        table._pairs = flat_view
-        self._tables[property_id] = table
-
     def table_arrays(self) -> Iterator[Tuple[int, PairArray]]:
         """(property_id, committed flat ⟨s, o⟩ array) per non-empty
         property, in ascending property-id order (deterministic for

@@ -183,3 +183,18 @@ class TestWorkersFlag:
         ) == 0
         out = capsys.readouterr().out
         assert "<http://ex/b>" in out
+
+    def test_thread_parallel_mode_accepted(self, sample_file, capsys):
+        assert main(
+            ["infer", sample_file, "--workers", "2",
+             "--parallel-mode", "thread"]
+        ) == 0
+        assert capsys.readouterr().out.count(" .") == 3
+
+    def test_process_parallel_mode_is_an_argparse_error(
+        self, sample_file, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["infer", sample_file, "--parallel-mode", "process"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err

@@ -1,33 +1,15 @@
-"""Store-lifetime worker pools: reuse across incremental flushes.
+"""Store-lifetime thread pools: reuse across incremental flushes.
 
 The persistent-pool contract: the first parallel flush lazily starts
-the executor pool; every later flush of the same engine — incremental
-flushes of a long-lived :class:`Store` included — reuses both the pool
-object and the exported shared-memory segments (identity-keyed, so
-only changed tables re-export).  ``Store.close()`` (or the context
-manager) tears everything down deterministically, releasing every
-``/dev/shm`` segment.  Closures stay byte-identical to sequential
+the thread pool; every later flush of the same engine — incremental
+flushes of a long-lived :class:`Store` included — reuses the pool
+object.  ``Store.close()`` (or the context manager) shuts it down
+deterministically.  Closures stay byte-identical to sequential
 execution throughout.
 """
 
-import os
-
-import pytest
-
-from repro.core.parallel import process_mode_supported
 from repro.core.store_api import Store
 from repro.datasets.bsbm import bsbm_like
-
-needs_process_mode = pytest.mark.skipif(
-    not process_mode_supported(),
-    reason="shared-memory process mode unsupported on this platform",
-)
-
-
-def _live_segments():
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("no /dev/shm to observe segment lifetimes")
-    return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
 
 
 def _base_and_batches(scale=200, batches=3, batch_size=15):
@@ -38,33 +20,6 @@ def _base_and_batches(scale=200, batches=3, batch_size=15):
     return base, [
         tail[i * batch_size:(i + 1) * batch_size] for i in range(batches)
     ]
-
-
-@needs_process_mode
-@pytest.mark.parametrize("start_method", ("fork", "spawn"))
-def test_process_pool_and_segments_persist_across_flushes(
-    monkeypatch, start_method
-):
-    monkeypatch.setenv("REPRO_MP_START_METHOD", start_method)
-    base, batch_list = _base_and_batches()
-    with Store(
-        base, workers=2, parallel_mode="process", backend="python"
-    ) as store:
-        store.materialize()
-        scheduler = store.engine.scheduler
-        session = scheduler.process_session
-        assert session is not None  # pool started by the first flush
-        for batch in batch_list:
-            store.add(batch)
-            store.materialize()
-            # Same pool object on every incremental flush — no
-            # spawn-per-flush.
-            assert scheduler.process_session is session
-        stats = session.export_stats()
-        # Identity-keyed export: tables untouched by a delta keep
-        # their segments across flushes.
-        assert stats["segments_reused"] > 0
-        assert stats["segments_created"] > 0
 
 
 def test_thread_pool_persists_across_flushes():
@@ -82,9 +37,7 @@ def test_thread_pool_persists_across_flushes():
     assert scheduler.thread_pool is None
 
 
-@needs_process_mode
-def test_persistent_pool_closure_matches_sequential(monkeypatch):
-    monkeypatch.setenv("REPRO_MP_START_METHOD", "fork")
+def test_persistent_pool_closure_matches_sequential():
     base, batch_list = _base_and_batches()
 
     def closure_bytes(**kwargs):
@@ -99,65 +52,37 @@ def test_persistent_pool_closure_matches_sequential(monkeypatch):
             ]
 
     sequential = closure_bytes(workers=1)
-    persistent = closure_bytes(workers=2, parallel_mode="process")
+    persistent = closure_bytes(workers=2, parallel_mode="thread")
     assert persistent == sequential
 
 
-@needs_process_mode
-def test_store_close_releases_every_segment(monkeypatch):
-    monkeypatch.setenv("REPRO_MP_START_METHOD", "fork")
-    before = _live_segments()
+def test_closed_store_can_flush_again():
     base, batch_list = _base_and_batches()
-    store = Store(
-        base, workers=2, parallel_mode="process", backend="python"
-    )
-    store.materialize()
-    for batch in batch_list:
-        store.add(batch)
-        store.materialize()
-    # The persistent exporter keeps segments alive between flushes...
-    assert _live_segments() - before
-    store.close()
-    # ...and close() releases every one of them (no resource-tracker
-    # leak until reboot).  Idempotent.
-    assert _live_segments() - before == set()
-    store.close()
-    assert _live_segments() - before == set()
-
-
-@needs_process_mode
-def test_closed_store_can_flush_again(monkeypatch):
-    monkeypatch.setenv("REPRO_MP_START_METHOD", "fork")
-    base, batch_list = _base_and_batches()
-    store = Store(
-        base, workers=2, parallel_mode="process", backend="python"
-    )
+    store = Store(base, workers=2, parallel_mode="thread")
     store.materialize()
     store.close()
     scheduler = store.engine.scheduler
-    assert scheduler.process_session is None
-    # close() drops the pools, not the store: the next flush lazily
-    # starts a fresh pool.
+    assert scheduler.thread_pool is None
+    # close() drops the pool, not the store: the next flush lazily
+    # starts a fresh pool.  Idempotent.
     store.add(batch_list[0])
     store.materialize()
-    assert scheduler.process_session is not None
+    assert scheduler.thread_pool is not None
     store.close()
+    store.close()
+    assert scheduler.thread_pool is None
 
 
-@needs_process_mode
-def test_flush_stats_record_the_decision(monkeypatch):
-    monkeypatch.setenv("REPRO_MP_START_METHOD", "fork")
+def test_flush_stats_record_the_decision():
     base, batch_list = _base_and_batches()
-    with Store(
-        base, workers=2, parallel_mode="process", backend="python"
-    ) as store:
+    with Store(base, workers=2, parallel_mode="thread") as store:
         stats = store.materialize()
-        assert stats.parallel_mode == "process"
+        assert stats.parallel_mode == "thread"
         assert stats.parallel_decision["forced"] is True
-        assert stats.parallel_decision["requested"] == "process"
+        assert stats.parallel_decision["requested"] == "thread"
         store.add(batch_list[0])
         incremental = store.materialize()
         # The incremental flush records its own decision too — made
         # against the real (main, delta) shapes.
-        assert incremental.parallel_mode == "process"
+        assert incremental.parallel_mode == "thread"
         assert incremental.parallel_decision["workers"] == 2

@@ -7,7 +7,12 @@ from repro.core.engine import (
     InferrayEngine,
     MaterializationTimeout,
 )
-from repro.core.scheduler import ParallelRuleScheduler, resolve_workers
+from repro.core.scheduler import (
+    PARALLEL_MODES,
+    ParallelRuleScheduler,
+    resolve_parallel_mode,
+    resolve_workers,
+)
 from repro.core.store_api import Store, StoreConfig
 from repro.datasets.chains import subclass_chain
 from repro.rdf.terms import IRI, Triple
@@ -123,42 +128,6 @@ class TestSchedulerStructure:
             assert executor is not None
             assert executor.submit(lambda: 41 + 1).result() == 42
 
-    def test_standalone_process_scheduler_falls_back_to_threads(self):
-        # Built without vocab= (the engine provides it), a cost-model
-        # process pick degrades to threads instead of failing the
-        # materialization — and the fallback is sticky: the next
-        # decision stops proposing the broken substrate.
-        from repro.kernels import get_backend
-
-        scheduler = ParallelRuleScheduler(
-            get_ruleset("rho-df"),
-            workers=2,
-            mode="auto",  # not None: $REPRO_PARALLEL_MODE may force one
-            kernels=get_backend("python"),
-            cores=4,
-            process_crossover=0,
-        )
-        decision = scheduler.decide()
-        assert decision.mode == "process"
-        with pytest.warns(RuntimeWarning, match="falling back to threads"):
-            with scheduler.session(decision) as executor:
-                assert executor is not None
-        assert decision.mode == "thread"
-        assert decision.fallback and "vocab" in decision.fallback
-        assert scheduler.effective_mode == "thread"
-        assert scheduler.decide().mode == "thread"  # sticky
-        scheduler.close()
-
-    def test_forced_process_without_vocab_raises(self):
-        from repro.core.parallel import ProcessModeUnavailable
-
-        scheduler = ParallelRuleScheduler(
-            get_ruleset("rho-df"), workers=2, mode="process"
-        )
-        with pytest.raises(ProcessModeUnavailable, match="vocab"):
-            with scheduler.session():
-                pass  # pragma: no cover
-
 
 class TestEngineIntegration:
     @pytest.mark.parametrize("workers", (1, 2, 4))
@@ -259,16 +228,17 @@ class TestParallelModeSelection:
         engine = InferrayEngine("rdfs-default", workers=1)
         assert engine.parallel_mode == "sequential"
 
-    @pytest.mark.parametrize("mode", ("thread", "process"))
-    def test_explicit_mode_is_honoured(self, mode):
+    def test_explicit_mode_is_honoured(self):
         engine = InferrayEngine(
-            "rdfs-default", backend="python", workers=2, parallel_mode=mode
+            "rdfs-default", backend="python", workers=2,
+            parallel_mode="thread",
         )
-        assert engine.parallel_mode == mode
+        assert engine.parallel_mode == "thread"
         engine.load_triples(INTRO)
         stats = engine.materialize()
-        assert stats.parallel_mode == mode
+        assert stats.parallel_mode == "thread"
         assert engine.contains(Triple(ex("Bart"), RDF.type, ex("animal")))
+        engine.close()
 
     def test_auto_is_undecided_before_the_first_run(self):
         engine = InferrayEngine(
@@ -277,11 +247,16 @@ class TestParallelModeSelection:
         assert engine.parallel_mode == "auto"
 
     def test_auto_picks_sequential_below_the_crossover(self, monkeypatch):
-        # INTRO is tiny: no substrate can amortize its overhead, so
-        # auto must refuse parallelism even with cores available.
+        # INTRO is tiny: the pool cannot amortize its overhead, so auto
+        # must refuse parallelism even with cores and GIL-releasing
+        # kernels available.
+        from repro.kernels import numpy_available
+
+        if not numpy_available():
+            pytest.skip("numpy backend unavailable")
         monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
         engine = InferrayEngine(
-            "rdfs-default", backend="python", workers=2, parallel_mode="auto"
+            "rdfs-default", backend="numpy", workers=2, parallel_mode="auto"
         )
         engine.load_triples(INTRO)
         stats = engine.materialize()
@@ -292,7 +267,7 @@ class TestParallelModeSelection:
 
     def test_auto_picks_sequential_on_one_core(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_CORES", "1")
-        monkeypatch.setenv("REPRO_PROCESS_CROSSOVER", "0")
+        monkeypatch.setenv("REPRO_THREAD_CROSSOVER", "0")
         engine = InferrayEngine(
             "rdfs-default", backend="python", workers=4, parallel_mode="auto"
         )
@@ -300,20 +275,6 @@ class TestParallelModeSelection:
         stats = engine.materialize()
         assert stats.parallel_mode == "sequential"
         assert "core" in stats.parallel_decision["reason"]
-
-    def test_auto_picks_process_for_python_backend_above_crossover(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
-        monkeypatch.setenv("REPRO_PROCESS_CROSSOVER", "0")
-        engine = InferrayEngine(
-            "rdfs-default", backend="python", workers=2, parallel_mode="auto"
-        )
-        engine.load_triples(INTRO)
-        stats = engine.materialize()
-        assert stats.parallel_mode == "process"
-        assert stats.parallel_fallback is None
-        engine.close()
 
     def test_auto_picks_thread_for_numpy_backend_above_crossover(
         self, monkeypatch
@@ -335,9 +296,9 @@ class TestParallelModeSelection:
     def test_auto_never_picks_threads_for_the_python_backend(
         self, monkeypatch
     ):
-        # Threads cannot beat sequential under the GIL: below the
-        # process crossover the python backend runs sequentially even
-        # when the thread crossover is cleared.
+        # Threads cannot beat sequential under the GIL: the python
+        # backend runs sequentially even when the thread crossover is
+        # cleared, and the recorded reason says why.
         monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
         monkeypatch.setenv("REPRO_THREAD_CROSSOVER", "0")
         engine = InferrayEngine(
@@ -346,6 +307,7 @@ class TestParallelModeSelection:
         engine.load_triples(INTRO)
         stats = engine.materialize()
         assert stats.parallel_mode == "sequential"
+        assert "GIL" in stats.parallel_decision["reason"]
 
     def test_auto_doubles_crossovers_for_compressed_backend(
         self, monkeypatch
@@ -353,8 +315,8 @@ class TestParallelModeSelection:
         # Block decode makes each pair roughly twice as expensive to
         # touch, so the compressed backend stays sequential up to twice
         # the configured crossover — the reason string says so (on the
-        # numpy codec; the pure-Python one is weighed against the
-        # process crossover and words it differently).
+        # numpy codec; the pure-Python one holds the GIL and never
+        # reaches the crossover test).
         from repro.kernels import numpy_available
 
         if not numpy_available():
@@ -396,11 +358,12 @@ class TestParallelModeSelection:
         )
         engine.close()
 
-    def test_auto_compressed_over_python_picks_process(self, monkeypatch):
+    def test_auto_compressed_over_python_runs_sequentially(
+        self, monkeypatch
+    ):
         monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
         monkeypatch.setenv("REPRO_KERNELS_DISABLE_NUMPY", "1")
         monkeypatch.setenv("REPRO_THREAD_CROSSOVER", "0")
-        monkeypatch.setenv("REPRO_PROCESS_CROSSOVER", "0")
         engine = InferrayEngine(
             "rdfs-default",
             backend="compressed",
@@ -410,10 +373,10 @@ class TestParallelModeSelection:
         assert engine.kernels.inner_name == "python"
         engine.load_triples(INTRO)
         stats = engine.materialize()
-        # Pure-python decode serializes under the GIL: thread mode is
-        # never an option, the process pool is.
-        assert stats.parallel_mode == "process"
-        engine.close()
+        # Pure-python decode serializes under the GIL: threads cannot
+        # help, whatever the estimate.
+        assert stats.parallel_mode == "sequential"
+        assert "GIL" in stats.parallel_decision["reason"]
 
     def test_env_mode_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_MODE", "thread")
@@ -426,9 +389,9 @@ class TestParallelModeSelection:
             "rdfs-default",
             backend="python",
             workers=2,
-            parallel_mode="process",
+            parallel_mode="auto",
         )
-        assert engine.parallel_mode == "process"
+        assert engine.parallel_mode == "auto"
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="parallel mode"):
@@ -436,121 +399,61 @@ class TestParallelModeSelection:
                 "rdfs-default", workers=2, parallel_mode="fibers"
             )
 
-    def test_unpicklable_custom_rules_fall_back_in_auto(self, monkeypatch):
-        from repro.rules.spec import Rule, RuleContext
+    def test_process_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="'auto', 'thread'"):
+            InferrayEngine(
+                "rdfs-default", workers=2, parallel_mode="process"
+            )
 
-        class LocalRule(Rule):  # unpicklable: defined in a function
-            def apply(self, ctx: RuleContext) -> None:
-                pass
-
-        monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
-        monkeypatch.setenv("REPRO_PROCESS_CROSSOVER", "0")
-        engine = InferrayEngine(
-            [LocalRule("LOCAL")],
-            backend="python",
-            workers=2,
-            parallel_mode="auto",
-        )
-        engine.load_triples(INTRO)
-        with pytest.warns(RuntimeWarning, match="falling back to threads"):
-            stats = engine.materialize()  # degrades, does not raise
-        assert stats.parallel_mode == "thread"
-        assert stats.parallel_fallback and "picklable" in stats.parallel_fallback
-        assert engine.parallel_mode == "thread"
-        engine.close()
-
-    def test_unpicklable_custom_rules_raise_when_forced(self):
-        from repro.core.parallel import ProcessModeUnavailable
-        from repro.rules.spec import Rule, RuleContext
-
-        class LocalRule(Rule):
-            def apply(self, ctx: RuleContext) -> None:
-                pass
-
-        engine = InferrayEngine(
-            [LocalRule("LOCAL")],
-            backend="python",
-            workers=2,
-            parallel_mode="process",
-        )
-        engine.load_triples(INTRO)
-        with pytest.raises(ProcessModeUnavailable, match="picklable"):
-            engine.materialize()
-
-    def test_tracer_pins_sequential_even_with_process_mode(self):
+    def test_tracer_pins_sequential_even_with_forced_threads(self):
         from repro.memsim.tracer import NullTracer
 
         engine = InferrayEngine(
             "rdfs-default",
             tracer=NullTracer(),
             workers=4,
-            parallel_mode="process",
+            parallel_mode="thread",
         )
         assert engine.workers == 1
         assert engine.parallel_mode == "sequential"
 
 
-class TestIntraRuleSplitting:
-    def test_forced_split_records_shards_and_matches_reference(self):
-        reference = InferrayEngine("rdfs-default", workers=1)
-        reference.load_triples(INTRO)
-        reference.materialize()
-        ref_tables = [
-            (pid, bytes(flat.tobytes()))
-            for pid, flat in reference.main.table_arrays()
-        ]
+class TestModeResolution:
+    def test_modes(self):
+        assert PARALLEL_MODES == ("auto", "thread")
 
-        engine = InferrayEngine(
-            "rdfs-default",
-            workers=2,
-            parallel_mode="thread",
-            split_threshold=2,
-        )
-        engine.load_triples(INTRO)
-        stats = engine.materialize()
-        assert stats.rule_shards, "tiny threshold must split a join rule"
-        assert all(n >= 2 for n in stats.rule_shards.values())
-        tables = [
-            (pid, bytes(flat.tobytes()))
-            for pid, flat in engine.main.table_arrays()
-        ]
-        assert tables == ref_tables
+    def test_env_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL_MODE", "thread")
+        assert resolve_parallel_mode(None) == "thread"
 
-    def test_sequential_run_never_splits(self):
-        engine = InferrayEngine(
-            "rdfs-default", workers=1, split_threshold=2
-        )
-        engine.load_triples(INTRO)
-        stats = engine.materialize()
-        assert stats.rule_shards == {}
+    def test_explicit_beats_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL_MODE", "thread")
+        assert resolve_parallel_mode("auto") == "auto"
 
-    def test_zero_threshold_disables_splitting(self):
-        engine = InferrayEngine(
-            "rdfs-default",
-            workers=2,
-            parallel_mode="thread",
-            split_threshold=0,
-        )
-        engine.load_triples(INTRO)
-        stats = engine.materialize()
-        assert stats.rule_shards == {}
+    def test_explicit_mode_is_case_insensitive(self):
+        assert resolve_parallel_mode("Thread") == "thread"
 
-    def test_split_threshold_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPLIT_THRESHOLD", "7")
-        engine = InferrayEngine("rdfs-default", workers=2)
-        assert engine.scheduler.split_threshold == 7
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="parallel mode"):
+            resolve_parallel_mode("greenlet")
 
-    def test_bad_split_threshold_env_warns(self, monkeypatch):
-        from repro.core.parallel import (
-            DEFAULT_SPLIT_THRESHOLD,
-            resolve_split_threshold,
-        )
+    def test_unknown_env_mode_warns_and_falls_back(self, monkeypatch):
+        # A stray shell export must never crash an engine — mirror the
+        # forgiving $REPRO_WORKERS parse instead of raising.
+        monkeypatch.setenv("REPRO_PARALLEL_MODE", "greenlet")
+        with pytest.warns(RuntimeWarning, match="REPRO_PARALLEL_MODE"):
+            assert resolve_parallel_mode(None) == "auto"
 
-        monkeypatch.setenv("REPRO_SPLIT_THRESHOLD", "lots")
-        with pytest.warns(RuntimeWarning, match="REPRO_SPLIT_THRESHOLD"):
-            assert (
-                resolve_split_threshold(None) == DEFAULT_SPLIT_THRESHOLD
-            )
+    def test_process_env_mode_warns_and_falls_back(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL_MODE", "process")
+        with pytest.warns(RuntimeWarning, match="REPRO_PARALLEL_MODE"):
+            assert resolve_parallel_mode(None) == "auto"
+
+    def test_unset_env_leaves_auto_unresolved(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PARALLEL_MODE", raising=False)
+        # The caller's cost model decides per materialization, so
+        # 'auto' passes through.
+        assert resolve_parallel_mode(None) == "auto"
 
 
 class TestStoreIntegration:
@@ -573,20 +476,17 @@ class TestStoreIntegration:
         assert reloaded.engine.workers == 4
         assert set(reloaded.triples()) == set(store.triples())
 
-    def test_store_threads_parallel_mode_and_split_threshold(self):
+    def test_store_config_threads_parallel_mode(self):
         store = Store(
             INTRO,
             config=StoreConfig(
-                backend="python",
-                workers=2,
-                parallel_mode="process",
-                split_threshold=5,
+                backend="python", workers=2, parallel_mode="thread"
             ),
         )
-        assert store.engine.parallel_mode == "process"
-        assert store.engine.scheduler.split_threshold == 5
+        assert store.engine.parallel_mode == "thread"
         assert Triple(ex("Bart"), RDF.type, ex("animal")) in store
-        assert store.stats.parallel_mode == "process"
+        assert store.stats.parallel_mode == "thread"
+        store.close()
 
     def test_store_kwarg_threads_parallel_mode(self):
         store = Store(INTRO, workers=2, parallel_mode="thread")
@@ -634,24 +534,22 @@ class TestCostModelKnobResolution:
 
     def test_crossover_env_overrides_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_THREAD_CROSSOVER", "123")
-        monkeypatch.setenv("REPRO_PROCESS_CROSSOVER", "456")
         scheduler = ParallelRuleScheduler(
             get_ruleset("rdfs-default"), workers=2
         )
         assert scheduler.thread_crossover == 123
-        assert scheduler.process_crossover == 456
 
     def test_bad_crossover_env_warns_and_defaults(self, monkeypatch):
         from repro.core.scheduler import (
-            PROCESS_CROSSOVER_ENV,
+            THREAD_CROSSOVER_ENV,
             resolve_crossover,
         )
 
-        monkeypatch.setenv(PROCESS_CROSSOVER_ENV, "huge")
-        with pytest.warns(RuntimeWarning, match="REPRO_PROCESS_CROSSOVER"):
+        monkeypatch.setenv(THREAD_CROSSOVER_ENV, "huge")
+        with pytest.warns(RuntimeWarning, match="REPRO_THREAD_CROSSOVER"):
             assert (
                 resolve_crossover(
-                    None, env=PROCESS_CROSSOVER_ENV, default=42
+                    None, env=THREAD_CROSSOVER_ENV, default=42
                 )
                 == 42
             )

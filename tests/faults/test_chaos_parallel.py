@@ -1,107 +1,79 @@
-"""Chaos tests: kill/crash parallel workers mid-wave, prove healing.
+"""Chaos tests: a rule that fails mid-wave on the thread pool.
 
-The invariant under test: a process-parallel materialization whose
-worker pool dies mid-wave self-heals — the wave re-runs on a healthy
-substrate, the final closure is byte-identical to a sequential run,
-and the degradation is visible on the executor decision and the
-scheduler's counter instead of silently vanishing.
+The invariant under test: when one rule of a wave raises, the flush
+fails only after every other rule of that wave has finished, so no
+firing outlives the failed ``materialize()`` and shares the pool with
+the next flush (or with serving's retry).  The engine stays
+unmaterialized, and the retry reaches the sequential closure byte for
+byte.
 """
+
+import threading
+import time
 
 import pytest
 
 from repro.core.engine import InferrayEngine
 from repro.datasets.bsbm import bsbm_like
-from repro.faults import inject, reset
+from repro.rules.rulesets import get_ruleset
+from repro.rules.spec import Rule
 
 
-@pytest.fixture(autouse=True)
-def _clean_registry():
-    reset()
-    yield
-    reset()
+class FailOnce(Rule):
+    """Raises on its first firing only, so a retry can succeed."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.raised = False
+
+    def apply(self, ctx):
+        if not self.raised:
+            self.raised = True
+            raise RuntimeError("rule failed mid-wave")
 
 
-@pytest.fixture(autouse=True)
-def _fork_workers(monkeypatch):
-    # Pin fork so worker entrypoints resolve however pytest imported us.
-    monkeypatch.setenv("REPRO_MP_START_METHOD", "fork")
+class SlowOnce(Rule):
+    """Sleeps through its first firing, then sets ``finished``."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.finished = threading.Event()
+
+    def apply(self, ctx):
+        if not self.finished.is_set():
+            time.sleep(0.3)
+            self.finished.set()
 
 
-def sequential_closure(triples, backend="python"):
-    with engine_for(triples, backend=backend, workers=1) as engine:
+def table_bytes(engine):
+    return [
+        (pid, bytes(flat.tobytes()))
+        for pid, flat in engine.main.table_arrays()
+    ]
+
+
+def test_failed_wave_waits_for_its_siblings():
+    data = bsbm_like(20)
+    reference = InferrayEngine("rdfs-default", workers=1)
+    reference.load_triples(data)
+    reference.materialize()
+
+    # Unknown rule classes read and write every table, so both land in
+    # the catalogue's one recursive wave, the failing rule first.
+    failing, slow = FailOnce("FAIL"), SlowOnce("SLOW")
+    engine = InferrayEngine(
+        [failing, slow] + get_ruleset("rdfs-default"),
+        workers=2,
+        parallel_mode="thread",
+    )
+    engine.load_triples(data)
+    try:
+        with pytest.raises(RuntimeError, match="rule failed mid-wave"):
+            engine.materialize()
+        assert slow.finished.is_set()
+        assert not engine.is_materialized
         engine.materialize()
-        return sorted(t.n3() for t in engine.triples())
-
-
-class engine_for:
-    """Context manager building an engine over ``triples``."""
-
-    def __init__(self, triples, *, backend="python", workers=1, mode=None):
-        self.engine = InferrayEngine(
-            "rdfs-default",
-            backend=backend,
-            workers=workers,
-            parallel_mode=mode,
-        )
-        self.engine.load_triples(triples)
-
-    def __enter__(self):
-        return self.engine
-
-    def __exit__(self, *exc_info):
-        self.engine.close()
-
-
-class TestWorkerKillMidWave:
-    def test_killed_worker_heals_to_identical_closure(self):
-        data = bsbm_like(30)
-        golden = sequential_closure(data)
-        with engine_for(
-            data, workers=2, mode="process"
-        ) as engine, inject("parallel.worker:kill:after=2"):
-            stats = engine.materialize()
-            closure = sorted(t.n3() for t in engine.triples())
-        assert closure == golden
-        assert stats.parallel_fallback is not None
-        assert "mid-wave" in stats.parallel_fallback
-        assert engine.scheduler.degraded_total >= 1
-
-    def test_injected_worker_exception_heals_too(self):
-        data = bsbm_like(30)
-        golden = sequential_closure(data)
-        # shm.attach raises FileNotFoundError inside the worker — the
-        # vanished-segment failure mode, distinct from a dead process.
-        with engine_for(
-            data, workers=2, mode="process"
-        ) as engine, inject("shm.attach"):
-            engine.materialize()
-            closure = sorted(t.n3() for t in engine.triples())
-        assert closure == golden
-        assert engine.scheduler.degraded_total >= 1
-
-    def test_heal_is_not_sticky_across_materializations(self):
-        data = bsbm_like(30)
-        with engine_for(data, workers=2, mode="process") as engine:
-            with inject("parallel.worker:kill:after=1"):
-                engine.materialize()
-            assert engine.scheduler.degraded_total >= 1
-            degraded_before = engine.scheduler.degraded_total
-            # A later (fault-free) run gets a fresh decision; healing
-            # must not have latched the engine into degraded mode.
-            engine.load_triples(bsbm_like(5, seed=11))
-            engine.materialize()
-            assert engine.scheduler.degraded_total == degraded_before
-
-    def test_thread_mode_unaffected_by_worker_faults(self):
-        # The parallel.worker seam lives in the process-worker
-        # entrypoint; thread mode never crosses it, so the same spec
-        # armed under thread mode is a no-op.
-        data = bsbm_like(20)
-        golden = sequential_closure(data)
-        with engine_for(
-            data, workers=2, mode="thread"
-        ) as engine, inject("parallel.worker:kill:after=1"):
-            engine.materialize()
-            closure = sorted(t.n3() for t in engine.triples())
-        assert closure == golden
-        assert engine.scheduler.degraded_total == 0
+    finally:
+        engine.close()
+    assert engine.is_materialized
+    assert table_bytes(engine) == table_bytes(reference)

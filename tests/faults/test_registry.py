@@ -37,9 +37,9 @@ class TestParsing:
 
     def test_full_grammar(self):
         (spec,) = parse_faults(
-            "parallel.worker:kill:after=2:times=-1:p=0.5:seed=7"
+            "serving.wal:kill:after=2:times=-1:p=0.5:seed=7"
         )
-        assert spec.site == "parallel.worker"
+        assert spec.site == "serving.wal"
         assert spec.action == "kill"
         assert spec.after == 2
         assert spec.times == -1
@@ -64,7 +64,7 @@ class TestParsing:
             parse_faults("persist.write:raise:bogus=1")
 
     def test_roundtrip_via_token(self):
-        (spec,) = parse_faults("shm.attach:raise:after=1:times=3:seed=9")
+        (spec,) = parse_faults("persist.fsync:raise:after=1:times=3:seed=9")
         (reparsed,) = parse_faults(spec.to_token())
         assert reparsed == spec
 
@@ -87,13 +87,6 @@ class TestFiring:
         with inject("persist.write"):
             with pytest.raises(InjectedFault, match="why-not"):
                 fire("persist.write", "why-not")
-
-    def test_shm_attach_raises_file_not_found(self):
-        # Mirrors the real failure mode of a vanished segment, so the
-        # scheduler's healable-error net catches it unchanged.
-        with inject("shm.attach"):
-            with pytest.raises(FileNotFoundError):
-                fire("shm.attach")
 
     def test_after_skips_hits(self):
         with inject("persist.write:raise:after=2"):
@@ -153,7 +146,7 @@ class TestInjectContextManager:
 
     def test_env_inheritance_across_subprocess(self):
         # A child process re-arms from $REPRO_FAULTS on its first
-        # fire(): the mechanism worker processes rely on.
+        # fire(): the mechanism subprocess chaos tests rely on.
         code = (
             "from repro.faults import fire, InjectedFault\n"
             "try:\n"

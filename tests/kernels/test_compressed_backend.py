@@ -248,20 +248,14 @@ class TestSerialization:
         blob = pairs.serialize()
         assert blob.startswith(_MAGIC)
         assert len(blob) == pairs.serialized_nbytes()
-        back = kernels.from_buffer(blob, len(pairs))
-        assert isinstance(back, CompressedPairs)
+        back = CompressedPairs.deserialize(blob, kernels._codec)
+        assert len(back) == len(pairs)
         assert back.tolist() == _as_list(flat)
 
-    def test_from_buffer_sniffs_raw_segments(self, kernels):
+    def test_deserialize_rejects_raw_pairs(self, kernels):
         flat = _random_sorted_pairs(random.Random(9), 10)
-        view = kernels.from_buffer(flat.tobytes(), len(flat))
-        assert not isinstance(view, CompressedPairs)
-        assert _as_list(view) == _as_list(flat)
-
-    def test_from_buffer_rejects_truncated_manifest(self, kernels):
-        pairs = kernels.asarray(_random_sorted_pairs(random.Random(2), 50))
-        with pytest.raises(ValueError):
-            kernels.from_buffer(pairs.serialize(), len(pairs) + 2)
+        with pytest.raises(ValueError, match="not a serialized"):
+            CompressedPairs.deserialize(flat.tobytes(), kernels._codec)
 
     def test_pickle_roundtrip(self, kernels):
         flat = _random_sorted_pairs(random.Random(10), 1500)

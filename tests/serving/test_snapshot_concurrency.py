@@ -1,7 +1,7 @@
 """Concurrent snapshot reads vs. batched writes (satellite of the
 serving PR): readers pinned to an epoch must never observe a partially
 flushed closure, and the final closure must be byte-identical across
-sequential, thread-parallel and process-parallel stores.
+sequential and thread-parallel stores.
 """
 
 import threading
@@ -14,13 +14,10 @@ from repro.serving import ServerThread
 
 EX = "http://example.org/"
 
-#: Executor configurations the interleaving runs under.  The process
-#: leg exercises the shared-memory substrate the serving story leans
-#: on for the pure-Python backend.
+#: Executor configurations the interleaving runs under.
 CONFIGS = [
     {"workers": 1},
     {"workers": 2, "parallel_mode": "thread"},
-    {"workers": 2, "parallel_mode": "process"},
 ]
 
 
