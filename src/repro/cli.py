@@ -377,6 +377,13 @@ def _run_stats(args: argparse.Namespace) -> int:
             stats.per_rule.items(), key=lambda item: -item[1]
         ):
             print(f"  {name:12s} {count}")
+    if stats.per_iteration:
+        print("per-iteration (raw derived -> new after merge, merge time):")
+        for number, record in enumerate(stats.per_iteration, 1):
+            print(
+                f"  {number:<4d} {record.derived:>10d} -> {record.new:<10d} "
+                f"{record.merge_seconds * 1000:.1f} ms"
+            )
     return 0
 
 

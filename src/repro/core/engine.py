@@ -9,18 +9,19 @@ The engine ties everything together:
    ruleset closes its target properties with the Nuutila/interval
    machinery *before* the fixed point: subClassOf/subPropertyOf for the
    RDFS flavours, plus every ``owl:TransitiveProperty`` and the
-   symmetric-transitive ``owl:sameAs`` for RDFS-Plus.
-3. **Fixed point** (lines 3–8) — rules fire in bulk against
-   (main × new), the inferred buffers are sorted/deduplicated and merged
-   per property (Figure 5), producing the next ``new`` delta, until an
-   iteration derives nothing.
+   symmetric-transitive ``owl:sameAs`` for RDFS-Plus.  A closure holds
+   its input edges, so the sorted closure is installed as the table.
+3. **Fixed point** (lines 3–8) — rules fire in bulk semi-naively
+   (Δ × main and main × Δ; one leg while Δ is main), the inferred
+   buffers are sorted/deduplicated and merged per property (Figure 5),
+   producing the next ``new`` delta, until an iteration derives nothing.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Union
 
 from ..dictionary.encoding import Dictionary, encode_columns, encode_dataset
 from ..kernels import KernelBackend, resolve_backend
@@ -51,6 +52,16 @@ class MaterializationTimeout(RuntimeError):
     """
 
 
+class IterationRecord(NamedTuple):
+    """Where one fixed-point iteration's work went."""
+
+    #: Raw pairs the rules emitted (Σ of this iteration's rule counts).
+    derived: int
+    #: Pairs the Figure-5 merge found genuinely new (the next delta).
+    new: int
+    merge_seconds: float
+
+
 @dataclass
 class MaterializationStats:
     """Outcome of one run of the engine's fixed-point driver.
@@ -76,6 +87,8 @@ class MaterializationStats:
     merge_seconds: float = 0.0
     total_seconds: float = 0.0
     per_rule: Dict[str, int] = field(default_factory=dict)
+    #: One :class:`IterationRecord` per fixed-point iteration, in order.
+    per_iteration: List[IterationRecord] = field(default_factory=list)
     #: Workers the rule scheduler ran with (1 = sequential).
     workers: int = 1
     #: Executor substrate the run used: 'sequential' or 'thread'
@@ -388,12 +401,17 @@ class InferrayEngine:
         """Algorithm 1 — the engine's only copy of it.
 
         ``scheduler`` owns the rule catalogue to fire.  Each ``prepass``
-        step is called as ``step(rules, out)``, reads the whole store,
-        emits into ``out`` and returns the closure pairs it accounts
-        for (line 2); their output is merged before the loop.  ``new``
+        step is called as ``step(rules, out)``, reads the whole store
+        and returns the closure pairs it accounts for (line 2).  The θ
+        step installs each closed table outright (a closure contains
+        its input edges, so it *is* the new table; nothing is merged);
+        other steps emit rows into ``out``, which is merged once every
+        step has run.  ``new``
         is the first iteration's delta and ``iteration`` the count the
         loop starts after: 0 for a run whose pre-pass closed the θ
         properties (θ rules skip iteration 1), 1 for a delta run.
+        Every iteration leaves an :class:`IterationRecord` in
+        ``stats.per_iteration``.
 
         The engine is unmaterialized on entry and stays so on any
         exception, so the next :meth:`materialize` redoes the flush
@@ -454,8 +472,16 @@ class InferrayEngine:
                 self._accumulate_outcome(stats, outcome)
 
                 merge_started = time.perf_counter()
-                new = self.main.merge_inferred(outcome.out)
-                stats.merge_seconds += time.perf_counter() - merge_started
+                new = self.main.merge_inferred(outcome.out, outcome.own)
+                merge_seconds = time.perf_counter() - merge_started
+                stats.merge_seconds += merge_seconds
+                stats.per_iteration.append(
+                    IterationRecord(
+                        derived=sum(outcome.rule_counts.values()),
+                        new=new.n_triples,
+                        merge_seconds=merge_seconds,
+                    )
+                )
 
         stats.parallel_mode = decision.mode
         stats.parallel_decision = decision.as_dict()
@@ -474,17 +500,28 @@ class InferrayEngine:
         return stats
 
     def _theta_prepass(self, rules, out: InferredBuffers) -> int:
-        """Close every θ rule's properties over the loaded data."""
+        """Close every θ rule's properties over the loaded data.
+
+        A closure contains its input edges, so each closed property's
+        sorted pairs replace its table: no probe against, or merge with,
+        the edges it closed.  ``out`` is left to the other steps.
+        """
+        closed = InferredBuffers()
         ctx = RuleContext(
             main=self.main,
             new=self.main,
-            out=out,
+            out=closed,
             vocab=self.vocab,
             kernels=self.kernels,
         )
-        return sum(
+        pairs = sum(
             rule.prepass(ctx) for rule in rules if rule.rule_class == "theta"
         )
+        for property_id, chunks in closed.chunk_items():
+            self.main.load_table(
+                property_id, self.kernels.concat(chunks), presorted=False
+            )
+        return pairs
 
     # ------------------------------------------------------------------
     # Hybrid (LiteMat-style) flush

@@ -41,10 +41,11 @@ Equivalence with sequential execution is by construction:
 * each rule emits into a **private** :class:`InferredBuffers`, so
   there is no shared mutable state between concurrently firing rules;
 * the private buffers are absorbed into one combined buffer in
-  catalogue rule order and pushed through the existing Figure-5 merge,
-  whose sort+dedup makes the committed arrays a pure function of the
-  *set* of emitted pairs — closures are byte-identical regardless of
-  worker count or executor.
+  catalogue rule order (a self-fed rule's stays apart, for its next
+  trimmed delta) and pushed through the existing Figure-5 merge, whose
+  sort+dedup makes the committed arrays — and every trimmed delta — a
+  pure function of the *sets* of emitted pairs: closures are
+  byte-identical regardless of worker count or executor.
 
 Sequential execution is the ``workers=1`` special case of the same
 wave loop (no executor is spun up), so there is a single code path to
@@ -63,6 +64,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..env import env_choice, env_int
 from ..kernels import KernelBackend, resolve_backend
+from ..rules.classes import self_fed_rules
 from ..rules.depgraph import RuleDependencyGraph
 from ..rules.spec import Rule, RuleContext, Vocab
 from ..store.triple_store import InferredBuffers, TripleStore
@@ -226,13 +228,17 @@ class ExecutorDecision:
 class IterationOutcome:
     """What one scheduled iteration produced (pre-merge).
 
-    ``out`` holds every rule's emissions combined in catalogue order;
+    ``out`` holds every rule's emissions combined in catalogue order,
+    except the self-fed rules' (see :func:`repro.rules.classes.
+    self_fed_rules`), whose private buffers stay apart in ``own`` by
+    catalogue index for ``TripleStore.merge_inferred(out, own)``;
     ``rule_counts`` / ``rule_seconds`` are per-rule observability, and
     ``wave_seconds[k]`` is the wall-clock barrier-to-barrier time of
     wave *k*.
     """
 
     out: InferredBuffers
+    own: Dict[int, InferredBuffers] = field(default_factory=dict)
     rule_counts: Dict[str, int] = field(default_factory=dict)
     rule_seconds: Dict[str, float] = field(default_factory=dict)
     wave_seconds: List[float] = field(default_factory=list)
@@ -283,6 +289,9 @@ class ParallelRuleScheduler:
         )
         #: Wave stratification as lists of rule indexes (see depgraph).
         self.waves: List[List[int]] = self.graph.stratify()
+        #: Rule index → closed schema property, for the rules whose
+        #: delta drops their own last output (decided once, by shape).
+        self.self_fed: Dict[int, str] = self_fed_rules(self.rules)
 
     @property
     def n_waves(self) -> int:
@@ -491,7 +500,10 @@ class ParallelRuleScheduler:
         """Fire every rule once, wave by wave; returns the outcome.
 
         All rules observe the same ``(main, new)`` snapshot; the caller
-        merges ``outcome.out`` afterwards (the per-iteration barrier).
+        merges ``outcome.out`` and ``outcome.own`` afterwards (the
+        per-iteration barrier).  A self-fed rule whose own rows ``new``
+        carries (``new.own_rows``, from the last merge) sees ``new``
+        without them, its schema table kept whole.
         A rule that raises fails the iteration only once every rule of
         its wave has finished, so no firing outlives the call; the
         failure re-raised is the first in catalogue order.
@@ -501,9 +513,14 @@ class ParallelRuleScheduler:
 
         def fire(rule_index: int) -> tuple:
             buffers = InferredBuffers()
+            rule_new = new
+            own_rows = new.own_rows.get(rule_index)
+            if own_rows:
+                schema = vocab[self.self_fed[rule_index]]
+                rule_new = new.without(own_rows, keep=schema)
             ctx = RuleContext(
                 main=main,
-                new=new,
+                new=rule_new,
                 out=buffers,
                 vocab=vocab,
                 iteration=iteration,
@@ -527,8 +544,13 @@ class ParallelRuleScheduler:
             outcome.wave_seconds.append(time.perf_counter() - wave_started)
 
         # Deterministic commit order: absorb in catalogue rule order.
-        for rule, (buffers, counts, elapsed) in zip(self.rules, results):
-            outcome.out.absorb(buffers)
+        for index, (rule, (buffers, counts, elapsed)) in enumerate(
+            zip(self.rules, results)
+        ):
+            if index in self.self_fed:
+                outcome.own[index] = buffers
+            else:
+                outcome.out.absorb(buffers)
             outcome.rule_seconds[rule.name] = (
                 outcome.rule_seconds.get(rule.name, 0.0) + elapsed
             )

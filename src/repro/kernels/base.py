@@ -128,6 +128,12 @@ class KernelBackend:
         """Pairs present in both sorted views, in view1 order."""
         raise NotImplementedError
 
+    def difference(self, flat, other):
+        """Pairs of sorted-unique ``flat`` absent from sorted-unique
+        ``other``, in order (a self-fed rule's delta without its own
+        last output)."""
+        raise NotImplementedError
+
     def consecutive_in_group(self, view):
         """⟨vᵢ₋₁, vᵢ⟩ for consecutive differing values within each
         equal-key run of a sorted view (the PRP-FP/IFP conflict scan)."""

@@ -733,6 +733,9 @@ class CompressedKernels(KernelBackend):
             return self._inner.empty()
         return self._inner.concat(parts)
 
+    def difference(self, flat, other):
+        return self._inner.difference(self._raw(flat), self._raw(other))
+
     def consecutive_in_group(self, view):
         parts = [
             self._inner.consecutive_in_group(chunk)

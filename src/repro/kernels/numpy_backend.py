@@ -103,6 +103,22 @@ def _pack_joint(a: np.ndarray, b: np.ndarray):
     )
 
 
+def _joint_keys(a: np.ndarray, b: np.ndarray):
+    """Mutually comparable row keys of two non-empty flat pair arrays:
+    (keys_a, keys_b, e₀, o₀) packed, else structured rows and Nones."""
+    joint = _pack_joint(a, b)
+    if joint is not None:
+        return joint
+    return _rows(a), _rows(b), None, None
+
+
+def _found_in(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Mask over ``needles``: which occur in the sorted ``haystack``."""
+    positions = np.searchsorted(haystack, needles)
+    clipped = np.minimum(positions, haystack.size - 1)
+    return (positions < haystack.size) & (haystack[clipped] == needles)
+
+
 def _unpack(packed: np.ndarray, e_base: int, o_base: int) -> np.ndarray:
     """Packed uint64 keys → flat int64 pair array (offsets restored)."""
     out = np.empty(2 * packed.size, dtype=INT64)
@@ -219,15 +235,8 @@ class NumpyKernels(KernelBackend):
         if m.size == 0:
             fresh = np.array(f, dtype=INT64)
             return fresh, np.array(f, dtype=INT64)
-        joint = _pack_joint(m, f)
-        if joint is not None:
-            main_keys, inf_keys, e_base, o_base = joint
-        else:
-            main_keys = _rows(m)
-            inf_keys = _rows(f)
-        positions = np.searchsorted(main_keys, inf_keys)
-        clipped = np.minimum(positions, main_keys.size - 1)
-        is_new = (positions == main_keys.size) | (main_keys[clipped] != inf_keys)
+        main_keys, inf_keys, e_base, o_base = _joint_keys(m, f)
+        is_new = ~_found_in(main_keys, inf_keys)
         if not is_new.any():
             return m, self.empty()
         new_keys = inf_keys[is_new]
@@ -300,18 +309,22 @@ class NumpyKernels(KernelBackend):
         b = self.asarray(view2)
         if a.size == 0 or b.size == 0:
             return self.empty()
-        joint = _pack_joint(a, b)
-        if joint is not None:
-            keys_a, keys_b, e_base, o_base = joint
-        else:
-            keys_a = _rows(a)
-            keys_b = _rows(b)
-        positions = np.searchsorted(keys_b, keys_a)
-        clipped = np.minimum(positions, keys_b.size - 1)
-        found = (positions < keys_b.size) & (keys_b[clipped] == keys_a)
+        keys_a, keys_b, e_base, o_base = _joint_keys(a, b)
+        found = _found_in(keys_b, keys_a)
         if keys_a.dtype == np.uint64:
             return _unpack(keys_a[found], e_base, o_base)
         return np.ascontiguousarray(keys_a[found].view(INT64))
+
+    def difference(self, flat, other):
+        a = self.asarray(flat)
+        b = self.asarray(other)
+        if a.size == 0 or b.size == 0:
+            return a
+        keys_a, keys_b, _, _ = _joint_keys(a, b)
+        # Both sides unique: isin's one merge-sort beats a binary search
+        # per row, and compress beats a boolean index on 2-D rows.
+        absent = np.isin(keys_a, keys_b, assume_unique=True, invert=True)
+        return np.compress(absent, a.reshape(-1, 2), axis=0).ravel()
 
     def consecutive_in_group(self, view):
         a = self.asarray(view)

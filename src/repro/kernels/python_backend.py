@@ -166,6 +166,21 @@ class PythonKernels(KernelBackend):
                 j += 2
         return out
 
+    def difference(self, flat, other):
+        out = array("q")
+        i = j = 0
+        n1 = len(flat)
+        n2 = len(other)
+        while i < n1:
+            key1 = (flat[i], flat[i + 1])
+            while j < n2 and (other[j], other[j + 1]) < key1:
+                j += 2
+            if j >= n2 or (other[j], other[j + 1]) != key1:
+                out.append(key1[0])
+                out.append(key1[1])
+            i += 2
+        return out
+
     def consecutive_in_group(self, view):
         out = array("q")
         i = 0

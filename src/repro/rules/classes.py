@@ -14,21 +14,43 @@ vectorized end to end under the NumPy backend: a join produces one flat
 pair array that is handed to the output buffers as a single chunk,
 never one Python-level ``emit`` per derived triple.
 
-Semi-naive evaluation: every executor joins (new × main) ∪ (main × new);
-since ``main ⊇ new`` after the Figure-5 merge, this covers every
-derivation involving at least one new triple, and (new × new) being
-covered twice only produces duplicates that the merge removes.
+Semi-naive evaluation.  ``ctx.new`` is the delta Δ of the last merge
+and ``ctx.main`` the store M ⊇ Δ.  A two-atom executor runs the legs of
+:func:`semi_naive_legs`: Δ ⋈ M and M ⋈ Δ, which cover every derivation
+with at least one atom in Δ (Δ ⋈ Δ twice; the merge drops the
+duplicates).  On a batch run's first iteration Δ *is* M and the two
+legs are one join, so only the first runs.
+
+A rule that re-feeds its own output over a transitively closed schema
+property S (CAX-SCO over subClassOf, PRP-SPO1 over subPropertyOf; see
+:func:`self_fed_rules`) is handed, from its second iteration on, a Δ
+whose data tables no longer hold what it emitted the iteration before:
+whatever those rows would derive through an S row is derived anyway —
+through the composite S row θ puts in S — by the untrimmed ΔS leg or an
+earlier iteration.  S itself is never trimmed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .spec import Rule, RuleContext, table_or_none
 from ..closure.components import (
     closed_pairs,
     symmetric_transitive_closure_pairs,
 )
+
+
+def semi_naive_legs(new, main):
+    """The (first-atom store, second-atom store) legs of a two-atom body.
+
+    (Δ × M) ∪ (M × Δ) covers every derivation with an atom in Δ.  When
+    Δ is M — a batch run's first iteration — both legs are the same
+    join, so only the first runs.
+    """
+    if new is main:
+        return ((new, main),)
+    return ((new, main), (main, new))
 
 
 def _two_leg_input_size(legs) -> int:
@@ -124,7 +146,7 @@ class AlphaRule(Rule):
         pid2 = vocab[self.p2]
         legs = [
             (table_or_none(store1, pid1), table_or_none(store2, pid2))
-            for store1, store2 in ((new, main), (main, new))
+            for store1, store2 in semi_naive_legs(new, main)
         ]
         return _two_leg_input_size(legs)
 
@@ -136,7 +158,7 @@ class AlphaRule(Rule):
         subject_first = self.head_subject == "r1"
         emitted = 0
 
-        for store1, store2 in ((ctx.new, ctx.main), (ctx.main, ctx.new)):
+        for store1, store2 in semi_naive_legs(ctx.new, ctx.main):
             table1 = table_or_none(store1, pid1)
             table2 = table_or_none(store2, pid2)
             if table1 is None or table2 is None:
@@ -214,16 +236,13 @@ class PropertyCopyRule(Rule):
     def apply(self, ctx: RuleContext) -> None:
         schema_pid = ctx.vocab[self.schema]
         emitted = 0
-        new_schema = table_or_none(ctx.new, schema_pid)
-        if new_schema is not None:
-            for x, y in new_schema.iter_pairs():
+        for schema_store, data_store in semi_naive_legs(ctx.new, ctx.main):
+            schema = table_or_none(schema_store, schema_pid)
+            if schema is None:
+                continue
+            for x, y in schema.iter_pairs():
                 src, dst = (x, y) if self.forward else (y, x)
-                emitted += self._copy(ctx, ctx.main, src, dst)
-        main_schema = table_or_none(ctx.main, schema_pid)
-        if main_schema is not None:
-            for x, y in main_schema.iter_pairs():
-                src, dst = (x, y) if self.forward else (y, x)
-                emitted += self._copy(ctx, ctx.new, src, dst)
+                emitted += self._copy(ctx, data_store, src, dst)
         ctx.count(self.name, emitted)
 
 
@@ -263,14 +282,12 @@ class DomainRangeRule(Rule):
     def apply(self, ctx: RuleContext) -> None:
         schema_pid = ctx.vocab[self.schema]
         emitted = 0
-        new_schema = table_or_none(ctx.new, schema_pid)
-        if new_schema is not None:
-            for p, c in new_schema.iter_pairs():
-                emitted += self._emit_types(ctx, ctx.main, p, c)
-        main_schema = table_or_none(ctx.main, schema_pid)
-        if main_schema is not None:
-            for p, c in main_schema.iter_pairs():
-                emitted += self._emit_types(ctx, ctx.new, p, c)
+        for schema_store, data_store in semi_naive_legs(ctx.new, ctx.main):
+            schema = table_or_none(schema_store, schema_pid)
+            if schema is None:
+                continue
+            for p, c in schema.iter_pairs():
+                emitted += self._emit_types(ctx, data_store, p, c)
         ctx.count(self.name, emitted)
 
 
@@ -286,17 +303,12 @@ class SymmetricPropertyRule(Rule):
         vocab = ctx.vocab
         marker = vocab.SymmetricProperty
         emitted = 0
-        new_types = table_or_none(ctx.new, vocab.type)
-        if new_types is not None:
-            for p in new_types.subjects_of(marker):
-                table = table_or_none(ctx.main, p)
-                if table is not None:
-                    ctx.out.extend(p, ctx.kernels.swap(table.pairs))
-                    emitted += table.n_pairs
-        main_types = table_or_none(ctx.main, vocab.type)
-        if main_types is not None:
-            for p in main_types.subjects_of(marker):
-                table = table_or_none(ctx.new, p)
+        for type_store, data_store in semi_naive_legs(ctx.new, ctx.main):
+            types = table_or_none(type_store, vocab.type)
+            if types is None:
+                continue
+            for p in types.subjects_of(marker):
+                table = table_or_none(data_store, p)
                 if table is not None:
                     ctx.out.extend(p, ctx.kernels.swap(table.pairs))
                     emitted += table.n_pairs
@@ -361,6 +373,12 @@ class SameAsRule(Rule):
     a (EQ-REP-P) and every occurrence of b as subject or object in any
     property table re-emits with a substituted (EQ-REP-S / EQ-REP-O),
     via per-table merge joins.
+
+    Both directions run even when ``new is main``: direction 1 replaces
+    b by a for each ⟨a, sameAs, b⟩, direction 2 replaces s by its
+    partner for each ⟨s, sameAs, partner⟩.  They are mirror images only
+    once ``sameAs`` is symmetric-closed, which a custom catalogue
+    without EQ-SYM / EQ-TRANS does not guarantee.
     """
 
     rule_class = "same-as"
@@ -527,17 +545,14 @@ class IterativeTransitivityRule(Rule):
         pid = vocab[self.prop]
         legs = [
             (table_or_none(left, pid), table_or_none(right, pid))
-            for left, right in ((new, main), (main, new))
+            for left, right in semi_naive_legs(new, main)
         ]
         return _two_leg_input_size(legs)
 
     def apply(self, ctx: RuleContext) -> None:
         pid = ctx.vocab[self.prop]
         emitted = 0
-        for left_store, right_store in (
-            (ctx.new, ctx.main),
-            (ctx.main, ctx.new),
-        ):
+        for left_store, right_store in semi_naive_legs(ctx.new, ctx.main):
             left = table_or_none(left_store, pid)
             right = table_or_none(right_store, pid)
             if left is None or right is None:
@@ -652,3 +667,62 @@ class ResourceRule(Rule):
                 )
             emitted += len(subjects) + len(objects)
         ctx.count(self.name, emitted)
+
+
+def self_fed_rules(rules: Sequence[Rule]) -> Dict[int, str]:
+    """Catalogue index → closed schema property S of each rule whose
+    next delta may drop its own last output.
+
+    Decided from executor shape alone.  Two shapes re-feed their own
+    output over a schema property S:
+
+    * an :class:`AlphaRule` joining an S atom with a data atom and
+      writing into the data atom's property, with the data atom's other
+      variable kept in place and S's far end replacing the join
+      variable (CAX-SCO, SCM-DOM1/2, SCM-RNG1/2);
+    * a forward, non-reversing :class:`PropertyCopyRule` over S
+      (PRP-SPO1).
+
+    Either qualifies only when a :class:`ThetaRule` of the same
+    catalogue closes S.  Then a data row d the rule emitted in
+    iteration i−1, from d′ and ⟨a S b⟩, re-derives in iteration i only
+    what d′ derives through the composite S row, which the closure puts
+    in S: that is already stored, or derived by the ΔS leg (never
+    trimmed) when the composite arrives.  By induction on the iteration
+    a data row arrived, the closure loses nothing.
+    """
+    closed = {
+        rule.kind
+        for rule in rules
+        if isinstance(rule, ThetaRule) and rule.kind != "transitive"
+    }
+    trims: Dict[int, str] = {}
+    for index, rule in enumerate(rules):
+        schema = None
+        if isinstance(rule, AlphaRule):
+            schema = _alpha_schema(rule)
+        elif isinstance(rule, PropertyCopyRule):
+            if rule.forward and not rule.reverse:
+                schema = rule.schema
+        if schema in closed:
+            trims[index] = schema
+    return trims
+
+
+def _alpha_schema(rule: AlphaRule) -> Optional[str]:
+    """The schema atom's property of a self-feeding α shape, or None."""
+    atoms = ((rule.p1, "r1"), (rule.p2, "r2"))
+    positions = (rule.pos1, rule.pos2)
+    for schema_at, data_at in ((0, 1), (1, 0)):
+        schema, schema_rest = atoms[schema_at]
+        data, data_rest = atoms[data_at]
+        if data == schema or rule.out != data:
+            continue
+        head = (
+            (schema_rest, data_rest)
+            if positions[data_at] == "s"
+            else (data_rest, schema_rest)
+        )
+        if head == (rule.head_subject, rule.head_object):
+            return schema
+    return None

@@ -86,7 +86,11 @@ class RuleContext:
     iteration (including ``new`` — Algorithm 1 merges before looping);
     ``new`` is the delta that must participate in every join, giving the
     semi-naive evaluation the paper describes ("Inferray takes two
-    inputs: existing triples and newly-inferred triples").
+    inputs: existing triples and newly-inferred triples").  ``new`` is
+    ``main`` itself on a batch run's first iteration, and, for a rule
+    over a closed schema that re-feeds its own output, a read-only view
+    of the delta without that rule's last output (see
+    :func:`repro.rules.classes.self_fed_rules`).
     """
 
     main: TripleStore

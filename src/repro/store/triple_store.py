@@ -143,6 +143,11 @@ class TripleStore:
         self._kernels = resolve_backend(backend, algorithm=algorithm)
         self.tracer = tracer
         self.cache_os = cache_os
+        #: On a delta built by :meth:`merge_inferred`: per ``own`` key,
+        #: property id → the sorted-unique rows that buffer held (where
+        #: it alone fed the property, this delta's own table array —
+        #: the same rows as far as the delta goes).
+        self.own_rows: Dict[int, Dict[int, PairArray]] = {}
 
     @property
     def kernels(self) -> KernelBackend:
@@ -271,12 +276,22 @@ class TripleStore:
     # ------------------------------------------------------------------
     # Figure-5 iteration update
     # ------------------------------------------------------------------
-    def merge_inferred(self, inferred: InferredBuffers) -> "TripleStore":
+    def merge_inferred(
+        self,
+        inferred: InferredBuffers,
+        own: Optional[Dict[int, InferredBuffers]] = None,
+    ) -> "TripleStore":
         """Apply the per-iteration update; returns the ``new`` store.
 
         For every property with inferred pairs: sort + dedup the raw
         buffer, merge it into this (main) store, and collect the pairs
         that were genuinely new into the returned delta store.
+
+        Each buffer of ``own`` (keyed by the emitting rule) is sorted
+        on its own first; its sorted rows are kept on the delta as
+        ``own_rows[key]``, so the next iteration can drop them from that
+        rule's view (:meth:`without`) with no re-sort.  A property fed
+        by one own buffer alone merges that sorted run as it is.
         """
         new_store = TripleStore(
             algorithm=self._algorithm,
@@ -284,18 +299,67 @@ class TripleStore:
             cache_os=self.cache_os,
             backend=self._kernels,
         )
-        for property_id, chunks in inferred.chunk_items():
-            flat = self._kernels.concat(chunks)
-            sorted_pairs = self._kernels.sort_pairs(
-                flat, dedup=True, algorithm=self._algorithm
+        kernels = self._kernels
+
+        def sort(chunks):
+            return kernels.sort_pairs(
+                kernels.concat(chunks), dedup=True, algorithm=self._algorithm
             )
-            table = self.get_or_create(property_id)
-            new_pairs = table.merge(sorted_pairs)
+
+        chunks_of = dict(inferred.chunk_items())
+        owners: Dict[int, List[int]] = {}
+        for key, buffers in (own or {}).items():
+            rows = new_store.own_rows[key] = {}
+            for property_id, chunks in buffers.chunk_items():
+                rows[property_id] = sort(chunks)
+                owners.setdefault(property_id, []).append(key)
+        for property_id in sorted(chunks_of.keys() | owners.keys()):
+            keys = owners.get(property_id, [])
+            runs = [new_store.own_rows[key][property_id] for key in keys]
+            sole = None
+            if property_id in chunks_of or len(runs) > 1:
+                sorted_pairs = sort(chunks_of.get(property_id, []) + runs)
+            else:
+                sole, sorted_pairs = keys[0], runs[0]
+            new_pairs = self.get_or_create(property_id).merge(sorted_pairs)
             if len(new_pairs):
-                new_store._tables[property_id] = new_store._new_table(
+                table = new_store._tables[property_id] = new_store._new_table(
                     property_id, new_pairs, presorted=True
                 )
+                if sole is not None:
+                    # The whole delta table is the sole owner's rows, so
+                    # :meth:`without` drops it with no difference pass.
+                    new_store.own_rows[sole][property_id] = table.pairs
         return new_store
+
+    def without(self, rows: Dict[int, PairArray], keep: int) -> "TripleStore":
+        """A read-only view of this store minus ``rows``, per property.
+
+        ``rows`` maps property id → sorted-unique pairs to drop (an
+        entry that *is* a table's array drops the whole table); the
+        ``keep`` property is shared untouched, and so is every table
+        that loses nothing.
+        """
+        view = TripleStore(
+            algorithm=self._algorithm,
+            tracer=None,
+            cache_os=self.cache_os,
+            backend=self._kernels,
+        )
+        for property_id, table in self._tables.items():
+            drop = rows.get(property_id)
+            if drop is not None and property_id != keep:
+                if drop is table.pairs:
+                    continue
+                kept = self._kernels.difference(table.pairs, drop)
+                if len(kept) < len(table.pairs):
+                    if len(kept):
+                        view._tables[property_id] = view._new_table(
+                            property_id, kept, presorted=True
+                        )
+                    continue
+            view._tables[property_id] = table
+        return view
 
     # ------------------------------------------------------------------
     # Inspection / queries

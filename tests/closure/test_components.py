@@ -134,3 +134,26 @@ def test_closures_match_networkx_on_every_backend(backend, edges):
         pairs = list(zip(flat[0::2], flat[1::2]))
         assert len(pairs) == len(set(pairs))
         assert set(pairs) == oracle
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(edges=digraphs())
+def test_closure_contains_its_input_edges(backend, edges):
+    """The premise of installing a θ pre-pass closure as the table
+    itself (no merge with the edges it closed): every input edge,
+    self-loops included, is among the closed pairs."""
+    kernels = get_backend(backend)
+    for close in (closed_pairs, symmetric_transitive_closure_pairs):
+        flat = [int(value) for value in close(edges, kernels=kernels)]
+        assert set(edges) <= set(zip(flat[0::2], flat[1::2]))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_self_loops_survive_the_closure(backend):
+    kernels = get_backend(backend)
+    edges = [(1, 1), (2, 3), (3, 3), (4, 5), (5, 4)]
+    for close in (closed_pairs, symmetric_transitive_closure_pairs):
+        assert set(edges) <= as_pairs(
+            [int(value) for value in close(edges, kernels=kernels)]
+        )

@@ -183,6 +183,10 @@ class TestPrimitivesMatchReference:
         assert _as_list(kernels.intersect(c1, c2)) == _as_list(
             PYTHON_KERNELS.intersect(v1, v2)
         )
+        left = set(zip(v1[0::2], v1[1::2])) - set(zip(v2[0::2], v2[1::2]))
+        assert _as_list(kernels.difference(c1, c2)) == [
+            v for pair in sorted(left) for v in pair
+        ]
         assert _as_list(kernels.consecutive_in_group(c1)) == _as_list(
             PYTHON_KERNELS.consecutive_in_group(v1)
         )

@@ -199,6 +199,32 @@ def test_intersect_matches(np_kernels, dist):
     )
 
 
+def test_difference_matches(np_kernels, dist):
+    """flat ∖ other on every backend, against set semantics: half the
+    pairs removed, plus pairs of ``other`` that ``flat`` never had."""
+    name, flat = dist
+    rng = random.Random(SEED ^ zlib.crc32(name.encode()) ^ 3)
+    pairs = list(zip(flat[0::2], flat[1::2]))
+    rng.shuffle(pairs)
+    removed = pairs[: len(pairs) // 2] + [(-1, -1), (BOUNDARY, 2 ** 62)]
+    view1 = PYTHON_KERNELS.sort_pairs(flat, dedup=True)
+    view2 = PYTHON_KERNELS.sort_pairs(
+        [v for pair in removed for v in pair], dedup=True
+    )
+    expected = [
+        v for pair in sorted(set(pairs) - set(removed)) for v in pair
+    ]
+    assert as_ints(PYTHON_KERNELS.difference(view1, view2)) == expected
+    for kernels in (
+        np_kernels,
+        CompressedKernels(np_kernels),
+        CompressedKernels(PYTHON_KERNELS),
+    ):
+        got = kernels.difference(kernels.asarray(view1), view2)
+        assert as_ints(got) == expected
+        assert as_ints(kernels.difference(view1, view1[:0])) == as_ints(view1)
+
+
 def test_consecutive_in_group_matches(np_kernels, dist):
     _, flat = dist
     sorted_flat = PYTHON_KERNELS.sort_pairs(flat, dedup=True)

@@ -117,6 +117,48 @@ class TestMergeInferred:
         new = store.merge_inferred(buffers)
         assert new.n_triples == 1
 
+    def test_own_buffers_merge_and_keep_their_sorted_rows(self):
+        store = TripleStore()
+        store.add_encoded([(1, 100, 2)])
+        shared = InferredBuffers()
+        shared.emit(100, 5, 5)
+        shared.emit(100, 6, 6)
+        mine = InferredBuffers()
+        mine.emit(100, 9, 9)
+        mine.emit(100, 1, 2)  # already stored: still one of its rows
+        mine.emit(100, 5, 5)  # also emitted by another rule
+        mine.emit(100, 9, 9)
+        mine.emit(200, 3, 4)
+        new = store.merge_inferred(shared, {7: mine})
+        assert new.as_set() == {
+            (5, 100, 5), (6, 100, 6), (9, 100, 9), (3, 200, 4)
+        }
+        assert store.n_triples == 5
+        rows = {pid: list(flat) for pid, flat in new.own_rows[7].items()}
+        assert rows == {100: [1, 2, 5, 5, 9, 9], 200: [3, 4]}
+        # Fed by `mine` alone: the delta table itself stands for its rows,
+        # and the rule's view drops it without a difference pass.
+        assert new.own_rows[7][200] is new.table(200).pairs
+        assert new.without(new.own_rows[7], keep=-1).as_set() == {
+            (6, 100, 6)
+        }
+
+    def test_without_drops_rows_but_keeps_one_property(self):
+        store = TripleStore()
+        store.add_encoded(
+            [(1, 100, 2), (3, 100, 4), (5, 200, 6), (7, 300, 8)]
+        )
+        kept = store.table(300)
+        view = store.without(
+            {100: flat([(3, 4), (9, 9)]), 200: flat([(5, 6)]),
+             300: flat([(7, 8)])},
+            keep=300,
+        )
+        assert view.as_set() == {(1, 100, 2), (7, 300, 8)}
+        assert view.table(200) is None
+        assert view.table(300) is kept  # shared, not copied
+        assert store.n_triples == 4  # the store itself is untouched
+
 
 class TestQueries:
     def setup_method(self):
