@@ -4,9 +4,9 @@ The paper's first contribution claim: "it is worth paying the
 performance penalty of translating data into Nuutila's algorithm data
 layout for a massive speedup".  This ablation isolates exactly that
 choice: the identical InferrayEngine runs once with the θ pre-pass
-(ThetaRule) and once with transitivity as an iterative sort-merge
-self-join (IterativeTransitivityRule) — everything else (store, sorts,
-merges) unchanged.
+(ThetaRule) and once with SCM-SCO's description fired as an iterative
+sort-merge self-join (the shaped JoinRule) — everything else (store,
+sorts, merges) unchanged.
 
 Run:     python benchmarks/bench_ablation_closure.py
 Pytest:  pytest benchmarks/bench_ablation_closure.py --benchmark-only
@@ -19,8 +19,8 @@ import pytest
 from repro.bench.harness import format_table
 from repro.core.engine import InferrayEngine, MaterializationTimeout
 from repro.datasets.chains import chain_closure_size, subclass_chain
-from repro.rules.classes import IterativeTransitivityRule
-from repro.rules.table5 import make_rules
+from repro.rules.classes import shaped_rule
+from repro.rules.table5 import BY_NAME, make_rules
 
 LENGTHS = [100, 250, 500, 1000]
 TIMEOUT = 30.0
@@ -31,9 +31,11 @@ def nuutila_engine():
 
 
 def iterative_engine():
-    return InferrayEngine(
-        [IterativeTransitivityRule("SCM-SCO-ITER", "subClassOf")]
-    )
+    return InferrayEngine([
+        shaped_rule(
+            "SCM-SCO-ITER", BY_NAME["SCM-SCO"].description, "theta-iterative"
+        )
+    ])
 
 
 def run_ablation(lengths=None, timeout=TIMEOUT):

@@ -4,7 +4,6 @@ from .base import BaselineReasoner, BaselineStats
 from .datalog import (
     Atom,
     DatalogRule,
-    datalog_form,
     datalog_ruleset,
     is_var,
     match_atom,
@@ -22,7 +21,6 @@ __all__ = [
     "HashJoinEngine",
     "NaiveEngine",
     "ReteEngine",
-    "datalog_form",
     "datalog_ruleset",
     "is_var",
     "match_atom",

@@ -1,4 +1,4 @@
-"""Datalog forms of the Table-5 rules, shared by the baseline engines.
+"""The Table-5 rules as resolved datalog, shared by the baseline engines.
 
 The comparator engines (naive / hash-join / RETE) evaluate the rulesets
 as plain datalog over encoded triples — *without* Inferray's closure
@@ -7,11 +7,15 @@ iterative systems pay the duplicate-explosion cost on transitive rules
 (SCM-SCO, SCM-SPO, EQ-TRANS, PRP-TRP appear here as ordinary 2- and
 3-atom rules).
 
-An :class:`Atom` holds a variable (a ``str`` beginning with ``?``) or an
+The rules are the catalogue's own descriptions
+(:mod:`repro.rules.table5`), resolved through :class:`Vocab`.  An
+:class:`Atom` holds a variable (a ``str`` beginning with ``?``) or an
 encoded constant (``int``) in each position; a rule may carry
 inequality constraints between variables (PRP-FP / PRP-IFP) and several
 head atoms.  Fixed points of these programs coincide with Inferray's
-materialization — asserted by the differential tests.
+materialization — asserted by the differential tests, while the
+hand-written conformance fixtures check both without reading the
+descriptions.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..rules import spec
 from ..rules.spec import Vocab
+from ..rules.table5 import BY_NAME
 
 TermSpec = Union[str, int]  # "?var" or encoded constant id
 EncodedTriple = Tuple[int, int, int]
@@ -56,242 +62,28 @@ def is_var(term: TermSpec) -> bool:
     return isinstance(term, str)
 
 
-def _r(name, body, heads, not_equal=()):
-    return DatalogRule(
-        name,
-        tuple(Atom(*a) for a in body),
-        tuple(Atom(*a) for a in heads),
-        tuple(not_equal),
-    )
-
-
-def datalog_form(name: str, vocab: Vocab) -> DatalogRule:
-    """The datalog form of one Table-5 rule, with constants resolved."""
-    TYPE = vocab.type
-    SCO = vocab.subClassOf
-    SPO = vocab.subPropertyOf
-    DOM = vocab.domain
-    RNG = vocab.range
-    SAME = vocab.sameAs
-    EQC = vocab.equivalentClass
-    EQP = vocab.equivalentProperty
-    INV = vocab.inverseOf
-
-    forms: Dict[str, DatalogRule] = {
-        "CAX-EQC1": _r(
-            "CAX-EQC1",
-            [("?c1", EQC, "?c2"), ("?x", TYPE, "?c1")],
-            [("?x", TYPE, "?c2")],
-        ),
-        "CAX-EQC2": _r(
-            "CAX-EQC2",
-            [("?c1", EQC, "?c2"), ("?x", TYPE, "?c2")],
-            [("?x", TYPE, "?c1")],
-        ),
-        "CAX-SCO": _r(
-            "CAX-SCO",
-            [("?c1", SCO, "?c2"), ("?x", TYPE, "?c1")],
-            [("?x", TYPE, "?c2")],
-        ),
-        "EQ-REP-O": _r(
-            "EQ-REP-O",
-            [("?o1", SAME, "?o2"), ("?s", "?p", "?o2")],
-            [("?s", "?p", "?o1")],
-        ),
-        "EQ-REP-P": _r(
-            "EQ-REP-P",
-            [("?p1", SAME, "?p2"), ("?s", "?p2", "?o")],
-            [("?s", "?p1", "?o")],
-        ),
-        "EQ-REP-S": _r(
-            "EQ-REP-S",
-            [("?s1", SAME, "?s2"), ("?s2", "?p", "?o")],
-            [("?s1", "?p", "?o")],
-        ),
-        "EQ-SYM": _r(
-            "EQ-SYM", [("?x", SAME, "?y")], [("?y", SAME, "?x")]
-        ),
-        "EQ-TRANS": _r(
-            "EQ-TRANS",
-            [("?x", SAME, "?y"), ("?y", SAME, "?z")],
-            [("?x", SAME, "?z")],
-        ),
-        "PRP-DOM": _r(
-            "PRP-DOM",
-            [("?p", DOM, "?c"), ("?x", "?p", "?y")],
-            [("?x", TYPE, "?c")],
-        ),
-        "PRP-EQP1": _r(
-            "PRP-EQP1",
-            [("?p1", EQP, "?p2"), ("?x", "?p1", "?y")],
-            [("?x", "?p2", "?y")],
-        ),
-        "PRP-EQP2": _r(
-            "PRP-EQP2",
-            [("?p1", EQP, "?p2"), ("?x", "?p2", "?y")],
-            [("?x", "?p1", "?y")],
-        ),
-        "PRP-FP": _r(
-            "PRP-FP",
-            [
-                ("?p", TYPE, vocab.FunctionalProperty),
-                ("?x", "?p", "?y1"),
-                ("?x", "?p", "?y2"),
-            ],
-            [("?y1", SAME, "?y2")],
-            not_equal=[("?y1", "?y2")],
-        ),
-        "PRP-IFP": _r(
-            "PRP-IFP",
-            [
-                ("?p", TYPE, vocab.InverseFunctionalProperty),
-                ("?x1", "?p", "?y"),
-                ("?x2", "?p", "?y"),
-            ],
-            [("?x1", SAME, "?x2")],
-            not_equal=[("?x1", "?x2")],
-        ),
-        "PRP-INV1": _r(
-            "PRP-INV1",
-            [("?p1", INV, "?p2"), ("?x", "?p1", "?y")],
-            [("?y", "?p2", "?x")],
-        ),
-        "PRP-INV2": _r(
-            "PRP-INV2",
-            [("?p1", INV, "?p2"), ("?x", "?p2", "?y")],
-            [("?y", "?p1", "?x")],
-        ),
-        "PRP-RNG": _r(
-            "PRP-RNG",
-            [("?p", RNG, "?c"), ("?x", "?p", "?y")],
-            [("?y", TYPE, "?c")],
-        ),
-        "PRP-SPO1": _r(
-            "PRP-SPO1",
-            [("?p1", SPO, "?p2"), ("?x", "?p1", "?y")],
-            [("?x", "?p2", "?y")],
-        ),
-        "PRP-SYMP": _r(
-            "PRP-SYMP",
-            [("?p", TYPE, vocab.SymmetricProperty), ("?x", "?p", "?y")],
-            [("?y", "?p", "?x")],
-        ),
-        "PRP-TRP": _r(
-            "PRP-TRP",
-            [
-                ("?p", TYPE, vocab.TransitiveProperty),
-                ("?x", "?p", "?y"),
-                ("?y", "?p", "?z"),
-            ],
-            [("?x", "?p", "?z")],
-        ),
-        "SCM-DOM1": _r(
-            "SCM-DOM1",
-            [("?p", DOM, "?c1"), ("?c1", SCO, "?c2")],
-            [("?p", DOM, "?c2")],
-        ),
-        "SCM-DOM2": _r(
-            "SCM-DOM2",
-            [("?p2", DOM, "?c"), ("?p1", SPO, "?p2")],
-            [("?p1", DOM, "?c")],
-        ),
-        "SCM-EQC1": _r(
-            "SCM-EQC1",
-            [("?c1", EQC, "?c2")],
-            [("?c1", SCO, "?c2"), ("?c2", SCO, "?c1")],
-        ),
-        "SCM-EQC2": _r(
-            "SCM-EQC2",
-            [("?c1", SCO, "?c2"), ("?c2", SCO, "?c1")],
-            [("?c1", EQC, "?c2")],
-        ),
-        "SCM-EQP1": _r(
-            "SCM-EQP1",
-            [("?p1", EQP, "?p2")],
-            [("?p1", SPO, "?p2"), ("?p2", SPO, "?p1")],
-        ),
-        "SCM-EQP2": _r(
-            "SCM-EQP2",
-            [("?p1", SPO, "?p2"), ("?p2", SPO, "?p1")],
-            [("?p1", EQP, "?p2")],
-        ),
-        "SCM-RNG1": _r(
-            "SCM-RNG1",
-            [("?p", RNG, "?c1"), ("?c1", SCO, "?c2")],
-            [("?p", RNG, "?c2")],
-        ),
-        "SCM-RNG2": _r(
-            "SCM-RNG2",
-            [("?p2", RNG, "?c"), ("?p1", SPO, "?p2")],
-            [("?p1", RNG, "?c")],
-        ),
-        "SCM-SCO": _r(
-            "SCM-SCO",
-            [("?c1", SCO, "?c2"), ("?c2", SCO, "?c3")],
-            [("?c1", SCO, "?c3")],
-        ),
-        "SCM-SPO": _r(
-            "SCM-SPO",
-            [("?p1", SPO, "?p2"), ("?p2", SPO, "?p3")],
-            [("?p1", SPO, "?p3")],
-        ),
-        "SCM-CLS": _r(
-            "SCM-CLS",
-            [("?c", TYPE, vocab.owlClass)],
-            [
-                ("?c", SCO, "?c"),
-                ("?c", EQC, "?c"),
-                ("?c", SCO, vocab.Thing),
-                (vocab.Nothing, SCO, "?c"),
-            ],
-        ),
-        "SCM-DP": _r(
-            "SCM-DP",
-            [("?p", TYPE, vocab.DatatypeProperty)],
-            [("?p", SPO, "?p"), ("?p", EQP, "?p")],
-        ),
-        "SCM-OP": _r(
-            "SCM-OP",
-            [("?p", TYPE, vocab.ObjectProperty)],
-            [("?p", SPO, "?p"), ("?p", EQP, "?p")],
-        ),
-        "RDFS4": _r(
-            "RDFS4",
-            [("?x", "?p", "?y")],
-            [("?x", TYPE, vocab.Resource), ("?y", TYPE, vocab.Resource)],
-        ),
-        "RDFS8": _r(
-            "RDFS8",
-            [("?x", TYPE, vocab.rdfsClass)],
-            [("?x", SCO, vocab.Resource)],
-        ),
-        "RDFS12": _r(
-            "RDFS12",
-            [("?x", TYPE, vocab.ContainerMembershipProperty)],
-            [("?x", SPO, vocab.member)],
-        ),
-        "RDFS13": _r(
-            "RDFS13",
-            [("?x", TYPE, vocab.Datatype)],
-            [("?x", SCO, vocab.Literal)],
-        ),
-        "RDFS6": _r(
-            "RDFS6",
-            [("?x", TYPE, vocab.Property)],
-            [("?x", SPO, "?x")],
-        ),
-        "RDFS10": _r(
-            "RDFS10",
-            [("?x", TYPE, vocab.rdfsClass)],
-            [("?x", SCO, "?x")],
-        ),
-    }
-    return forms[name]
-
-
 def datalog_ruleset(names: Sequence[str], vocab: Vocab) -> List[DatalogRule]:
-    """Datalog forms of many rules (order preserved)."""
-    return [datalog_form(name, vocab) for name in names]
+    """The catalogue's descriptions of ``names`` (order preserved), with
+    their constants resolved through ``vocab``."""
+
+    def resolve(atoms) -> Tuple[Atom, ...]:
+        return tuple(
+            Atom(*(term if spec.is_var(term) else vocab[term] for term in atom))
+            for atom in atoms
+        )
+
+    rules = []
+    for name in names:
+        description = BY_NAME[name].description
+        rules.append(
+            DatalogRule(
+                name,
+                resolve(description.body),
+                resolve(description.head),
+                description.not_equal,
+            )
+        )
+    return rules
 
 
 def substitute(atom: Atom, bindings: Dict[str, int]) -> Atom:

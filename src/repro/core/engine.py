@@ -514,9 +514,7 @@ class InferrayEngine:
             vocab=self.vocab,
             kernels=self.kernels,
         )
-        pairs = sum(
-            rule.prepass(ctx) for rule in rules if rule.rule_class == "theta"
-        )
+        pairs = sum(rule.prepass(ctx) for rule in rules)
         for property_id, chunks in closed.chunk_items():
             self.main.load_table(
                 property_id, self.kernels.concat(chunks), presorted=False

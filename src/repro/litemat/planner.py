@@ -1,8 +1,11 @@
 """Hybrid planner: which rules does the hierarchy encoding absorb?
 
-Given a rule catalogue, decide per ruleset which Table-5 executors the
+Given a rule catalogue, decide per ruleset which Table-5 rules the
 interval encoding can answer at query time (*absorbed* — they never run
-on flush) and which must still materialize.  The decision consults
+on flush) and which must still materialize.  A rule is taken for an
+absorbable or hierarchy-aware rule only when its description equals
+the catalogue's for its name (the executor is never inspected).  The
+decision consults
 :class:`repro.rules.depgraph.RuleDependencyGraph`: an absorbed rule's
 virtual output must never flow into a still-materialized rule (that
 rule would fire over an incomplete table), and a materialized rule must
@@ -47,26 +50,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
-from ..rules.classes import (
-    AlphaRule,
-    DomainRangeRule,
-    PropertyCopyRule,
-    ThetaRule,
-)
 from ..rules.depgraph import RuleDependencyGraph
 from ..rules.spec import Rule
-
-#: Rule names the encoding can absorb, with the exact executor shape
-#: each name must carry (guarding against same-named custom rules).
-#: Alpha shapes are (p1, pos1, p2, pos2, out, head_subject, head_object).
-_ALPHA_SHAPES = {
-    "CAX-SCO": ("subClassOf", "s", "type", "o", "type", "r2", "r1"),
-    "SCM-DOM1": ("domain", "o", "subClassOf", "s", "domain", "r1", "r2"),
-    "SCM-DOM2": ("domain", "s", "subPropertyOf", "o", "domain", "r2", "r1"),
-    "SCM-RNG1": ("range", "o", "subClassOf", "s", "range", "r1", "r2"),
-    "SCM-RNG2": ("range", "s", "subPropertyOf", "o", "range", "r2", "r1"),
-}
-_THETA_KINDS = {"SCM-SCO": "subClassOf", "SCM-SPO": "subPropertyOf"}
+from ..rules.table5 import BY_NAME
 
 ABSORBABLE_RULES = (
     "CAX-SCO",
@@ -83,38 +69,11 @@ ABSORBABLE_RULES = (
 HIERARCHY_AWARE_RULES = ("PRP-DOM", "PRP-RNG")
 
 
-def _is_absorbable(rule: Rule) -> bool:
-    """Name *and* executor shape match one of the absorbable rules."""
-    shape = _ALPHA_SHAPES.get(rule.name)
-    if shape is not None:
-        return isinstance(rule, AlphaRule) and shape == (
-            rule.p1,
-            rule.pos1,
-            rule.p2,
-            rule.pos2,
-            rule.out,
-            rule.head_subject,
-            rule.head_object,
-        )
-    if rule.name in _THETA_KINDS:
-        return (
-            isinstance(rule, ThetaRule)
-            and rule.kind == _THETA_KINDS[rule.name]
-        )
-    if rule.name == "PRP-SPO1":
-        return (
-            isinstance(rule, PropertyCopyRule)
-            and rule.schema == "subPropertyOf"
-            and rule.forward
-            and not rule.reverse
-        )
-    return False
-
-
-def _is_hierarchy_aware(rule: Rule) -> bool:
-    return (
-        isinstance(rule, DomainRangeRule)
-        and rule.name in HIERARCHY_AWARE_RULES
+def _catalogued(rule: Rule, names: Sequence[str]) -> bool:
+    """One of ``names``, firing exactly the catalogue's description for
+    that name (so a same-named custom rule is neither)."""
+    return rule.name in names and rule.descriptions == (
+        BY_NAME[rule.name].description,
     )
 
 
@@ -172,7 +131,8 @@ class HybridPlan:
 def plan_hybrid(rules: Sequence[Rule], ruleset_name: str) -> HybridPlan:
     """Split ``rules`` into absorbed and materialized sets.
 
-    Starts from every shape-verified absorbable rule and ejects to a
+    Starts from every absorbable rule whose description is the
+    catalogue's and ejects to a
     fixed point (ejecting one rule can strand another):
 
     * the absorbed rule feeds a materialized, non-aware rule — that
@@ -184,10 +144,12 @@ def plan_hybrid(rules: Sequence[Rule], ruleset_name: str) -> HybridPlan:
     rules = list(rules)
     graph = RuleDependencyGraph(rules)
     absorbed_idx = {
-        i for i, rule in enumerate(rules) if _is_absorbable(rule)
+        i for i, rule in enumerate(rules)
+        if _catalogued(rule, ABSORBABLE_RULES)
     }
     aware_idx = {
-        i for i, rule in enumerate(rules) if _is_hierarchy_aware(rule)
+        i for i, rule in enumerate(rules)
+        if _catalogued(rule, HIERARCHY_AWARE_RULES)
     }
 
     def exempt(j: int) -> bool:

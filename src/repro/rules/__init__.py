@@ -1,19 +1,13 @@
-"""Rule machinery: Table-5 catalogue, classes and rulesets (paper §4.4)."""
+"""Rule machinery: Table-5 catalogue, executors and rulesets (paper §4.4)."""
 
 from .classes import (
-    AlphaRule,
-    BetaRule,
-    DomainRangeRule,
     FunctionalPropertyRule,
-    IterativeTransitivityRule,
-    PropertyCopyRule,
-    ResourceRule,
+    JoinRule,
+    OneAtomRule,
     SameAsRule,
-    SymmetricPropertyRule,
+    SchemaRule,
     ThetaRule,
-    TrivialCopyRule,
-    TrivialTypeExpandRule,
-    merge_join_groups,
+    shaped_rule,
 )
 from .depgraph import ANY, RuleDependencyGraph, RuleIO, rule_io
 from .rulesets import (
@@ -22,37 +16,32 @@ from .rulesets import (
     rule_entry,
     ruleset_rule_names,
 )
-from .spec import Rule, RuleContext, Vocab, table_or_none
+from .spec import Description, Rule, RuleContext, Vocab, table_or_none
 from .table5 import BY_NAME, TABLE5, RuleEntry, make_rules
 
 __all__ = [
     "ANY",
-    "AlphaRule",
     "BY_NAME",
-    "BetaRule",
-    "DomainRangeRule",
+    "Description",
     "FunctionalPropertyRule",
-    "IterativeTransitivityRule",
-    "PropertyCopyRule",
+    "JoinRule",
+    "OneAtomRule",
     "RULESET_NAMES",
-    "ResourceRule",
     "Rule",
     "RuleContext",
     "RuleDependencyGraph",
     "RuleEntry",
     "RuleIO",
     "SameAsRule",
-    "SymmetricPropertyRule",
+    "SchemaRule",
     "TABLE5",
     "ThetaRule",
-    "TrivialCopyRule",
-    "TrivialTypeExpandRule",
     "Vocab",
     "get_ruleset",
     "make_rules",
-    "merge_join_groups",
     "rule_entry",
     "rule_io",
     "ruleset_rule_names",
+    "shaped_rule",
     "table_or_none",
 ]

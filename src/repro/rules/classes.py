@@ -1,18 +1,31 @@
-"""Executors for the Table-5 rule classes (paper §4.4).
+"""Executors for the Table-5 rules (paper §4.4), built from descriptions.
 
-Each executor implements one *class* of rules over the vertically
-partitioned store; :mod:`repro.rules.table5` instantiates them with the
-concrete vocabulary constants.  All joins are sort-merge joins over the
-⟨s, o⟩ tables and their cached ⟨o, s⟩ views, exactly as described for
-CAX-SCO in the paper's Figure 4.
+Every rule is one :class:`~repro.rules.spec.Description` in
+:mod:`repro.rules.table5`.  Three executors cover the 1- and 2-atom
+bodies; each reads its body's shape once, at construction, and fires it
+with the kernel calls that shape needs (:func:`shaped_rule` picks one):
 
-The bulk passes — the merge joins themselves, pair intersections,
-component swaps, distinct-key scans and the functional-property
-conflict scan — execute on the engine's kernel backend
-(``ctx.kernels``; see :mod:`repro.kernels`), so rule firing is
-vectorized end to end under the NumPy backend: a join produces one flat
-pair array that is handed to the output buffers as a single chunk,
-never one Python-level ``emit`` per derived triple.
+* :class:`JoinRule` — two constant-predicate atoms joined on the
+  variables they share (α, β, and the ablation's iterative θ), by sort
+  merge over the ⟨s, o⟩ tables and their cached ⟨o, s⟩ views, exactly
+  as the paper's Figure 4 describes for CAX-SCO;
+* :class:`SchemaRule` — a schema atom whose rows name the data atom's
+  predicate: one copy, swap or typing step per row (γ, δ);
+* :class:`OneAtomRule` — a one-atom body: Δ's rows written into each
+  head (the trivial rules).
+
+Three stay special, each for the reason its docstring gives:
+:class:`ThetaRule` (the Nuutila pre-pass, §4.1),
+:class:`FunctionalPropertyRule` (a 3-atom body scanned in O(k·n)) and
+:class:`SameAsRule` (EQ-REP-S/P/O in one loop).  Each still carries its
+description(s), which is all the dependency graph, the hybrid planner
+and the datalog oracle read.
+
+The bulk passes execute on the engine's kernel backend (``ctx.kernels``;
+see :mod:`repro.kernels`), so rule firing is vectorized end to end under
+the NumPy backend: a join produces one flat pair array that is handed
+to the output buffers as a single chunk, never one Python-level
+``emit`` per derived triple.
 
 Semi-naive evaluation.  ``ctx.new`` is the delta Δ of the last merge
 and ``ctx.main`` the store M ⊇ Δ.  A two-atom executor runs the legs of
@@ -32,9 +45,9 @@ earlier iteration.  S itself is never trimmed.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
-from .spec import Rule, RuleContext, table_or_none
+from .spec import Description, Rule, RuleContext, is_var, table_or_none
 from ..closure.components import (
     closed_pairs,
     symmetric_transitive_closure_pairs,
@@ -53,291 +66,260 @@ def semi_naive_legs(new, main):
     return ((new, main), (main, new))
 
 
-def _two_leg_input_size(legs) -> int:
-    """Total pair count feeding a two-leg merge-join executor.
+def _unsupported(name: str, description: Description) -> ValueError:
+    return ValueError(
+        f"{name}: no executor fires {description.body} → {description.head}"
+    )
 
-    ``legs`` yields ``(table1, table2)`` pairs (``None`` entries are
-    skipped); the sum is the quantity the merge joins scan linearly —
-    the estimate the executor-selection cost model gates on.
+
+class JoinRule(Rule):
+    """α, β and the iterative θ: two constant-predicate atoms joined on
+    the variables they share.
+
+    One shared variable: each leg sort-merge joins the two tables on it,
+    through each atom's ⟨s, o⟩ or ⟨o, s⟩ view, and ``merge_join`` emits
+    the two other variables in the head's order.  Both shared: the legs
+    ``intersect`` the views.  A body that is its own mirror, ⟨a P b⟩ ∧
+    ⟨b P a⟩ (SCM-EQC2 / SCM-EQP2), runs the Δ ⋈ M leg only and emits its
+    swap for the M ⋈ Δ leg.
     """
-    size = 0
-    for table1, table2 in legs:
-        if table1 is None or table2 is None:
-            continue
-        size += table1.n_pairs + table2.n_pairs
-    return size
 
-
-def merge_join_groups(
-    view1: Sequence[int],
-    view2: Sequence[int],
-    callback: Callable[[List[int], List[int]], None],
-) -> None:
-    """Sort-merge join of two flat views keyed on their even components.
-
-    For every key present in both views, ``callback`` receives the lists
-    of odd-position companions (the "rest" variables) from each side.
-    Kept as the callback-style reference primitive (and for callers that
-    need per-key control); bulk rule execution uses the kernel
-    backends' ``merge_join`` instead.
-    """
-    i = j = 0
-    n1 = len(view1)
-    n2 = len(view2)
-    while i < n1 and j < n2:
-        key1 = view1[i]
-        key2 = view2[j]
-        if key1 < key2:
-            i += 2
-        elif key1 > key2:
-            j += 2
+    def __init__(self, name: str, description: Description,
+                 rule_class: str = "custom"):
+        super().__init__(name, (description,), rule_class)
+        (atom1, atom2), (head,) = description.body, description.head
+        self.p1, self.p2, self.out = atom1[1], atom2[1], head[1]
+        shared = {atom1[0], atom1[2]} & {atom2[0], atom2[2]}
+        self.intersecting = len(shared) == 2
+        self.mirrored = atom2 == atom1[::-1]
+        if self.intersecting:
+            # Both views in atom 1's ⟨s, o⟩ order.
+            self.by_subject = (True, atom2[0] == atom1[0])
+            order = (atom1[0], atom1[2])
         else:
-            i_end = i
-            while i_end < n1 and view1[i_end] == key1:
-                i_end += 2
-            j_end = j
-            while j_end < n2 and view2[j_end] == key1:
-                j_end += 2
-            callback(
-                [view1[x] for x in range(i + 1, i_end, 2)],
-                [view2[x] for x in range(j + 1, j_end, 2)],
+            (key,) = shared or (None,)
+            self.by_subject = (atom1[0] == key, atom2[0] == key)
+            order = (
+                atom1[2] if atom1[0] == key else atom1[0],
+                atom2[2] if atom2[0] == key else atom2[0],
             )
-            i = i_end
-            j = j_end
+        terms = (head[0], head[2])
+        if (
+            not shared
+            or terms not in (order, order[::-1])
+            or any(is_var(p) for p in (self.p1, self.p2, self.out))
+        ):
+            raise _unsupported(name, description)
+        self.swap = terms != order
 
-
-class AlphaRule(Rule):
-    """α: two-pattern join on subject or object (paper Figure 4).
-
-    Body: ⟨a1, P1, b1⟩ ∧ ⟨a2, P2, b2⟩ sharing exactly one variable, the
-    join variable, at position ``pos1`` of pattern 1 and ``pos2`` of
-    pattern 2.  Head: ⟨A, OUT, B⟩ where A/B are the two *rest*
-    variables ('r1' = pattern 1's non-join variable, 'r2' = pattern 2's).
-    """
-
-    rule_class = "alpha"
-
-    def __init__(
-        self,
-        name: str,
-        p1: str,
-        pos1: str,
-        p2: str,
-        pos2: str,
-        out: str,
-        head_subject: str,
-        head_object: str,
-    ):
-        super().__init__(name)
-        if pos1 not in ("s", "o") or pos2 not in ("s", "o"):
-            raise ValueError("join positions must be 's' or 'o'")
-        if {head_subject, head_object} - {"r1", "r2"}:
-            raise ValueError("alpha heads draw from rest variables only")
-        self.p1 = p1
-        self.pos1 = pos1
-        self.p2 = p2
-        self.pos2 = pos2
-        self.out = out
-        self.head_subject = head_subject
-        self.head_object = head_object
+    def _tables(self, new, main, vocab):
+        legs = ((new, main),) if self.mirrored else semi_naive_legs(new, main)
+        for store1, store2 in legs:
+            table1 = table_or_none(store1, vocab[self.p1])
+            table2 = table_or_none(store2, vocab[self.p2])
+            if table1 is not None and table2 is not None:
+                yield table1, table2
 
     def estimate_join_input(self, *, main, new, vocab):
-        pid1 = vocab[self.p1]
-        pid2 = vocab[self.p2]
-        legs = [
-            (table_or_none(store1, pid1), table_or_none(store2, pid2))
-            for store1, store2 in semi_naive_legs(new, main)
-        ]
-        return _two_leg_input_size(legs)
-
-    def apply(self, ctx: RuleContext) -> None:
-        kernels = ctx.kernels
-        pid1 = ctx.vocab[self.p1]
-        pid2 = ctx.vocab[self.p2]
-        out_pid = ctx.vocab[self.out]
-        subject_first = self.head_subject == "r1"
-        emitted = 0
-
-        for store1, store2 in semi_naive_legs(ctx.new, ctx.main):
-            table1 = table_or_none(store1, pid1)
-            table2 = table_or_none(store2, pid2)
-            if table1 is None or table2 is None:
-                continue
-            view1 = table1.pairs if self.pos1 == "s" else table1.os_pairs()
-            view2 = table2.pairs if self.pos2 == "s" else table2.os_pairs()
-            joined = kernels.merge_join(view1, view2, swap=not subject_first)
-            if len(joined):
-                ctx.out.extend(out_pid, joined)
-                emitted += len(joined) // 2
-        ctx.count(self.name, emitted)
-
-
-class BetaRule(Rule):
-    """β: self-join of one table, subject of one side = object of the other.
-
-    SCM-EQC2 / SCM-EQP2: ⟨a, P, b⟩ ∧ ⟨b, P, a⟩ → ⟨a, OUT, b⟩ (and the
-    symmetric instantiation ⟨b, OUT, a⟩).  Implemented as one linear
-    co-scan of the delta's ⟨s, o⟩ view against main's ⟨o, s⟩ view: the
-    composite keys coincide exactly on mutual pairs.
-    """
-
-    rule_class = "beta"
-
-    def __init__(self, name: str, prop: str, out: str):
-        super().__init__(name)
-        self.prop = prop
-        self.out = out
-
-    def apply(self, ctx: RuleContext) -> None:
-        kernels = ctx.kernels
-        pid = ctx.vocab[self.prop]
-        out_pid = ctx.vocab[self.out]
-        new_table = table_or_none(ctx.new, pid)
-        main_table = table_or_none(ctx.main, pid)
-        if new_table is None or main_table is None:
-            return
-        mutual = kernels.intersect(new_table.pairs, main_table.os_pairs())
-        if len(mutual):
-            ctx.out.extend(out_pid, mutual)
-            ctx.out.extend(out_pid, kernels.swap(mutual))
-        ctx.count(self.name, len(mutual))
-
-
-class PropertyCopyRule(Rule):
-    """δ (and the table-copy γ): copy one property table into another.
-
-    Driven by a schema table whose rows ⟨x, y⟩ name two properties:
-    ``forward`` copies table(x) into y, else table(y) into x; ``reverse``
-    swaps each pair while copying (inverseOf heads).  Covers PRP-SPO1,
-    PRP-EQP1/2 and PRP-INV1/2.
-    """
-
-    rule_class = "delta"
-
-    def __init__(self, name: str, schema: str, forward: bool, reverse: bool):
-        super().__init__(name)
-        self.schema = schema
-        self.forward = forward
-        self.reverse = reverse
-
-    def _copy(self, ctx: RuleContext, store, src: int, dst: int) -> int:
-        if src == dst and not self.reverse:
-            return 0  # copying a table onto itself adds nothing
-        table = table_or_none(store, src)
-        if table is None:
-            return 0
-        pairs = table.pairs
-        if self.reverse:
-            ctx.out.extend(dst, ctx.kernels.swap(pairs))
-        else:
-            ctx.out.extend(dst, pairs)
-        return len(pairs) // 2
-
-    def apply(self, ctx: RuleContext) -> None:
-        schema_pid = ctx.vocab[self.schema]
-        emitted = 0
-        for schema_store, data_store in semi_naive_legs(ctx.new, ctx.main):
-            schema = table_or_none(schema_store, schema_pid)
-            if schema is None:
-                continue
-            for x, y in schema.iter_pairs():
-                src, dst = (x, y) if self.forward else (y, x)
-                emitted += self._copy(ctx, data_store, src, dst)
-        ctx.count(self.name, emitted)
-
-
-class DomainRangeRule(Rule):
-    """γ: PRP-DOM / PRP-RNG — type every subject (object) of p with c.
-
-    Body: ⟨p, domain|range, c⟩ ∧ ⟨x, p, y⟩; the second pattern's
-    *property* is the first pattern's subject, so the executor iterates
-    the schema rows and visits each named property table — cheap in
-    practice because "the number of properties is much smaller compared
-    to classes and instances."
-    """
-
-    rule_class = "gamma"
-
-    def __init__(self, name: str, schema: str, use_subjects: bool):
-        super().__init__(name)
-        self.schema = schema
-        self.use_subjects = use_subjects
-
-    def _emit_types(self, ctx: RuleContext, store, p: int, c: int) -> int:
-        table = table_or_none(store, p)
-        if table is None:
-            return 0
-        kernels = ctx.kernels
-        if self.use_subjects:
-            members = kernels.distinct_evens(table.pairs)
-        else:
-            members = kernels.distinct_evens(table.os_pairs())
-        if not len(members):
-            return 0
-        ctx.out.extend(
-            ctx.vocab.type, kernels.pair_with_constant(members, c)
+        return sum(
+            table1.n_pairs + table2.n_pairs
+            for table1, table2 in self._tables(new, main, vocab)
         )
-        return len(members)
 
     def apply(self, ctx: RuleContext) -> None:
-        schema_pid = ctx.vocab[self.schema]
+        kernels = ctx.kernels
+        out_pid = ctx.vocab[self.out]
         emitted = 0
-        for schema_store, data_store in semi_naive_legs(ctx.new, ctx.main):
-            schema = table_or_none(schema_store, schema_pid)
-            if schema is None:
-                continue
-            for p, c in schema.iter_pairs():
-                emitted += self._emit_types(ctx, data_store, p, c)
+        for table1, table2 in self._tables(ctx.new, ctx.main, ctx.vocab):
+            view1 = table1.pairs if self.by_subject[0] else table1.os_pairs()
+            view2 = table2.pairs if self.by_subject[1] else table2.os_pairs()
+            if not self.intersecting:
+                chunks = (kernels.merge_join(view1, view2, swap=self.swap),)
+            else:
+                rows = kernels.intersect(view1, view2)
+                if self.mirrored:
+                    chunks = (rows, kernels.swap(rows))
+                else:
+                    chunks = (kernels.swap(rows) if self.swap else rows,)
+            for chunk in chunks:
+                if len(chunk):
+                    ctx.out.extend(out_pid, chunk)
+                    emitted += len(chunk) // 2
         ctx.count(self.name, emitted)
 
 
-class SymmetricPropertyRule(Rule):
-    """γ: PRP-SYMP — reverse-copy the table of every symmetric property."""
+class SchemaRule(Rule):
+    """γ and δ: a schema atom whose rows name the data atom's predicate.
 
-    rule_class = "gamma"
+    Body ⟨schema row⟩ ∧ ⟨x ?p y⟩ with ``?p`` a variable of the schema
+    atom, whose object may be a marker class (⟨?p type
+    SymmetricProperty⟩).  Each leg walks the schema rows and takes one
+    step on the table a row names: copy it into the head's table (δ:
+    PRP-SPO1, PRP-EQP1/2), swap it (PRP-INV1/2, PRP-SYMP), or pair its
+    distinct subjects (objects) with the row's class (PRP-DOM/RNG) —
+    cheap in practice because "the number of properties is much smaller
+    compared to classes and instances."
+    """
 
-    def __init__(self, name: str = "PRP-SYMP"):
-        super().__init__(name)
+    def __init__(self, name: str, description: Description,
+                 rule_class: str = "custom"):
+        super().__init__(name, (description,), rule_class)
+        (schema, data), (head,) = description.body, description.head
+        self.schema, self.out = schema[1], head[1]
+        self.marker = None if is_var(schema[2]) else schema[2]
+        row = [term for term in (schema[0], schema[2]) if is_var(term)]
+        data_terms, head_terms = (data[0], data[2]), (head[0], head[2])
+        self.typed = not is_var(head[1])
+        if self.typed:
+            target = head[2]  # the row's class
+            self.use_subjects = head[0] == data[0]
+            fits = head[0] in data_terms
+        else:
+            target = head[1]  # the table the row names
+            self.reverse = head_terms == data_terms[::-1]
+            fits = head_terms in (data_terms, data_terms[::-1])
+        if not fits or is_var(schema[1]) or not {data[1], target} <= set(row):
+            raise _unsupported(name, description)
+        self.source, self.target = row.index(data[1]), row.index(target)
 
     def apply(self, ctx: RuleContext) -> None:
         vocab = ctx.vocab
-        marker = vocab.SymmetricProperty
+        kernels = ctx.kernels
         emitted = 0
-        for type_store, data_store in semi_naive_legs(ctx.new, ctx.main):
-            types = table_or_none(type_store, vocab.type)
-            if types is None:
+        for schema_store, data_store in semi_naive_legs(ctx.new, ctx.main):
+            schema = table_or_none(schema_store, vocab[self.schema])
+            if schema is None:
                 continue
-            for p in types.subjects_of(marker):
-                table = table_or_none(data_store, p)
-                if table is not None:
-                    ctx.out.extend(p, ctx.kernels.swap(table.pairs))
+            if self.marker is None:
+                rows = schema.iter_pairs()
+            else:
+                rows = [(p,) for p in schema.subjects_of(vocab[self.marker])]
+            for row in rows:
+                table = table_or_none(data_store, row[self.source])
+                if table is None:
+                    continue
+                if self.typed:
+                    members = kernels.distinct_evens(
+                        table.pairs if self.use_subjects else table.os_pairs()
+                    )
+                    if len(members):
+                        ctx.out.extend(
+                            vocab[self.out],
+                            kernels.pair_with_constant(members, row[self.target]),
+                        )
+                    emitted += len(members)
+                elif self.reverse or row[self.target] != row[self.source]:
+                    # (a table copied onto itself adds nothing)
+                    pairs = table.pairs
+                    ctx.out.extend(
+                        row[self.target],
+                        kernels.swap(pairs) if self.reverse else pairs,
+                    )
                     emitted += table.n_pairs
         ctx.count(self.name, emitted)
 
 
-class FunctionalPropertyRule(Rule):
-    """PRP-FP / PRP-IFP: linear self-joins on (inverse-)functional tables.
+class OneAtomRule(Rule):
+    """The trivial rules: a one-atom body, Δ's rows written into each head.
 
-    For each marked property whose table (or marking) changed this
-    iteration, one scan of the ⟨s, o⟩ (FP) or ⟨o, s⟩ (IFP) view emits a
-    sameAs link between *consecutive distinct* conflict values in each
-    group — the symmetric-transitive sameAs closure completes the
-    clique, preserving the paper's O(k·n) bound.
+    The body is ⟨x type MARKER⟩ (SCM-CLS/DP/OP, RDFS6/8/10/12/13), one
+    table ⟨a P b⟩ (EQ-SYM, SCM-EQC1/EQP1) or every table ⟨x ?p y⟩
+    (RDFS4).  A head over both of a row's terms gets the rows, copied or
+    swapped; a head over one variable pairs that variable's distinct
+    values with the head's constant, or with themselves
+    (⟨x subClassOf x⟩).
     """
 
-    rule_class = "functional"
+    def __init__(self, name: str, description: Description,
+                 rule_class: str = "custom"):
+        super().__init__(name, (description,), rule_class)
+        ((self.s, self.p, self.o),) = description.body
+        body_vars = {term for term in (self.s, self.o) if is_var(term)}
+        for subject, prop, obj in description.head:
+            head_vars = {term for term in (subject, obj) if is_var(term)}
+            if is_var(prop) or not head_vars or not head_vars <= body_vars:
+                raise _unsupported(name, description)
 
-    def __init__(self, name: str, inverse: bool):
-        super().__init__(name)
-        self.inverse = inverse
+    def _values(self, table, var, ctx):
+        """Distinct values ``var`` takes in one Δ table."""
+        if not is_var(self.o):
+            return table.subjects_of(ctx.vocab[self.o])
+        return ctx.kernels.distinct_evens(
+            table.pairs if var == self.s else table.os_pairs()
+        )
 
     def apply(self, ctx: RuleContext) -> None:
         vocab = ctx.vocab
-        marker = (
-            vocab.InverseFunctionalProperty
-            if self.inverse
-            else vocab.FunctionalProperty
-        )
+        kernels = ctx.kernels
+        new = ctx.new
+        pids = new.property_ids() if is_var(self.p) else (vocab[self.p],)
+        emitted = 0
+        for pid in pids:
+            table = table_or_none(new, pid)
+            if table is None:
+                continue
+            values = {}
+            for subject, prop, obj in self.descriptions[0].head:
+                if is_var(subject) and is_var(obj) and subject != obj:
+                    count = table.n_pairs
+                    pairs = table.pairs
+                    chunk = pairs if subject == self.s else kernels.swap(pairs)
+                else:
+                    var = subject if is_var(subject) else obj
+                    if var not in values:
+                        values[var] = self._values(table, var, ctx)
+                    members = values[var]
+                    count = len(members)
+                    if not count:
+                        continue
+                    if subject == obj:
+                        chunk = kernels.repeat(members, [2] * count)
+                    elif var == subject:
+                        chunk = kernels.pair_with_constant(members, vocab[obj])
+                    else:
+                        chunk = kernels.pair_with_constant(
+                            members, vocab[subject], constant_as_object=False
+                        )
+                ctx.out.extend(vocab[prop], chunk)
+                emitted += count
+        ctx.count(self.name, emitted)
+
+
+def shaped_rule(name: str, description: Description,
+                rule_class: str = "custom") -> Rule:
+    """The executor for a 1- or 2-atom body, picked by its shape."""
+    body = description.body
+    if len(body) == 1:
+        return OneAtomRule(name, description, rule_class)
+    if len(body) == 2 and is_var(body[1][1]):
+        return SchemaRule(name, description, rule_class)
+    if len(body) == 2:
+        return JoinRule(name, description, rule_class)
+    raise _unsupported(name, description)
+
+
+class FunctionalPropertyRule(Rule):
+    """PRP-FP / PRP-IFP: ⟨p type M⟩ ∧ ⟨x p y1⟩ ∧ ⟨x p y2⟩, y1 ≠ y2.
+
+    Special because the body's self-join is quadratic per group.  For
+    each marked property whose table (or marking) changed this
+    iteration, one scan of the view keyed on the two data atoms' shared
+    variable — ⟨s, o⟩ for FP, ⟨o, s⟩ for IFP — emits a sameAs link
+    between *consecutive distinct* values in each group; the
+    symmetric-transitive sameAs closure completes the clique, preserving
+    the paper's O(k·n) bound.
+    """
+
+    def __init__(self, name: str, description: Description,
+                 rule_class: str = "functional"):
+        super().__init__(name, (description,), rule_class)
+        (_, _, self.marker), data1, data2 = description.body
+        self.inverse = data1[2] == data2[2]
+        self.out = description.head[0][1]
+
+    def apply(self, ctx: RuleContext) -> None:
+        vocab = ctx.vocab
+        marker = vocab[self.marker]
         main_types = table_or_none(ctx.main, vocab.type)
         if main_types is None:
             return
@@ -348,7 +330,7 @@ class FunctionalPropertyRule(Rule):
         newly_marked = (
             set(new_types.subjects_of(marker)) if new_types is not None else set()
         )
-        sameas_pid = vocab.sameAs
+        out_pid = vocab[self.out]
         emitted = 0
         for p in marked:
             changed = p in newly_marked or table_or_none(ctx.new, p) is not None
@@ -360,7 +342,7 @@ class FunctionalPropertyRule(Rule):
             view = table.os_pairs() if self.inverse else table.pairs
             conflicts = ctx.kernels.consecutive_in_group(view)
             if len(conflicts):
-                ctx.out.extend(sameas_pid, conflicts)
+                ctx.out.extend(out_pid, conflicts)
                 emitted += len(conflicts) // 2
         ctx.count(self.name, emitted)
 
@@ -368,11 +350,13 @@ class FunctionalPropertyRule(Rule):
 class SameAsRule(Rule):
     """same-as: EQ-REP-S / EQ-REP-P / EQ-REP-O in a single loop (§4.4).
 
-    The sameAs table (already symmetric after the θ closure) drives the
-    substitution: for each pair ⟨a, b⟩, b's property table is copied to
-    a (EQ-REP-P) and every occurrence of b as subject or object in any
-    property table re-emits with a substituted (EQ-REP-S / EQ-REP-O),
-    via per-table merge joins.
+    Special because the paper "handles the four rules with a single
+    loop": one executor fires the three descriptions.  The sameAs table
+    (already symmetric after the θ closure) drives the substitution: for
+    each pair ⟨a, b⟩, b's property table is copied to a (EQ-REP-P) and
+    every occurrence of b as subject or object in any property table
+    re-emits with a substituted (EQ-REP-S / EQ-REP-O), via per-table
+    merge joins.
 
     Both directions run even when ``new is main``: direction 1 replaces
     b by a for each ⟨a, sameAs, b⟩, direction 2 replaces s by its
@@ -380,11 +364,6 @@ class SameAsRule(Rule):
     once ``sameAs`` is symmetric-closed, which a custom catalogue
     without EQ-SYM / EQ-TRANS does not guarantee.
     """
-
-    rule_class = "same-as"
-
-    def __init__(self, name: str = "EQ-REP"):
-        super().__init__(name)
 
     def apply(self, ctx: RuleContext) -> None:
         vocab = ctx.vocab
@@ -443,28 +422,39 @@ class SameAsRule(Rule):
 class ThetaRule(Rule):
     """θ: transitivity via the Nuutila closure machinery (§4.1).
 
-    The engine runs a *pre-pass* closure before the fixed point (the
-    paper's Algorithm 1 line 2); during iterations the rule re-closes a
-    property only when its delta is non-empty (or, for PRP-TRP, when a
-    property was newly marked transitive), which keeps the fixed point
-    complete when other rules derive fresh θ-relevant triples.
+    Special because "transitive closure cannot be performed efficiently
+    using iterative rules application": the engine runs a *pre-pass*
+    closure before the fixed point (Algorithm 1 line 2), and during
+    iterations the rule re-closes a property only when its delta is
+    non-empty (or, for PRP-TRP, when a property was newly marked
+    transitive), which keeps the fixed point complete when other rules
+    derive fresh θ-relevant triples.
+
+    The closed property is the head's predicate; a variable one
+    (PRP-TRP) means every property carrying the marker class of the
+    body's ⟨?p type M⟩ atom.  ``owl:sameAs`` is closed as the
+    equivalence it is (its clique, EQ-SYM included), so the
+    substitution rules read a symmetric table.
     """
 
-    rule_class = "theta"
+    def __init__(self, name: str, description: Description,
+                 rule_class: str = "theta"):
+        super().__init__(name, (description,), rule_class)
+        prop = description.head[0][1]
+        self.prop = None if is_var(prop) else prop
+        self.marker = next(
+            (atom[2] for atom in description.body if atom[0] == prop), None
+        )
+        if self.prop is None and self.marker is None:
+            raise _unsupported(name, description)
+        self.symmetric = self.prop == "sameAs"
 
-    #: kinds: 'subClassOf' | 'subPropertyOf' | 'sameAs' | 'transitive'
-    def __init__(self, name: str, kind: str):
-        super().__init__(name)
-        if kind not in ("subClassOf", "subPropertyOf", "sameAs", "transitive"):
-            raise ValueError(f"unknown theta kind {kind!r}")
-        self.kind = kind
-
-    def _close_property(self, ctx: RuleContext, pid: int, symmetric: bool) -> int:
+    def _close_property(self, ctx: RuleContext, pid: int) -> int:
         table = table_or_none(ctx.main, pid)
         if table is None:
             return 0
         edges = list(table.iter_pairs())
-        if symmetric:
+        if self.symmetric:
             closed = symmetric_transitive_closure_pairs(
                 edges, kernels=ctx.kernels
             )
@@ -479,193 +469,44 @@ class ThetaRule(Rule):
             tracer.sequential_scan(("closure", pid), 8 * len(closed))
         return len(closed) // 2
 
-    def prepass(self, ctx: RuleContext) -> int:
-        """Full closure over the loaded data (engine line 2)."""
+    def _properties(self, ctx: RuleContext, changed_only: bool):
+        """The property ids to close (those whose input changed, or all)."""
         vocab = ctx.vocab
-        if self.kind == "sameAs":
-            return self._close_property(ctx, vocab.sameAs, symmetric=True)
-        if self.kind in ("subClassOf", "subPropertyOf"):
-            return self._close_property(ctx, vocab[self.kind], symmetric=False)
-        # transitive: every property marked owl:TransitiveProperty.
-        emitted = 0
+        if self.prop is not None:
+            pid = vocab[self.prop]
+            if changed_only and table_or_none(ctx.new, pid) is None:
+                return []
+            return [pid]
         types = table_or_none(ctx.main, vocab.type)
         if types is None:
-            return 0
-        for p in types.subjects_of(vocab.TransitiveProperty):
-            emitted += self._close_property(ctx, p, symmetric=False)
-        return emitted
+            return []
+        marker = vocab[self.marker]
+        marked = types.subjects_of(marker)
+        if not changed_only:
+            return marked
+        new_types = table_or_none(ctx.new, vocab.type)
+        newly_marked = (
+            set(new_types.subjects_of(marker)) if new_types is not None else set()
+        )
+        return [
+            p for p in marked
+            if p in newly_marked or table_or_none(ctx.new, p) is not None
+        ]
+
+    def prepass(self, ctx: RuleContext) -> int:
+        """Full closure over the loaded data (engine line 2)."""
+        return sum(
+            self._close_property(ctx, pid)
+            for pid in self._properties(ctx, changed_only=False)
+        )
 
     def apply(self, ctx: RuleContext) -> None:
         if ctx.iteration == 1 and ctx.theta_prepass_done:
             return  # pre-pass already closed the loaded data
-        vocab = ctx.vocab
-        emitted = 0
-        if self.kind == "sameAs":
-            if table_or_none(ctx.new, vocab.sameAs) is not None:
-                emitted = self._close_property(ctx, vocab.sameAs, symmetric=True)
-        elif self.kind in ("subClassOf", "subPropertyOf"):
-            pid = vocab[self.kind]
-            if table_or_none(ctx.new, pid) is not None:
-                emitted = self._close_property(ctx, pid, symmetric=False)
-        else:
-            main_types = table_or_none(ctx.main, vocab.type)
-            if main_types is None:
-                return
-            new_types = table_or_none(ctx.new, vocab.type)
-            newly_marked = (
-                set(new_types.subjects_of(vocab.TransitiveProperty))
-                if new_types is not None
-                else set()
-            )
-            for p in main_types.subjects_of(vocab.TransitiveProperty):
-                if p in newly_marked or table_or_none(ctx.new, p) is not None:
-                    emitted += self._close_property(ctx, p, symmetric=False)
-        ctx.count(self.name, emitted)
-
-
-class IterativeTransitivityRule(Rule):
-    """Ablation-only θ variant: transitivity as an iterative self-join.
-
-    Derives ⟨a, P, c⟩ from ⟨a, P, b⟩ ∧ ⟨b, P, c⟩ with a per-iteration
-    sort-merge self-join instead of the Nuutila pre-pass — the strategy
-    the paper argues *against* ("transitive closure cannot be performed
-    efficiently using iterative rules application since duplicate
-    generation rapidly degrades performance").  Used by
-    ``benchmarks/bench_ablation_closure.py`` to quantify that claim
-    inside the same engine.
-    """
-
-    rule_class = "theta-iterative"
-
-    def __init__(self, name: str, prop: str):
-        super().__init__(name)
-        self.prop = prop
-
-    def estimate_join_input(self, *, main, new, vocab):
-        pid = vocab[self.prop]
-        legs = [
-            (table_or_none(left, pid), table_or_none(right, pid))
-            for left, right in semi_naive_legs(new, main)
-        ]
-        return _two_leg_input_size(legs)
-
-    def apply(self, ctx: RuleContext) -> None:
-        pid = ctx.vocab[self.prop]
-        emitted = 0
-        for left_store, right_store in semi_naive_legs(ctx.new, ctx.main):
-            left = table_or_none(left_store, pid)
-            right = table_or_none(right_store, pid)
-            if left is None or right is None:
-                continue
-            # join var b: object of the left pattern, subject of the right.
-            joined = ctx.kernels.merge_join(left.os_pairs(), right.pairs)
-            if len(joined):
-                ctx.out.extend(pid, joined)
-                emitted += len(joined) // 2
-        ctx.count(self.name, emitted)
-
-
-class TrivialTypeExpandRule(Rule):
-    """Single-antecedent rules keyed on ⟨x, rdf:type, MARKER⟩.
-
-    ``heads`` are templates (subject_spec, out_property, object_spec)
-    where a spec is the variable ``'x'`` or a vocabulary constant name.
-    Covers SCM-CLS, SCM-DP, SCM-OP, RDFS6/8/10/12/13.
-    """
-
-    rule_class = "trivial"
-
-    def __init__(self, name: str, marker: str, heads):
-        super().__init__(name)
-        self.marker = marker
-        self.heads = heads
-
-    def apply(self, ctx: RuleContext) -> None:
-        vocab = ctx.vocab
-        new_types = table_or_none(ctx.new, vocab.type)
-        if new_types is None:
-            return
-        subjects = new_types.subjects_of(vocab[self.marker])
-        if not subjects:
-            return
-        emit = ctx.out.emit
-        emitted = 0
-        for x in subjects:
-            for subject_spec, out, object_spec in self.heads:
-                s = x if subject_spec == "x" else vocab[subject_spec]
-                o = x if object_spec == "x" else vocab[object_spec]
-                emit(vocab[out], s, o)
-                emitted += 1
-        ctx.count(self.name, emitted)
-
-
-class TrivialCopyRule(Rule):
-    """Single-antecedent rules keyed on one schema table's rows ⟨a, b⟩.
-
-    ``heads`` templates use 'a' / 'b' or vocabulary constant names.
-    Covers EQ-SYM, SCM-EQC1 and SCM-EQP1.
-    """
-
-    rule_class = "trivial"
-
-    def __init__(self, name: str, src: str, heads):
-        super().__init__(name)
-        self.src = src
-        self.heads = heads
-
-    def apply(self, ctx: RuleContext) -> None:
-        vocab = ctx.vocab
-        table = table_or_none(ctx.new, vocab[self.src])
-        if table is None:
-            return
-        emit = ctx.out.emit
-        emitted = 0
-        for a, b in table.iter_pairs():
-            for subject_spec, out, object_spec in self.heads:
-                if subject_spec == "a":
-                    s = a
-                elif subject_spec == "b":
-                    s = b
-                else:
-                    s = vocab[subject_spec]
-                if object_spec == "a":
-                    o = a
-                elif object_spec == "b":
-                    o = b
-                else:
-                    o = vocab[object_spec]
-                emit(vocab[out], s, o)
-                emitted += 1
-        ctx.count(self.name, emitted)
-
-
-class ResourceRule(Rule):
-    """RDFS4 (a+b): every subject and object is an rdfs:Resource."""
-
-    rule_class = "trivial"
-
-    def __init__(self, name: str = "RDFS4"):
-        super().__init__(name)
-
-    def apply(self, ctx: RuleContext) -> None:
-        vocab = ctx.vocab
-        kernels = ctx.kernels
-        type_pid = vocab.type
-        resource = vocab.Resource
-        emitted = 0
-        for pid in ctx.new.property_ids():
-            table = ctx.new.table(pid)
-            subjects = kernels.distinct_evens(table.pairs)
-            objects = kernels.distinct_evens(table.os_pairs())
-            if len(subjects):
-                ctx.out.extend(
-                    type_pid, kernels.pair_with_constant(subjects, resource)
-                )
-            if len(objects):
-                ctx.out.extend(
-                    type_pid, kernels.pair_with_constant(objects, resource)
-                )
-            emitted += len(subjects) + len(objects)
+        emitted = sum(
+            self._close_property(ctx, pid)
+            for pid in self._properties(ctx, changed_only=True)
+        )
         ctx.count(self.name, emitted)
 
 
@@ -673,56 +514,43 @@ def self_fed_rules(rules: Sequence[Rule]) -> Dict[int, str]:
     """Catalogue index → closed schema property S of each rule whose
     next delta may drop its own last output.
 
-    Decided from executor shape alone.  Two shapes re-feed their own
-    output over a schema property S:
-
-    * an :class:`AlphaRule` joining an S atom with a data atom and
-      writing into the data atom's property, with the data atom's other
-      variable kept in place and S's far end replacing the join
-      variable (CAX-SCO, SCM-DOM1/2, SCM-RNG1/2);
-    * a forward, non-reversing :class:`PropertyCopyRule` over S
-      (PRP-SPO1).
-
-    Either qualifies only when a :class:`ThetaRule` of the same
-    catalogue closes S.  Then a data row d the rule emitted in
-    iteration i−1, from d′ and ⟨a S b⟩, re-derives in iteration i only
-    what d′ derives through the composite S row, which the closure puts
-    in S: that is already stored, or derived by the ΔS leg (never
-    trimmed) when the composite arrives.  By induction on the iteration
-    a data row arrived, the closure loses nothing.
+    Read off the descriptions.  A rule qualifies when it fires one
+    description whose head is the data atom with the join variable
+    replaced by the far end of a schema atom S — ⟨a S b⟩ moves the data
+    row from a to b (CAX-SCO, PRP-SPO1, SCM-DOM1/2, SCM-RNG1/2) — and a
+    :class:`ThetaRule` of the same catalogue closes S.  Then a data row
+    d the rule emitted in iteration i−1, from d′ and ⟨a S b⟩, re-derives
+    in iteration i only what d′ derives through the composite S row,
+    which the closure puts in S: that is already stored, or derived by
+    the ΔS leg (never trimmed) when the composite arrives.  By induction
+    on the iteration a data row arrived, the closure loses nothing.
+    An executor firing several descriptions (EQ-REP-S/P/O) substitutes
+    at several positions, which no single composite S row covers.
     """
     closed = {
-        rule.kind
-        for rule in rules
-        if isinstance(rule, ThetaRule) and rule.kind != "transitive"
+        rule.prop for rule in rules
+        if isinstance(rule, ThetaRule) and rule.prop is not None
     }
     trims: Dict[int, str] = {}
     for index, rule in enumerate(rules):
-        schema = None
-        if isinstance(rule, AlphaRule):
-            schema = _alpha_schema(rule)
-        elif isinstance(rule, PropertyCopyRule):
-            if rule.forward and not rule.reverse:
-                schema = rule.schema
-        if schema in closed:
-            trims[index] = schema
+        if len(rule.descriptions) == 1:
+            schema = _self_fed_schema(rule.descriptions[0])
+            if schema in closed:
+                trims[index] = schema
     return trims
 
 
-def _alpha_schema(rule: AlphaRule) -> Optional[str]:
-    """The schema atom's property of a self-feeding α shape, or None."""
-    atoms = ((rule.p1, "r1"), (rule.p2, "r2"))
-    positions = (rule.pos1, rule.pos2)
-    for schema_at, data_at in ((0, 1), (1, 0)):
-        schema, schema_rest = atoms[schema_at]
-        data, data_rest = atoms[data_at]
-        if data == schema or rule.out != data:
+def _self_fed_schema(description: Description):
+    """S of a self-feeding description, or None."""
+    body, head = description.body, description.head
+    if len(body) != 2 or len(head) != 1:
+        return None
+    for schema, data in (body, body[::-1]):
+        subject, prop, obj = schema
+        if is_var(prop) or prop == data[1]:
             continue
-        head = (
-            (schema_rest, data_rest)
-            if positions[data_at] == "s"
-            else (data_rest, schema_rest)
-        )
-        if head == (rule.head_subject, rule.head_object):
-            return schema
+        for near, far in ((subject, obj), (obj, subject)):
+            if near in data and is_var(far) and far not in data:
+                if tuple(far if t == near else t for t in data) == head[0]:
+                    return prop
     return None

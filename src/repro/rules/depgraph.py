@@ -1,15 +1,15 @@
 """Rule→rule dependency graph over the Table-5 catalogue.
 
 Parallel rule firing needs to know *which rule outputs can feed which
-rule inputs*.  Each Table-5 executor reads a small set of property
-classes (its body patterns) and writes another (its head patterns);
-rule ``r1`` **feeds** ``r2`` when something ``r1`` can derive lands in
-a table ``r2`` joins on.  The analysis is symbolic: property classes
-are the vocabulary constant names the executors were instantiated with
-(``"subClassOf"``, ``"type"``, …) plus the wildcard :data:`ANY` for
-executors that touch arbitrary data-property tables (the δ copies, the
-sameAs substitution, PRP-TRP, RDFS4 — a ``subPropertyOf`` row may name
-*any* property, including schema vocabulary, so the wildcard must stay
+rule inputs*.  Each Table-5 rule reads a small set of property classes
+(its body's predicates) and writes another (its head's); rule ``r1``
+**feeds** ``r2`` when something ``r1`` can derive lands in a table
+``r2`` joins on.  The analysis is symbolic and read off each rule's
+description: property classes are the vocabulary names of constant
+predicates (``"subClassOf"``, ``"type"``, …) plus the wildcard
+:data:`ANY` for a variable predicate (the δ copies, the sameAs
+substitution, PRP-TRP, RDFS4 — a ``subPropertyOf`` row may name *any*
+property, including schema vocabulary, so the wildcard must stay
 conservative; see ``tests/integration/test_differential.py::
 test_schema_of_schema``).
 
@@ -29,21 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .classes import (
-    AlphaRule,
-    BetaRule,
-    DomainRangeRule,
-    FunctionalPropertyRule,
-    IterativeTransitivityRule,
-    PropertyCopyRule,
-    ResourceRule,
-    SameAsRule,
-    SymmetricPropertyRule,
-    ThetaRule,
-    TrivialCopyRule,
-    TrivialTypeExpandRule,
-)
-from .spec import Rule
+from .spec import Rule, is_var
 
 __all__ = ["ANY", "RuleDependencyGraph", "RuleIO", "rule_io"]
 
@@ -67,46 +53,25 @@ class RuleIO:
         return not self.writes.isdisjoint(other.reads)
 
 
-def _io(reads, writes) -> RuleIO:
-    return RuleIO(frozenset(reads), frozenset(writes))
-
-
 def rule_io(rule: Rule) -> RuleIO:
-    """Symbolic read/write sets for one Table-5 executor.
+    """Symbolic read/write sets, read off the rule's descriptions.
 
-    Unknown :class:`Rule` subclasses get the conservative
-    ``({ANY}, {ANY})`` — correct (it only adds edges) if pessimal.
+    A constant body predicate is read, a constant head predicate
+    written, and a variable predicate means :data:`ANY`.  A rule without
+    descriptions gets the conservative ``({ANY}, {ANY})`` — correct (it
+    only adds edges) if pessimal.
     """
-    if isinstance(rule, AlphaRule):
-        return _io({rule.p1, rule.p2}, {rule.out})
-    if isinstance(rule, BetaRule):
-        return _io({rule.prop}, {rule.out})
-    if isinstance(rule, PropertyCopyRule):
-        # The schema rows name arbitrary source/target tables.
-        return _io({rule.schema, ANY}, {ANY})
-    if isinstance(rule, DomainRangeRule):
-        return _io({rule.schema, ANY}, {"type"})
-    if isinstance(rule, SymmetricPropertyRule):
-        return _io({"type", ANY}, {ANY})
-    if isinstance(rule, FunctionalPropertyRule):
-        return _io({"type", ANY}, {"sameAs"})
-    if isinstance(rule, SameAsRule):
-        return _io({"sameAs", ANY}, {ANY})
-    if isinstance(rule, IterativeTransitivityRule):
-        return _io({rule.prop}, {rule.prop})
-    if isinstance(rule, ThetaRule):
-        if rule.kind == "transitive":
-            # PRP-TRP closes every owl:TransitiveProperty table.
-            return _io({"type", ANY}, {ANY})
-        # The remaining kinds name their vocab constant directly.
-        return _io({rule.kind}, {rule.kind})
-    if isinstance(rule, TrivialTypeExpandRule):
-        return _io({"type"}, {out for _, out, _ in rule.heads})
-    if isinstance(rule, TrivialCopyRule):
-        return _io({rule.src}, {out for _, out, _ in rule.heads})
-    if isinstance(rule, ResourceRule):
-        return _io({ANY}, {"type"})
-    return _io({ANY}, {ANY})
+    if not rule.descriptions:
+        return RuleIO(frozenset({ANY}), frozenset({ANY}))
+
+    def predicates(atoms) -> FrozenSet[str]:
+        return frozenset(ANY if is_var(prop) else prop for _, prop, _ in atoms)
+
+    descriptions = rule.descriptions
+    return RuleIO(
+        frozenset().union(*(predicates(d.body) for d in descriptions)),
+        frozenset().union(*(predicates(d.head) for d in descriptions)),
+    )
 
 
 class RuleDependencyGraph:

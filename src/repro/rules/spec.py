@@ -1,22 +1,58 @@
-"""Rule machinery core: resolved vocabulary, rule context, base class.
+"""Rule machinery core: descriptions, resolved vocabulary, rule context,
+base class.
 
-Rules operate entirely on dictionary-encoded ids.  A :class:`Vocab`
-resolves every constant appearing in Table 5 (schema properties and
-marker classes) to its id once per engine, so rule executors never touch
-strings.  A :class:`RuleContext` carries the Algorithm-1 stores of the
-current iteration plus the output buffers rules emit into.
+A :class:`Description` states one Table-5 rule as data: body atoms and
+head atoms over :class:`Vocab` names and ``?variables``.  Rules fire
+entirely on dictionary-encoded ids: a :class:`Vocab` resolves every
+constant appearing in Table 5 (schema properties and marker classes) to
+its id once per engine, so executors touch no term strings.  A
+:class:`RuleContext` carries the Algorithm-1 stores of the current
+iteration plus the output buffers rules emit into.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..dictionary.encoding import Dictionary
 from ..kernels import KernelBackend
 from ..kernels.python_backend import PYTHON_KERNELS
 from ..rdf.vocabulary import OWL, RDF, RDFS
 from ..store.triple_store import InferredBuffers, TripleStore
+
+
+#: One triple pattern: each position a Vocab name or a ``?variable``.
+Atom = Tuple[str, str, str]
+
+
+def is_var(term: str) -> bool:
+    """True for a ``?variable`` of a description."""
+    return term.startswith("?")
+
+
+@dataclass(frozen=True)
+class Description:
+    """body₁ ∧ … ∧ bodyₙ [∧ v≠w …] → head₁ ∧ … ∧ headₘ, as data.
+
+    The one statement of a rule's shape: executors are built from it
+    and read it once, and the dependency graph, the self-fed test, the
+    hybrid planner and the datalog oracle read it instead of executor
+    attributes.
+    """
+
+    body: Tuple[Atom, ...]
+    head: Tuple[Atom, ...]
+    not_equal: Tuple[Tuple[str, str], ...] = ()
+
+    @classmethod
+    def of(cls, body: str, head: str, not_equal=()) -> "Description":
+        """Parse ``"?c1 subClassOf ?c2 . ?x type ?c1"``-style atoms."""
+
+        def atoms(text: str) -> Tuple[Atom, ...]:
+            return tuple(tuple(atom.split()) for atom in text.split(" . "))
+
+        return cls(atoms(body), atoms(head), tuple(not_equal))
 
 
 class Vocab:
@@ -111,25 +147,37 @@ class RuleContext:
 
 
 class Rule:
-    """Base class: a named Table-5 rule with a class label.
+    """Base class: a named rule executor with a class label.
 
-    Subclasses implement :meth:`apply`, reading ``ctx.main`` /
-    ``ctx.new`` and emitting raw pairs into ``ctx.out``.  Emitting
-    duplicates is fine — the Figure-5 merge removes them; emitting
-    *already-known* triples is also fine but wasteful, so executors use
-    the delta store wherever the join shape allows.
+    ``descriptions`` are what the executor fires (empty for a custom
+    rule, which the dependency graph then treats conservatively);
+    ``rule_class`` is the Table-5 class label (alpha, beta, gamma,
+    delta, same-as, theta, functional, trivial), taken from the
+    catalogue entry.  Subclasses implement :meth:`apply`, reading
+    ``ctx.main`` / ``ctx.new`` and emitting raw pairs into ``ctx.out``.
+    Emitting duplicates is fine — the Figure-5 merge removes them;
+    emitting *already-known* triples is also fine but wasteful, so
+    executors use the delta store wherever the join shape allows.
     """
 
-    #: Table-5 class label: alpha, beta, gamma, delta, same-as, theta,
-    #: functional, or trivial.
-    rule_class = "trivial"
-
-    def __init__(self, name: str):
+    def __init__(
+        self,
+        name: str,
+        descriptions: Sequence[Description] = (),
+        rule_class: str = "custom",
+    ):
         self.name = name
+        self.descriptions: Tuple[Description, ...] = tuple(descriptions)
+        self.rule_class = rule_class
 
     def apply(self, ctx: RuleContext) -> None:
         """Fire the rule once for the current iteration."""
         raise NotImplementedError
+
+    def prepass(self, ctx: RuleContext) -> int:
+        """Close over the loaded data before the fixed point (engine
+        line 2); pairs emitted.  Only θ executors have work here."""
+        return 0
 
     def estimate_join_input(
         self,

@@ -4,12 +4,16 @@ Each entry records the paper's row number, rule name, ruleset
 memberships (``True`` = filled circle, ``"full"`` = half circle — rules
 that "do not produce meaningful triples and are used only in full
 versions of rulesets"), the paper's class label (α/β/γ/δ/θ/same-as/–)
-and a factory building the executor.
+and the rule itself: its body and head atoms over :class:`Vocab` names
+and ``?variables``.  That description is the one statement of the
+rule's shape.  Executors are built from it (:func:`make_rules`) — by
+shape (:func:`repro.rules.classes.shaped_rule`), unless the entry names
+one of the special executors — and the dependency graph, the self-fed
+test, the hybrid planner and the datalog oracle all read it.
 
-The four EQ-REP*/EQ-SYM rows note which executor *instance* they share:
-the paper "handles the four rules with a single loop" — here EQ-REP-S,
-EQ-REP-P and EQ-REP-O share one :class:`SameAsRule`, while EQ-SYM is the
-trivial single-antecedent case.
+The three EQ-REP rows share one :class:`SameAsRule`: the paper "handles
+the four rules with a single loop" (EQ-SYM, the fourth, is the trivial
+single-antecedent case).
 
 RDFS8's head is printed garbled in the paper's PDF; we implement the
 W3C RDF-Semantics form ``x rdf:type rdfs:Class → x rdfs:subClassOf
@@ -19,22 +23,10 @@ rdfs:Resource`` (DESIGN.md §6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
-from .classes import (
-    AlphaRule,
-    BetaRule,
-    DomainRangeRule,
-    FunctionalPropertyRule,
-    PropertyCopyRule,
-    ResourceRule,
-    SameAsRule,
-    SymmetricPropertyRule,
-    ThetaRule,
-    TrivialCopyRule,
-    TrivialTypeExpandRule,
-)
-from .spec import Rule
+from .classes import FunctionalPropertyRule, SameAsRule, ThetaRule, shaped_rule
+from .spec import Description, Rule
 
 Membership = Union[bool, str]  # True, False, or "full"
 
@@ -49,216 +41,108 @@ class RuleEntry:
     rho_df: Membership
     rdfs_plus: Membership
     paper_class: str
-    factory: Optional[Callable[[], Rule]]
-    #: For rows sharing one executor (EQ-REP-*), the canonical row name.
+    description: Description
+    #: A special executor class; ``None`` builds one by body shape.
+    executor: Optional[type] = None
+    #: For rows sharing one executor (EQ-REP-*), the executor's name.
     shared_executor: Optional[str] = None
 
 
-def _alpha(name, p1, pos1, p2, pos2, out, hs, ho):
-    return lambda: AlphaRule(name, p1, pos1, p2, pos2, out, hs, ho)
+def _row(number, name, rdfs, rho_df, rdfs_plus, paper_class, body, head,
+         executor=None, shared_executor=None, not_equal=()):
+    return RuleEntry(
+        number, name, rdfs, rho_df, rdfs_plus, paper_class,
+        Description.of(body, head, not_equal), executor, shared_executor,
+    )
 
+
+T, F, H = True, False, "full"
 
 TABLE5: List[RuleEntry] = [
-    RuleEntry(
-        1, "CAX-EQC1", False, False, True, "alpha",
-        _alpha("CAX-EQC1", "equivalentClass", "s", "type", "o",
-               "type", "r2", "r1"),
-    ),
-    RuleEntry(
-        2, "CAX-EQC2", False, False, True, "alpha",
-        _alpha("CAX-EQC2", "equivalentClass", "o", "type", "o",
-               "type", "r2", "r1"),
-    ),
-    RuleEntry(
-        3, "CAX-SCO", True, True, True, "alpha",
-        _alpha("CAX-SCO", "subClassOf", "s", "type", "o",
-               "type", "r2", "r1"),
-    ),
-    RuleEntry(
-        4, "EQ-REP-O", False, False, True, "same-as",
-        lambda: SameAsRule("EQ-REP"), shared_executor="EQ-REP",
-    ),
-    RuleEntry(
-        5, "EQ-REP-P", False, False, True, "same-as",
-        lambda: SameAsRule("EQ-REP"), shared_executor="EQ-REP",
-    ),
-    RuleEntry(
-        6, "EQ-REP-S", False, False, True, "same-as",
-        lambda: SameAsRule("EQ-REP"), shared_executor="EQ-REP",
-    ),
-    RuleEntry(
-        7, "EQ-SYM", False, False, True, "trivial",
-        lambda: TrivialCopyRule("EQ-SYM", "sameAs", [("b", "sameAs", "a")]),
-    ),
-    RuleEntry(
-        8, "EQ-TRANS", False, False, True, "theta",
-        lambda: ThetaRule("EQ-TRANS", "sameAs"),
-    ),
-    RuleEntry(
-        9, "PRP-DOM", True, True, True, "gamma",
-        lambda: DomainRangeRule("PRP-DOM", "domain", use_subjects=True),
-    ),
-    RuleEntry(
-        10, "PRP-EQP1", False, False, True, "delta",
-        lambda: PropertyCopyRule(
-            "PRP-EQP1", "equivalentProperty", forward=True, reverse=False
-        ),
-    ),
-    RuleEntry(
-        11, "PRP-EQP2", False, False, True, "delta",
-        lambda: PropertyCopyRule(
-            "PRP-EQP2", "equivalentProperty", forward=False, reverse=False
-        ),
-    ),
-    RuleEntry(
-        12, "PRP-FP", False, False, True, "functional",
-        lambda: FunctionalPropertyRule("PRP-FP", inverse=False),
-    ),
-    RuleEntry(
-        13, "PRP-IFP", False, False, True, "functional",
-        lambda: FunctionalPropertyRule("PRP-IFP", inverse=True),
-    ),
-    RuleEntry(
-        14, "PRP-INV1", False, False, True, "delta",
-        lambda: PropertyCopyRule(
-            "PRP-INV1", "inverseOf", forward=True, reverse=True
-        ),
-    ),
-    RuleEntry(
-        15, "PRP-INV2", False, False, True, "delta",
-        lambda: PropertyCopyRule(
-            "PRP-INV2", "inverseOf", forward=False, reverse=True
-        ),
-    ),
-    RuleEntry(
-        16, "PRP-RNG", True, True, True, "gamma",
-        lambda: DomainRangeRule("PRP-RNG", "range", use_subjects=False),
-    ),
-    RuleEntry(
-        17, "PRP-SPO1", True, True, True, "gamma",
-        lambda: PropertyCopyRule(
-            "PRP-SPO1", "subPropertyOf", forward=True, reverse=False
-        ),
-    ),
-    RuleEntry(
-        18, "PRP-SYMP", False, False, True, "gamma",
-        lambda: SymmetricPropertyRule("PRP-SYMP"),
-    ),
-    RuleEntry(
-        19, "PRP-TRP", False, False, True, "theta",
-        lambda: ThetaRule("PRP-TRP", "transitive"),
-    ),
-    RuleEntry(
-        20, "SCM-DOM1", True, False, True, "alpha",
-        _alpha("SCM-DOM1", "domain", "o", "subClassOf", "s",
-               "domain", "r1", "r2"),
-    ),
-    RuleEntry(
-        21, "SCM-DOM2", True, True, True, "alpha",
-        _alpha("SCM-DOM2", "domain", "s", "subPropertyOf", "o",
-               "domain", "r2", "r1"),
-    ),
-    RuleEntry(
-        22, "SCM-EQC1", False, False, True, "trivial",
-        lambda: TrivialCopyRule(
-            "SCM-EQC1", "equivalentClass",
-            [("a", "subClassOf", "b"), ("b", "subClassOf", "a")],
-        ),
-    ),
-    RuleEntry(
-        23, "SCM-EQC2", False, False, True, "beta",
-        lambda: BetaRule("SCM-EQC2", "subClassOf", "equivalentClass"),
-    ),
-    RuleEntry(
-        24, "SCM-EQP1", False, False, True, "trivial",
-        lambda: TrivialCopyRule(
-            "SCM-EQP1", "equivalentProperty",
-            [("a", "subPropertyOf", "b"), ("b", "subPropertyOf", "a")],
-        ),
-    ),
-    RuleEntry(
-        25, "SCM-EQP2", False, False, True, "beta",
-        lambda: BetaRule("SCM-EQP2", "subPropertyOf", "equivalentProperty"),
-    ),
-    RuleEntry(
-        26, "SCM-RNG1", True, False, True, "alpha",
-        _alpha("SCM-RNG1", "range", "o", "subClassOf", "s",
-               "range", "r1", "r2"),
-    ),
-    RuleEntry(
-        27, "SCM-RNG2", True, True, True, "alpha",
-        _alpha("SCM-RNG2", "range", "s", "subPropertyOf", "o",
-               "range", "r2", "r1"),
-    ),
-    RuleEntry(
-        28, "SCM-SCO", True, True, True, "theta",
-        lambda: ThetaRule("SCM-SCO", "subClassOf"),
-    ),
-    RuleEntry(
-        29, "SCM-SPO", True, True, True, "theta",
-        lambda: ThetaRule("SCM-SPO", "subPropertyOf"),
-    ),
-    RuleEntry(
-        30, "SCM-CLS", False, False, "full", "trivial",
-        lambda: TrivialTypeExpandRule(
-            "SCM-CLS", "owlClass",
-            [
-                ("x", "subClassOf", "x"),
-                ("x", "equivalentClass", "x"),
-                ("x", "subClassOf", "Thing"),
-                ("Nothing", "subClassOf", "x"),
-            ],
-        ),
-    ),
-    RuleEntry(
-        31, "SCM-DP", False, False, "full", "trivial",
-        lambda: TrivialTypeExpandRule(
-            "SCM-DP", "DatatypeProperty",
-            [("x", "subPropertyOf", "x"), ("x", "equivalentProperty", "x")],
-        ),
-    ),
-    RuleEntry(
-        32, "SCM-OP", False, False, "full", "trivial",
-        lambda: TrivialTypeExpandRule(
-            "SCM-OP", "ObjectProperty",
-            [("x", "subPropertyOf", "x"), ("x", "equivalentProperty", "x")],
-        ),
-    ),
-    RuleEntry(
-        33, "RDFS4", "full", "full", "full", "trivial",
-        lambda: ResourceRule("RDFS4"),
-    ),
-    RuleEntry(
-        34, "RDFS8", "full", False, False, "trivial",
-        lambda: TrivialTypeExpandRule(
-            "RDFS8", "rdfsClass", [("x", "subClassOf", "Resource")]
-        ),
-    ),
-    RuleEntry(
-        35, "RDFS12", "full", False, False, "trivial",
-        lambda: TrivialTypeExpandRule(
-            "RDFS12", "ContainerMembershipProperty",
-            [("x", "subPropertyOf", "member")],
-        ),
-    ),
-    RuleEntry(
-        36, "RDFS13", "full", False, False, "trivial",
-        lambda: TrivialTypeExpandRule(
-            "RDFS13", "Datatype", [("x", "subClassOf", "Literal")]
-        ),
-    ),
-    RuleEntry(
-        37, "RDFS6", "full", False, False, "trivial",
-        lambda: TrivialTypeExpandRule(
-            "RDFS6", "Property", [("x", "subPropertyOf", "x")]
-        ),
-    ),
-    RuleEntry(
-        38, "RDFS10", "full", False, False, "trivial",
-        lambda: TrivialTypeExpandRule(
-            "RDFS10", "rdfsClass", [("x", "subClassOf", "x")]
-        ),
-    ),
+    _row(1, "CAX-EQC1", F, F, T, "alpha",
+         "?c1 equivalentClass ?c2 . ?x type ?c1", "?x type ?c2"),
+    _row(2, "CAX-EQC2", F, F, T, "alpha",
+         "?c1 equivalentClass ?c2 . ?x type ?c2", "?x type ?c1"),
+    _row(3, "CAX-SCO", T, T, T, "alpha",
+         "?c1 subClassOf ?c2 . ?x type ?c1", "?x type ?c2"),
+    _row(4, "EQ-REP-O", F, F, T, "same-as",
+         "?o1 sameAs ?o2 . ?s ?p ?o2", "?s ?p ?o1", SameAsRule, "EQ-REP"),
+    _row(5, "EQ-REP-P", F, F, T, "same-as",
+         "?p1 sameAs ?p2 . ?s ?p2 ?o", "?s ?p1 ?o", SameAsRule, "EQ-REP"),
+    _row(6, "EQ-REP-S", F, F, T, "same-as",
+         "?s1 sameAs ?s2 . ?s2 ?p ?o", "?s1 ?p ?o", SameAsRule, "EQ-REP"),
+    _row(7, "EQ-SYM", F, F, T, "trivial", "?x sameAs ?y", "?y sameAs ?x"),
+    _row(8, "EQ-TRANS", F, F, T, "theta",
+         "?x sameAs ?y . ?y sameAs ?z", "?x sameAs ?z", ThetaRule),
+    _row(9, "PRP-DOM", T, T, T, "gamma",
+         "?p domain ?c . ?x ?p ?y", "?x type ?c"),
+    _row(10, "PRP-EQP1", F, F, T, "delta",
+         "?p1 equivalentProperty ?p2 . ?x ?p1 ?y", "?x ?p2 ?y"),
+    _row(11, "PRP-EQP2", F, F, T, "delta",
+         "?p1 equivalentProperty ?p2 . ?x ?p2 ?y", "?x ?p1 ?y"),
+    _row(12, "PRP-FP", F, F, T, "functional",
+         "?p type FunctionalProperty . ?x ?p ?y1 . ?x ?p ?y2",
+         "?y1 sameAs ?y2", FunctionalPropertyRule,
+         not_equal=[("?y1", "?y2")]),
+    _row(13, "PRP-IFP", F, F, T, "functional",
+         "?p type InverseFunctionalProperty . ?x1 ?p ?y . ?x2 ?p ?y",
+         "?x1 sameAs ?x2", FunctionalPropertyRule,
+         not_equal=[("?x1", "?x2")]),
+    _row(14, "PRP-INV1", F, F, T, "delta",
+         "?p1 inverseOf ?p2 . ?x ?p1 ?y", "?y ?p2 ?x"),
+    _row(15, "PRP-INV2", F, F, T, "delta",
+         "?p1 inverseOf ?p2 . ?x ?p2 ?y", "?y ?p1 ?x"),
+    _row(16, "PRP-RNG", T, T, T, "gamma",
+         "?p range ?c . ?x ?p ?y", "?y type ?c"),
+    _row(17, "PRP-SPO1", T, T, T, "gamma",
+         "?p1 subPropertyOf ?p2 . ?x ?p1 ?y", "?x ?p2 ?y"),
+    _row(18, "PRP-SYMP", F, F, T, "gamma",
+         "?p type SymmetricProperty . ?x ?p ?y", "?y ?p ?x"),
+    _row(19, "PRP-TRP", F, F, T, "theta",
+         "?p type TransitiveProperty . ?x ?p ?y . ?y ?p ?z", "?x ?p ?z",
+         ThetaRule),
+    _row(20, "SCM-DOM1", T, F, T, "alpha",
+         "?p domain ?c1 . ?c1 subClassOf ?c2", "?p domain ?c2"),
+    _row(21, "SCM-DOM2", T, T, T, "alpha",
+         "?p2 domain ?c . ?p1 subPropertyOf ?p2", "?p1 domain ?c"),
+    _row(22, "SCM-EQC1", F, F, T, "trivial", "?c1 equivalentClass ?c2",
+         "?c1 subClassOf ?c2 . ?c2 subClassOf ?c1"),
+    _row(23, "SCM-EQC2", F, F, T, "beta",
+         "?c1 subClassOf ?c2 . ?c2 subClassOf ?c1", "?c1 equivalentClass ?c2"),
+    _row(24, "SCM-EQP1", F, F, T, "trivial", "?p1 equivalentProperty ?p2",
+         "?p1 subPropertyOf ?p2 . ?p2 subPropertyOf ?p1"),
+    _row(25, "SCM-EQP2", F, F, T, "beta",
+         "?p1 subPropertyOf ?p2 . ?p2 subPropertyOf ?p1",
+         "?p1 equivalentProperty ?p2"),
+    _row(26, "SCM-RNG1", T, F, T, "alpha",
+         "?p range ?c1 . ?c1 subClassOf ?c2", "?p range ?c2"),
+    _row(27, "SCM-RNG2", T, T, T, "alpha",
+         "?p2 range ?c . ?p1 subPropertyOf ?p2", "?p1 range ?c"),
+    _row(28, "SCM-SCO", T, T, T, "theta",
+         "?c1 subClassOf ?c2 . ?c2 subClassOf ?c3", "?c1 subClassOf ?c3",
+         ThetaRule),
+    _row(29, "SCM-SPO", T, T, T, "theta",
+         "?p1 subPropertyOf ?p2 . ?p2 subPropertyOf ?p3",
+         "?p1 subPropertyOf ?p3", ThetaRule),
+    _row(30, "SCM-CLS", F, F, H, "trivial", "?c type owlClass",
+         "?c subClassOf ?c . ?c equivalentClass ?c . ?c subClassOf Thing"
+         " . Nothing subClassOf ?c"),
+    _row(31, "SCM-DP", F, F, H, "trivial", "?p type DatatypeProperty",
+         "?p subPropertyOf ?p . ?p equivalentProperty ?p"),
+    _row(32, "SCM-OP", F, F, H, "trivial", "?p type ObjectProperty",
+         "?p subPropertyOf ?p . ?p equivalentProperty ?p"),
+    _row(33, "RDFS4", H, H, H, "trivial", "?x ?p ?y",
+         "?x type Resource . ?y type Resource"),
+    _row(34, "RDFS8", H, F, F, "trivial", "?x type rdfsClass",
+         "?x subClassOf Resource"),
+    _row(35, "RDFS12", H, F, F, "trivial",
+         "?x type ContainerMembershipProperty", "?x subPropertyOf member"),
+    _row(36, "RDFS13", H, F, F, "trivial", "?x type Datatype",
+         "?x subClassOf Literal"),
+    _row(37, "RDFS6", H, F, F, "trivial", "?x type Property",
+         "?x subPropertyOf ?x"),
+    _row(38, "RDFS10", H, F, F, "trivial", "?x type rdfsClass",
+         "?x subClassOf ?x"),
 ]
 
 BY_NAME: Dict[str, RuleEntry] = {entry.name: entry for entry in TABLE5}
@@ -270,11 +154,15 @@ def make_rules(names: List[str]) -> List[Rule]:
     seen_shared = set()
     for name in names:
         entry = BY_NAME[name]
-        if entry.factory is None:  # pragma: no cover - all rows have one
-            continue
-        if entry.shared_executor is not None:
-            if entry.shared_executor in seen_shared:
-                continue
-            seen_shared.add(entry.shared_executor)
-        rules.append(entry.factory())
+        shared = entry.shared_executor
+        if shared is None:
+            build = entry.executor or shaped_rule
+            rules.append(build(name, entry.description, entry.paper_class))
+        elif shared not in seen_shared:
+            seen_shared.add(shared)
+            rules.append(entry.executor(
+                shared,
+                [e.description for e in TABLE5 if e.shared_executor == shared],
+                entry.paper_class,
+            ))
     return rules

@@ -1,10 +1,9 @@
-"""Unit tests for the datalog rule forms and unification helpers."""
+"""Unit tests for the resolved datalog rules and unification helpers."""
 
 import pytest
 
 from repro.baselines.datalog import (
     Atom,
-    datalog_form,
     datalog_ruleset,
     is_var,
     match_atom,
@@ -20,16 +19,21 @@ def vocab():
     return Vocab(Dictionary())
 
 
+def resolved_rule(name, vocab):
+    (rule,) = datalog_ruleset([name], vocab)
+    return rule
+
+
 class TestForms:
     def test_every_table5_rule_has_a_form(self, vocab):
         for entry in TABLE5:
-            rule = datalog_form(entry.name, vocab)
+            rule = resolved_rule(entry.name, vocab)
             assert rule.name == entry.name
             assert rule.body and rule.heads
 
     def test_head_variables_bound_by_body(self, vocab):
         for entry in TABLE5:
-            rule = datalog_form(entry.name, vocab)
+            rule = resolved_rule(entry.name, vocab)
             body_vars = {
                 v for atom in rule.body for v in atom.variables()
             }
@@ -38,9 +42,17 @@ class TestForms:
             }
             assert head_vars <= body_vars, rule.name
 
+    def test_constants_resolve_through_vocab(self, vocab):
+        rule = resolved_rule("CAX-SCO", vocab)
+        assert rule.body == (
+            Atom("?c1", vocab.subClassOf, "?c2"),
+            Atom("?x", vocab.type, "?c1"),
+        )
+        assert rule.heads == (Atom("?x", vocab.type, "?c2"),)
+
     def test_not_equal_vars_in_body(self, vocab):
         for entry in TABLE5:
-            rule = datalog_form(entry.name, vocab)
+            rule = resolved_rule(entry.name, vocab)
             body_vars = {
                 v for atom in rule.body for v in atom.variables()
             }
@@ -52,7 +64,7 @@ class TestForms:
         assert [r.name for r in rules] == ["CAX-SCO", "PRP-DOM"]
 
     def test_fp_has_inequality(self, vocab):
-        rule = datalog_form("PRP-FP", vocab)
+        rule = resolved_rule("PRP-FP", vocab)
         assert rule.not_equal == (("?y1", "?y2"),)
         assert len(rule.body) == 3
 

@@ -4,17 +4,22 @@ The absorbed set is a correctness contract, not a heuristic: absorbing
 a rule the encoding cannot answer loses entailments; absorbing a rule
 that feeds (or is fed by) a still-materialized rule breaks the flush.
 These tests pin the planner's output for every built-in ruleset and
-check the executor-shape validation that protects custom catalogues.
+check the description validation that protects custom catalogues.
 """
 
 import pytest
 
+from repro.core.store_api import Store
 from repro.litemat.planner import (
     ABSORBABLE_RULES,
     HIERARCHY_AWARE_RULES,
     plan_hybrid,
 )
+from repro.rdf.terms import IRI, Triple
+from repro.rdf.vocabulary import RDF, RDFS
+from repro.rules.classes import shaped_rule
 from repro.rules.rulesets import RULESET_NAMES, get_ruleset
+from repro.rules.spec import Description
 
 #: Expected absorbed set per built-in ruleset (sorted tuples).
 EXPECTED = {
@@ -41,7 +46,7 @@ EXPECTED = {
         "SCM-SCO",
         "SCM-SPO",
     ),
-    # RDFS4 (ResourceRule) reads every triple, so any absorbed rule
+    # RDFS4 (body ⟨x ?p y⟩) reads every triple, so any absorbed rule
     # would starve it; nothing absorbs.
     "rdfs-full": (),
     # The sameAs/equivalence rules read and write arbitrary
@@ -97,3 +102,30 @@ def test_hierarchy_aware_rules_stay_materialized():
         plan = plan_hybrid(get_ruleset(ruleset), ruleset)
         for name in HIERARCHY_AWARE_RULES:
             assert name not in plan.absorbed
+
+
+def test_same_named_custom_hierarchy_rule_is_not_aware():
+    # "PRP-DOM" that types subjects with the *range* class: the hybrid
+    # pre-pass compensates only for the catalogue's PRP-DOM, so this
+    # rule must not be exempted — hybrid must answer what full derives.
+    def catalogue():
+        custom = shaped_rule("PRP-DOM", Description.of(
+            "?p range ?c . ?x ?p ?y", "?x type ?c"
+        ), "gamma")
+        return [custom if r.name == "PRP-DOM" else r
+                for r in get_ruleset("rdfs-default")]
+
+    ex = lambda name: IRI(f"http://example.org/{name}")
+    data = [
+        Triple(ex("sub"), RDFS.subPropertyOf, ex("p")),
+        Triple(ex("p"), RDFS.domain, ex("C")),
+        Triple(ex("p"), RDFS.range, ex("D")),
+        Triple(ex("a"), ex("sub"), ex("b")),
+    ]
+    full = Store(data, ruleset=catalogue(), materialize="full")
+    hybrid = Store(data, ruleset=catalogue(), materialize="hybrid")
+    assert Triple(ex("a"), RDF.type, ex("D")) in set(full.triples())
+    assert Triple(ex("a"), RDF.type, ex("C")) not in set(full.triples())
+    assert sorted(t.n3() for t in hybrid.triples()) == sorted(
+        t.n3() for t in full.triples()
+    )

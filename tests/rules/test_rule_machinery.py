@@ -1,62 +1,35 @@
-"""Machinery-level tests: merge joins, theta pre-pass, contexts, misc."""
-
-from array import array
+"""Machinery-level tests: shape validation, theta pre-pass, misc."""
 
 import pytest
 
 from repro.core.engine import InferrayEngine
 from repro.rdf.terms import Triple
 from repro.rdf.vocabulary import OWL, RDF, RDFS
-from repro.rules.classes import AlphaRule, ThetaRule, merge_join_groups
+from repro.rules.classes import ThetaRule, shaped_rule
+from repro.rules.spec import Description
 from repro.rules.table5 import make_rules
 
 
-class TestMergeJoinGroups:
-    @staticmethod
-    def collect(view1, view2):
-        hits = []
-        merge_join_groups(
-            array("q", view1),
-            array("q", view2),
-            lambda a, b: hits.append((tuple(a), tuple(b))),
-        )
-        return hits
-
-    def test_no_overlap(self):
-        assert self.collect([1, 10], [2, 20]) == []
-
-    def test_single_match(self):
-        assert self.collect([1, 10], [1, 20]) == [((10,), (20,))]
-
-    def test_group_cartesian(self):
-        hits = self.collect([5, 1, 5, 2], [5, 8, 5, 9])
-        assert hits == [((1, 2), (8, 9))]
-
-    def test_multiple_keys(self):
-        hits = self.collect([1, 10, 2, 20, 3, 30], [2, 200, 3, 300, 4, 400])
-        assert hits == [((20,), (200,)), ((30,), (300,))]
-
-    def test_empty_views(self):
-        assert self.collect([], [1, 2]) == []
-        assert self.collect([1, 2], []) == []
-
-
-class TestAlphaRuleValidation:
-    def test_bad_position_rejected(self):
+class TestShapeValidation:
+    def test_unsupported_join_head_rejected(self):
+        # The head must be built from the two non-join variables.
         with pytest.raises(ValueError):
-            AlphaRule("X", "subClassOf", "x", "type", "o", "type", "r1", "r2")
+            shaped_rule("X", Description.of(
+                "?c1 subClassOf ?c2 . ?x type ?c1", "?c1 type ?c2"
+            ))
 
-    def test_bad_head_source_rejected(self):
+    def test_unbound_head_variable_rejected(self):
         with pytest.raises(ValueError):
-            AlphaRule(
-                "X", "subClassOf", "s", "type", "o", "type", "join", "r1"
-            )
+            shaped_rule("X", Description.of("?x type Datatype", "?y type ?x"))
 
 
 class TestThetaRule:
     def test_unknown_kind_rejected(self):
+        # Neither a constant head predicate nor a marked variable one.
         with pytest.raises(ValueError):
-            ThetaRule("X", "mystery")
+            ThetaRule("X", Description.of(
+                "?x ?p ?y . ?y ?p ?z", "?x ?p ?z"
+            ))
 
     def test_prepass_closes_before_iteration(self, ex):
         engine = InferrayEngine(make_rules(["SCM-SCO"]))

@@ -19,16 +19,10 @@ from repro.datasets.chains import subclass_tree, subproperty_chain
 from repro.dictionary.encoding import Dictionary
 from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import OWL, RDF, RDFS
-from repro.rules.classes import (
-    AlphaRule,
-    IterativeTransitivityRule,
-    PropertyCopyRule,
-    ThetaRule,
-    self_fed_rules,
-)
+from repro.rules.classes import ThetaRule, self_fed_rules, shaped_rule
 from repro.rules.rulesets import get_ruleset
-from repro.rules.spec import Vocab
-from repro.rules.table5 import make_rules
+from repro.rules.spec import Description, Vocab
+from repro.rules.table5 import BY_NAME, make_rules
 from repro.store.triple_store import TripleStore
 
 
@@ -47,6 +41,10 @@ def oracle_closure(rule_names, triples):
     oracle.load_triples(triples)
     oracle.materialize()
     return oracle.as_decoded_set()
+
+
+def iterative_rule(name):
+    return shaped_rule(name, BY_NAME["SCM-SCO"].description)
 
 
 def self_fed_names(rules):
@@ -107,7 +105,7 @@ class TestOneLegWhileDeltaIsMain:
                 {"PRP-SYMP": 2},
             ),
             (
-                [IterativeTransitivityRule("TRANS", "subClassOf")],
+                [iterative_rule("TRANS")],
                 [
                     Triple(ex("A"), RDFS.subClassOf, ex("B")),
                     Triple(ex("B"), RDFS.subClassOf, ex("C")),
@@ -211,25 +209,47 @@ class TestSelfFedRules:
         assert self_fed_rules(make_rules(["CAX-SCO", "PRP-SPO1"])) == {}
         assert self_fed_names(make_rules(["CAX-SCO", "SCM-SPO"])) == {}
         assert self_fed_names(
-            [IterativeTransitivityRule("T", "subClassOf")]
+            [iterative_rule("T")]
             + make_rules(["CAX-SCO"])
         ) == {}
 
     def test_shape_not_name_decides(self):
-        theta = ThetaRule("SCM-SCO", "subClassOf")
+        theta = ThetaRule("SCM-SCO", BY_NAME["SCM-SCO"].description)
+        body = "?c1 subClassOf ?c2 . ?x type ?c1"
         # CAX-SCO's shape under another name qualifies ...
-        renamed = AlphaRule("MINE", "subClassOf", "s", "type", "o",
-                            "type", "r2", "r1")
+        renamed = shaped_rule("MINE", Description.of(body, "?x type ?c2"))
         # ... a head that does not write back into the data atom's
         # property, or moves the wrong variable, does not.
-        elsewhere = AlphaRule("CAX-SCO", "subClassOf", "s", "type", "o",
-                              "member", "r2", "r1")
-        flipped = AlphaRule("CAX-SCO", "subClassOf", "s", "type", "o",
-                            "type", "r1", "r2")
-        backward = PropertyCopyRule("PRP-SPO1", "subPropertyOf",
-                                    forward=False, reverse=False)
+        elsewhere = shaped_rule("CAX-SCO", Description.of(body, "?x member ?c2"))
+        flipped = shaped_rule("CAX-SCO", Description.of(body, "?c2 type ?x"))
+        reversing = shaped_rule("PRP-SPO1", Description.of(
+            "?p1 subPropertyOf ?p2 . ?x ?p1 ?y", "?y ?p2 ?x"
+        ))
         assert self_fed_names([theta, renamed, elsewhere, flipped,
-                               backward]) == {"MINE": "subClassOf"}
+                               reversing]) == {"MINE": "subClassOf"}
+
+    def test_backward_copy_over_a_closed_schema_qualifies(self):
+        # ⟨p1 ⊑ p2⟩ moves a p2 row down to p1: its echo through ⟨p0 ⊑ p1⟩
+        # is d′'s row through the composite ⟨p0 ⊑ p2⟩, so trimming it
+        # loses nothing.
+        backward = shaped_rule("DOWN", Description.of(
+            "?p1 subPropertyOf ?p2 . ?x ?p2 ?y", "?x ?p1 ?y"
+        ))
+        rules = [backward] + make_rules(["SCM-SPO"])
+        assert self_fed_names(rules) == {"DOWN": "subPropertyOf"}
+        data = [
+            Triple(ex("a"), RDFS.subPropertyOf, ex("b")),
+            Triple(ex("b"), RDFS.subPropertyOf, ex("c")),
+            Triple(ex("c"), RDFS.subPropertyOf, ex("d")),
+            Triple(ex("x"), ex("d"), ex("y")),
+        ]
+        engine, _ = materialized(rules, data)
+        untrimmed = InferrayEngine(rules)
+        untrimmed.scheduler.self_fed = {}
+        untrimmed.load_triples(data)
+        untrimmed.materialize()
+        assert Triple(ex("x"), ex("a"), ex("y")) in set(engine.triples())
+        assert set(engine.triples()) == set(untrimmed.triples())
 
     def test_cax_sco_alone_still_climbs_the_chain(self):
         # No SCM-SCO: the chain is never closed, so x a B (iteration 1)

@@ -28,8 +28,9 @@ class TestCatalogueStructure:
 
     def test_every_factory_builds_a_rule(self):
         for entry in TABLE5:
-            rule = entry.factory()
+            (rule,) = make_rules([entry.name])
             assert isinstance(rule, Rule)
+            assert entry.description in rule.descriptions
 
     def test_paper_class_labels(self):
         # Spot checks against the paper's class column.
@@ -40,6 +41,16 @@ class TestCatalogueStructure:
         assert BY_NAME["EQ-REP-S"].paper_class == "same-as"
         assert BY_NAME["SCM-SCO"].paper_class == "theta"
         assert BY_NAME["RDFS4"].paper_class == "trivial"
+
+    @pytest.mark.parametrize("ruleset", RULESET_NAMES)
+    def test_executors_report_their_entrys_class(self, ruleset):
+        # One label per rule: the catalogue's (PRP-SPO1 is gamma).
+        for rule in get_ruleset(ruleset):
+            entries = [e for e in TABLE5 if e.description in rule.descriptions]
+            assert entries
+            assert {e.paper_class for e in entries} == {rule.rule_class}
+        (spo1,) = make_rules(["PRP-SPO1"])
+        assert spo1.rule_class == "gamma" and "(gamma)" in repr(spo1)
 
     def test_eqrep_rows_share_executor(self):
         rules = make_rules(["EQ-REP-S", "EQ-REP-P", "EQ-REP-O"])
