@@ -110,14 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit only the derived triples, not the input",
     )
     _add_ruleset_argument(infer_cmd)
-    infer_cmd.add_argument(
-        "--algorithm",
-        choices=("auto", "counting", "radix", "timsort"),
-        default="auto",
-        help="scalar pair-sort algorithm (default: the paper's "
-        "operating ranges; forcing one pins --backend auto to the "
-        "python kernels and conflicts with --backend numpy)",
-    )
     _add_materialize_argument(infer_cmd)
     _add_backend_argument(infer_cmd)
     _add_workers_argument(infer_cmd)
@@ -289,19 +281,8 @@ def _open_store(args: argparse.Namespace) -> Store:
 
 
 def _run_infer(args: argparse.Namespace) -> int:
-    if args.backend == "numpy" and args.algorithm != "auto":
-        # The scalar-sort ablation is only observable on the
-        # interpreted kernels; the numpy sort would silently ignore it.
-        print(
-            f"repro: --algorithm {args.algorithm} is a scalar-sort "
-            "ablation and has no effect on the numpy backend; use "
-            "--backend python (or auto)",
-            file=sys.stderr,
-        )
-        return 2
     with Store(
         ruleset=args.ruleset,
-        algorithm=args.algorithm,
         backend=args.backend,
         timeout_seconds=args.timeout,
         workers=args.workers,

@@ -135,12 +135,6 @@ class InferrayEngine:
         A ruleset name ('rho-df', 'rdfs-default', 'rdfs-full',
         'rdfs-plus', 'rdfs-plus-full') or an explicit list of
         :class:`repro.rules.Rule` instances.
-    algorithm:
-        Scalar pair-sort algorithm: 'auto' (the paper's counting/
-        MSDA-radix operating-range dispatch), or forced 'counting' /
-        'radix' / 'timsort' for ablations.  Forcing one pins
-        ``backend='auto'`` to the pure-Python kernels, where the choice
-        is observable.
     backend:
         Kernel backend the store and rule executors run on: 'auto'
         (NumPy when available, else pure Python), 'python', 'numpy', or
@@ -181,7 +175,6 @@ class InferrayEngine:
         self,
         ruleset: Union[str, List[Rule]] = "rdfs-default",
         *,
-        algorithm: str = "auto",
         backend: Union[str, KernelBackend] = "auto",
         tracer=None,
         max_iterations: int = 10_000,
@@ -198,7 +191,7 @@ class InferrayEngine:
             self.ruleset_name = "custom"
         self.dictionary = Dictionary()
         self.vocab = Vocab(self.dictionary)
-        self.kernels = resolve_backend(backend, algorithm=algorithm)
+        self.kernels = resolve_backend(backend)
         self.workers = 1 if tracer is not None else resolve_workers(workers)
 
         def scheduler_for(rules: List[Rule]) -> ParallelRuleScheduler:
@@ -208,11 +201,9 @@ class InferrayEngine:
                 mode=parallel_mode,
                 vocab=self.vocab,
                 kernels=self.kernels,
-                algorithm=algorithm,
             )
 
         self.scheduler = scheduler_for(self.rules)
-        self.algorithm = algorithm
         self.tracer = tracer
         self.main = self._empty_store(os_cache)
         self.max_iterations = max_iterations
@@ -240,7 +231,6 @@ class InferrayEngine:
 
     def _empty_store(self, cache_os: bool) -> TripleStore:
         return TripleStore(
-            algorithm=self.algorithm,
             tracer=self.tracer,
             cache_os=cache_os,
             backend=self.kernels,

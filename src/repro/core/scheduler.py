@@ -21,7 +21,7 @@ Python, or compressed blocks decoded by the pure-Python codec — threads
 cannot overlap them) and on fewer than two usable cores; ``thread``
 otherwise.  The crossover defaults to a value measured by
 ``benchmarks/bench_table2_rdfs.py --scale`` and is overridable per
-scheduler or via ``$REPRO_THREAD_CROSSOVER``; ``$REPRO_PARALLEL_MODE``
+scheduler (``thread_crossover=``); ``$REPRO_PARALLEL_MODE``
 (or ``mode="thread"``) forces the pool unconditionally.  Every pick is
 recorded as an :class:`ExecutorDecision` (surfaced on
 ``MaterializationStats.parallel_decision``).
@@ -74,7 +74,6 @@ __all__ = [
     "ExecutorDecision",
     "IterationOutcome",
     "ParallelRuleScheduler",
-    "resolve_crossover",
     "resolve_parallel_cores",
     "resolve_parallel_mode",
     "resolve_workers",
@@ -93,16 +92,13 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: (testing/CI: simulate a multicore decision on a one-core box).
 PARALLEL_CORES_ENV = "REPRO_PARALLEL_CORES"
 
-#: Environment override for the cost-model crossover (estimated
-#: join-input pairs per iteration above which the thread pool pays off).
-THREAD_CROSSOVER_ENV = "REPRO_THREAD_CROSSOVER"
-
-#: Default crossover, anchored to the scale benchmark
-#: (``benchmarks/bench_table2_rdfs.py --scale``): BSBM-300 and
-#: BSBM-10k estimate well below it (their sequential materializations
-#: are single-digit milliseconds to ~0.1 s — pool dispatch dominates any
-#: win), while BSBM-100k (~0.9 M committed triples, ~0.9 s sequential)
-#: clears it.
+#: Default cost-model crossover (estimated join-input pairs per
+#: iteration above which the thread pool pays off), anchored to the
+#: scale benchmark (``benchmarks/bench_table2_rdfs.py --scale``):
+#: BSBM-300 and BSBM-10k estimate well below it (their sequential
+#: materializations are single-digit milliseconds to ~0.1 s — pool
+#: dispatch dominates any win), while BSBM-100k (~0.9 M committed
+#: triples, ~0.9 s sequential) clears it.
 DEFAULT_THREAD_CROSSOVER = 250_000
 
 
@@ -178,27 +174,6 @@ def resolve_parallel_cores(cores: Optional[int] = None) -> int:
     )
 
 
-def resolve_crossover(
-    value: Optional[int], *, env: str, default: int
-) -> int:
-    """Normalize one cost-model crossover (estimated pairs).
-
-    Explicit values are trusted (clamped to >= 0; ``0`` means "always
-    profitable"); ``None`` reads ``env``, where non-numeric or negative
-    values warn and fall back to ``default``.
-    """
-    if value is not None:
-        return max(0, int(value))
-    using = f"using the default ({default})"
-    return env_int(
-        env,
-        default,
-        noun="pair count",
-        otherwise=using,
-        floor=(0, default, f"is negative; {using}"),
-    )
-
-
 @dataclass
 class ExecutorDecision:
     """One recorded executor pick for a materialization.
@@ -256,17 +231,12 @@ class ParallelRuleScheduler:
         graph: Optional[RuleDependencyGraph] = None,
         vocab: Optional[Vocab] = None,
         kernels: Optional[KernelBackend] = None,
-        algorithm: str = "auto",
         thread_crossover: Optional[int] = None,
         cores: Optional[int] = None,
     ):
         self.rules: List[Rule] = list(rules)
         self.workers = resolve_workers(workers)
-        self.kernels = (
-            kernels
-            if kernels is not None
-            else resolve_backend("auto", algorithm=algorithm)
-        )
+        self.kernels = kernels if kernels is not None else resolve_backend()
         self.vocab = vocab
         #: What the caller asked for: ``auto`` / ``thread`` (parameter
         #: beats environment; bad environment values warn and fall back
@@ -274,10 +244,11 @@ class ParallelRuleScheduler:
         #: regardless of the cost model.
         self.requested_mode = resolve_parallel_mode(mode)
         self._mode_forced = self.requested_mode == "thread"
-        self.thread_crossover = resolve_crossover(
-            thread_crossover,
-            env=THREAD_CROSSOVER_ENV,
-            default=DEFAULT_THREAD_CROSSOVER,
+        #: Explicit values are clamped to >= 0 (``0``: always profitable).
+        self.thread_crossover = (
+            DEFAULT_THREAD_CROSSOVER
+            if thread_crossover is None
+            else max(0, int(thread_crossover))
         )
         self.cores = resolve_parallel_cores(cores)
         #: The most recent :meth:`decide` result (observability).

@@ -93,7 +93,6 @@ class StoreConfig:
     """
 
     ruleset: Union[str, List[Rule]] = "rdfs-default"
-    algorithm: str = "auto"
     backend: Union[str, KernelBackend] = "auto"
     os_cache: bool = True
     max_iterations: int = 10_000
@@ -130,7 +129,6 @@ class StoreConfig:
         """A fresh engine honouring this configuration."""
         return InferrayEngine(
             self.ruleset,
-            algorithm=self.algorithm,
             backend=self.backend,
             max_iterations=self.max_iterations,
             os_cache=self.os_cache,
@@ -737,7 +735,7 @@ class Store(_ReadAPI):
     ) -> "Store":
         """Deserialize a saved store; no inference is re-run.
 
-        ``backend`` / ``algorithm`` / other :class:`StoreConfig`
+        ``backend`` and other :class:`StoreConfig`
         options may be overridden (the pair arrays are
         backend-portable); the ruleset and entailment mode default to
         the saved ones (pre-hybrid files are full-mode).  A store saved
@@ -755,7 +753,6 @@ class Store(_ReadAPI):
         if config is None:
             saved = {
                 "ruleset": header["ruleset"],
-                "algorithm": header["algorithm"],
                 "materialize": saved_mode,
             }
             config = StoreConfig(**{**saved, **options})

@@ -7,6 +7,13 @@ length, a JSON header, then the blobs the header describes, in order:
 one per property table, the asserted id triples, and any named
 sections.  The golden files under ``tests/fixtures/stores/`` pin every
 version this build reads.
+
+The v4 header's scalar-sort key once named the engine's pair sort; the
+sort is now fixed per kernel backend, so the writer always puts
+``"auto"`` there (files stay byte-identical and readable by older
+builds) and the reader ignores whatever a file says.  The v1–v3
+readers are kept only while the golden fixtures remain the cheapest
+proof that v4 is right.
 """
 
 from __future__ import annotations
@@ -170,7 +177,7 @@ def write_store(engine, path: str) -> int:
         "format": "repro-store",
         "version": STORE_FORMAT_VERSION,
         "ruleset": engine.ruleset_name,
-        "algorithm": engine.algorithm,
+        "algorithm": "auto",
         "materialized": engine.is_materialized,
         "materialize": "hybrid" if hybrid_state is not None else "full",
         "n_triples": engine.n_triples,
@@ -257,7 +264,7 @@ def read_store(
     """Parse the store file at ``path``:
     (header, dictionary, [(pid, flat)…], asserted, {section name: payload}).
 
-    ``header`` is the file's metadata (``"ruleset"``, ``"algorithm"``,
+    ``header`` is the file's metadata (``"ruleset"``,
     ``"materialized"``, ``"materialize"`` on v2+ files); each ``flat``
     is sorted-unique on ⟨s, o⟩ exactly as written.
 
@@ -307,7 +314,6 @@ def read_store(
 #: Header keys every readable store file (v1+) must carry.
 _REQUIRED_HEADER_KEYS = (
     "ruleset",
-    "algorithm",
     "materialized",
     "property_terms",
     "resource_terms",

@@ -5,10 +5,8 @@ backend discovery and selection:
 
 * :func:`get_backend` — name → shared backend instance;
 * :func:`resolve_backend` — the policy used by the engine/store:
-  ``'auto'`` picks NumPy when it is importable *and* the caller is not
-  forcing one of the scalar sort algorithms (the counting/radix/timsort
-  ablations are only meaningful on the interpreted backend), else the
-  pure-Python reference backend;
+  ``'auto'`` picks NumPy when it is importable, else the pure-Python
+  reference backend;
 * :func:`numpy_available` — availability probe.
 
 Environment knobs (read at call time, so tests and CI can toggle them):
@@ -105,36 +103,17 @@ def get_backend(name: str) -> KernelBackend:
 
 def resolve_backend(
     backend: Union[str, KernelBackend, None] = "auto",
-    *,
-    algorithm: str = "auto",
 ) -> KernelBackend:
     """Apply the selection policy (see module docstring).
 
     ``backend`` may already be a :class:`KernelBackend` instance (passed
     through unchanged), a name from :data:`BACKEND_NAMES`, or ``None`` /
-    ``'auto'`` for the default policy.  A forced scalar sort
-    ``algorithm`` (anything but ``'auto'``) pins ``'auto'`` to the
-    pure-Python backend — where that choice is observable — *before*
-    the ``REPRO_KERNELS`` env default is consulted, so the ablation
-    invariant holds under any environment.  Explicitly requesting the
-    numpy backend together with a forced algorithm is a contradiction
-    (the vectorized sort would silently ignore it) and raises
-    ``ValueError``.
+    ``'auto'`` for the default policy.
     """
     if isinstance(backend, KernelBackend):
         return backend
-    if backend is None:
-        backend = "auto"
-    if backend == "auto" and algorithm != "auto":
-        return PYTHON_KERNELS
-    if backend == "auto":
+    if backend is None or backend == "auto":
         backend = env_choice("REPRO_KERNELS", "auto")
     if backend == "auto":
         return get_backend("numpy") if numpy_available() else PYTHON_KERNELS
-    if backend in ("numpy", "compressed") and algorithm != "auto":
-        raise ValueError(
-            f"algorithm={algorithm!r} is a scalar-sort ablation that the "
-            f"{backend} backend would silently ignore; use backend='python' "
-            "(or 'auto', which pins to python when an algorithm is forced)"
-        )
     return get_backend(backend)

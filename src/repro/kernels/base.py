@@ -11,8 +11,7 @@ swappable:
 
 * ``python`` — the reference implementation, interpreted loops over
   ``array('q')`` (see :mod:`repro.kernels.python_backend`); always
-  available, and the substrate on which the paper's counting/MSD-radix
-  operating-range dispatch is meaningful.
+  available.
 * ``numpy`` — vectorized kernels over ``int64`` ndarrays
   (:mod:`repro.kernels.numpy_backend`); the flat-int encoding of the
   dictionary makes the pair arrays drop-in compatible with NumPy
@@ -86,13 +85,8 @@ class KernelBackend:
         return 8 * len(flat)
 
     # -- sorting & the Figure-5 merge -----------------------------------
-    def sort_pairs(self, flat, *, dedup: bool = True, algorithm: str = "auto"):
-        """Sort a flat pair array on (even, odd); optionally deduplicate.
-
-        ``algorithm`` selects the scalar sort family ('auto' applies the
-        paper's Table-1 operating ranges); vectorized backends may
-        ignore it.
-        """
+    def sort_pairs(self, flat, *, dedup: bool = True):
+        """Sort a flat pair array on (even, odd); optionally deduplicate."""
         raise NotImplementedError
 
     def merge_new(self, main, inferred) -> Tuple[object, object]:
@@ -109,7 +103,7 @@ class KernelBackend:
         """Swap even/odd components of every pair (no re-sort)."""
         raise NotImplementedError
 
-    def os_view(self, sorted_pairs, *, algorithm: str = "auto"):
+    def os_view(self, sorted_pairs):
         """The ⟨o, s⟩ permutation of a sorted ⟨s, o⟩ array, re-sorted."""
         raise NotImplementedError
 

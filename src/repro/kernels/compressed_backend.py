@@ -581,11 +581,8 @@ class CompressedKernels(KernelBackend):
                 chunk2 = next(stream2, None)
 
     # -- sorting & the Figure-5 merge -----------------------------------
-    def sort_pairs(self, flat, *, dedup: bool = True, algorithm: str = "auto"):
-        raw = self._raw(flat)
-        sorted_flat = self._inner.sort_pairs(
-            raw, dedup=dedup, algorithm=algorithm
-        )
+    def sort_pairs(self, flat, *, dedup: bool = True):
+        sorted_flat = self._inner.sort_pairs(self._raw(flat), dedup=dedup)
         return CompressedPairs.from_flat(sorted_flat, self._codec)
 
     def merge_new(self, main, inferred):
@@ -642,16 +639,14 @@ class CompressedKernels(KernelBackend):
             return self._inner.concat(parts)
         return self._inner.swap(flat)
 
-    def os_view(self, sorted_pairs, *, algorithm: str = "auto"):
+    def os_view(self, sorted_pairs):
         if not isinstance(sorted_pairs, CompressedPairs):
             sorted_pairs = self.asarray(sorted_pairs)
         # Swap+sort each block into an independent sorted run, then fold
         # the runs pairwise with a streaming bounded-window merge.
         runs = [
             CompressedPairs.from_flat(
-                self._inner.sort_pairs(
-                    self._inner.swap(block), dedup=False, algorithm=algorithm
-                ),
+                self._inner.sort_pairs(self._inner.swap(block), dedup=False),
                 self._codec,
             )
             for block in sorted_pairs.iter_block_arrays()

@@ -30,7 +30,6 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from ..sorting.counting import SortingError
 from .base import KernelBackend
 
 INT64 = np.int64
@@ -191,12 +190,10 @@ class NumpyKernels(KernelBackend):
         return np.concatenate(parts)
 
     # -- sorting & the Figure-5 merge -----------------------------------
-    def sort_pairs(self, flat, *, dedup: bool = True, algorithm: str = "auto"):
-        # `algorithm` picks among the scalar sorts; the vectorized sort
-        # has a single implementation, so it is accepted and ignored.
+    def sort_pairs(self, flat, *, dedup: bool = True):
         a = self.asarray(flat)
         if a.size % 2:
-            raise SortingError(
+            raise ValueError(
                 f"pair array must have even length, got {a.size}"
             )
         if a.size == 0:
@@ -258,7 +255,7 @@ class NumpyKernels(KernelBackend):
         a = self.asarray(flat)
         return _interleave(a[1::2], a[0::2])
 
-    def os_view(self, sorted_pairs, *, algorithm: str = "auto"):
+    def os_view(self, sorted_pairs):
         a = self.asarray(sorted_pairs)
         if a.size == 0:
             return self.empty()

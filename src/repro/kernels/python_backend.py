@@ -2,22 +2,36 @@
 
 This is the seed implementation of every hot-path primitive, relocated
 behind :class:`repro.kernels.base.KernelBackend` — interpreted loops
-over ``array('q')``, with sorting delegated to the paper's
-counting/MSD-radix operating-range dispatch
-(:func:`repro.sorting.dispatch.sort_pairs`).  It is always available
-and serves as the ground truth the vectorized backends are
+over ``array('q')``.  Its one pair sort is CPython's timsort over
+⟨s, o⟩ tuples: on every engine workload measured it beat the paper's
+counting / MSD-radix operating-range dispatch, which stays in
+:mod:`repro.sorting` for the Table-1 comparison only.  It is always
+available and serves as the ground truth the vectorized backends are
 differentially tested against.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import chain, islice
 from typing import Iterable, Sequence, Tuple
 
-from ..sorting.dispatch import sort_pairs as _dispatch_sort_pairs
 from .base import KernelBackend
 
 PairArray = array
+
+
+def _sorted_rows(evens, odds, dedup: bool) -> PairArray:
+    """Flat ⟨even, odd⟩ rows in lexicographic order (timsort on tuples;
+    committed tables and rule output arrive as presorted runs, which
+    it merges in near-linear time)."""
+    rows = sorted(zip(evens, odds))
+    if dedup and rows:
+        rows = [rows[0]] + [
+            row for previous, row in zip(rows, islice(rows, 1, None))
+            if row != previous
+        ]
+    return array("q", chain.from_iterable(rows))
 
 
 class PythonKernels(KernelBackend):
@@ -49,11 +63,11 @@ class PythonKernels(KernelBackend):
         return out
 
     # -- sorting & the Figure-5 merge -----------------------------------
-    def sort_pairs(self, flat, *, dedup: bool = True, algorithm: str = "auto"):
-        sorted_pairs, _ = _dispatch_sort_pairs(
-            self.asarray(flat), dedup=dedup, algorithm=algorithm
-        )
-        return sorted_pairs
+    def sort_pairs(self, flat, *, dedup: bool = True):
+        flat = self.asarray(flat)
+        if len(flat) % 2:
+            raise ValueError(f"pair array must have even length, got {len(flat)}")
+        return _sorted_rows(flat[0::2], flat[1::2], dedup)
 
     def merge_new(self, main, inferred) -> Tuple[PairArray, PairArray]:
         main = self.asarray(main)
@@ -103,11 +117,8 @@ class PythonKernels(KernelBackend):
         swapped[1::2] = flat[0::2]
         return swapped
 
-    def os_view(self, sorted_pairs, *, algorithm: str = "auto"):
-        view, _ = _dispatch_sort_pairs(
-            self.swap(sorted_pairs), dedup=False, algorithm=algorithm
-        )
-        return view
+    def os_view(self, sorted_pairs):
+        return _sorted_rows(sorted_pairs[1::2], sorted_pairs[0::2], False)
 
     # -- join primitives ------------------------------------------------
     def merge_join(self, view1, view2, *, swap: bool = False):

@@ -1,18 +1,13 @@
-"""Pair-sorting subsystem: counting sort, MSDA radix, dispatch (paper §5)."""
+"""Pair-sorting subsystem: counting sort and MSDA radix (paper §5), with
+the generic baselines they are compared against in Table 1.  Not on
+the engine path: each kernel backend owns its one pair sort."""
 
 from .counting import (
     SortingError,
     counting_sort_pairs,
     counting_sort_values,
 )
-from .dispatch import (
-    ALGORITHMS,
-    choose_algorithm,
-    entropy_bits,
-    sort_pairs,
-    subject_range,
-    timsort_pairs,
-)
+from .dispatch import entropy_bits, timsort_pairs
 from .generic import mergesort_pairs, numpy_sort_pairs, quicksort_pairs
 from .radix import (
     lsd_radix_sort_pairs,
@@ -22,9 +17,7 @@ from .radix import (
 )
 
 __all__ = [
-    "ALGORITHMS",
     "SortingError",
-    "choose_algorithm",
     "counting_sort_pairs",
     "counting_sort_values",
     "entropy_bits",
@@ -35,7 +28,5 @@ __all__ = [
     "numpy_sort_pairs",
     "quicksort_pairs",
     "significant_bytes",
-    "sort_pairs",
-    "subject_range",
     "timsort_pairs",
 ]

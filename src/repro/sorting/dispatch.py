@@ -1,52 +1,23 @@
-"""Operating-range dispatch between counting sort and MSDA radix (§5.4).
+"""Table-1 helpers: the entropy column and the timsort reference row.
 
-The paper establishes (Table 1) that counting sort wins when the size of
-the collection exceeds the range of its keys, while the adaptive MSD
-radix wins on sparse data.  "As a rule of thumb, counting outperforms
-MSD radix when the size of the collection is greater than its range."
-
-:func:`sort_pairs` implements exactly that policy and is the single
-entry point the store uses; the chosen algorithm is also returned for
-observability (the ablation benchmark uses it).
+The paper (§5.4, Table 1) picks between counting sort and MSDA radix by
+operating range: "as a rule of thumb, counting outperforms MSD radix
+when the size of the collection is greater than its range".  The
+engine does not dispatch on that rule — each kernel backend has one
+pair sort, and on the pure-Python kernels CPython's timsort beat the
+dispatch on every engine workload measured — so what is left here is
+what the Table-1 benchmark reports next to the two contribution sorts.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import List, Tuple, Union
+from typing import List, Union
 
-from .counting import SortingError, _check_pairs, counting_sort_pairs
-from .radix import msd_radix_sort_pairs
+from ..kernels.python_backend import PYTHON_KERNELS
 
 PairArray = array
-
-#: Collections at or below this size skip dispatch and use timsort —
-#: both contenders degenerate to their comparison fallback anyway.
-SMALL_COLLECTION = 64
-
-#: Hard cap on the counting-sort histogram size, to bound memory even if
-#: a caller hands us a pathological range/size combination.
-MAX_COUNTING_RANGE = 1 << 26
-
-#: Valid algorithm names accepted by :func:`sort_pairs`.
-ALGORITHMS = ("auto", "counting", "radix", "timsort")
-
-
-def subject_range(pairs: Union[PairArray, List[int]]) -> int:
-    """Key range (max − min + 1) of the subjects of a flat pair array."""
-    n_pairs = _check_pairs(pairs)
-    if n_pairs == 0:
-        return 0
-    minimum = pairs[0]
-    maximum = pairs[0]
-    for i in range(0, 2 * n_pairs, 2):
-        subject = pairs[i]
-        if subject < minimum:
-            minimum = subject
-        elif subject > maximum:
-            maximum = subject
-    return maximum - minimum + 1
 
 
 def entropy_bits(key_range: int) -> float:
@@ -56,77 +27,11 @@ def entropy_bits(key_range: int) -> float:
     return math.log2(key_range)
 
 
-def choose_algorithm(n_pairs: int, key_range: int) -> str:
-    """Pick 'counting' or 'radix' from the Table-1 operating ranges."""
-    if n_pairs <= SMALL_COLLECTION:
-        return "timsort"
-    if key_range <= MAX_COUNTING_RANGE and n_pairs >= key_range:
-        return "counting"
-    return "radix"
-
-
 def timsort_pairs(
     pairs: Union[PairArray, List[int]],
     *,
     dedup: bool = False,
 ) -> PairArray:
-    """Comparison-sort fallback on (s, o) tuples (CPython's timsort)."""
-    n_pairs = _check_pairs(pairs)
-    if n_pairs == 0:
-        return array("q")
-    items = sorted(zip(pairs[0::2], pairs[1::2]))
-    flat = array("q")
-    if dedup:
-        previous: Union[Tuple[int, int], None] = None
-        for item in items:
-            if item != previous:
-                flat.append(item[0])
-                flat.append(item[1])
-                previous = item
-    else:
-        for subject, obj in items:
-            flat.append(subject)
-            flat.append(obj)
-    return flat
-
-
-def sort_pairs(
-    pairs: Union[PairArray, List[int]],
-    *,
-    dedup: bool = True,
-    algorithm: str = "auto",
-) -> Tuple[PairArray, str]:
-    """Sort a flat pair array, dispatching on the operating ranges.
-
-    Parameters
-    ----------
-    pairs:
-        Flat ⟨s, o⟩ sequence (subjects on even indices).
-    dedup:
-        Remove duplicate pairs (the Figure-5 merge path needs this; the
-        ⟨o, s⟩ cache computation does not).
-    algorithm:
-        'auto' applies the paper's policy; 'counting', 'radix' and
-        'timsort' force a backend (used by the ablation benchmark).
-
-    Returns
-    -------
-    (sorted_pairs, algorithm_used)
-    """
-    if algorithm not in ALGORITHMS:
-        raise SortingError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        )
-    n_pairs = _check_pairs(pairs)
-    if n_pairs == 0:
-        return array("q"), "none"
-
-    chosen = algorithm
-    if chosen == "auto":
-        chosen = choose_algorithm(n_pairs, subject_range(pairs))
-
-    if chosen == "counting":
-        return counting_sort_pairs(pairs, dedup=dedup), "counting"
-    if chosen == "radix":
-        return msd_radix_sort_pairs(pairs, dedup=dedup, adaptive=True), "radix"
-    return timsort_pairs(pairs, dedup=dedup), "timsort"
+    """Comparison sort on (s, o) tuples (CPython's timsort) — the
+    pure-Python kernel backend's pair sort."""
+    return PYTHON_KERNELS.sort_pairs(pairs, dedup=dedup)

@@ -42,10 +42,6 @@ class PropertyTable:
     pairs:
         Optional initial flat pair data (need not be sorted; it is
         committed through the backend's sort kernel).
-    algorithm:
-        Scalar sorting backend forwarded to the pure-Python kernels
-        ('auto' applies the paper's operating-range policy; forcing one
-        also pins backend='auto' to the pure-Python kernels).
     tracer:
         Optional :class:`repro.memsim.tracer.Tracer`; when set, the
         table reports its sequential scans and writes so the memory
@@ -62,7 +58,6 @@ class PropertyTable:
     __slots__ = (
         "_pairs",
         "_os_cache",
-        "_algorithm",
         "_kernels",
         "tracer",
         "_trace_id",
@@ -73,15 +68,13 @@ class PropertyTable:
         self,
         pairs: Optional[Union[PairArray, List[int]]] = None,
         *,
-        algorithm: str = "auto",
         tracer=None,
         trace_id: int = 0,
         cache_os: bool = True,
         backend: Union[str, KernelBackend] = "auto",
         presorted: bool = False,
     ):
-        self._algorithm = algorithm
-        self._kernels = resolve_backend(backend, algorithm=algorithm)
+        self._kernels = resolve_backend(backend)
         self.tracer = tracer
         self._trace_id = trace_id
         self.cache_os = cache_os
@@ -91,9 +84,7 @@ class PropertyTable:
         elif presorted:
             self._pairs = self._kernels.asarray(pairs)
         else:
-            self._pairs = self._kernels.sort_pairs(
-                pairs, dedup=True, algorithm=algorithm
-            )
+            self._pairs = self._kernels.sort_pairs(pairs, dedup=True)
             self._trace_sort(len(self._pairs) // 2)
 
     @property
@@ -143,7 +134,7 @@ class PropertyTable:
         """
         if self._os_cache is not None:
             return self._os_cache
-        view = self._kernels.os_view(self._pairs, algorithm=self._algorithm)
+        view = self._kernels.os_view(self._pairs)
         self._trace_sort(self.n_pairs)
         if self.cache_os:
             self._os_cache = view

@@ -94,21 +94,6 @@ class InferredBuffers:
             if chunks:
                 yield property_id, chunks
 
-    def items(self) -> Iterator[Tuple[int, PairArray]]:
-        """(property_id, concatenated raw pair buffer) per property.
-
-        Compatibility view over :meth:`chunk_items` that materialises
-        one flat ``array('q')`` per property.
-        """
-        for property_id, chunks in self.chunk_items():
-            flat = array("q")
-            for chunk in chunks:
-                if isinstance(chunk, array) and chunk.typecode == "q":
-                    flat.extend(chunk)
-                else:
-                    flat.extend(int(value) for value in chunk)
-            yield property_id, flat
-
     def __len__(self) -> int:
         """Total number of raw (pre-dedup) pairs buffered."""
         total = sum(len(tail) for tail in self._tails.values())
@@ -133,14 +118,12 @@ class TripleStore:
     def __init__(
         self,
         *,
-        algorithm: str = "auto",
         tracer=None,
         cache_os: bool = True,
         backend: Union[str, KernelBackend] = "auto",
     ):
         self._tables: Dict[int, PropertyTable] = {}
-        self._algorithm = algorithm
-        self._kernels = resolve_backend(backend, algorithm=algorithm)
+        self._kernels = resolve_backend(backend)
         self.tracer = tracer
         self.cache_os = cache_os
         #: On a delta built by :meth:`merge_inferred`: per ``own`` key,
@@ -172,7 +155,6 @@ class TripleStore:
     def _new_table(self, property_id: int, pairs=None, *, presorted=False):
         return PropertyTable(
             pairs,
-            algorithm=self._algorithm,
             tracer=self.tracer,
             trace_id=property_id,
             cache_os=self.cache_os,
@@ -211,9 +193,7 @@ class TripleStore:
             return
         existing = self._tables.get(property_id)
         if existing is not None and existing:
-            sorted_pairs = self._kernels.sort_pairs(
-                flat_pairs, dedup=True, algorithm=self._algorithm
-            )
+            sorted_pairs = self._kernels.sort_pairs(flat_pairs, dedup=True)
             existing.merge(sorted_pairs)
         else:
             self._tables[property_id] = self._new_table(
@@ -257,7 +237,6 @@ class TripleStore:
         snapshot semantics for free.  The view must only be read.
         """
         view = TripleStore(
-            algorithm=self._algorithm,
             tracer=None,
             cache_os=self.cache_os,
             backend=self._kernels,
@@ -294,7 +273,6 @@ class TripleStore:
         by one own buffer alone merges that sorted run as it is.
         """
         new_store = TripleStore(
-            algorithm=self._algorithm,
             tracer=self.tracer,
             cache_os=self.cache_os,
             backend=self._kernels,
@@ -302,9 +280,7 @@ class TripleStore:
         kernels = self._kernels
 
         def sort(chunks):
-            return kernels.sort_pairs(
-                kernels.concat(chunks), dedup=True, algorithm=self._algorithm
-            )
+            return kernels.sort_pairs(kernels.concat(chunks), dedup=True)
 
         chunks_of = dict(inferred.chunk_items())
         owners: Dict[int, List[int]] = {}
@@ -341,7 +317,6 @@ class TripleStore:
         that loses nothing.
         """
         view = TripleStore(
-            algorithm=self._algorithm,
             tracer=None,
             cache_os=self.cache_os,
             backend=self._kernels,
@@ -438,7 +413,6 @@ class TripleStore:
     def copy(self) -> "TripleStore":
         """Deep copy of tables (pair arrays are copied)."""
         out = TripleStore(
-            algorithm=self._algorithm,
             tracer=self.tracer,
             cache_os=self.cache_os,
             backend=self._kernels,

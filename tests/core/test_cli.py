@@ -45,9 +45,14 @@ class TestInferCommand:
         out = capsys.readouterr().out
         assert "Resource" in out  # RDFS4 fired
 
-    def test_forced_algorithm(self, sample_file, capsys):
-        assert main(["infer", sample_file, "--algorithm", "counting"]) == 0
-        assert capsys.readouterr().out.count(" .") == 3
+    def test_algorithm_flag_is_gone(self, sample_file, capsys):
+        # The scalar-sort axis is deleted; the flag is a usage error on
+        # every backend, never a raw exception.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["infer", sample_file, "--backend", "compressed",
+                  "--algorithm", "radix"])
+        assert exit_info.value.code == 2
+        assert "--algorithm" in capsys.readouterr().err
 
     def test_bad_ruleset_rejected(self, sample_file):
         with pytest.raises(SystemExit):

@@ -97,15 +97,6 @@ class TestMaterialize:
             Triple(ex("human"), RDFS.subClassOf, ex("animal"))
         )
 
-    def test_forced_sort_backends_agree(self):
-        results = []
-        for algorithm in ("auto", "counting", "radix", "timsort"):
-            engine = InferrayEngine("rdfs-default", algorithm=algorithm)
-            engine.load_triples(INTRO + subclass_chain(30))
-            engine.materialize()
-            results.append(set(engine.triples()))
-        assert all(r == results[0] for r in results)
-
 
 class TestQueriesAndViews:
     def setup_method(self):

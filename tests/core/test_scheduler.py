@@ -267,10 +267,10 @@ class TestParallelModeSelection:
 
     def test_auto_picks_sequential_on_one_core(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_CORES", "1")
-        monkeypatch.setenv("REPRO_THREAD_CROSSOVER", "0")
         engine = InferrayEngine(
             "rdfs-default", backend="python", workers=4, parallel_mode="auto"
         )
+        engine.scheduler.thread_crossover = 0
         engine.load_triples(INTRO)
         stats = engine.materialize()
         assert stats.parallel_mode == "sequential"
@@ -284,10 +284,10 @@ class TestParallelModeSelection:
         if not numpy_available():
             pytest.skip("numpy backend unavailable")
         monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
-        monkeypatch.setenv("REPRO_THREAD_CROSSOVER", "0")
         engine = InferrayEngine(
             "rdfs-default", backend="numpy", workers=2, parallel_mode="auto"
         )
+        engine.scheduler.thread_crossover = 0
         engine.load_triples(INTRO)
         stats = engine.materialize()
         assert stats.parallel_mode == "thread"
@@ -300,10 +300,10 @@ class TestParallelModeSelection:
         # backend runs sequentially even when the thread crossover is
         # cleared, and the recorded reason says why.
         monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
-        monkeypatch.setenv("REPRO_THREAD_CROSSOVER", "0")
         engine = InferrayEngine(
             "rdfs-default", backend="python", workers=2, parallel_mode="auto"
         )
+        engine.scheduler.thread_crossover = 0
         engine.load_triples(INTRO)
         stats = engine.materialize()
         assert stats.parallel_mode == "sequential"
@@ -341,13 +341,13 @@ class TestParallelModeSelection:
         if not numpy_available():
             pytest.skip("numpy inner backend unavailable")
         monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
-        monkeypatch.setenv("REPRO_THREAD_CROSSOVER", "0")
         engine = InferrayEngine(
             "rdfs-default",
             backend="compressed",
             workers=2,
             parallel_mode="auto",
         )
+        engine.scheduler.thread_crossover = 0
         engine.load_triples(INTRO)
         stats = engine.materialize()
         # Decode windows run on the GIL-releasing numpy inner backend,
@@ -363,13 +363,13 @@ class TestParallelModeSelection:
     ):
         monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
         monkeypatch.setenv("REPRO_KERNELS_DISABLE_NUMPY", "1")
-        monkeypatch.setenv("REPRO_THREAD_CROSSOVER", "0")
         engine = InferrayEngine(
             "rdfs-default",
             backend="compressed",
             workers=2,
             parallel_mode="auto",
         )
+        engine.scheduler.thread_crossover = 0
         assert engine.kernels.inner_name == "python"
         engine.load_triples(INTRO)
         stats = engine.materialize()
@@ -532,51 +532,16 @@ class TestCostModelKnobResolution:
         with pytest.warns(RuntimeWarning, match="REPRO_PARALLEL_CORES"):
             assert resolve_parallel_cores() == (os.cpu_count() or 1)
 
-    def test_crossover_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREAD_CROSSOVER", "123")
-        scheduler = ParallelRuleScheduler(
-            get_ruleset("rdfs-default"), workers=2
-        )
-        assert scheduler.thread_crossover == 123
+    def test_explicit_crossover_trusted_and_clamped(self):
+        from repro.core.scheduler import DEFAULT_THREAD_CROSSOVER
 
-    def test_bad_crossover_env_warns_and_defaults(self, monkeypatch):
-        from repro.core.scheduler import (
-            THREAD_CROSSOVER_ENV,
-            resolve_crossover,
-        )
-
-        monkeypatch.setenv(THREAD_CROSSOVER_ENV, "huge")
-        with pytest.warns(RuntimeWarning, match="REPRO_THREAD_CROSSOVER"):
-            assert (
-                resolve_crossover(
-                    None, env=THREAD_CROSSOVER_ENV, default=42
-                )
-                == 42
-            )
-
-    def test_negative_crossover_env_warns_and_defaults(self, monkeypatch):
-        from repro.core.scheduler import (
-            THREAD_CROSSOVER_ENV,
-            resolve_crossover,
-        )
-
-        monkeypatch.setenv(THREAD_CROSSOVER_ENV, "-1")
-        with pytest.warns(RuntimeWarning, match="REPRO_THREAD_CROSSOVER"):
-            assert (
-                resolve_crossover(
-                    None, env=THREAD_CROSSOVER_ENV, default=42
-                )
-                == 42
-            )
-
-    def test_explicit_crossover_trusted_and_clamped(self, monkeypatch):
-        from repro.core.scheduler import (
-            THREAD_CROSSOVER_ENV,
-            resolve_crossover,
-        )
-
-        monkeypatch.setenv(THREAD_CROSSOVER_ENV, "999")  # ignored
-        assert (
-            resolve_crossover(-7, env=THREAD_CROSSOVER_ENV, default=42)
-            == 0
-        )
+        rules = get_ruleset("rdfs-default")
+        assert ParallelRuleScheduler(
+            rules, workers=2
+        ).thread_crossover == DEFAULT_THREAD_CROSSOVER
+        assert ParallelRuleScheduler(
+            rules, workers=2, thread_crossover=123
+        ).thread_crossover == 123
+        assert ParallelRuleScheduler(
+            rules, workers=2, thread_crossover=-7
+        ).thread_crossover == 0

@@ -397,6 +397,42 @@ class TestPersistence:
         with pytest.raises(StoreFormatError):
             Store.load(str(path))
 
+    def test_stale_sort_header_loads_on_every_backend(self, backend, tmp_path):
+        """A v4 file whose header names a forced scalar sort (written
+        when the engine still had that axis) opens on every backend,
+        ``auto`` included, with the same closure: the value is
+        ignored."""
+        import json
+        import struct
+
+        from repro.core.store_api import STORE_MAGIC
+        from repro.kernels import resolve_backend
+
+        path = str(tmp_path / "counting.store")
+        store = Store(DATA)
+        store.save(path)
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        start = len(STORE_MAGIC) + 4
+        (n,) = struct.unpack("<I", blob[start - 4:start])
+        header = json.loads(blob[start:start + n])
+        assert header["algorithm"] == "auto"
+        header["algorithm"] = "counting"
+        payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        with open(path, "wb") as handle:
+            handle.write(
+                STORE_MAGIC + struct.pack("<I", len(payload)) + payload
+                + blob[start + n:]
+            )
+        expected = sorted(t.n3() for t in store.triples())
+
+        loaded = Store.load(path, backend=backend)
+        assert loaded.engine.kernels.name == backend
+        assert sorted(t.n3() for t in loaded.triples()) == expected
+        default = Store.load(path)
+        assert default.engine.kernels is resolve_backend("auto")
+        assert sorted(t.n3() for t in default.triples()) == expected
+
     def test_custom_ruleset_needs_override(self, tmp_path):
         from repro.rules.rulesets import get_ruleset
 

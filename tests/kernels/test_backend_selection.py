@@ -1,5 +1,9 @@
 """Backend selection policy, env knobs, and end-to-end threading."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.engine import InferrayEngine
@@ -29,12 +33,6 @@ class TestResolvePolicy:
         with pytest.raises(KernelUnavailableError):
             get_backend("cupy")
 
-    def test_forced_scalar_algorithm_pins_python(self):
-        # counting/radix/timsort ablations are only observable on the
-        # interpreted backend; 'auto' must not route them to numpy.
-        assert resolve_backend("auto", algorithm="counting").name == "python"
-        assert resolve_backend("auto", algorithm="radix").name == "python"
-
     @requires_numpy
     def test_auto_prefers_numpy(self, monkeypatch):
         # Default policy: ignore any ambient REPRO_KERNELS override
@@ -58,20 +56,6 @@ class TestResolvePolicy:
         assert resolve_backend("auto").name == "python"
         # explicit names beat the env default
         assert resolve_backend("numpy").name == "numpy"
-
-    @requires_numpy
-    def test_forced_algorithm_beats_env_numpy_default(self, monkeypatch):
-        # The ablation pin must hold even when the environment defaults
-        # the kernels to numpy.
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        assert resolve_backend("auto", algorithm="counting").name == "python"
-
-    @requires_numpy
-    def test_explicit_numpy_with_forced_algorithm_rejected(self):
-        with pytest.raises(ValueError, match="scalar-sort ablation"):
-            resolve_backend("numpy", algorithm="counting")
-        with pytest.raises(ValueError, match="scalar-sort ablation"):
-            InferrayEngine("rho-df", backend="numpy", algorithm="radix")
 
     def test_backend_names_exported(self):
         assert set(BACKEND_NAMES) == {"auto", "python", "numpy", "compressed"}
@@ -114,3 +98,32 @@ class TestEngineThreading:
         assert main(["stats", str(nt), "--backend", "python"]) == 0
         out = capsys.readouterr().out
         assert "kernel backend:    python" in out
+
+
+def test_engine_path_does_not_import_the_table1_sorters():
+    # Each kernel backend owns its one pair sort; repro.sorting is only
+    # the Table-1 comparison set, so neither importing the package nor
+    # closing a store on the interpreted kernels may pull it in.
+    code = (
+        "import sys, repro\n"
+        "assert 'repro.sorting' not in sys.modules, 'import repro'\n"
+        "from repro.rdf import Triple, iri, RDF, RDFS\n"
+        "for backend in ('python', 'compressed'):\n"
+        "    repro.Store([\n"
+        "        Triple(iri('ex:h'), RDFS.subClassOf, iri('ex:m')),\n"
+        "        Triple(iri('ex:b'), RDF.type, iri('ex:h')),\n"
+        "    ], backend=backend).materialize()\n"
+        "assert 'repro.sorting' not in sys.modules, 'materialize'\n"
+    )
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)))),
+        "src",
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

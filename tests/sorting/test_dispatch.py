@@ -1,21 +1,10 @@
-"""Unit tests for the operating-range dispatcher (paper §5.4)."""
+"""Unit tests for the Table-1 helpers (entropy column, timsort row)."""
 
 from array import array
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.sorting.counting import SortingError
-from repro.sorting.dispatch import (
-    MAX_COUNTING_RANGE,
-    SMALL_COLLECTION,
-    choose_algorithm,
-    entropy_bits,
-    sort_pairs,
-    subject_range,
-    timsort_pairs,
-)
+from repro.sorting.dispatch import entropy_bits, timsort_pairs
 
 
 def flat(pairs):
@@ -30,31 +19,7 @@ def unflat(arr):
     return list(zip(arr[0::2], arr[1::2]))
 
 
-class TestChooseAlgorithm:
-    def test_tiny_collections_use_timsort(self):
-        assert choose_algorithm(SMALL_COLLECTION, 10) == "timsort"
-
-    def test_counting_when_size_at_least_range(self):
-        # The paper's rule of thumb: counting wins when n >= range.
-        assert choose_algorithm(1000, 1000) == "counting"
-        assert choose_algorithm(25_000_000 // 100, 100) == "counting"
-
-    def test_radix_when_range_exceeds_size(self):
-        assert choose_algorithm(1000, 1001) == "radix"
-        assert choose_algorithm(500, 50_000) == "radix"
-
-    def test_huge_range_forces_radix(self):
-        assert choose_algorithm(MAX_COUNTING_RANGE * 2,
-                                MAX_COUNTING_RANGE + 1) == "radix"
-
-
-class TestSubjectRangeAndEntropy:
-    def test_subject_range(self):
-        assert subject_range(flat([(5, 0), (15, 0), (10, 0)])) == 11
-
-    def test_subject_range_empty(self):
-        assert subject_range(array("q")) == 0
-
+class TestEntropy:
     def test_entropy_paper_values(self):
         # Table 1's entropy column: log2(range).
         assert abs(entropy_bits(500_000) - 18.9) < 0.05
@@ -65,50 +30,6 @@ class TestSubjectRangeAndEntropy:
     def test_entropy_degenerate(self):
         assert entropy_bits(0) == 0.0
         assert entropy_bits(-5) == 0.0
-
-
-class TestSortPairsDispatch:
-    def test_empty(self):
-        out, used = sort_pairs(array("q"))
-        assert len(out) == 0
-        assert used == "none"
-
-    def test_small_input_uses_timsort(self):
-        pairs = [(3, 1), (1, 2)]
-        out, used = sort_pairs(flat(pairs))
-        assert used == "timsort"
-        assert unflat(out) == sorted(pairs)
-
-    def test_dense_input_uses_counting(self):
-        pairs = [(i % 50, i) for i in range(500)]
-        out, used = sort_pairs(flat(pairs))
-        assert used == "counting"
-        assert unflat(out) == sorted(set(pairs))
-
-    def test_sparse_input_uses_radix(self):
-        pairs = [(i * 1_000_003, i) for i in range(200)]
-        out, used = sort_pairs(flat(pairs))
-        assert used == "radix"
-        assert unflat(out) == sorted(set(pairs))
-
-    def test_forced_backends_agree(self):
-        pairs = [((i * 7) % 90, (i * 13) % 90) for i in range(300)]
-        expected = sorted(set(pairs))
-        for algorithm in ("counting", "radix", "timsort"):
-            out, used = sort_pairs(flat(pairs), algorithm=algorithm)
-            assert used == algorithm
-            assert unflat(out) == expected
-
-    def test_dedup_flag(self):
-        pairs = [(1, 1)] * 100
-        out, _ = sort_pairs(flat(pairs), dedup=False, algorithm="counting")
-        assert len(out) // 2 == 100
-        out, _ = sort_pairs(flat(pairs), dedup=True, algorithm="counting")
-        assert len(out) // 2 == 1
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(SortingError):
-            sort_pairs(flat([(1, 2)]), algorithm="bogosort")
 
 
 class TestTimsortPairs:
@@ -122,17 +43,6 @@ class TestTimsortPairs:
     def test_empty(self):
         assert len(timsort_pairs(array("q"))) == 0
 
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)),
-        max_size=300,
-    ),
-    st.booleans(),
-)
-def test_dispatch_always_correct(pairs, dedup):
-    """Whatever the dispatcher picks, the result is right."""
-    out, _ = sort_pairs(flat(pairs), dedup=dedup)
-    expected = sorted(set(pairs)) if dedup else sorted(pairs)
-    assert unflat(out) == expected
+    def test_odd_length_rejected(self):
+        with pytest.raises(ValueError):
+            timsort_pairs(array("q", [1, 2, 3]))

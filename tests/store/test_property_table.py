@@ -198,10 +198,8 @@ class TestOsCacheInvalidationRegression:
 )
 def test_merge_set_semantics(main_pairs, inferred_pairs):
     """merge == set union; returned delta == inferred − main."""
-    from repro.sorting.dispatch import sort_pairs
-
     t = PropertyTable(flat(main_pairs))
-    sorted_inferred, _ = sort_pairs(flat(inferred_pairs), dedup=True)
+    sorted_inferred = t.kernels.sort_pairs(flat(inferred_pairs), dedup=True)
     new = t.merge(sorted_inferred)
     assert set(t.iter_pairs()) == set(main_pairs) | set(inferred_pairs)
     assert list(t.iter_pairs()) == sorted(set(main_pairs) | set(inferred_pairs))

@@ -41,16 +41,14 @@ class TestInferredBuffers:
         assert pid == 10
         assert chunks[0] is chunk  # zero-copy
 
-    def test_items_concatenates_emits_and_chunks(self):
+    def test_chunk_items_gathers_emits_and_chunks(self):
         buffers = InferredBuffers()
         buffers.emit(10, 1, 2)
         buffers.extend(10, flat([(3, 4)]))
         buffers.extend(20, [5, 6])
-        flattened = dict(buffers.items())
-        assert sorted(
-            zip(flattened[10][0::2], flattened[10][1::2])
-        ) == [(1, 2), (3, 4)]
-        assert list(flattened[20]) == [5, 6]
+        chunks = dict(buffers.chunk_items())
+        assert [list(chunk) for chunk in chunks[10]] == [[1, 2], [3, 4]]
+        assert [list(chunk) for chunk in chunks[20]] == [[5, 6]]
         assert len(buffers) == 3
 
 
