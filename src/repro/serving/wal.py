@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 import time
 import warnings
 import zlib
@@ -63,9 +64,10 @@ class WALCorruptionError(ValueError):
 class WriteAheadLog:
     """Append-only mutation log with checkpoint compaction.
 
-    Not thread-safe by itself: the server serializes appends on a
-    dedicated single-thread executor and checkpoints on the flush
-    thread only after the corresponding appends completed.
+    The server appends on a dedicated single-thread executor and
+    checkpoints on the flush thread, so the two can overlap: a lock
+    makes each append, sync, checkpoint and close atomic with respect
+    to the others (an append never meets the handle mid-compaction).
     """
 
     def __init__(self, path: str, *, fsync_policy: str = "always"):
@@ -85,6 +87,7 @@ class WriteAheadLog:
         self._pending: List[Tuple[int, str, bytes]] = []
         self._next_seq = 1
         self._handle: Optional[IO[bytes]] = None
+        self._lock = threading.Lock()
         self._recover()
 
     # ------------------------------------------------------------------
@@ -158,28 +161,30 @@ class WriteAheadLog:
 
     def append(self, kind: str, triples: Sequence[Triple]) -> int:
         """Durably append one mutation; returns its sequence number."""
-        if self._handle is None:
-            raise ValueError("write-ahead log is closed")
-        _fire_fault("serving.wal", self.path)
-        kind_code = _KINDS.index(kind)
-        payload = "\n".join(t.n3() for t in triples).encode("utf-8")
-        seq = self._next_seq
-        record = _HEADER.pack(seq, kind_code, len(payload)) + payload
-        record += _CRC.pack(zlib.crc32(record))
-        self._handle.write(record)
-        self._handle.flush()
-        if self.fsync_policy == "always":
-            os.fsync(self._handle.fileno())
-        self._next_seq = seq + 1
-        self._pending.append((seq, kind, payload))
-        self.appended_total += 1
-        return seq
+        with self._lock:
+            if self._handle is None:
+                raise ValueError("write-ahead log is closed")
+            _fire_fault("serving.wal", self.path)
+            kind_code = _KINDS.index(kind)
+            payload = "\n".join(t.n3() for t in triples).encode("utf-8")
+            seq = self._next_seq
+            record = _HEADER.pack(seq, kind_code, len(payload)) + payload
+            record += _CRC.pack(zlib.crc32(record))
+            self._handle.write(record)
+            self._handle.flush()
+            if self.fsync_policy == "always":
+                os.fsync(self._handle.fileno())
+            self._next_seq = seq + 1
+            self._pending.append((seq, kind, payload))
+            self.appended_total += 1
+            return seq
 
     def sync(self) -> None:
         """Force appended records to disk (used by the batch policy)."""
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+        with self._lock:
+            if self._handle is not None:
+                self._handle.flush()
+                os.fsync(self._handle.fileno())
 
     # ------------------------------------------------------------------
     # Replay and checkpointing
@@ -207,42 +212,45 @@ class WriteAheadLog:
         atomically replaces the log, so a crash mid-checkpoint leaves
         either the old log or the compacted one — both replayable.
         """
-        if self._handle is None:
-            raise ValueError("write-ahead log is closed")
-        keep = [entry for entry in self._pending if entry[0] > upto_seq]
-        self._handle.flush()
-        self._handle.close()
-        self._handle = None
-        tmp_path = f"{self.path}.compact.tmp"
-        try:
-            with open(tmp_path, "wb") as handle:
-                handle.write(WAL_MAGIC)
-                for seq, kind, payload in keep:
-                    record = _HEADER.pack(
-                        seq, _KINDS.index(kind), len(payload)
-                    )
-                    record += payload
-                    record += _CRC.pack(zlib.crc32(record))
-                    handle.write(record)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
+        with self._lock:
+            if self._handle is None:
+                raise ValueError("write-ahead log is closed")
+            keep = [entry for entry in self._pending if entry[0] > upto_seq]
+            self._handle.flush()
+            self._handle.close()
+            self._handle = None
+            tmp_path = f"{self.path}.compact.tmp"
             try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
+                with open(tmp_path, "wb") as handle:
+                    handle.write(WAL_MAGIC)
+                    for seq, kind, payload in keep:
+                        record = _HEADER.pack(
+                            seq, _KINDS.index(kind), len(payload)
+                        )
+                        record += payload
+                        record += _CRC.pack(zlib.crc32(record))
+                        handle.write(record)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                os.replace(tmp_path, self.path)
+            except BaseException:
+                try:
+                    os.unlink(tmp_path)
+                except OSError:
+                    pass
+                self._handle = open(self.path, "ab")
+                raise
+            _fsync_parent_dir(self.path)
+            self._pending = keep
+            self.checkpoints_total += 1
+            self.last_checkpoint_at = time.monotonic()
             self._handle = open(self.path, "ab")
-            raise
-        _fsync_parent_dir(self.path)
-        self._pending = keep
-        self.checkpoints_total += 1
-        self.last_checkpoint_at = time.monotonic()
-        self._handle = open(self.path, "ab")
 
     def close(self) -> None:
         """Flush and close the log handle (the file keeps its records)."""
-        if self._handle is not None:
+        with self._lock:
+            if self._handle is None:
+                return
             self._handle.flush()
             if self.fsync_policy != "never":
                 os.fsync(self._handle.fileno())

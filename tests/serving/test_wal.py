@@ -8,6 +8,7 @@ append (and fsync, under the default policy) landed.
 import http.client
 import os
 import struct
+import threading
 import zlib
 
 import pytest
@@ -90,6 +91,36 @@ class TestAppendReplay:
         wal.close()
         reopened = WriteAheadLog(str(tmp_path / "w.wal"))
         assert reopened.depth == 1
+        reopened.close()
+
+    def test_appends_survive_concurrent_checkpoints(self, tmp_path):
+        # The server appends on one thread and checkpoints on another:
+        # no append may meet the handle mid-compaction or be dropped.
+        wal = WriteAheadLog(str(tmp_path / "w.wal"), fsync_policy="never")
+        done = threading.Event()
+        errors = []
+
+        def checkpoint_until_done():
+            while not done.is_set():
+                try:
+                    wal.checkpoint(0)
+                except Exception as error:
+                    errors.append(error)
+
+        checkpointer = threading.Thread(target=checkpoint_until_done)
+        checkpointer.start()
+        try:
+            for i in range(300):
+                wal.append("add", [t(f"a{i}")])
+        except Exception as error:
+            errors.append(error)
+        finally:
+            done.set()
+            checkpointer.join()
+        wal.close()
+        assert errors == []
+        reopened = WriteAheadLog(str(tmp_path / "w.wal"))
+        assert reopened.depth == 300
         reopened.close()
 
 

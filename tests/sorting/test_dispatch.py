@@ -3,6 +3,8 @@
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sorting.dispatch import entropy_bits, timsort_pairs
 
@@ -46,3 +48,17 @@ class TestTimsortPairs:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             timsort_pairs(array("q", [1, 2, 3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)),
+        max_size=300,
+    ),
+    st.booleans(),
+)
+def test_timsort_pairs_always_correct(pairs, dedup):
+    out = timsort_pairs(flat(pairs), dedup=dedup)
+    expected = sorted(set(pairs)) if dedup else sorted(pairs)
+    assert unflat(out) == expected
