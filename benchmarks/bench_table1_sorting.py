@@ -21,8 +21,9 @@ from array import array
 
 import pytest
 
+from repro.kernels.python_backend import PYTHON_KERNELS
 from repro.sorting.counting import counting_sort_pairs
-from repro.sorting.dispatch import entropy_bits, timsort_pairs
+from repro.sorting.dispatch import entropy_bits
 from repro.sorting.generic import (
     mergesort_pairs,
     numpy_sort_pairs,
@@ -44,7 +45,9 @@ ALGORITHMS = {
 }
 
 ACCELERATED = {
-    "Timsort (C ref)": lambda pairs: timsort_pairs(pairs, dedup=False),
+    "Timsort (C ref)": lambda pairs: PYTHON_KERNELS.sort_pairs(
+        pairs, dedup=False
+    ),
     "NumPy qsort (C ref)": numpy_sort_pairs,
 }
 

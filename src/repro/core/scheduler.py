@@ -20,8 +20,7 @@ hooks and picks ``sequential`` below the measured thread crossover
 Python, or compressed blocks decoded by the pure-Python codec — threads
 cannot overlap them) and on fewer than two usable cores; ``thread``
 otherwise.  The crossover defaults to a value measured by
-``benchmarks/bench_table2_rdfs.py --scale`` and is overridable per
-scheduler (``thread_crossover=``); ``$REPRO_PARALLEL_MODE``
+``benchmarks/bench_table2_rdfs.py --scale``; ``$REPRO_PARALLEL_MODE``
 (or ``mode="thread"``) forces the pool unconditionally.  Every pick is
 recorded as an :class:`ExecutorDecision` (surfaced on
 ``MaterializationStats.parallel_decision``).
@@ -231,7 +230,6 @@ class ParallelRuleScheduler:
         graph: Optional[RuleDependencyGraph] = None,
         vocab: Optional[Vocab] = None,
         kernels: Optional[KernelBackend] = None,
-        thread_crossover: Optional[int] = None,
         cores: Optional[int] = None,
     ):
         self.rules: List[Rule] = list(rules)
@@ -244,12 +242,7 @@ class ParallelRuleScheduler:
         #: regardless of the cost model.
         self.requested_mode = resolve_parallel_mode(mode)
         self._mode_forced = self.requested_mode == "thread"
-        #: Explicit values are clamped to >= 0 (``0``: always profitable).
-        self.thread_crossover = (
-            DEFAULT_THREAD_CROSSOVER
-            if thread_crossover is None
-            else max(0, int(thread_crossover))
-        )
+        self.thread_crossover = DEFAULT_THREAD_CROSSOVER
         self.cores = resolve_parallel_cores(cores)
         #: The most recent :meth:`decide` result (observability).
         self.last_decision: Optional[ExecutorDecision] = None

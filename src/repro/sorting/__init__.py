@@ -7,7 +7,7 @@ from .counting import (
     counting_sort_pairs,
     counting_sort_values,
 )
-from .dispatch import entropy_bits, timsort_pairs
+from .dispatch import entropy_bits
 from .generic import mergesort_pairs, numpy_sort_pairs, quicksort_pairs
 from .radix import (
     lsd_radix_sort_pairs,
@@ -28,5 +28,4 @@ __all__ = [
     "numpy_sort_pairs",
     "quicksort_pairs",
     "significant_bytes",
-    "timsort_pairs",
 ]

@@ -1,4 +1,4 @@
-"""Table-1 helpers: the entropy column and the timsort reference row.
+"""Table-1 helper: the entropy column.
 
 The paper (§5.4, Table 1) picks between counting sort and MSDA radix by
 operating range: "as a rule of thumb, counting outperforms MSD radix
@@ -6,18 +6,12 @@ when the size of the collection is greater than its range".  The
 engine does not dispatch on that rule — each kernel backend has one
 pair sort, and on the pure-Python kernels CPython's timsort beat the
 dispatch on every engine workload measured — so what is left here is
-what the Table-1 benchmark reports next to the two contribution sorts.
+the range measure the Table-1 benchmark reports next to the sorts.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from typing import List, Union
-
-from ..kernels.python_backend import PYTHON_KERNELS
-
-PairArray = array
 
 
 def entropy_bits(key_range: int) -> float:
@@ -25,13 +19,3 @@ def entropy_bits(key_range: int) -> float:
     if key_range <= 0:
         return 0.0
     return math.log2(key_range)
-
-
-def timsort_pairs(
-    pairs: Union[PairArray, List[int]],
-    *,
-    dedup: bool = False,
-) -> PairArray:
-    """Comparison sort on (s, o) tuples (CPython's timsort) — the
-    pure-Python kernel backend's pair sort."""
-    return PYTHON_KERNELS.sort_pairs(pairs, dedup=dedup)

@@ -8,11 +8,12 @@ comparison set is:
 * ``mergesort_pairs`` / ``quicksort_pairs`` — textbook pure-Python
   implementations, the same substrate as the contribution sorts (this is
   the apples-to-apples comparison that preserves Table 1's shape);
-* ``timsort_pairs`` (re-exported from dispatch) — CPython's C-compiled
-  comparison sort, reported as a hardware-accelerated reference row,
-  playing the role the paper gives the SIMD numbers quoted from [25];
 * ``numpy_sort_pairs`` — NumPy's C quicksort/mergesort on packed 64-bit
-  keys, a second accelerated reference (optional dependency).
+  keys, an accelerated reference (optional dependency).
+
+The Table-1 benchmark adds a second accelerated reference row, the
+pure-Python kernel backend's pair sort (CPython's C-compiled timsort),
+playing the role the paper gives the SIMD numbers quoted from [25].
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from array import array
 from typing import List, Tuple, Union
 
 from .counting import _check_pairs
-from .dispatch import timsort_pairs  # noqa: F401  (re-export)
 
 PairArray = array
 

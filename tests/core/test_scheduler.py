@@ -531,17 +531,3 @@ class TestCostModelKnobResolution:
         monkeypatch.setenv("REPRO_PARALLEL_CORES", "0")
         with pytest.warns(RuntimeWarning, match="REPRO_PARALLEL_CORES"):
             assert resolve_parallel_cores() == (os.cpu_count() or 1)
-
-    def test_explicit_crossover_trusted_and_clamped(self):
-        from repro.core.scheduler import DEFAULT_THREAD_CROSSOVER
-
-        rules = get_ruleset("rdfs-default")
-        assert ParallelRuleScheduler(
-            rules, workers=2
-        ).thread_crossover == DEFAULT_THREAD_CROSSOVER
-        assert ParallelRuleScheduler(
-            rules, workers=2, thread_crossover=123
-        ).thread_crossover == 123
-        assert ParallelRuleScheduler(
-            rules, workers=2, thread_crossover=-7
-        ).thread_crossover == 0

@@ -1,24 +1,6 @@
-"""Unit tests for the Table-1 helpers (entropy column, timsort row)."""
+"""Unit tests for the Table-1 entropy column."""
 
-from array import array
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.sorting.dispatch import entropy_bits, timsort_pairs
-
-
-def flat(pairs):
-    out = array("q")
-    for s, o in pairs:
-        out.append(s)
-        out.append(o)
-    return out
-
-
-def unflat(arr):
-    return list(zip(arr[0::2], arr[1::2]))
+from repro.sorting.dispatch import entropy_bits
 
 
 class TestEntropy:
@@ -32,33 +14,3 @@ class TestEntropy:
     def test_entropy_degenerate(self):
         assert entropy_bits(0) == 0.0
         assert entropy_bits(-5) == 0.0
-
-
-class TestTimsortPairs:
-    def test_dedup(self):
-        pairs = [(2, 2), (1, 1), (2, 2)]
-        assert unflat(timsort_pairs(flat(pairs), dedup=True)) == [
-            (1, 1),
-            (2, 2),
-        ]
-
-    def test_empty(self):
-        assert len(timsort_pairs(array("q"))) == 0
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(ValueError):
-            timsort_pairs(array("q", [1, 2, 3]))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)),
-        max_size=300,
-    ),
-    st.booleans(),
-)
-def test_timsort_pairs_always_correct(pairs, dedup):
-    out = timsort_pairs(flat(pairs), dedup=dedup)
-    expected = sorted(set(pairs)) if dedup else sorted(pairs)
-    assert unflat(out) == expected
