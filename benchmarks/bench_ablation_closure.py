@@ -8,15 +8,16 @@ choice: the identical InferrayEngine runs once with the θ pre-pass
 sort-merge self-join (the shaped JoinRule) — everything else (store,
 sorts, merges) unchanged.
 
-Run:     python benchmarks/bench_ablation_closure.py
+Run:     python benchmarks/bench_ablation_closure.py [--smoke]
 Pytest:  pytest benchmarks/bench_ablation_closure.py --benchmark-only
 """
 
+import argparse
 import time
 
 import pytest
 
-from repro.bench.harness import format_table
+from paper.bench.harness import format_table
 from repro.core.engine import InferrayEngine, MaterializationTimeout
 from repro.datasets.chains import chain_closure_size, subclass_chain
 from repro.rules.classes import shaped_rule
@@ -62,8 +63,13 @@ def run_ablation(lengths=None, timeout=TIMEOUT):
     return rows
 
 
-def main():
-    rows = run_ablation()
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--smoke", action="store_true", help="the shortest chain only"
+    )
+    args = parser.parse_args(argv)
+    rows = run_ablation(LENGTHS[:1] if args.smoke else LENGTHS)
     headers = [
         "chain", "closure", "nuutila (ms)", "iters",
         "iterative (ms)", "iters",

@@ -4,23 +4,27 @@
 with a cached version sorted on ⟨o,s⟩ … computed lazily upon need."
 This ablation disables the cache (every object-keyed join re-sorts),
 quantifying what the lazily-cached second index buys on join-heavy
-rulesets.
+rulesets.  Both columns run :func:`paper.instrumented_engine`, which
+is sequential; the uncached one passes ``cache_os=False``.
 
-Run:     python benchmarks/bench_ablation_oscache.py
+Run:     python benchmarks/bench_ablation_oscache.py [--smoke]
 Pytest:  pytest benchmarks/bench_ablation_oscache.py --benchmark-only
 """
 
+import argparse
 import time
 
 import pytest
 
-from repro.bench.harness import format_table
-from repro.core.engine import InferrayEngine
+from paper import instrumented_engine
+from paper.bench.harness import format_table
 from repro.datasets.bsbm import bsbm_like
 from repro.datasets.lubm import lubm_like
 
 
-def workloads():
+def workloads(smoke=False):
+    if smoke:
+        return [("bsbm-2k / rdfs-default", bsbm_like(2_000), "rdfs-default")]
     return [
         ("bsbm-2k / rdfs-default", bsbm_like(2_000), "rdfs-default"),
         ("lubm-25 / rdfs-plus", lubm_like(25), "rdfs-plus"),
@@ -36,7 +40,7 @@ def run_ablation(subset=None, repeats=2):
         for cached in (True, False):
             best = float("inf")
             for _ in range(repeats):
-                engine = InferrayEngine(ruleset, os_cache=cached)
+                engine = instrumented_engine(ruleset, cache_os=cached)
                 engine.load_triples(data)
                 started = time.perf_counter()
                 engine.materialize()
@@ -48,8 +52,17 @@ def run_ablation(subset=None, repeats=2):
     return rows
 
 
-def main():
-    rows = run_ablation()
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="the smallest workload, one timed run per column",
+    )
+    args = parser.parse_args(argv)
+    if args.smoke:
+        rows = run_ablation(workloads(smoke=True), repeats=1)
+    else:
+        rows = run_ablation()
     headers = ["workload", "cached (ms)", "uncached (ms)", "overhead"]
     table = []
     for name, timings in rows:
@@ -72,7 +85,7 @@ def test_oscache(benchmark, cached):
     data = lubm_like(5)
 
     def run():
-        engine = InferrayEngine("rdfs-plus", os_cache=cached)
+        engine = instrumented_engine("rdfs-plus", cache_os=cached)
         engine.load_triples(data)
         engine.materialize()
         return engine.n_triples

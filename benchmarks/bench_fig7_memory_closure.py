@@ -5,8 +5,9 @@ for chains of 500/1000/2500 nodes, measured with `perf`: Inferray stays
 memory-friendly, OWLIM (RETE) struggles with page faults and TLB
 misses, RDFox sits between and degrades with size.
 
-Reproduction via :mod:`repro.memsim`: each engine runs instrumented
-with a RecordingTracer; the trace replays through the simulated
+Reproduction via :mod:`paper.memsim`: each engine runs instrumented
+with a RecordingTracer (Inferray through
+:func:`paper.instrumented_engine`); the trace replays through the simulated
 Xeon-E3-like hierarchy (32K L1d / 8M LLC / 64-entry TLB / 4K pages).
 Chains are scaled to 100/200/400 nodes.  Each cell also reports the
 resident closure's **bytes per entailed triple**.
@@ -36,25 +37,26 @@ import time
 
 import pytest
 
+from paper import instrumented_engine
+from paper.bench.figures import counters_to_bars, render_bars
+from paper.bench.harness import format_table
+from paper.memsim.hierarchy import replay_trace
+from paper.memsim.tracer import RecordingTracer
 from repro.baselines.hashjoin import HashJoinEngine
 from repro.baselines.rete import ReteEngine
-from repro.bench.figures import counters_to_bars, render_bars
-from repro.bench.harness import format_table
 from repro.core.engine import InferrayEngine
 from repro.datasets.bsbm import bsbm_like
 from repro.datasets.chains import subclass_chain, subclass_tree, subproperty_chain
 from repro.datasets.lubm import lubm_like
 from repro.kernels import numpy_available
-from repro.memsim.hierarchy import replay_trace
 from repro.memsim.probe import measure_store
-from repro.memsim.tracer import RecordingTracer
 from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import RDF, RDFS
 
 LENGTHS = [50, 100, 200]
 
 ENGINES = {
-    "inferray": InferrayEngine,
+    "inferray": instrumented_engine,
     "hashjoin": HashJoinEngine,
     "rete": ReteEngine,
 }

@@ -6,33 +6,38 @@ LUBM 5M–100M and the real-world datasets; Inferray's cache behaviour
 degrades on RDFS-Plus (up to 11% on Wordnet), the RETE engine
 (OWLIM) trails on TLB misses and page faults.
 
-Reproduction via :mod:`repro.memsim` on LUBM-like 5–25 departments
-plus the stand-ins, under RDFS-Plus.
+Reproduction via :mod:`paper.memsim` on LUBM-like 5–25 departments
+plus the stand-ins, under RDFS-Plus; Inferray runs through
+:func:`paper.instrumented_engine`.
 
-Run:     python benchmarks/bench_fig8_memory_rdfsplus.py
+Run:     python benchmarks/bench_fig8_memory_rdfsplus.py [--smoke]
 Pytest:  pytest benchmarks/bench_fig8_memory_rdfsplus.py --benchmark-only
 """
 
+import argparse
+
 import pytest
 
+from paper import instrumented_engine
+from paper.bench.figures import counters_to_bars, render_bars
+from paper.bench.harness import format_table
+from paper.memsim.hierarchy import replay_trace
+from paper.memsim.tracer import RecordingTracer
 from repro.baselines.hashjoin import HashJoinEngine
 from repro.baselines.rete import ReteEngine
-from repro.bench.figures import counters_to_bars, render_bars
-from repro.bench.harness import format_table
-from repro.core.engine import InferrayEngine
 from repro.datasets.lubm import lubm_like
 from repro.datasets.realworld import wikipedia_like, wordnet_like, yago_like
-from repro.memsim.hierarchy import replay_trace
-from repro.memsim.tracer import RecordingTracer
 
 ENGINES = {
-    "inferray": InferrayEngine,
+    "inferray": instrumented_engine,
     "hashjoin": HashJoinEngine,
     "rete": ReteEngine,
 }
 
 
-def workloads():
+def workloads(smoke=False):
+    if smoke:
+        return [("lubm5", lubm_like(5))]
     return [
         ("lubm5", lubm_like(5)),
         ("lubm10", lubm_like(10)),
@@ -62,8 +67,13 @@ def run_figure(subset=None):
     return rows
 
 
-def main():
-    rows = run_figure()
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--smoke", action="store_true", help="the smallest dataset only"
+    )
+    args = parser.parse_args(argv)
+    rows = run_figure(workloads(smoke=args.smoke))
     headers = [
         "dataset / engine",
         "inferred",

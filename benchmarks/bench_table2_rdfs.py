@@ -52,8 +52,8 @@ import statistics
 
 import pytest
 
-from repro.bench.harness import run_engine
-from repro.bench.reporting import results_matrix, speedup_summary
+from paper.bench.harness import run_engine
+from paper.bench.reporting import results_matrix, speedup_summary
 from repro.core.engine import InferrayEngine
 from repro.datasets.bsbm import bsbm_like
 from repro.datasets.lubm import lubm_like
@@ -819,7 +819,7 @@ _BSBM = bsbm_like(300)
 
 
 def _run(engine_name, ruleset):
-    from repro.bench.harness import ENGINE_FACTORIES
+    from paper.bench.harness import ENGINE_FACTORIES
 
     engine = ENGINE_FACTORIES[engine_name](ruleset)
     engine.load_triples(_BSBM)

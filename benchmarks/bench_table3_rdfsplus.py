@@ -8,7 +8,7 @@ Reproduction: LUBM-like at 10–100 departments (≈2k–21k triples) plus
 the stand-ins, under the full RDFS-Plus ruleset (multi-way joins,
 property-as-variable rules, sameAs machinery).
 
-Run:     python benchmarks/bench_table3_rdfsplus.py
+Run:     python benchmarks/bench_table3_rdfsplus.py [--smoke]
 Parallel: --workers N runs the Inferray engine through the parallel
          rule scheduler (--parallel-mode thread forces the thread
          pool; default: the engine's auto policy), so the
@@ -21,8 +21,8 @@ import argparse
 
 import pytest
 
-from repro.bench.harness import run_engine
-from repro.bench.reporting import results_matrix, speedup_summary
+from paper.bench.harness import run_engine
+from paper.bench.reporting import results_matrix, speedup_summary
 from repro.datasets.lubm import lubm_like
 from repro.datasets.realworld import wikipedia_like, wordnet_like, yago_like
 
@@ -30,7 +30,9 @@ ENGINES = ["inferray", "hashjoin", "rete"]
 TIMEOUT = 90.0
 
 
-def workloads():
+def workloads(smoke=False):
+    if smoke:
+        return [("LUBM-10", lubm_like(10))]
     return [
         ("LUBM-10", lubm_like(10)),
         ("LUBM-25", lubm_like(25)),
@@ -98,10 +100,15 @@ def main(argv=None):
         "--timeout", type=float, default=TIMEOUT,
         help=f"per-run timeout in seconds (default {TIMEOUT:.0f})",
     )
+    parser.add_argument(
+        "--smoke", action="store_true", help="the smallest dataset only"
+    )
     args = parser.parse_args(argv)
     scheduler_kwargs = inferray_scheduler_kwargs(args)
     results = run_table(
-        timeout=args.timeout, scheduler_kwargs=scheduler_kwargs
+        timeout=args.timeout,
+        subset=workloads(smoke=args.smoke),
+        scheduler_kwargs=scheduler_kwargs,
     )
     print(
         "Table 3 — RDFS-Plus, execution time in ms "
@@ -125,7 +132,7 @@ _LUBM = lubm_like(5)
 
 
 def _run(engine_name):
-    from repro.bench.harness import ENGINE_FACTORIES
+    from paper.bench.harness import ENGINE_FACTORIES
 
     engine = ENGINE_FACTORIES[engine_name]("rdfs-plus")
     engine.load_triples(_LUBM)

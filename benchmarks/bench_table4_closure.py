@@ -11,7 +11,7 @@ marks them.  The expected shape: Inferray near-linear in the *output*
 size, the iterative engines blowing up combinatorially and timing out
 at much shorter chains.
 
-Run:     python benchmarks/bench_table4_closure.py
+Run:     python benchmarks/bench_table4_closure.py [--smoke]
 Parallel: --workers N runs the Inferray engine through the parallel
          rule scheduler (--parallel-mode thread forces the thread
          pool), exercising the θ pre-pass under the
@@ -23,7 +23,7 @@ import argparse
 
 import pytest
 
-from repro.bench.harness import RunResult, format_table, run_engine
+from paper.bench.harness import RunResult, format_table, run_engine
 from repro.core.engine import InferrayEngine
 from repro.datasets.chains import chain_closure_size, subclass_chain
 
@@ -84,10 +84,15 @@ def main(argv=None):
         "--timeout", type=float, default=TIMEOUT,
         help=f"per-run timeout in seconds (default {TIMEOUT:.0f})",
     )
+    parser.add_argument(
+        "--smoke", action="store_true", help="the shortest chain only"
+    )
     args = parser.parse_args(argv)
     scheduler_kwargs = inferray_scheduler_kwargs(args)
     results = run_table(
-        timeout=args.timeout, scheduler_kwargs=scheduler_kwargs
+        lengths=LENGTHS[:1] if args.smoke else LENGTHS,
+        timeout=args.timeout,
+        scheduler_kwargs=scheduler_kwargs,
     )
     by_length = {}
     for result in results:

@@ -16,19 +16,19 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from ..core.engine import InferrayEngine, MaterializationTimeout
-from ..rdf.terms import Triple
+from repro.core.engine import InferrayEngine, MaterializationTimeout
+from repro.rdf.terms import Triple
 
 #: Engine-name → factory(ruleset) used by the comparison benchmarks.
 ENGINE_FACTORIES: Dict[str, Callable] = {}
 
 
 def _register_engines() -> None:
-    from ..baselines.hashjoin import HashJoinEngine
-    from ..baselines.naive import NaiveEngine
-    from ..baselines.rete import ReteEngine
+    from repro.baselines.hashjoin import HashJoinEngine
+    from repro.baselines.naive import NaiveEngine
+    from repro.baselines.rete import ReteEngine
 
     ENGINE_FACTORIES.update(
         {
@@ -86,32 +86,6 @@ class RunResult:
         if self.seconds is None:
             return "–"
         return f"{self.seconds * 1000.0:,.0f}"
-
-
-def measure(
-    callable_once: Callable[[], Dict[str, int]],
-    *,
-    warmup: int = 1,
-    runs: int = 3,
-) -> Tuple[Optional[float], Dict[str, int], List[float]]:
-    """Run a measurement callable with warm-ups; returns
-    (median, info, runs).
-
-    ``callable_once`` performs one full run and returns an info dict; a
-    :class:`MaterializationTimeout` anywhere yields median ``None``.
-    """
-    info: Dict[str, int] = {}
-    try:
-        for _ in range(warmup):
-            info = callable_once()
-        timings = []
-        for _ in range(runs):
-            started = time.perf_counter()
-            info = callable_once()
-            timings.append(time.perf_counter() - started)
-    except MaterializationTimeout:
-        return None, info, []
-    return statistics.median(timings), info, timings
 
 
 def run_engine(

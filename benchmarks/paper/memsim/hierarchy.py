@@ -9,9 +9,9 @@ Models the paper's testbed (Intel Xeon E3-1246v3):
 * **page faults**: first-touch (minor) faults over 4 KiB pages.
 
 The simulator consumes the operation stream of a
-:class:`repro.memsim.tracer.RecordingTracer` and expands each operation
+:class:`paper.memsim.tracer.RecordingTracer` and expands each operation
 into concrete addresses through an
-:class:`repro.memsim.address_space.AddressSpace`.  Very long random /
+:class:`paper.memsim.address_space.AddressSpace`.  Very long random /
 chase operations are *sampled* and the counters scaled — miss rates are
 statistically stable under uniform sampling (documented in DESIGN.md;
 sequential scans are always simulated exactly, line by line).

@@ -14,7 +14,7 @@ where the access *pattern* is decided:
 * ``alloc(region, n_bytes)`` — the region grew (heap allocation).
 
 A :class:`RecordingTracer` stores these ops; the
-:class:`repro.memsim.hierarchy.MemoryHierarchy` replays them through a
+:class:`paper.memsim.hierarchy.MemoryHierarchy` replays them through a
 simulated L1d/LLC/TLB/page hierarchy, turning patterns into the
 counters of Figures 7–8.  One op per *operation* (not per element)
 keeps tracing overhead negligible in the engines' hot loops.
@@ -67,19 +67,3 @@ class RecordingTracer:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-
-class NullTracer:
-    """A tracer that ignores everything (hot-path default stand-in)."""
-
-    def sequential_scan(self, region: Hashable, n_bytes: int) -> None:
-        pass
-
-    def random_access(self, region: Hashable, n_accesses: int = 1) -> None:
-        pass
-
-    def pointer_chase(self, region: Hashable, n_hops: int = 1) -> None:
-        pass
-
-    def alloc(self, region: Hashable, n_bytes: int) -> None:
-        pass

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sorting.counting import (
+from paper.sorting.counting import (
     SortingError,
     counting_sort_pairs,
     counting_sort_values,

@@ -1,6 +1,6 @@
 """Unit tests for the Table-1 entropy column."""
 
-from repro.sorting.dispatch import entropy_bits
+from paper.sorting.dispatch import entropy_bits
 
 
 class TestEntropy:

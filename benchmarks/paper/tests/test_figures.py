@@ -1,6 +1,6 @@
 """Unit tests for the ASCII figure renderer."""
 
-from repro.bench.figures import counters_to_bars, render_bars
+from paper.bench.figures import counters_to_bars, render_bars
 
 
 class TestRenderBars:

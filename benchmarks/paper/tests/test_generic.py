@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sorting.generic import (
+from paper.sorting.generic import (
     mergesort_pairs,
     numpy_sort_pairs,
     quicksort_pairs,

@@ -1,18 +1,16 @@
 """Unit tests for the benchmark harness and reporting helpers."""
 
-from repro.bench.harness import (
+from paper.bench.harness import (
     ENGINE_FACTORIES,
     RunResult,
     format_table,
-    measure,
     run_engine,
 )
-from repro.bench.reporting import (
+from paper.bench.reporting import (
     markdown_table,
     results_matrix,
     speedup_summary,
 )
-from repro.core.engine import MaterializationTimeout
 from repro.datasets.chains import subclass_chain
 
 
@@ -30,29 +28,6 @@ class TestRunResult:
     def test_throughput(self):
         result = RunResult("e", "d", "r", seconds=2.0, n_inferred=100)
         assert result.throughput == 50.0
-
-
-class TestMeasure:
-    def test_mean_of_runs(self):
-        calls = []
-
-        def once():
-            calls.append(1)
-            return {"x": 1}
-
-        mean, info, runs = measure(once, warmup=1, runs=3)
-        assert len(calls) == 4
-        assert info == {"x": 1}
-        assert len(runs) == 3
-        assert mean is not None
-
-    def test_timeout_yields_none(self):
-        def once():
-            raise MaterializationTimeout("boom")
-
-        mean, _, runs = measure(once)
-        assert mean is None
-        assert runs == []
 
 
 class TestRunEngine:

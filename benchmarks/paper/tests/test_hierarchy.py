@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memsim.hierarchy import (
+from paper.memsim.hierarchy import (
     CacheSim,
     MemoryHierarchy,
     PageFaultSim,
@@ -10,7 +10,7 @@ from repro.memsim.hierarchy import (
     TlbSim,
     replay_trace,
 )
-from repro.memsim.tracer import RecordingTracer
+from paper.memsim.tracer import RecordingTracer
 
 
 class TestCacheSim:
@@ -151,3 +151,23 @@ class TestReplay:
         counters = hierarchy.replay(tracer.ops)
         assert counters.footprint_bytes == 2500
         assert counters.regions["a"] == 2000
+
+
+class TestCustomHierarchyGeometry:
+    def test_smaller_l1_misses_more(self):
+        tracer = RecordingTracer()
+        # Two passes over a 16 KiB array: fits a 32K L1, not a 8K one.
+        tracer.sequential_scan("arr", 16 * 1024)
+        tracer.sequential_scan("arr", 16 * 1024)
+        big = MemoryHierarchy(l1_size=32 * 1024).replay(tracer.ops)
+        small = MemoryHierarchy(l1_size=8 * 1024).replay(tracer.ops)
+        assert small.l1_misses > big.l1_misses
+
+    def test_larger_tlb_misses_less(self):
+        tracer = RecordingTracer()
+        tracer.alloc("r", 2 << 20)
+        tracer.random_access("r", 2000)
+        tracer.random_access("r", 2000)
+        small = MemoryHierarchy(tlb_entries=16).replay(tracer.ops)
+        large = MemoryHierarchy(tlb_entries=1024).replay(tracer.ops)
+        assert large.tlb_misses < small.tlb_misses

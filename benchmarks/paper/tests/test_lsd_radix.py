@@ -5,7 +5,7 @@ from array import array
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sorting.radix import lsd_radix_sort_pairs, msd_radix_sort_pairs
+from paper.sorting.radix import lsd_radix_sort_pairs, msd_radix_sort_pairs
 
 
 def flat(pairs):

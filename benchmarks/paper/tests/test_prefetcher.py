@@ -1,7 +1,7 @@
 """Tests for the next-line stride prefetcher model."""
 
-from repro.memsim.hierarchy import CacheSim, MemoryHierarchy
-from repro.memsim.tracer import RecordingTracer
+from paper.memsim.hierarchy import CacheSim, MemoryHierarchy
+from paper.memsim.tracer import RecordingTracer
 
 
 class TestInstall:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sorting.counting import SortingError
-from repro.sorting.radix import (
+from paper.sorting.counting import SortingError
+from paper.sorting.radix import (
     msd_radix_sort_pairs,
     msda_radix_sort_pairs,
     significant_bytes,

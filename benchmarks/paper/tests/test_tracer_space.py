@@ -1,11 +1,11 @@
 """Unit tests for tracers and the address-space model."""
 
-from repro.memsim.address_space import (
+from paper.memsim.address_space import (
     AddressSpace,
     OBJECT_BYTES,
     REGION_WINDOW,
 )
-from repro.memsim.tracer import NullTracer, RecordingTracer
+from paper.memsim.tracer import RecordingTracer
 
 
 class TestRecordingTracer:
@@ -31,15 +31,6 @@ class TestRecordingTracer:
         tracer.sequential_scan("a", 8)
         tracer.clear()
         assert len(tracer) == 0
-
-
-class TestNullTracer:
-    def test_all_methods_noop(self):
-        tracer = NullTracer()
-        tracer.sequential_scan("a", 100)
-        tracer.random_access("a", 5)
-        tracer.pointer_chase("a", 3)
-        tracer.alloc("a", 64)
 
 
 class TestAddressSpace:

@@ -15,7 +15,7 @@ The common entry points are re-exported here:
 * :mod:`repro.rules` — the Table-5 catalogue and ruleset selections.
 * :mod:`repro.baselines` — comparator engines (hash-join, RETE, naive).
 * :mod:`repro.datasets` — benchmark workload generators.
-* :mod:`repro.memsim` — the memory-hierarchy simulator (Figures 7–8).
+* :mod:`repro.memsim` — the live-store bytes/triple probe.
 
 Quickstart::
 

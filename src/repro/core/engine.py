@@ -139,20 +139,13 @@ class InferrayEngine:
         Kernel backend the store and rule executors run on: 'auto'
         (NumPy when available, else pure Python), 'python', 'numpy', or
         a :class:`repro.kernels.KernelBackend` instance.
-    tracer:
-        Optional memory tracer (see :mod:`repro.memsim`) that receives
-        table-level operation events for the Figure-7/8 experiments.
     max_iterations:
         Safety bound on fixed-point iterations.
-    os_cache:
-        Keep the lazily-computed ⟨o, s⟩ sorted views cached (the
-        paper's design); ``False`` recomputes them per use (ablation).
     workers:
         Workers for the dependency-aware rule scheduler
         (:mod:`repro.core.scheduler`).  ``None`` (default) reads
         ``$REPRO_WORKERS`` (falling back to 1 — sequential), ``0``
-        means all cores.  Engines with a memory ``tracer`` always run
-        sequentially (the tracer records a single address stream).
+        means all cores.
     parallel_mode:
         Executor for ``workers > 1``: ``'thread'`` (always the thread
         pool) or ``'auto'`` (the scheduler's cost model picks
@@ -176,9 +169,7 @@ class InferrayEngine:
         ruleset: Union[str, List[Rule]] = "rdfs-default",
         *,
         backend: Union[str, KernelBackend] = "auto",
-        tracer=None,
         max_iterations: int = 10_000,
-        os_cache: bool = True,
         workers: Optional[int] = None,
         parallel_mode: Optional[str] = None,
         materialize_mode: str = "full",
@@ -192,7 +183,7 @@ class InferrayEngine:
         self.dictionary = Dictionary()
         self.vocab = Vocab(self.dictionary)
         self.kernels = resolve_backend(backend)
-        self.workers = 1 if tracer is not None else resolve_workers(workers)
+        self.workers = resolve_workers(workers)
 
         def scheduler_for(rules: List[Rule]) -> ParallelRuleScheduler:
             return ParallelRuleScheduler(
@@ -204,8 +195,7 @@ class InferrayEngine:
             )
 
         self.scheduler = scheduler_for(self.rules)
-        self.tracer = tracer
-        self.main = self._empty_store(os_cache)
+        self.main = TripleStore(backend=self.kernels)
         self.max_iterations = max_iterations
         self.stats: Optional[MaterializationStats] = None
         self._materialized = False
@@ -228,13 +218,6 @@ class InferrayEngine:
                 self._reduced_scheduler = scheduler_for(
                     self._hybrid_plan.reduced_rules
                 )
-
-    def _empty_store(self, cache_os: bool) -> TripleStore:
-        return TripleStore(
-            tracer=self.tracer,
-            cache_os=cache_os,
-            backend=self.kernels,
-        )
 
     # ------------------------------------------------------------------
     # Loading
@@ -755,7 +738,7 @@ class InferrayEngine:
         if len(surviving) == len(self._asserted):
             return
         self._asserted = surviving
-        self.main = self._empty_store(self.main.cache_os)
+        self.main = TripleStore(backend=self.kernels)
         self.main.add_encoded(surviving)
         self._materialized = False
 
@@ -815,7 +798,7 @@ class InferrayEngine:
         self.vocab = Vocab(dictionary)
         for scheduler in self.schedulers:
             scheduler.vocab = self.vocab
-        self.main = self._empty_store(self.main.cache_os)
+        self.main = TripleStore(backend=self.kernels)
         for property_id, flat_pairs in tables:
             self.main.load_table(property_id, flat_pairs, presorted=True)
         self._asserted = [tuple(item) for item in asserted_encoded]

@@ -94,7 +94,6 @@ class StoreConfig:
 
     ruleset: Union[str, List[Rule]] = "rdfs-default"
     backend: Union[str, KernelBackend] = "auto"
-    os_cache: bool = True
     max_iterations: int = 10_000
     timeout_seconds: Optional[float] = None
     #: Workers for the parallel rule scheduler; ``None`` reads
@@ -131,7 +130,6 @@ class StoreConfig:
             self.ruleset,
             backend=self.backend,
             max_iterations=self.max_iterations,
-            os_cache=self.os_cache,
             workers=self.workers,
             parallel_mode=self.parallel_mode,
             materialize_mode=self.resolved_materialize,

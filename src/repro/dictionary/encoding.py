@@ -10,8 +10,9 @@ terms once, at load time, into dense 64-bit ids:
 * **non-property resources** are numbered *upward* from ``2**32 + 1``.
 
 Both halves stay dense, which keeps the entropy of the values low — the
-property that the counting / MSDA-radix sorts of :mod:`repro.sorting`
-exploit.  A simple *index translation* (``2**32 - property_id``) maps a
+property the paper's counting / MSDA-radix sorts exploit (Table 1; in
+this reproduction they run only in ``benchmarks/paper/sorting``, each
+kernel backend having its own pair sort).  A simple *index translation* (``2**32 - property_id``) maps a
 property id onto the index of its property table in the store.
 
 The paper assumes predicates are identifiable at load time.  Terms that
@@ -260,7 +261,7 @@ class Dictionary:
         return dictionary
 
     # ------------------------------------------------------------------
-    # Density diagnostics (used by sorting heuristics and tests)
+    # Density diagnostics (tests pin the dense numbering with it)
     # ------------------------------------------------------------------
     def resource_id_range(self) -> Tuple[int, int]:
         """(lowest, highest) allocated resource id; (0, 0) if none."""

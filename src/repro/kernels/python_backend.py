@@ -5,10 +5,10 @@ behind :class:`repro.kernels.base.KernelBackend` — interpreted loops
 over ``array('q')``.  Its one pair sort is CPython's timsort over
 ⟨s, o⟩ rows packed into one int each: on every engine workload
 measured it beat the paper's counting / MSD-radix operating-range
-dispatch, which stays in :mod:`repro.sorting` for the Table-1
-comparison only.  It is always
-available and serves as the ground truth the vectorized backends are
-differentially tested against.
+dispatch, which lives on in ``benchmarks/paper/sorting`` for the
+Table-1 comparison only.  It is always available and serves as the
+ground truth the vectorized backends are differentially tested
+against.
 """
 
 from __future__ import annotations

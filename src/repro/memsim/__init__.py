@@ -1,35 +1,7 @@
-"""Memory-hierarchy simulation substrate (Figures 7–8; see DESIGN.md)."""
+"""Live-store memory accounting: measured bytes per triple (see
+:mod:`repro.memsim.probe`).  The Figure 7–8 cache simulator lives with
+the paper scripts in ``benchmarks/paper/memsim``."""
 
-from .address_space import AddressSpace, OBJECT_BYTES, REGION_WINDOW
-from .hierarchy import (
-    CacheSim,
-    LINE_SIZE,
-    MemoryCounters,
-    MemoryHierarchy,
-    PAGE_SIZE,
-    PageFaultSim,
-    TlbSim,
-    replay_trace,
-)
 from .probe import StoreMemoryReport, TableMemory, measure_store
-from .tracer import NullTracer, RecordingTracer, TraceOp
 
-__all__ = [
-    "AddressSpace",
-    "CacheSim",
-    "LINE_SIZE",
-    "MemoryCounters",
-    "MemoryHierarchy",
-    "NullTracer",
-    "OBJECT_BYTES",
-    "PAGE_SIZE",
-    "PageFaultSim",
-    "RecordingTracer",
-    "REGION_WINDOW",
-    "StoreMemoryReport",
-    "TableMemory",
-    "TlbSim",
-    "TraceOp",
-    "measure_store",
-    "replay_trace",
-]
+__all__ = ["StoreMemoryReport", "TableMemory", "measure_store"]

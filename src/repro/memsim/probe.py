@@ -1,8 +1,8 @@
 """Live-store resident-memory probe: measured bytes/triple.
 
-The simulators in this package *replay* recorded address traces against
-modelled hierarchies (Figures 7–8).  This module instead measures the
-**actual** resident footprint of a live store — the committed pair
+The Figure 7–8 cache simulator (``benchmarks/paper/memsim``) *replays*
+recorded address traces against modelled hierarchies.  This module
+instead measures the **actual** resident footprint of a live store — the committed pair
 arrays plus any materialized ⟨o, s⟩ caches — through the kernel
 backends' :meth:`~repro.kernels.base.KernelBackend.flat_nbytes`
 accounting hook.  One shared identity set deduplicates storage aliased

@@ -461,12 +461,6 @@ class ThetaRule(Rule):
         else:
             closed = closed_pairs(edges, kernels=ctx.kernels)
         ctx.out.extend(pid, closed)
-        tracer = ctx.main.tracer
-        if tracer is not None:
-            # Nuutila's temporary layout: one streaming pass over the
-            # edges plus a sequential write of the closed pair array.
-            tracer.sequential_scan(("closure", pid), 16 * len(edges))
-            tracer.sequential_scan(("closure", pid), 8 * len(closed))
         return len(closed) // 2
 
     def _properties(self, ctx: RuleContext, changed_only: bool):

@@ -42,10 +42,6 @@ class PropertyTable:
     pairs:
         Optional initial flat pair data (need not be sorted; it is
         committed through the backend's sort kernel).
-    tracer:
-        Optional :class:`repro.memsim.tracer.Tracer`; when set, the
-        table reports its sequential scans and writes so the memory
-        simulator can replay them (see DESIGN.md, Figures 7–8).
     backend:
         Kernel backend name ('auto', 'python', 'numpy') or a
         :class:`~repro.kernels.KernelBackend` instance.
@@ -55,29 +51,16 @@ class PropertyTable:
         delta tables built from Figure-5 merge output).
     """
 
-    __slots__ = (
-        "_pairs",
-        "_os_cache",
-        "_kernels",
-        "tracer",
-        "_trace_id",
-        "cache_os",
-    )
+    __slots__ = ("_pairs", "_os_cache", "_kernels")
 
     def __init__(
         self,
         pairs: Optional[Union[PairArray, List[int]]] = None,
         *,
-        tracer=None,
-        trace_id: int = 0,
-        cache_os: bool = True,
         backend: Union[str, KernelBackend] = "auto",
         presorted: bool = False,
     ):
         self._kernels = resolve_backend(backend)
-        self.tracer = tracer
-        self._trace_id = trace_id
-        self.cache_os = cache_os
         self._os_cache = None
         if pairs is None or not len(pairs):
             self._pairs = self._kernels.empty()
@@ -85,24 +68,11 @@ class PropertyTable:
             self._pairs = self._kernels.asarray(pairs)
         else:
             self._pairs = self._kernels.sort_pairs(pairs, dedup=True)
-            self._trace_sort(len(self._pairs) // 2)
 
     @property
     def kernels(self) -> KernelBackend:
         """The kernel backend this table executes on."""
         return self._kernels
-
-    # ------------------------------------------------------------------
-    # Tracing (one call per table-level operation; memsim expands these
-    # into element-level address streams)
-    # ------------------------------------------------------------------
-    def _trace_sort(self, n_pairs: int) -> None:
-        if self.tracer is not None and n_pairs:
-            self.tracer.sequential_scan(("table", self._trace_id), n_pairs * 16)
-
-    def _trace_scan(self, n_pairs: int) -> None:
-        if self.tracer is not None and n_pairs:
-            self.tracer.sequential_scan(("table", self._trace_id), n_pairs * 16)
 
     # ------------------------------------------------------------------
     # Views
@@ -128,17 +98,11 @@ class PropertyTable:
 
         The view is a *permutation* of the table with components swapped
         — the paper stores it as a cached second array that may be
-        dropped under memory pressure (:meth:`drop_os_cache`).  With
-        ``cache_os=False`` (the ablation configuration) the view is
-        recomputed on every call.
+        dropped under memory pressure (:meth:`drop_os_cache`).
         """
-        if self._os_cache is not None:
-            return self._os_cache
-        view = self._kernels.os_view(self._pairs)
-        self._trace_sort(self.n_pairs)
-        if self.cache_os:
-            self._os_cache = view
-        return view
+        if self._os_cache is None:
+            self._os_cache = self._kernels.os_view(self._pairs)
+        return self._os_cache
 
     @property
     def has_os_cache(self) -> bool:
@@ -228,7 +192,6 @@ class PropertyTable:
         if not len(inferred_sorted):
             return self._kernels.empty()
         merged, new = self._kernels.merge_new(self._pairs, inferred_sorted)
-        self._trace_scan((len(self._pairs) + len(inferred_sorted)) // 2)
         self._pairs = merged
         if len(new):
             # The cached ⟨o, s⟩ permutation no longer covers the table.

@@ -113,19 +113,16 @@ class InferredBuffers:
 
 
 class TripleStore:
-    """Property-id → PropertyTable mapping with bulk loading and queries."""
+    """Property-id → PropertyTable mapping with bulk loading and queries.
 
-    def __init__(
-        self,
-        *,
-        tracer=None,
-        cache_os: bool = True,
-        backend: Union[str, KernelBackend] = "auto",
-    ):
+    Every store this one builds (views, per-iteration deltas, copies)
+    is a ``type(self)``, so a subclass installed as an engine's main
+    store — and its :meth:`_new_table` — holds across the fixed point.
+    """
+
+    def __init__(self, *, backend: Union[str, KernelBackend] = "auto"):
         self._tables: Dict[int, PropertyTable] = {}
         self._kernels = resolve_backend(backend)
-        self.tracer = tracer
-        self.cache_os = cache_os
         #: On a delta built by :meth:`merge_inferred`: per ``own`` key,
         #: property id → the sorted-unique rows that buffer held (where
         #: it alone fed the property, this delta's own table array —
@@ -153,14 +150,7 @@ class TripleStore:
         return table
 
     def _new_table(self, property_id: int, pairs=None, *, presorted=False):
-        return PropertyTable(
-            pairs,
-            tracer=self.tracer,
-            trace_id=property_id,
-            cache_os=self.cache_os,
-            backend=self._kernels,
-            presorted=presorted,
-        )
+        return PropertyTable(pairs, backend=self._kernels, presorted=presorted)
 
     def property_ids(self) -> List[int]:
         """Ids of all non-empty properties."""
@@ -236,11 +226,7 @@ class TripleStore:
         store leave the view frozen at the current state: copy-on-write
         snapshot semantics for free.  The view must only be read.
         """
-        view = TripleStore(
-            tracer=None,
-            cache_os=self.cache_os,
-            backend=self._kernels,
-        )
+        view = type(self)(backend=self._kernels)
         for property_id, table in self._tables.items():
             if not table:
                 continue
@@ -272,11 +258,7 @@ class TripleStore:
         rule's view (:meth:`without`) with no re-sort.  A property fed
         by one own buffer alone merges that sorted run as it is.
         """
-        new_store = TripleStore(
-            tracer=self.tracer,
-            cache_os=self.cache_os,
-            backend=self._kernels,
-        )
+        new_store = type(self)(backend=self._kernels)
         kernels = self._kernels
 
         def sort(chunks):
@@ -316,11 +298,7 @@ class TripleStore:
         ``keep`` property is shared untouched, and so is every table
         that loses nothing.
         """
-        view = TripleStore(
-            tracer=None,
-            cache_os=self.cache_os,
-            backend=self._kernels,
-        )
+        view = type(self)(backend=self._kernels)
         for property_id, table in self._tables.items():
             drop = rows.get(property_id)
             if drop is not None and property_id != keep:
@@ -412,11 +390,7 @@ class TripleStore:
 
     def copy(self) -> "TripleStore":
         """Deep copy of tables (pair arrays are copied)."""
-        out = TripleStore(
-            tracer=self.tracer,
-            cache_os=self.cache_os,
-            backend=self._kernels,
-        )
+        out = type(self)(backend=self._kernels)
         for property_id, table in self._tables.items():
             out._tables[property_id] = out._new_table(
                 property_id,

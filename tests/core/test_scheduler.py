@@ -180,14 +180,6 @@ class TestEngineIntegration:
             Triple(ex("Maggie"), RDF.type, ex("animal"))
         )
 
-    def test_tracer_forces_sequential(self):
-        from repro.memsim.tracer import NullTracer
-
-        engine = InferrayEngine(
-            "rdfs-default", tracer=NullTracer(), workers=4
-        )
-        assert engine.workers == 1
-
     def test_engine_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         engine = InferrayEngine("rdfs-default")
@@ -404,18 +396,6 @@ class TestParallelModeSelection:
             InferrayEngine(
                 "rdfs-default", workers=2, parallel_mode="process"
             )
-
-    def test_tracer_pins_sequential_even_with_forced_threads(self):
-        from repro.memsim.tracer import NullTracer
-
-        engine = InferrayEngine(
-            "rdfs-default",
-            tracer=NullTracer(),
-            workers=4,
-            parallel_mode="thread",
-        )
-        assert engine.workers == 1
-        assert engine.parallel_mode == "sequential"
 
 
 class TestModeResolution:

@@ -1,12 +1,9 @@
 """Tests pinning the paper's qualitative claims (see EXPERIMENTS.md)."""
 
 from repro.baselines.hashjoin import HashJoinEngine
-from repro.baselines.rete import ReteEngine
 from repro.core.engine import InferrayEngine
 from repro.datasets.chains import chain_closure_size, subclass_chain
 from repro.datasets.lubm import lubm_like
-from repro.memsim.hierarchy import replay_trace
-from repro.memsim.tracer import RecordingTracer
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.rdf.vocabulary import OWL, RDF, RDFS
 
@@ -90,34 +87,6 @@ class TestClosureScalability:
         hashjoin.materialize()
         hashjoin_seconds = time.perf_counter() - started
         assert inferray_seconds < hashjoin_seconds
-
-
-class TestMemoryBehaviourShape:
-    """Figures 7–8: Inferray's simulated memory profile is the best."""
-
-    def test_counter_ordering_on_closure_workload(self):
-        data = subclass_chain(80)
-        per_engine = {}
-        for name, factory in (
-            ("inferray", InferrayEngine),
-            ("hashjoin", HashJoinEngine),
-            ("rete", ReteEngine),
-        ):
-            tracer = RecordingTracer()
-            engine = factory("rho-df", tracer=tracer)
-            engine.load_triples(data)
-            engine.materialize()
-            counters = replay_trace(tracer.ops)
-            per_engine[name] = counters.per_triple(engine.stats.n_inferred)
-        assert (
-            per_engine["inferray"]["tlb_misses_per_triple"]
-            < per_engine["hashjoin"]["tlb_misses_per_triple"]
-            < per_engine["rete"]["tlb_misses_per_triple"]
-        )
-        assert (
-            per_engine["inferray"]["page_faults_per_triple"]
-            < per_engine["rete"]["page_faults_per_triple"]
-        )
 
 
 class TestRobustnessCorners:

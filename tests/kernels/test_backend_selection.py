@@ -101,9 +101,10 @@ class TestEngineThreading:
 
 
 def test_engine_path_does_not_import_the_table1_sorters():
-    # Each kernel backend owns its one pair sort; repro.sorting is only
-    # the Table-1 comparison set, so neither importing the package nor
-    # closing a store on the interpreted kernels may pull it in.
+    # Each kernel backend owns its one pair sort; the Table-1 sorters
+    # live in benchmarks/paper, so neither importing the package nor
+    # closing a store on the interpreted kernels may load a sorting
+    # module back into repro.
     code = (
         "import sys, repro\n"
         "assert 'repro.sorting' not in sys.modules, 'import repro'\n"

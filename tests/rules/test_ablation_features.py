@@ -1,10 +1,9 @@
-"""Tests for the ablation features: iterative θ and the o-s cache flag."""
+"""Tests for the θ ablation: SCM-SCO fired as an iterative self-join."""
 
 from repro.core.engine import InferrayEngine
 from repro.datasets.chains import chain_closure_size, subclass_chain
 from repro.rules.classes import shaped_rule
 from repro.rules.table5 import BY_NAME, make_rules
-from repro.store.property_table import PropertyTable
 
 
 def iterative_rule(name):
@@ -54,31 +53,3 @@ class TestIterativeTransitivity:
         engine.load_triples(subclass_chain(10))
         stats = engine.materialize()
         assert stats.closure_pairs == 0  # no θ pre-pass ran
-
-
-class TestOsCacheFlag:
-    def test_uncached_view_still_correct(self):
-        from array import array
-
-        table = PropertyTable(
-            array("q", [1, 5, 2, 3]), cache_os=False
-        )
-        view = table.os_pairs().tolist()  # any backend's pair type
-        assert list(zip(view[0::2], view[1::2])) == [(3, 2), (5, 1)]
-        assert not table.has_os_cache
-
-    def test_engine_results_identical_without_cache(self):
-        data = subclass_chain(30)
-        cached = InferrayEngine("rdfs-default")
-        cached.load_triples(data)
-        cached.materialize()
-        uncached = InferrayEngine("rdfs-default", os_cache=False)
-        uncached.load_triples(data)
-        uncached.materialize()
-        assert set(cached.triples()) == set(uncached.triples())
-
-    def test_stats_report_no_cached_views(self):
-        engine = InferrayEngine("rdfs-default", os_cache=False)
-        engine.load_triples(subclass_chain(20))
-        engine.materialize()
-        assert engine.main.stats()["os_caches"] == 0

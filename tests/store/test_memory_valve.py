@@ -1,10 +1,7 @@
-"""Tests for the memory valve (§4.2: the droppable o-s cache) and
-configurable memsim geometry."""
+"""Tests for the memory valve (§4.2: the droppable o-s cache)."""
 
 from repro.core.engine import InferrayEngine
 from repro.datasets.lubm import lubm_like
-from repro.memsim.hierarchy import MemoryHierarchy
-from repro.memsim.tracer import RecordingTracer
 
 
 class TestCacheValveEndToEnd:
@@ -36,23 +33,3 @@ class TestCacheValveEndToEnd:
         stats = engine.materialize()
         assert stats.n_inferred == 0
         assert set(engine.triples()) == before
-
-
-class TestCustomHierarchyGeometry:
-    def test_smaller_l1_misses_more(self):
-        tracer = RecordingTracer()
-        # Two passes over a 16 KiB array: fits a 32K L1, not a 8K one.
-        tracer.sequential_scan("arr", 16 * 1024)
-        tracer.sequential_scan("arr", 16 * 1024)
-        big = MemoryHierarchy(l1_size=32 * 1024).replay(tracer.ops)
-        small = MemoryHierarchy(l1_size=8 * 1024).replay(tracer.ops)
-        assert small.l1_misses > big.l1_misses
-
-    def test_larger_tlb_misses_less(self):
-        tracer = RecordingTracer()
-        tracer.alloc("r", 2 << 20)
-        tracer.random_access("r", 2000)
-        tracer.random_access("r", 2000)
-        small = MemoryHierarchy(tlb_entries=16).replay(tracer.ops)
-        large = MemoryHierarchy(tlb_entries=1024).replay(tracer.ops)
-        assert large.tlb_misses < small.tlb_misses

@@ -181,15 +181,6 @@ class TestOsCacheInvalidationRegression:
         store.add_pairs(100, flat([(3, 9)]))
         assert table.subjects_of(9) == [1, 2, 3]
 
-    def test_uncached_mode_always_fresh(self, backend):
-        t = PropertyTable(
-            flat([(1, 2)]), backend=backend, cache_os=False
-        )
-        t.os_pairs()
-        t.merge(flat([(0, 5)]))
-        assert pairs_as_tuples(t.os_pairs()) == [(2, 1), (5, 0)]
-        assert not t.has_os_cache
-
 
 @settings(max_examples=150, deadline=None)
 @given(
