@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Union
 
 from ..dictionary.encoding import Dictionary, encode_columns, encode_dataset
+from ..dictionary.triple_column import TripleColumn
 from ..kernels import KernelBackend, resolve_backend
 from ..litemat.encoder import HierarchyEncoding
 from ..litemat.planner import HybridPlan, plan_hybrid
@@ -199,7 +200,7 @@ class InferrayEngine:
         self.max_iterations = max_iterations
         self.stats: Optional[MaterializationStats] = None
         self._materialized = False
-        self._asserted: List[tuple] = []
+        self._asserted = TripleColumn()
 
         if materialize_mode not in MATERIALIZE_MODES:
             raise ValueError(
@@ -226,9 +227,9 @@ class InferrayEngine:
         """Encode and bulk-load decoded triples; returns the count added."""
         triple_list = list(triples)
         _, encoded = encode_dataset(triple_list, self.dictionary)
-        self._asserted.extend(encoded)
-        self.main.add_encoded(encoded)
-        self._materialized = False
+        added = TripleColumn.from_triples(encoded)
+        self._asserted = self._asserted + added
+        self._add_to_main(added.by_property())
         return len(triple_list)
 
     def load_file(self, path: str) -> int:
@@ -241,14 +242,18 @@ class InferrayEngine:
         resource numbering for the property one, raises with nothing
         loaded.
         """
-        _, pairs, encoded = encode_columns(
+        _, pairs, added = encode_columns(
             *read_columns(path), dictionary=self.dictionary
         )
-        self._asserted.extend(encoded)
-        for property_id, flat_pairs in pairs.items():
+        self._asserted = self._asserted + added
+        self._add_to_main(pairs.items())
+        return len(added)
+
+    def _add_to_main(self, groups) -> None:
+        """Bulk-load ``(property id, flat pairs)`` groups into ``main``."""
+        for property_id, flat_pairs in groups:
             self.main.add_pairs(property_id, flat_pairs)
         self._materialized = False
-        return len(encoded)
 
     # ------------------------------------------------------------------
     # Algorithm 1
@@ -319,7 +324,7 @@ class InferrayEngine:
         # a partially-updated closure as complete.
         self._materialized = False
         _, encoded = encode_dataset(list(triples), self.dictionary)
-        self._asserted.extend(encoded)
+        self._asserted = self._asserted + TripleColumn.from_triples(encoded)
         seed = InferredBuffers()
         for subject, property_id, obj in encoded:
             seed.emit(property_id, subject, obj)
@@ -733,14 +738,12 @@ class InferrayEngine:
         when that is all of them nothing is touched — the closure, if
         there is one, stays complete.
         """
-        to_remove = {self.dictionary.ids_of(triple) for triple in triples}
-        surviving = [e for e in self._asserted if e not in to_remove]
+        surviving = self._asserted.without(map(self.dictionary.ids_of, triples))
         if len(surviving) == len(self._asserted):
             return
         self._asserted = surviving
         self.main = TripleStore(backend=self.kernels)
-        self.main.add_encoded(surviving)
-        self._materialized = False
+        self._add_to_main(surviving.by_property())
 
     def retract_and_rematerialize(
         self,
@@ -769,19 +772,20 @@ class InferrayEngine:
         """Whether the store currently holds a complete closure."""
         return self._materialized
 
-    def asserted_encoded(self) -> List[tuple]:
-        """The asserted (s, p, o) id triples, in load order.
+    @property
+    def asserted_column(self) -> TripleColumn:
+        """The asserted (s, p, o) id triples, in load order: immutable,
+        replaced (never mutated) by every load or retraction."""
+        return self._asserted
 
-        Diffing the closure against this list on *encoded* ids is how
-        the Store facade computes the inferred-only view without
-        decoding the whole closure.
-        """
+    def asserted_encoded(self) -> List[tuple]:
+        """The asserted (s, p, o) id triples, in load order, as a list."""
         return list(self._asserted)
 
     def restore(
         self,
         dictionary: Dictionary,
-        asserted_encoded: Iterable[tuple],
+        asserted: TripleColumn,
         tables: Iterable[tuple],
         *,
         materialized: bool = True,
@@ -801,7 +805,7 @@ class InferrayEngine:
         self.main = TripleStore(backend=self.kernels)
         for property_id, flat_pairs in tables:
             self.main.load_table(property_id, flat_pairs, presorted=True)
-        self._asserted = [tuple(item) for item in asserted_encoded]
+        self._asserted = asserted
         self._materialized = bool(materialized)
         self.mark_hybrid_fallback(None)
         self.stats = None

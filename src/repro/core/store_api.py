@@ -144,7 +144,7 @@ class _ReadAPI:
     """Shared read-side behaviour of :class:`Store` and :class:`Snapshot`.
 
     Subclasses provide :meth:`_view` returning the triple of
-    ``(TripleStore, Dictionary, asserted encoded triples)`` the reads
+    ``(TripleStore, Dictionary, asserted TripleColumn)`` the reads
     run against — the live (freshly flushed) state for a store, the
     frozen state for a snapshot.
     """
@@ -191,25 +191,17 @@ class _ReadAPI:
         """The asserted (explicitly added) triples, decoded, first-seen
         order, duplicates collapsed."""
         _, dictionary, asserted = self._view()
-        seen = set()
-        out = []
-        for encoded in asserted:
-            if encoded in seen:
-                continue
-            seen.add(encoded)
-            out.append(dictionary.decode_triple(encoded))
-        return out
+        return list(map(dictionary.decode_triple, dict.fromkeys(asserted)))
 
     def inferred(self) -> Iterator[Triple]:
         """Only the triples added by inference.
 
         The diff runs on encoded id triples — a hash probe per closure
-        triple — and only the surviving (inferred) triples are decoded.
+        triple into a set of the asserted ids this call builds — and
+        only the surviving (inferred) triples are decoded.
         """
         tables, dictionary, asserted = self._view()
-        asserted_ids = (
-            asserted if isinstance(asserted, frozenset) else set(asserted)
-        )
+        asserted_ids = set(asserted)
         decode = dictionary.decode_triple
         for encoded in tables.triples():
             if encoded not in asserted_ids:
@@ -295,11 +287,12 @@ class _ReadAPI:
 class Snapshot(_ReadAPI):
     """An immutable, point-in-time view of a store's closure.
 
-    Taking one is cheap: the snapshot aliases the store's committed
-    pair arrays (copy-on-write — see
+    Taking one costs O(tables): the snapshot aliases the store's
+    committed pair arrays (copy-on-write — see
     :meth:`repro.store.triple_store.TripleStore.share_view`) and pins
-    the asserted-id set.  Concurrent readers holding a snapshot keep
-    seeing a consistent closure while writers mutate the store.
+    the engine's immutable asserted :class:`TripleColumn`, uncopied.
+    Concurrent readers holding a snapshot keep seeing a consistent
+    closure while writers mutate the store.
     """
 
     __slots__ = (
@@ -320,7 +313,7 @@ class Snapshot(_ReadAPI):
     ):
         self._tables = tables
         self._dictionary = dictionary
-        self._asserted = frozenset(asserted)
+        self._asserted = asserted
         self.ruleset_name = ruleset_name
         #: The store's closure epoch this snapshot was pinned at.
         self.epoch = epoch
@@ -453,33 +446,23 @@ class Store(_ReadAPI):
         """
         if isinstance(triples, Triple):
             triples = [triples]
-        targets = list(triples)
-        if not targets:
-            return 0
-        target_set = set(targets)
-        dequeued = set()
-        if self._pending_adds:
-            kept = []
-            for pending in self._pending_adds:
-                if pending in target_set:
-                    dequeued.add(pending)
-                else:
-                    kept.append(pending)
-            self._pending_adds = kept
-        engine_asserted = set(self._engine.asserted_encoded())
+        distinct = list(dict.fromkeys(triples))
+        dequeued = set(distinct).intersection(self._pending_adds)
+        self._pending_adds = [
+            t for t in self._pending_adds if t not in dequeued
+        ]
         scheduled = 0
-        seen = set()
-        for triple in targets:
-            if triple in seen:
-                continue
-            seen.add(triple)
-            hit = triple in dequeued
-            if self._engine.dictionary.ids_of(triple) in engine_asserted:
+        for triple, asserted in zip(distinct, self._asserted_mask(distinct)):
+            if asserted:
                 self._pending_removes.append(triple)
-                hit = True
-            if hit:
+            if asserted or triple in dequeued:
                 scheduled += 1
         return scheduled
+
+    def _asserted_mask(self, triples: List[Triple]) -> List[bool]:
+        """Per triple, whether the engine's asserted column holds it."""
+        ids = list(map(self._engine.dictionary.ids_of, triples))
+        return self._engine.asserted_column.contains(ids)
 
     @property
     def stale(self) -> bool:
@@ -555,7 +538,7 @@ class Store(_ReadAPI):
         """
         old = self._engine
         decode = old.dictionary.decode_triple
-        union = [decode(encoded) for encoded in old.asserted_encoded()]
+        union = [decode(encoded) for encoded in old.asserted_column]
         union.extend(adds)
         engine = self.config.make_engine()
         engine.load_triples(union)
@@ -569,17 +552,16 @@ class Store(_ReadAPI):
         """Re-queue the deltas a failed flush had not yet applied.
 
         Deltas the engine absorbed before failing are filtered out by
-        probing its asserted set: an aborted incremental flush has
+        probing its asserted column: an aborted incremental flush has
         already extended ``_asserted`` (and an aborted rebuild already
         dropped the retracted triples), and the engine's own staleness
         flag makes the next flush finish the inference over them —
         re-queueing those would double-apply the delta.
         """
         if adds or removes:
-            absorbed = set(self._engine.asserted_encoded())
-            ids_of = self._engine.dictionary.ids_of
-            adds = [t for t in adds if ids_of(t) not in absorbed]
-            removes = [t for t in removes if ids_of(t) in absorbed]
+            absorbed = self._asserted_mask(adds + removes)
+            removes = [t for t, a in zip(removes, absorbed[len(adds):]) if a]
+            adds = [t for t, a in zip(adds, absorbed) if not a]
         self._pending_adds = adds + self._pending_adds
         self._pending_removes = removes + self._pending_removes
 
@@ -681,13 +663,12 @@ class Store(_ReadAPI):
     def _view(self):
         self._refresh()
         engine = self._engine
-        # The engine's asserted list is handed out uncopied — reads
-        # only iterate it (copying would cost O(n_asserted) on every
-        # read); snapshot() freezes its own copy.
+        # The engine's asserted column is immutable (every write
+        # replaces it), so reads and snapshots share it uncopied.
         # ``read_view`` is ``main`` in full mode and the hybrid virtual
         # view (stored tables + interval-encoding rewrite) in hybrid
         # mode — every read above this line is mode-agnostic.
-        return engine.read_view, engine.dictionary, engine._asserted
+        return engine.read_view, engine.dictionary, engine.asserted_column
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -703,7 +684,7 @@ class Store(_ReadAPI):
         return Snapshot(
             engine.read_view.share_view(),
             engine.dictionary,
-            engine.asserted_encoded(),
+            engine.asserted_column,
             engine.ruleset_name,
             self._epoch,
         )

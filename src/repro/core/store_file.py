@@ -29,7 +29,8 @@ import zlib
 from array import array
 from typing import Dict, List, Optional, Tuple
 
-from ..dictionary.encoding import Dictionary, EncodedTriple
+from ..dictionary.encoding import Dictionary
+from ..dictionary.triple_column import TripleColumn
 from ..faults import fire as _fire_fault
 from ..rdf.terms import term_from_record, term_to_record
 
@@ -151,12 +152,7 @@ def write_store(engine, path: str) -> int:
         entry["crc32"] = zlib.crc32(blob)
         table_entries.append(entry)
         blobs.append(blob)
-    asserted_flat = array("q")
-    for subject, property_id, obj in engine.asserted_encoded():
-        asserted_flat.append(subject)
-        asserted_flat.append(property_id)
-        asserted_flat.append(obj)
-    blobs.append(_flat_to_le_bytes(asserted_flat))
+    blobs.append(_flat_to_le_bytes(engine.asserted_column.flat))
     asserted_crc32 = zlib.crc32(blobs[-1])
     # "materialize" records what the stored *tables* represent: a
     # hybrid flush that fell back to the full catalogue stores the
@@ -184,7 +180,7 @@ def write_store(engine, path: str) -> int:
         "property_terms": [term_to_record(t) for t in property_terms],
         "resource_terms": [term_to_record(t) for t in resource_terms],
         "tables": table_entries,
-        "n_asserted": len(asserted_flat) // 3,
+        "n_asserted": len(engine.asserted_column),
         "asserted_crc32": asserted_crc32,
         "payload_bytes": sum(len(blob) for blob in blobs),
         "sections": sections,
@@ -260,9 +256,9 @@ def _flat_to_le_bytes(flat) -> bytes:
 # ----------------------------------------------------------------------
 def read_store(
     path: str,
-) -> Tuple[dict, Dictionary, list, List[EncodedTriple], Dict[str, dict]]:
+) -> Tuple[dict, Dictionary, list, TripleColumn, Dict[str, dict]]:
     """Parse the store file at ``path``:
-    (header, dictionary, [(pid, flat)…], asserted, {section name: payload}).
+    (header, dictionary, [(pid, flat)…], asserted column, {name: payload}).
 
     ``header`` is the file's metadata (``"ruleset"``,
     ``"materialized"``, ``"materialize"`` on v2+ files); each ``flat``
@@ -447,10 +443,7 @@ def _read_body(handle, header: dict, offset: int):
         handle, n_bytes, "asserted", offset, header, "asserted_crc32"
     )
     offset += n_bytes
-    flat = _le_bytes_to_flat(blob)
-    asserted = [
-        (flat[i], flat[i + 1], flat[i + 2]) for i in range(0, len(flat), 3)
-    ]
+    asserted = TripleColumn(_le_bytes_to_flat(blob))
     sections: Dict[str, dict] = {}
     for entry in header.get("sections", ()):
         name = entry.get("name")

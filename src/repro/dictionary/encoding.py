@@ -45,6 +45,7 @@ from ..rdf.vocabulary import (
     PROPERTY_POSITION_PREDICATES,
     RDF,
 )
+from .triple_column import TripleColumn
 
 #: The split point of the id space: property ids are ≤ PROPERTY_BASE,
 #: resource ids are > PROPERTY_BASE.
@@ -360,7 +361,7 @@ def encode_columns(
     predicates: Sequence[int],
     objects: Sequence[int],
     dictionary: Optional[Dictionary] = None,
-) -> Tuple[Dictionary, Dict[int, array], List[EncodedTriple]]:
+) -> Tuple[Dictionary, Dict[int, object], TripleColumn]:
     """:func:`encode_dataset` over term columns, partitioned by property.
 
     Statement ``i`` is ``(terms[subjects[i]], terms[predicates[i]],
@@ -375,8 +376,8 @@ def encode_columns(
     Returns the dictionary, the flat ``⟨s, o⟩`` id pairs of each
     property (keyed by property id, in first-seen order — what
     :meth:`repro.store.triple_store.TripleStore.add_pairs` takes) and
-    the encoded triples in input order.  A :class:`DictionaryError`
-    leaves the dictionary as it was.
+    the encoded triples in input order, as a :class:`TripleColumn`.  A
+    :class:`DictionaryError` leaves the dictionary as it was.
     """
     if dictionary is None:
         dictionary = Dictionary()
@@ -389,9 +390,8 @@ def encode_columns(
         ids[position] = property_id
 
     encode_resource = dictionary.encode_resource
-    pairs: Dict[int, array] = {}
-    encoded: List[EncodedTriple] = []
-    append = encoded.append
+    flat = array("q")
+    append = flat.append
     for s, p, o in zip(subjects, predicates, objects):
         subject_id = ids[s]
         if subject_id is None:
@@ -399,12 +399,8 @@ def encode_columns(
         object_id = ids[o]
         if object_id is None:
             object_id = ids[o] = encode_resource(terms[o])
-        property_id = ids[p]
-        column = pairs.get(property_id)
-        if column is None:
-            column = pairs[property_id] = array("q")
-        column.append(subject_id)
-        column.append(object_id)
-        append((subject_id, property_id, object_id))
-    return dictionary, pairs, encoded
-
+        append(subject_id)
+        append(ids[p])
+        append(object_id)
+    encoded = TripleColumn(flat)
+    return dictionary, dict(encoded.by_property()), encoded

@@ -67,6 +67,14 @@ class PythonKernels(KernelBackend):
     def asarray(self, flat):
         if isinstance(flat, array) and flat.typecode == "q":
             return flat
+        out = array("q")
+        try:  # a contiguous int64 buffer (an ndarray): one copy, no boxing
+            view = memoryview(flat)
+            if view.itemsize == 8 and view.format in ("q", "l"):
+                out.frombytes(view.cast("B"))
+                return out
+        except TypeError:  # not a buffer, or a strided one
+            pass
         return array("q", flat)
 
     def empty(self):

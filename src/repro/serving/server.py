@@ -289,8 +289,9 @@ class ReasoningServer:
 
         Applying the mutations here rather than on the event loop
         matters for removes: ``Store.remove`` probes the engine's
-        asserted set (O(n_asserted) per call), which would stall every
-        in-flight read and health check if it ran on the loop.
+        asserted column, a vectorised pass over every asserted triple,
+        which would still stall in-flight reads and health checks if
+        it ran on the loop.
 
         Returns ``(snapshot, stats)``; ``snapshot`` is ``None`` when
         the batch left nothing to flush (e.g. removes of triples that

@@ -22,6 +22,7 @@ from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..dictionary.encoding import EncodedTriple
+from ..dictionary.triple_column import TripleColumn
 from ..kernels import KernelBackend, resolve_backend
 from .property_table import PairArray, PropertyTable
 
@@ -166,16 +167,9 @@ class TripleStore:
     # ------------------------------------------------------------------
     def add_encoded(self, triples: Iterable[EncodedTriple]) -> None:
         """Bulk-load encoded triples: partition by property, sort, dedup."""
-        staging: Dict[int, PairArray] = {}
-        for subject, property_id, obj in triples:
-            buffer = staging.get(property_id)
-            if buffer is None:
-                buffer = array("q")
-                staging[property_id] = buffer
-            buffer.append(subject)
-            buffer.append(obj)
-        for property_id, buffer in staging.items():
-            self.add_pairs(property_id, buffer)
+        column = TripleColumn.from_triples(triples)
+        for property_id, flat_pairs in column.by_property():
+            self.add_pairs(property_id, flat_pairs)
 
     def add_pairs(self, property_id: int, flat_pairs) -> None:
         """Bulk-load raw pairs for one property."""

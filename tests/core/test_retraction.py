@@ -1,7 +1,10 @@
 """Tests for retraction (full re-materialization) and memory accounting."""
 
+import pytest
+
 from repro.core.engine import InferrayEngine
 from repro.datasets.chains import subclass_chain
+from repro.kernels import numpy_available
 from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import RDF, RDFS
 
@@ -85,9 +88,15 @@ class TestRetraction:
         assert set(engine.triples()) == set(fresh.triples())
 
 
+#: The flat layouts, whose pairs take 16 bytes; named rather than taken
+#: from the environment, which may pick the compressed kernels.
+FLAT_BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+
+
 class TestMemoryAccounting:
-    def test_memory_grows_with_closure(self):
-        engine = InferrayEngine("rho-df")
+    @pytest.mark.parametrize("backend", FLAT_BACKENDS)
+    def test_memory_grows_with_closure(self, backend):
+        engine = InferrayEngine("rho-df", backend=backend)
         engine.load_triples(subclass_chain(50))
         before = engine.memory_bytes()
         engine.materialize()

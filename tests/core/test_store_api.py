@@ -6,6 +6,7 @@ persistence — plus the acceptance round-trip, on every available
 kernel backend.
 """
 
+import random
 import warnings
 
 import pytest
@@ -260,18 +261,34 @@ class TestSnapshots:
         store = Store(DATA, backend=backend)
         snapshot = store.snapshot()
         before = set(snapshot.triples())
+        asserted, inferred = snapshot.asserted(), set(snapshot.inferred())
         store.add(Triple(ex("Maggie"), RDF.type, ex("human")))
         assert Triple(ex("Maggie"), RDF.type, ex("animal")) in store
         assert set(snapshot.triples()) == before
         assert Triple(ex("Maggie"), RDF.type, ex("animal")) not in snapshot
+        assert snapshot.asserted() == asserted
+        assert set(snapshot.inferred()) == inferred
 
     def test_snapshot_survives_deletion_rebuild(self, backend):
         store = Store(DATA, backend=backend)
         snapshot = store.snapshot()
+        asserted, inferred = snapshot.asserted(), set(snapshot.inferred())
         store.remove(Triple(ex("Lisa"), RDF.type, ex("human")))
         assert Triple(ex("Lisa"), RDF.type, ex("animal")) not in store
         assert Triple(ex("Lisa"), RDF.type, ex("animal")) in snapshot
         assert set(snapshot.triples()) == batch_closure(DATA)
+        store.materialize()
+        assert snapshot.asserted() == asserted
+        assert set(snapshot.inferred()) == inferred
+
+    def test_snapshot_asserted_keeps_first_seen_order(self, backend):
+        triples = [
+            Triple(ex(f"s{index:02d}"), RDF.type, ex("human"))
+            for index in range(20, 0, -1)
+        ]
+        store = Store(triples, backend=backend)
+        assert store.asserted() == triples
+        assert store.snapshot().asserted() == store.asserted()
 
     def test_snapshot_queries(self):
         store = Store(DATA)
@@ -291,6 +308,53 @@ class TestSnapshots:
         snapshot = store.snapshot()
         assert store.engine.stats is stats_before
         assert snapshot.n_triples == store.n_triples
+
+
+#: (kernel backend, NumPy disabled): the python leg runs once per
+#: asserted-column representation (ndarray and array('q')).
+BULK_REMOVE_CASES = [("python", False), ("python", True), ("compressed", False)]
+if numpy_available():
+    BULK_REMOVE_CASES.append(("numpy", False))
+
+
+class TestBulkRemove:
+    @pytest.mark.parametrize("backend,disable_numpy", BULK_REMOVE_CASES)
+    def test_matches_list_model(self, backend, disable_numpy, monkeypatch):
+        if disable_numpy:
+            monkeypatch.setenv("REPRO_KERNELS_DISABLE_NUMPY", "1")
+        classes = [ex(f"C{index}") for index in range(5)]
+        schema = [Triple(c, RDFS.subClassOf, ex("Top")) for c in classes]
+        facts = [
+            Triple(ex(f"i{index}"), RDF.type, classes[index % 5])
+            for index in range(1500)
+        ]
+        asserted = schema + facts + facts[:300]  # 300 asserted twice
+        store = Store(asserted, backend=backend)
+        snapshot = store.snapshot()
+        before = snapshot.asserted(), set(snapshot.inferred())
+
+        inferred_only = [
+            Triple(ex(f"i{index}"), RDF.type, ex("Top"))
+            for index in range(0, 1500, 5)
+        ]
+        unknown = [
+            Triple(ex(f"u{index}"), RDF.type, classes[0]) for index in range(100)
+        ] + [  # every term known, the triple never asserted
+            Triple(ex(f"i{index}"), RDF.type, classes[(index + 1) % 5])
+            for index in range(100)
+        ]
+        victims = facts[0:1200:2] + inferred_only + unknown + facts[:3]
+        random.Random(7).shuffle(victims)
+        assert len(victims) >= 1000
+
+        gone = set(victims)
+        model = [t for t in asserted if t not in gone]
+        assert store.remove(victims) == len(gone & set(asserted))
+        store.materialize()
+        assert store.asserted() == list(dict.fromkeys(model))
+        assert store.n_asserted == len(model)
+        assert set(store.triples()) == batch_closure(model)
+        assert (snapshot.asserted(), set(snapshot.inferred())) == before
 
 
 class TestPersistence:

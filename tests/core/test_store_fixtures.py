@@ -1,12 +1,15 @@
-"""Golden-fixture tests: the v4 reader loads every historical format.
+"""Golden-fixture tests: the v4 reader loads every format version.
 
-``tests/fixtures/stores/`` commits one file per past format version
-(see ``generate.py`` there).  Loading each under the current reader
-must produce the closure in ``golden.nt`` *byte-identically* (same
-sorted N-Triples serialization) and without re-running inference —
-the backward-compatibility contract a version bump must not break.
+``tests/fixtures/stores/`` commits one file per format version (see
+``generate.py`` there).  Loading each under the current reader must
+produce the closure in ``golden.nt`` *byte-identically* (same sorted
+N-Triples serialization) and without re-running inference — the
+backward-compatibility contract a version bump must not break.  The
+v4 fixture is the current writer's own output, so re-saving it must
+reproduce it byte for byte.
 """
 
+import importlib.util
 import json
 import os
 import struct
@@ -35,6 +38,24 @@ VERSIONS = {
 
 def fixture(name):
     return os.path.join(FIXTURES, name)
+
+
+def fixture_data():
+    """The triples ``generate.py`` wrote ``v4.store`` from."""
+    spec = importlib.util.spec_from_file_location(
+        "store_fixture_generator", fixture("generate.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.V4_DATA
+
+
+def available_backends():
+    from repro.kernels import numpy_available
+
+    return ["python", "compressed"] + (
+        ["numpy"] if numpy_available() else []
+    )
 
 
 def file_header(path):
@@ -76,12 +97,7 @@ class TestGoldenFixtures:
 
     @pytest.mark.parametrize("name", sorted(VERSIONS))
     def test_loads_on_every_backend(self, name, golden_lines):
-        from repro.kernels import numpy_available
-
-        backends = ["python", "compressed"] + (
-            ["numpy"] if numpy_available() else []
-        )
-        for backend in backends:
+        for backend in available_backends():
             with Store.load(fixture(name), backend=backend) as store:
                 assert sorted(t.n3() for t in store.triples()) == golden_lines
 
@@ -108,3 +124,39 @@ class TestGoldenFixtures:
             assert "asserted_crc32" in header
             with Store.load(upgraded) as store:
                 assert sorted(t.n3() for t in store.triples()) == golden_lines
+
+
+class TestV4Fixture:
+    def test_is_a_current_checksummed_file(self):
+        header = file_header(fixture("v4.store"))
+        assert header["version"] == 4
+        assert "asserted_crc32" in header and "payload_bytes" in header
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_loads_with_the_duplicate_in_load_order(
+        self, backend, golden_lines
+    ):
+        data = fixture_data()
+        assert data[-1] in data[:-1]  # the duplicated assertion
+        with Store.load(fixture("v4.store"), backend=backend) as store:
+            assert sorted(t.n3() for t in store.triples()) == golden_lines
+            assert store.engine.stats is None
+            engine = store.engine
+            assert engine.asserted_encoded() == [
+                engine.dictionary.ids_of(triple) for triple in data
+            ]
+            assert store.n_asserted == len(data)
+            assert store.asserted() == list(dict.fromkeys(data))
+
+    @pytest.mark.parametrize(
+        "backend", [b for b in available_backends() if b != "compressed"]
+    )
+    def test_resave_is_byte_identical(self, backend, tmp_path):
+        # Raw-table backends only: a compressed store writes crp1
+        # tables (test_resave_upgrades_to_current_version covers it).
+        resaved = str(tmp_path / "resaved.store")
+        with Store.load(fixture("v4.store"), backend=backend) as store:
+            store.save(resaved)
+        with open(fixture("v4.store"), "rb") as original:
+            with open(resaved, "rb") as copy:
+                assert copy.read() == original.read()

@@ -4,16 +4,19 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/fixtures/stores/generate.py
 
-Produces one file per historical format version — ``v1.store`` (raw
-tables, pre-hybrid header), ``v2.store`` (raw tables + hybrid
+Produces one file per format version — ``v1.store`` (raw tables,
+pre-hybrid header), ``v2.store`` (raw tables + hybrid
 ``materialize``/``sections`` fields), ``v3.store`` (compressed ``crp1``
-tables) — plus ``golden.nt``, the closure every fixture must load to.
-Each fixture is written by the current (v4) ``Store.save`` and then
+tables), ``v4.store`` (the current writer's output, checksums and all)
+— plus ``golden.nt``, the closure every fixture must load to.  Each
+older fixture is written by the current (v4) ``Store.save`` and then
 header-downgraded exactly the way the corresponding older writer laid
 the file out: version pinned, checksum/total-length fields stripped,
 and (for v1) the hybrid fields removed.  The body bytes are untouched,
 which is what makes the committed fixtures byte-stable regression
-anchors for the v4 reader's backward-compatibility paths.
+anchors for the v4 reader's backward-compatibility paths.  ``v4.store``
+asserts one triple twice (``V4_DATA``), so it also pins the asserted
+section's layout: load order, duplicates kept.
 
 The fixtures are committed; regenerate only when the *dictionary* or
 *term* encoding changes (which is itself a format break and needs a
@@ -52,6 +55,9 @@ DATA = [
     Triple(ex("Bart"), ex("hasPet"), ex("SantasLittleHelper")),
     Triple(ex("Lisa"), RDFS.label, Literal("Lisa")),
 ]
+
+#: ``DATA`` with Bart's type asserted a second time, last.
+V4_DATA = DATA + [DATA[4]]
 
 CHECKSUM_KEYS = ("asserted_crc32", "payload_bytes")
 TABLE_CHECKSUM_KEYS = ("crc32",)
@@ -109,7 +115,12 @@ def main():
     store.save(v3)
     downgrade(v3, 3)
 
-    for name in ("golden.nt", "v1.store", "v2.store", "v3.store"):
+    v4 = os.path.join(HERE, "v4.store")
+    store = Store(V4_DATA, backend="python")
+    store.materialize()
+    store.save(v4)
+
+    for name in ("golden.nt", "v1.store", "v2.store", "v3.store", "v4.store"):
         path = os.path.join(HERE, name)
         print(f"{name}: {os.path.getsize(path)} bytes")
 

@@ -332,6 +332,22 @@ def test_cross_backend_array_adoption(np_kernels):
     assert as_ints(PYTHON_KERNELS.asarray(np_sorted)) == as_ints(np_sorted)
 
 
+def test_python_adopts_ndarray_buffers():
+    """Contiguous int64 ndarrays are copied as bytes; strided and other
+    dtypes are read value by value, to the same values."""
+    import numpy as np
+
+    base = np.arange(BOUNDARY - 6, BOUNDARY + 6, dtype=np.int64)
+    narrow = np.arange(-6, 6, dtype=np.int32)
+    for flat in (base, base[::2], base.reshape(-1, 2)[:, 1], narrow):
+        adopted = PYTHON_KERNELS.asarray(flat)
+        assert isinstance(adopted, array) and adopted.typecode == "q"
+        assert list(adopted) == flat.tolist()
+    adopted = PYTHON_KERNELS.asarray(base)
+    adopted[0] = 0
+    assert base[0] == BOUNDARY - 6  # a copy, not a view
+
+
 def test_packed_fast_path_boundary_exactness(np_kernels):
     """Pairs straddling 2**32 must not be conflated by key packing."""
     tricky = [
