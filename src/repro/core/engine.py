@@ -15,6 +15,8 @@ The engine ties everything together:
    (Δ × main and main × Δ; one leg while Δ is main), the inferred
    buffers are sorted/deduplicated and merged per property (Figure 5),
    producing the next ``new`` delta, until an iteration derives nothing.
+4. **Deletion** — delete-and-rederive over the same executors and
+   fixed point (:meth:`InferrayEngine.retract_and_rematerialize`).
 """
 
 from __future__ import annotations
@@ -32,12 +34,17 @@ from ..litemat.view import HybridTripleView
 from ..rdf.ntriples import read_columns
 from ..rdf.terms import Term, Triple
 from ..rules.rulesets import get_ruleset
+from ..rules.derivation import derivable
 from ..rules.spec import Rule, RuleContext, Vocab
 from ..store.triple_store import InferredBuffers, TripleStore
 from .scheduler import ParallelRuleScheduler, resolve_workers
 
 #: Materialization strategies (see ``InferrayEngine`` / ``repro.Store``).
 MATERIALIZE_MODES = ("full", "hybrid")
+
+#: A deletion overdeleting more than this share of the stored triples
+#: rebuilds instead: measured, a rebuild is faster past it.
+DRED_MAX_OVERDELETE_SHARE = 0.025
 
 
 class FixedPointError(RuntimeError):
@@ -118,6 +125,9 @@ class MaterializationStats:
     #: Why a hybrid run fell back to the full catalogue (None if it
     #: didn't).
     hybrid_fallback: Optional[str] = None
+    #: A deletion's ``route`` ('dred' or 'rebuild'), ``reason`` (for a
+    #: rebuild) and counts ``removed``, ``overdeleted``, ``rederived``.
+    deletion: Optional[dict] = None
 
     @property
     def triples_per_second(self) -> float:
@@ -201,6 +211,8 @@ class InferrayEngine:
         self.stats: Optional[MaterializationStats] = None
         self._materialized = False
         self._asserted = TripleColumn()
+        #: ``MaterializationStats.deletion`` of the last deletion.
+        self.last_deletion: Optional[dict] = None
 
         if materialize_mode not in MATERIALIZE_MODES:
             raise ValueError(
@@ -739,8 +751,10 @@ class InferrayEngine:
         there is one, stays complete.
         """
         surviving = self._asserted.without(map(self.dictionary.ids_of, triples))
-        if len(surviving) == len(self._asserted):
-            return
+        if len(surviving) != len(self._asserted):
+            self._rebuild_from(surviving)
+
+    def _rebuild_from(self, surviving: TripleColumn) -> None:
         self._asserted = surviving
         self.main = TripleStore(backend=self.kernels)
         self._add_to_main(surviving.by_property())
@@ -751,16 +765,122 @@ class InferrayEngine:
         *,
         timeout_seconds: Optional[float] = None,
     ) -> MaterializationStats:
-        """Remove asserted triples and recompute the closure from scratch.
+        """Remove asserted triples and bring the closure up to date.
 
-        Forward-chaining has no cheap deletion — "forward-chaining
-        requires full materialization after deletion" (paper §1) — so
-        this is :meth:`retract` followed by :meth:`materialize` (bounded
-        by ``timeout_seconds``).  When nothing asserted is removed the
-        closure still stands and the zero-work record comes back.
+        The paper rebuilds (§1); this overdeletes what the removed
+        triples derive over the old closure, removes that minus what is
+        still asserted, rederives what has a one-step derivation left
+        (:func:`repro.rules.derivation.derivable`) and re-closes from
+        there.  It rebuilds (:meth:`retract`, :meth:`materialize`) in
+        hybrid mode, with no closure yet, for a rule with no
+        description, or an overdeletion that reaches a property a θ rule
+        closes whole or passes :data:`DRED_MAX_OVERDELETE_SHARE` of the
+        store; ``stats.deletion`` says which ran and why.  The asserted
+        set and closure are swapped as the re-close starts: a failure
+        before leaves the engine as it was, one after leaves it stale
+        for :meth:`materialize` to complete.
         """
-        self.retract(triples)
-        return self.materialize(timeout_seconds=timeout_seconds)
+        started = time.perf_counter()
+        probes = list(map(self.dictionary.ids_of, triples))
+        found = self._asserted.contains(probes)
+        victims = {probe for probe, hit in zip(probes, found) if hit}
+        if not victims:
+            return self.materialize(timeout_seconds=timeout_seconds)
+        surviving = self._asserted.without(victims)
+        record = dict(route="dred", reason=self._dred_refusal(),
+                      removed=len(victims), overdeleted=0, rederived=0)
+        if record["reason"] is None:
+            doomed, record["reason"] = self._overdelete(
+                victims, None if timeout_seconds is None
+                else started + timeout_seconds
+            )
+            record["overdeleted"] = doomed.n_triples
+        if record["reason"] is None:
+            delta = self._rederive(doomed, surviving, record)
+            stats = self._fixed_point(
+                self.scheduler, (), delta, 1, started, timeout_seconds
+            )
+        else:
+            record["route"] = "rebuild"
+            self._rebuild_from(surviving)
+            stats = self._flush(started, timeout_seconds)
+        stats.deletion = self.last_deletion = record
+        return stats
+
+    def _dred_refusal(self) -> Optional[str]:
+        if self.materialize_mode == "hybrid":
+            return "hybrid mode: flushes re-fire whole"
+        if not self._materialized:
+            return "no closure to maintain"
+        for rule in self.rules:
+            if not rule.descriptions:
+                return f"rule {rule.name!r} has no description"
+        return None
+
+    def _overdelete(self, victims, deadline):
+        """``(D, None)``, or ``(D so far, why DRed stops)``: an
+        incremental flush's semi-naive legs over the closed ``main``,
+        whose outputs are all stored; what is new to D is the next Δ."""
+        doomed, seed = TripleStore(backend=self.kernels), InferredBuffers()
+        for subject, property_id, obj in victims:
+            seed.emit(property_id, subject, obj)
+        delta, iteration = doomed.merge_inferred(seed), 1
+        limit = DRED_MAX_OVERDELETE_SHARE * self.main.n_triples
+        scheduler = self.scheduler
+        ctx = RuleContext(main=self.main, new=delta, out=InferredBuffers(),
+                          vocab=self.vocab, kernels=self.kernels)
+        with scheduler.session(scheduler.decide(self.main, delta)) as executor:
+            while delta:
+                ctx.new = delta
+                for rule in scheduler.rules:
+                    if rule.recloses(ctx):
+                        return doomed, (f"{rule.name} re-closes a "
+                                        "property the deletion reaches")
+                if doomed.n_triples > limit:
+                    return doomed, ("overdeleted past the DRed share: "
+                                    f"{doomed.n_triples} > {limit:g}")
+                if deadline is not None and time.perf_counter() > deadline:
+                    raise MaterializationTimeout(
+                        "inferray: timeout while overdeleting"
+                    )
+                iteration += 1
+                outcome = scheduler.run_iteration(
+                    main=self.main, new=delta, vocab=self.vocab,
+                    kernels=self.kernels, iteration=iteration,
+                    theta_prepass_done=True, executor=executor,
+                )
+                delta = doomed.merge_inferred(outcome.out, outcome.own)
+        return doomed, None
+
+    def _rederive(self, doomed: TripleStore, surviving: TripleColumn,
+                  record: dict) -> TripleStore:
+        """Swap in ``surviving`` and ``main`` minus what of ``doomed`` is
+        not asserted, plus what of that is rederived; returns the
+        rederived triples, the re-close's Δ."""
+        kernels, rows = self.kernels, list(doomed.triples())
+        asserted = TripleStore(backend=kernels)
+        asserted.add_encoded(
+            row for row, hit in zip(rows, surviving.contains(rows)) if hit
+        )
+        reduced = self.main.share_view()
+        removed = TripleStore(backend=kernels)
+        for property_id, pairs in doomed.table_arrays():
+            if asserted.table(property_id) is not None:
+                pairs = kernels.difference(
+                    pairs, asserted.table(property_id).pairs
+                )
+            if len(pairs):
+                removed.load_table(property_id, pairs)
+                reduced.load_table(property_id, kernels.difference(
+                    self.main.table(property_id).pairs, pairs
+                ))
+        rederived = reduced.merge_inferred(
+            derivable(self.rules, self.vocab, removed, reduced)
+        )
+        record["rederived"] = rederived.n_triples
+        self._asserted, self.main = surviving, reduced
+        self._materialized = False
+        return rederived
 
     @property
     def n_asserted(self) -> int:

@@ -8,9 +8,9 @@ consumption ergonomic:
 * **Lazy materialization** — :meth:`Store.add` / :meth:`Store.remove`
   only mark the closure stale; the next read flushes the pending
   mutations, using the semi-naive incremental fixed point for pure
-  additions and a rebuild for deletions (forward chaining has no cheap
-  deletion, paper §1).  Callers never orchestrate
-  ``load_triples() + materialize()`` themselves.
+  additions and delete-and-rederive for deletions (the paper rebuilds,
+  §1; see :meth:`InferrayEngine.retract_and_rematerialize`).  Callers
+  never orchestrate ``load_triples() + materialize()`` themselves.
 * **Snapshot-isolated reads** — :meth:`Store.snapshot` returns an
   immutable :class:`Snapshot` over the store's committed pair arrays.
   Committed arrays are never mutated in place (merges replace them
@@ -342,8 +342,8 @@ class Store(_ReadAPI):
     [IRI(value='ex:Bart')]
 
     Mutations are lazy: the closure is (re)materialized on the next
-    read — incrementally for pure additions, via rebuild when
-    deletions are pending.
+    read — incrementally for pure additions, by delete-and-rederive
+    when deletions are pending.
     """
 
     def __init__(
@@ -442,7 +442,8 @@ class Store(_ReadAPI):
         earlier ``add``.  Retracting triples that were never asserted
         (inferred or unknown) is a no-op, mirroring
         :meth:`InferrayEngine.retract_and_rematerialize`, and does not
-        count toward the return value.
+        count toward the return value.  The next flush deletes by DRed
+        or a rebuild, as ``stats.deletion`` records.
         """
         if isinstance(triples, Triple):
             triples = [triples]
@@ -508,8 +509,8 @@ class Store(_ReadAPI):
                 stats = engine.materialize(timeout_seconds=timeout)
             else:
                 if removes:
-                    # Deletion: forward chaining requires a rebuild
-                    # (paper §1).
+                    # Delete-and-rederive, or a rebuild; removes still
+                    # asserted after a failure are re-queued below.
                     stats = engine.retract_and_rematerialize(
                         removes, timeout_seconds=timeout
                     )
@@ -553,10 +554,10 @@ class Store(_ReadAPI):
 
         Deltas the engine absorbed before failing are filtered out by
         probing its asserted column: an aborted incremental flush has
-        already extended ``_asserted`` (and an aborted rebuild already
-        dropped the retracted triples), and the engine's own staleness
-        flag makes the next flush finish the inference over them —
-        re-queueing those would double-apply the delta.
+        already extended ``_asserted`` (and a deletion aborted after its
+        swap already dropped the retracted triples), and the engine's
+        own staleness flag makes the next flush finish the inference
+        over them — re-queueing those would double-apply the delta.
         """
         if adds or removes:
             absorbed = self._asserted_mask(adds + removes)

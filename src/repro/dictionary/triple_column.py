@@ -82,8 +82,9 @@ class TripleColumn:
             return self.from_triples(t for t in self if t not in wanted)
         import numpy as np
 
-        rows = np.delete(self.flat.reshape(-1, 3), drop, axis=0)
-        return TripleColumn(rows.reshape(-1))
+        # One flat delete: much cheaper than deleting 2-D rows.
+        rows = np.asarray(drop, dtype=np.int64)[:, None]
+        return TripleColumn(np.delete(self.flat, (3 * rows + (0, 1, 2)).flat))
 
     def _rows_in(self, wanted: set) -> List[int]:
         """Indices of the triples in ``wanted``: a vectorised pass finds

@@ -205,9 +205,13 @@ class KernelBackend:
         order = array(
             "q", sorted(range(len(column)), key=column.__getitem__)
         )
-        out = array("q", bytes(16 * len(order)))
-        out[0::2] = self.take(column, order)
-        out[1::2] = order
+        return self.interleave(self.take(column, order), order)
+
+    def interleave(self, evens, odds):
+        """Flat pairs ⟨evens[i], odds[i]⟩ of two equal-length columns."""
+        out = array("q", bytes(16 * len(evens)))
+        out[0::2] = array("q", evens)
+        out[1::2] = array("q", odds)
         return out
 
     def take(self, column, indices):

@@ -801,6 +801,9 @@ class CompressedKernels(KernelBackend):
     def index_by_key(self, column):
         return self._inner.index_by_key(column)
 
+    def interleave(self, evens, odds):
+        return self._inner.interleave(evens, odds)
+
     def take(self, column, indices):
         return self._inner.take(column, indices)
 

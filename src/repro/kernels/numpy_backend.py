@@ -394,6 +394,11 @@ class NumpyKernels(KernelBackend):
         order = np.argsort(keys, kind="stable")
         return _interleave(keys[order], order)
 
+    def interleave(self, evens, odds):
+        return _interleave(
+            np.asarray(evens, dtype=INT64), np.asarray(odds, dtype=INT64)
+        )
+
     def take(self, column, indices):
         return np.asarray(column, dtype=INT64)[indices]
 

@@ -353,11 +353,13 @@ class _Evaluation:
                 total += view.table_size(pid)
         return total
 
-    def order(self, compiled: List[Tuple[_Position, ...]]) -> List[int]:
+    def order(
+        self, compiled: List[Tuple[_Position, ...]], bound: Sequence[str] = ()
+    ) -> List[int]:
         """Evaluation order: greedily the smallest exact cardinality,
-        among the patterns that share a variable with those already
-        taken (or have none) while there is one — a cross product only
-        when nothing connected is left."""
+        among the patterns that share a variable with those taken or
+        ``bound`` (or have none) while there is one — a cross product
+        only when nothing connected is left."""
         if len(compiled) == 1:
             return [0]
         cardinality = [self.cardinality(*pattern) for pattern in compiled]
@@ -366,7 +368,7 @@ class _Evaluation:
             for pattern in compiled
         ]
         remaining = list(range(len(compiled)))
-        bound: set = set()
+        bound = set(bound)
         order = []
         while remaining:
             connected = [
@@ -387,6 +389,16 @@ class _Evaluation:
             len(rows),
         )
 
+    def groups(self, table: SolutionTable, name: str):
+        """``(value, its rows of table)`` per distinct value of one
+        column, ascending; rows keep their order."""
+        kernels = self.kernels
+        keyed = kernels.index_by_key(table.column(name))
+        for value in kernels.distinct_evens(keyed):
+            start, end = kernels.key_slice(keyed, value)
+            rows = keyed[2 * start + 1:2 * end:2]
+            yield int(value), self.gather(table, rows)
+
     def extend(
         self, table: SolutionTable, s: _Position, p: _Position, o: _Position
     ) -> SolutionTable:
@@ -399,16 +411,13 @@ class _Evaluation:
         kernels = self.kernels
         property_ids = self.view.property_ids()
         bound = p in table.variables
-        if bound:
-            p_column = table.column(p)
-            property_ids = sorted(set(property_ids) & set(p_column.tolist()))
+        groups = self.groups(table, p) if bound else [
+            (pid, table) for pid in property_ids
+        ]
         parts = []
-        for pid in property_ids:
-            rows = table
-            if bound:
-                rows = self.gather(table, kernels.where_equal(
-                    p_column, kernels.repeat((pid,), (len(table),))
-                ))
+        for pid, rows in groups:
+            if pid not in property_ids:
+                continue
             part = self.extend_table(
                 rows, pid, _substitute(s, p, pid), _substitute(o, p, pid)
             )

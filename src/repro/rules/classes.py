@@ -494,12 +494,14 @@ class ThetaRule(Rule):
             for pid in self._properties(ctx, changed_only=False)
         )
 
+    def recloses(self, ctx: RuleContext):
+        return self._properties(ctx, changed_only=True)
+
     def apply(self, ctx: RuleContext) -> None:
         if ctx.iteration == 1 and ctx.theta_prepass_done:
             return  # pre-pass already closed the loaded data
         emitted = sum(
-            self._close_property(ctx, pid)
-            for pid in self._properties(ctx, changed_only=True)
+            self._close_property(ctx, pid) for pid in self.recloses(ctx)
         )
         ctx.count(self.name, emitted)
 

@@ -179,6 +179,10 @@ class Rule:
         line 2); pairs emitted.  Only θ executors have work here."""
         return 0
 
+    def recloses(self, ctx: RuleContext) -> Sequence[int]:
+        """Properties a firing over ``ctx`` re-closes whole (θ only)."""
+        return ()
+
     def estimate_join_input(
         self,
         *,

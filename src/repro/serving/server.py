@@ -633,6 +633,7 @@ class ReasoningServer:
             "materialize": engine.materialize_mode,
             "absorbed_rules": list(engine.absorbed_rule_names),
             "hybrid_fallback": engine.hybrid_fallback_reason,
+            "deletion": engine.last_deletion,
             "uptime_seconds": time.monotonic() - self._started_at,
             "retained_epochs": list(self._epochs),
             "queue": {

@@ -125,6 +125,33 @@ def test_query_add_remove_round_trip(served):
     assert payload["n"] == 1
 
 
+def test_stats_reports_the_last_deletion_route():
+    # Padding keeps one person's overdeletion a small share of the store.
+    padding = [
+        Triple(ex(f"pad{i}"), ex("next"), ex(f"pad{i + 1}"))
+        for i in range(400)
+    ]
+    store = Store(base_triples() + padding)
+    with ServerThread(store, port=0) as handle:
+        client = Client(handle.address)
+        _, _, stats = client.request("GET", "/stats")
+        assert stats["deletion"] is None
+        client.request("POST", "/remove?wait=1", nt("Bart"))
+        _, _, stats = client.request("GET", "/stats")
+        client.close()
+    deletion = stats["deletion"]
+    assert set(deletion) == {
+        "route", "reason", "removed", "overdeleted", "rederived"
+    }
+    assert deletion["removed"] == 1
+    if stats["materialize"] == "hybrid":
+        assert deletion["route"] == "rebuild"
+    else:
+        assert deletion == dict(
+            deletion, route="dred", reason=None, overdeleted=2
+        )
+
+
 def test_post_query_with_limit(served):
     _, _, client = served
     client.request("POST", "/add?wait=1", nt("Lisa") + nt("Maggie"))
