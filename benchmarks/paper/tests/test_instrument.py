@@ -16,7 +16,6 @@ from repro.core.engine import InferrayEngine
 from repro.datasets.chains import subclass_chain
 from repro.datasets.lubm import lubm_like
 from repro.kernels import numpy_available
-from repro.store.property_table import pairs_as_tuples
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
@@ -31,6 +30,10 @@ def backend(request, monkeypatch):
 
 def flat(pairs):
     return array("q", [value for pair in pairs for value in pair])
+
+
+def pairs_as_tuples(flat_pairs):
+    return list(zip(flat_pairs[0::2], flat_pairs[1::2]))
 
 
 @pytest.mark.parametrize(
@@ -91,7 +94,11 @@ class TestOsCacheAblation:
         engine = instrumented_engine("rdfs-default", cache_os=False)
         engine.load_triples(subclass_chain(20))
         engine.materialize()
-        assert engine.main.stats()["os_caches"] == 0
+        main = engine.main
+        assert main.property_ids()
+        assert not any(
+            main.table(pid).has_os_cache for pid in main.property_ids()
+        )
 
 
 class TestMemoryBehaviourShape:

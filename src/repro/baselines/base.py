@@ -22,7 +22,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ..core.engine import MaterializationTimeout
 from ..dictionary.encoding import Dictionary, encode_dataset
-from ..rdf.ntriples import parse_file
 from ..rdf.terms import Triple
 from ..rules.rulesets import ruleset_rule_names
 from ..rules.spec import Vocab
@@ -46,7 +45,9 @@ class BaselineStats:
 
 
 class BaselineReasoner:
-    """Base class: loading, encoding and decoded views."""
+    """Base class: loading, encoding and decoded views.  Subclasses
+    implement ``materialize(*, timeout_seconds=None) -> BaselineStats``,
+    the fixed point in their evaluation strategy."""
 
     engine_name = "baseline"
 
@@ -80,10 +81,6 @@ class BaselineReasoner:
             self._insert_fact(fact)
         return len(triple_list)
 
-    def load_file(self, path: str) -> int:
-        """Parse and load an N-Triples file."""
-        return self.load_triples(parse_file(path))
-
     def _insert_fact(self, fact: EncodedTriple) -> bool:
         """Add a fact to the working memory; subclasses extend indexes."""
         if fact in self.facts:
@@ -94,12 +91,6 @@ class BaselineReasoner:
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    def materialize(
-        self, *, timeout_seconds: Optional[float] = None
-    ) -> BaselineStats:
-        """Run the fixed point; subclasses implement the strategy."""
-        raise NotImplementedError
-
     @staticmethod
     def _check_deadline(deadline: Optional[float], engine: str) -> None:
         """Raise :class:`MaterializationTimeout` past the deadline."""
@@ -109,9 +100,6 @@ class BaselineReasoner:
     @property
     def n_triples(self) -> int:
         """Facts currently in working memory."""
-        return len(self.facts)
-
-    def __len__(self) -> int:
         return len(self.facts)
 
     def triples(self) -> Iterator[Triple]:

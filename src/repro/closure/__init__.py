@@ -10,7 +10,6 @@ from .nuutila import (
     ReachIndex,
     build_reach_index,
     strongly_connected_components,
-    transitive_closure,
     transitive_closure_pairs,
 )
 from .unionfind import UnionFind
@@ -24,6 +23,5 @@ __all__ = [
     "connected_component_edges",
     "strongly_connected_components",
     "symmetric_transitive_closure_pairs",
-    "transitive_closure",
     "transitive_closure_pairs",
 ]

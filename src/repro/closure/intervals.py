@@ -14,7 +14,7 @@ inclusive ``[lo, hi]`` intervals.  The hot operation is
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 
 class IntervalSet:
@@ -22,10 +22,8 @@ class IntervalSet:
 
     __slots__ = ("_intervals",)
 
-    def __init__(self, intervals: Iterable[Tuple[int, int]] = ()):
+    def __init__(self) -> None:
         self._intervals: List[Tuple[int, int]] = []
-        for low, high in intervals:
-            self.add_interval(low, high)
 
     # ------------------------------------------------------------------
     # Construction
@@ -39,27 +37,9 @@ class IntervalSet:
         out._intervals.append((low, high))
         return out
 
-    @classmethod
-    def from_values(cls, values: Iterable[int]) -> "IntervalSet":
-        """Build from arbitrary values, coalescing adjacent runs."""
-        out = cls()
-        for value in sorted(set(values)):
-            out.add(value)
-        return out
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def add(self, value: int) -> None:
-        """Insert one value (coalesces with neighbours)."""
-        self.add_interval(value, value)
-
-    def add_interval(self, low: int, high: int) -> None:
-        """Insert an inclusive interval, keeping the invariants."""
-        if high < low:
-            raise ValueError(f"empty interval [{low}, {high}]")
-        self.union_update(IntervalSet.single(low, high))
-
     def union_update(self, other: "IntervalSet") -> None:
         """In-place union with ``other`` — one linear merge pass.
 
@@ -123,29 +103,6 @@ class IntervalSet:
     def __bool__(self) -> bool:
         return bool(self._intervals)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IntervalSet):
-            return self._intervals == other._intervals
-        return NotImplemented
-
-    def __hash__(self):  # pragma: no cover - interval sets are mutable
-        raise TypeError("IntervalSet is unhashable")
-
-    def __repr__(self) -> str:
-        parts = ", ".join(f"[{lo}, {hi}]" for lo, hi in self._intervals)
-        return f"IntervalSet({parts})"
-
-    @property
-    def n_intervals(self) -> int:
-        """Number of stored intervals (the compactness measure)."""
-        return len(self._intervals)
-
     def intervals(self) -> List[Tuple[int, int]]:
         """Snapshot of the interval list."""
         return list(self._intervals)
-
-    def copy(self) -> "IntervalSet":
-        """Independent copy."""
-        out = IntervalSet()
-        out._intervals = self._intervals[:]
-        return out

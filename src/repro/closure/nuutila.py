@@ -170,13 +170,6 @@ class ReachIndex:
         self.component_reach = component_reach
         self._component_of_closure = component_of_closure
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.original_of_closure)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self.closure_id_of
-
     def nodes(self):
         """Original node ids, in closure-id order."""
         return iter(self.original_of_closure)
@@ -252,10 +245,6 @@ class ReachIndex:
                 self.component_intervals, self.component_reach
             )
         )
-
-    def n_intervals(self) -> int:
-        """Total intervals across the per-component reach sets."""
-        return sum(r.n_intervals for r in self.component_reach)
 
 
 def build_reach_index(edges: Iterable[Edge]) -> ReachIndex:
@@ -353,9 +342,3 @@ def transitive_closure_pairs(
     return kernels.cross_intervals(
         *build_reach_index(edges).interval_columns()
     )
-
-
-def transitive_closure(edges: Iterable[Edge]) -> set:
-    """Convenience wrapper: the closure as a set of (source, target)."""
-    flat = transitive_closure_pairs(edges)
-    return set(zip(flat[0::2], flat[1::2]))

@@ -7,37 +7,21 @@ machinery for equivalence classes.  Works over arbitrary hashable items.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List
+from typing import Dict, Hashable
 
 
 class UnionFind:
     """Classic disjoint-set forest; items are added lazily on first use."""
 
-    def __init__(self, items: Iterable[Hashable] = ()):
+    def __init__(self) -> None:
         self._parent: Dict[Hashable, Hashable] = {}
         self._rank: Dict[Hashable, int] = {}
-        self._count = 0
-        for item in items:
-            self.add(item)
 
     def add(self, item: Hashable) -> None:
         """Register ``item`` as a singleton set if unseen."""
         if item not in self._parent:
             self._parent[item] = item
             self._rank[item] = 0
-            self._count += 1
-
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._parent
-
-    def __len__(self) -> int:
-        """Number of registered items (not sets)."""
-        return len(self._parent)
-
-    @property
-    def n_sets(self) -> int:
-        """Current number of disjoint sets."""
-        return self._count
 
     def find(self, item: Hashable) -> Hashable:
         """Representative of ``item``'s set (two-pass path compression)."""
@@ -64,16 +48,4 @@ class UnionFind:
         self._parent[root_b] = root_a
         if rank[root_a] == rank[root_b]:
             rank[root_a] += 1
-        self._count -= 1
         return root_a
-
-    def same_set(self, a: Hashable, b: Hashable) -> bool:
-        """True iff ``a`` and ``b`` are in the same set."""
-        return self.find(a) == self.find(b)
-
-    def groups(self) -> Dict[Hashable, List[Hashable]]:
-        """Mapping root → members, in insertion order within each group."""
-        out: Dict[Hashable, List[Hashable]] = {}
-        for item in self._parent:
-            out.setdefault(self.find(item), []).append(item)
-        return out

@@ -31,6 +31,7 @@ from ..kernels import KernelBackend, resolve_backend
 from ..litemat.encoder import HierarchyEncoding
 from ..litemat.planner import HybridPlan, plan_hybrid
 from ..litemat.view import HybridTripleView
+from ..query.bgp import match
 from ..rdf.ntriples import read_columns
 from ..rdf.terms import Term, Triple
 from ..rules.rulesets import get_ruleset
@@ -168,11 +169,10 @@ class InferrayEngine:
         ``'full'`` (default) materializes the whole closure;
         ``'hybrid'`` runs the LiteMat-style reduced catalogue — rules
         the hierarchy encoding absorbs (see :mod:`repro.litemat`)
-        never fire, and :attr:`hybrid_view` composes their virtual
-        answers back in at read time.  The engine's own ``query`` /
-        ``triples`` accessors always read the *stored* tables; callers
-        wanting entailment-complete hybrid reads go through
-        :attr:`read_view` (the ``repro.Store`` facade does).
+        never fire, and :attr:`read_view` composes their virtual
+        answers back in at read time.  The engine's ``triples``
+        accessor reads the *stored* tables; ``query`` and the
+        ``repro.Store`` facade read :attr:`read_view`.
     """
 
     def __init__(
@@ -623,16 +623,6 @@ class InferrayEngine:
         )
 
     @property
-    def hybrid_view(self) -> Optional[HybridTripleView]:
-        """The virtual read view of the last hybrid flush.
-
-        ``None`` in full mode, before the first flush, and when the
-        flush fell back to the full catalogue (reads then see the
-        fully materialized ``main`` store, which is already complete).
-        """
-        return self._hybrid_view
-
-    @property
     def read_view(self):
         """What entailment-complete reads should consume: the hybrid
         virtual view when one is active, else ``main``.
@@ -898,10 +888,6 @@ class InferrayEngine:
         replaced (never mutated) by every load or retraction."""
         return self._asserted
 
-    def asserted_encoded(self) -> List[tuple]:
-        """The asserted (s, p, o) id triples, in load order, as a list."""
-        return list(self._asserted)
-
     def restore(
         self,
         dictionary: Dictionary,
@@ -942,18 +928,11 @@ class InferrayEngine:
         """Triples currently stored (input + materialized)."""
         return self.main.n_triples
 
-    def __len__(self) -> int:
-        return self.n_triples
-
     def triples(self) -> Iterator[Triple]:
         """Iterate every stored triple, decoded."""
         decode = self.dictionary.decode_triple
         for encoded in self.main.triples():
             yield decode(encoded)
-
-    def encoded_triples(self) -> Iterator[tuple]:
-        """Iterate every stored (s, p, o) id triple."""
-        return self.main.triples()
 
     def query(
         self,
@@ -963,19 +942,9 @@ class InferrayEngine:
     ) -> Iterator[Triple]:
         """Decoded pattern query; ``None`` positions are wildcards.
 
-        Unknown terms (never loaded nor derived) match nothing.  In
-        hybrid mode this answers through :attr:`read_view`, so absorbed
-        (virtual) entailments match like stored ones.
+        One pattern through the BGP evaluator
+        (:func:`repro.query.bgp.match`) over :attr:`read_view`, so in
+        hybrid mode absorbed (virtual) entailments match like stored
+        ones.  Unknown terms (never loaded nor derived) match nothing.
         """
-        ids = self.dictionary.pattern_ids(subject, predicate, obj)
-        if ids is None:
-            return
-        decode = self.dictionary.decode_triple
-        for encoded in self.read_view.query(*ids):
-            yield decode(encoded)
-
-    def contains(self, triple: Triple) -> bool:
-        """Membership test for one decoded triple (read-view semantics,
-        like :meth:`query`)."""
-        ids = self.dictionary.ids_of(triple)
-        return ids is not None and ids in self.read_view
+        return match(self, subject, predicate, obj)

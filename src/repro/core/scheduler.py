@@ -278,10 +278,6 @@ class ParallelRuleScheduler:
             return self.requested_mode
         return "auto"
 
-    def wave_names(self) -> List[List[str]]:
-        """Rule names per wave (observability)."""
-        return [[self.rules[i].name for i in wave] for wave in self.waves]
-
     # ------------------------------------------------------------------
     # Executor cost model
     # ------------------------------------------------------------------

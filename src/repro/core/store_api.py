@@ -47,8 +47,7 @@ from typing import (
 from ..dictionary.encoding import DictionaryError, EncodedTriple
 from ..env import env_choice
 from ..kernels import KernelBackend
-from ..query.bgp import Query, SolutionTable, TriplePattern, parse_bgp
-from ..rdf.graph import Graph
+from ..query.bgp import Query, SolutionTable, TriplePattern, match, parse_bgp
 from ..rdf.ntriples import parse_file
 from ..rdf.terms import Term, Triple
 from ..rules.spec import Rule
@@ -149,18 +148,12 @@ class _ReadAPI:
     frozen state for a snapshot.
     """
 
-    def _view(self):
-        raise NotImplementedError
-
     # -- cardinality and membership -------------------------------------
     @property
     def n_triples(self) -> int:
         """Number of triples in the closure."""
         tables, _, _ = self._view()
         return tables.n_triples
-
-    def __len__(self) -> int:
-        return self.n_triples
 
     def contains(self, triple: Triple) -> bool:
         """Membership test against the closure."""
@@ -178,9 +171,6 @@ class _ReadAPI:
         decode = dictionary.decode_triple
         for encoded in tables.triples():
             yield decode(encoded)
-
-    def __iter__(self) -> Iterator[Triple]:
-        return self.triples()
 
     def encoded_triples(self) -> Iterator[EncodedTriple]:
         """Iterate the closure as raw (s, p, o) id triples."""
@@ -207,17 +197,14 @@ class _ReadAPI:
             if encoded not in asserted_ids:
                 yield decode(encoded)
 
-    def graph(self) -> Graph:
-        """The closure as a decoded in-memory :class:`Graph`."""
-        return Graph(self.triples())
-
     # -- the unified query entry point ----------------------------------
     def query(self, *args, **kwargs):
         """Query the closure; the argument shape selects the form.
 
         * ``query()`` / ``query(s, p, o)`` / ``query(subject=…, …)`` —
           decoded triple-pattern lookup with ``None`` wildcards; yields
-          :class:`Triple` objects.
+          :class:`Triple` objects (one pattern through the BGP
+          evaluator: :func:`repro.query.bgp.match`).
         * ``query("?s rdf:type ex:Person")`` — BGP string; returns a
           list of solutions, each a ``{variable name: Term}`` dict.
         * ``query(TriplePattern(…))`` / ``query([p1, p2, …])`` /
@@ -233,26 +220,7 @@ class _ReadAPI:
                 if not candidate:
                     raise ValueError("empty pattern list")
                 return self.solutions(list(candidate))
-        return self._pattern_query(*args, **kwargs)
-
-    def _pattern_query(
-        self,
-        subject: Optional[Term] = None,
-        predicate: Optional[Term] = None,
-        obj: Optional[Term] = None,
-    ) -> Iterator[Triple]:
-        """Decoded single-pattern query (``None`` = wildcard)."""
-        tables, dictionary, _ = self._view()
-        ids = dictionary.pattern_ids(subject, predicate, obj)
-        if ids is None:
-            return iter(())
-
-        def generate() -> Iterator[Triple]:
-            decode = dictionary.decode_triple
-            for encoded in tables.query(*ids):
-                yield decode(encoded)
-
-        return generate()
+        return match(self, *args, **kwargs)
 
     def _as_query(self, bgp: QueryInput) -> Query:
         if isinstance(bgp, Query):
@@ -278,10 +246,6 @@ class _ReadAPI:
     ) -> List[Tuple[Term, ...]]:
         """Distinct projected BGP solutions (SELECT DISTINCT)."""
         return self._as_query(bgp).select(self, *variables)
-
-    def ask(self, bgp: QueryInput) -> bool:
-        """True iff the BGP has at least one solution."""
-        return self._as_query(bgp).ask(self)
 
 
 class Snapshot(_ReadAPI):
@@ -321,12 +285,6 @@ class Snapshot(_ReadAPI):
     def _view(self):
         return self._tables, self._dictionary, self._asserted
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<Snapshot {self.n_triples} triples, "
-            f"epoch={self.epoch}, ruleset={self.ruleset_name!r}>"
-        )
-
 
 class Store(_ReadAPI):
     """The unified facade: mutate freely, read a complete closure.
@@ -362,7 +320,8 @@ class Store(_ReadAPI):
         self._pending_adds: List[Triple] = []
         self._pending_removes: List[Triple] = []
         self._last_stats: Optional[MaterializationStats] = None
-        #: Monotonic closure version: bumped on every successful flush.
+        #: Monotonic closure version: bumped on every successful flush;
+        #: each snapshot carries the one it was pinned at.
         self._epoch = 0
         if triples is not None:
             self.add(triples)
@@ -585,16 +544,6 @@ class Store(_ReadAPI):
     def stats(self) -> Optional[MaterializationStats]:
         """Stats of the most recent materialization flush, if any."""
         return self._last_stats
-
-    @property
-    def epoch(self) -> int:
-        """The closure version: bumped on every successful flush.
-
-        Snapshots carry the epoch they were pinned at, so a serving
-        layer can tell readers exactly which closure version answered
-        (and how far behind the live store a pinned reader is).
-        """
-        return self._epoch
 
     @property
     def engine(self) -> InferrayEngine:

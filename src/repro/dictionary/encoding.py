@@ -144,18 +144,6 @@ class Dictionary:
         ids = (get(triple.subject), get(triple.predicate), get(triple.object))
         return None if None in ids else ids
 
-    def pattern_ids(self, *terms: Optional[Term]) -> Optional[List]:
-        """Ids for a pattern's terms, ``None`` wildcards kept; ``None``
-        overall when a bound term was never encoded (matches nothing)."""
-        ids = []
-        for term in terms:
-            if term is not None:
-                term = self._ids.get(term)
-                if term is None:
-                    return None
-            ids.append(term)
-        return ids
-
     def decode(self, term_id: int) -> Term:
         """Return the term for an id.
 
@@ -197,43 +185,10 @@ class Dictionary:
         )
 
     # ------------------------------------------------------------------
-    # Id-space structure
+    # Size
     # ------------------------------------------------------------------
-    def is_property_id(self, term_id: int) -> bool:
-        """True iff the id lies in the (allocated) property half."""
-        return (
-            PROPERTY_BASE - len(self._property_terms) < term_id <= PROPERTY_BASE
-        )
-
-    @staticmethod
-    def property_index(property_id: int) -> int:
-        """Index translation: property id → dense table index (paper §5.1)."""
-        return PROPERTY_BASE - property_id
-
-    @staticmethod
-    def property_id_from_index(index: int) -> int:
-        """Inverse index translation: table index → property id."""
-        return PROPERTY_BASE - index
-
-    @property
-    def n_properties(self) -> int:
-        """Number of allocated property ids."""
-        return len(self._property_terms)
-
-    @property
-    def n_resources(self) -> int:
-        """Number of allocated non-property resource ids."""
-        return len(self._resource_terms)
-
     def __len__(self) -> int:
         return len(self._ids)
-
-    def property_ids(self) -> List[int]:
-        """All allocated property ids, most-recently allocated last."""
-        return [
-            PROPERTY_BASE - index
-            for index in range(len(self._property_terms))
-        ]
 
     # ------------------------------------------------------------------
     # Persistence (used by the Store save/load format)
@@ -260,15 +215,6 @@ class Dictionary:
         for term in resource_terms:
             dictionary.encode_resource(term)
         return dictionary
-
-    # ------------------------------------------------------------------
-    # Density diagnostics (tests pin the dense numbering with it)
-    # ------------------------------------------------------------------
-    def resource_id_range(self) -> Tuple[int, int]:
-        """(lowest, highest) allocated resource id; (0, 0) if none."""
-        if not self._resource_terms:
-            return (0, 0)
-        return (PROPERTY_BASE + 1, PROPERTY_BASE + len(self._resource_terms))
 
 
 #: ``roles`` entry for rdf:type in :func:`_property_positions`: the

@@ -54,11 +54,6 @@ class TripleColumn:
         start = 3 * range(len(self))[index]
         return tuple(self.flat[start : start + 3].tolist())
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (TripleColumn, list, tuple)):
-            return list(self) == [tuple(triple) for triple in other]
-        return NotImplemented
-
     def __add__(self, other: "TripleColumn") -> "TripleColumn":
         if isinstance(self.flat, array):
             return TripleColumn(self.flat + array("q", other.flat))

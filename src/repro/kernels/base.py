@@ -60,10 +60,6 @@ class KernelBackend:
         """A new empty native flat array."""
         raise NotImplementedError
 
-    def copy_flat(self, flat):
-        """An independent native copy of a flat array."""
-        raise NotImplementedError
-
     def concat(self, chunks: Sequence) -> object:
         """Concatenate flat chunks (possibly of foreign types) natively."""
         raise NotImplementedError
@@ -270,6 +266,3 @@ class KernelBackend:
                     out.append(source)
                     out.append(target)
         return out
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<{type(self).__name__} {self.name}>"

@@ -366,10 +366,6 @@ class CompressedPairs:
             total += len(block)
         return total
 
-    def block_ids(self) -> List[int]:
-        """Identities of the encoded blocks (structure-sharing probes)."""
-        return [id(block) for block in self._blocks]
-
     # -- serialization --------------------------------------------------
     def serialize(self) -> bytes:
         """Self-describing byte stream (persistence)."""
@@ -407,28 +403,10 @@ class CompressedPairs:
             )
         return cls(blocks, anchors, cum, codec)
 
-    def serialized_nbytes(self) -> int:
-        return len(_MAGIC) + 16 + sum(8 + len(b) for b in self._blocks)
-
-    def __reduce__(self):
-        return (_unpickle, (self.serialize(), self._codec.name))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<CompressedPairs pairs={self.n_pairs} "
-            f"blocks={len(self._blocks)} bytes={self.nbytes()}>"
-        )
-
 
 def _anchor_of(block) -> Tuple[int, int, int, int]:
     header = _HEADER.unpack_from(block)
     return (header[3], header[4], header[5], header[6])
-
-
-def _unpickle(payload: bytes, codec_name: str) -> CompressedPairs:
-    codec = _NumpyCodec() if codec_name == "numpy" and _np is not None \
-        else _PythonCodec()
-    return CompressedPairs.deserialize(payload, codec)
 
 
 class _BlockEncoder:
@@ -506,12 +484,6 @@ class CompressedKernels(KernelBackend):
 
     def empty(self):
         return CompressedPairs([], [], [0], self._codec)
-
-    def copy_flat(self, flat):
-        if isinstance(flat, CompressedPairs):
-            # Immutable: sharing *is* the copy (structure sharing).
-            return flat
-        return self._inner.copy_flat(flat)
 
     def concat(self, chunks: Sequence):
         parts = []

@@ -178,9 +178,6 @@ class NumpyKernels(KernelBackend):
     def empty(self):
         return np.empty(0, dtype=INT64)
 
-    def copy_flat(self, flat):
-        return np.array(self.asarray(flat), dtype=INT64)
-
     def concat(self, chunks: Sequence):
         parts = [self.asarray(chunk) for chunk in chunks if len(chunk)]
         if not parts:

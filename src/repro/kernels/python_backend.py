@@ -80,9 +80,6 @@ class PythonKernels(KernelBackend):
     def empty(self):
         return array("q")
 
-    def copy_flat(self, flat):
-        return array("q", flat)
-
     def concat(self, chunks: Sequence):
         if len(chunks) == 1:
             return self.asarray(chunks[0])

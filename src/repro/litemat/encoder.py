@@ -30,8 +30,8 @@ breaks on multi-parent lattices.  Here a node's subsumers are an
   (including itself), matching the materialized closure's semantics
   over subsumption cycles.
 
-The cost of the fallback is bounded by the number of intervals (see
-``stats()``), never wrong answers.
+The cost of the fallback is bounded by the number of intervals, never
+wrong answers.
 """
 
 from __future__ import annotations
@@ -121,24 +121,8 @@ class HierarchyEncoding:
             self._superclass_memo[cls] = cached
         return cached
 
-    def subclass_set(self, cls: int) -> frozenset:
-        return frozenset((cls, *self.classes_down.reachable_nodes(cls)))
-
     def subproperty_set(self, prop: int) -> frozenset:
         return frozenset((prop, *self.props_down.reachable_nodes(prop)))
-
-    def stats(self) -> Dict[str, int]:
-        """Encoder size counters (surfaced by CLI stats / benchmarks)."""
-        return {
-            "n_classes": self.classes_up.n_nodes,
-            "n_class_edges": len(self.class_edges),
-            "n_class_closure_pairs": self.classes_up.n_reach_pairs(),
-            "n_class_intervals": self.classes_up.n_intervals(),
-            "n_properties": self.props_up.n_nodes,
-            "n_property_edges": len(self.property_edges),
-            "n_property_closure_pairs": self.props_up.n_reach_pairs(),
-            "n_property_intervals": self.props_up.n_intervals(),
-        }
 
     # -- persistence ----------------------------------------------------
     def to_payload(self) -> Dict[str, object]:
@@ -165,12 +149,6 @@ class HierarchyEncoding:
         return cls(
             [tuple(edge) for edge in payload["class_edges"]],
             [tuple(edge) for edge in payload["property_edges"]],
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<HierarchyEncoding {self.classes_up.n_nodes} classes / "
-            f"{self.props_up.n_nodes} properties>"
         )
 
 

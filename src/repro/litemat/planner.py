@@ -120,13 +120,6 @@ class HybridPlan:
     def expand_range_properties(self) -> bool:  # SCM-RNG2
         return "SCM-RNG2" in self.absorbed
 
-    def describe(self) -> str:
-        absorbed = ", ".join(self.absorbed) if self.absorbed else "-"
-        return (
-            f"hybrid[{self.ruleset}]: absorbed {len(self.absorbed)} "
-            f"({absorbed}); materialized {len(self.materialized)}"
-        )
-
 
 def plan_hybrid(rules: Sequence[Rule], ruleset_name: str) -> HybridPlan:
     """Split ``rules`` into absorbed and materialized sets.

@@ -2,12 +2,12 @@
 
 :class:`HybridTripleView` duck-types the read surface of
 :class:`repro.store.triple_store.TripleStore` (``n_triples``,
-``triples()``, ``query()``, ``in``) over the *reduced* closure a hybrid
-flush stores, composing the hierarchy encoding in so every read sees
-the same answers the fully materialized closure would give — without
-those triples existing.  ``repro.Store`` routes its reads, snapshots
-and BGP evaluation through this object: :mod:`repro.query.bgp` reads
-id columns through the same ``columns()`` / ``table_size()`` /
+``triples()``, ``in``, the column accessor) over the *reduced* closure
+a hybrid flush stores, composing the hierarchy encoding in so every
+read sees the same answers the fully materialized closure would give
+— without those triples existing.  ``repro.Store`` routes its reads,
+snapshots and BGP evaluation through this object: :mod:`repro.query.bgp`
+reads id columns through the same ``columns()`` / ``table_size()`` /
 ``property_ids()`` accessor the stored tables answer, so it is the
 same evaluator in both modes.
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .encoder import HierarchyEncoding
 from .planner import HybridPlan
@@ -97,56 +97,15 @@ class HybridTripleView:
             )
         return self._state["n"]
 
-    def __len__(self) -> int:
-        return self.n_triples
-
-    def __bool__(self) -> bool:
-        return any(
-            self._virtual_pairs(pid) for pid in self._virtual_pids()
-        )
-
     def triples(self) -> Iterator[EncodedTriple]:
         """Every virtual (s, p, o), properties in ascending-id order."""
         for pid in self._virtual_pids():
             for s, o in self._virtual_pairs(pid):
                 yield (s, pid, o)
 
-    def as_set(self) -> set:
-        return set(self.triples())
-
     def __contains__(self, encoded: EncodedTriple) -> bool:
         s, pid, o = encoded
         return self._contains(s, pid, o)
-
-    def memory_bytes(self) -> int:
-        """Bytes of the *stored* reduced closure (caches excluded —
-        they are a query-time convenience, not resident closure)."""
-        return self._tables.memory_bytes()
-
-    def query(
-        self,
-        subject: Optional[int] = None,
-        property_id: Optional[int] = None,
-        obj: Optional[int] = None,
-    ) -> Iterator[EncodedTriple]:
-        """Pattern query with ``None`` wildcards (TripleStore-shaped)."""
-        if property_id is None:
-            for pid in self._virtual_pids():
-                yield from self.query(subject, pid, obj)
-            return
-        pid = property_id
-        if subject is not None and obj is not None:
-            if self._contains(subject, pid, obj):
-                yield (subject, pid, obj)
-        elif subject is not None:
-            for o in self._objects_of(pid, subject):
-                yield (subject, pid, o)
-        elif obj is not None:
-            for s in self._subjects_of(pid, obj):
-                yield (s, pid, obj)
-        else:
-            for s, o in self._virtual_pairs(pid):
-                yield (s, pid, o)
 
     # -- id columns (the BGP evaluator's accessor) ----------------------
     @property
@@ -439,7 +398,7 @@ class HybridTripleView:
         if table is None:
             return []
         down = self._encoding.classes_down
-        candidates = list(table.distinct_objects())
+        candidates = list(self._kernels.distinct_evens(table.os_pairs()))
         matching: List[int] = []
         reachable = down.reach_of(cls)
         if reachable is not None:

@@ -34,8 +34,9 @@ for a given snapshot and query, and otherwise unspecified.
 
 The :class:`repro.Store` facade folds this evaluator into its unified
 ``query()`` entry point — ``store.query("?s rdf:type ex:Person")``
-parses via :func:`parse_bgp` and executes here (see examples/ and
-tests for full usage).
+parses via :func:`parse_bgp` and executes here, and the pattern form
+``query(s, p, o)`` is one pattern through the same evaluator
+(:func:`match`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..rdf.terms import IRI, Literal, Term
+from ..rdf.terms import IRI, BlankNode, Literal, Term, Triple
 from ..rdf.vocabulary import OWL, RDF, RDFS, XSD
 
 
@@ -54,10 +55,6 @@ class Var:
     """A query variable (named, compared by name)."""
 
     name: str
-
-    def __repr__(self) -> str:
-        return f"?{self.name}"
-
 
 PatternTerm = Union[Var, Term]
 Bindings = Dict[Var, Term]
@@ -163,7 +160,7 @@ def parse_bgp(text: str) -> List[TriplePattern]:
     bare strings (taken verbatim as IRIs).
 
     >>> parse_bgp("?s rdf:type ex:Person")
-    [TriplePattern(subject=?s, predicate=IRI(value='http://www.w3.org/1999/02/22-rdf-syntax-ns#type'), object=IRI(value='ex:Person'))]
+    [TriplePattern(subject=Var(name='s'), predicate=IRI(value='http://www.w3.org/1999/02/22-rdf-syntax-ns#type'), object=IRI(value='ex:Person'))]
     """
     tokens: List[str] = []
     for raw in _BGP_TOKEN.findall(text):
@@ -204,8 +201,6 @@ def parse_bgp(text: str) -> List[TriplePattern]:
     if not patterns:
         raise BGPSyntaxError(f"no triple patterns found in {text!r}")
     return patterns
-
-
 
 
 # ----------------------------------------------------------------------
@@ -293,9 +288,6 @@ class SolutionTable:
         """Every solution decoded, as a ``{variable name: Term}`` dict."""
         names = self.variables
         return [dict(zip(names, row)) for row in self.term_rows()]
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<SolutionTable {self._n} × {list(self.variables)}>"
 
 
 def _id_view(source):
@@ -541,9 +533,8 @@ class Query:
     :meth:`evaluate` returns the solutions as id columns
     (:class:`SolutionTable`); ``execute`` decodes one bindings dict per
     solution, ``select`` projects chosen variables as tuples (duplicate
-    rows collapsed on ids, SELECT DISTINCT semantics) and ``ask`` only
-    counts.  All of them accept an :class:`InferrayEngine`, a ``Store``
-    or a ``Snapshot``.
+    rows collapsed on ids, SELECT DISTINCT semantics).  All of them
+    accept an :class:`InferrayEngine`, a ``Store`` or a ``Snapshot``.
     """
 
     def __init__(self, patterns: Sequence[TriplePattern]):
@@ -581,15 +572,6 @@ class Query:
                 positions.append(term_id)
             compiled.append(tuple(positions))
         return compiled
-
-    def plan(self, engine) -> List[TriplePattern]:
-        """The patterns in the order :meth:`evaluate` takes them."""
-        view, dictionary = _id_view(engine)
-        compiled = self._compile(dictionary)
-        if compiled is None:
-            return list(self.patterns)
-        order = _Evaluation(view, dictionary).order(compiled)
-        return [self.patterns[i] for i in order]
 
     def evaluate(self, engine) -> SolutionTable:
         """Every solution, as id columns over the materialized store."""
@@ -634,6 +616,41 @@ class Query:
                 )
         return list(self.evaluate(engine).distinct(names).term_rows())
 
-    def ask(self, engine) -> bool:
-        """True iff the query has at least one solution."""
-        return len(self.evaluate(engine)) > 0
+
+def match(
+    engine,
+    subject: Optional[Term] = None,
+    predicate: Optional[Term] = None,
+    obj: Optional[Term] = None,
+) -> Iterator[Triple]:
+    """The triples matching one ⟨s, p, o⟩ pattern, ``None`` a wildcard:
+    the pattern form of ``query(s, p, o)``, evaluated as a one-pattern
+    :class:`Query` with a variable in each ``None`` position.
+
+    Triples come in the order ``triples()`` yields them; a term never
+    encoded matches nothing.  A bound position that is not an RDF term
+    (a ``str``, a ``Var``, a tuple, …) raises :class:`TypeError` here,
+    before anything is evaluated.
+    """
+    pattern = []
+    for name, term in zip(("subject", "predicate", "object"),
+                          (subject, predicate, obj)):
+        if term is None:
+            term = Var(name)
+        elif not isinstance(term, (IRI, BlankNode, Literal)):
+            raise TypeError(
+                f"query(s, p, o): {name} must be an RDF term or None, "
+                f"got {term!r}"
+            )
+        pattern.append(term)
+    table = Query([TriplePattern(*pattern)]).evaluate(engine)
+
+    def triples() -> Iterator[Triple]:
+        for row in table.term_rows():
+            values = iter(row)
+            yield Triple(*[
+                next(values) if isinstance(term, Var) else term
+                for term in pattern
+            ])
+
+    return triples()

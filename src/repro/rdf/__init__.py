@@ -1,11 +1,9 @@
-"""RDF substrate: terms, vocabularies, N-Triples I/O and a simple graph."""
+"""RDF substrate: terms, vocabularies, N-Triples and Turtle I/O."""
 
-from .graph import Graph
 from .ntriples import (
     NTriplesError,
     parse,
     parse_file,
-    parse_line,
     serialize,
     write_file,
 )
@@ -25,7 +23,6 @@ from .vocabulary import OWL, RDF, RDFS, XSD
 
 __all__ = [
     "BlankNode",
-    "Graph",
     "IRI",
     "Literal",
     "NTriplesError",
@@ -42,7 +39,6 @@ __all__ = [
     "make_triple",
     "parse",
     "parse_file",
-    "parse_line",
     "parse_turtle",
     "parse_turtle_file",
     "serialize",

@@ -13,8 +13,8 @@ cursor parser (:class:`_LineParser`): a line it matches is split into
 three tokens, looked up in the parse's token table, and never reaches
 the cursor; any other line — escapes, comments, blanks, everything
 malformed — goes to the cursor parser, which therefore still produces
-every diagnostic.  :func:`parse`, :func:`parse_line` and
-:func:`parse_file` wrap the entry point into ``Triple`` objects;
+every diagnostic.  :func:`parse` and :func:`parse_file` wrap the
+entry point into ``Triple`` objects;
 :func:`read_columns` returns the same statements as columns of table
 indexes, which is what the bulk load path
 (:func:`repro.dictionary.encoding.encode_columns`) consumes.
@@ -384,15 +384,6 @@ def _scan(
             continue
         s_token, p_token, o_token = found.groups()
         yield table[s_token], table[p_token], table[o_token]
-
-
-def parse_line(line: str, line_no: int = 1) -> Union[Triple, None]:
-    """Parse one N-Triples line; returns ``None`` for blanks/comments."""
-    table = _TermTable()
-    for s, p, o in _scan((line,), table, line_no):
-        terms = table.terms
-        return Triple(terms[s], terms[p], terms[o])
-    return None
 
 
 def parse(source: Union[str, TextIO]) -> Iterator[Triple]:

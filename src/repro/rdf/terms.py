@@ -44,9 +44,6 @@ class BlankNode:
         """Render in N-Triples syntax: ``_:b0``."""
         return f"_:{self.label}"
 
-    def __str__(self) -> str:
-        return f"_:{self.label}"
-
 
 @dataclass(frozen=True)
 class Literal:
@@ -76,10 +73,6 @@ class Literal:
         if self.datatype and self.datatype != _XSD_STRING:
             return f'"{escaped}"^^<{self.datatype}>'
         return f'"{escaped}"'
-
-    def __str__(self) -> str:
-        return self.lexical
-
 
 _XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 

@@ -35,9 +35,6 @@ class _Namespace:
         """Mint the IRI for a local name under this namespace."""
         return IRI(self._prefix + local)
 
-    def __getitem__(self, local: str) -> IRI:
-        return self.term(local)
-
 
 class _RDF(_Namespace):
     type: IRI

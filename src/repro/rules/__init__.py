@@ -13,7 +13,6 @@ from .depgraph import ANY, RuleDependencyGraph, RuleIO, rule_io
 from .rulesets import (
     RULESET_NAMES,
     get_ruleset,
-    rule_entry,
     ruleset_rule_names,
 )
 from .spec import Description, Rule, RuleContext, Vocab, table_or_none
@@ -39,7 +38,6 @@ __all__ = [
     "Vocab",
     "get_ruleset",
     "make_rules",
-    "rule_entry",
     "rule_io",
     "ruleset_rule_names",
     "shaped_rule",

@@ -93,9 +93,6 @@ class RuleDependencyGraph:
             for i in range(n)
         ]
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
     def feeds(self, i: int) -> List[int]:
         """Successor rule indexes of rule ``i`` (sorted)."""
         return list(self._succ[i])
@@ -219,17 +216,3 @@ class RuleDependencyGraph:
         for wave in waves:
             wave.sort()
         return [wave for wave in waves if wave]
-
-    def waves_by_name(self) -> List[List[str]]:
-        """The stratification with rule names instead of indexes."""
-        return [
-            [self.rules[i].name for i in wave] for wave in self.stratify()
-        ]
-
-    def describe(self) -> str:
-        """Human-readable wave listing (CLI / debugging)."""
-        lines = []
-        for number, wave in enumerate(self.stratify()):
-            names = ", ".join(self.rules[i].name for i in wave)
-            lines.append(f"wave {number}: {names}")
-        return "\n".join(lines)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List
 
 from .spec import Rule
-from .table5 import BY_NAME, TABLE5, make_rules
+from .table5 import TABLE5, make_rules
 
 RULESET_NAMES = (
     "rho-df",
@@ -58,8 +58,3 @@ def ruleset_rule_names(name: str) -> List[str]:
 def get_ruleset(name: str) -> List[Rule]:
     """Instantiate the executors of a named ruleset."""
     return make_rules(ruleset_rule_names(name))
-
-
-def rule_entry(name: str):
-    """Catalogue metadata for one rule name."""
-    return BY_NAME[name]

@@ -110,9 +110,6 @@ class Vocab:
     def __getitem__(self, attr: str) -> int:
         return self._ids[attr]
 
-    def __contains__(self, attr: str) -> bool:
-        return attr in self._ids
-
 
 @dataclass
 class RuleContext:
@@ -170,10 +167,6 @@ class Rule:
         self.descriptions: Tuple[Description, ...] = tuple(descriptions)
         self.rule_class = rule_class
 
-    def apply(self, ctx: RuleContext) -> None:
-        """Fire the rule once for the current iteration."""
-        raise NotImplementedError
-
     def prepass(self, ctx: RuleContext) -> int:
         """Close over the loaded data before the fixed point (engine
         line 2); pairs emitted.  Only θ executors have work here."""
@@ -200,9 +193,6 @@ class Rule:
         *every* flush.
         """
         return None
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name} ({self.rule_class})>"
 
 
 def table_or_none(store: TripleStore, property_id: Optional[int]):

@@ -49,11 +49,6 @@ class LatencyWindow:
     def mean(self) -> Optional[float]:
         return self.total / self.count if self.count else None
 
-    @property
-    def max_recent(self) -> Optional[float]:
-        with self._lock:
-            return max(self._window) if self._window else None
-
 
 class ServingMetrics:
     """All counters and distributions the server exposes at ``/metrics``."""

@@ -1,6 +1,6 @@
 """Vertical-partitioning triple store (paper §4.2–4.3)."""
 
-from .property_table import PairArray, PropertyTable, pairs_as_tuples
+from .property_table import PairArray, PropertyTable
 from .triple_store import InferredBuffers, TripleStore
 
 __all__ = [
@@ -8,5 +8,4 @@ __all__ = [
     "PairArray",
     "PropertyTable",
     "TripleStore",
-    "pairs_as_tuples",
 ]

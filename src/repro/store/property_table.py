@@ -29,11 +29,6 @@ from ..kernels import KernelBackend, resolve_backend
 PairArray = array
 
 
-def pairs_as_tuples(flat) -> List[Tuple[int, int]]:
-    """Debug/test helper: flat layout → list of (first, second) tuples."""
-    return list(zip(flat[0::2], flat[1::2]))
-
-
 class PropertyTable:
     """Sorted, duplicate-free ⟨s, o⟩ pairs of one property.
 
@@ -69,11 +64,6 @@ class PropertyTable:
         else:
             self._pairs = self._kernels.sort_pairs(pairs, dedup=True)
 
-    @property
-    def kernels(self) -> KernelBackend:
-        """The kernel backend this table executes on."""
-        return self._kernels
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
@@ -87,9 +77,6 @@ class PropertyTable:
         """Number of ⟨s, o⟩ pairs stored."""
         return len(self._pairs) // 2
 
-    def __len__(self) -> int:
-        return self.n_pairs
-
     def __bool__(self) -> bool:
         return len(self._pairs) > 0
 
@@ -98,7 +85,7 @@ class PropertyTable:
 
         The view is a *permutation* of the table with components swapped
         — the paper stores it as a cached second array that may be
-        dropped under memory pressure (:meth:`drop_os_cache`).
+        dropped under memory pressure.
         """
         if self._os_cache is None:
             self._os_cache = self._kernels.os_view(self._pairs)
@@ -108,10 +95,6 @@ class PropertyTable:
     def has_os_cache(self) -> bool:
         """Whether the ⟨o, s⟩ view is currently materialised."""
         return self._os_cache is not None
-
-    def drop_os_cache(self) -> None:
-        """Release the cached ⟨o, s⟩ view (memory-pressure valve)."""
-        self._os_cache = None
 
     # ------------------------------------------------------------------
     # Lookups
@@ -132,10 +115,6 @@ class PropertyTable:
             else:
                 return True
         return False
-
-    def subject_slice(self, subject: int) -> Tuple[int, int]:
-        """Pair-index range [start, end) of rows with this subject."""
-        return self._kernels.key_slice(self._pairs, subject)
 
     def columns(self, key: Optional[int] = None, *, by_object: bool = False):
         """Rows of this table as a decoded flat pair array — the column
@@ -169,14 +148,6 @@ class PropertyTable:
         flat = self._pairs.tolist()
         return zip(flat[0::2], flat[1::2])
 
-    def distinct_subjects(self) -> List[int]:
-        """Sorted distinct subjects."""
-        return list(self._kernels.distinct_evens(self._pairs))
-
-    def distinct_objects(self) -> List[int]:
-        """Sorted distinct objects (uses the o-s view)."""
-        return list(self._kernels.distinct_evens(self.os_pairs()))
-
     # ------------------------------------------------------------------
     # Figure-5 update
     # ------------------------------------------------------------------
@@ -197,10 +168,6 @@ class PropertyTable:
             # The cached ⟨o, s⟩ permutation no longer covers the table.
             self._os_cache = None
         return new
-
-    def as_set(self) -> set:
-        """Snapshot of the pairs as a set of tuples (tests)."""
-        return set(self.iter_pairs())
 
     def memory_bytes(self, seen: Optional[set] = None) -> int:
         """Bytes held by the pair array (+ the o-s cache if present).

@@ -95,16 +95,6 @@ class InferredBuffers:
             if chunks:
                 yield property_id, chunks
 
-    def __len__(self) -> int:
-        """Total number of raw (pre-dedup) pairs buffered."""
-        total = sum(len(tail) for tail in self._tails.values())
-        total += sum(
-            len(chunk)
-            for chunks in self._chunks.values()
-            for chunk in chunks
-        )
-        return total // 2
-
     def __bool__(self) -> bool:
         return any(len(tail) for tail in self._tails.values()) or any(
             len(chunk)
@@ -114,9 +104,10 @@ class InferredBuffers:
 
 
 class TripleStore:
-    """Property-id → PropertyTable mapping with bulk loading and queries.
+    """Property-id → PropertyTable mapping with bulk loading and the
+    column accessor the BGP evaluator reads.
 
-    Every store this one builds (views, per-iteration deltas, copies)
+    Every store this one builds (views, per-iteration deltas)
     is a ``type(self)``, so a subclass installed as an engine's main
     store — and its :meth:`_new_table` — holds across the fixed point.
     """
@@ -309,15 +300,12 @@ class TripleStore:
         return view
 
     # ------------------------------------------------------------------
-    # Inspection / queries
+    # Inspection / column reads
     # ------------------------------------------------------------------
     @property
     def n_triples(self) -> int:
         """Total number of stored triples."""
         return sum(table.n_pairs for table in self._tables.values())
-
-    def __len__(self) -> int:
-        return self.n_triples
 
     def __bool__(self) -> bool:
         return any(table for table in self._tables.values())
@@ -327,37 +315,6 @@ class TripleStore:
         for property_id, table in self._tables.items():
             for subject, obj in table.iter_pairs():
                 yield (subject, property_id, obj)
-
-    def query(
-        self,
-        subject: Optional[int] = None,
-        property_id: Optional[int] = None,
-        obj: Optional[int] = None,
-    ) -> Iterator[EncodedTriple]:
-        """Pattern query with ``None`` wildcards.
-
-        Bound-property queries use binary search on the sorted table (or
-        its ⟨o, s⟩ view); unbound-property queries scan all tables.
-        """
-        if property_id is not None:
-            tables = [(property_id, self._tables.get(property_id))]
-        else:
-            tables = list(self._tables.items())
-        for pid, table in tables:
-            if table is None or not table:
-                continue
-            if subject is not None and obj is not None:
-                if table.contains(subject, obj):
-                    yield (subject, pid, obj)
-            elif subject is not None:
-                for o in table.objects_of(subject):
-                    yield (subject, pid, o)
-            elif obj is not None:
-                for s in table.subjects_of(obj):
-                    yield (s, pid, obj)
-            else:
-                for s, o in table.iter_pairs():
-                    yield (s, pid, o)
 
     def columns(
         self,
@@ -378,21 +335,6 @@ class TripleStore:
         table = self._tables.get(property_id)
         return 0 if table is None else table.n_pairs
 
-    def as_set(self) -> set:
-        """Snapshot as a set of (s, p, o) tuples (tests)."""
-        return set(self.triples())
-
-    def copy(self) -> "TripleStore":
-        """Deep copy of tables (pair arrays are copied)."""
-        out = type(self)(backend=self._kernels)
-        for property_id, table in self._tables.items():
-            out._tables[property_id] = out._new_table(
-                property_id,
-                self._kernels.copy_flat(table.pairs),
-                presorted=True,
-            )
-        return out
-
     def memory_bytes(self, seen: Optional[set] = None) -> int:
         """Total bytes held by all pair arrays and o-s caches.
 
@@ -405,24 +347,3 @@ class TripleStore:
         return sum(
             table.memory_bytes(seen) for table in self._tables.values()
         )
-
-    def drop_os_caches(self) -> int:
-        """Release every cached ⟨o, s⟩ view (the paper's memory valve);
-        returns the number of caches dropped."""
-        dropped = 0
-        for table in self._tables.values():
-            if table.has_os_cache:
-                table.drop_os_cache()
-                dropped += 1
-        return dropped
-
-    def stats(self) -> Dict[str, int]:
-        """Basic size statistics (used by benchmarks and examples)."""
-        tables = [t for t in self._tables.values() if t]
-        return {
-            "n_properties": len(tables),
-            "n_triples": self.n_triples,
-            "largest_table": max((t.n_pairs for t in tables), default=0),
-            "os_caches": sum(1 for t in tables if t.has_os_cache),
-            "memory_bytes": self.memory_bytes(),
-        }

@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 from repro.closure.nuutila import (
     build_reach_index,
     strongly_connected_components,
-    transitive_closure,
     transitive_closure_pairs,
 )
+
+
+def transitive_closure(edges):
+    """The closure as a set of (source, target) pairs."""
+    flat = transitive_closure_pairs(edges)
+    return set(zip(flat[0::2], flat[1::2]))
 
 
 def nx_closure(edges):

@@ -3,54 +3,44 @@
 from repro.closure.unionfind import UnionFind
 
 
+def n_sets(uf, items):
+    """Distinct representatives among ``items``."""
+    return len({uf.find(item) for item in items})
+
+
 class TestUnionFind:
     def test_lazy_add_on_find(self):
         uf = UnionFind()
         assert uf.find("x") == "x"
-        assert "x" in uf
-
-    def test_initial_items(self):
-        uf = UnionFind([1, 2, 3])
-        assert len(uf) == 3
-        assert uf.n_sets == 3
 
     def test_union_merges(self):
         uf = UnionFind()
         uf.union(1, 2)
-        assert uf.same_set(1, 2)
-        assert uf.n_sets == 1
+        assert uf.find(1) == uf.find(2)
+        assert n_sets(uf, [1, 2]) == 1
 
     def test_union_transitive(self):
         uf = UnionFind()
         uf.union(1, 2)
         uf.union(2, 3)
         uf.union(4, 5)
-        assert uf.same_set(1, 3)
-        assert not uf.same_set(1, 4)
-        assert uf.n_sets == 2
+        assert uf.find(1) == uf.find(3)
+        assert uf.find(1) != uf.find(4)
+        assert n_sets(uf, range(1, 6)) == 2
 
     def test_union_idempotent(self):
         uf = UnionFind()
         uf.union(1, 2)
         root = uf.union(1, 2)
         assert root == uf.find(1)
-        assert uf.n_sets == 1
+        assert n_sets(uf, [1, 2]) == 1
 
     def test_add_existing_is_noop(self):
-        uf = UnionFind([1])
-        uf.add(1)
-        assert len(uf) == 1
-
-    def test_groups(self):
         uf = UnionFind()
-        uf.union("a", "b")
-        uf.union("c", "d")
-        uf.union("b", "c")
-        uf.add("lonely")
-        groups = uf.groups()
-        assert len(groups) == 2
-        sizes = sorted(len(members) for members in groups.values())
-        assert sizes == [1, 4]
+        uf.add(1)
+        uf.union(1, 2)
+        uf.add(1)
+        assert uf.find(1) == uf.find(2)
 
     def test_path_compression_flattens(self):
         uf = UnionFind()
@@ -64,4 +54,4 @@ class TestUnionFind:
         uf = UnionFind()
         for i in range(0, 1000, 2):
             uf.union(i, i + 1)
-        assert uf.n_sets == 500
+        assert n_sets(uf, range(1000)) == 500

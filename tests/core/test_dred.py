@@ -26,6 +26,7 @@ from repro.rdf.vocabulary import OWL, RDF, RDFS
 from repro.rules.rulesets import get_ruleset
 from repro.rules.spec import Rule
 
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "integration"))
 from test_incremental_property import schema_and_data  # noqa: E402
 
@@ -35,6 +36,11 @@ BACKENDS = ["python", "compressed"] + (["numpy"] if numpy_available() else [])
 
 def ex(name):
     return IRI(f"ex:{name}")
+
+
+def contains(engine, triple):
+    """Whether the engine's closure holds ``triple`` (its read view)."""
+    return any(engine.query(*triple))
 
 
 def closed(engine, triples, ruleset="rdfs-default", backend="auto", **kw):
@@ -49,7 +55,7 @@ def state(engine):
     tables = [
         (pid, list(pairs.tolist())) for pid, pairs in engine.main.table_arrays()
     ]
-    return tables, engine.asserted_encoded()
+    return tables, list(engine.asserted_column)
 
 
 def rebuilt(triples, victims, ruleset, backend, **kw):
@@ -132,7 +138,7 @@ def test_derivable_victim_is_rederived(backend):
     )
     assert stats.deletion["route"] == "dred"
     assert stats.deletion["rederived"] >= 1
-    assert engine.contains(BART_MAMMAL)
+    assert contains(engine, BART_MAMMAL)
     assert not engine.asserted_column.contains(
         [engine.dictionary.ids_of(BART_MAMMAL)]
     )[0]
@@ -148,7 +154,7 @@ def test_victim_asserted_twice_goes_entirely(backend):
     assert stats.deletion["removed"] == 1
     assert engine.n_asserted == len(SCHEMA + PEOPLE) - 1
     # Lisa is still a human: she is known by Bart (knows' range).
-    assert engine.contains(LISA)
+    assert contains(engine, LISA)
 
 
 def test_small_deletes_take_dred_under_the_real_bound():

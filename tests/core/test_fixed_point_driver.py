@@ -190,6 +190,6 @@ def test_tripped_schema_guard_falls_back_to_the_full_catalogue(incremental):
     assert engine.hybrid_fallback_reason == stats.hybrid_fallback
     assert stats.materialize_mode == "hybrid"
     assert stats.absorbed_rules == []
-    assert engine.hybrid_view is None
+    assert engine.read_view is engine.main
     assert engine.stats is stats
     assert closure(engine) == reference_closure(BASE + [GUARD_TRIPPER])

@@ -9,6 +9,11 @@ from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import OWL, RDF, RDFS
 
 
+def contains(engine, triple):
+    """Whether the engine's closure holds ``triple`` (its read view)."""
+    return any(engine.query(*triple))
+
+
 def ex(name):
     return IRI(f"ex:{name}")
 
@@ -54,7 +59,7 @@ class TestIncrementalEquivalence:
             "rdfs-default", subclass_chain(20), bridge
         )
         # Every chain node now reaches the new class.
-        assert engine.contains(
+        assert contains(engine,
             Triple(
                 IRI("http://example.org/chain/n0"),
                 RDFS.subClassOf,
@@ -75,7 +80,7 @@ class TestIncrementalEquivalence:
         assert set(engine.triples()) == batch_closure(
             "rdfs-plus", base, extra
         )
-        assert engine.contains(Triple(ex("b"), ex("p"), ex("v")))
+        assert contains(engine, Triple(ex("b"), ex("p"), ex("v")))
 
     def test_generated_workload_equivalence(self):
         base = lubm_like(2)
@@ -106,11 +111,11 @@ class TestIncrementalEquivalence:
         engine = InferrayEngine("rdfs-plus")
         engine.load_triples(base)
         engine.materialize()
-        assert not engine.contains(Triple(ex("a"), ex("p"), ex("c")))
+        assert not contains(engine, Triple(ex("a"), ex("p"), ex("c")))
         engine.materialize_incremental(
             [Triple(ex("p"), RDF.type, OWL.TransitiveProperty)]
         )
-        assert engine.contains(Triple(ex("a"), ex("p"), ex("c")))
+        assert contains(engine, Triple(ex("a"), ex("p"), ex("c")))
 
     def test_requires_prior_materialization(self):
         engine = InferrayEngine("rdfs-default")
@@ -144,7 +149,7 @@ class TestIncrementalEdgeCases:
         engine.load_triples(base)
         engine.materialize()
         derived = Triple(ex("Bart"), RDF.type, ex("animal"))
-        assert engine.contains(derived)
+        assert contains(engine, derived)
         before = set(engine.triples())
         stats = engine.materialize_incremental([derived])
         assert stats.n_inferred == 0
@@ -165,7 +170,7 @@ class TestIncrementalEdgeCases:
         extra1 = Triple(ex("mammal"), RDFS.subClassOf, ex("animal"))
         extra2 = Triple(ex("Maggie"), RDF.type, ex("human"))
         store.add(extra1)
-        assert len(store)                        # flush: incremental
+        assert store.n_triples                   # flush: incremental
         store.remove(Triple(ex("Lisa"), RDF.type, ex("human")))
         store.add(extra2)
         survivors = [base[0], base[1], extra1, extra2]

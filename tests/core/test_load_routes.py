@@ -80,7 +80,7 @@ def state(engine):
     """Everything route identity covers, in comparable form."""
     return {
         "term_lists": engine.dictionary.term_lists(),
-        "asserted": engine.asserted_encoded(),
+        "asserted": list(engine.asserted_column),
         "tables": [
             (pid, [int(v) for v in flat])
             for pid, flat in engine.main.table_arrays()
@@ -279,7 +279,7 @@ class TestEncodeColumns:
         _, pairs, from_columns = encode_columns(
             *read_columns(path), dictionary=by_columns
         )
-        assert from_columns == encoded
+        assert list(from_columns) == list(encoded)
         assert by_columns.term_lists() == by_objects.term_lists()
         flat = {}
         for subject, prop, obj in encoded:
@@ -352,10 +352,10 @@ class TestFailedFileLoadsAreAtomic:
         kept = Triple(ex("kept"), RDF.type, ex("Thing"))
         store = Store([kept])
         store.materialize()
-        epoch, n_terms = store.epoch, len(store.engine.dictionary)
+        epoch, n_terms = store._epoch, len(store.engine.dictionary)
         with pytest.raises(NTriplesError):
             store.add_file(malformed)
-        assert not store.stale and store.epoch == epoch
+        assert not store.stale and store._epoch == epoch
         assert len(store.engine.dictionary) == n_terms
         assert store.asserted() == [kept]
 

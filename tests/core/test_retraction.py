@@ -9,6 +9,11 @@ from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import RDF, RDFS
 
 
+def contains(engine, triple):
+    """Whether the engine's closure holds ``triple`` (its read view)."""
+    return any(engine.query(*triple))
+
+
 def ex(name):
     return IRI(f"ex:{name}")
 
@@ -25,14 +30,14 @@ class TestRetraction:
         engine = InferrayEngine("rdfs-default")
         engine.load_triples(BASE)
         engine.materialize()
-        assert engine.contains(Triple(ex("Bart"), RDF.type, ex("animal")))
+        assert contains(engine, Triple(ex("Bart"), RDF.type, ex("animal")))
         engine.retract_and_rematerialize(
             [Triple(ex("mammal"), RDFS.subClassOf, ex("animal"))]
         )
-        assert not engine.contains(
+        assert not contains(engine,
             Triple(ex("Bart"), RDF.type, ex("animal"))
         )
-        assert engine.contains(Triple(ex("Bart"), RDF.type, ex("mammal")))
+        assert contains(engine, Triple(ex("Bart"), RDF.type, ex("mammal")))
 
     def test_retract_inferred_triple_is_noop(self):
         engine = InferrayEngine("rdfs-default")

@@ -18,7 +18,11 @@ from repro.datasets.chains import subclass_chain
 from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import RDF, RDFS
 from repro.rules.rulesets import get_ruleset
-from repro.rules.table5 import make_rules
+
+
+def contains(engine, triple):
+    """Whether the engine's closure holds ``triple`` (its read view)."""
+    return any(engine.query(*triple))
 
 
 def ex(name):
@@ -98,7 +102,7 @@ class TestResolveWorkers:
             engine = InferrayEngine("rdfs-default")
         engine.load_triples(INTRO)
         engine.materialize()
-        assert engine.contains(Triple(ex("Bart"), RDF.type, ex("animal")))
+        assert contains(engine, Triple(ex("Bart"), RDF.type, ex("animal")))
 
 
 class TestSchedulerStructure:
@@ -106,12 +110,6 @@ class TestSchedulerStructure:
         scheduler = ParallelRuleScheduler(get_ruleset("rdfs-plus"))
         indexes = sorted(i for wave in scheduler.waves for i in wave)
         assert indexes == list(range(len(scheduler.rules)))
-
-    def test_wave_names(self):
-        scheduler = ParallelRuleScheduler(
-            make_rules(["SCM-SCO", "CAX-SCO"])
-        )
-        assert scheduler.wave_names() == [["SCM-SCO"], ["CAX-SCO"]]
 
     def test_session_sequential_yields_no_executor(self):
         scheduler = ParallelRuleScheduler(get_ruleset("rho-df"), workers=1)
@@ -135,7 +133,7 @@ class TestEngineIntegration:
         engine = InferrayEngine("rdfs-default", workers=workers)
         engine.load_triples(INTRO)
         stats = engine.materialize()
-        assert engine.contains(Triple(ex("Bart"), RDF.type, ex("animal")))
+        assert contains(engine, Triple(ex("Bart"), RDF.type, ex("animal")))
         assert stats.workers == workers
         assert stats.n_waves == 1  # rdfs-default is one recursive wave
         assert stats.per_rule_seconds  # per-rule timings populated
@@ -176,7 +174,7 @@ class TestEngineIntegration:
         engine.materialize_incremental(
             [Triple(ex("Maggie"), RDF.type, ex("human"))]
         )
-        assert engine.contains(
+        assert contains(engine,
             Triple(ex("Maggie"), RDF.type, ex("animal"))
         )
 
@@ -229,7 +227,7 @@ class TestParallelModeSelection:
         engine.load_triples(INTRO)
         stats = engine.materialize()
         assert stats.parallel_mode == "thread"
-        assert engine.contains(Triple(ex("Bart"), RDF.type, ex("animal")))
+        assert contains(engine, Triple(ex("Bart"), RDF.type, ex("animal")))
         engine.close()
 
     def test_auto_is_undecided_before_the_first_run(self):
@@ -446,7 +444,7 @@ class TestStoreIntegration:
     def test_store_kwarg_threads_workers(self):
         store = Store(INTRO, workers=3)
         assert store.engine.workers == 3
-        assert len(store) > len(INTRO)
+        assert store.n_triples > len(INTRO)
 
     def test_parallel_store_roundtrips_persistence(self, tmp_path):
         path = str(tmp_path / "closure.store")
@@ -471,7 +469,7 @@ class TestStoreIntegration:
     def test_store_kwarg_threads_parallel_mode(self):
         store = Store(INTRO, workers=2, parallel_mode="thread")
         assert store.engine.parallel_mode == "thread"
-        assert len(store) > len(INTRO)
+        assert store.n_triples > len(INTRO)
 
 
 class TestCostModelKnobResolution:

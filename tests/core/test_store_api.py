@@ -83,7 +83,7 @@ class TestLazyMaterialization:
 
     def test_every_read_form_flushes(self, backend):
         reads = [
-            lambda s: len(s),
+            lambda s: s.n_triples,
             lambda s: list(s.triples()),
             lambda s: list(s.query(None, RDF.type, None)),
             lambda s: s.query("?x a ex:animal"),
@@ -206,6 +206,25 @@ class TestUnifiedQuery:
     def test_unknown_term_matches_nothing(self, store):
         assert list(store.query(ex("nobody"), None, None)) == []
 
+    @pytest.mark.parametrize(
+        "args, position",
+        [
+            # A str is not looked up as if it were a term.
+            (("ex:Bart", RDF.type, None), "subject"),
+            # A tuple of BGP tokens is not a list of patterns.
+            ((("?s", RDF.type, "?o"),), "subject"),
+            # A BGP string followed by more arguments is a pattern form.
+            (("?s a ?o", None), "subject"),
+            ((ex("Bart"), "rdf:type", None), "predicate"),
+            ((None, RDF.type, Var("o")), "object"),
+        ],
+    )
+    def test_pattern_form_rejects_non_terms(self, store, args, position):
+        with pytest.raises(TypeError, match=position):
+            store.query(*args)
+        with pytest.raises(TypeError, match=position):
+            store.snapshot().query(*args)
+
     def test_bgp_string(self, store):
         solutions = store.query("?who a ex:animal")
         assert {s["who"] for s in solutions} == {ex("Bart"), ex("Lisa")}
@@ -225,8 +244,8 @@ class TestUnifiedQuery:
     def test_select_and_ask(self, store):
         rows = store.select("?who a ex:animal", "who")
         assert sorted(str(r[0]) for r in rows) == ["ex:Bart", "ex:Lisa"]
-        assert store.ask("ex:Bart a ex:animal")
-        assert not store.ask("ex:Lisa a ex:unicorn")
+        assert len(store.evaluate("ex:Bart a ex:animal")) == 1
+        assert len(store.evaluate("ex:Lisa a ex:unicorn")) == 0
 
     def test_empty_pattern_list_rejected(self, store):
         with pytest.raises(ValueError):
@@ -298,7 +317,7 @@ class TestSnapshots:
             ex("Bart"),
             ex("Lisa"),
         }
-        assert len(snapshot) == len(store)
+        assert snapshot.n_triples == store.n_triples
         assert set(snapshot.inferred()) == set(store.inferred())
 
     def test_snapshot_is_cheap_no_inference(self):
@@ -441,7 +460,7 @@ class TestPersistence:
         store.save(path)
         loaded = Store.load(path)
         assert loaded.engine.ruleset_name == "rho-df"
-        assert len(loaded) == 0
+        assert loaded.n_triples == 0
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.store"

@@ -142,7 +142,7 @@ class TestV4Fixture:
             assert sorted(t.n3() for t in store.triples()) == golden_lines
             assert store.engine.stats is None
             engine = store.engine
-            assert engine.asserted_encoded() == [
+            assert list(engine.asserted_column) == [
                 engine.dictionary.ids_of(triple) for triple in data
             ]
             assert store.n_asserted == len(data)

@@ -140,10 +140,10 @@ def test_reads_after_failed_flush_retry_and_serve_the_delta():
 
     store._engine.materialize_incremental = flaky
     with pytest.raises(MaterializationTimeout):
-        len(store)
+        store.n_triples
     assert store.stale
     clean = Store(base_triples() + [person("Lisa")])
-    assert len(store) == len(clean)  # retried and flushed on this read
+    assert store.n_triples == clean.n_triples  # retried and flushed on this read
     assert not store.stale
     assert Triple(ex("Lisa"), RDF.type, ex("mammal")) in store
 
@@ -216,15 +216,15 @@ def test_remove_then_flush_matches_fresh_store():
 # ----------------------------------------------------------------------
 def test_epoch_bumps_only_on_successful_flushes():
     store = Store(base_triples())
-    assert store.epoch == 0
+    assert store._epoch == 0
     store.materialize()
-    assert store.epoch == 1
+    assert store._epoch == 1
     store.materialize()  # nothing pending: no new epoch
-    assert store.epoch == 1
+    assert store._epoch == 1
     store.add(person("Lisa"))
-    assert store.epoch == 1  # lazy: not flushed yet
+    assert store._epoch == 1  # lazy: not flushed yet
     snapshot = store.snapshot()  # flushes
-    assert store.epoch == 2
+    assert store._epoch == 2
     assert snapshot.epoch == 2
 
     store.add(person("Maggie"))
@@ -236,10 +236,10 @@ def test_epoch_bumps_only_on_successful_flushes():
     store._engine.materialize_incremental = boom
     with pytest.raises(MaterializationTimeout):
         store.materialize()
-    assert store.epoch == 2  # failed flush publishes nothing
+    assert store._epoch == 2  # failed flush publishes nothing
     store._engine.materialize_incremental = original
     store.materialize()
-    assert store.epoch == 3
+    assert store._epoch == 3
 
 
 def test_snapshots_carry_their_epoch_across_later_writes():

@@ -35,10 +35,14 @@ class TestDenseNumbering:
         for i in range(10):
             d.encode_property(IRI(f"p{i}"))
             d.encode_resource(IRI(f"r{i}"))
-        assert d.n_properties == 10
-        assert d.n_resources == 10
-        low, high = d.resource_id_range()
-        assert high - low + 1 == 10
+        properties, resources = d.term_lists()
+        assert len(properties) == len(resources) == 10
+        assert sorted(map(d.id_of, properties)) == list(
+            range(PROPERTY_BASE - 9, PROPERTY_BASE + 1)
+        )
+        assert sorted(map(d.id_of, resources)) == list(
+            range(PROPERTY_BASE + 1, PROPERTY_BASE + 11)
+        )
 
     def test_same_term_same_id(self):
         d = Dictionary()
@@ -55,26 +59,6 @@ class TestDenseNumbering:
         d.encode_resource(IRI("x"))
         with pytest.raises(DictionaryError):
             d.encode_property(IRI("x"))
-
-
-class TestIndexTranslation:
-    def test_roundtrip(self):
-        for index in (0, 1, 17, 123456):
-            pid = Dictionary.property_id_from_index(index)
-            assert Dictionary.property_index(pid) == index
-
-    def test_first_property_maps_to_index_zero(self):
-        d = Dictionary()
-        pid = d.encode_property(IRI("p"))
-        assert Dictionary.property_index(pid) == 0
-
-    def test_is_property_id(self):
-        d = Dictionary()
-        pid = d.encode_property(IRI("p"))
-        rid = d.encode_resource(IRI("r"))
-        assert d.is_property_id(pid)
-        assert not d.is_property_id(rid)
-        assert not d.is_property_id(PROPERTY_BASE - 10)  # unallocated
 
 
 class TestDecode:
@@ -153,8 +137,9 @@ class TestEncodeDataset:
         ]
         d, encoded = encode_dataset(triples)
         assert len(encoded) == 2
-        assert d.is_property_id(encoded[0][0])  # p1
-        assert d.is_property_id(encoded[0][2])  # p2
+        # Both in the property half of the id space.
+        assert encoded[0][0] <= PROPERTY_BASE  # p1
+        assert encoded[0][2] <= PROPERTY_BASE  # p2
 
     def test_existing_dictionary_extended(self):
         d = Dictionary()

@@ -44,7 +44,7 @@ def test_sequence_of_triples(representation):
     column = TripleColumn.from_triples(TRIPLES)
     assert len(column) == len(TRIPLES)
     assert list(column) == TRIPLES
-    assert column == TRIPLES and column[-1] == TRIPLES[-1]
+    assert column[-1] == TRIPLES[-1]
     assert list(column + TripleColumn.from_triples(TRIPLES[:2])) == (
         TRIPLES + TRIPLES[:2]
     )

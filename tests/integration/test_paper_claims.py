@@ -4,6 +4,7 @@ from repro.baselines.hashjoin import HashJoinEngine
 from repro.core.engine import InferrayEngine
 from repro.datasets.chains import chain_closure_size, subclass_chain
 from repro.datasets.lubm import lubm_like
+from repro.dictionary.encoding import PROPERTY_BASE
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.rdf.vocabulary import OWL, RDF, RDFS
 
@@ -28,8 +29,10 @@ class TestNoNewTermsInvariant:
         engine.load_triples(lubm_like(2))
         engine.materialize()
         d = engine.dictionary
-        low, high = d.resource_id_range()
-        assert high - low + 1 == d.n_resources  # still gap-free
+        _, resources = d.term_lists()
+        assert sorted(map(d.id_of, resources)) == list(  # still gap-free
+            range(PROPERTY_BASE + 1, PROPERTY_BASE + 1 + len(resources))
+        )
 
 
 class TestDuplicateElimination:
@@ -55,7 +58,7 @@ class TestDuplicateElimination:
         engine = InferrayEngine("rdfs-plus")
         engine.load_triples(lubm_like(1))
         engine.materialize()
-        triples = list(engine.encoded_triples())
+        triples = list(engine.main.triples())
         assert len(triples) == len(set(triples))
 
 

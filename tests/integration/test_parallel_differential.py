@@ -141,8 +141,8 @@ def test_parallel_incremental_equals_sequential_batch(backend, workers):
     sequential.load_triples(list(first) + list(second))
     sequential.materialize()
 
-    assert frozenset(parallel.encoded_triples()) == frozenset(
-        sequential.encoded_triples()
+    assert frozenset(parallel.main.triples()) == frozenset(
+        sequential.main.triples()
     )
 
 

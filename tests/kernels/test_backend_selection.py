@@ -82,7 +82,8 @@ class TestEngineThreading:
         engine.materialize()
         assert engine.kernels.name == "numpy"
         for pid in engine.main.property_ids():
-            assert engine.main.table(pid).kernels.name == "numpy"
+            # Every table holds its rows in the numpy backend's type.
+            assert type(engine.main.table(pid).pairs).__module__ == "numpy"
         assert Triple(IRI("ex:b"), RDF.type, IRI("ex:m")) in set(
             engine.triples()
         )

@@ -90,8 +90,8 @@ class TestEnumerations:
             assert c in ups  # inclusive
             assert ups - {c} >= {b for (a, b) in expected if a == c} - {c}
             assert ups == {c} | {b for (a, b) in expected if a == c}
-            downs = encoding.subclass_set(c)
-            assert downs == {c} | {a for (a, b) in expected if b == c}
+            downs = set(encoding.subclasses(c))
+            assert downs == {a for (a, b) in expected if b == c}
 
     def test_diamond_multi_parent(self):
         # A ⊑ B, A ⊑ C, B ⊑ D, C ⊑ D: the classic non-tree lattice.
@@ -146,12 +146,3 @@ class TestPayload:
         payload["version"] = ENCODING_PAYLOAD_VERSION + 1
         with pytest.raises(ValueError):
             HierarchyEncoding.from_payload(payload)
-
-    def test_stats_counts(self):
-        encoding = encode_hierarchies([(0, 1), (1, 2)], [(5, 6)])
-        stats = encoding.stats()
-        assert stats["n_classes"] == 3
-        assert stats["n_class_edges"] == 2
-        assert stats["n_class_closure_pairs"] == 3  # 0→1, 0→2, 1→2
-        assert stats["n_properties"] == 2
-        assert stats["n_property_closure_pairs"] == 1

@@ -22,7 +22,7 @@ def test_measure_store_reports_consistent_totals(backend):
     report = measure_store(store)
     assert isinstance(report, StoreMemoryReport)
     assert report.backend == backend
-    assert report.n_triples == len(store)
+    assert report.n_triples == store.n_triples
     assert report.n_tables == len(report.tables)
     assert report.resident_bytes == sum(
         t.resident_bytes for t in report.tables
@@ -73,12 +73,12 @@ def test_snapshot_shares_structure_with_live_store():
     live = {
         block
         for _, flat in store.engine.main.table_arrays()
-        for block in flat.block_ids()
+        for block in map(id, flat._blocks)
     }
     snap = {
         block
         for _, flat in snapshot._tables.table_arrays()
-        for block in flat.block_ids()
+        for block in map(id, flat._blocks)
     }
     assert snap and snap <= live
 

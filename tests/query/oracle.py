@@ -3,10 +3,12 @@
 Two independent answers to "what are the solutions of this BGP":
 
 * :class:`TupleAtATimeQuery` — the evaluator ``repro.query.bgp`` used
-  before it went set-at-a-time, kept verbatim as the oracle: it orders
-  patterns by bound-position count and binds one decoded
-  :class:`~repro.rdf.terms.Triple` at a time through the engine's
-  ``query(s, p, o)`` lookups.
+  before it went set-at-a-time, kept as the oracle: it orders patterns
+  by bound-position count and binds one decoded
+  :class:`~repro.rdf.terms.Triple` at a time through per-pattern
+  lookups of its own (:class:`PatternLookup`) over the decoded
+  ``triples()`` — not through ``query(s, p, o)``, which is the
+  evaluator itself.
 * :func:`brute_force` — nested loops over the decoded closure, no
   index, no ordering, no ids.
 
@@ -15,7 +17,7 @@ multisets (:func:`multiset`) — solution order is unspecified.
 """
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.query.bgp import TriplePattern, Var
 from repro.rdf.terms import Term, Triple
@@ -45,6 +47,32 @@ def selectivity(pattern: TriplePattern, bindings: Bindings) -> int:
     )
 
 
+class PatternLookup:
+    """The triples matching one ⟨s, p, o⟩ pattern (``None`` a wildcard),
+    in ``triples()`` order: one hash index per bound/unbound shape over
+    the decoded closure, built on first use."""
+
+    def __init__(self, triples: Iterable[Triple]):
+        self.triples = list(triples)
+        self._indexes: Dict[Tuple[bool, ...], Dict[tuple, List[Triple]]] = {}
+
+    def __call__(
+        self,
+        subject: Optional[Term] = None,
+        predicate: Optional[Term] = None,
+        obj: Optional[Term] = None,
+    ) -> List[Triple]:
+        pattern = (subject, predicate, obj)
+        shape = tuple(term is not None for term in pattern)
+        index = self._indexes.get(shape)
+        if index is None:
+            index = self._indexes[shape] = {}
+            for triple in self.triples:
+                key = tuple(v for v, bound in zip(triple, shape) if bound)
+                index.setdefault(key, []).append(triple)
+        return index.get(tuple(t for t in pattern if t is not None), [])
+
+
 class TupleAtATimeQuery:
     """The tuple-at-a-time evaluator (see module docstring)."""
 
@@ -52,13 +80,14 @@ class TupleAtATimeQuery:
         self.patterns = list(patterns)
 
     def _match_pattern(
-        self, engine, pattern: TriplePattern, bindings: Bindings
+        self, lookup: PatternLookup, pattern: TriplePattern,
+        bindings: Bindings,
     ) -> Iterator[Bindings]:
         resolved = resolve(pattern, bindings)
         query_args: List[Optional[Term]] = []
         for term in (resolved.subject, resolved.predicate, resolved.object):
             query_args.append(None if isinstance(term, Var) else term)
-        for triple in engine.query(*query_args):
+        for triple in lookup(*query_args):
             new_bindings = dict(bindings)
             consistent = True
             for position, value in zip(
@@ -77,7 +106,8 @@ class TupleAtATimeQuery:
 
     def execute(self, engine) -> Iterator[Bindings]:
         """Yield every solution's bindings; ``engine`` is anything with
-        a decoded ``query(s, p, o)`` (engine, Store or Snapshot)."""
+        a decoded ``triples()`` (Store or Snapshot)."""
+        lookup = PatternLookup(engine.triples())
 
         def recurse(remaining, bindings):
             if not remaining:
@@ -89,7 +119,7 @@ class TupleAtATimeQuery:
             )
             pattern = remaining[best_index]
             rest = remaining[:best_index] + remaining[best_index + 1:]
-            for extended in self._match_pattern(engine, pattern, bindings):
+            for extended in self._match_pattern(lookup, pattern, bindings):
                 yield from recurse(rest, extended)
 
         yield from recurse(self.patterns, {})

@@ -65,10 +65,11 @@ class TestSinglePattern:
         assert ex("advisor") in predicates
 
     def test_fully_ground_ask(self, engine):
-        assert Query.parse((ex("bob"), RDF.type, ex("person"))).ask(engine)
-        assert not Query.parse(
-            (ex("alice"), RDF.type, ex("student"))
-        ).ask(engine)
+        ground = Query.parse((ex("bob"), RDF.type, ex("person")))
+        assert len(ground.evaluate(engine)) == 1
+        assert len(
+            Query.parse((ex("alice"), RDF.type, ex("student"))).evaluate(engine)
+        ) == 0
 
 
 class TestJoins:

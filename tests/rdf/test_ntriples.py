@@ -4,15 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.rdf import ntriples
 from repro.rdf.ntriples import (
     NTriplesError,
     parse,
     parse_file,
-    parse_line,
     serialize,
     write_file,
 )
 from repro.rdf.terms import BlankNode, IRI, Literal, Triple
+
+
+def parse_line(line, line_no=1):
+    """One line, numbered ``line_no``, through the parse entry point;
+    ``None`` for a blank or a comment."""
+    table = ntriples._TermTable()
+    for ids in ntriples._scan((line,), table, line_no):
+        return Triple(*(table.terms[i] for i in ids))
+    return None
 
 
 class TestParseBasics:

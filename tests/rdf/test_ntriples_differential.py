@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from repro.datasets import bsbm_like, lubm_like, subclass_tree
 from repro.rdf import ntriples
-from repro.rdf.ntriples import NTriplesError, parse, parse_line, serialize
+from repro.rdf.ntriples import NTriplesError, parse, serialize
 from repro.rdf.terms import Triple
+from test_ntriples import parse_line
 
 CONFORMANCE = Path(__file__).resolve().parents[1] / "fixtures" / "conformance"
 

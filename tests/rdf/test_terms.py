@@ -35,9 +35,6 @@ class TestBlankNode:
     def test_n3_rendering(self):
         assert BlankNode("b0").n3() == "_:b0"
 
-    def test_str(self):
-        assert str(BlankNode("x")) == "_:x"
-
     def test_distinct_from_iri(self):
         assert BlankNode("a") != IRI("a")
 

@@ -29,7 +29,7 @@ class TestNamespaces:
         assert XSD.string == IRI("http://www.w3.org/2001/XMLSchema#string")
 
     def test_dynamic_minting(self):
-        assert RDFS["weirdTerm"] == IRI(
+        assert RDFS.term("weirdTerm") == IRI(
             "http://www.w3.org/2000/01/rdf-schema#weirdTerm"
         )
         assert OWL.term("custom") == IRI(

@@ -20,6 +20,11 @@ from repro.rules.rulesets import RULESET_NAMES, get_ruleset, ruleset_rule_names
 from repro.rules.table5 import BY_NAME, make_rules
 
 
+def wave_names(graph):
+    """The stratification with rule names instead of indexes."""
+    return [[graph.rules[i].name for i in wave] for wave in graph.stratify()]
+
+
 def catalogue(name):
     if name in RULESET_NAMES:
         return get_ruleset(name)
@@ -328,7 +333,7 @@ def test_rule_io(name):
 
 @pytest.mark.parametrize("name", CATALOGUES)
 def test_waves(name):
-    waves = RuleDependencyGraph(catalogue(name)).waves_by_name()
+    waves = wave_names(RuleDependencyGraph(catalogue(name)))
     assert [tuple(wave) for wave in waves] == WAVES[name]
 
 
@@ -355,6 +360,6 @@ def test_join_estimates(name):
             assert (
                 rule.estimate_join_input(main=main, new=main, vocab=vocab),
                 rule.estimate_join_input(
-                    main=main, new=main.copy(), vocab=vocab
+                    main=main, new=main.share_view(), vocab=vocab
                 ),
             ) == ESTIMATES[rule.name], rule.name

@@ -168,7 +168,7 @@ class TestCostModelPricesOneLeg:
         assert rule.estimate_join_input(
             main=store, new=store, vocab=vocab
         ) == one_leg
-        delta = store.copy()
+        delta = store.share_view()
         assert rule.estimate_join_input(
             main=store, new=delta, vocab=vocab
         ) == 2 * one_leg
@@ -180,7 +180,7 @@ class TestCostModelPricesOneLeg:
             cores=2,
         )
         batch = scheduler.decide(store, store).estimated_pairs
-        delta = scheduler.decide(store, store.copy()).estimated_pairs
+        delta = scheduler.decide(store, store.share_view()).estimated_pairs
         assert batch == 7 and delta == 14
         scheduler.close()
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dictionary.encoding import Dictionary, PROPERTY_BASE
-from repro.rules.spec import Rule, RuleContext, Vocab, table_or_none
+from repro.rules.spec import RuleContext, Vocab, table_or_none
 from repro.store.triple_store import InferredBuffers, TripleStore
 
 
@@ -31,10 +31,6 @@ class TestVocab:
 
     def test_attribute_and_item_access_agree(self):
         assert self.vocab.type == self.vocab["type"]
-
-    def test_contains(self):
-        assert "sameAs" in self.vocab
-        assert "bogus" not in self.vocab
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
@@ -70,9 +66,3 @@ class TestHelpers:
         # Empty (created but unpopulated) tables read as None.
         store.get_or_create(456)
         assert table_or_none(store, 456) is None
-
-    def test_rule_base_repr_and_abstract(self):
-        rule = Rule("TEST")
-        assert "TEST" in repr(rule)
-        with pytest.raises(NotImplementedError):
-            rule.apply(None)

@@ -7,7 +7,6 @@ def test_latency_window_empty():
     window = LatencyWindow()
     assert window.percentile(0.5) is None
     assert window.mean is None
-    assert window.max_recent is None
     assert window.count == 0
 
 
@@ -21,7 +20,6 @@ def test_latency_window_percentiles():
     assert window.percentile(0.0) == 1.0
     assert window.count == 100
     assert window.mean == 50.5
-    assert window.max_recent == 100.0
 
 
 def test_latency_window_ring_evicts_old_observations():

@@ -88,7 +88,7 @@ def _run_interleaving(config):
     assert len(snapshot.solutions(f"?x a <{EX}human>")) == expected_humans
     # And the live store moved on past it.
     assert store.n_triples != expected_len
-    assert store.epoch > snapshot.epoch
+    assert store.snapshot().epoch > snapshot.epoch
     return sorted(store.encoded_triples())
 
 

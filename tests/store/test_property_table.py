@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import numpy_available
-from repro.store.property_table import PropertyTable, pairs_as_tuples
+from repro.kernels import numpy_available, resolve_backend
+from repro.store.property_table import PropertyTable
 from repro.store.triple_store import TripleStore
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
@@ -19,6 +19,10 @@ def flat(pairs):
         out.append(s)
         out.append(o)
     return out
+
+
+def pairs_as_tuples(flat_pairs):
+    return list(zip(flat_pairs[0::2], flat_pairs[1::2]))
 
 
 class TestCommitInvariant:
@@ -33,7 +37,7 @@ class TestCommitInvariant:
 
     def test_len_and_bool(self):
         t = PropertyTable(flat([(1, 1)]))
-        assert len(t) == 1
+        assert t.n_pairs == 1
         assert bool(t)
 
 
@@ -52,12 +56,6 @@ class TestOsCache:
         os_view = pairs_as_tuples(t.os_pairs())
         assert {(s, o) for o, s in os_view} == so
         assert os_view == sorted(os_view)
-
-    def test_drop(self):
-        t = PropertyTable(flat([(1, 2)]))
-        t.os_pairs()
-        t.drop_os_cache()
-        assert not t.has_os_cache
 
     def test_invalidated_by_merge_with_new(self):
         t = PropertyTable(flat([(1, 2)]))
@@ -85,11 +83,6 @@ class TestLookups:
         assert not self.t.contains(1, 11)
         assert not self.t.contains(99, 1)
 
-    def test_subject_slice(self):
-        start, end = self.t.subject_slice(5)
-        assert end - start == 3
-        assert self.t.subject_slice(99) == (6, 6)
-
     def test_objects_of(self):
         assert self.t.objects_of(1) == [10, 20]
         assert self.t.objects_of(42) == []
@@ -97,15 +90,6 @@ class TestLookups:
     def test_subjects_of(self):
         assert self.t.subjects_of(10) == [1, 2]
         assert self.t.subjects_of(42) == []
-
-    def test_distinct_subjects(self):
-        assert self.t.distinct_subjects() == [1, 2, 5]
-
-    def test_distinct_objects(self):
-        assert self.t.distinct_objects() == [1, 2, 3, 10, 20]
-
-    def test_as_set(self):
-        assert (1, 10) in self.t.as_set()
 
 
 class TestFigureFiveMerge:
@@ -190,7 +174,9 @@ class TestOsCacheInvalidationRegression:
 def test_merge_set_semantics(main_pairs, inferred_pairs):
     """merge == set union; returned delta == inferred − main."""
     t = PropertyTable(flat(main_pairs))
-    sorted_inferred = t.kernels.sort_pairs(flat(inferred_pairs), dedup=True)
+    sorted_inferred = resolve_backend("auto").sort_pairs(
+        flat(inferred_pairs), dedup=True
+    )
     new = t.merge(sorted_inferred)
     assert set(t.iter_pairs()) == set(main_pairs) | set(inferred_pairs)
     assert list(t.iter_pairs()) == sorted(set(main_pairs) | set(inferred_pairs))

@@ -13,25 +13,31 @@ def flat(pairs):
     return out
 
 
+def n_raw(buffers):
+    """Raw (pre-dedup) pairs buffered."""
+    chunks = [chunk for _, chunks in buffers.chunk_items() for chunk in chunks]
+    return sum(map(len, chunks)) // 2
+
+
 class TestInferredBuffers:
     def test_emit_accumulates(self):
         buffers = InferredBuffers()
         buffers.emit(10, 1, 2)
         buffers.emit(10, 3, 4)
         buffers.emit(20, 5, 6)
-        assert len(buffers) == 3
+        assert n_raw(buffers) == 3
         assert bool(buffers)
 
     def test_extend(self):
         buffers = InferredBuffers()
         buffers.extend(10, flat([(1, 2), (3, 4)]))
         buffers.extend(10, array("q"))
-        assert len(buffers) == 2
+        assert n_raw(buffers) == 2
 
     def test_empty(self):
         buffers = InferredBuffers()
         assert not buffers
-        assert len(buffers) == 0
+        assert n_raw(buffers) == 0
 
     def test_extend_keeps_chunk_reference(self):
         buffers = InferredBuffers()
@@ -49,7 +55,7 @@ class TestInferredBuffers:
         chunks = dict(buffers.chunk_items())
         assert [list(chunk) for chunk in chunks[10]] == [[1, 2], [3, 4]]
         assert [list(chunk) for chunk in chunks[20]] == [[5, 6]]
-        assert len(buffers) == 3
+        assert n_raw(buffers) == 3
 
 
 class TestTripleStoreLoading:
@@ -128,7 +134,7 @@ class TestMergeInferred:
         mine.emit(100, 9, 9)
         mine.emit(200, 3, 4)
         new = store.merge_inferred(shared, {7: mine})
-        assert new.as_set() == {
+        assert set(new.triples()) == {
             (5, 100, 5), (6, 100, 6), (9, 100, 9), (3, 200, 4)
         }
         assert store.n_triples == 5
@@ -137,7 +143,7 @@ class TestMergeInferred:
         # Fed by `mine` alone: the delta table itself stands for its rows,
         # and the rule's view drops it without a difference pass.
         assert new.own_rows[7][200] is new.table(200).pairs
-        assert new.without(new.own_rows[7], keep=-1).as_set() == {
+        assert set(new.without(new.own_rows[7], keep=-1).triples()) == {
             (6, 100, 6)
         }
 
@@ -152,13 +158,22 @@ class TestMergeInferred:
              300: flat([(7, 8)])},
             keep=300,
         )
-        assert view.as_set() == {(1, 100, 2), (7, 300, 8)}
+        assert set(view.triples()) == {(1, 100, 2), (7, 300, 8)}
         assert view.table(200) is None
         assert view.table(300) is kept  # shared, not copied
         assert store.n_triples == 4  # the store itself is untouched
 
 
+def rows_of(flat_pairs):
+    values = flat_pairs.tolist()
+    return list(zip(values[0::2], values[1::2]))
+
+
 class TestQueries:
+    """Each lookup shape through the id-level accessors the BGP
+    evaluator reads: ``in``, ``columns()``, ``table_size()`` and
+    ``triples()``."""
+
     def setup_method(self):
         self.store = TripleStore()
         self.store.add_encoded(
@@ -166,54 +181,43 @@ class TestQueries:
         )
 
     def test_fully_bound(self):
-        assert list(self.store.query(1, 100, 2)) == [(1, 100, 2)]
-        assert list(self.store.query(1, 100, 99)) == []
+        assert (1, 100, 2) in self.store
+        assert (1, 100, 99) not in self.store
 
     def test_subject_property(self):
-        assert set(self.store.query(1, 100, None)) == {
-            (1, 100, 2),
-            (1, 100, 3),
-        }
+        assert rows_of(self.store.columns(100, 1)) == [(1, 2), (1, 3)]
 
     def test_object_property(self):
-        assert set(self.store.query(None, 100, 2)) == {
-            (1, 100, 2),
-            (4, 100, 2),
-        }
+        assert rows_of(self.store.columns(100, 2, by_object=True)) == [
+            (2, 1),
+            (2, 4),
+        ]
 
     def test_property_only(self):
-        assert len(list(self.store.query(None, 100, None))) == 3
+        assert self.store.table_size(100) == 3
+        assert len(rows_of(self.store.columns(100))) == 3
 
     def test_subject_across_properties(self):
-        assert len(list(self.store.query(1, None, None))) == 3
+        assert sum(
+            len(rows_of(self.store.columns(pid, 1)))
+            for pid in self.store.property_ids()
+        ) == 3
 
     def test_full_scan(self):
-        assert len(list(self.store.query())) == 4
+        assert len(list(self.store.triples())) == self.store.n_triples == 4
 
     def test_triples_iteration(self):
-        assert set(self.store.triples()) == self.store.as_set()
+        assert set(self.store.triples()) == {
+            (1, 100, 2), (1, 100, 3), (4, 100, 2), (1, 200, 9)
+        }
 
     def test_missing_property(self):
-        assert list(self.store.query(None, 999, None)) == []
+        assert len(self.store.columns(999)) == 0
+        assert self.store.table_size(999) == 0
+        assert (1, 999, 2) not in self.store
 
 
 class TestMisc:
-    def test_copy_independent(self):
-        store = TripleStore()
-        store.add_encoded([(1, 100, 2)])
-        clone = store.copy()
-        clone.add_encoded([(9, 100, 9)])
-        assert store.n_triples == 1
-        assert clone.n_triples == 2
-
-    def test_stats(self):
-        store = TripleStore()
-        store.add_encoded([(1, 100, 2), (1, 200, 3), (2, 200, 4)])
-        stats = store.stats()
-        assert stats["n_properties"] == 2
-        assert stats["n_triples"] == 3
-        assert stats["largest_table"] == 2
-
     def test_property_ids_skips_empty(self):
         store = TripleStore()
         store.get_or_create(123)
