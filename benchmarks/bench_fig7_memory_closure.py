@@ -48,7 +48,6 @@ from repro.core.engine import InferrayEngine
 from repro.datasets.bsbm import bsbm_like
 from repro.datasets.chains import subclass_chain, subclass_tree, subproperty_chain
 from repro.datasets.lubm import lubm_like
-from repro.kernels import numpy_available
 from repro.memsim.probe import measure_store
 from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import RDF, RDFS
@@ -248,10 +247,8 @@ def run_backend_comparison(*, smoke=False, ruleset="rdfs-default"):
     the compressed-vs-flat-baseline ratios the CI gate checks
     (``resident_ratio`` >= 4, identical ``answers_sha256``).
     """
-    baseline = "numpy" if numpy_available() else "python"
-    backends = ["python", "compressed"]
-    if baseline == "numpy":
-        backends.insert(1, "numpy")
+    baseline = "numpy"
+    backends = ["python", "numpy", "compressed"]
     datasets = []
     for name, generate, full_scale, smoke_scale in BACKEND_DATASETS:
         scale = smoke_scale if smoke else full_scale

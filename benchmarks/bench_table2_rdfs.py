@@ -741,11 +741,11 @@ def main(argv=None):
             args.timeout = min(args.timeout, 30.0)
 
     if args.backend:
-        from repro.kernels import KernelUnavailableError, numpy_available
+        from repro.kernels import KernelUnavailableError
 
         backend = args.backend
         if backend == "auto":
-            backend = "numpy" if numpy_available() else "python"
+            backend = "numpy"
         try:
             results = run_backend_table(
                 backend, timeout=args.timeout, warmup=warmup, runs=runs,

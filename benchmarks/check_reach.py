@@ -73,7 +73,6 @@ REASONS = {
     "timing": "reached in only some of three runs",
     "item-1": "awaits ROADMAP item 1 (the thread executor's verdict)",
     "item-2c": "awaits ROADMAP item 2(c) (a hybrid ledger leg)",
-    "item-18": "awaits ROADMAP item 18 (the pure-Python kernels)",
     "item-19": "awaits ROADMAP item 19 (the store-file format)",
 }
 

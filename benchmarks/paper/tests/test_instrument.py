@@ -15,9 +15,8 @@ from repro.baselines.rete import ReteEngine
 from repro.core.engine import InferrayEngine
 from repro.datasets.chains import subclass_chain
 from repro.datasets.lubm import lubm_like
-from repro.kernels import numpy_available
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+BACKENDS = ["python", "numpy"]
 
 
 @pytest.fixture(params=BACKENDS)

@@ -39,7 +39,7 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         choices=BACKEND_NAMES,
         default="auto",
         help="kernel backend for the pair-array hot paths "
-        "(default: numpy when available, else python)",
+        "(default: auto, which is numpy unless $REPRO_KERNELS names another)",
     )
 
 

@@ -332,7 +332,8 @@ def transitive_closure_pairs(
         and duplicates are fine.
     kernels:
         The backend that writes the pairs; the result is its native
-        flat type (``array('q')`` for the default pure-Python kernels).
+        flat type (an int64 ndarray for the engine's default NumPy
+        kernels, ``array('q')`` for this helper's pure-Python default).
 
     Returns
     -------

@@ -149,8 +149,9 @@ class InferrayEngine:
         :class:`repro.rules.Rule` instances.
     backend:
         Kernel backend the store and rule executors run on: 'auto'
-        (NumPy when available, else pure Python), 'python', 'numpy', or
-        a :class:`repro.kernels.KernelBackend` instance.
+        (NumPy unless ``$REPRO_KERNELS`` names another), 'python',
+        'numpy', 'compressed', or a :class:`repro.kernels.KernelBackend`
+        instance.
     max_iterations:
         Safety bound on fixed-point iterations.
     workers:

@@ -16,11 +16,10 @@ not a backend lookup: :meth:`ParallelRuleScheduler.decide` estimates
 the materialization's per-iteration work from committed table sizes
 plus the catalogue's :meth:`~repro.rules.spec.Rule.estimate_join_input`
 hooks and picks ``sequential`` below the measured thread crossover
-(the pool only ever *costs* below it), on GIL-bound kernels (pure
-Python, or compressed blocks decoded by the pure-Python codec — threads
-cannot overlap them) and on fewer than two usable cores; ``thread``
-otherwise.  The crossover defaults to a value measured by
-``benchmarks/bench_table2_rdfs.py --scale``; ``$REPRO_PARALLEL_MODE``
+(the pool only ever *costs* below it), on the GIL-bound pure-Python
+kernels (threads cannot overlap them) and on fewer than two usable
+cores; ``thread`` otherwise.  The crossover defaults to a value
+measured by ``benchmarks/bench_table2_rdfs.py --scale``; ``$REPRO_PARALLEL_MODE``
 (or ``mode="thread"``) forces the pool unconditionally.  Every pick is
 recorded as an :class:`ExecutorDecision` (surfaced on
 ``MaterializationStats.parallel_decision``).
@@ -354,15 +353,12 @@ class ParallelRuleScheduler:
                 f"cannot pay for its overhead",
                 estimated,
             )
-        # The compressed backend delegates its window math to an inner
-        # substrate; whether threads can scale — and how much extra work
-        # the block decode/encode adds per scanned pair — follows the
-        # inner backend, so the crossover doubles and the GIL-bound
-        # classification tracks ``inner_name``.
+        # The compressed backend runs its window math on the NumPy
+        # kernels, plus a block decode/encode per scanned pair, so its
+        # crossover doubles.
         backend_name = self.kernels.name
         compressed = backend_name == "compressed"
-        inner_name = getattr(self.kernels, "inner_name", backend_name)
-        if (inner_name if compressed else backend_name) == "python":
+        if backend_name == "python":
             return decision(
                 "sequential",
                 f"the {backend_name!r} backend's kernels hold the GIL "
@@ -386,7 +382,7 @@ class ParallelRuleScheduler:
             f"estimated work clears the thread crossover on the "
             f"GIL-releasing {backend_name!r} backend"
             + (
-                f" (decompressed windows run on {inner_name!r})"
+                " (decompressed windows run on 'numpy')"
                 if compressed else ""
             ),
             estimated,

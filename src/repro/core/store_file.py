@@ -22,11 +22,9 @@ import io
 import json
 import os
 import struct
-import sys
 import tempfile
 import warnings
 import zlib
-from array import array
 from typing import Dict, List, Optional, Tuple
 
 from ..dictionary.encoding import Dictionary
@@ -238,17 +236,9 @@ def _fsync_directory(directory: str) -> None:
 
 def _flat_to_le_bytes(flat) -> bytes:
     """A flat int64 sequence as little-endian bytes (any backend)."""
-    if isinstance(flat, array) and flat.typecode == "q":
-        if sys.byteorder == "little":
-            return flat.tobytes()
-        swapped = array("q", flat)
-        swapped.byteswap()
-        return swapped.tobytes()
-    astype = getattr(flat, "astype", None)
-    if astype is not None:  # numpy ndarray
-        return astype("<i8", copy=False).tobytes()
-    fallback = array("q", (int(value) for value in flat))
-    return _flat_to_le_bytes(fallback)
+    import numpy as np
+
+    return np.asarray(flat, dtype="<i8").tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -470,13 +460,12 @@ def _read_body(handle, header: dict, offset: int):
     return tables, asserted, sections
 
 
-def _le_bytes_to_flat(data: bytes) -> array:
-    """Little-endian bytes back to a host-order ``array('q')``."""
-    flat = array("q")
-    flat.frombytes(data)
-    if sys.byteorder == "big":
-        flat.byteswap()
-    return flat
+def _le_bytes_to_flat(data: bytes):
+    """Little-endian bytes back to a writable host-order int64 ndarray
+    (one copy)."""
+    import numpy as np
+
+    return np.frombuffer(data, dtype="<i8").astype(np.int64)
 
 
 def _crp1_to_flat(blob: bytes, entry: dict):
@@ -487,16 +476,10 @@ def _crp1_to_flat(blob: bytes, entry: dict):
     blocks shared with nothing to re-encode); any other backend's
     ``asarray`` decodes them into its native flat type on restore.
     """
-    from ..kernels import numpy_available
-    from ..kernels.compressed_backend import (
-        CompressedPairs,
-        _NumpyCodec,
-        _PythonCodec,
-    )
+    from ..kernels.compressed_backend import CompressedPairs
 
-    codec = _NumpyCodec() if numpy_available() else _PythonCodec()
     try:
-        pairs = CompressedPairs.deserialize(blob, codec)
+        pairs = CompressedPairs.deserialize(blob)
     except ValueError as error:
         raise StoreFormatError(
             f"corrupt compressed table (pid {entry.get('pid')}): {error}"

@@ -3,18 +3,15 @@
 An engine's asserted triples (load order, duplicates kept) are one
 :class:`TripleColumn`: flat int64 values ``s0 p0 o0 s1 p1 o1 …``, the
 layout of a store file's asserted section.  Appending or removing
-builds a new column, so snapshots share one by reference.  While
-:func:`repro.kernels.numpy_available`, a column is a read-only int64
-ndarray worked on vectorised; otherwise an ``array('q')`` and loops.
+builds a new column, so snapshots share one by reference.  A column
+is a read-only int64 ndarray worked on vectorised (numpy is imported
+on first use, so ``import repro`` stays light).
 """
 
 from __future__ import annotations
 
-from array import array
 from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
-
-from ..kernels import numpy_available
 
 
 class TripleColumn:
@@ -23,25 +20,19 @@ class TripleColumn:
     __slots__ = ("flat",)
 
     def __init__(self, flat: Iterable[int] = ()):
-        if numpy_available():
-            import numpy as np
+        import numpy as np
 
-            flat = np.asarray(flat, dtype=np.int64).reshape(-1)
-            flat.flags.writeable = False
-        elif not (isinstance(flat, array) and flat.typecode == "q"):
-            flat = array("q", flat)
+        flat = np.asarray(flat, dtype=np.int64).reshape(-1)
+        flat.flags.writeable = False
         #: The flat values, three per triple; never written to.
         self.flat = flat
 
     @classmethod
     def from_triples(cls, triples: Iterable[Tuple[int, int, int]]):
         """A column holding ``triples`` in order."""
-        values = chain.from_iterable(triples)
-        if numpy_available():
-            import numpy as np
+        import numpy as np
 
-            return cls(np.fromiter(values, dtype=np.int64))
-        return cls(array("q", values))
+        return cls(np.fromiter(chain.from_iterable(triples), dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.flat) // 3
@@ -55,8 +46,6 @@ class TripleColumn:
         return tuple(self.flat[start : start + 3].tolist())
 
     def __add__(self, other: "TripleColumn") -> "TripleColumn":
-        if isinstance(self.flat, array):
-            return TripleColumn(self.flat + array("q", other.flat))
         import numpy as np
 
         return TripleColumn(np.concatenate((self.flat, other.flat)))
@@ -73,8 +62,6 @@ class TripleColumn:
         drop = self._rows_in(wanted)
         if not drop:
             return self
-        if isinstance(self.flat, array):
-            return self.from_triples(t for t in self if t not in wanted)
         import numpy as np
 
         # One flat delete: much cheaper than deleting 2-D rows.
@@ -86,8 +73,6 @@ class TripleColumn:
         the rows sharing a subject with one, then those are checked."""
         if not wanted:
             return []
-        if isinstance(self.flat, array):
-            return [row for row, t in enumerate(self) if t in wanted]
         import numpy as np
 
         subjects = np.array([triple[0] for triple in wanted], dtype=np.int64)
@@ -98,12 +83,6 @@ class TripleColumn:
     def by_property(self) -> Iterator[Tuple[int, object]]:
         """``(property id, flat ⟨s, o⟩ pairs)`` per property, in
         first-seen order, each property's pairs in column order."""
-        if isinstance(self.flat, array):
-            groups = {}
-            for subject, property_id, obj in self:
-                groups.setdefault(property_id, []).extend((subject, obj))
-            yield from groups.items()
-            return
         import numpy as np
 
         rows = self.flat.reshape(-1, 3)

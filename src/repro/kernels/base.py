@@ -9,18 +9,19 @@ implementation of those operations, so the store and the rule executors
 are written once against this interface and the execution substrate is
 swappable:
 
-* ``python`` — the reference implementation, interpreted loops over
-  ``array('q')`` (see :mod:`repro.kernels.python_backend`); always
-  available.
 * ``numpy`` — vectorized kernels over ``int64`` ndarrays
-  (:mod:`repro.kernels.numpy_backend`); the flat-int encoding of the
-  dictionary makes the pair arrays drop-in compatible with NumPy
-  vectors, so every pass runs at C speed.
+  (:mod:`repro.kernels.numpy_backend`), what ``'auto'`` selects; the
+  flat-int encoding of the dictionary makes the pair arrays drop-in
+  compatible with NumPy vectors, so every pass runs at C speed.
+* ``python`` — the reference implementation, interpreted loops over
+  ``array('q')`` (see :mod:`repro.kernels.python_backend`); selected
+  only by name, and the oracle the differential suites compare to.
 * ``compressed`` — delta-encoded sorted runs
-  (:mod:`repro.kernels.compressed_backend`); committed columns live as
-  frame-of-reference zig-zag delta blocks, every primitive streams
-  block-by-block, and identical blocks are shared across versions and
-  snapshots.  Trades decode time for a ~4–8× smaller resident closure.
+  (:mod:`repro.kernels.compressed_backend`) over the NumPy kernels;
+  committed columns live as frame-of-reference zig-zag delta blocks,
+  every primitive streams block-by-block, and identical blocks are
+  shared across versions and snapshots.  Trades decode time for a
+  ~4–8× smaller resident closure.
 
 Backends are semantically interchangeable: for any input, every kernel
 must return the same *values* regardless of backend (the differential

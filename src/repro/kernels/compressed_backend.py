@@ -17,9 +17,8 @@ Design rules:
   decompresses one bounded window at a time and re-encodes on the fly;
   transient memory is O(block + largest join key group), not O(table).
 * **Delegated arithmetic.**  The actual math on a decompressed window
-  runs on an *inner* backend — the vectorized NumPy kernels when
-  importable, the pure-Python reference otherwise — so this module owns
-  only the encoding and the streaming orchestration.
+  runs on the vectorized NumPy kernels (the *inner* backend), so this
+  module owns only the encoding and the streaming orchestration.
 * **Structure sharing.**  Blocks are immutable byte strings; the merge
   reuses every block the delta does not touch by reference, so
   committed versions and snapshots share identical runs.  The
@@ -36,17 +35,13 @@ Byte order is the host's (little-endian on every supported platform).
 from __future__ import annotations
 
 import struct
-from array import array
 from bisect import bisect_right
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .base import KernelBackend
-from .python_backend import PYTHON_KERNELS
+import numpy as np
 
-try:  # pragma: no cover - exercised through both CI matrix legs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from .base import KernelBackend
+from .numpy_backend import NUMPY_KERNELS
 
 #: Pairs per compression block.  Chunk boundaries elsewhere (the
 #: InferredBuffers absorb path) align with these blocks because blocks
@@ -63,16 +58,7 @@ _HEADER = struct.Struct("<HBBqqqq")
 #: is — so a reader can tell a compressed stream from raw pairs.
 _MAGIC = b"\xffCRPR01\n"
 
-_U64 = (1 << 64) - 1
-
 _WIDTHS = (1, 2, 4, 8)
-
-# array typecodes by itemsize for the pure-Python codec (platform
-# itemsizes vary for 'I'/'L', so probe instead of hard-coding).
-_CODE_FOR_WIDTH = {}
-for _code in "BHILQ":
-    _CODE_FOR_WIDTH.setdefault(array(_code).itemsize, _code)
-del _code
 
 
 def _width_for(max_value: int) -> int:
@@ -82,145 +68,61 @@ def _width_for(max_value: int) -> int:
     raise ValueError(f"delta out of uint64 range: {max_value}")
 
 
-class _PythonCodec:
-    """Block encode/decode over ``array('q')`` (reference semantics)."""
-
-    name = "python"
-
-    def encode_block(self, flat, start: int, n_pairs: int) -> bytes:
-        first_s = int(flat[2 * start])
-        first_o = int(flat[2 * start + 1])
-        last_s = int(flat[2 * (start + n_pairs) - 2])
-        last_o = int(flat[2 * (start + n_pairs) - 1])
-        zs: List[int] = []
-        zo: List[int] = []
-        max_s = max_o = 0
-        prev_s, prev_o = first_s, first_o
-        for i in range(start + 1, start + n_pairs):
-            s = int(flat[2 * i])
-            o = int(flat[2 * i + 1])
-            d = s - prev_s
-            z = ((d << 1) ^ (d >> 63)) & _U64
-            zs.append(z)
-            if z > max_s:
-                max_s = z
-            d = o - prev_o
-            z = ((d << 1) ^ (d >> 63)) & _U64
-            zo.append(z)
-            if z > max_o:
-                max_o = z
-            prev_s, prev_o = s, o
-        width_s = 0 if max_s == 0 else _width_for(max_s)
-        width_o = 0 if max_o == 0 else _width_for(max_o)
-        parts = [
-            _HEADER.pack(
-                n_pairs, width_s, width_o, first_s, first_o, last_s, last_o
-            )
-        ]
-        if width_s:
-            parts.append(array(_CODE_FOR_WIDTH[width_s], zs).tobytes())
-        if width_o:
-            parts.append(array(_CODE_FOR_WIDTH[width_o], zo).tobytes())
-        return b"".join(parts)
-
-    def decode_block(self, block) -> array:
-        n_pairs, width_s, width_o, first_s, first_o, _, _ = _HEADER.unpack_from(
-            block
-        )
-        out = array("q", bytes(16 * n_pairs))
-        out[0] = first_s
-        out[1] = first_o
-        offset = _HEADER.size
-        n_deltas = n_pairs - 1
-        value = first_s
-        if width_s:
-            deltas = array(_CODE_FOR_WIDTH[width_s])
-            deltas.frombytes(bytes(block[offset: offset + width_s * n_deltas]))
-            offset += width_s * n_deltas
-            for i, z in enumerate(deltas, start=1):
-                value += (z >> 1) ^ -(z & 1)
-                out[2 * i] = value
-        else:
-            for i in range(1, n_pairs):
-                out[2 * i] = value
-        value = first_o
-        if width_o:
-            deltas = array(_CODE_FOR_WIDTH[width_o])
-            deltas.frombytes(bytes(block[offset: offset + width_o * n_deltas]))
-            for i, z in enumerate(deltas, start=1):
-                value += (z >> 1) ^ -(z & 1)
-                out[2 * i + 1] = value
-        else:
-            for i in range(1, n_pairs):
-                out[2 * i + 1] = value
-        return out
+def _encode_block(flat, start: int, n_pairs: int) -> bytes:
+    """One block of ``n_pairs`` pairs from ``flat`` (an int64 ndarray)."""
+    window = flat[2 * start: 2 * (start + n_pairs)]
+    evens = window[0::2]
+    odds = window[1::2]
+    header_tail = (
+        int(evens[0]), int(odds[0]), int(evens[-1]), int(odds[-1])
+    )
+    parts = [b"", b""]
+    widths = [0, 0]
+    for column, deltas in enumerate((np.diff(evens), np.diff(odds))):
+        if deltas.size == 0:
+            continue
+        zig = (deltas.astype(np.uint64) << np.uint64(1)) ^ (
+            deltas >> np.int64(63)
+        ).astype(np.uint64)
+        top = int(zig.max())
+        if top == 0:
+            continue
+        width = _width_for(top)
+        widths[column] = width
+        parts[column] = zig.astype(f"<u{width}").tobytes()
+    return (
+        _HEADER.pack(n_pairs, widths[0], widths[1], *header_tail)
+        + parts[0]
+        + parts[1]
+    )
 
 
-class _NumpyCodec:
-    """Vectorized block encode/decode over int64 ndarrays."""
-
-    name = "numpy"
-
-    def encode_block(self, flat, start: int, n_pairs: int) -> bytes:
-        np = _np
-        window = flat[2 * start: 2 * (start + n_pairs)]
-        evens = window[0::2]
-        odds = window[1::2]
-        header_tail = (
-            int(evens[0]), int(odds[0]), int(evens[-1]), int(odds[-1])
-        )
-        parts = [b"", b""]
-        widths = [0, 0]
-        for column, deltas in enumerate((np.diff(evens), np.diff(odds))):
-            if deltas.size == 0:
-                continue
-            zig = (deltas.astype(np.uint64) << np.uint64(1)) ^ (
-                deltas >> np.int64(63)
+def _decode_block(block):
+    """The int64 ndarray of pairs one encoded block holds."""
+    n_pairs, width_s, width_o, first_s, first_o, _, _ = _HEADER.unpack_from(
+        block
+    )
+    out = np.empty(2 * n_pairs, dtype=np.int64)
+    offset = _HEADER.size
+    n_deltas = n_pairs - 1
+    for column, (width, first) in enumerate(
+        ((width_s, first_s), (width_o, first_o))
+    ):
+        target = out[column::2]
+        if width:
+            zig = np.frombuffer(
+                block, dtype=f"<u{width}", count=n_deltas, offset=offset
             ).astype(np.uint64)
-            top = int(zig.max())
-            if top == 0:
-                continue
-            width = _width_for(top)
-            widths[column] = width
-            parts[column] = zig.astype(f"<u{width}").tobytes()
-        return (
-            _HEADER.pack(n_pairs, widths[0], widths[1], *header_tail)
-            + parts[0]
-            + parts[1]
-        )
-
-    def decode_block(self, block):
-        np = _np
-        n_pairs, width_s, width_o, first_s, first_o, _, _ = _HEADER.unpack_from(
-            block
-        )
-        out = np.empty(2 * n_pairs, dtype=np.int64)
-        offset = _HEADER.size
-        n_deltas = n_pairs - 1
-        for column, (width, first) in enumerate(
-            ((width_s, first_s), (width_o, first_o))
-        ):
-            target = out[column::2]
-            if width:
-                zig = np.frombuffer(
-                    block, dtype=f"<u{width}", count=n_deltas, offset=offset
-                ).astype(np.uint64)
-                offset += width * n_deltas
-                deltas = ((zig >> np.uint64(1)) ^ (
-                    np.uint64(0) - (zig & np.uint64(1))
-                )).view(np.int64)
-                target[0] = first
-                np.cumsum(deltas, out=target[1:])
-                target[1:] += first
-            else:
-                target[:] = first
-        return out
-
-
-def _pick_codec(inner: KernelBackend):
-    if inner.name == "numpy" and _np is not None:
-        return _NumpyCodec()
-    return _PythonCodec()
+            offset += width * n_deltas
+            deltas = ((zig >> np.uint64(1)) ^ (
+                np.uint64(0) - (zig & np.uint64(1))
+            )).view(np.int64)
+            target[0] = first
+            np.cumsum(deltas, out=target[1:])
+            target[1:] += first
+        else:
+            target[:] = first
+    return out
 
 
 def _pair_bound(flat, s: int, o: int, *, right: bool = False) -> int:
@@ -246,18 +148,17 @@ class CompressedPairs:
     one-block cache for the binary-search access patterns).
     """
 
-    __slots__ = ("_blocks", "_anchors", "_cum", "_codec", "_cache")
+    __slots__ = ("_blocks", "_anchors", "_cum", "_cache")
 
-    def __init__(self, blocks, anchors, cum, codec):
+    def __init__(self, blocks, anchors, cum):
         self._blocks = blocks          # encoded block byte strings
         self._anchors = anchors        # (first_s, first_o, last_s, last_o)
         self._cum = cum                # cumulative pair counts, len n+1
-        self._codec = codec
         self._cache: Tuple[int, Optional[object]] = (-1, None)
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def from_flat(cls, flat, codec) -> "CompressedPairs":
+    def from_flat(cls, flat) -> "CompressedPairs":
         if len(flat) % 2:
             raise ValueError(
                 f"pair array must have even length, got {len(flat)}"
@@ -268,11 +169,11 @@ class CompressedPairs:
         cum = [0]
         for start in range(0, n_pairs, BLOCK_PAIRS):
             count = min(BLOCK_PAIRS, n_pairs - start)
-            block = codec.encode_block(flat, start, count)
+            block = _encode_block(flat, start, count)
             blocks.append(block)
             anchors.append(_anchor_of(block))
             cum.append(cum[-1] + count)
-        return cls(blocks, anchors, cum, codec)
+        return cls(blocks, anchors, cum)
 
     # -- sequence protocol ----------------------------------------------
     @property
@@ -286,7 +187,7 @@ class CompressedPairs:
         cached_index, cached = self._cache
         if cached_index == index:
             return cached
-        flat = self._codec.decode_block(self._blocks[index])
+        flat = _decode_block(self._blocks[index])
         self._cache = (index, flat)
         return flat
 
@@ -310,7 +211,7 @@ class CompressedPairs:
                 "CompressedPairs only supports contiguous slices"
             )
         if stop <= start:
-            return self._codec_empty()
+            return np.empty(0, dtype=np.int64)
         first_block = bisect_right(self._cum, start // 2) - 1
         last_block = bisect_right(self._cum, (stop - 1) // 2) - 1
         parts = []
@@ -321,20 +222,10 @@ class CompressedPairs:
             parts.append(flat[lo:hi] if (lo, hi) != (0, len(flat)) else flat)
         if len(parts) == 1:
             return parts[0]
-        if self._codec.name == "numpy":
-            return _np.concatenate(parts)
-        out = array("q")
-        for part in parts:
-            out.extend(part)
-        return out
-
-    def _codec_empty(self):
-        if self._codec.name == "numpy":
-            return _np.empty(0, dtype=_np.int64)
-        return array("q")
+        return np.concatenate(parts)
 
     def iter_block_arrays(self) -> Iterator[object]:
-        """Decoded inner-native flat arrays, one block at a time."""
+        """Decoded int64 flat arrays, one block at a time."""
         for index in range(len(self._blocks)):
             yield self._decode(index)
 
@@ -376,7 +267,7 @@ class CompressedPairs:
         return b"".join(parts)
 
     @classmethod
-    def deserialize(cls, buffer, codec) -> "CompressedPairs":
+    def deserialize(cls, buffer) -> "CompressedPairs":
         view = memoryview(buffer)
         if bytes(view[: len(_MAGIC)]) != _MAGIC:
             raise ValueError("not a serialized CompressedPairs stream")
@@ -401,7 +292,7 @@ class CompressedPairs:
                 f"corrupt CompressedPairs stream: {cum[-1]} pairs decoded, "
                 f"{n_pairs} declared"
             )
-        return cls(blocks, anchors, cum, codec)
+        return cls(blocks, anchors, cum)
 
 
 def _anchor_of(block) -> Tuple[int, int, int, int]:
@@ -410,21 +301,19 @@ def _anchor_of(block) -> Tuple[int, int, int, int]:
 
 
 class _BlockEncoder:
-    """Accumulates pairs (inner-native flats) into encoded blocks."""
+    """Accumulates pairs (int64 flats) into encoded blocks."""
 
-    def __init__(self, codec, inner: KernelBackend):
-        self._codec = codec
-        self._inner = inner
+    def __init__(self):
         self._blocks: List[bytes] = []
         self._anchors: List[Tuple[int, int, int, int]] = []
         self._cum = [0]
-        self._pending = None  # inner-native flat, < BLOCK_PAIRS pairs
+        self._pending = None  # int64 flat, < BLOCK_PAIRS pairs
 
     def extend(self, flat) -> None:
         if not len(flat):
             return
         if self._pending is not None and len(self._pending):
-            flat = self._inner.concat([self._pending, flat])
+            flat = NUMPY_KERNELS.concat([self._pending, flat])
             self._pending = None
         n_pairs = len(flat) // 2
         start = 0
@@ -442,7 +331,7 @@ class _BlockEncoder:
         self._cum.append(self._cum[-1] + count)
 
     def _emit(self, flat, start: int, count: int) -> None:
-        block = self._codec.encode_block(flat, start, count)
+        block = _encode_block(flat, start, count)
         self._blocks.append(block)
         self._anchors.append(_anchor_of(block))
         self._cum.append(self._cum[-1] + count)
@@ -454,9 +343,7 @@ class _BlockEncoder:
 
     def finish(self) -> CompressedPairs:
         self._flush_pending()
-        return CompressedPairs(
-            self._blocks, self._anchors, self._cum, self._codec
-        )
+        return CompressedPairs(self._blocks, self._anchors, self._cum)
 
 
 class CompressedKernels(KernelBackend):
@@ -464,26 +351,18 @@ class CompressedKernels(KernelBackend):
 
     name = "compressed"
 
-    def __init__(self, inner: Optional[KernelBackend] = None):
-        if inner is None:
-            inner = PYTHON_KERNELS
-        self._inner = inner
-        self._codec = _pick_codec(inner)
-
-    @property
-    def inner_name(self) -> str:
-        """The delegate backend doing the decompressed-window math."""
-        return self._inner.name
+    #: The delegate backend doing the decompressed-window math.
+    _inner = NUMPY_KERNELS
+    inner_name = NUMPY_KERNELS.name
 
     # -- representation -------------------------------------------------
     def asarray(self, flat):
         if isinstance(flat, CompressedPairs):
             return flat
-        return CompressedPairs.from_flat(self._inner.asarray(flat),
-                                         self._codec)
+        return CompressedPairs.from_flat(self._inner.asarray(flat))
 
     def empty(self):
-        return CompressedPairs([], [], [0], self._codec)
+        return CompressedPairs([], [], [0])
 
     def concat(self, chunks: Sequence):
         parts = []
@@ -498,13 +377,13 @@ class CompressedKernels(KernelBackend):
 
     # -- decompression helpers ------------------------------------------
     def _raw(self, flat):
-        """A full inner-native image (only for *transient* inputs)."""
+        """A full int64 image (only for *transient* inputs)."""
         if isinstance(flat, CompressedPairs):
             return self.concat([flat])
         return self._inner.asarray(flat)
 
     def _key_chunks(self, view) -> Iterator[object]:
-        """Inner-native chunks; no even-key group spans two chunks."""
+        """int64 chunks; no even-key group spans two chunks."""
         if not isinstance(view, CompressedPairs):
             if len(view):
                 yield self._inner.asarray(view)
@@ -555,7 +434,7 @@ class CompressedKernels(KernelBackend):
     # -- sorting & the Figure-5 merge -----------------------------------
     def sort_pairs(self, flat, *, dedup: bool = True):
         sorted_flat = self._inner.sort_pairs(self._raw(flat), dedup=dedup)
-        return CompressedPairs.from_flat(sorted_flat, self._codec)
+        return CompressedPairs.from_flat(sorted_flat)
 
     def merge_new(self, main, inferred):
         inferred_raw = self._raw(inferred)
@@ -566,11 +445,11 @@ class CompressedKernels(KernelBackend):
         if not isinstance(main, CompressedPairs):
             main = self.asarray(main)
         if not len(main):
-            fresh = CompressedPairs.from_flat(inferred_raw, self._codec)
+            fresh = CompressedPairs.from_flat(inferred_raw)
             return fresh, inferred_raw
         # Partition the (sorted-unique) delta across the block starts so
         # untouched blocks are reused by reference.
-        encoder = _BlockEncoder(self._codec, self._inner)
+        encoder = _BlockEncoder()
         new_parts = []
         n_blocks = len(main._blocks)
         lo = 0
@@ -618,8 +497,7 @@ class CompressedKernels(KernelBackend):
         # the runs pairwise with a streaming bounded-window merge.
         runs = [
             CompressedPairs.from_flat(
-                self._inner.sort_pairs(self._inner.swap(block), dedup=False),
-                self._codec,
+                self._inner.sort_pairs(self._inner.swap(block), dedup=False)
             )
             for block in sorted_pairs.iter_block_arrays()
         ]
@@ -641,7 +519,7 @@ class CompressedKernels(KernelBackend):
             return run2
         if not len(run2):
             return run1
-        encoder = _BlockEncoder(self._codec, self._inner)
+        encoder = _BlockEncoder()
         stream1 = run1.iter_block_arrays()
         stream2 = run2.iter_block_arrays()
         chunk1 = next(stream1, None)

@@ -38,8 +38,8 @@ class PropertyTable:
         Optional initial flat pair data (need not be sorted; it is
         committed through the backend's sort kernel).
     backend:
-        Kernel backend name ('auto', 'python', 'numpy') or a
-        :class:`~repro.kernels.KernelBackend` instance.
+        Kernel backend name ('auto', 'python', 'numpy', 'compressed')
+        or a :class:`~repro.kernels.KernelBackend` instance.
     presorted:
         The initial ``pairs`` are already sorted-unique in the
         backend's native representation; skip the commit sort (used for

@@ -11,11 +11,9 @@ from repro.closure.components import (
     symmetric_transitive_closure_pairs,
 )
 from repro.closure.nuutila import transitive_closure_pairs
-from repro.kernels import get_backend, numpy_available
+from repro.kernels import get_backend
 
-#: Every backend this environment can run (the compressed one composes
-#: over numpy when it is importable, over the python kernels otherwise).
-BACKENDS = ["python", "compressed"] + (["numpy"] if numpy_available() else [])
+BACKENDS = ["python", "compressed", "numpy"]
 
 
 def as_pairs(flat):

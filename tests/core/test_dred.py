@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import repro.core.engine as engine_module
 from repro.core.engine import InferrayEngine, MaterializationTimeout
 from repro.core.store_api import Store
-from repro.kernels import numpy_available
 from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import OWL, RDF, RDFS
 from repro.rules.rulesets import get_ruleset
@@ -31,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "integration"))
 from test_incremental_property import schema_and_data  # noqa: E402
 
 RULESETS = ["rdfs-default", "rho-df", "rdfs-plus", "rdfs-plus-full"]
-BACKENDS = ["python", "compressed"] + (["numpy"] if numpy_available() else [])
+BACKENDS = ["python", "compressed", "numpy"]
 
 
 def ex(name):

@@ -19,7 +19,6 @@ from repro.dictionary.encoding import (
     encode_columns,
     encode_dataset,
 )
-from repro.kernels import numpy_available
 from repro.rdf.ntriples import (
     NTriplesError,
     parse_file,
@@ -29,9 +28,7 @@ from repro.rdf.ntriples import (
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.rdf.vocabulary import OWL, RDF, RDFS
 
-BACKENDS = ["python", "compressed"] + (
-    ["numpy"] if numpy_available() else []
-)
+BACKENDS = ["python", "compressed", "numpy"]
 MODES = ["full", "hybrid"]
 
 

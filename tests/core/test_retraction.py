@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.engine import InferrayEngine
 from repro.datasets.chains import subclass_chain
-from repro.kernels import numpy_available
 from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import RDF, RDFS
 
@@ -95,7 +94,7 @@ class TestRetraction:
 
 #: The flat layouts, whose pairs take 16 bytes; named rather than taken
 #: from the environment, which may pick the compressed kernels.
-FLAT_BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+FLAT_BACKENDS = ["python", "numpy"]
 
 
 class TestMemoryAccounting:

@@ -240,10 +240,6 @@ class TestParallelModeSelection:
         # INTRO is tiny: the pool cannot amortize its overhead, so auto
         # must refuse parallelism even with cores and GIL-releasing
         # kernels available.
-        from repro.kernels import numpy_available
-
-        if not numpy_available():
-            pytest.skip("numpy backend unavailable")
         monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
         engine = InferrayEngine(
             "rdfs-default", backend="numpy", workers=2, parallel_mode="auto"
@@ -269,10 +265,6 @@ class TestParallelModeSelection:
     def test_auto_picks_thread_for_numpy_backend_above_crossover(
         self, monkeypatch
     ):
-        from repro.kernels import numpy_available
-
-        if not numpy_available():
-            pytest.skip("numpy backend unavailable")
         monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
         engine = InferrayEngine(
             "rdfs-default", backend="numpy", workers=2, parallel_mode="auto"
@@ -304,13 +296,7 @@ class TestParallelModeSelection:
     ):
         # Block decode makes each pair roughly twice as expensive to
         # touch, so the compressed backend stays sequential up to twice
-        # the configured crossover — the reason string says so (on the
-        # numpy codec; the pure-Python one holds the GIL and never
-        # reaches the crossover test).
-        from repro.kernels import numpy_available
-
-        if not numpy_available():
-            pytest.skip("numpy backend unavailable")
+        # the configured crossover — the reason string says so.
         monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
         engine = InferrayEngine(
             "rdfs-default",
@@ -326,10 +312,6 @@ class TestParallelModeSelection:
         )
 
     def test_auto_compressed_over_numpy_picks_threads(self, monkeypatch):
-        from repro.kernels import numpy_available
-
-        if not numpy_available():
-            pytest.skip("numpy inner backend unavailable")
         monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
         engine = InferrayEngine(
             "rdfs-default",
@@ -340,33 +322,13 @@ class TestParallelModeSelection:
         engine.scheduler.thread_crossover = 0
         engine.load_triples(INTRO)
         stats = engine.materialize()
-        # Decode windows run on the GIL-releasing numpy inner backend,
+        # Decode windows run on the GIL-releasing numpy kernels,
         # so threads are viable just like for plain numpy.
         assert stats.parallel_mode == "thread"
         assert "decompressed windows run on 'numpy'" in (
             stats.parallel_decision["reason"]
         )
         engine.close()
-
-    def test_auto_compressed_over_python_runs_sequentially(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
-        monkeypatch.setenv("REPRO_KERNELS_DISABLE_NUMPY", "1")
-        engine = InferrayEngine(
-            "rdfs-default",
-            backend="compressed",
-            workers=2,
-            parallel_mode="auto",
-        )
-        engine.scheduler.thread_crossover = 0
-        assert engine.kernels.inner_name == "python"
-        engine.load_triples(INTRO)
-        stats = engine.materialize()
-        # Pure-python decode serializes under the GIL: threads cannot
-        # help, whatever the estimate.
-        assert stats.parallel_mode == "sequential"
-        assert "GIL" in stats.parallel_decision["reason"]
 
     def test_env_mode_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_MODE", "thread")

@@ -7,6 +7,7 @@ kernel backend.
 """
 
 import random
+import struct
 import warnings
 
 import pytest
@@ -18,14 +19,13 @@ from repro.core.store_api import (
     StoreFormatError,
     is_store_file,
 )
-from repro.kernels import numpy_available
+from repro.core.store_file import _flat_to_le_bytes, _le_bytes_to_flat
+from repro.kernels import get_backend
 from repro.query.bgp import Query, TriplePattern, Var
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.rdf.vocabulary import RDF, RDFS
 
-BACKENDS = ["python", "compressed"] + (
-    ["numpy"] if numpy_available() else []
-)
+BACKENDS = ["python", "compressed", "numpy"]
 
 
 @pytest.fixture(params=BACKENDS)
@@ -329,18 +329,12 @@ class TestSnapshots:
         assert snapshot.n_triples == store.n_triples
 
 
-#: (kernel backend, NumPy disabled): the python leg runs once per
-#: asserted-column representation (ndarray and array('q')).
-BULK_REMOVE_CASES = [("python", False), ("python", True), ("compressed", False)]
-if numpy_available():
-    BULK_REMOVE_CASES.append(("numpy", False))
-
-
 class TestBulkRemove:
-    @pytest.mark.parametrize("backend,disable_numpy", BULK_REMOVE_CASES)
-    def test_matches_list_model(self, backend, disable_numpy, monkeypatch):
-        if disable_numpy:
-            monkeypatch.setenv("REPRO_KERNELS_DISABLE_NUMPY", "1")
+    #: ``loaded`` removes from a store read back from its file, so the
+    #: asserted column is the one the loader decodes, not the ingest's.
+    @pytest.mark.parametrize("source", ["ingested", "loaded"])
+    @pytest.mark.parametrize("backend", ["python", "compressed", "numpy"])
+    def test_matches_list_model(self, backend, source, tmp_path):
         classes = [ex(f"C{index}") for index in range(5)]
         schema = [Triple(c, RDFS.subClassOf, ex("Top")) for c in classes]
         facts = [
@@ -349,6 +343,10 @@ class TestBulkRemove:
         ]
         asserted = schema + facts + facts[:300]  # 300 asserted twice
         store = Store(asserted, backend=backend)
+        if source == "loaded":
+            path = str(tmp_path / "closure.store")
+            store.save(path)
+            store = Store.load(path, backend=backend)
         snapshot = store.snapshot()
         before = snapshot.asserted(), set(snapshot.inferred())
 
@@ -405,9 +403,18 @@ class TestPersistence:
         assert loaded.engine.stats is None
         assert set(loaded.inferred()) == set(store.inferred())
 
+    @pytest.mark.parametrize("flat_backend", ["python", "numpy"])
+    def test_raw_blobs_are_little_endian_int64(self, flat_backend):
+        # Raw tables and the asserted column are written the same way
+        # from either backend's flat type, and read back writable.
+        values = [3, -1, 1 << 40, 0, -(1 << 62), 7]
+        blob = _flat_to_le_bytes(get_backend(flat_backend).asarray(values))
+        assert blob == struct.pack("<6q", *values)
+        back = _le_bytes_to_flat(blob)
+        assert back.tolist() == values
+        assert back.flags.writeable
+
     def test_cross_backend_round_trip(self, tmp_path):
-        if not numpy_available():
-            pytest.skip("needs numpy for the cross-backend leg")
         path = str(tmp_path / "closure.store")
         store = Store(DATA, backend="numpy")
         store.save(path)
@@ -592,7 +599,7 @@ class TestCompressedPersistence:
 
     @pytest.mark.parametrize(
         "load_backend",
-        ["python"] + (["numpy"] if numpy_available() else []),
+        ["python", "numpy"],
     )
     def test_compressed_file_loads_under_raw_backends(
         self, tmp_path, load_backend

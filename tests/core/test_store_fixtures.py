@@ -50,12 +50,7 @@ def fixture_data():
     return module.V4_DATA
 
 
-def available_backends():
-    from repro.kernels import numpy_available
-
-    return ["python", "compressed"] + (
-        ["numpy"] if numpy_available() else []
-    )
+BACKENDS = ["python", "compressed", "numpy"]
 
 
 def file_header(path):
@@ -97,7 +92,7 @@ class TestGoldenFixtures:
 
     @pytest.mark.parametrize("name", sorted(VERSIONS))
     def test_loads_on_every_backend(self, name, golden_lines):
-        for backend in available_backends():
+        for backend in BACKENDS:
             with Store.load(fixture(name), backend=backend) as store:
                 assert sorted(t.n3() for t in store.triples()) == golden_lines
 
@@ -132,7 +127,7 @@ class TestV4Fixture:
         assert header["version"] == 4
         assert "asserted_crc32" in header and "payload_bytes" in header
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_loads_with_the_duplicate_in_load_order(
         self, backend, golden_lines
     ):
@@ -149,7 +144,7 @@ class TestV4Fixture:
             assert store.asserted() == list(dict.fromkeys(data))
 
     @pytest.mark.parametrize(
-        "backend", [b for b in available_backends() if b != "compressed"]
+        "backend", [b for b in BACKENDS if b != "compressed"]
     )
     def test_resave_is_byte_identical(self, backend, tmp_path):
         # Raw-table backends only: a compressed store writes crp1

@@ -1,23 +1,15 @@
-"""Unit tests for the immutable asserted id column, on both of its
-representations: an int64 ndarray (NumPy available) and an
-``array('q')`` (NumPy disabled)."""
+"""Unit tests for the immutable asserted id column (a read-only int64
+ndarray), built from either flat its producers hand over: the
+``array('q')`` an ingest encodes and the ndarray a store file loads."""
 
 from array import array
+from itertools import chain
 
+import numpy as np
 import pytest
 
 from repro.dictionary.encoding import PROPERTY_BASE
 from repro.dictionary.triple_column import TripleColumn
-from repro.kernels import numpy_available
-
-REPRESENTATIONS = ["array"] + (["ndarray"] if numpy_available() else [])
-
-
-@pytest.fixture(params=REPRESENTATIONS)
-def representation(request, monkeypatch):
-    if request.param == "array":
-        monkeypatch.setenv("REPRO_KERNELS_DISABLE_NUMPY", "1")
-    return request.param
 
 
 #: Property ids far more than 2**16 apart, the nearest first-seen last.
@@ -35,34 +27,46 @@ TRIPLES = [
 ]
 
 
-def test_representation(representation):
-    flat = TripleColumn.from_triples(TRIPLES).flat
-    assert isinstance(flat, array) == (representation == "array")
+@pytest.fixture(params=["array", "ndarray"])
+def column_of(request):
+    """Builds a column over ``triples`` from a flat of one type."""
+    make_flat = {"array": lambda values: array("q", values),
+                 "ndarray": lambda values: np.array(values, dtype=np.int64)}
+    return lambda triples: TripleColumn(
+        make_flat[request.param](list(chain.from_iterable(triples)))
+    )
 
 
-def test_sequence_of_triples(representation):
-    column = TripleColumn.from_triples(TRIPLES)
+def test_representation(column_of):
+    flat = column_of(TRIPLES).flat
+    assert isinstance(flat, np.ndarray) and flat.dtype == np.int64
+    with pytest.raises(ValueError):
+        flat[0] = 0
+
+
+def test_sequence_of_triples(column_of):
+    column = column_of(TRIPLES)
     assert len(column) == len(TRIPLES)
     assert list(column) == TRIPLES
     assert column[-1] == TRIPLES[-1]
-    assert list(column + TripleColumn.from_triples(TRIPLES[:2])) == (
-        TRIPLES + TRIPLES[:2]
-    )
+    assert list(column + column_of(TRIPLES[:2])) == TRIPLES + TRIPLES[:2]
+    assert list(column_of([])) == [] and len(column_of([])) == 0
     assert list(TripleColumn()) == [] and len(TripleColumn()) == 0
+    assert list(TripleColumn.from_triples(TRIPLES)) == TRIPLES
 
 
-def test_by_property_first_seen_groups_in_column_order(representation):
-    groups = list(TripleColumn.from_triples(TRIPLES).by_property())
+def test_by_property_first_seen_groups_in_column_order(column_of):
+    groups = list(column_of(TRIPLES).by_property())
     assert [property_id for property_id, _ in groups] == [P_MID, P_FAR, P_NEAR]
     for property_id, pairs in groups:
         expected = [(s, o) for s, p, o in TRIPLES if p == property_id]
         pairs = [int(value) for value in pairs]
         assert list(zip(pairs[0::2], pairs[1::2])) == expected
-    assert list(TripleColumn().by_property()) == []
+    assert list(column_of([]).by_property()) == []
 
 
-def test_contains_and_without(representation):
-    column = TripleColumn.from_triples(TRIPLES)
+def test_contains_and_without(column_of):
+    column = column_of(TRIPLES)
     probes = [TRIPLES[0], None, (S + 5, P_FAR, O + 1), TRIPLES[4], (0, 0, 0)]
     assert column.contains(probes) == [True, False, False, True, False]
 

@@ -26,14 +26,11 @@ from repro.datasets.chains import (
     transitive_property_chain,
 )
 from repro.datasets.lubm import lubm_like
-from repro.kernels import numpy_available
 from repro.rules.rulesets import RULESET_NAMES
 
 WORKER_COUNTS = (1, 2, 4)
 
-BACKENDS = (
-    ["python"] + (["numpy"] if numpy_available() else []) + ["compressed"]
-)
+BACKENDS = ["python", "numpy", "compressed"]
 
 DATASETS = {
     "bsbm": bsbm_like(60),

@@ -5,13 +5,12 @@ backend; the closures must be *identical*: same sorted triple list, same
 ``MaterializationStats.n_inferred`` and the same θ counts
 (``closure_pairs`` from the pre-pass, the θ rules' ``per_rule`` from
 re-closures inside the fixed point).  The pure-Python backend is the
-reference semantics; the NumPy backend (when importable) and the
-compressed backend (always available — it composes over whichever inner
-backend is importable) must be indistinguishable from it on every
-workload shape we generate (deep chains, trees, sameAs cliques and
-transitive cycles that stress the θ closure, a subClassOf edge added
-after the first flush, LUBM-mini's schema-heavy mix, BSBM-mini's
-instance-heavy mix).
+reference semantics; the NumPy backend and the compressed backend
+(which composes over the NumPy kernels) must be indistinguishable from
+it on every workload shape we generate (deep chains, trees, sameAs
+cliques and transitive cycles that stress the θ closure, a subClassOf
+edge added after the first flush, LUBM-mini's schema-heavy mix,
+BSBM-mini's instance-heavy mix).
 """
 
 import pytest
@@ -26,15 +25,9 @@ from repro.datasets.chains import (
     transitive_property_chain,
 )
 from repro.datasets.lubm import lubm_like
-from repro.kernels import numpy_available
 from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import RDF, RDFS
 from repro.rules.rulesets import RULESET_NAMES
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend not available"
-)
-
 
 def _node(prefix, index):
     return IRI(f"http://example.org/{prefix}/n{index}")
@@ -119,7 +112,6 @@ def _reference(ruleset, dataset_name):
     return _reference_cache[key]
 
 
-@requires_numpy
 @pytest.mark.parametrize("dataset_name", sorted(DATASETS))
 @pytest.mark.parametrize("ruleset", RULESET_NAMES)
 def test_numpy_backend_matches_python(ruleset, dataset_name):
@@ -130,9 +122,6 @@ def test_numpy_backend_matches_python(ruleset, dataset_name):
 @pytest.mark.parametrize("dataset_name", sorted(DATASETS))
 @pytest.mark.parametrize("ruleset", RULESET_NAMES)
 def test_compressed_backend_matches_python(ruleset, dataset_name):
-    # Runs in every environment: with numpy importable the compressed
-    # backend composes over the numpy codec/kernels, without it over
-    # the pure-Python ones — both compositions must match the reference.
     expected = _reference(ruleset, dataset_name)
     assert _materialize(ruleset, dataset_name, "compressed") == expected
 

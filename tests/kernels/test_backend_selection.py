@@ -11,14 +11,25 @@ from repro.kernels import (
     BACKEND_NAMES,
     KernelUnavailableError,
     get_backend,
-    numpy_available,
     resolve_backend,
 )
 from repro.kernels.python_backend import PYTHON_KERNELS
 
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend not available"
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__)))),
+    "src",
 )
+
+
+def run_python(code):
+    """``code`` in a fresh interpreter with ``src/`` on the path."""
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+    )
 
 
 class TestResolvePolicy:
@@ -33,7 +44,6 @@ class TestResolvePolicy:
         with pytest.raises(KernelUnavailableError):
             get_backend("cupy")
 
-    @requires_numpy
     def test_auto_prefers_numpy(self, monkeypatch):
         # Default policy: ignore any ambient REPRO_KERNELS override
         # (the compressed CI legs export one).
@@ -41,16 +51,6 @@ class TestResolvePolicy:
         assert resolve_backend("auto").name == "numpy"
         assert resolve_backend(None).name == "numpy"
 
-    @requires_numpy
-    def test_env_disable_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        monkeypatch.setenv("REPRO_KERNELS_DISABLE_NUMPY", "1")
-        assert not numpy_available()
-        assert resolve_backend("auto").name == "python"
-        with pytest.raises(KernelUnavailableError):
-            get_backend("numpy")
-
-    @requires_numpy
     def test_env_default_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "python")
         assert resolve_backend("auto").name == "python"
@@ -67,7 +67,6 @@ class TestEngineThreading:
         assert engine.kernels.name == "python"
         assert engine.main.kernels is engine.kernels
 
-    @requires_numpy
     def test_engine_numpy_backend_reaches_tables(self):
         from repro.rdf.terms import IRI, Triple
         from repro.rdf.vocabulary import RDF, RDFS
@@ -117,15 +116,31 @@ def test_engine_path_does_not_import_the_table1_sorters():
         "    ], backend=backend).materialize()\n"
         "assert 'repro.sorting' not in sys.modules, 'materialize'\n"
     )
-    src = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__)))),
-        "src",
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-    )
+    result = run_python(code)
     assert result.returncode == 0, result.stderr
+
+
+def test_without_numpy_the_engine_fails_loudly():
+    # numpy is a dependency: with it missing, importing the package and
+    # the CLI's help still work, but an engine raises rather than
+    # silently running on the pure-Python kernels.
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import runpy, repro\n"
+        "sys.argv = ['repro', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code in (0, None), exit.code\n"
+        "from repro.core.engine import InferrayEngine\n"
+        "try:\n"
+        "    InferrayEngine('rdfs-default')\n"
+        "except ModuleNotFoundError as error:\n"
+        "    assert error.name == 'numpy', error.name\n"
+        "else:\n"
+        "    raise AssertionError('engine built without numpy')\n"
+    )
+    result = run_python(code)
+    assert result.returncode == 0, result.stderr
+    assert "usage: repro" in result.stdout

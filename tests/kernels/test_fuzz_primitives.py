@@ -17,13 +17,9 @@ from array import array
 import pytest
 
 from repro.closure.nuutila import build_reach_index
-from repro.kernels import get_backend, numpy_available
+from repro.kernels import get_backend
 from repro.kernels.compressed_backend import CompressedKernels
 from repro.kernels.python_backend import PYTHON_KERNELS
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend not available"
-)
 
 BOUNDARY = 2 ** 32  # packed fast-path limit in the numpy backend
 SEED = 0xC0FFEE
@@ -217,8 +213,7 @@ def test_difference_matches(np_kernels, dist):
     assert as_ints(PYTHON_KERNELS.difference(view1, view2)) == expected
     for kernels in (
         np_kernels,
-        CompressedKernels(np_kernels),
-        CompressedKernels(PYTHON_KERNELS),
+        CompressedKernels(),
     ):
         got = kernels.difference(kernels.asarray(view1), view2)
         assert as_ints(got) == expected
@@ -273,7 +268,7 @@ def test_pair_with_constant_and_concat_match(np_kernels, dist):
 def test_column_primitives_match(np_kernels, dist):
     """index_by_key / take / where_equal / repeat — the column side of
     the BGP evaluator — on numpy and on compressed (which hands them to
-    its inner backend) against the interpreted reference."""
+    the numpy kernels) against the interpreted reference."""
     _, flat = dist
     native = np_kernels.concat([flat])
     rng = random.Random(len(flat))
@@ -304,8 +299,8 @@ def test_column_primitives_match(np_kernels, dist):
 
 @pytest.mark.parametrize("layout", sorted(INTERVAL_LAYOUTS))
 def test_cross_intervals_matches(np_kernels, layout):
-    """The θ emission primitive: python ≡ numpy ≡ compressed (both
-    inner backends), order included."""
+    """The θ emission primitive: python ≡ numpy ≡ compressed, order
+    included."""
     columns = INTERVAL_LAYOUTS[layout]
     expected = as_ints(PYTHON_KERNELS.cross_intervals(*columns))
     _, member_counts, interval_counts, lows, highs, _ = columns
@@ -317,8 +312,7 @@ def test_cross_intervals_matches(np_kernels, layout):
     )
     for kernels in (
         np_kernels,
-        CompressedKernels(np_kernels),
-        CompressedKernels(PYTHON_KERNELS),
+        CompressedKernels(),
     ):
         assert as_ints(kernels.cross_intervals(*columns)) == expected
 

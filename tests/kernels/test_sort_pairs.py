@@ -2,7 +2,7 @@
 
 Every backend has exactly one ``sort_pairs`` (python: timsort over
 ⟨s, o⟩ tuples; numpy: the packed-key sort with a lexsort fallback;
-compressed: its inner backend's) and one ``os_view``.  The other
+compressed: the numpy backend's) and one ``os_view``.  The other
 kernel tests compare backends with the python one; these compare every
 backend, python included, with ``sorted()`` over Python tuples.
 """
@@ -13,11 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import get_backend, numpy_available
+from repro.kernels import get_backend
 
-BACKENDS = ["python", "compressed"]
-if numpy_available():
-    BACKENDS.append("numpy")
+BACKENDS = ["python", "compressed", "numpy"]
 
 
 @pytest.fixture(params=BACKENDS)

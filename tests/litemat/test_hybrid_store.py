@@ -21,7 +21,6 @@ from repro.datasets.chains import (
     subproperty_chain,
 )
 from repro.datasets.lubm import lubm_like
-from repro.kernels import numpy_available
 from repro.rdf.ntriples import parse_file
 from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import RDF, RDFS
@@ -30,7 +29,7 @@ FIXTURE_DIR = os.path.join(
     os.path.dirname(__file__), "..", "fixtures", "conformance"
 )
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+BACKENDS = ["python", "numpy"]
 
 DATASETS = {
     "bsbm": bsbm_like(40),

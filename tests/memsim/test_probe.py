@@ -4,12 +4,9 @@ import pytest
 
 from repro.core.store_api import Store
 from repro.datasets.bsbm import bsbm_like
-from repro.kernels import numpy_available
 from repro.memsim import StoreMemoryReport, measure_store
 
-BACKENDS = ["python", "compressed"] + (
-    ["numpy"] if numpy_available() else []
-)
+BACKENDS = ["python", "compressed", "numpy"]
 
 
 @pytest.fixture(params=BACKENDS)

@@ -12,11 +12,10 @@ import pytest
 
 from repro import Store
 from repro.datasets import lubm_like
-from repro.kernels import numpy_available
 from repro.rdf.terms import IRI
 from repro.store.triple_store import TripleStore
 
-BACKENDS = ["python", "compressed"] + (["numpy"] if numpy_available() else [])
+BACKENDS = ["python", "compressed", "numpy"]
 
 ROWS = {
     7: [(1, 10), (1, 11), (2, 10), (5, 5), (9, 10), (9, 12)],

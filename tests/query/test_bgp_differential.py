@@ -28,7 +28,6 @@ from repro.datasets import (
     subclass_tree,
     subproperty_chain,
 )
-from repro.kernels import numpy_available
 from repro.query.bgp import Query, TriplePattern, Var, parse_bgp
 from repro.rdf.terms import IRI, Literal, Triple
 from repro.rdf.vocabulary import RDF, RDFS, XSD
@@ -87,7 +86,7 @@ DATASETS = {
     "lubm": (lambda: lubm_like(1, seed=3), "rdfs-plus"),
     "taxonomy": (_taxonomy, "rdfs-default"),
 }
-BACKENDS = ["python", "compressed"] + (["numpy"] if numpy_available() else [])
+BACKENDS = ["python", "compressed", "numpy"]
 MODES = ["full", "hybrid"]
 
 

@@ -16,12 +16,11 @@ import pytest
 
 from repro.baselines.hashjoin import HashJoinEngine
 from repro.core.engine import InferrayEngine
-from repro.kernels import numpy_available
 from repro.rdf.terms import IRI, Triple
 from repro.rules.spec import Vocab, is_var
 from repro.rules.table5 import TABLE5, make_rules
 
-BACKENDS = ["python", "compressed"] + (["numpy"] if numpy_available() else [])
+BACKENDS = ["python", "compressed", "numpy"]
 
 #: Vocab name → the term it resolves.
 TERMS = {**Vocab._PROPERTY_TERMS, **Vocab._RESOURCE_TERMS}

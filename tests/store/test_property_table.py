@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import numpy_available, resolve_backend
+from repro.kernels import resolve_backend
 from repro.store.property_table import PropertyTable
 from repro.store.triple_store import TripleStore
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+BACKENDS = ["python", "numpy"]
 
 
 def flat(pairs):
