@@ -19,8 +19,9 @@ once a second and at exit.  The surfaces:
   pattern shapes, ``stats`` and ``rules``;
 * ``repro serve``, driven here over ``/health``, ``/stats``,
   ``/metrics``, ``/query`` (GET and POST), ``/add`` and ``/remove``, in
-  full mode from a store file (with a WAL and checkpoints) and in
-  hybrid mode from an N-Triples file with keyed lookups;
+  full mode from a store file (with a WAL and checkpoints), in
+  hybrid mode from an N-Triples file with keyed lookups, and in full
+  mode on the python kernels;
 * every script in ``examples/``;
 * the paper scripts (Tables 1–4, Figures 7–8, both ablations) at
   ``--smoke`` size, as CI runs them.
@@ -272,6 +273,8 @@ class Surfaces:
         self._serve(["full.store", "--wal", "serve.wal", "--wal-fsync",
                      "batch", "--checkpoint-every", "2"])
         self._serve([str(nt), "--materialize", "hybrid"])
+        # The reference kernels under small served writes.
+        self._serve([str(nt), "--backend", "python"])
 
     def _serve(self, args: List[str]) -> None:
         started = time.perf_counter()

@@ -862,9 +862,8 @@ class InferrayEngine:
                 )
             if len(pairs):
                 removed.load_table(property_id, pairs)
-                reduced.load_table(property_id, kernels.difference(
-                    self.main.table(property_id).pairs, pairs
-                ))
+                # The view's own table: ``main``'s is left as it was.
+                reduced.remove_pairs(property_id, pairs)
         rederived = reduced.merge_inferred(
             derivable(self.rules, self.vocab, removed, reduced)
         )

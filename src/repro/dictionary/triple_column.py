@@ -6,18 +6,37 @@ layout of a store file's asserted section.  Appending or removing
 builds a new column, so snapshots share one by reference.  A column
 is a read-only int64 ndarray worked on vectorised (numpy is imported
 on first use, so ``import repro`` stays light).
+
+Appending is O(appended), amortised: the result of an append views a
+private buffer with spare capacity, and an append to the column that
+ends at the buffer's written end writes into that capacity.  Nothing
+before a column's end is ever written again, so every column stays
+valid; appending to any other column copies it into a new buffer.
 """
 
 from __future__ import annotations
 
+import threading
 from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+
+
+class _Buffer:
+    """The writable array appended columns view, and how much of it is
+    written (the end of the one column that may append in place)."""
+
+    __slots__ = ("values", "end", "lock")
+
+    def __init__(self, values, end: int):
+        self.values = values
+        self.end = end
+        self.lock = threading.Lock()
 
 
 class TripleColumn:
     """A read-only sequence of (s, p, o) id triples over one flat column."""
 
-    __slots__ = ("flat",)
+    __slots__ = ("flat", "_buffer")
 
     def __init__(self, flat: Iterable[int] = ()):
         import numpy as np
@@ -26,6 +45,14 @@ class TripleColumn:
         flat.flags.writeable = False
         #: The flat values, three per triple; never written to.
         self.flat = flat
+        self._buffer: Optional[_Buffer] = None
+
+    @classmethod
+    def _over(cls, buffer: _Buffer, end: int) -> "TripleColumn":
+        """The column of ``buffer``'s first ``end`` values."""
+        column = cls(buffer.values[:end])
+        column._buffer = buffer
+        return column
 
     @classmethod
     def from_triples(cls, triples: Iterable[Tuple[int, int, int]]):
@@ -46,9 +73,28 @@ class TripleColumn:
         return tuple(self.flat[start : start + 3].tolist())
 
     def __add__(self, other: "TripleColumn") -> "TripleColumn":
+        if not len(other.flat):
+            return self
+        if not len(self.flat):
+            return other
+        end = len(self.flat)
+        stop = end + len(other.flat)
+        buffer = self._buffer
+        if buffer is not None:
+            # Two appends to one column race for the buffer's tail.
+            with buffer.lock:
+                if buffer.end == end and stop <= len(buffer.values):
+                    buffer.values[end:stop] = other.flat
+                    buffer.end = stop
+                    return TripleColumn._over(buffer, stop)
         import numpy as np
 
-        return TripleColumn(np.concatenate((self.flat, other.flat)))
+        # Spare room for an eighth more and 256 triples: a run of
+        # appends copies a growing column O(log n) times.
+        values = np.empty(stop + stop // 8 + 3 * 256, dtype=np.int64)
+        values[:end] = self.flat
+        values[end:stop] = other.flat
+        return TripleColumn._over(_Buffer(values, stop), stop)
 
     def contains(self, probes: Sequence[Optional[tuple]]) -> List[bool]:
         """Per probe, whether the column holds it (``None`` never)."""

@@ -40,6 +40,19 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Sequence, Tuple
 
+#: A delta at most 1/SMALL_SIDE_RATIO the size of the table it meets is
+#: *small*: the numpy and python kernels locate its rows by binary
+#: search instead of a pass over the table (``merge_new`` /
+#: ``difference``), and a property table folds it into its cached
+#: ⟨o, s⟩ view instead of dropping the view.  Set by a sweep of 8–128
+#: over tables of 4 k–500 k pairs (CHANGES.md).
+SMALL_SIDE_RATIO = 64
+
+
+def is_small_side(small, large) -> bool:
+    """Whether flat ``small`` is at most 1/SMALL_SIDE_RATIO of ``large``."""
+    return len(small) * SMALL_SIDE_RATIO <= len(large)
+
 
 class KernelBackend:
     """Abstract pair-array kernel bundle (see module docstring)."""

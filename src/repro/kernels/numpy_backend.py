@@ -9,6 +9,12 @@ whole-array NumPy operations over ``int64`` vectors:
   structured ⟨s, o⟩ row view (exact for the full int64 range — no
   lossy composite-key packing), then a stable timsort of the
   concatenated runs, which is linear on two sorted inputs;
+* small-side merge and difference — when one side is at most
+  1/:data:`SMALL_SIDE_RATIO` of the other (a served write's delta
+  against a large table), its rows are located by one binary search
+  each and the result is written with one flat ``np.insert`` /
+  ``np.delete``: O(k log n) plus one copy, no pass over the large
+  side's keys;
 * ⟨o, s⟩ view — one lexsort of the swapped components;
 * merge-join — group boundaries from boundary masks,
   ``np.intersect1d`` on the distinct keys, and the per-key cross
@@ -30,7 +36,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .base import KernelBackend
+from .base import KernelBackend, is_small_side
 
 INT64 = np.int64
 
@@ -111,11 +117,24 @@ def _joint_keys(a: np.ndarray, b: np.ndarray):
     return _rows(a), _rows(b), None, None
 
 
-def _found_in(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    """Mask over ``needles``: which occur in the sorted ``haystack``."""
+def _insert_rows(flat: np.ndarray, at: np.ndarray, rows: np.ndarray):
+    """``flat`` with the flat pair rows ``rows`` inserted before pair
+    rows ``at`` (ascending): one 1-D insert, not a 2-D one."""
+    return np.insert(flat, np.repeat(2 * at, 2), rows)
+
+
+def _delete_rows(flat: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``flat`` without the pair rows ``at``: one 1-D delete."""
+    return np.delete(flat, _interleave(2 * at, 2 * at + 1))
+
+
+def _locate(haystack: np.ndarray, needles: np.ndarray):
+    """(insertion indices, found mask) of ``needles`` in the sorted,
+    non-empty ``haystack``: one binary search per needle."""
     positions = np.searchsorted(haystack, needles)
     clipped = np.minimum(positions, haystack.size - 1)
-    return (positions < haystack.size) & (haystack[clipped] == needles)
+    found = (positions < haystack.size) & (haystack[clipped] == needles)
+    return positions, found
 
 
 def _unpack(packed: np.ndarray, e_base: int, o_base: int) -> np.ndarray:
@@ -229,8 +248,21 @@ class NumpyKernels(KernelBackend):
         if m.size == 0:
             fresh = np.array(f, dtype=INT64)
             return fresh, np.array(f, dtype=INT64)
+        if is_small_side(f, m):
+            at, known = _locate(_rows(m), _rows(f))
+            if known.all():
+                return m, self.empty()
+            fresh = ~known
+            new = f.reshape(-1, 2)[fresh].ravel()
+            return _insert_rows(m, at[fresh], new), new
+        if is_small_side(m, f):
+            at, known = _locate(_rows(f), _rows(m))
+            new = _delete_rows(f, at[known]) if known.any() else f
+            fresh = ~known
+            only_main = m.reshape(-1, 2)[fresh].ravel()
+            return _insert_rows(f, at[fresh], only_main), new
         main_keys, inf_keys, e_base, o_base = _joint_keys(m, f)
-        is_new = ~_found_in(main_keys, inf_keys)
+        is_new = ~_locate(main_keys, inf_keys)[1]
         if not is_new.any():
             return m, self.empty()
         new_keys = inf_keys[is_new]
@@ -304,7 +336,7 @@ class NumpyKernels(KernelBackend):
         if a.size == 0 or b.size == 0:
             return self.empty()
         keys_a, keys_b, e_base, o_base = _joint_keys(a, b)
-        found = _found_in(keys_b, keys_a)
+        found = _locate(keys_b, keys_a)[1]
         if keys_a.dtype == np.uint64:
             return _unpack(keys_a[found], e_base, o_base)
         return np.ascontiguousarray(keys_a[found].view(INT64))
@@ -314,6 +346,12 @@ class NumpyKernels(KernelBackend):
         b = self.asarray(other)
         if a.size == 0 or b.size == 0:
             return a
+        if is_small_side(b, a):
+            at, found = _locate(_rows(a), _rows(b))
+            return _delete_rows(a, at[found]) if found.any() else a
+        if is_small_side(a, b):
+            _, found = _locate(_rows(b), _rows(a))
+            return a.reshape(-1, 2)[~found].ravel() if found.any() else a
         keys_a, keys_b, _, _ = _joint_keys(a, b)
         # Both sides unique: isin's one merge-sort beats a binary search
         # per row, and compress beats a boolean index on 2-D rows.

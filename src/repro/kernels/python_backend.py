@@ -8,7 +8,10 @@ measured it beat the paper's counting / MSD-radix operating-range
 dispatch, which lives on in ``benchmarks/paper/sorting`` for the
 Table-1 comparison only.  It is always available and serves as the
 ground truth the vectorized backends are differentially tested
-against.
+against.  Like the numpy kernels, ``merge_new`` and ``difference``
+binary-search a side at most 1/``SMALL_SIDE_RATIO`` of the other and
+splice the result from slices of the large side, instead of walking it
+pair by pair.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import groupby, repeat
 from operator import add, and_, itemgetter, lshift, rshift, sub
 from typing import Iterable, Sequence, Tuple
 
-from .base import KernelBackend
+from .base import KernelBackend, is_small_side
 
 PairArray = array
 
@@ -55,6 +58,43 @@ def _sorted_rows(flat, major: int, dedup: bool) -> PairArray:
         "q",
         map(add, map(and_, keys, repeat((1 << width) - 1)), repeat(minor_low)),
     )
+    return out
+
+
+def _locate(flat, rows):
+    """Per pair of the sorted ``rows``: the index of the first pair of the
+    sorted ``flat`` not below it, and whether that pair is it — one
+    binary search each, starting where the previous one ended."""
+    spots = []
+    low, n_pairs = 0, len(flat) // 2
+    for j in range(0, len(rows), 2):
+        key = (rows[j], rows[j + 1])
+        high = n_pairs
+        while low < high:
+            mid = (low + high) // 2
+            if (flat[2 * mid], flat[2 * mid + 1]) < key:
+                low = mid + 1
+            else:
+                high = mid
+        spots.append((low, low < n_pairs and
+                      (flat[2 * low], flat[2 * low + 1]) == key))
+    return spots
+
+
+def _splice(flat, cuts):
+    """``flat`` rebuilt from slices: per ``(at, rows)`` of ``cuts``
+    (ascending ``at``), the pairs up to pair ``at``, then ``rows`` (a
+    flat run to insert), or with ``rows`` None pair ``at`` skipped."""
+    out = array("q")
+    start = 0
+    for at, rows in cuts:
+        out += flat[2 * start: 2 * at]
+        if rows is None:
+            start = at + 1
+        else:
+            out += rows
+            start = at
+    out += flat[2 * start:]
     return out
 
 
@@ -106,6 +146,24 @@ class PythonKernels(KernelBackend):
         if not len(main):
             fresh = array("q", inferred)
             return fresh, array("q", inferred)
+        if is_small_side(inferred, main):
+            new = array("q")
+            cuts = []
+            for j, (at, found) in enumerate(_locate(main, inferred)):
+                if not found:
+                    row = inferred[2 * j: 2 * j + 2]
+                    new += row
+                    cuts.append((at, row))
+            return (_splice(main, cuts) if cuts else main), new
+        if is_small_side(main, inferred):
+            spots = _locate(inferred, main)
+            new = _splice(
+                inferred, [(at, None) for at, found in spots if found]
+            )
+            return _splice(inferred, [
+                (at, main[2 * j: 2 * j + 2])
+                for j, (at, found) in enumerate(spots) if not found
+            ]), new
 
         merged = array("q")
         new = array("q")
@@ -207,6 +265,16 @@ class PythonKernels(KernelBackend):
         return out
 
     def difference(self, flat, other):
+        if len(other) and is_small_side(other, flat):
+            return _splice(flat, [
+                (at, None) for at, found in _locate(flat, other) if found
+            ])
+        if len(flat) and is_small_side(flat, other):
+            out = array("q")
+            for j, (_, found) in enumerate(_locate(other, flat)):
+                if not found:
+                    out += flat[2 * j: 2 * j + 2]
+            return out
         out = array("q")
         i = j = 0
         n1 = len(flat)

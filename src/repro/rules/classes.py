@@ -194,14 +194,20 @@ class SchemaRule(Rule):
                 rows = schema.iter_pairs()
             else:
                 rows = [(p,) for p in schema.subjects_of(vocab[self.marker])]
+            # Schema rows come sorted on the table they name (⟨p, c⟩ for
+            # PRP-DOM/RNG): one distinct scan serves that table's run.
+            scanned = members = None
             for row in rows:
                 table = table_or_none(data_store, row[self.source])
                 if table is None:
                     continue
                 if self.typed:
-                    members = kernels.distinct_evens(
-                        table.pairs if self.use_subjects else table.os_pairs()
-                    )
+                    if scanned is not table:
+                        scanned = table
+                        members = kernels.distinct_evens(
+                            table.pairs if self.use_subjects
+                            else table.os_pairs()
+                        )
                     if len(members):
                         ctx.out.extend(
                             vocab[self.out],

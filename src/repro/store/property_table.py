@@ -4,9 +4,13 @@ One :class:`PropertyTable` holds every ⟨subject, object⟩ pair of a single
 property as a flat dynamic array of 64-bit integers (even index =
 subject, odd index = object), kept **sorted on ⟨s, o⟩ and duplicate-free**
 between iterations.  A second array sorted on ⟨o, s⟩ is computed lazily
-when a rule needs an object-keyed merge join, cached, and invalidated
-whenever new pairs are merged in (paper: "The cached ⟨o,s⟩ sorted index
-is computed lazily upon need").
+when a rule needs an object-keyed merge join and cached (paper: "The
+cached ⟨o,s⟩ sorted index is computed lazily upon need").  A merge or a
+removal of a *small* delta (at most 1/``SMALL_SIDE_RATIO`` of the
+table — a served write) keeps the cached view and records the delta's
+rows as pending; the next read folds them in with the small-side
+``merge_new`` / ``difference`` instead of re-sorting the table.  A
+larger change drops the view, to be re-sorted by the next read.
 
 The Figure-5 update step lives here as :meth:`PropertyTable.merge`: the
 already sorted+deduplicated inferred pairs are merged with the main
@@ -25,6 +29,7 @@ from array import array
 from typing import Iterator, List, Optional, Tuple, Union
 
 from ..kernels import KernelBackend, resolve_backend
+from ..kernels.base import SMALL_SIDE_RATIO
 
 PairArray = array
 
@@ -46,7 +51,7 @@ class PropertyTable:
         delta tables built from Figure-5 merge output).
     """
 
-    __slots__ = ("_pairs", "_os_cache", "_kernels")
+    __slots__ = ("_pairs", "_os_cache", "_os_pending", "_kernels")
 
     def __init__(
         self,
@@ -57,6 +62,10 @@ class PropertyTable:
     ):
         self._kernels = resolve_backend(backend)
         self._os_cache = None
+        #: ``(adds, rows)`` per change since ``_os_cache`` was sorted:
+        #: sorted-unique ⟨s, o⟩ rows merged in (``adds``) or removed,
+        #: in order.  Immutable, so views of this table share it.
+        self._os_pending = ()
         if pairs is None or not len(pairs):
             self._pairs = self._kernels.empty()
         elif presorted:
@@ -85,11 +94,25 @@ class PropertyTable:
 
         The view is a *permutation* of the table with components swapped
         — the paper stores it as a cached second array that may be
-        dropped under memory pressure.
+        dropped under memory pressure.  Rows merged or removed since it
+        was sorted are folded in here, on the first read.
         """
-        if self._os_cache is None:
-            self._os_cache = self._kernels.os_view(self._pairs)
-        return self._os_cache
+        # Pending before the view: a concurrent fold stores the view
+        # first, and replaying a fold on its own result is a no-op.
+        pending, view = self._os_pending, self._os_cache
+        if view is None:
+            view = self._os_cache = self._kernels.os_view(self._pairs)
+        elif pending:
+            kernels = self._kernels
+            for adds, rows in pending:
+                swapped = kernels.sort_pairs(kernels.swap(rows))
+                if adds:
+                    view, _ = kernels.merge_new(view, swapped)
+                else:
+                    view = kernels.asarray(kernels.difference(view, swapped))
+            self._os_cache = view
+            self._os_pending = ()
+        return view
 
     @property
     def has_os_cache(self) -> bool:
@@ -157,20 +180,42 @@ class PropertyTable:
         One linear pass implements both steps of Figure 5: ``main`` is
         replaced by ``main ∪ inferred`` (still sorted-unique) and the
         returned array holds exactly ``inferred ∖ main`` — the pairs
-        that feed the next iteration.  The ⟨o, s⟩ cache is invalidated
-        when anything new arrived.
+        that feed the next iteration.  The new pairs are pending for
+        the ⟨o, s⟩ cache, or drop it when they are not few.
         """
         if not len(inferred_sorted):
             return self._kernels.empty()
         merged, new = self._kernels.merge_new(self._pairs, inferred_sorted)
         self._pairs = merged
         if len(new):
-            # The cached ⟨o, s⟩ permutation no longer covers the table.
-            self._os_cache = None
+            self._os_changed(True, new)
         return new
 
+    def remove(self, rows_sorted) -> None:
+        """Drop every pair of the sorted-unique ``rows_sorted`` (absent
+        ones are ignored); the ⟨o, s⟩ cache is kept as :meth:`merge`
+        keeps it."""
+        kernels = self._kernels
+        kept = kernels.difference(self._pairs, rows_sorted)
+        if len(kept) < len(self._pairs):
+            self._pairs = kernels.asarray(kept)
+            self._os_changed(False, rows_sorted)
+
+    def _os_changed(self, adds: bool, rows) -> None:
+        """Record a change for the ⟨o, s⟩ cache, or drop the cache once
+        the pending rows pass 1/``SMALL_SIDE_RATIO`` of the table."""
+        if self._os_cache is None:
+            return
+        pending = self._os_pending + ((adds, rows),)
+        n_pending = sum(len(pending_rows) for _, pending_rows in pending)
+        if n_pending * SMALL_SIDE_RATIO > len(self._pairs):
+            self._os_cache, self._os_pending = None, ()
+        else:
+            self._os_pending = pending
+
     def memory_bytes(self, seen: Optional[set] = None) -> int:
-        """Bytes held by the pair array (+ the o-s cache if present).
+        """Bytes held by the pair array, plus the o-s cache and its
+        pending rows if present.
 
         Backend-aware: the flat backends report the exact fixed-length
         encoding (16 bytes per pair per array — the figure the paper's
@@ -179,7 +224,10 @@ class PropertyTable:
         other tables/versions by identity (snapshot aliasing, shared
         compressed runs); pass one set across a whole store walk.
         """
-        total = self._kernels.flat_nbytes(self._pairs, seen)
+        kernels = self._kernels
+        total = kernels.flat_nbytes(self._pairs, seen)
         if self._os_cache is not None:
-            total += self._kernels.flat_nbytes(self._os_cache, seen)
+            total += kernels.flat_nbytes(self._os_cache, seen)
+        for _, rows in self._os_pending:
+            total += kernels.flat_nbytes(rows, seen)
         return total

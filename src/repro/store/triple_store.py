@@ -192,6 +192,15 @@ class TripleStore:
             property_id, flat_pairs, presorted=presorted
         )
 
+    def remove_pairs(self, property_id: int, rows_sorted) -> None:
+        """Drop sorted-unique pairs from one property's table (see
+        :meth:`PropertyTable.remove`); a table left empty goes."""
+        table = self._tables.get(property_id)
+        if table is not None:
+            table.remove(rows_sorted)
+            if not table:
+                del self._tables[property_id]
+
     def table_arrays(self) -> Iterator[Tuple[int, PairArray]]:
         """(property_id, committed flat ⟨s, o⟩ array) per non-empty
         property, in ascending property-id order (deterministic for
@@ -205,21 +214,22 @@ class TripleStore:
         """A zero-copy read view over the current committed arrays.
 
         The returned store's tables *alias* this store's pair arrays
-        (and any materialised ⟨o, s⟩ caches).  This is safe because
-        committed arrays are never mutated in place — every merge
-        replaces a table's array wholesale — so later writes to this
-        store leave the view frozen at the current state: copy-on-write
-        snapshot semantics for free.  The view must only be read.
+        (and any materialised ⟨o, s⟩ caches, with their pending rows).
+        This is safe because committed arrays are never mutated in
+        place — every merge replaces a table's array wholesale — so
+        later writes to this store leave the view frozen at the current
+        state: copy-on-write snapshot semantics for free.  The view must
+        only be read.
         """
         view = type(self)(backend=self._kernels)
         for property_id, table in self._tables.items():
             if not table:
                 continue
             shared = view._new_table(property_id, table.pairs, presorted=True)
-            if table.has_os_cache:
-                # Share the committed ⟨o, s⟩ permutation too; the owner
-                # invalidates by *replacing* it, never by mutating.
-                shared._os_cache = table._os_cache
+            # Share the committed ⟨o, s⟩ permutation and its pending
+            # rows too; the owner replaces both, never mutates them.
+            shared._os_cache = table._os_cache
+            shared._os_pending = table._os_pending
             view._tables[property_id] = shared
         return view
 

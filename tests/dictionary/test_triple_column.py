@@ -2,6 +2,8 @@
 ndarray), built from either flat its producers hand over: the
 ``array('q')`` an ingest encodes and the ndarray a store file loads."""
 
+import sys
+import threading
 from array import array
 from itertools import chain
 
@@ -76,3 +78,65 @@ def test_contains_and_without(column_of):
     ]
     assert column.without([(0, 0, 0), None]) is column
     assert list(column) == TRIPLES  # never mutated
+
+
+def test_appends_leave_every_column_intact(column_of):
+    c0 = column_of(TRIPLES[:3]) + column_of(TRIPLES[3:4])
+    a, b = column_of(TRIPLES[4:6]), column_of(TRIPLES[6:])
+    c1 = c0 + a
+    c2 = c0 + b
+    c3 = c1 + b
+    assert list(c0) == TRIPLES[:4]
+    assert list(c1) == TRIPLES[:6]
+    assert list(c2) == TRIPLES[:4] + TRIPLES[6:]
+    assert list(c3) == TRIPLES
+    for column in (c0, c1, c2, c3):
+        with pytest.raises(ValueError):
+            column.flat[-1] = 0
+    # c1 extended c0's buffer in place, and c3 extended c1's; c2 could
+    # not (c1 had written past c0's end) and copied.
+    assert np.shares_memory(c0.flat, c1.flat)
+    assert np.shares_memory(c1.flat, c3.flat)
+    assert not np.shares_memory(c0.flat, c2.flat)
+    assert list(c0 + column_of([])) == TRIPLES[:4]
+    assert list(column_of([]) + c0) == TRIPLES[:4]
+
+
+def test_concurrent_appends_to_one_column_stay_apart():
+    """Threads appending to the same column each get it plus their own
+    rows: only one may extend the shared buffer, the rest copy."""
+    rounds = 100
+    bases = [
+        TripleColumn.from_triples(TRIPLES) + TripleColumn.from_triples(
+            [(S, P_MID, O + r)]
+        )
+        for r in range(rounds)
+    ]
+    batches = [
+        TripleColumn.from_triples([(S + t, P_NEAR, O + i) for i in range(50)])
+        for t in range(16)
+    ]
+    results = [[None] * rounds for _ in batches]
+    start = threading.Barrier(len(batches))
+
+    def append(index):
+        for r in range(rounds):
+            start.wait(timeout=60)  # every thread races for round r
+            results[index][r] = bases[r] + batches[index]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=append, args=(i,))
+                   for i in range(len(batches))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for r, base in enumerate(bases):
+        assert list(base) == TRIPLES + [(S, P_MID, O + r)]
+        for batch, got in zip(batches, results):
+            assert list(got[r]) == list(base) + list(batch)

@@ -18,6 +18,7 @@ import pytest
 
 from repro.closure.nuutila import build_reach_index
 from repro.kernels import get_backend
+from repro.kernels.base import SMALL_SIDE_RATIO
 from repro.kernels.compressed_backend import CompressedKernels
 from repro.kernels.python_backend import PYTHON_KERNELS
 
@@ -59,6 +60,53 @@ def _distributions():
 
 
 DISTRIBUTIONS = dict(_distributions())
+
+
+def _small_deltas():
+    """(table pairs, delta pairs): a delta of k rows against a table
+    of n — the shapes of the numpy small-side path, which a side at
+    most 1/SMALL_SIDE_RATIO of the other takes.  Each runs both ways
+    round, so the large side is the first operand and the second."""
+    rng = random.Random(SEED ^ 0x5DE1)
+    ratio = SMALL_SIDE_RATIO
+
+    def table(n_pairs, low=0, high=10 ** 6):
+        rows = set()
+        while len(rows) < n_pairs:
+            rows.add((rng.randrange(low, high), rng.randrange(low, high)))
+        return sorted(rows)
+
+    def mixed(rows, n_present, n_absent, low=0, high=10 ** 6):
+        delta = set(rng.sample(rows, n_present))
+        while len(delta) < n_present + n_absent:
+            pair = (rng.randrange(low, high), rng.randrange(low, high))
+            if pair not in rows:
+                delta.add(pair)
+        return sorted(delta)
+
+    big = table(2000)
+    yield "small-k1-absent", (big, mixed(big, 0, 1))
+    yield "small-k1-present", (big, mixed(big, 1, 0))
+    yield "small-k5", (big, mixed(big, 2, 3))
+    # R·k = n ± 1: one row either side of the path's threshold.
+    for name, n_pairs in (("small-ratio-plus-1", 10 * ratio + 1),
+                          ("small-ratio-minus-1", 10 * ratio - 1)):
+        rows = table(n_pairs)
+        yield name, (rows, mixed(rows, 4, 6))
+    yield "small-all-duplicates", (big, mixed(big, 8, 0))
+    yield "small-before-first", (table(1000, 100, 10 ** 6),
+                                 [(0, 5), (1, 1), (1, 7), (99, 0), (99, 99)])
+    yield "small-after-last", (table(1000), [(10 ** 6, 0), (10 ** 6, 4),
+                                             (2 ** 40, 1), (2 ** 62, 0),
+                                             (2 ** 62, 2 ** 62)])
+    wide = sorted(set(table(700)) | {(0, 2 ** 40), (2 ** 33, 1),
+                                     (2 ** 62, 2 ** 62)})
+    yield "small-unpackable", (wide, mixed(wide, 2, 3) + [(2 ** 62, 3)])
+    negative = table(900, -(10 ** 6), 10 ** 6)
+    yield "small-negative", (negative, mixed(negative, 2, 3, -(10 ** 6), 0))
+
+
+SMALL_DELTAS = dict(_small_deltas())
 
 
 def _interval_layouts():
@@ -117,7 +165,11 @@ def np_kernels():
 
 @pytest.fixture(params=sorted(DISTRIBUTIONS))
 def dist(request):
-    return request.param, list(DISTRIBUTIONS[request.param])
+    return request.param, list(DISTRIBUTIONS.get(request.param, ()))
+
+
+def flat_of(pairs):
+    return [v for pair in pairs for v in pair]
 
 
 def test_sort_pairs_matches(np_kernels, dist):
@@ -137,26 +189,43 @@ def test_swap_and_os_view_match(np_kernels, dist):
     )
 
 
+@pytest.mark.parametrize(
+    "dist", sorted(DISTRIBUTIONS) + sorted(SMALL_DELTAS), indirect=True
+)
 def test_merge_new_matches(np_kernels, dist):
     name, flat = dist
-    rng = random.Random(SEED ^ zlib.crc32(name.encode()))
-    # Split the distribution into main/inferred halves plus an overlap,
-    # so duplicates across the two inputs are guaranteed.
-    pairs = list(zip(flat[0::2], flat[1::2]))
-    rng.shuffle(pairs)
-    half = len(pairs) // 2
-    main_pairs = pairs[:half] + pairs[: half // 2]
-    inferred_pairs = pairs[half:] + pairs[: half // 3]
-    main = PYTHON_KERNELS.sort_pairs(
-        [v for p in main_pairs for v in p], dedup=True
-    )
-    inferred = PYTHON_KERNELS.sort_pairs(
-        [v for p in inferred_pairs for v in p], dedup=True
-    )
-    expected_merged, expected_new = PYTHON_KERNELS.merge_new(main, inferred)
-    got_merged, got_new = np_kernels.merge_new(main, inferred)
-    assert as_ints(got_merged) == as_ints(expected_merged)
-    assert as_ints(got_new) == as_ints(expected_new)
+    if name in SMALL_DELTAS:
+        table, delta = SMALL_DELTAS[name]
+        sides = [(table, delta), (delta, table)]
+    else:
+        rng = random.Random(SEED ^ zlib.crc32(name.encode()))
+        # Split the distribution into main/inferred halves plus an
+        # overlap, so duplicates across the two inputs are guaranteed.
+        pairs = list(zip(flat[0::2], flat[1::2]))
+        rng.shuffle(pairs)
+        half = len(pairs) // 2
+        sides = [(pairs[:half] + pairs[: half // 2],
+                  pairs[half:] + pairs[: half // 3])]
+    for main_pairs, inferred_pairs in sides:
+        main = PYTHON_KERNELS.sort_pairs(flat_of(main_pairs), dedup=True)
+        inferred = PYTHON_KERNELS.sort_pairs(
+            flat_of(inferred_pairs), dedup=True
+        )
+        expected_merged, expected_new = PYTHON_KERNELS.merge_new(
+            main, inferred
+        )
+        assert as_ints(expected_merged) == flat_of(
+            sorted(set(main_pairs) | set(inferred_pairs))
+        )
+        assert as_ints(expected_new) == flat_of(
+            sorted(set(inferred_pairs) - set(main_pairs))
+        )
+        for kernels in (np_kernels, CompressedKernels()):
+            got_merged, got_new = kernels.merge_new(
+                kernels.asarray(main), inferred
+            )
+            assert as_ints(got_merged) == as_ints(expected_merged)
+            assert as_ints(got_new) == as_ints(expected_new)
 
 
 def test_merge_join_matches(np_kernels, dist):
@@ -195,29 +264,37 @@ def test_intersect_matches(np_kernels, dist):
     )
 
 
+@pytest.mark.parametrize(
+    "dist", sorted(DISTRIBUTIONS) + sorted(SMALL_DELTAS), indirect=True
+)
 def test_difference_matches(np_kernels, dist):
     """flat ∖ other on every backend, against set semantics: half the
-    pairs removed, plus pairs of ``other`` that ``flat`` never had."""
+    pairs removed, plus pairs of ``other`` that ``flat`` never had; or
+    a small delta removed from a table, and a table from a delta."""
     name, flat = dist
-    rng = random.Random(SEED ^ zlib.crc32(name.encode()) ^ 3)
-    pairs = list(zip(flat[0::2], flat[1::2]))
-    rng.shuffle(pairs)
-    removed = pairs[: len(pairs) // 2] + [(-1, -1), (BOUNDARY, 2 ** 62)]
-    view1 = PYTHON_KERNELS.sort_pairs(flat, dedup=True)
-    view2 = PYTHON_KERNELS.sort_pairs(
-        [v for pair in removed for v in pair], dedup=True
-    )
-    expected = [
-        v for pair in sorted(set(pairs) - set(removed)) for v in pair
-    ]
-    assert as_ints(PYTHON_KERNELS.difference(view1, view2)) == expected
-    for kernels in (
-        np_kernels,
-        CompressedKernels(),
-    ):
-        got = kernels.difference(kernels.asarray(view1), view2)
-        assert as_ints(got) == expected
-        assert as_ints(kernels.difference(view1, view1[:0])) == as_ints(view1)
+    if name in SMALL_DELTAS:
+        table, delta = SMALL_DELTAS[name]
+        sides = [(table, delta), (delta, table)]
+    else:
+        rng = random.Random(SEED ^ zlib.crc32(name.encode()) ^ 3)
+        pairs = list(zip(flat[0::2], flat[1::2]))
+        rng.shuffle(pairs)
+        sides = [(pairs, pairs[: len(pairs) // 2]
+                  + [(-1, -1), (BOUNDARY, 2 ** 62)])]
+    for pairs, removed in sides:
+        view1 = PYTHON_KERNELS.sort_pairs(flat_of(pairs), dedup=True)
+        view2 = PYTHON_KERNELS.sort_pairs(flat_of(removed), dedup=True)
+        expected = flat_of(sorted(set(pairs) - set(removed)))
+        assert as_ints(PYTHON_KERNELS.difference(view1, view2)) == expected
+        for kernels in (
+            np_kernels,
+            CompressedKernels(),
+        ):
+            got = kernels.difference(kernels.asarray(view1), view2)
+            assert as_ints(got) == expected
+            assert as_ints(
+                kernels.difference(view1, view1[:0])
+            ) == as_ints(view1)
 
 
 def test_consecutive_in_group_matches(np_kernels, dist):

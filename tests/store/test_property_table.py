@@ -1,16 +1,22 @@
 """Unit tests for PropertyTable (vertical partitioning unit)."""
 
+import sys
+import threading
 from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import InferrayEngine
 from repro.kernels import resolve_backend
+from repro.kernels.base import SMALL_SIDE_RATIO
+from repro.rdf.terms import IRI, Triple
+from repro.rdf.vocabulary import RDF, RDFS
 from repro.store.property_table import PropertyTable
 from repro.store.triple_store import TripleStore
 
-BACKENDS = ["python", "numpy"]
+BACKENDS = ["python", "numpy", "compressed"]
 
 
 def flat(pairs):
@@ -22,7 +28,12 @@ def flat(pairs):
 
 
 def pairs_as_tuples(flat_pairs):
-    return list(zip(flat_pairs[0::2], flat_pairs[1::2]))
+    values = as_ints(flat_pairs)  # a compressed view has no strided slices
+    return list(zip(values[0::2], values[1::2]))
+
+
+def as_ints(flat_pairs):
+    return [int(value) for value in flat_pairs]
 
 
 class TestCommitInvariant:
@@ -164,6 +175,137 @@ class TestOsCacheInvalidationRegression:
         assert table.has_os_cache
         store.add_pairs(100, flat([(3, 9)]))
         assert table.subjects_of(9) == [1, 2, 3]
+
+
+#: A table the small-delta fold applies to: 8 new rows are well under
+#: 1/SMALL_SIDE_RATIO of it.
+BIG = [(s, (s * 7919) % 1013) for s in range(0, 3 * 8 * SMALL_SIDE_RATIO, 3)]
+
+
+def served_view_is_os_view(table):
+    kernels = resolve_backend(table._kernels)
+    assert as_ints(table.os_pairs()) == as_ints(kernels.os_view(table.pairs))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestOsViewFold:
+    """A small delta is folded into the cached ⟨o, s⟩ view, not re-sorted:
+    the view stays materialised and serves exactly the re-sorted one."""
+
+    def store(self, backend):
+        store = TripleStore(backend=backend)
+        store.add_pairs(100, flat(BIG))
+        store.table(100).os_pairs()
+        return store
+
+    def test_merge_of_few_rows_keeps_the_view(self, backend):
+        store = self.store(backend)
+        table = store.table(100)
+        new = table.merge(store.kernels.sort_pairs(
+            flat([(1, 5), (2, 2000), (10 ** 6, 0), BIG[3]])
+        ))
+        assert len(new) == 6
+        assert table.has_os_cache
+        served_view_is_os_view(table)
+        assert table.subjects_of(2000) == [2]
+
+    def test_removal_of_few_rows_keeps_the_view(self, backend):
+        store = self.store(backend)
+        gone = sorted(BIG[5:9]) + [(1, 1)]  # (1, 1) is absent
+        store.remove_pairs(100, store.kernels.sort_pairs(flat(gone)))
+        table = store.table(100)
+        assert table.n_pairs == len(BIG) - 4
+        assert table.has_os_cache
+        served_view_is_os_view(table)
+
+    def test_adds_and_removes_fold_in_order(self, backend):
+        store = self.store(backend)
+        table = store.table(100)
+        sort = store.kernels.sort_pairs
+        table.merge(sort(flat([(1, 5)])))
+        store.remove_pairs(100, sort(flat([(1, 5), BIG[0]])))
+        table.merge(sort(flat([(1, 5), (2, 6)])))
+        assert table.has_os_cache
+        served_view_is_os_view(table)
+        assert table.contains(1, 5) and table.contains(2, 6)
+
+    def test_many_rows_drop_the_view(self, backend):
+        store = self.store(backend)
+        table = store.table(100)
+        many = [(1, o) for o in range(len(BIG) // SMALL_SIDE_RATIO + 1)]
+        table.merge(store.kernels.sort_pairs(flat(many)))
+        assert not table.has_os_cache
+        served_view_is_os_view(table)
+
+    def test_a_view_taken_before_serves_its_own_state(self, backend):
+        store = self.store(backend)
+        before = store.share_view()
+        old_view = as_ints(before.table(100).os_pairs())
+        store.table(100).merge(store.kernels.sort_pairs(flat([(1, 5)])))
+        store.remove_pairs(100, store.kernels.sort_pairs(flat(BIG[:2])))
+        after = store.share_view()
+        assert as_ints(before.table(100).os_pairs()) == old_view
+        assert list(before.table(100).iter_pairs()) == BIG
+        served_view_is_os_view(after.table(100))
+        served_view_is_os_view(store.table(100))
+
+    def test_concurrent_reads_fold_the_same_view(self, backend):
+        kernels = resolve_backend(backend)
+        tables, expected = [], []
+        for r in range(20):
+            table = self.store(backend).table(100)
+            table.merge(kernels.sort_pairs(flat([(1, 5 + r), (2, 6)])))
+            table.remove(kernels.sort_pairs(flat([BIG[r]])))
+            tables.append(table)
+            expected.append(as_ints(kernels.os_view(table.pairs)))
+        seen = [[] for _ in tables]
+
+        def read():
+            for table, views in zip(tables, seen):
+                views.append(as_ints(table.os_pairs()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for views, want in zip(seen, expected):
+            assert views == [want] * 8
+
+    def test_memory_counts_pending_rows(self, backend):
+        store = self.store(backend)
+        table = store.table(100)
+        kernels = store.kernels
+        cache = table.os_pairs()
+        new = table.merge(kernels.sort_pairs(flat([(1, 5), (2, 6)])))
+        assert table.memory_bytes() == sum(
+            kernels.flat_nbytes(part) for part in (table.pairs, cache, new)
+        )
+
+    def test_dred_keeps_the_type_view(self, backend):
+        ex = "http://example.org/"
+        triples = [Triple(IRI(ex + "A"), RDFS.subClassOf, IRI(ex + "B"))]
+        triples += [
+            Triple(IRI(f"{ex}i{i}"), RDF.type, IRI(ex + "A"))
+            for i in range(4 * SMALL_SIDE_RATIO)
+        ]
+        engine = InferrayEngine("rdfs-default", backend=backend)
+        engine.load_triples(triples)
+        engine.materialize()
+        type_id = engine.dictionary.ids_of(triples[1])[1]
+        engine.main.table(type_id).os_pairs()
+        stats = engine.retract_and_rematerialize(triples[1:3])
+        assert stats.deletion["route"] == "dred"
+        table = engine.main.table(type_id)
+        assert table.n_pairs == 2 * (4 * SMALL_SIDE_RATIO - 2)
+        assert table.has_os_cache
+        served_view_is_os_view(table)
 
 
 @settings(max_examples=150, deadline=None)
