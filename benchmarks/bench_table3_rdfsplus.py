@@ -10,10 +10,9 @@ property-as-variable rules, sameAs machinery).
 
 Run:     python benchmarks/bench_table3_rdfsplus.py [--smoke]
 Parallel: --workers N runs the Inferray engine through the parallel
-         rule scheduler (--parallel-mode thread forces the thread
-         pool; default: the engine's auto policy), so the
-         RDFS-Plus closure benchmarks exercise the same scheduler the
-         Table-2 harness measures.
+         rule scheduler (more than one worker is the thread pool), so
+         the RDFS-Plus closure benchmarks exercise the same scheduler
+         the Table-2 harness measures.
 Pytest:  pytest benchmarks/bench_table3_rdfsplus.py --benchmark-only
 """
 
@@ -49,7 +48,7 @@ def inferray_scheduler_kwargs(args):
     """Engine kwargs for the Inferray cells (baselines take none)."""
     if args is None or args.workers is None:
         return None
-    return {"workers": args.workers, "parallel_mode": args.parallel_mode}
+    return {"workers": args.workers}
 
 
 def run_table(timeout=TIMEOUT, runs=1, subset=None, scheduler_kwargs=None):
@@ -74,7 +73,7 @@ def run_table(timeout=TIMEOUT, runs=1, subset=None, scheduler_kwargs=None):
 
 
 def add_scheduler_arguments(parser):
-    """--workers / --parallel-mode, shared by the closure benchmarks."""
+    """--workers, shared by the closure benchmarks."""
     parser.add_argument(
         "--workers",
         type=int,
@@ -83,13 +82,6 @@ def add_scheduler_arguments(parser):
         help="run the Inferray engine under the parallel rule "
         "scheduler with N workers (0 = all cores; default: "
         "$REPRO_WORKERS or sequential)",
-    )
-    parser.add_argument(
-        "--parallel-mode",
-        choices=("auto", "thread"),
-        default=None,
-        help="executor for --workers > 1 (default: the engine's auto "
-        "policy)",
     )
 
 
@@ -115,10 +107,7 @@ def main(argv=None):
         f"('–' = timeout of {args.timeout:.0f}s; * = synthetic stand-in)"
     )
     if scheduler_kwargs:
-        print(
-            f"(inferray cells: workers={args.workers}, "
-            f"parallel-mode={args.parallel_mode or 'auto'})"
-        )
+        print(f"(inferray cells: workers={args.workers})")
     print(results_matrix(results, columns=ENGINES))
     print()
     for line in speedup_summary(results):

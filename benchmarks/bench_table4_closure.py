@@ -13,9 +13,9 @@ at much shorter chains.
 
 Run:     python benchmarks/bench_table4_closure.py [--smoke]
 Parallel: --workers N runs the Inferray engine through the parallel
-         rule scheduler (--parallel-mode thread forces the thread
-         pool), exercising the θ pre-pass under the
-         scheduler at every chain length.
+         rule scheduler (more than one worker is the thread pool),
+         exercising the θ pre-pass under the scheduler at every chain
+         length.
 Pytest:  pytest benchmarks/bench_table4_closure.py --benchmark-only
 """
 
@@ -108,10 +108,7 @@ def main(argv=None):
     print("Table 4 — transitivity closure wall time (ms; '–' = timeout "
           f"of {args.timeout:.0f}s)")
     if scheduler_kwargs:
-        print(
-            f"(inferray cells: workers={args.workers}, "
-            f"parallel-mode={args.parallel_mode or 'auto'})"
-        )
+        print(f"(inferray cells: workers={args.workers})")
     print(format_table(headers, rows))
     inferray_last = [
         r for r in results if r.engine == "inferray" and r.seconds

@@ -8,9 +8,8 @@ validates in two layers:
 
 1. **Structural invariants** — the assertions the smoke job has always
    made (records present, inferray cells infer something, the
-   ``parallel`` section carries a usable ``speedup``), extended to the
-   ``parallel_modes`` section (every configured executor mode must
-   have run on every dataset cell).
+   ``parallel`` section carries a usable ``speedup`` from runs on the
+   thread pool).
 2. **Baseline schema diff** — the fresh report's key structure is
    compared against the committed baseline report, so a bench-harness
    refactor that silently drops a section or renames a field fails CI
@@ -66,19 +65,9 @@ def _normalize(paths):
 
 
 def _dynamic_key(path):
-    """Paths keyed by data-dependent names (mode labels, datasets) or
-    whose type legitimately varies between environments (a recorded
-    decision is null on timeout, a crossover is null until reached)
-    are compared per-section, not literally."""
-    return (
-        ".modes." in path
-        or ".cells[*].modes" in path
-        or ".parallel_decision" in path
-        or path.startswith("$.scale")
-        # Backend legs are keyed by backend name, and the set of
-        # measured backends varies with numpy availability.
-        or ".backends." in path
-    )
+    """Paths keyed by data-dependent names are compared per-section,
+    not literally: backend legs are keyed by backend name."""
+    return ".backends." in path
 
 
 def _check_latency_block(block, context):
@@ -250,105 +239,8 @@ def check_structure(report):
     for cell in parallel["cells"]:
         assert cell["parallel_seconds"] is not None, cell
         assert cell["n_inferred"] > 0, cell
-
-    # The executor-mode comparison is mandatory too.
-    assert "parallel_modes" in report, sorted(report)
-    modes = report["parallel_modes"]
-    for key in ("workers", "ruleset", "backend", "modes", "speedups", "cells"):
-        assert key in modes, (key, sorted(modes))
-    assert set(modes["modes"]) >= {"auto", "thread"}, modes["modes"]
-    assert set(modes["speedups"]) == set(modes["modes"]), modes["speedups"]
-    assert modes["cells"], "no parallel_modes cells"
-    for cell in modes["cells"]:
-        assert set(cell["modes"]) == set(modes["modes"]), cell
-        for label, leg in cell["modes"].items():
-            for key in ("seconds", "throughput", "speedup"):
-                assert key in leg, (label, key, leg)
-
-    if "scale" in report:
-        check_scale_structure(report["scale"])
+        assert cell["parallel_mode"] == "thread", cell
     return len(results)
-
-
-#: When auto picks the thread pool, it must not run more than this
-#: much slower than sequential — beyond it the cost model chose an
-#: executor whose overhead it should have predicted.
-AUTO_PARITY_TOLERANCE = 1.35
-
-#: When auto picks 'sequential' the auto and sequential legs execute
-#: the same code path, so their ratio measures only scheduler overhead
-#: plus machine noise (shared CI runners included) — the bound is a
-#: loose sanity check, not a mispick detector.
-AUTO_NOISE_TOLERANCE = 2.0
-
-
-def check_scale_structure(scale):
-    """Gates for the scale section (crossovers + cost-model picks).
-
-    Structural checks are unconditional; the throughput gates are
-    conditional on the measured core count and the pick, because
-    threads cannot beat sequential on one core — there the gate is
-    that the cost model *knew* that (picked sequential, stayed at
-    parity).
-    """
-    for key in (
-        "tier", "workers", "cores", "ruleset", "backend", "warmup",
-        "runs", "datasets", "measured_crossovers",
-    ):
-        assert key in scale, (key, sorted(scale))
-    assert scale["workers"] >= 2, scale["workers"]
-    assert scale["runs"] >= 3, (
-        "scale section needs >= 3 timed runs for a stable median",
-        scale["runs"],
-    )
-    assert scale["datasets"], "no scale datasets measured"
-
-    any_parallel_win = False
-    auto_took_threads = False
-    for row in scale["datasets"]:
-        for key in ("dataset", "n_input", "legs"):
-            assert key in row, (key, sorted(row))
-        legs = row["legs"]
-        assert set(legs) >= {"sequential", "auto", "thread"}, (
-            row["dataset"], sorted(legs),
-        )
-        seq = legs["sequential"]["seconds"]
-        auto = legs["auto"]
-        decision = auto["decision"]
-        assert decision is not None, (row["dataset"], "auto cell timed out")
-        assert decision["mode"] == auto["picked"], (row["dataset"], auto)
-        assert decision["requested"] == "auto", decision
-        auto_took_threads |= auto["picked"] != "sequential"
-        for label in ("auto", "thread"):
-            speedup = legs[label].get("speedup")
-            if speedup is not None and speedup > 1.0:
-                any_parallel_win = True
-        if seq is not None and auto["seconds"] is not None:
-            ratio = auto["seconds"] / seq
-            tolerance = (
-                AUTO_NOISE_TOLERANCE
-                if auto["picked"] == "sequential"
-                else AUTO_PARITY_TOLERANCE
-            )
-            assert ratio <= tolerance, (
-                f"auto picked {auto['picked']!r} on {row['dataset']} and "
-                f"ran {ratio:.2f}x slower than sequential — the cost "
-                f"model mispicked"
-            )
-        if scale["cores"] < 2:
-            assert auto["picked"] == "sequential", (
-                f"auto picked {auto['picked']!r} on {row['dataset']} "
-                f"with {scale['cores']} core(s); threads cannot pay "
-                f"there"
-            )
-
-    # Where auto kept every cell sequential its speedup is noise around
-    # 1; only a thread pick has to be backed by a parallel win.
-    if scale["cores"] >= 2 and auto_took_threads:
-        assert any_parallel_win, (
-            "auto picked threads on a multicore box but every parallel "
-            "scale cell has speedup <= 1"
-        )
 
 
 def check_against_baseline(report, baseline):
@@ -426,27 +318,12 @@ def main(argv=None):
 
     n_records = check_structure(report)
     added = check_against_baseline(report, baseline)
-    speedups = report["parallel_modes"]["speedups"]
-    summary = ", ".join(
-        f"{label}: {value:.2f}x" if value is not None else f"{label}: -"
-        for label, value in sorted(speedups.items())
-    )
     print(
         f"OK: {n_records} records; parallel speedup "
         f"{report['parallel']['speedup']:.2f}x @ "
         f"{report['parallel']['workers']} workers "
-        f"({report['parallel']['parallel_mode']}); modes — {summary}"
+        f"({report['parallel']['parallel_mode']})"
     )
-    if "scale" in report:
-        scale = report["scale"]
-        print(
-            f"    scale ({scale['tier']}, {len(scale['datasets'])} "
-            f"dataset(s) on {scale['cores']} core(s)): auto picks "
-            + ", ".join(
-                f"{row['dataset']}={row['legs']['auto']['picked']}"
-                for row in scale["datasets"]
-            )
-        )
     if added:
         print(f"note: fields added vs baseline: {sorted(added)}")
     return 0

@@ -252,7 +252,7 @@ class Surfaces:
                     )
         self.run(*repro, "infer", str(ttl), "--inferred-only")
         self.run(*repro, "infer", str(nt), "--workers", "2",
-                 "--parallel-mode", "thread", "-o", "closure.nt")
+                 "-o", "closure.nt")
         self.run(*repro, "stats", str(ttl), "--materialize", "hybrid")
         self.run(*repro, "rules", "--ruleset", "rdfs-plus")
         for mode in MODES:

@@ -55,10 +55,9 @@ class RunResult:
     n_inferred: int = 0
     n_total: int = 0
     runs: List[float] = field(default_factory=list)
-    #: Executor substrate the (Inferray) engine ran on, and the full
-    #: recorded cost-model decision — None for baseline engines.
+    #: Executor substrate the (Inferray) engine ran on — None for
+    #: baseline engines.
     parallel_mode: Optional[str] = None
-    parallel_decision: Optional[Dict] = None
 
     @property
     def milliseconds(self) -> Optional[float]:
@@ -134,9 +133,6 @@ def run_engine(
             "n_total": stats.n_total,
             "seconds": elapsed,
             "parallel_mode": getattr(stats, "parallel_mode", None),
-            "parallel_decision": getattr(
-                stats, "parallel_decision", None
-            ),
         }
 
     median_seconds: Optional[float]
@@ -166,7 +162,6 @@ def run_engine(
         n_total=outcome.get("n_total", 0),
         runs=timings,
         parallel_mode=outcome.get("parallel_mode"),
-        parallel_decision=outcome.get("parallel_decision"),
     )
 
 

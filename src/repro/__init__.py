@@ -38,7 +38,6 @@ from .core.engine import (
     MaterializationStats,
     MaterializationTimeout,
 )
-from .core.scheduler import PARALLEL_MODES
 from .core.store_api import (
     Snapshot,
     Store,

@@ -24,7 +24,6 @@ import sys
 from typing import List, Optional
 
 from .core.engine import MATERIALIZE_MODES
-from .core.scheduler import PARALLEL_MODES
 from .core.store_api import Store, StoreFormatError, is_store_file
 from .kernels import BACKEND_NAMES, KernelUnavailableError
 from .query.bgp import BGPSyntaxError, parse_bgp
@@ -49,17 +48,9 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="workers for the parallel rule scheduler "
+        help="workers for the parallel rule scheduler; more than 1 "
+        "fires the rules on a thread pool "
         "(0 = all cores; default: $REPRO_WORKERS or 1)",
-    )
-    parser.add_argument(
-        "--parallel-mode",
-        choices=PARALLEL_MODES,
-        default=None,
-        help="executor for --workers > 1: 'thread' always uses the "
-        "thread pool; 'auto' lets the scheduler's cost model pick "
-        "sequential/thread per flush from the estimated work and the "
-        "kernel backend (default: $REPRO_PARALLEL_MODE or auto)",
     )
 
 
@@ -257,14 +248,9 @@ def _open_store(args: argparse.Namespace) -> Store:
     """A Store from either a serialized store or a raw dataset file."""
     ruleset = getattr(args, "ruleset", None)
     workers = getattr(args, "workers", None)
-    parallel_mode = getattr(args, "parallel_mode", None)
     materialize = getattr(args, "materialize", None)
     if is_store_file(args.input):
-        options = {
-            "backend": args.backend,
-            "workers": workers,
-            "parallel_mode": parallel_mode,
-        }
+        options = {"backend": args.backend, "workers": workers}
         if ruleset:
             options["ruleset"] = ruleset
         if materialize:
@@ -275,7 +261,6 @@ def _open_store(args: argparse.Namespace) -> Store:
         ruleset=ruleset or "rdfs-default",
         backend=args.backend,
         workers=workers,
-        parallel_mode=parallel_mode,
         materialize=materialize,
     )
 
@@ -286,7 +271,6 @@ def _run_infer(args: argparse.Namespace) -> int:
         backend=args.backend,
         timeout_seconds=args.timeout,
         workers=args.workers,
-        parallel_mode=args.parallel_mode,
         materialize=args.materialize,
     ) as store:
         loaded = store.add_file(args.input)
@@ -313,7 +297,6 @@ def _run_stats(args: argparse.Namespace) -> int:
         ruleset=args.ruleset,
         backend=args.backend,
         workers=args.workers,
-        parallel_mode=args.parallel_mode,
         materialize=args.materialize,
     )
     loaded = store.add_file(args.input)
@@ -328,8 +311,6 @@ def _run_stats(args: argparse.Namespace) -> int:
         print(f"hybrid fallback:   {store.hybrid_fallback}")
     print(f"workers:           {stats.workers} "
           f"({stats.parallel_mode}, {stats.n_waves} scheduler wave(s))")
-    if stats.parallel_decision is not None:
-        print(f"executor pick:     {stats.parallel_decision['reason']}")
     # In hybrid mode the entailed closure is larger than what is
     # stored: report the entailed counts (what queries answer), plus
     # the reduced resident closure.
@@ -382,7 +363,6 @@ def _run_save(args: argparse.Namespace) -> int:
         ruleset=args.ruleset,
         backend=args.backend,
         workers=args.workers,
-        parallel_mode=args.parallel_mode,
         materialize=args.materialize,
     )
     loaded = store.add_file(args.input)

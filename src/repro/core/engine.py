@@ -100,12 +100,9 @@ class MaterializationStats:
     per_iteration: List[IterationRecord] = field(default_factory=list)
     #: Workers the rule scheduler ran with (1 = sequential).
     workers: int = 1
-    #: Executor substrate the run used: 'sequential' or 'thread'
-    #: (recorded from the resolved decision, not the request).
+    #: Executor substrate the run used: 'sequential' (``workers=1``)
+    #: or 'thread'.
     parallel_mode: str = "sequential"
-    #: The scheduler's recorded executor pick for this run (see
-    #: :class:`repro.core.scheduler.ExecutorDecision`), as a plain dict.
-    parallel_decision: Optional[dict] = None
     #: Waves in the scheduler's dependency stratification.
     n_waves: int = 0
     #: Wall-clock seconds per wave index, summed across iterations.
@@ -158,14 +155,13 @@ class InferrayEngine:
         Workers for the dependency-aware rule scheduler
         (:mod:`repro.core.scheduler`).  ``None`` (default) reads
         ``$REPRO_WORKERS`` (falling back to 1 — sequential), ``0``
-        means all cores.
+        means all cores.  It alone picks the executor: 1 fires the
+        rules inline, more fires them on a persistent thread pool.
     parallel_mode:
-        Executor for ``workers > 1``: ``'thread'`` (always the thread
-        pool) or ``'auto'`` (the scheduler's cost model picks
-        sequential or thread per flush from the estimated work and the
-        kernel backend; see :meth:`ParallelRuleScheduler.decide`).
-        ``None`` (default) reads ``$REPRO_PARALLEL_MODE``, falling
-        back to ``'auto'``.
+        Accepted only as ``None`` or ``'thread'``, and changes nothing:
+        ``workers`` decides.  It is kept for callers that still pass
+        ``parallel_mode='thread'`` and goes with the thread pool once
+        the pipeline ledger no longer pins it; any other value raises.
     materialize_mode:
         ``'full'`` (default) materializes the whole closure;
         ``'hybrid'`` runs the LiteMat-style reduced catalogue — rules
@@ -194,19 +190,14 @@ class InferrayEngine:
             self.ruleset_name = "custom"
         self.dictionary = Dictionary()
         self.vocab = Vocab(self.dictionary)
+        if parallel_mode not in (None, "thread"):
+            raise ValueError(
+                f"unknown parallel mode {parallel_mode!r}; workers alone "
+                "picks the executor (parallel_mode may only be 'thread')"
+            )
         self.kernels = resolve_backend(backend)
         self.workers = resolve_workers(workers)
-
-        def scheduler_for(rules: List[Rule]) -> ParallelRuleScheduler:
-            return ParallelRuleScheduler(
-                rules,
-                workers=self.workers,
-                mode=parallel_mode,
-                vocab=self.vocab,
-                kernels=self.kernels,
-            )
-
-        self.scheduler = scheduler_for(self.rules)
+        self.scheduler = ParallelRuleScheduler(self.rules, workers=self.workers)
         self.main = TripleStore(backend=self.kernels)
         self.max_iterations = max_iterations
         self.stats: Optional[MaterializationStats] = None
@@ -229,8 +220,8 @@ class InferrayEngine:
         if materialize_mode == "hybrid":
             self._hybrid_plan = plan_hybrid(self.rules, self.ruleset_name)
             if self._hybrid_plan.absorbed:
-                self._reduced_scheduler = scheduler_for(
-                    self._hybrid_plan.reduced_rules
+                self._reduced_scheduler = ParallelRuleScheduler(
+                    self._hybrid_plan.reduced_rules, workers=self.workers
                 )
 
     # ------------------------------------------------------------------
@@ -302,7 +293,7 @@ class InferrayEngine:
         return MaterializationStats(
             n_input=self.main.n_triples,
             workers=self.workers,
-            parallel_mode=scheduler.effective_mode,
+            parallel_mode=scheduler.mode,
             n_waves=scheduler.n_waves,
             materialize_mode=self.materialize_mode,
             hybrid_fallback=self._hybrid_fallback_reason,
@@ -424,26 +415,20 @@ class InferrayEngine:
         stats.closure_seconds = time.perf_counter() - closure_started
 
         # Lines 4-8: fixed point, rules fired through the wave scheduler.
-        # The executor pick is decided from the committed snapshot —
-        # after the delta merge and the pre-pass, so the estimate sees
-        # the real (main, new) shapes and a small increment on a huge
-        # store still picks the cheapest substrate for the delta's
-        # work.
-        decision = scheduler.decide(self.main, new)
-        with scheduler.session(decision) as executor:
+        with scheduler.session() as executor:
             while new:
                 iteration += 1
                 if iteration > self.max_iterations:
                     raise FixedPointError(
                         f"no fixed point after {self.max_iterations} "
                         f"iterations (workers={self.workers}, "
-                        f"mode={scheduler.effective_mode})"
+                        f"mode={scheduler.mode})"
                     )
                 if deadline is not None and time.perf_counter() > deadline:
                     raise MaterializationTimeout(
                         f"inferray: timeout after {timeout_seconds}s "
                         f"(iteration {iteration}, workers={self.workers}, "
-                        f"mode={scheduler.effective_mode})"
+                        f"mode={scheduler.mode})"
                     )
                 infer_started = time.perf_counter()
                 outcome = scheduler.run_iteration(
@@ -474,8 +459,6 @@ class InferrayEngine:
                     )
                 )
 
-        stats.parallel_mode = decision.mode
-        stats.parallel_decision = decision.as_dict()
         stats.iterations = iteration - first_iteration
         stats.n_total = self.main.n_triples
         stats.n_inferred = stats.n_total - stats.n_input
@@ -687,10 +670,9 @@ class InferrayEngine:
 
     @property
     def parallel_mode(self) -> str:
-        """The scheduler's effective executor substrate: 'sequential',
-        'thread', or 'auto' before the first cost-model decision has
-        been made."""
-        return self.scheduler.effective_mode
+        """The executor substrate: 'sequential' at ``workers == 1``,
+        'thread' otherwise."""
+        return self.scheduler.mode
 
     def close(self) -> None:
         """Shut down the schedulers' persistent thread pools.
@@ -820,7 +802,7 @@ class InferrayEngine:
         scheduler = self.scheduler
         ctx = RuleContext(main=self.main, new=delta, out=InferredBuffers(),
                           vocab=self.vocab, kernels=self.kernels)
-        with scheduler.session(scheduler.decide(self.main, delta)) as executor:
+        with scheduler.session() as executor:
             while delta:
                 ctx.new = delta
                 for rule in scheduler.rules:
@@ -906,8 +888,6 @@ class InferrayEngine:
         """
         self.dictionary = dictionary
         self.vocab = Vocab(dictionary)
-        for scheduler in self.schedulers:
-            scheduler.vocab = self.vocab
         self.main = TripleStore(backend=self.kernels)
         for property_id, flat_pairs in tables:
             self.main.load_table(property_id, flat_pairs, presorted=True)

@@ -7,22 +7,11 @@ rule dependency graph derived from it
 the rules wave by wave; within a wave every rule fires concurrently on
 the scheduler's thread pool, or inline when the run is sequential.
 
-Threads are the one parallel substrate: the NumPy kernel backend's
-sort/merge/join primitives release the GIL, so a wave's rules can
-overlap on real cores without copying the store anywhere.
-
-**Executor selection** (``mode="auto"``, the default) is a cost model,
-not a backend lookup: :meth:`ParallelRuleScheduler.decide` estimates
-the materialization's per-iteration work from committed table sizes
-plus the catalogue's :meth:`~repro.rules.spec.Rule.estimate_join_input`
-hooks and picks ``sequential`` below the measured thread crossover
-(the pool only ever *costs* below it), on the GIL-bound pure-Python
-kernels (threads cannot overlap them) and on fewer than two usable
-cores; ``thread`` otherwise.  The crossover defaults to a value
-measured by ``benchmarks/bench_table2_rdfs.py --scale``; ``$REPRO_PARALLEL_MODE``
-(or ``mode="thread"``) forces the pool unconditionally.  Every pick is
-recorded as an :class:`ExecutorDecision` (surfaced on
-``MaterializationStats.parallel_decision``).
+``workers`` alone picks the executor: ``workers == 1`` runs the wave
+loop inline, ``workers > 1`` runs it on the thread pool.  Threads are
+the one parallel substrate: the NumPy kernel backend's sort/merge/join
+primitives release the GIL, so a wave's rules can overlap on real
+cores without copying the store anywhere.
 
 **The thread pool persists for the scheduler's lifetime**: the first
 parallel materialization lazily starts it, and subsequent flushes —
@@ -43,7 +32,7 @@ Equivalence with sequential execution is by construction:
   trimmed delta) and pushed through the existing Figure-5 merge, whose
   sort+dedup makes the committed arrays — and every trimmed delta — a
   pure function of the *sets* of emitted pairs: closures are
-  byte-identical regardless of worker count or executor.
+  byte-identical regardless of worker count.
 
 Sequential execution is the ``workers=1`` special case of the same
 wave loop (no executor is spun up), so there is a single code path to
@@ -57,68 +46,24 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..env import env_choice, env_int
-from ..kernels import KernelBackend, resolve_backend
+from ..env import env_int
+from ..kernels import KernelBackend
 from ..rules.classes import self_fed_rules
 from ..rules.depgraph import RuleDependencyGraph
 from ..rules.spec import Rule, RuleContext, Vocab
 from ..store.triple_store import InferredBuffers, TripleStore
 
 __all__ = [
-    "PARALLEL_MODES",
-    "ExecutorDecision",
     "IterationOutcome",
     "ParallelRuleScheduler",
-    "resolve_parallel_cores",
-    "resolve_parallel_mode",
     "resolve_workers",
 ]
 
-#: Accepted values for the ``parallel_mode`` knobs.
-PARALLEL_MODES = ("auto", "thread")
-
-#: Environment default for the execution mode (used when ``mode=None``).
-PARALLEL_MODE_ENV = "REPRO_PARALLEL_MODE"
-
 #: Environment default for the worker count (used when ``workers=None``).
 WORKERS_ENV = "REPRO_WORKERS"
-
-#: Environment override for the usable core count the cost model sees
-#: (testing/CI: simulate a multicore decision on a one-core box).
-PARALLEL_CORES_ENV = "REPRO_PARALLEL_CORES"
-
-#: Default cost-model crossover (estimated join-input pairs per
-#: iteration above which the thread pool pays off), anchored to the
-#: scale benchmark (``benchmarks/bench_table2_rdfs.py --scale``):
-#: BSBM-300 and BSBM-10k estimate well below it (their sequential
-#: materializations are single-digit milliseconds to ~0.1 s — pool
-#: dispatch dominates any win), while BSBM-100k (~0.9 M committed
-#: triples, ~0.9 s sequential) clears it.
-DEFAULT_THREAD_CROSSOVER = 250_000
-
-
-def resolve_parallel_mode(mode: Optional[str]) -> str:
-    """Normalize a ``parallel_mode`` request.
-
-    ``None`` reads :data:`PARALLEL_MODE_ENV` (defaulting to ``auto``);
-    an unknown value from the environment warns and falls back to
-    ``auto``, while an unknown value passed explicitly raises.  ``auto``
-    is returned unresolved: the scheduler's cost model picks per
-    materialization.  The caller applies the mode only when
-    ``workers > 1``.
-    """
-    if mode is None:
-        return env_choice(PARALLEL_MODE_ENV, "auto", PARALLEL_MODES)
-    mode = mode.lower()
-    if mode not in PARALLEL_MODES:
-        raise ValueError(
-            f"unknown parallel mode {mode!r}; expected one of "
-            f"{PARALLEL_MODES}"
-        )
-    return mode
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -151,52 +96,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     return value or cores
 
 
-def resolve_parallel_cores(cores: Optional[int] = None) -> int:
-    """The usable core count the executor cost model plans against.
-
-    Explicit values are trusted (clamped to >= 1); ``None`` reads
-    :data:`PARALLEL_CORES_ENV` (sanitized: non-numeric or non-positive
-    values warn and fall back to the detected count) and defaults to
-    ``os.cpu_count()``.
-    """
-    if cores is not None:
-        return max(1, int(cores))
-    detected = os.cpu_count() or 1
-    using = f"using the detected {detected}"
-    return env_int(
-        PARALLEL_CORES_ENV,
-        detected,
-        noun="core count",
-        otherwise=using,
-        floor=(1, detected, f"is not positive; {using}"),
-    )
-
-
-@dataclass
-class ExecutorDecision:
-    """One recorded executor pick for a materialization.
-
-    ``mode`` is the substrate the run uses (``sequential`` /
-    ``thread``); ``requested`` is what the caller asked for (``auto``
-    unless forced); ``estimated_pairs`` is the cost model's
-    per-iteration work estimate (``None`` when no snapshot was
-    available to estimate from); ``reason`` says why in one sentence.
-    """
-
-    mode: str
-    requested: str
-    forced: bool
-    workers: int
-    cores: int
-    estimated_pairs: Optional[int]
-    thread_crossover: int
-    reason: str
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready view (stats / bench reports)."""
-        return asdict(self)
-
-
 @dataclass
 class IterationOutcome:
     """What one scheduled iteration produced (pre-merge).
@@ -221,37 +120,16 @@ class ParallelRuleScheduler:
     """Wave-stratified, dependency-aware executor for a rule list."""
 
     def __init__(
-        self,
-        rules: Sequence[Rule],
-        *,
-        workers: Optional[int] = None,
-        mode: Optional[str] = None,
-        graph: Optional[RuleDependencyGraph] = None,
-        vocab: Optional[Vocab] = None,
-        kernels: Optional[KernelBackend] = None,
-        cores: Optional[int] = None,
+        self, rules: Sequence[Rule], *, workers: Optional[int] = None
     ):
         self.rules: List[Rule] = list(rules)
         self.workers = resolve_workers(workers)
-        self.kernels = kernels if kernels is not None else resolve_backend()
-        self.vocab = vocab
-        #: What the caller asked for: ``auto`` / ``thread`` (parameter
-        #: beats environment; bad environment values warn and fall back
-        #: to ``auto``).  ``thread`` is *forced*: the pool is used
-        #: regardless of the cost model.
-        self.requested_mode = resolve_parallel_mode(mode)
-        self._mode_forced = self.requested_mode == "thread"
-        self.thread_crossover = DEFAULT_THREAD_CROSSOVER
-        self.cores = resolve_parallel_cores(cores)
-        #: The most recent :meth:`decide` result (observability).
-        self.last_decision: Optional[ExecutorDecision] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_finalizer: Optional[weakref.finalize] = None
-        self.graph = graph if graph is not None else RuleDependencyGraph(
-            self.rules
-        )
         #: Wave stratification as lists of rule indexes (see depgraph).
-        self.waves: List[List[int]] = self.graph.stratify()
+        self.waves: List[List[int]] = RuleDependencyGraph(
+            self.rules
+        ).stratify()
         #: Rule index → closed schema property, for the rules whose
         #: delta drops their own last output (decided once, by shape).
         self.self_fed: Dict[int, str] = self_fed_rules(self.rules)
@@ -261,132 +139,10 @@ class ParallelRuleScheduler:
         return len(self.waves)
 
     @property
-    def effective_mode(self) -> str:
-        """The substrate rule firings run on (best current knowledge).
-
-        ``"sequential"`` when ``workers=1`` (no executor at all); the
-        last recorded decision's pick otherwise; ``"thread"`` when
-        forced; ``"auto"`` before any decision has been made (the cost
-        model picks per materialization).
-        """
-        if self.workers <= 1:
-            return "sequential"
-        if self.last_decision is not None:
-            return self.last_decision.mode
-        if self._mode_forced:
-            return self.requested_mode
-        return "auto"
-
-    # ------------------------------------------------------------------
-    # Executor cost model
-    # ------------------------------------------------------------------
-    def estimate_iteration_work(
-        self, main: TripleStore, new: TripleStore
-    ) -> int:
-        """Estimated pairs one iteration's rule firings will scan.
-
-        Sums the catalogue's :meth:`Rule.estimate_join_input` hooks
-        (O(1) table-size lookups each), floored by the snapshot size —
-        rules without an estimator still have to scan their inputs, so
-        the floor keeps the model honest for custom rules.  The floor
-        is the full store on a batch run (``new is main``: everything
-        participates) but only the *delta* on a semi-naive incremental
-        run — the main-side legs a delta joins against are already
-        priced by the per-rule estimators.
-        """
-        total = 0
-        if self.vocab is not None:
-            for rule in self.rules:
-                estimate = rule.estimate_join_input(
-                    main=main, new=new, vocab=self.vocab
-                )
-                if estimate:
-                    total += int(estimate)
-        floor = main.n_triples if new is main else new.n_triples
-        return max(total, floor)
-
-    def decide(
-        self,
-        main: Optional[TripleStore] = None,
-        new: Optional[TripleStore] = None,
-    ) -> ExecutorDecision:
-        """Pick the executor substrate for one materialization.
-
-        A forced ``thread`` (explicit ``parallel_mode=`` or
-        ``$REPRO_PARALLEL_MODE``) short-circuits the model.  ``auto``
-        estimates the per-iteration work from the committed snapshot
-        (``None`` stores mean "unknown", treated as above the crossover
-        so standalone callers keep an executor) and runs sequentially
-        below the measured thread crossover, on GIL-bound kernels, or
-        when fewer than two cores are usable.
-        """
-        requested = self.requested_mode
-        workers = self.workers
-
-        def decision(mode: str, reason: str, estimated=None) -> ExecutorDecision:
-            return ExecutorDecision(
-                mode=mode,
-                requested=requested,
-                forced=self._mode_forced,
-                workers=workers,
-                cores=self.cores,
-                estimated_pairs=estimated,
-                thread_crossover=self.thread_crossover,
-                reason=reason,
-            )
-
-        if workers <= 1:
-            return decision("sequential", "workers=1 (no executor)")
-        if self._mode_forced:
-            return decision(
-                "thread",
-                f"forced by parallel_mode={requested!r} "
-                f"(cost model bypassed)",
-            )
-        estimated: Optional[int] = None
-        if main is not None and new is not None:
-            estimated = self.estimate_iteration_work(main, new)
-        if self.cores < 2:
-            return decision(
-                "sequential",
-                f"only {self.cores} usable core(s); the thread pool "
-                f"cannot pay for its overhead",
-                estimated,
-            )
-        # The compressed backend runs its window math on the NumPy
-        # kernels, plus a block decode/encode per scanned pair, so its
-        # crossover doubles.
-        backend_name = self.kernels.name
-        compressed = backend_name == "compressed"
-        if backend_name == "python":
-            return decision(
-                "sequential",
-                f"the {backend_name!r} backend's kernels hold the GIL "
-                f"(pure-Python loops), so threads cannot overlap them",
-                estimated,
-            )
-        crossover = (2 if compressed else 1) * self.thread_crossover
-        if estimated is not None and estimated < crossover:
-            return decision(
-                "sequential",
-                f"estimated {estimated} pairs/iteration is below "
-                f"the thread crossover ({crossover})"
-                + (
-                    " (doubled for compressed-block decode cost)"
-                    if compressed else ""
-                ),
-                estimated,
-            )
-        return decision(
-            "thread",
-            f"estimated work clears the thread crossover on the "
-            f"GIL-releasing {backend_name!r} backend"
-            + (
-                " (decompressed windows run on 'numpy')"
-                if compressed else ""
-            ),
-            estimated,
-        )
+    def mode(self) -> str:
+        """The substrate rule firings run on: ``"sequential"`` for
+        ``workers == 1`` (no executor at all), ``"thread"`` otherwise."""
+        return "thread" if self.workers > 1 else "sequential"
 
     # ------------------------------------------------------------------
     # Persistent thread pool (Store-lifetime)
@@ -420,21 +176,15 @@ class ParallelRuleScheduler:
             self._pool_finalizer = None
 
     @contextmanager
-    def session(
-        self, decision: Optional[ExecutorDecision] = None
-    ) -> Iterator[Optional[ThreadPoolExecutor]]:
+    def session(self) -> Iterator[Optional[ThreadPoolExecutor]]:
         """Executor context for one materialization run.
 
-        Yields ``None`` for a sequential decision so the wave loop runs
+        Yields ``None`` at ``workers == 1`` so the wave loop runs
         inline; otherwise the scheduler's *persistent* thread pool,
         lazily started on first use and left running on exit — it lives
         until :meth:`close` (incremental flushes reuse it).
-        ``decision`` defaults to :meth:`decide` with no snapshot.
         """
-        if decision is None:
-            decision = self.decide()
-        self.last_decision = decision
-        if decision.mode == "sequential" or self.workers <= 1:
+        if self.workers <= 1:
             yield None
             return
         yield self._ensure_thread_pool()

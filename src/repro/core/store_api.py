@@ -96,13 +96,9 @@ class StoreConfig:
     max_iterations: int = 10_000
     timeout_seconds: Optional[float] = None
     #: Workers for the parallel rule scheduler; ``None`` reads
-    #: ``$REPRO_WORKERS`` (default 1), ``0`` means all cores.
+    #: ``$REPRO_WORKERS`` (default 1), ``0`` means all cores.  More
+    #: than one fires the rules on a thread pool.
     workers: Optional[int] = None
-    #: Executor for ``workers > 1``: 'thread' forces the thread pool;
-    #: 'auto' lets the scheduler's cost model pick sequential/thread
-    #: per flush (see :meth:`ParallelRuleScheduler.decide`); ``None``
-    #: reads ``$REPRO_PARALLEL_MODE``.
-    parallel_mode: Optional[str] = None
     #: Entailment mode: 'full' materializes the whole closure, 'hybrid'
     #: absorbs the hierarchy-shaped rules into the LiteMat-style
     #: interval encoding (:mod:`repro.litemat`) and answers them at
@@ -130,7 +126,6 @@ class StoreConfig:
             backend=self.backend,
             max_iterations=self.max_iterations,
             workers=self.workers,
-            parallel_mode=self.parallel_mode,
             materialize_mode=self.resolved_materialize,
         )
 

@@ -31,6 +31,8 @@ from ..dictionary.encoding import Dictionary
 from ..dictionary.triple_column import TripleColumn
 from ..faults import fire as _fire_fault
 from ..rdf.terms import term_from_record, term_to_record
+from ..rules.rulesets import RULESET_NAMES
+from .engine import MATERIALIZE_MODES
 
 #: Magic bytes opening every serialized store file.
 STORE_MAGIC = b"REPRO-STORE\x00"
@@ -307,6 +309,14 @@ _REQUIRED_HEADER_KEYS = (
     "n_asserted",
 )
 
+#: The values a header's named fields may take: a ruleset name (or
+#: ``"custom"``, written for an unnamed rule list) and, on v2+ files,
+#: the entailment mode.
+_HEADER_DOMAINS = (
+    ("ruleset", RULESET_NAMES + ("custom",)),
+    ("materialize", MATERIALIZE_MODES),
+)
+
 
 def _read_blob(
     handle, n_bytes: int, section: str, offset: int, entry=None,
@@ -374,6 +384,14 @@ def _read_header(handle: io.BufferedIOBase) -> Tuple[dict, int]:
         if key not in header:
             raise StoreCorruptionError(
                 f"store header is missing required key {key!r}",
+                section="header",
+                offset=offset,
+            )
+    for key, domain in _HEADER_DOMAINS:
+        if key in header and header[key] not in domain:
+            raise StoreCorruptionError(
+                f"store header {key!r} is {header[key]!r}, not one of "
+                f"{domain}",
                 section="header",
                 offset=offset,
             )

@@ -2,22 +2,22 @@
 
 Every knob is read the same way — at call time (tests and CI toggle
 them), stripped, with an unset or blank variable meaning "use the
-default" — and a stray shell export must never crash or oversubscribe
-an engine, so a value that cannot be used warns and falls back instead
-of raising.  The two forms below are that sequence for integers and
-for words; the modules that own a knob state only its name, default
-and bounds.
+default".  A stray worker count must never crash or oversubscribe an
+engine, so an integer that cannot be used warns and falls back instead
+of raising; a word is validated by the module that owns it, together
+with explicitly passed values.  The modules that own a knob state only
+its name, default and bounds.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 
 def _warn(message: str) -> None:
-    # stacklevel: _warn <- env_* <- the knob's resolver <- its caller.
+    # stacklevel: _warn <- env_int <- the knob's resolver <- its caller.
     warnings.warn(message, RuntimeWarning, stacklevel=4)
 
 
@@ -53,25 +53,10 @@ def env_int(
     return value
 
 
-def env_choice(
-    name: str,
-    default: Optional[str],
-    choices: Optional[Sequence[str]] = None,
-) -> Optional[str]:
-    """A word knob: ``default`` when unset or blank.
-
-    With ``choices`` the value is lower-cased, and one outside them
-    warns and falls back to ``default``.  Without, it is returned as
-    written: the caller validates it together with explicitly passed
+def env_choice(name: str, default: Optional[str]) -> Optional[str]:
+    """A word knob: ``default`` when unset or blank, else the value as
+    written.  The caller validates it together with explicitly passed
     values, where a bad one is an error rather than a warning.
     """
     raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    if choices is None:
-        return raw
-    value = raw.lower()
-    if value not in choices:
-        _warn(f"{name}={value!r} is not one of {choices}; using {default!r}")
-        return default
-    return value
+    return raw or default

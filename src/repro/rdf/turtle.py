@@ -121,7 +121,7 @@ class _Parser:
             self._expect("punct", ".")
 
     def _parse_term(self, *, as_object: bool) -> Term:
-        kind, value, _ = self._next()
+        kind, value, line = self._next()
         if kind == "iri":
             return IRI(value[1:-1])
         if kind == "qname":
@@ -133,7 +133,7 @@ class _Parser:
         if not as_object:
             raise self._error("expected IRI, prefixed name or blank node")
         if kind == "string":
-            lexical = _unescape_string(value[1:-1])
+            lexical = _unescape_string(value[1:-1], line)
             peeked = self._peek()
             if peeked is not None and peeked[0] == "langtag":
                 self._next()
@@ -192,7 +192,17 @@ _STRING_ESCAPES = {
 }
 
 
-def _unescape_string(raw: str) -> str:
+_HEX_RE = re.compile(r"[0-9A-Fa-f]+")
+
+
+def _unescape_string(raw: str, line: int) -> str:
+    """Resolve a string token's escapes; ``line`` locates a bad one.
+
+    The tokenizer guarantees a character after every backslash.  A
+    ``\\u`` / ``\\U`` escape needs exactly 4 / 8 hex digits naming a
+    Unicode code point (``int(x, 16)`` alone is laxer: signs,
+    underscores, fewer digits).
+    """
     if "\\" not in raw:
         return raw
     out = []
@@ -207,14 +217,22 @@ def _unescape_string(raw: str) -> str:
         if esc in _STRING_ESCAPES:
             out.append(_STRING_ESCAPES[esc])
             i += 2
-        elif esc == "u":
-            out.append(chr(int(raw[i + 2: i + 6], 16)))
-            i += 6
-        elif esc == "U":
-            out.append(chr(int(raw[i + 2: i + 10], 16)))
-            i += 10
+        elif esc in ("u", "U"):
+            width = 4 if esc == "u" else 8
+            escape = raw[i: i + 2 + width]
+            digits = escape[2:]
+            if not (
+                len(digits) == width and _HEX_RE.fullmatch(digits)
+                and int(digits, 16) <= 0x10FFFF
+            ):
+                raise TurtleError(
+                    f"line {line}: bad \\{esc} escape {escape!r} "
+                    f"(needs {width} hex digits naming a code point)"
+                )
+            out.append(chr(int(digits, 16)))
+            i += len(escape)
         else:
-            raise TurtleError(f"bad string escape \\{esc}")
+            raise TurtleError(f"line {line}: bad string escape \\{esc}")
     return "".join(out)
 
 

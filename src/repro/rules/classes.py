@@ -120,12 +120,6 @@ class JoinRule(Rule):
             if table1 is not None and table2 is not None:
                 yield table1, table2
 
-    def estimate_join_input(self, *, main, new, vocab):
-        return sum(
-            table1.n_pairs + table2.n_pairs
-            for table1, table2 in self._tables(new, main, vocab)
-        )
-
     def apply(self, ctx: RuleContext) -> None:
         kernels = ctx.kernels
         out_pid = ctx.vocab[self.out]

@@ -176,24 +176,6 @@ class Rule:
         """Properties a firing over ``ctx`` re-closes whole (θ only)."""
         return ()
 
-    def estimate_join_input(
-        self,
-        *,
-        main: TripleStore,
-        new: TripleStore,
-        vocab: Vocab,
-    ) -> Optional[int]:
-        """Estimated pairs this firing will scan, or ``None`` (unknown).
-
-        The executor-selection cost model sums these estimates over the
-        catalogue (floored by the committed store size, which covers
-        rules that return ``None``) to decide whether a materialization
-        is big enough for the thread pool to pay off.  Implementations
-        must stay O(1) table-size lookups — the estimate runs before
-        *every* flush.
-        """
-        return None
-
 
 def table_or_none(store: TripleStore, property_id: Optional[int]):
     """The non-empty table for a property id, else ``None``."""

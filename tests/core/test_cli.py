@@ -190,16 +190,14 @@ class TestWorkersFlag:
         assert "<http://ex/b>" in out
 
     def test_thread_parallel_mode_accepted(self, sample_file, capsys):
-        assert main(
-            ["infer", sample_file, "--workers", "2",
-             "--parallel-mode", "thread"]
-        ) == 0
-        assert capsys.readouterr().out.count(" .") == 3
+        # --workers alone picks the executor: more than one is the pool.
+        assert main(["stats", sample_file, "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "(thread, " in out
+        assert "2 thread workers" in out
 
-    def test_process_parallel_mode_is_an_argparse_error(
-        self, sample_file, capsys
-    ):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["infer", sample_file, "--parallel-mode", "process"])
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'process'" in capsys.readouterr().err
+    def test_one_worker_reports_sequential(self, sample_file, capsys):
+        assert main(["stats", sample_file, "--workers", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "(sequential, " in out
+        assert "thread" not in out

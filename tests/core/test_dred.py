@@ -285,11 +285,10 @@ def test_overdelete_on_the_thread_pool():
     ]
     victims = [Triple(ex(f"kid{i}"), ex("knows"), ex(f"kid{i + 1}"))
                for i in range(0, 30, 3)]
-    stats, engine = delete(
-        triples, victims, workers=4, parallel_mode="thread"
-    )
+    stats, engine = delete(triples, victims, workers=4)
     assert stats.deletion["route"] == "dred"
-    assert engine.scheduler.last_decision.mode == "thread"
+    assert stats.parallel_mode == "thread"
+    assert engine.scheduler.thread_pool is not None
     engine.close()
 
 

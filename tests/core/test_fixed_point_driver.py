@@ -60,13 +60,8 @@ def reference_closure(triples):
 
 
 def make_engine(mode, workers):
-    # A forced substrate, so workers=2 really runs on an executor
-    # whatever the cost model would pick for inputs this small.
     return InferrayEngine(
-        "rdfs-default",
-        materialize_mode=mode,
-        workers=workers,
-        parallel_mode="thread" if workers > 1 else None,
+        "rdfs-default", materialize_mode=mode, workers=workers
     )
 
 
@@ -108,7 +103,6 @@ class TestEverySetup:
         assert engine.stats is stats
         assert stats.workers == workers
         assert stats.materialize_mode == mode
-        assert stats.parallel_decision["mode"] == stats.parallel_mode
         assert stats.parallel_mode == (
             "thread" if workers > 1 else "sequential"
         )

@@ -7,12 +7,7 @@ from repro.core.engine import (
     InferrayEngine,
     MaterializationTimeout,
 )
-from repro.core.scheduler import (
-    PARALLEL_MODES,
-    ParallelRuleScheduler,
-    resolve_parallel_mode,
-    resolve_workers,
-)
+from repro.core.scheduler import ParallelRuleScheduler, resolve_workers
 from repro.core.store_api import Store, StoreConfig
 from repro.datasets.chains import subclass_chain
 from repro.rdf.terms import IRI, Triple
@@ -115,16 +110,15 @@ class TestSchedulerStructure:
         scheduler = ParallelRuleScheduler(get_ruleset("rho-df"), workers=1)
         with scheduler.session() as executor:
             assert executor is None
-        assert scheduler.effective_mode == "sequential"
+        assert scheduler.mode == "sequential"
 
     def test_session_parallel_yields_executor(self):
-        scheduler = ParallelRuleScheduler(
-            get_ruleset("rho-df"), workers=3, mode="thread"
-        )
-        assert scheduler.effective_mode == "thread"
+        scheduler = ParallelRuleScheduler(get_ruleset("rho-df"), workers=3)
+        assert scheduler.mode == "thread"
         with scheduler.session() as executor:
             assert executor is not None
             assert executor.submit(lambda: 41 + 1).result() == 42
+        scheduler.close()
 
 
 class TestEngineIntegration:
@@ -230,120 +224,55 @@ class TestParallelModeSelection:
         assert contains(engine, Triple(ex("Bart"), RDF.type, ex("animal")))
         engine.close()
 
-    def test_auto_is_undecided_before_the_first_run(self):
-        engine = InferrayEngine(
-            "rdfs-default", backend="python", workers=2, parallel_mode="auto"
-        )
-        assert engine.parallel_mode == "auto"
-
-    def test_auto_picks_sequential_below_the_crossover(self, monkeypatch):
-        # INTRO is tiny: the pool cannot amortize its overhead, so auto
-        # must refuse parallelism even with cores and GIL-releasing
-        # kernels available.
-        monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
-        engine = InferrayEngine(
-            "rdfs-default", backend="numpy", workers=2, parallel_mode="auto"
-        )
-        engine.load_triples(INTRO)
-        stats = engine.materialize()
-        assert stats.parallel_mode == "sequential"
-        assert stats.parallel_decision["requested"] == "auto"
-        assert stats.parallel_decision["estimated_pairs"] is not None
-        assert "crossover" in stats.parallel_decision["reason"]
-
-    def test_auto_picks_sequential_on_one_core(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_CORES", "1")
-        engine = InferrayEngine(
-            "rdfs-default", backend="python", workers=4, parallel_mode="auto"
-        )
-        engine.scheduler.thread_crossover = 0
-        engine.load_triples(INTRO)
-        stats = engine.materialize()
-        assert stats.parallel_mode == "sequential"
-        assert "core" in stats.parallel_decision["reason"]
-
-    def test_auto_picks_thread_for_numpy_backend_above_crossover(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
-        engine = InferrayEngine(
-            "rdfs-default", backend="numpy", workers=2, parallel_mode="auto"
-        )
-        engine.scheduler.thread_crossover = 0
-        engine.load_triples(INTRO)
-        stats = engine.materialize()
-        assert stats.parallel_mode == "thread"
-        engine.close()
-
-    def test_auto_never_picks_threads_for_the_python_backend(
-        self, monkeypatch
-    ):
-        # Threads cannot beat sequential under the GIL: the python
-        # backend runs sequentially even when the thread crossover is
-        # cleared, and the recorded reason says why.
-        monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
-        engine = InferrayEngine(
-            "rdfs-default", backend="python", workers=2, parallel_mode="auto"
-        )
-        engine.scheduler.thread_crossover = 0
-        engine.load_triples(INTRO)
-        stats = engine.materialize()
-        assert stats.parallel_mode == "sequential"
-        assert "GIL" in stats.parallel_decision["reason"]
-
-    def test_auto_doubles_crossovers_for_compressed_backend(
-        self, monkeypatch
-    ):
-        # Block decode makes each pair roughly twice as expensive to
-        # touch, so the compressed backend stays sequential up to twice
-        # the configured crossover — the reason string says so.
-        monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
-        engine = InferrayEngine(
-            "rdfs-default",
-            backend="compressed",
-            workers=2,
-            parallel_mode="auto",
-        )
-        engine.load_triples(INTRO)
-        stats = engine.materialize()
-        assert stats.parallel_mode == "sequential"
-        assert "doubled for compressed-block decode cost" in (
-            stats.parallel_decision["reason"]
-        )
-
-    def test_auto_compressed_over_numpy_picks_threads(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_CORES", "4")
-        engine = InferrayEngine(
-            "rdfs-default",
-            backend="compressed",
-            workers=2,
-            parallel_mode="auto",
-        )
-        engine.scheduler.thread_crossover = 0
-        engine.load_triples(INTRO)
-        stats = engine.materialize()
-        # Decode windows run on the GIL-releasing numpy kernels,
-        # so threads are viable just like for plain numpy.
-        assert stats.parallel_mode == "thread"
-        assert "decompressed windows run on 'numpy'" in (
-            stats.parallel_decision["reason"]
-        )
-        engine.close()
-
-    def test_env_mode_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", "thread")
-        engine = InferrayEngine("rdfs-default", backend="python", workers=2)
+    # workers alone picks the executor: the pool runs however small
+    # the store and whatever the kernel backend.
+    @pytest.mark.parametrize("backend", ("numpy", "python", "compressed"))
+    def test_workers_alone_picks_the_thread_pool(self, backend):
+        engine = InferrayEngine("rdfs-default", backend=backend, workers=2)
         assert engine.parallel_mode == "thread"
+        engine.load_triples(INTRO)
+        stats = engine.materialize()
+        assert stats.parallel_mode == "thread"
+        assert engine.scheduler.thread_pool is not None
+        assert contains(engine, Triple(ex("Bart"), RDF.type, ex("animal")))
+        engine.close()
 
-    def test_explicit_mode_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", "thread")
+    def test_thread_mode_changes_nothing_at_one_worker(self):
         engine = InferrayEngine(
-            "rdfs-default",
-            backend="python",
-            workers=2,
-            parallel_mode="auto",
+            "rdfs-default", workers=1, parallel_mode="thread"
         )
-        assert engine.parallel_mode == "auto"
+        engine.load_triples(INTRO)
+        assert engine.materialize().parallel_mode == "sequential"
+        assert engine.scheduler.thread_pool is None
+
+    # ... and one worker never starts it, whatever the backend.
+    @pytest.mark.parametrize("backend", ("numpy", "python", "compressed"))
+    def test_one_worker_never_starts_the_pool(self, backend):
+        engine = InferrayEngine("rdfs-default", backend=backend, workers=1)
+        engine.load_triples(subclass_chain(30))
+        stats = engine.materialize()
+        assert stats.parallel_mode == "sequential"
+        assert engine.parallel_mode == "sequential"
+        assert engine.scheduler.thread_pool is None
+
+    def test_mode_is_known_before_the_first_run(self):
+        # No estimate to wait for: the mode follows from workers at
+        # construction, while the pool itself starts lazily.
+        engine = InferrayEngine("rdfs-default", workers=2)
+        assert engine.parallel_mode == "thread"
+        assert engine.scheduler.thread_pool is None
+        engine.load_triples(INTRO)
+        engine.materialize()
+        assert engine.scheduler.thread_pool is not None
+        engine.close()
+
+    def test_env_workers_picks_the_thread_pool(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        engine = InferrayEngine("rdfs-default")
+        assert engine.parallel_mode == "thread"
+        engine.load_triples(INTRO)
+        assert engine.materialize().parallel_mode == "thread"
+        engine.close()
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="parallel mode"):
@@ -352,48 +281,14 @@ class TestParallelModeSelection:
             )
 
     def test_process_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="'auto', 'thread'"):
+        with pytest.raises(ValueError, match="parallel mode 'process'"):
             InferrayEngine(
                 "rdfs-default", workers=2, parallel_mode="process"
             )
 
-
-class TestModeResolution:
-    def test_modes(self):
-        assert PARALLEL_MODES == ("auto", "thread")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", "thread")
-        assert resolve_parallel_mode(None) == "thread"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", "thread")
-        assert resolve_parallel_mode("auto") == "auto"
-
-    def test_explicit_mode_is_case_insensitive(self):
-        assert resolve_parallel_mode("Thread") == "thread"
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError, match="parallel mode"):
-            resolve_parallel_mode("greenlet")
-
-    def test_unknown_env_mode_warns_and_falls_back(self, monkeypatch):
-        # A stray shell export must never crash an engine — mirror the
-        # forgiving $REPRO_WORKERS parse instead of raising.
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", "greenlet")
-        with pytest.warns(RuntimeWarning, match="REPRO_PARALLEL_MODE"):
-            assert resolve_parallel_mode(None) == "auto"
-
-    def test_process_env_mode_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", "process")
-        with pytest.warns(RuntimeWarning, match="REPRO_PARALLEL_MODE"):
-            assert resolve_parallel_mode(None) == "auto"
-
-    def test_unset_env_leaves_auto_unresolved(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_MODE", raising=False)
-        # The caller's cost model decides per materialization, so
-        # 'auto' passes through.
-        assert resolve_parallel_mode(None) == "auto"
+    def test_auto_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="parallel mode 'auto'"):
+            InferrayEngine("rdfs-default", workers=2, parallel_mode="auto")
 
 
 class TestStoreIntegration:
@@ -419,55 +314,31 @@ class TestStoreIntegration:
     def test_store_config_threads_parallel_mode(self):
         store = Store(
             INTRO,
-            config=StoreConfig(
-                backend="python", workers=2, parallel_mode="thread"
-            ),
+            config=StoreConfig(backend="python", workers=2),
         )
         assert store.engine.parallel_mode == "thread"
         assert Triple(ex("Bart"), RDF.type, ex("animal")) in store
         assert store.stats.parallel_mode == "thread"
         store.close()
 
+    @pytest.mark.parametrize(
+        "workers, mode", ((1, "sequential"), (2, "thread"))
+    )
+    def test_loaded_store_mode_follows_workers(self, tmp_path, workers, mode):
+        path = str(tmp_path / "closure.store")
+        Store(INTRO).save(path)
+        with Store.load(path, workers=workers) as reloaded:
+            assert reloaded.engine.parallel_mode == mode
+            reloaded.add([Triple(ex("Lisa"), RDF.type, ex("human"))])
+            assert reloaded.materialize().parallel_mode == mode
+            assert Triple(ex("Lisa"), RDF.type, ex("animal")) in reloaded
+
+    def test_store_takes_no_parallel_mode(self):
+        with pytest.raises(TypeError, match="parallel_mode"):
+            StoreConfig(workers=2, parallel_mode="thread")
+
     def test_store_kwarg_threads_parallel_mode(self):
-        store = Store(INTRO, workers=2, parallel_mode="thread")
+        store = Store(INTRO, workers=2)
         assert store.engine.parallel_mode == "thread"
         assert store.n_triples > len(INTRO)
-
-
-class TestCostModelKnobResolution:
-    """Sanitization of the cost model's environment knobs.
-
-    Mirrors the $REPRO_WORKERS contract: explicit parameters are
-    trusted, environment values warn and fall back instead of
-    crashing the engine.
-    """
-
-    def test_cores_env_overrides_detection(self, monkeypatch):
-        from repro.core.scheduler import resolve_parallel_cores
-
-        monkeypatch.setenv("REPRO_PARALLEL_CORES", "8")
-        assert resolve_parallel_cores() == 8
-
-    def test_explicit_cores_beat_env(self, monkeypatch):
-        from repro.core.scheduler import resolve_parallel_cores
-
-        monkeypatch.setenv("REPRO_PARALLEL_CORES", "8")
-        assert resolve_parallel_cores(3) == 3
-
-    def test_bad_cores_env_warns_and_detects(self, monkeypatch):
-        import os
-
-        from repro.core.scheduler import resolve_parallel_cores
-
-        monkeypatch.setenv("REPRO_PARALLEL_CORES", "many")
-        with pytest.warns(RuntimeWarning, match="REPRO_PARALLEL_CORES"):
-            assert resolve_parallel_cores() == (os.cpu_count() or 1)
-
-    def test_nonpositive_cores_env_warns_and_detects(self, monkeypatch):
-        import os
-
-        from repro.core.scheduler import resolve_parallel_cores
-
-        monkeypatch.setenv("REPRO_PARALLEL_CORES", "0")
-        with pytest.warns(RuntimeWarning, match="REPRO_PARALLEL_CORES"):
-            assert resolve_parallel_cores() == (os.cpu_count() or 1)
+        store.close()

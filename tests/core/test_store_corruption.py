@@ -254,6 +254,26 @@ class TestVersionAndHeader:
             Store.load(saved)
         assert excinfo.value.section == "header"
 
+    # No header field is checksummed: a misspelt mode or ruleset is
+    # corruption, not a bad configuration argument.
+    def test_materialize_outside_its_domain(self, saved):
+        header, (_, body_start), blob = split_file(saved)
+        header["materialize"] = "fulm"
+        reassemble(saved, header, blob[body_start:])
+        with pytest.raises(StoreCorruptionError, match="'fulm'") as excinfo:
+            Store.load(saved)
+        assert excinfo.value.section == "header"
+
+    def test_ruleset_outside_its_domain(self, saved):
+        header, (_, body_start), blob = split_file(saved)
+        header["ruleset"] = "rdfs-defaulx"
+        reassemble(saved, header, blob[body_start:])
+        with pytest.raises(
+            StoreCorruptionError, match="'rdfs-defaulx'"
+        ) as excinfo:
+            Store.load(saved)
+        assert excinfo.value.section == "header"
+
     def test_unknown_table_encoding_still_format_error(self, saved):
         header, (_, body_start), blob = split_file(saved)
         header["tables"][0]["encoding"] = "zstd-9000"

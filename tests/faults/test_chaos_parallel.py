@@ -64,7 +64,6 @@ def test_failed_wave_waits_for_its_siblings():
     engine = InferrayEngine(
         [failing, slow] + get_ruleset("rdfs-default"),
         workers=2,
-        parallel_mode="thread",
     )
     engine.load_triples(data)
     try:

@@ -417,10 +417,9 @@ def oracle_closure(catalogue, triples):
 
 def inferray_closure(catalogue, first, then=()):
     """Batch over ``first``, then ``then`` through the incremental path.
-    ``parallel_mode='thread'`` puts the rules on the thread pool
-    whenever ``$REPRO_WORKERS`` > 1."""
+    The rules run on the thread pool whenever ``$REPRO_WORKERS`` > 1."""
     rules = catalogue if isinstance(catalogue, str) else make_rules(catalogue)
-    engine = InferrayEngine(rules, parallel_mode="thread")
+    engine = InferrayEngine(rules)
     try:
         engine.load_triples(first)
         engine.materialize()

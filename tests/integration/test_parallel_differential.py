@@ -51,7 +51,6 @@ def _materialize(dataset_key, ruleset, backend, workers, mode="full"):
         ruleset,
         backend=backend,
         workers=workers,
-        parallel_mode="thread",
         materialize_mode=mode,
     )
     engine.load_triples(DATASETS[dataset_key])
@@ -128,7 +127,6 @@ def test_parallel_incremental_equals_sequential_batch(backend, workers):
         "rdfs-default",
         backend=backend,
         workers=workers,
-        parallel_mode="thread",
     )
     parallel.load_triples(first)
     parallel.materialize()

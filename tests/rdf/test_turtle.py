@@ -145,6 +145,32 @@ class TestErrors:
         with pytest.raises(TurtleError):
             list(parse_turtle(doc))
 
+    # A bad \u / \U escape is a located TurtleError, never a bare
+    # ValueError from int(..., 16), whose laxer forms (short, signed,
+    # underscored) the grammar refuses, as it does code points past
+    # U+10FFFF.
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            r'"x\u"',
+            r'"x\u12"',
+            r'"x\u+123"',
+            r'"x\u1_23"',
+            r'"x\uZZZZ"',
+            r'"x\U0001F60"',
+            r'"x\U00110000"',
+            r'"x\q"',
+        ],
+    )
+    def test_bad_string_escape_is_located(self, literal):
+        doc = "@prefix ex: <http://ex/> .\nex:a ex:p " + literal + " ."
+        with pytest.raises(TurtleError, match="^line 2: bad "):
+            list(parse_turtle(doc))
+
+    def test_unicode_escapes_decode(self):
+        triples = list(parse_turtle(r'<a> <p> "\u0041\U0001F600" .'))
+        assert triples[0].object == Literal("A\U0001F600")
+
 
 class TestOntologyDocument:
     def test_realistic_schema(self):

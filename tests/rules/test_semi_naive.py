@@ -1,7 +1,6 @@
 """The delta discipline of the fixed point.
 
-* one join leg while Δ is main (a batch run's first iteration), and a
-  cost model that prices only the legs that run;
+* one join leg while Δ is main (a batch run's first iteration);
 * the rules over a θ-closed schema that re-feed their own output get a
   delta without it (:func:`repro.rules.classes.self_fed_rules`);
 * ``MaterializationStats.per_iteration`` shows where the work went.
@@ -14,7 +13,6 @@ import pytest
 
 from repro.baselines.hashjoin import HashJoinEngine
 from repro.core.engine import InferrayEngine
-from repro.core.scheduler import ParallelRuleScheduler
 from repro.datasets.chains import subclass_tree, subproperty_chain
 from repro.dictionary.encoding import Dictionary
 from repro.rdf.terms import IRI, Triple
@@ -144,7 +142,7 @@ class TestOneLegWhileDeltaIsMain:
         assert Triple(ex("y"), RDF.type, ex("D")) in closure
 
 
-class TestCostModelPricesOneLeg:
+class TestBatchJoinsOneLeg:
     @staticmethod
     def store_and_vocab():
         dictionary = Dictionary()
@@ -159,30 +157,23 @@ class TestCostModelPricesOneLeg:
         )
         return store, vocab
 
-    def test_batch_estimate_is_one_leg(self):
+    def test_batch_join_input_is_one_leg(self):
+        # The pairs the legs a firing joins hold: one leg while Δ is
+        # main, both legs over a delta view of the same rows.
         store, vocab = self.store_and_vocab()
         (rule,) = make_rules(["CAX-SCO"])
+
+        def join_input(new):
+            return sum(
+                table1.n_pairs + table2.n_pairs
+                for table1, table2 in rule._tables(new, store, vocab)
+            )
+
         one_leg = store.table_size(vocab.subClassOf) + store.table_size(
             vocab.type
         )
-        assert rule.estimate_join_input(
-            main=store, new=store, vocab=vocab
-        ) == one_leg
-        delta = store.share_view()
-        assert rule.estimate_join_input(
-            main=store, new=delta, vocab=vocab
-        ) == 2 * one_leg
-
-    def test_decision_estimate_halves_on_a_batch_run(self):
-        store, vocab = self.store_and_vocab()
-        scheduler = ParallelRuleScheduler(
-            make_rules(["CAX-SCO"]), workers=2, mode="auto", vocab=vocab,
-            cores=2,
-        )
-        batch = scheduler.decide(store, store).estimated_pairs
-        delta = scheduler.decide(store, store.share_view()).estimated_pairs
-        assert batch == 7 and delta == 14
-        scheduler.close()
+        assert join_input(store) == one_leg == 7
+        assert join_input(store.share_view()) == 2 * one_leg
 
 
 class TestSelfFedRules:

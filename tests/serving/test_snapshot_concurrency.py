@@ -17,7 +17,7 @@ EX = "http://example.org/"
 #: Executor configurations the interleaving runs under.
 CONFIGS = [
     {"workers": 1},
-    {"workers": 2, "parallel_mode": "thread"},
+    {"workers": 2},
 ]
 
 
@@ -97,7 +97,7 @@ def test_snapshot_isolation_under_concurrent_batched_writes():
     while pinned readers race the flushes."""
     closures = {}
     for config in CONFIGS:
-        label = f"workers={config.get('workers')},mode={config.get('parallel_mode', 'sequential')}"
+        label = f"workers={config['workers']}"
         closures[label] = _run_interleaving(config)
     baseline_label, baseline = next(iter(closures.items()))
     for label, closure in closures.items():
@@ -116,7 +116,7 @@ def test_served_readers_vs_server_writes_across_modes():
 
     q = urllib.parse.quote(f"?x a <{EX}mammal>")
     finals = {}
-    for config in ({"workers": 1}, {"workers": 2, "parallel_mode": "thread"}):
+    for config in CONFIGS:
         store = Store(base_triples(), **config)
         with ServerThread(store, port=0) as handle:
             host, port = handle.address
@@ -144,7 +144,7 @@ def test_served_readers_vs_server_writes_across_modes():
             assert pinned_after == pinned_before
             assert live["n"] == pinned_before["n"] + 8
             conn.close()
-        finals[config.get("parallel_mode", "sequential")] = sorted(
+        finals[store.engine.parallel_mode] = sorted(
             store.encoded_triples()
         )
     assert finals["sequential"] == finals["thread"]
