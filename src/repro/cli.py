@@ -309,8 +309,7 @@ def _run_stats(args: argparse.Namespace) -> int:
           f"({len(store.absorbed_rules)} absorbed rule(s))")
     if store.hybrid_fallback:
         print(f"hybrid fallback:   {store.hybrid_fallback}")
-    print(f"workers:           {stats.workers} "
-          f"({stats.parallel_mode}, {stats.n_waves} scheduler wave(s))")
+    print(f"workers:           {stats.workers} ({stats.parallel_mode})")
     # In hybrid mode the entailed closure is larger than what is
     # stored: report the entailed counts (what queries answer), plus
     # the reduced resident closure.

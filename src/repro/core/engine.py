@@ -103,10 +103,6 @@ class MaterializationStats:
     #: Executor substrate the run used: 'sequential' (``workers=1``)
     #: or 'thread'.
     parallel_mode: str = "sequential"
-    #: Waves in the scheduler's dependency stratification.
-    n_waves: int = 0
-    #: Wall-clock seconds per wave index, summed across iterations.
-    per_wave_seconds: List[float] = field(default_factory=list)
     #: Per-rule firing seconds, summed across iterations.
     per_rule_seconds: Dict[str, float] = field(default_factory=dict)
     #: Summed per-rule busy time (the sequential-equivalent cost).
@@ -294,7 +290,6 @@ class InferrayEngine:
             n_input=self.main.n_triples,
             workers=self.workers,
             parallel_mode=scheduler.mode,
-            n_waves=scheduler.n_waves,
             materialize_mode=self.materialize_mode,
             hybrid_fallback=self._hybrid_fallback_reason,
         )
@@ -414,7 +409,7 @@ class InferrayEngine:
             self.main.merge_inferred(prepass_buffers)
         stats.closure_seconds = time.perf_counter() - closure_started
 
-        # Lines 4-8: fixed point, rules fired through the wave scheduler.
+        # Lines 4-8: fixed point, rules fired through the scheduler.
         with scheduler.session() as executor:
             while new:
                 iteration += 1
@@ -437,9 +432,6 @@ class InferrayEngine:
                     vocab=self.vocab,
                     kernels=self.kernels,
                     iteration=iteration,
-                    # Read only by θ rules, only at iteration 1 — which
-                    # only a run that pre-passed its catalogue reaches.
-                    theta_prepass_done=True,
                     executor=executor,
                 )
                 stats.inference_seconds += (
@@ -701,10 +693,6 @@ class InferrayEngine:
             stats.per_rule_seconds[name] = (
                 stats.per_rule_seconds.get(name, 0.0) + seconds
             )
-        for index, seconds in enumerate(outcome.wave_seconds):
-            if index >= len(stats.per_wave_seconds):
-                stats.per_wave_seconds.append(0.0)
-            stats.per_wave_seconds[index] += seconds
 
     @staticmethod
     def _finalize_parallel_stats(stats) -> None:
@@ -820,7 +808,7 @@ class InferrayEngine:
                 outcome = scheduler.run_iteration(
                     main=self.main, new=delta, vocab=self.vocab,
                     kernels=self.kernels, iteration=iteration,
-                    theta_prepass_done=True, executor=executor,
+                    executor=executor,
                 )
                 delta = doomed.merge_inferred(outcome.out, outcome.own)
         return doomed, None

@@ -1,17 +1,15 @@
-"""Dependency-aware parallel rule scheduler (wave execution).
+"""Parallel rule scheduler: one iteration fires the whole catalogue.
 
-One :class:`ParallelRuleScheduler` owns the rule list of an engine, the
-rule dependency graph derived from it
-(:class:`repro.rules.depgraph.RuleDependencyGraph`) and the resulting
-**wave** stratification.  Per fixed-point iteration the scheduler fires
-the rules wave by wave; within a wave every rule fires concurrently on
-the scheduler's thread pool, or inline when the run is sequential.
-
-``workers`` alone picks the executor: ``workers == 1`` runs the wave
-loop inline, ``workers > 1`` runs it on the thread pool.  Threads are
-the one parallel substrate: the NumPy kernel backend's sort/merge/join
-primitives release the GIL, so a wave's rules can overlap on real
-cores without copying the store anywhere.
+One :class:`ParallelRuleScheduler` owns the rule list of an engine.
+Per fixed-point iteration it fires every rule once over the same
+``(main, new)`` pair, as the paper's Algorithm 1 does, then hands the
+emissions back for one merge.  Ordering rules inside an iteration
+decides nothing (every rule reads the same snapshot), so there is no
+dependency analysis here: ``workers == 1`` fires the catalogue inline,
+in catalogue order, and ``workers > 1`` submits every rule at once to
+the scheduler's thread pool.  Threads are the one parallel substrate:
+the NumPy kernel backend's sort/merge/join primitives release the GIL,
+so rules can overlap on real cores without copying the store anywhere.
 
 **The thread pool persists for the scheduler's lifetime**: the first
 parallel materialization lazily starts it, and subsequent flushes —
@@ -24,7 +22,7 @@ Equivalence with sequential execution is by construction:
 
 * every rule of an iteration reads the same committed ``(main, new)``
   snapshot — committed pair arrays are never mutated in place, and the
-  merge happens only at the iteration barrier, after all waves;
+  merge happens only at the iteration barrier, after every rule;
 * each rule emits into a **private** :class:`InferredBuffers`, so
   there is no shared mutable state between concurrently firing rules;
 * the private buffers are absorbed into one combined buffer in
@@ -33,10 +31,6 @@ Equivalence with sequential execution is by construction:
   sort+dedup makes the committed arrays — and every trimmed delta — a
   pure function of the *sets* of emitted pairs: closures are
   byte-identical regardless of worker count.
-
-Sequential execution is the ``workers=1`` special case of the same
-wave loop (no executor is spun up), so there is a single code path to
-test.
 """
 
 from __future__ import annotations
@@ -52,7 +46,6 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from ..env import env_int
 from ..kernels import KernelBackend
 from ..rules.classes import self_fed_rules
-from ..rules.depgraph import RuleDependencyGraph
 from ..rules.spec import Rule, RuleContext, Vocab
 from ..store.triple_store import InferredBuffers, TripleStore
 
@@ -104,20 +97,17 @@ class IterationOutcome:
     except the self-fed rules' (see :func:`repro.rules.classes.
     self_fed_rules`), whose private buffers stay apart in ``own`` by
     catalogue index for ``TripleStore.merge_inferred(out, own)``;
-    ``rule_counts`` / ``rule_seconds`` are per-rule observability, and
-    ``wave_seconds[k]`` is the wall-clock barrier-to-barrier time of
-    wave *k*.
+    ``rule_counts`` / ``rule_seconds`` are per-rule observability.
     """
 
     out: InferredBuffers
     own: Dict[int, InferredBuffers] = field(default_factory=dict)
     rule_counts: Dict[str, int] = field(default_factory=dict)
     rule_seconds: Dict[str, float] = field(default_factory=dict)
-    wave_seconds: List[float] = field(default_factory=list)
 
 
 class ParallelRuleScheduler:
-    """Wave-stratified, dependency-aware executor for a rule list."""
+    """Fires a rule list once per iteration, inline or on a thread pool."""
 
     def __init__(
         self, rules: Sequence[Rule], *, workers: Optional[int] = None
@@ -126,17 +116,9 @@ class ParallelRuleScheduler:
         self.workers = resolve_workers(workers)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_finalizer: Optional[weakref.finalize] = None
-        #: Wave stratification as lists of rule indexes (see depgraph).
-        self.waves: List[List[int]] = RuleDependencyGraph(
-            self.rules
-        ).stratify()
         #: Rule index → closed schema property, for the rules whose
         #: delta drops their own last output (decided once, by shape).
         self.self_fed: Dict[int, str] = self_fed_rules(self.rules)
-
-    @property
-    def n_waves(self) -> int:
-        return len(self.waves)
 
     @property
     def mode(self) -> str:
@@ -179,10 +161,10 @@ class ParallelRuleScheduler:
     def session(self) -> Iterator[Optional[ThreadPoolExecutor]]:
         """Executor context for one materialization run.
 
-        Yields ``None`` at ``workers == 1`` so the wave loop runs
-        inline; otherwise the scheduler's *persistent* thread pool,
-        lazily started on first use and left running on exit — it lives
-        until :meth:`close` (incremental flushes reuse it).
+        Yields ``None`` at ``workers == 1`` so the rules fire inline;
+        otherwise the scheduler's *persistent* thread pool, lazily
+        started on first use and left running on exit — it lives until
+        :meth:`close` (incremental flushes reuse it).
         """
         if self.workers <= 1:
             yield None
@@ -200,22 +182,20 @@ class ParallelRuleScheduler:
         vocab: Vocab,
         kernels: KernelBackend,
         iteration: int = 1,
-        theta_prepass_done: bool = False,
         executor: Optional[ThreadPoolExecutor] = None,
     ) -> IterationOutcome:
-        """Fire every rule once, wave by wave; returns the outcome.
+        """Fire every rule once; returns the outcome.
 
         All rules observe the same ``(main, new)`` snapshot; the caller
         merges ``outcome.out`` and ``outcome.own`` afterwards (the
         per-iteration barrier).  A self-fed rule whose own rows ``new``
         carries (``new.own_rows``, from the last merge) sees ``new``
         without them, its schema table kept whole.
-        A rule that raises fails the iteration only once every rule of
-        its wave has finished, so no firing outlives the call; the
+        A rule that raises fails the iteration only once every other
+        rule has finished, so no firing outlives the call; the
         failure re-raised is the first in catalogue order.
         """
         outcome = IterationOutcome(out=InferredBuffers())
-        results: List[Optional[tuple]] = [None] * len(self.rules)
 
         def fire(rule_index: int) -> tuple:
             buffers = InferredBuffers()
@@ -230,24 +210,19 @@ class ParallelRuleScheduler:
                 out=buffers,
                 vocab=vocab,
                 iteration=iteration,
-                theta_prepass_done=theta_prepass_done,
                 kernels=kernels,
             )
             started = time.perf_counter()
             self.rules[rule_index].apply(ctx)
             return buffers, ctx.stats, time.perf_counter() - started
 
-        for wave in self.waves:
-            wave_started = time.perf_counter()
-            if executor is not None and len(wave) > 1:
-                futures = [executor.submit(fire, index) for index in wave]
-                wait(futures)
-                for index, future in zip(wave, futures):
-                    results[index] = future.result()
-            else:
-                for index in wave:
-                    results[index] = fire(index)
-            outcome.wave_seconds.append(time.perf_counter() - wave_started)
+        indexes = range(len(self.rules))
+        if executor is None:
+            results = [fire(index) for index in indexes]
+        else:
+            futures = [executor.submit(fire, index) for index in indexes]
+            wait(futures)
+            results = [future.result() for future in futures]
 
         # Deterministic commit order: absorb in catalogue rule order.
         for index, (rule, (buffers, counts, elapsed)) in enumerate(

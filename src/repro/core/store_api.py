@@ -689,7 +689,7 @@ class Store(_ReadAPI):
             )
         store = cls(config=config)
         engine = store._engine
-        materialized = bool(header["materialized"])
+        materialized = header["materialized"]
         if saved_mode == "hybrid" and engine.materialize_mode != "hybrid":
             # The file holds only the reduced closure — a full-mode
             # reader must complete it before serving.

@@ -395,6 +395,15 @@ def _read_header(handle: io.BufferedIOBase) -> Tuple[dict, int]:
                 section="header",
                 offset=offset,
             )
+    if not isinstance(header["materialized"], bool):
+        # ``bool("false")`` is True: anything but a JSON boolean would
+        # load as a complete closure and be served without inference.
+        raise StoreCorruptionError(
+            f"store header 'materialized' is {header['materialized']!r}, "
+            "not a JSON boolean",
+            section="header",
+            offset=offset,
+        )
     return header, offset + header_len
 
 

@@ -498,8 +498,10 @@ class ThetaRule(Rule):
         return self._properties(ctx, changed_only=True)
 
     def apply(self, ctx: RuleContext) -> None:
-        if ctx.iteration == 1 and ctx.theta_prepass_done:
-            return  # pre-pass already closed the loaded data
+        # Only a run whose pre-pass closed the loaded data reaches
+        # iteration 1; delta, DRed and overdelete runs start at 2.
+        if ctx.iteration == 1:
+            return
         emitted = sum(
             self._close_property(ctx, pid) for pid in self.recloses(ctx)
         )

@@ -17,7 +17,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..dictionary.encoding import Dictionary
 from ..kernels import KernelBackend
-from ..kernels.python_backend import PYTHON_KERNELS
 from ..rdf.vocabulary import OWL, RDF, RDFS
 from ..store.triple_store import InferredBuffers, TripleStore
 
@@ -130,12 +129,10 @@ class RuleContext:
     new: TripleStore
     out: InferredBuffers
     vocab: Vocab
+    #: Kernel backend rule executors run their bulk passes on.
+    kernels: KernelBackend
     iteration: int = 1
-    theta_prepass_done: bool = False
     stats: Dict[str, int] = field(default_factory=dict)
-    #: Kernel backend rule executors run their bulk passes on; the
-    #: engine passes its own, the default is the pure-Python reference.
-    kernels: KernelBackend = field(default=PYTHON_KERNELS)
 
     def count(self, rule_name: str, emitted: int) -> None:
         """Accumulate per-rule emission counters (observability)."""

@@ -163,11 +163,10 @@ class TestWorkersFlag:
         assert main(["infer", sample_file, "--workers", "0"]) == 0
         assert capsys.readouterr().out.count(" .") == 3
 
-    def test_stats_reports_workers_and_waves(self, sample_file, capsys):
+    def test_stats_reports_workers(self, sample_file, capsys):
         assert main(["stats", sample_file, "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "workers:           2" in out
-        assert "scheduler wave(s)" in out
+        assert "workers:           2 (thread)" in out
         assert "rule-firing speedup:" in out
 
     def test_stats_sequential_omits_speedup_line(self, sample_file, capsys):
@@ -193,11 +192,11 @@ class TestWorkersFlag:
         # --workers alone picks the executor: more than one is the pool.
         assert main(["stats", sample_file, "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "(thread, " in out
+        assert "(thread)" in out
         assert "2 thread workers" in out
 
     def test_one_worker_reports_sequential(self, sample_file, capsys):
         assert main(["stats", sample_file, "--workers", "1"]) == 0
         out = capsys.readouterr().out
-        assert "(sequential, " in out
+        assert "(sequential)" in out
         assert "thread" not in out

@@ -1,5 +1,8 @@
 """Unit tests for the parallel rule scheduler and worker resolution."""
 
+import threading
+from collections import Counter
+
 import pytest
 
 from repro.core.engine import (
@@ -12,7 +15,9 @@ from repro.core.store_api import Store, StoreConfig
 from repro.datasets.chains import subclass_chain
 from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import RDF, RDFS
-from repro.rules.rulesets import get_ruleset
+from repro.rules.rulesets import RULESET_NAMES, get_ruleset
+from repro.rules.spec import Rule
+from repro.rules.table5 import BY_NAME
 
 
 def contains(engine, triple):
@@ -101,11 +106,6 @@ class TestResolveWorkers:
 
 
 class TestSchedulerStructure:
-    def test_waves_cover_all_rules(self):
-        scheduler = ParallelRuleScheduler(get_ruleset("rdfs-plus"))
-        indexes = sorted(i for wave in scheduler.waves for i in wave)
-        assert indexes == list(range(len(scheduler.rules)))
-
     def test_session_sequential_yields_no_executor(self):
         scheduler = ParallelRuleScheduler(get_ruleset("rho-df"), workers=1)
         with scheduler.session() as executor:
@@ -121,6 +121,49 @@ class TestSchedulerStructure:
         scheduler.close()
 
 
+def recording(rules, fired):
+    """``rules`` with each firing appending the rule's name to ``fired``."""
+
+    def wrap(rule):
+        apply = rule.apply
+
+        def recorded(ctx):
+            fired.append(rule.name)
+            apply(ctx)
+
+        rule.apply = recorded
+        return rule
+
+    return [wrap(rule) for rule in rules]
+
+
+class TestRunIteration:
+    @pytest.mark.parametrize("ruleset", RULESET_NAMES)
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_every_rule_fires_once_per_iteration(self, workers, ruleset):
+        fired = []
+        rules = recording(get_ruleset(ruleset), fired)
+        engine = InferrayEngine(rules, workers=workers)
+        engine.load_triples(INTRO)
+        try:
+            stats = engine.materialize()
+        finally:
+            engine.close()
+        assert stats.iterations >= 1
+        assert Counter(fired) == {
+            rule.name: stats.iterations for rule in rules
+        }
+
+    def test_inline_firing_follows_catalogue_order(self):
+        fired = []
+        rules = recording(get_ruleset("rdfs-plus"), fired)
+        engine = InferrayEngine(rules, workers=1)
+        engine.load_triples(INTRO)
+        stats = engine.materialize()
+        names = [rule.name for rule in rules]
+        assert fired == names * stats.iterations
+
+
 class TestEngineIntegration:
     @pytest.mark.parametrize("workers", (1, 2, 4))
     def test_closure_and_stats(self, workers):
@@ -129,11 +172,9 @@ class TestEngineIntegration:
         stats = engine.materialize()
         assert contains(engine, Triple(ex("Bart"), RDF.type, ex("animal")))
         assert stats.workers == workers
-        assert stats.n_waves == 1  # rdfs-default is one recursive wave
         assert stats.per_rule_seconds  # per-rule timings populated
         assert stats.rule_busy_seconds > 0
         assert stats.parallel_speedup > 0
-        assert len(stats.per_wave_seconds) == stats.n_waves
 
     def test_byte_identical_tables_across_worker_counts(self):
         reference = None
@@ -157,7 +198,29 @@ class TestEngineIntegration:
         again = engine.materialize()
         assert again.iterations == 0
         assert again.workers == 2
-        assert again.n_waves == 1
+
+    def test_pool_fires_every_rule_of_an_iteration_at_once(self):
+        # SCM-SCO feeds CAX-SCO but not the other way round; still, both
+        # read the same snapshot, so the pool must run them together:
+        # each waits for the other inside its firing.
+        barrier = threading.Barrier(2, timeout=3)
+
+        class Rendezvous(Rule):
+            def apply(self, ctx):
+                barrier.wait()
+
+        rules = [
+            Rendezvous(name, [BY_NAME[name].description])
+            for name in ("SCM-SCO", "CAX-SCO")
+        ]
+        engine = InferrayEngine(rules, workers=2)
+        engine.load_triples(INTRO)
+        try:
+            stats = engine.materialize()
+        finally:
+            engine.close()
+        assert stats.iterations == 1
+        assert not barrier.broken
 
     def test_repeated_materializations_reuse_scheduler(self):
         engine = InferrayEngine("rdfs-default", workers=2)

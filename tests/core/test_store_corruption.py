@@ -274,6 +274,19 @@ class TestVersionAndHeader:
             Store.load(saved)
         assert excinfo.value.section == "header"
 
+    # bool("false") is True: a non-boolean flag must not load as a
+    # complete closure served without inference.
+    @pytest.mark.parametrize("flag", ["false", "yes", 0.5, 0, 1, None])
+    def test_materialized_not_a_json_boolean(self, saved, flag):
+        header, (_, body_start), blob = split_file(saved)
+        header["materialized"] = flag
+        reassemble(saved, header, blob[body_start:])
+        with pytest.raises(
+            StoreCorruptionError, match="'materialized'"
+        ) as excinfo:
+            Store.load(saved)
+        assert excinfo.value.section == "header"
+
     def test_unknown_table_encoding_still_format_error(self, saved):
         header, (_, body_start), blob = split_file(saved)
         header["tables"][0]["encoding"] = "zstd-9000"

@@ -1,11 +1,11 @@
-"""Chaos tests: a rule that fails mid-wave on the thread pool.
+"""Chaos tests: a rule that fails mid-iteration on the thread pool.
 
-The invariant under test: when one rule of a wave raises, the flush
-fails only after every other rule of that wave has finished, so no
-firing outlives the failed ``materialize()`` and shares the pool with
-the next flush (or with serving's retry).  The engine stays
-unmaterialized, and the retry reaches the sequential closure byte for
-byte.
+The invariant under test: when one rule of an iteration raises, the
+flush fails only after every other rule of that iteration has
+finished, so no firing outlives the failed ``materialize()`` and
+shares the pool with the next flush (or with serving's retry).  The
+engine stays unmaterialized, and the retry reaches the sequential
+closure byte for byte.
 """
 
 import threading
@@ -29,7 +29,7 @@ class FailOnce(Rule):
     def apply(self, ctx):
         if not self.raised:
             self.raised = True
-            raise RuntimeError("rule failed mid-wave")
+            raise RuntimeError("rule failed mid-iteration")
 
 
 class SlowOnce(Rule):
@@ -52,14 +52,14 @@ def table_bytes(engine):
     ]
 
 
-def test_failed_wave_waits_for_its_siblings():
+def test_failed_iteration_waits_for_its_siblings():
     data = bsbm_like(20)
     reference = InferrayEngine("rdfs-default", workers=1)
     reference.load_triples(data)
     reference.materialize()
 
-    # Unknown rule classes read and write every table, so both land in
-    # the catalogue's one recursive wave, the failing rule first.
+    # The pool fires the whole catalogue at once, the failing rule
+    # first.
     failing, slow = FailOnce("FAIL"), SlowOnce("SLOW")
     engine = InferrayEngine(
         [failing, slow] + get_ruleset("rdfs-default"),
@@ -67,7 +67,7 @@ def test_failed_wave_waits_for_its_siblings():
     )
     engine.load_triples(data)
     try:
-        with pytest.raises(RuntimeError, match="rule failed mid-wave"):
+        with pytest.raises(RuntimeError, match="rule failed mid-iteration"):
             engine.materialize()
         assert slow.finished.is_set()
         assert not engine.is_materialized

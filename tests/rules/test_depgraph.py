@@ -1,15 +1,10 @@
-"""Unit tests for the rule dependency graph and wave stratification."""
+"""Unit tests for the rule dependency graph: read/write sets and feeds."""
 
 import pytest
 
 from repro.rules.depgraph import ANY, RuleDependencyGraph, rule_io
 from repro.rules.rulesets import RULESET_NAMES, get_ruleset
 from repro.rules.table5 import make_rules
-
-
-def wave_names(graph):
-    """The stratification with rule names instead of indexes."""
-    return [[graph.rules[i].name for i in wave] for wave in graph.stratify()]
 
 
 class TestRuleIO:
@@ -71,60 +66,35 @@ class TestRuleIO:
         assert rule_io(scm_sco).feeds(rule_io(cax))
 
 
-class TestStratification:
+class TestRuleDependencyGraph:
     @pytest.mark.parametrize("ruleset", RULESET_NAMES)
-    def test_waves_partition_the_rules(self, ruleset):
+    def test_feeds_agrees_with_rule_io(self, ruleset):
         rules = get_ruleset(ruleset)
         graph = RuleDependencyGraph(rules)
-        waves = graph.stratify()
-        flattened = [i for wave in waves for i in wave]
-        assert sorted(flattened) == list(range(len(rules)))
-        assert len(set(flattened)) == len(rules)
+        assert graph.io == [rule_io(rule) for rule in rules]
+        for i, producer in enumerate(graph.io):
+            assert graph.feeds(i) == [
+                j
+                for j, consumer in enumerate(graph.io)
+                if producer.feeds(consumer)
+            ]
 
     @pytest.mark.parametrize("ruleset", RULESET_NAMES)
-    def test_cross_component_edges_point_forward(self, ruleset):
+    def test_fed_by_inverts_feeds(self, ruleset):
         graph = RuleDependencyGraph(get_ruleset(ruleset))
-        waves = graph.stratify()
-        wave_of = {
-            i: number for number, wave in enumerate(waves) for i in wave
-        }
-        comp_of = {}
-        for comp_index, members in enumerate(graph.sccs()):
-            for member in members:
-                comp_of[member] = comp_index
-        for producer, consumer in graph.edges():
-            if comp_of[producer] == comp_of[consumer]:
-                assert wave_of[producer] == wave_of[consumer]
-            else:
-                assert wave_of[producer] < wave_of[consumer]
+        n = len(graph.rules)
+        for j in range(n):
+            assert graph.fed_by(j) == [
+                i for i in range(n) if j in graph.feeds(i)
+            ]
 
-    def test_full_rulesets_are_mutually_recursive(self):
-        # RDFS is recursive through the schema vocabulary: the analysis
-        # must discover one big component (that recursion is why
-        # Algorithm 1 iterates), i.e. a single maximal-parallelism wave.
-        graph = RuleDependencyGraph(get_ruleset("rdfs-default"))
-        assert len(graph.stratify()) == 1
-
-    def test_custom_rule_list_stratifies(self):
-        # SCM-SCO feeds CAX-SCO, but CAX-SCO (writes type) does not
-        # feed SCM-SCO (reads subClassOf only): two ordered waves.
-        rules = make_rules(["SCM-SCO", "CAX-SCO"])
-        graph = RuleDependencyGraph(rules)
-        assert wave_names(graph) == [["SCM-SCO"], ["CAX-SCO"]]
-
-    def test_three_layer_chain(self):
-        # SCM-SPO closes subPropertyOf; SCM-DOM2 consumes subPropertyOf
-        # and writes domain; PRP-DOM consumes domain and writes type —
-        # but PRP-DOM reads ANY, which SCM-DOM2's 'domain' feeds...
-        # and PRP-DOM writes type, which neither earlier rule reads, so
-        # the chain is acyclic and must layer into three waves.
+    def test_chain_feeds_one_way(self):
+        # SCM-SPO writes subPropertyOf, which SCM-DOM2 reads; each rule
+        # reads its own output; PRP-DOM reads ANY, so all three feed
+        # it, but it writes type, which neither of the other two reads.
         rules = make_rules(["SCM-SPO", "SCM-DOM2", "PRP-DOM"])
         graph = RuleDependencyGraph(rules)
-        waves = wave_names(graph)
-        assert waves == [["SCM-SPO"], ["SCM-DOM2"], ["PRP-DOM"]]
-
-    def test_stratification_is_deterministic(self):
-        rules = get_ruleset("rdfs-plus")
-        first = RuleDependencyGraph(rules).stratify()
-        second = RuleDependencyGraph(rules).stratify()
-        assert first == second
+        assert graph.feeds(0) == [0, 1, 2]
+        assert graph.feeds(1) == [1, 2]
+        assert graph.feeds(2) == [2]
+        assert graph.fed_by(2) == [0, 1, 2]

@@ -1,9 +1,9 @@
 """Structure derived from the rule descriptions, pinned as literals.
 
-Per-rule read/write sets, wave stratification, self-fed trims, hybrid
-absorption and the α / iterative-θ join inputs, for the five
-built-in rulesets, RDFS-default without its θ rules, and the iterative
-θ beside CAX-SCO.  The literals are what the per-class executors
+Per-rule read/write sets, self-fed trims, hybrid absorption and the
+α / iterative-θ join inputs, for the five built-in rulesets,
+RDFS-default without its θ rules, and the iterative θ beside
+CAX-SCO.  The literals are what the per-class executors
 (before the descriptions) produced; a change here changes the
 scheduler"s or the planner"s decisions.
 """
@@ -15,14 +15,9 @@ from repro.litemat.planner import plan_hybrid
 from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import RDF, RDFS
 from repro.rules.classes import self_fed_rules, shaped_rule
-from repro.rules.depgraph import RuleDependencyGraph, rule_io
+from repro.rules.depgraph import rule_io
 from repro.rules.rulesets import RULESET_NAMES, get_ruleset, ruleset_rule_names
 from repro.rules.table5 import BY_NAME, make_rules
-
-
-def wave_names(graph):
-    """The stratification with rule names instead of indexes."""
-    return [[graph.rules[i].name for i in wave] for wave in graph.stratify()]
 
 
 def catalogue(name):
@@ -87,134 +82,6 @@ IO = {
     "SCM-RNG2": (("range", "subPropertyOf"), ("range",)),
     "SCM-SCO": (("subClassOf",), ("subClassOf",)),
     "SCM-SPO": (("subPropertyOf",), ("subPropertyOf",)),
-}
-
-WAVES = {
-    "iterative+cax": [("ITER",), ("CAX-SCO",)],
-    "rdfs-default": [
-        (
-            "CAX-SCO",
-            "PRP-DOM",
-            "PRP-RNG",
-            "PRP-SPO1",
-            "SCM-DOM1",
-            "SCM-DOM2",
-            "SCM-RNG1",
-            "SCM-RNG2",
-            "SCM-SCO",
-            "SCM-SPO",
-        ),
-    ],
-    "rdfs-default-no-theta": [
-        (
-            "CAX-SCO",
-            "PRP-DOM",
-            "PRP-RNG",
-            "PRP-SPO1",
-            "SCM-DOM1",
-            "SCM-DOM2",
-            "SCM-RNG1",
-            "SCM-RNG2",
-        ),
-    ],
-    "rdfs-full": [
-        (
-            "CAX-SCO",
-            "PRP-DOM",
-            "PRP-RNG",
-            "PRP-SPO1",
-            "SCM-DOM1",
-            "SCM-DOM2",
-            "SCM-RNG1",
-            "SCM-RNG2",
-            "SCM-SCO",
-            "SCM-SPO",
-            "RDFS4",
-            "RDFS8",
-            "RDFS12",
-            "RDFS13",
-            "RDFS6",
-            "RDFS10",
-        ),
-    ],
-    "rdfs-plus": [
-        (
-            "CAX-EQC1",
-            "CAX-EQC2",
-            "CAX-SCO",
-            "EQ-REP",
-            "EQ-SYM",
-            "EQ-TRANS",
-            "PRP-DOM",
-            "PRP-EQP1",
-            "PRP-EQP2",
-            "PRP-FP",
-            "PRP-IFP",
-            "PRP-INV1",
-            "PRP-INV2",
-            "PRP-RNG",
-            "PRP-SPO1",
-            "PRP-SYMP",
-            "PRP-TRP",
-            "SCM-DOM1",
-            "SCM-DOM2",
-            "SCM-EQC1",
-            "SCM-EQC2",
-            "SCM-EQP1",
-            "SCM-EQP2",
-            "SCM-RNG1",
-            "SCM-RNG2",
-            "SCM-SCO",
-            "SCM-SPO",
-        ),
-    ],
-    "rdfs-plus-full": [
-        (
-            "CAX-EQC1",
-            "CAX-EQC2",
-            "CAX-SCO",
-            "EQ-REP",
-            "EQ-SYM",
-            "EQ-TRANS",
-            "PRP-DOM",
-            "PRP-EQP1",
-            "PRP-EQP2",
-            "PRP-FP",
-            "PRP-IFP",
-            "PRP-INV1",
-            "PRP-INV2",
-            "PRP-RNG",
-            "PRP-SPO1",
-            "PRP-SYMP",
-            "PRP-TRP",
-            "SCM-DOM1",
-            "SCM-DOM2",
-            "SCM-EQC1",
-            "SCM-EQC2",
-            "SCM-EQP1",
-            "SCM-EQP2",
-            "SCM-RNG1",
-            "SCM-RNG2",
-            "SCM-SCO",
-            "SCM-SPO",
-            "SCM-CLS",
-            "SCM-DP",
-            "SCM-OP",
-            "RDFS4",
-        ),
-    ],
-    "rho-df": [
-        (
-            "CAX-SCO",
-            "PRP-DOM",
-            "PRP-RNG",
-            "PRP-SPO1",
-            "SCM-DOM2",
-            "SCM-RNG2",
-            "SCM-SCO",
-            "SCM-SPO",
-        ),
-    ],
 }
 
 SELF_FED = {
@@ -330,12 +197,6 @@ def test_rule_io(name):
         assert (tuple(sorted(io.reads)), tuple(sorted(io.writes))) == (
             IO[rule.name]
         ), rule.name
-
-
-@pytest.mark.parametrize("name", CATALOGUES)
-def test_waves(name):
-    waves = wave_names(RuleDependencyGraph(catalogue(name)))
-    assert [tuple(wave) for wave in waves] == WAVES[name]
 
 
 @pytest.mark.parametrize("name", CATALOGUES)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dictionary.encoding import Dictionary, PROPERTY_BASE
+from repro.kernels.python_backend import PYTHON_KERNELS
 from repro.rules.spec import RuleContext, Vocab, table_or_none
 from repro.store.triple_store import InferredBuffers, TripleStore
 
@@ -49,6 +50,7 @@ class TestRuleContext:
             new=TripleStore(),
             out=InferredBuffers(),
             vocab=Vocab(Dictionary()),
+            kernels=PYTHON_KERNELS,
         )
         ctx.count("R", 3)
         ctx.count("R", 2)
