@@ -757,7 +757,7 @@ class InferrayEngine:
             )
             record["overdeleted"] = doomed.n_triples
         if record["reason"] is None:
-            delta = self._rederive(doomed, surviving, record)
+            delta = self._rederive(doomed, victims, surviving, record)
             stats = self._fixed_point(
                 self.scheduler, (), delta, 1, started, timeout_seconds
             )
@@ -813,15 +813,19 @@ class InferrayEngine:
                 delta = doomed.merge_inferred(outcome.out, outcome.own)
         return doomed, None
 
-    def _rederive(self, doomed: TripleStore, surviving: TripleColumn,
-                  record: dict) -> TripleStore:
-        """Swap in ``surviving`` and ``main`` minus what of ``doomed`` is
-        not asserted, plus what of that is rederived; returns the
-        rederived triples, the re-close's Δ."""
+    def _rederive(self, doomed: TripleStore, victims: set,
+                  surviving: TripleColumn, record: dict) -> TripleStore:
+        """Swap in ``surviving`` (the asserted column minus ``victims``)
+        and ``main`` minus what of ``doomed`` is not asserted, plus what
+        of that is rederived; returns the rederived triples, the
+        re-close's Δ."""
         kernels, rows = self.kernels, list(doomed.triples())
         asserted = TripleStore(backend=kernels)
+        # Still asserted: in the old column, whose index the victims'
+        # probe built, and not a victim (``surviving`` drops every copy).
         asserted.add_encoded(
-            row for row, hit in zip(rows, surviving.contains(rows)) if hit
+            row for row, hit in zip(rows, self._asserted.contains(rows))
+            if hit and row not in victims
         )
         reduced = self.main.share_view()
         removed = TripleStore(backend=kernels)

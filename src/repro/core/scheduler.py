@@ -1,13 +1,18 @@
-"""Parallel rule scheduler: one iteration fires the whole catalogue.
+"""Parallel rule scheduler: one iteration fires every rule the delta feeds.
 
 One :class:`ParallelRuleScheduler` owns the rule list of an engine.
-Per fixed-point iteration it fires every rule once over the same
-``(main, new)`` pair, as the paper's Algorithm 1 does, then hands the
-emissions back for one merge.  Ordering rules inside an iteration
-decides nothing (every rule reads the same snapshot), so there is no
-dependency analysis here: ``workers == 1`` fires the catalogue inline,
-in catalogue order, and ``workers > 1`` submits every rule at once to
-the scheduler's thread pool.  Threads are the one parallel substrate:
+Per fixed-point iteration it fires, once over the same ``(main, new)``
+pair, every rule whose body reads the delta: a variable predicate
+(:data:`~repro.rules.depgraph.ANY`) or a property with a table in
+``new`` (:func:`~repro.rules.depgraph.rule_io`).  Every derivation of
+a semi-naive leg has a body atom in Δ, so a rule that reads none of Δ's
+tables derives nothing new, and skipping it changes no output (VLog's
+table-granular skip).  The emissions go back for one merge, as in the
+paper's Algorithm 1.  Ordering rules inside an iteration decides
+nothing (every rule reads the same snapshot), so there is no dependency
+order here: ``workers == 1`` fires the rules inline, in catalogue
+order, and ``workers > 1`` submits them all at once to the scheduler's
+thread pool.  Threads are the one parallel substrate:
 the NumPy kernel backend's sort/merge/join primitives release the GIL,
 so rules can overlap on real cores without copying the store anywhere.
 
@@ -41,11 +46,12 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence
 
 from ..env import env_int
 from ..kernels import KernelBackend
 from ..rules.classes import self_fed_rules
+from ..rules.depgraph import ANY, rule_io
 from ..rules.spec import Rule, RuleContext, Vocab
 from ..store.triple_store import InferredBuffers, TripleStore
 
@@ -119,6 +125,12 @@ class ParallelRuleScheduler:
         #: Rule index → closed schema property, for the rules whose
         #: delta drops their own last output (decided once, by shape).
         self.self_fed: Dict[int, str] = self_fed_rules(self.rules)
+        #: Per rule, the vocabulary names of its body's predicates
+        #: (``ANY`` for a variable one), which decide whether it fires.
+        self.reads: List[FrozenSet[str]] = [
+            rule_io(rule).reads for rule in self.rules
+        ]
+        self._read_names = frozenset().union(*self.reads) - {ANY}
 
     @property
     def mode(self) -> str:
@@ -184,9 +196,11 @@ class ParallelRuleScheduler:
         iteration: int = 1,
         executor: Optional[ThreadPoolExecutor] = None,
     ) -> IterationOutcome:
-        """Fire every rule once; returns the outcome.
+        """Fire each rule that reads ``new`` once; returns the outcome.
 
-        All rules observe the same ``(main, new)`` snapshot; the caller
+        A rule fires if its body has a variable predicate or one whose
+        table ``new`` holds; fired rules keep catalogue order.  All
+        rules observe the same ``(main, new)`` snapshot; the caller
         merges ``outcome.out`` and ``outcome.own`` afterwards (the
         per-iteration barrier).  A self-fed rule whose own rows ``new``
         carries (``new.own_rows``, from the last merge) sees ``new``
@@ -216,7 +230,14 @@ class ParallelRuleScheduler:
             self.rules[rule_index].apply(ctx)
             return buffers, ctx.stats, time.perf_counter() - started
 
-        indexes = range(len(self.rules))
+        fed = {ANY}.union(
+            name for name in self._read_names if new.table(vocab[name])
+        )
+        indexes = [
+            index
+            for index, reads in enumerate(self.reads)
+            if not fed.isdisjoint(reads)
+        ]
         if executor is None:
             results = [fire(index) for index in indexes]
         else:
@@ -225,9 +246,8 @@ class ParallelRuleScheduler:
             results = [future.result() for future in futures]
 
         # Deterministic commit order: absorb in catalogue rule order.
-        for index, (rule, (buffers, counts, elapsed)) in enumerate(
-            zip(self.rules, results)
-        ):
+        for index, (buffers, counts, elapsed) in zip(indexes, results):
+            rule = self.rules[index]
             if index in self.self_fed:
                 outcome.own[index] = buffers
             else:

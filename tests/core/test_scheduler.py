@@ -1,9 +1,11 @@
 """Unit tests for the parallel rule scheduler and worker resolution."""
 
 import threading
-from collections import Counter
+from unittest import mock
 
 import pytest
+
+import repro.core.engine as engine_module
 
 from repro.core.engine import (
     FixedPointError,
@@ -12,9 +14,15 @@ from repro.core.engine import (
 )
 from repro.core.scheduler import ParallelRuleScheduler, resolve_workers
 from repro.core.store_api import Store, StoreConfig
-from repro.datasets.chains import subclass_chain
+from repro.datasets.chains import (
+    sameas_chain,
+    subclass_chain,
+    transitive_property_chain,
+)
+from repro.datasets.lubm import lubm_like
 from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import RDF, RDFS
+from repro.rules.depgraph import ANY, rule_io
 from repro.rules.rulesets import RULESET_NAMES, get_ruleset
 from repro.rules.spec import Rule
 from repro.rules.table5 import BY_NAME
@@ -137,31 +145,146 @@ def recording(rules, fired):
     return [wrap(rule) for rule in rules]
 
 
+def firing_log(engine, rules):
+    """Per ``run_iteration`` call of the engine's scheduler, the names
+    of the rules it fired (in firing order) and the properties with a
+    table in its delta."""
+    fired, log = [], []
+    recording(rules, fired)
+    run = engine.scheduler.run_iteration
+
+    def logged(**kwargs):
+        start = len(fired)
+        outcome = run(**kwargs)
+        log.append((fired[start:], set(kwargs["new"].property_ids())))
+        return outcome
+
+    engine.scheduler.run_iteration = logged
+    return log
+
+
+def reads_the_delta(engine, rule, tables):
+    """The firing invariant: the body has a variable predicate, or a
+    constant one with a table in the delta."""
+    reads = rule_io(rule).reads
+    return ANY in reads or any(
+        engine.vocab[name] in tables for name in reads - {ANY}
+    )
+
+
+LISA_KNOWS = Triple(ex("Lisa"), ex("knows"), ex("Bart"))
+
+
+def add_delete_and_log(ruleset, workers):
+    """A batch run, an add and a DRed delete, logged per iteration."""
+    rules = get_ruleset(ruleset)
+    engine = InferrayEngine(rules, workers=workers)
+    log = firing_log(engine, rules)
+    engine.load_triples(INTRO + [LISA_KNOWS])
+    try:
+        engine.materialize()
+        engine.materialize_incremental([Triple(ex("Maggie"), RDF.type,
+                                               ex("human"))])
+        with mock.patch.object(engine_module, "DRED_MAX_OVERDELETE_SHARE",
+                               1.0):
+            stats = engine.retract_and_rematerialize([INTRO[2]])
+    finally:
+        engine.close()
+    assert stats.deletion["route"] == "dred"
+    return engine, rules, log
+
+
 class TestRunIteration:
     @pytest.mark.parametrize("ruleset", RULESET_NAMES)
     @pytest.mark.parametrize("workers", (1, 2))
-    def test_every_rule_fires_once_per_iteration(self, workers, ruleset):
-        fired = []
-        rules = recording(get_ruleset(ruleset), fired)
-        engine = InferrayEngine(rules, workers=workers)
-        engine.load_triples(INTRO)
-        try:
-            stats = engine.materialize()
-        finally:
-            engine.close()
-        assert stats.iterations >= 1
-        assert Counter(fired) == {
-            rule.name: stats.iterations for rule in rules
-        }
+    def test_a_rule_fires_iff_its_body_reads_the_delta(self, workers,
+                                                       ruleset):
+        engine, rules, log = add_delete_and_log(ruleset, workers)
+        skipped = 0
+        for fired, tables in log:
+            expected = [
+                rule.name for rule in rules
+                if reads_the_delta(engine, rule, tables)
+            ]
+            assert sorted(fired) == sorted(expected)
+            skipped += len(rules) - len(expected)
+        # A delta of rdf:type rows alone skips every rule that reads
+        # only schema tables.
+        assert skipped > 0
 
-    def test_inline_firing_follows_catalogue_order(self):
-        fired = []
-        rules = recording(get_ruleset("rdfs-plus"), fired)
-        engine = InferrayEngine(rules, workers=1)
-        engine.load_triples(INTRO)
-        stats = engine.materialize()
+    @pytest.mark.parametrize("ruleset", RULESET_NAMES)
+    def test_inline_firing_keeps_catalogue_order(self, ruleset):
+        engine, rules, log = add_delete_and_log(ruleset, 1)
         names = [rule.name for rule in rules]
-        assert fired == names * stats.iterations
+        for fired, _ in log:
+            assert fired == [name for name in names if name in fired]
+            assert len(set(fired)) == len(fired)
+
+
+#: A LUBM-like ontology (sub-properties, domains, ranges, inverses)
+#: with θ input for every ruleset: a subClassOf chain, a transitive
+#: property and a sameAs chain.
+SKIP_BASE = (
+    lubm_like(1) + subclass_chain(6) + transitive_property_chain(5)
+    + sameas_chain(3)
+)
+SKIP_ADDS = [
+    Triple(ex("Maggie"), RDF.type, ex("human")),
+    Triple(ex("human"), RDFS.subClassOf, ex("mammal")),
+    Triple(ex("Maggie"), ex("knows"), ex("Bart")),
+    Triple(ex("knows"), RDFS.domain, ex("human")),
+]
+#: Instance rows of non-transitive properties: a delete DRed keeps.
+SKIP_VICTIMS = [
+    t for t in SKIP_BASE if t.predicate.value.endswith(
+        ("#takesCourse", "#memberOf", "#advisor")
+    )
+][::4]
+
+
+def observed(engine, stats):
+    """What the skip must not change: the stored tables, byte for
+    byte, the per-rule counts and each iteration's (derived, new)."""
+    tables = [(pid, flat.tobytes()) for pid, flat in engine.main.table_arrays()]
+    iterations = [(record.derived, record.new)
+                  for record in stats.per_iteration]
+    return tables, dict(stats.per_rule), iterations, stats.deletion
+
+
+class TestSkipDifferential:
+    """Firing every rule every iteration (the filter patched away) and
+    skipping the rules that read none of the delta close alike: a
+    batch run, an incremental add and a delete, full and hybrid (whose
+    reduced catalogue runs through the same filter)."""
+
+    @staticmethod
+    def runs(ruleset, mode, fire_all):
+        engine = InferrayEngine(ruleset, materialize_mode=mode)
+        if fire_all:
+            for scheduler in engine.schedulers:
+                scheduler.reads = [frozenset({ANY})] * len(scheduler.rules)
+        engine.load_triples(SKIP_BASE)
+        with mock.patch.object(engine_module, "DRED_MAX_OVERDELETE_SHARE",
+                               1.0):
+            runs = {
+                "batch": observed(engine, engine.materialize()),
+                "add": observed(
+                    engine, engine.materialize_incremental(SKIP_ADDS)
+                ),
+                "delete": observed(
+                    engine, engine.retract_and_rematerialize(SKIP_VICTIMS)
+                ),
+            }
+        return runs
+
+    @pytest.mark.parametrize("mode", ("full", "hybrid"))
+    @pytest.mark.parametrize("ruleset", RULESET_NAMES)
+    def test_fire_all_and_skip_agree(self, ruleset, mode):
+        skip = self.runs(ruleset, mode, fire_all=False)
+        assert skip == self.runs(ruleset, mode, fire_all=True)
+        route = "dred" if mode == "full" else "rebuild"
+        assert skip["delete"][3]["route"] == route
+        assert len(SKIP_VICTIMS) >= 4
 
 
 class TestEngineIntegration:

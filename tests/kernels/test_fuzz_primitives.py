@@ -20,6 +20,7 @@ from repro.closure.nuutila import build_reach_index
 from repro.kernels import get_backend
 from repro.kernels.base import SMALL_SIDE_RATIO
 from repro.kernels.compressed_backend import CompressedKernels
+from repro.kernels.numpy_backend import RUN_COPY_MAX_ROWS, RUN_COPY_RATIO
 from repro.kernels.python_backend import PYTHON_KERNELS
 
 BOUNDARY = 2 ** 32  # packed fast-path limit in the numpy backend
@@ -104,6 +105,38 @@ def _small_deltas():
     yield "small-unpackable", (wide, mixed(wide, 2, 3) + [(2 ** 62, 3)])
     negative = table(900, -(10 ** 6), 10 ** 6)
     yield "small-negative", (negative, mixed(negative, 2, 3, -(10 ** 6), 0))
+
+    # Edits either side of the run-by-run copy's crossover: k rows of
+    # an n-row table copy run by run while k ≤ RUN_COPY_MAX_ROWS and
+    # k · RUN_COPY_RATIO ≤ n.  The edit's rows are the delta's absent
+    # ones (merge_new inserts them) or its present ones (difference
+    # deletes them).
+    copies, per_row = RUN_COPY_MAX_ROWS, RUN_COPY_RATIO
+    capped = table(per_row * (copies + 1), 100, 10 ** 7)
+    narrow = table(per_row * 8, 100, 10 ** 6)
+    for runs, k in ((capped, copies), (capped, copies + 1),
+                    (narrow, 8), (narrow, 9)):
+        tag = f"runs-{k}-of-{len(runs)}"
+        yield f"{tag}-absent", (runs, mixed(runs, 0, k, 100, 10 ** 6))
+        yield f"{tag}-present", (runs, mixed(runs, k, 0))
+        yield f"{tag}-ends", (runs, sorted(
+            runs[:2] + runs[-2:]
+            + [(0, i) for i in range((k - 4) // 2)]
+            + [(10 ** 7 + i, 0) for i in range(k - 4 - (k - 4) // 2)]
+        ))
+        # Neighbouring table rows, and absent rows packed between two
+        # neighbours (inserted at one position).
+        start = len(runs) // 3
+        between = [(runs[start][0], runs[start][1] + 1 + i)
+                   for i in range(k // 2)]
+        between = [p for p in between if p < runs[start + 1]]
+        yield f"{tag}-adjacent", (runs, sorted(
+            set(runs[start : start + k - len(between)] + between)
+        ))
+        wide = sorted(set(runs) | {(0, 2 ** 40), (2 ** 62, 2 ** 62)})
+        yield f"{tag}-unpackable", (
+            wide, mixed(wide, k // 2, k - k // 2) + [(2 ** 62, 2 ** 40)]
+        )
 
 
 SMALL_DELTAS = dict(_small_deltas())
