@@ -375,7 +375,8 @@ with open(work / "data.ttl", "w") as out:
 
 #: The pattern shapes the CLI query reads: a variable predicate, a
 #: class keyed by object joined on, a constant subject, keyed and fully
-#: bound hierarchy lookups, and a variable repeated in one pattern.
+#: bound hierarchy lookups, a variable repeated in one pattern, and a
+#: pattern whose both ends an earlier one binds (a row filter).
 LUBM = "<http://example.org/lubm#{}>".format
 QUERIES = (
     "?s ?p ?o",
@@ -385,6 +386,7 @@ QUERIES = (
     f"{LUBM('headOf')} rdfs:subPropertyOf {LUBM('memberOf')} . "
     f"?c rdfs:subClassOf {LUBM('Person')}",
     "?y ?r ?y",
+    f"?x {LUBM('headOf')} ?o . ?x {LUBM('worksFor')} ?o",
 )
 
 
@@ -414,15 +416,19 @@ def drive_server(base: str) -> None:
     for row in query("?p rdfs:domain ?c", limit=1)["solutions"]:
         query(f"{row['p']} rdfs:domain ?c")
         query(f"?q rdfs:domain {row['c']}")
-    triple = (
+    # A sub-property fact too: rederiving what its removal overdeletes
+    # checks ⟨s headOf o⟩ with both ends bound, a row filter.
+    triples = (
         b"<http://example.org/reach/s> "
         b"<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
         b"<http://example.org/reach/C> .\n"
+        b"<http://example.org/reach/s> <http://example.org/lubm#headOf> "
+        b"<http://example.org/reach/o> .\n"
     )
     for _ in range(2):
-        call("/add?wait=1", triple)
+        call("/add?wait=1", triples)
         query("?x a <http://example.org/reach/C>", epoch=1)
-        call("/remove?wait=1", triple)
+        call("/remove?wait=1", triples)
     call("/stats")
     call("/metrics")
 

@@ -39,7 +39,7 @@ def pairs_as_tuples(flat_pairs):
     "ruleset, data, n_ops, digest",
     [
         ("rho-df", subclass_chain(80), 4, "4d133cfc3b2e4216"),
-        ("rdfs-plus", lubm_like(5), 62, "d63f1fa6c7aaf022"),
+        ("rdfs-plus", lubm_like(5), 63, "b7768515faa45a35"),
     ],
     ids=["chain80-rho-df", "lubm5-rdfs-plus"],
 )

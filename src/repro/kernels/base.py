@@ -235,6 +235,26 @@ class KernelBackend:
             [i for i, (a, b) in enumerate(zip(column1, column2)) if a == b],
         )
 
+    def where_present(self, sorted_flat, evens, odds):
+        """Ascending row indices i at which ⟨evens[i], odds[i]⟩ is a pair
+        of the sorted ``sorted_flat``: one binary search per row, no
+        pass over (and no copy of) ``sorted_flat``."""
+        n_pairs = len(sorted_flat) // 2
+        hits = array("q")
+        for i, key in enumerate(zip(evens, odds)):
+            low, high = 0, n_pairs
+            while low < high:
+                mid = (low + high) // 2
+                if (sorted_flat[2 * mid], sorted_flat[2 * mid + 1]) < key:
+                    low = mid + 1
+                else:
+                    high = mid
+            if low < n_pairs and (
+                sorted_flat[2 * low], sorted_flat[2 * low + 1]
+            ) == key:
+                hits.append(i)
+        return hits
+
     def repeat(self, values, counts):
         """``values[i]`` repeated ``counts[i]`` times, concatenated."""
         out = array("q")

@@ -660,6 +660,30 @@ class CompressedKernels(KernelBackend):
     def where_equal(self, column1, column2):
         return self._inner.where_equal(column1, column2)
 
+    def where_present(self, sorted_flat, evens, odds):
+        if not isinstance(sorted_flat, CompressedPairs):
+            return self._inner.where_present(sorted_flat, evens, odds)
+        evens = np.asarray(evens, dtype=np.int64)
+        odds = np.asarray(odds, dtype=np.int64)
+        # A row can only sit in the last block whose first pair is not
+        # above it: bisect the anchors, then decode each such block once.
+        anchors, last = sorted_flat._anchors, (float("inf"),) * 2
+        blocks = np.fromiter(
+            (bisect_right(anchors, key + last) - 1
+             for key in zip(evens.tolist(), odds.tolist())),
+            dtype=np.int64, count=evens.size,
+        )
+        hits = []
+        for block in np.unique(blocks[blocks >= 0]).tolist():
+            rows = np.flatnonzero(blocks == block)
+            found = self._inner.where_present(
+                sorted_flat._decode(block), evens[rows], odds[rows]
+            )
+            hits.append(rows[found])
+        if not hits:
+            return np.empty(0, dtype=np.int64)
+        return np.sort(np.concatenate(hits))
+
     def repeat(self, values, counts):
         return self._inner.repeat(values, counts)
 

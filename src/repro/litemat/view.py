@@ -121,6 +121,17 @@ class HybridTripleView:
         """Number of virtual rows of one property."""
         return len(self._virtual_pairs(property_id))
 
+    def present(self, property_id: int, subjects, objects):
+        """Indices of the ⟨subjects[i], objects[i]⟩ that are virtual rows
+        of one property: the contract of :meth:`TripleStore.present`,
+        one interval-backed :meth:`_contains` per pair (no table is
+        enumerated)."""
+        contains = self._contains
+        return self._kernels.concat([array("q", [
+            i for i, (s, o) in enumerate(zip(subjects.tolist(), objects.tolist()))
+            if contains(s, property_id, o)
+        ])])
+
     def columns(
         self,
         property_id: int,

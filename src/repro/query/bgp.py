@@ -19,7 +19,10 @@ Evaluation is set-at-a-time over encoded ids, on the sorted ⟨s, o⟩ /
   pattern with the store's :class:`~repro.kernels.KernelBackend`:
   a ``merge_join`` whose companions on the bound side are row numbers,
   or one ``key_slice`` probe per bound row when the bound side is small
-  next to the table (:func:`_use_probes`);
+  next to the table (:func:`_use_probes`); a pattern whose subject
+  and object are both bound filters the rows, one binary search per
+  row in the table's sorted view (the view's ``present``), with no
+  pass over the table;
 * the result is a :class:`SolutionTable` of id columns; terms are
   decoded only for the rows a caller asks for.
 
@@ -398,18 +401,9 @@ class _Evaluation:
         if isinstance(p, int):
             return self.extend_table(table, p, s, o)
         # A variable predicate is the union, over the tables, of the
-        # pattern with that property's id in place of the variable —
-        # in every position: one term has one id everywhere.
-        kernels = self.kernels
-        property_ids = self.view.property_ids()
-        bound = p in table.variables
-        groups = self.groups(table, p) if bound else [
-            (pid, table) for pid in property_ids
-        ]
+        # pattern with that property's id in place of the variable.
         parts = []
-        for pid, rows in groups:
-            if pid not in property_ids:
-                continue
+        for pid, rows in self.property_groups(table, p):
             part = self.extend_table(
                 rows, pid, _substitute(s, p, pid), _substitute(o, p, pid)
             )
@@ -417,78 +411,97 @@ class _Evaluation:
                 parts.append((pid, part))
         if not parts:
             return table.head(0)
+        kernels = self.kernels
         variables = parts[0][1].variables
         columns = [
             kernels.concat([part.columns[i] for _, part in parts])
             for i in range(len(variables))
         ]
         sizes = [len(part) for _, part in parts]
-        if not bound:
+        if p not in table.variables:
             variables += (p,)
             columns.append(
                 kernels.repeat([pid for pid, _ in parts], sizes)
             )
         return self.table(variables, columns, sum(sizes))
 
+    def property_groups(self, table: SolutionTable, p: str):
+        """``(property id, its rows of table)`` per table a variable
+        predicate ``p`` can name: per distinct value of ``p`` when it is
+        bound, every property with the whole table when it is not."""
+        property_ids = self.view.property_ids()
+        if p not in table.variables:
+            return [(pid, table) for pid in property_ids]
+        return [
+            (pid, rows) for pid, rows in self.groups(table, p)
+            if pid in property_ids
+        ]
+
+    def extend_group(
+        self, rows: SolutionTable, pid: int, s: _Position, p: str,
+        o: _Position,
+    ) -> SolutionTable:
+        """``rows`` ⋈ the triples of one property ``pid`` matching
+        ⟨s, p, o⟩ — the pattern with ``pid`` in place of the variable,
+        in every position (one term has one id everywhere), and ``p``
+        bound to ``pid`` when ``rows`` did not bind it."""
+        part = self.extend_table(
+            rows, pid, _substitute(s, p, pid), _substitute(o, p, pid)
+        )
+        if p in part.variables or not len(part):
+            return part
+        return self.table(
+            part.variables + (p,),
+            part.columns + [self.kernels.repeat((pid,), (len(part),))],
+            len(part),
+        )
+
     def extend_table(
         self, table: SolutionTable, pid: int, s: _Position, o: _Position
     ) -> SolutionTable:
         """``table`` ⋈ the rows of one property matching ⟨s, o⟩."""
         view, kernels = self.view, self.kernels
-        s_bound = s in table.variables
-        o_bound = o in table.variables
         if isinstance(s, int) and isinstance(o, int):
             return table if (s, pid, o) in view else table.head(0)
+        s_bound = s in table.variables
+        o_bound = o in table.variables
+        if (s_bound or isinstance(s, int)) and (o_bound or isinstance(o, int)):
+            # Both bound (or the same variable twice): a row filter, one
+            # lookup per row (the view's ``present``), no pass over the
+            # table.
+            def column(term):
+                if isinstance(term, int):
+                    return kernels.repeat((term,), (len(table),))
+                return table.column(term)
+
+            return self.gather(table, view.present(pid, column(s), column(o)))
         if not (s_bound or o_bound):
             return self.cross(table, self.scan(pid, s, o))
-        # Orient the pattern on a bound variable: ⟨key, other⟩ rows,
-        # read from the ⟨s, o⟩ or the ⟨o, s⟩ view accordingly.
+        # Orient the pattern on its bound variable: ⟨key, other⟩ rows,
+        # read from the ⟨s, o⟩ or the ⟨o, s⟩ view accordingly; the
+        # other position is a variable the table does not bind.
         by_object = not s_bound
         key, other = (o, s) if by_object else (s, o)
         keys = table.column(key)
-        if isinstance(other, int):
-            # ⟨other, key⟩ rows of the constant, in the opposite view.
-            matches = self.slice(pid, other, not by_object)
-            n_rows = len(matches) // 2
+        if _use_probes(len(table), view.table_size(pid)):
+            rows, companions = self.probe(pid, keys, by_object)
         else:
-            matches = None
-            n_rows = view.table_size(pid)
-        if _use_probes(len(table), n_rows):
-            rows, companions = self.probe(pid, keys, other, by_object)
-        else:
-            if matches is None:
-                matches = view.columns(pid, by_object=by_object)
-            else:
-                matches = kernels.swap(matches)
-            joined = kernels.merge_join(kernels.index_by_key(keys), matches)
-            rows, companions = joined[0::2], joined[1::2]
-        if other in table.variables:
-            # Bound as well (or the same variable twice): a row filter.
-            agree = kernels.where_equal(
-                kernels.take(table.column(other), rows), companions
+            joined = kernels.merge_join(
+                kernels.index_by_key(keys),
+                view.columns(pid, by_object=by_object),
             )
-            return self.gather(table, kernels.take(rows, agree))
+            rows, companions = joined[0::2], joined[1::2]
         extended = self.gather(table, rows)
-        if isinstance(other, str):
-            extended.variables += (other,)
-            extended.columns.append(companions)
+        extended.variables += (other,)
+        extended.columns.append(companions)
         return extended
 
-    def probe(self, pid: int, keys, other: _Position, by_object: bool):
+    def probe(self, pid: int, keys, by_object: bool):
         """``(row numbers, companions)`` of ``keys`` ⋈ one property, by
-        one lookup per bound row (companions ``None`` for a constant
-        ``other``: a membership test)."""
-        view, kernels = self.view, self.kernels
-        keys = keys.tolist()
-        if isinstance(other, int):
-            hits = [
-                i for i, key in enumerate(keys)
-                if ((other, pid, key) if by_object else (key, pid, other))
-                in view
-            ]
-            return kernels.concat([array("q", hits)]), None
-        chunks = [self.slice(pid, key, by_object)[1::2] for key in keys]
-        rows = kernels.repeat(range(len(keys)), [len(c) for c in chunks])
+        one lookup per bound row."""
+        kernels = self.kernels
+        chunks = [self.slice(pid, key, by_object)[1::2] for key in keys.tolist()]
+        rows = kernels.repeat(range(len(chunks)), [len(c) for c in chunks])
         return rows, kernels.concat(chunks)
 
     def scan(self, pid: int, s: _Position, o: _Position) -> SolutionTable:

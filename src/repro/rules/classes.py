@@ -10,7 +10,7 @@ with the kernel calls that shape needs (:func:`shaped_rule` picks one):
   merge over the ⟨s, o⟩ tables and their cached ⟨o, s⟩ views, exactly
   as the paper's Figure 4 describes for CAX-SCO;
 * :class:`SchemaRule` — a schema atom whose rows name the data atom's
-  predicate: one copy, swap or typing step per row (γ, δ);
+  predicate: one copy, swap or typing step per table they name (γ, δ);
 * :class:`OneAtomRule` — a one-atom body: Δ's rows written into each
   head (the trivial rules).
 
@@ -32,7 +32,10 @@ and ``ctx.main`` the store M ⊇ Δ.  A two-atom executor runs the legs of
 :func:`semi_naive_legs`: Δ ⋈ M and M ⋈ Δ, which cover every derivation
 with at least one atom in Δ (Δ ⋈ Δ twice; the merge drops the
 duplicates).  On a batch run's first iteration Δ *is* M and the two
-legs are one join, so only the first runs.
+legs are one join, so only the first runs.  A :class:`SchemaRule`'s
+M-schema × Δ-data leg walks Δ's tables and looks up the schema rows
+naming each by key, so it costs the tables Δ holds, not the schema's
+rows.
 
 A rule that re-feeds its own output over a transitively closed schema
 property S (CAX-SCO over subClassOf, PRP-SPO1 over subPropertyOf; see
@@ -147,12 +150,15 @@ class SchemaRule(Rule):
 
     Body ⟨schema row⟩ ∧ ⟨x ?p y⟩ with ``?p`` a variable of the schema
     atom, whose object may be a marker class (⟨?p type
-    SymmetricProperty⟩).  Each leg walks the schema rows and takes one
-    step on the table a row names: copy it into the head's table (δ:
-    PRP-SPO1, PRP-EQP1/2), swap it (PRP-INV1/2, PRP-SYMP), or pair its
-    distinct subjects (objects) with the row's class (PRP-DOM/RNG) —
-    cheap in practice because "the number of properties is much smaller
-    compared to classes and instances."
+    SymmetricProperty⟩).  Each leg pairs the tables of its data store
+    with the schema rows naming them, and takes one step per table:
+    copy it into each head table its rows name (δ: PRP-SPO1,
+    PRP-EQP1/2), swap it (PRP-INV1/2, PRP-SYMP), or pair its distinct
+    subjects (objects) with every class its rows name, one block per
+    table (PRP-DOM/RNG) — cheap in practice because "the number of
+    properties is much smaller compared to classes and instances."
+    The pairing walks the data store's tables and looks each one's
+    schema rows up by key, so a Δ leg costs the few tables Δ holds.
     """
 
     def __init__(self, name: str, description: Description,
@@ -176,6 +182,26 @@ class SchemaRule(Rule):
             raise _unsupported(name, description)
         self.source, self.target = row.index(data[1]), row.index(target)
 
+    def _named(self, schema, data_store, ctx):
+        """``(property id, table, targets)`` per table of ``data_store``
+        that schema rows name, with the ids those rows pair it with —
+        the property itself when the schema atom is a marker's: one key
+        lookup in the schema per table, so a leg costs the tables its
+        data store holds, not the schema's rows."""
+        by_object = self.source == 1
+        if self.marker is not None:
+            marked = set(schema.subjects_of(ctx.vocab[self.marker]))
+        # In ascending id order, as the schema's sorted rows name them.
+        for pid in sorted(data_store.property_ids()):
+            if self.marker is not None:
+                named = (pid,) if pid in marked else ()
+            else:
+                named = schema.columns(pid, by_object=by_object)[1::2]
+                if self.target == self.source:  # the head keeps ?p
+                    named = (pid,) * len(named)
+            if len(named):
+                yield pid, data_store.table(pid), named
+
     def apply(self, ctx: RuleContext) -> None:
         vocab = ctx.vocab
         kernels = ctx.kernels
@@ -184,38 +210,32 @@ class SchemaRule(Rule):
             schema = table_or_none(schema_store, vocab[self.schema])
             if schema is None:
                 continue
-            if self.marker is None:
-                rows = schema.iter_pairs()
-            else:
-                rows = [(p,) for p in schema.subjects_of(vocab[self.marker])]
-            # Schema rows come sorted on the table they name (⟨p, c⟩ for
-            # PRP-DOM/RNG): one distinct scan serves that table's run.
-            scanned = members = None
-            for row in rows:
-                table = table_or_none(data_store, row[self.source])
-                if table is None:
-                    continue
+            for pid, table, targets in self._named(schema, data_store, ctx):
                 if self.typed:
-                    if scanned is not table:
-                        scanned = table
-                        members = kernels.distinct_evens(
-                            table.pairs if self.use_subjects
-                            else table.os_pairs()
-                        )
-                    if len(members):
-                        ctx.out.extend(
-                            vocab[self.out],
-                            kernels.pair_with_constant(members, row[self.target]),
-                        )
-                    emitted += len(members)
-                elif self.reverse or row[self.target] != row[self.source]:
+                    members = kernels.concat([kernels.distinct_evens(
+                        table.pairs if self.use_subjects else table.os_pairs()
+                    )])
+                    if not len(members):
+                        continue
+                    # members × classes: the members once per class.
+                    n_classes = len(targets)
+                    ctx.out.extend(vocab[self.out], kernels.pair_with_constant(
+                        members, int(targets[0])
+                    ) if n_classes == 1 else kernels.interleave(
+                        kernels.concat([members] * n_classes),
+                        kernels.repeat(targets, [len(members)] * n_classes),
+                    ))
+                    emitted += len(members) * n_classes
+                    continue
+                pairs = table.pairs
+                for target in targets:
                     # (a table copied onto itself adds nothing)
-                    pairs = table.pairs
-                    ctx.out.extend(
-                        row[self.target],
-                        kernels.swap(pairs) if self.reverse else pairs,
-                    )
-                    emitted += table.n_pairs
+                    if self.reverse or target != pid:
+                        ctx.out.extend(
+                            int(target),
+                            kernels.swap(pairs) if self.reverse else pairs,
+                        )
+                        emitted += table.n_pairs
         ctx.count(self.name, emitted)
 
 

@@ -139,6 +139,12 @@ class PropertyTable:
                 return True
         return False
 
+    def present(self, subjects, objects):
+        """Ascending indices i at which ⟨subjects[i], objects[i]⟩ is a
+        row: one binary search per pair, no pass over or copy of the
+        table."""
+        return self._kernels.where_present(self._pairs, subjects, objects)
+
     def columns(self, key: Optional[int] = None, *, by_object: bool = False):
         """Rows of this table as a decoded flat pair array — the column
         accessor of the BGP evaluator.

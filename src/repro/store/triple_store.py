@@ -340,6 +340,14 @@ class TripleStore:
             return self._kernels.concat(())
         return table.columns(key, by_object=by_object)
 
+    def present(self, property_id: int, subjects, objects):
+        """Indices of the ⟨subjects[i], objects[i]⟩ that are rows of one
+        property; see :meth:`PropertyTable.present`."""
+        table = self._tables.get(property_id)
+        if table is None:
+            return self._kernels.concat(())
+        return table.present(subjects, objects)
+
     def table_size(self, property_id: int) -> int:
         """Number of rows of one property (0 when absent)."""
         table = self._tables.get(property_id)

@@ -1,11 +1,15 @@
 """Unit tests for the parallel rule scheduler and worker resolution."""
 
+import contextlib
 import threading
+from itertools import groupby
+from operator import itemgetter
 from unittest import mock
 
 import pytest
 
 import repro.core.engine as engine_module
+import repro.rules.classes as classes_module
 
 from repro.core.engine import (
     FixedPointError,
@@ -21,10 +25,11 @@ from repro.datasets.chains import (
 )
 from repro.datasets.lubm import lubm_like
 from repro.rdf.terms import IRI, Triple
-from repro.rdf.vocabulary import RDF, RDFS
+from repro.rdf.vocabulary import OWL, RDF, RDFS
+from repro.rules.classes import shaped_rule
 from repro.rules.depgraph import ANY, rule_io
 from repro.rules.rulesets import RULESET_NAMES, get_ruleset
-from repro.rules.spec import Rule
+from repro.rules.spec import Description, Rule, table_or_none
 from repro.rules.table5 import BY_NAME
 
 
@@ -285,6 +290,98 @@ class TestSkipDifferential:
         route = "dred" if mode == "full" else "rebuild"
         assert skip["delete"][3]["route"] == route
         assert len(SKIP_VICTIMS) >= 4
+
+
+#: A 50-triple add: SKIP_ADDS and facts over a property with a domain
+#: and a range, so the γ rules' Δ legs meet several Δ tables.
+DELTA_WALK_ADDS = SKIP_ADDS + [
+    Triple(ex(f"w{i}"), IRI("http://example.org/lubm#takesCourse"),
+           ex(f"course{i % 7}"))
+    for i in range(50 - len(SKIP_ADDS))
+]
+
+
+def row_walk(rule, schema, data_store, ctx):
+    """The reference pairing for ``SchemaRule._named``: every schema row
+    in one sorted pass, grouped by the table it names, each table
+    looked up in ``data_store``."""
+    if rule.marker is not None:
+        rows = [(pid, pid)
+                for pid in sorted(schema.subjects_of(ctx.vocab[rule.marker]))]
+    else:
+        flat = (schema.os_pairs() if rule.source == 1
+                else schema.pairs).tolist()
+        if rule.target == rule.source:
+            flat[1::2] = flat[0::2]
+        rows = zip(flat[0::2], flat[1::2])
+    for pid, named in groupby(rows, key=itemgetter(0)):
+        table = table_or_none(data_store, pid)
+        if table is not None:
+            yield pid, table, [target for _, target in named]
+
+
+class TestDeltaWalkDifferential:
+    """A γ/δ leg walking the data store's tables (each table's schema
+    rows looked up by key) closes like the reference walk over every
+    schema row (patched in): a batch run, a 50-triple add and a DRed
+    delete."""
+
+    @staticmethod
+    def runs(ruleset, mode, by_rows):
+        engine = InferrayEngine(ruleset, materialize_mode=mode)
+        engine.load_triples(SKIP_BASE)
+        walk = (mock.patch.object(classes_module.SchemaRule, "_named",
+                                  row_walk)
+                if by_rows else contextlib.nullcontext())
+        with mock.patch.object(engine_module, "DRED_MAX_OVERDELETE_SHARE",
+                               1.0), walk:
+            return {
+                "batch": observed(engine, engine.materialize()),
+                "add": observed(
+                    engine, engine.materialize_incremental(DELTA_WALK_ADDS)
+                ),
+                "delete": observed(
+                    engine, engine.retract_and_rematerialize(SKIP_VICTIMS)
+                ),
+            }
+
+    @pytest.mark.parametrize("mode", ("full", "hybrid"))
+    @pytest.mark.parametrize("ruleset", RULESET_NAMES)
+    def test_table_walk_and_row_walk_agree(self, ruleset, mode):
+        by_tables = self.runs(ruleset, mode, False)
+        assert by_tables == self.runs(ruleset, mode, True)
+        route = "dred" if mode == "full" else "rebuild"
+        assert by_tables["delete"][3]["route"] == route
+        assert len(DELTA_WALK_ADDS) == 50
+
+    @pytest.mark.parametrize("walks_rows", (False, True))
+    def test_marker_and_kept_predicate_rules(self, walks_rows):
+        # Three marked properties and three inverseOf rows against a Δ
+        # of two tables, walked by table or (patched in) by row.  The
+        # second rule's head keeps the named table (?p both ways).
+        rules = [
+            shaped_rule("SYMP", Description.of(
+                "?p type SymmetricProperty . ?x ?p ?y", "?y ?p ?x")),
+            shaped_rule("KEEP", Description.of(
+                "?p inverseOf ?q . ?x ?p ?y", "?y ?p ?x")),
+        ]
+        engine = InferrayEngine(rules)
+        engine.load_triples(
+            [Triple(ex(p), RDF.type, OWL.SymmetricProperty)
+             for p in ("knows", "likes", "sees")]
+            + [Triple(ex(f"p{i}"), OWL.inverseOf, ex(f"q{i}"))
+               for i in range(3)]
+        )
+        engine.materialize()
+        adds = [Triple(ex("a"), ex("knows"), ex("b")),
+                Triple(ex("c"), ex("p1"), ex("d"))]
+        with (mock.patch.object(classes_module.SchemaRule, "_named", row_walk)
+              if walks_rows else contextlib.nullcontext()):
+            engine.materialize_incremental(adds)
+        closure = set(engine.triples())
+        assert {Triple(ex("b"), ex("knows"), ex("a")),
+                Triple(ex("d"), ex("p1"), ex("c"))} <= closure
+        assert len(closure) == 6 + 4
 
 
 class TestEngineIntegration:

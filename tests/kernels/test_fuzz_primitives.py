@@ -477,3 +477,103 @@ def test_packed_path_fires_on_real_dictionary_ids(np_kernels):
     # but a genuine > 32-bit spread still falls back
     wide = asarray([0, 2 ** 40], int64)
     assert _pack(wide, odds[:2]) is None
+
+
+def _memberships():
+    """(table pairs, needle pairs) for ``where_present``: each needle
+    row is looked up in the table's sorted ⟨s, o⟩ and ⟨o, s⟩ views."""
+    rng = random.Random(SEED ^ 0x3E3B)
+
+    def table(n_pairs, low=0, high=10 ** 6):
+        rows = set()
+        while len(rows) < n_pairs:
+            rows.add((rng.randrange(low, high), rng.randrange(low, high)))
+        return sorted(rows)
+
+    def absent(rows, n, low=0, high=10 ** 6):
+        taken, out = set(rows), []
+        while len(out) < n:
+            pair = (rng.randrange(low, high), rng.randrange(low, high))
+            if pair not in taken:
+                out.append(pair)
+        return out
+
+    rows = table(500)
+    yield "empty-table", ([], rows[:3] + [(0, 0)])
+    yield "empty-needles", (rows, [])
+    yield "both-empty", ([], [])
+    mixed = rng.sample(rows, 20) + absent(rows, 20)
+    rng.shuffle(mixed)
+    yield "absent-and-present", (rows, mixed)
+    yield "duplicate-needles", (rows, [rows[7], rows[7], (1, 1), rows[0],
+                                       (1, 1), rows[7], rows[-1]])
+    # Both ends of the table, its neighbours, and rows past either end.
+    yield "first-and-last", (rows, [rows[0], rows[-1], (rows[0][0], -1),
+                                    (rows[-1][0], rows[-1][1] + 1),
+                                    (-1, -1), (2 ** 62, 2 ** 62)])
+    # A key's run: present and absent companions in it, and next to it.
+    key = rows[250][0]
+    run = [(key, value) for value in range(0, 10 ** 6, 997)]
+    runs = sorted(set(rows) | set(run[::2]))
+    yield "inside-a-run", (runs, run + [(key - 1, 0), (key + 1, 0)])
+    # Runs far longer than SCAN_RUN_ROWS: numpy searches whole rows.
+    hubs = sorted({(hub, rng.randrange(10 ** 6))
+                   for hub in range(3) for _ in range(400)})
+    yield "long-runs", (hubs, rng.sample(hubs, 10) + absent(hubs, 10, 0, 3))
+    wide = sorted(set(rows[:200]) | {(0, 2 ** 40), (2 ** 33, 1),
+                                     (2 ** 62, 2 ** 62), (BOUNDARY, 0)})
+    yield "unpackable", (wide, [(0, 2 ** 40), (2 ** 33, 1), (2 ** 62, 2 ** 62),
+                                (2 ** 33, 2), (BOUNDARY, 0), (BOUNDARY - 1, 0)]
+                         + rng.sample(wide, 5))
+    negative = table(300, -(10 ** 6), 10 ** 6)
+    yield "negative", (negative, rng.sample(negative, 6)
+                       + absent(negative, 6, -(10 ** 6), 0)
+                       + [(-(2 ** 62), 0)])
+    # Several compressed blocks: rows either side of every block edge.
+    blocks = table(3000)
+    edges = [blocks[i] for i in (0, 1023, 1024, 2047, 2048, 2999)]
+    yield "block-edges", (blocks, edges + absent(blocks, 10)
+                          + [(blocks[1023][0], blocks[1023][1] + 1)])
+
+
+MEMBERSHIPS = dict(_memberships())
+
+
+@pytest.mark.parametrize("scan_rows", [0, None, 10 ** 9])
+@pytest.mark.parametrize("case", sorted(MEMBERSHIPS))
+def test_where_present_matches(np_kernels, case, scan_rows, monkeypatch):
+    """Row membership by binary search, on numpy (each of its paths:
+    every run scanned, every row searched, the shipped bound, and one
+    row alone) and
+    on compressed (its blocks, and a plain array it hands to numpy),
+    against the interpreted reference and set semantics."""
+    from repro.kernels import numpy_backend
+
+    if scan_rows is not None:
+        monkeypatch.setattr(numpy_backend, "SCAN_RUN_ROWS", scan_rows)
+    table, needles = MEMBERSHIPS[case]
+    by_subject = PYTHON_KERNELS.sort_pairs(flat_of(table), dedup=True)
+    compressed = CompressedKernels()
+    for view in (by_subject, PYTHON_KERNELS.os_view(by_subject)):
+        present = set(zip(as_ints(view[0::2]), as_ints(view[1::2])))
+        expected = [i for i, row in enumerate(needles) if row in present]
+        evens = [s for s, _ in needles]
+        odds = [o for _, o in needles]
+        assert as_ints(PYTHON_KERNELS.where_present(view, evens, odds)) \
+            == expected
+        native = np_kernels.concat([view])
+        for kernels, flat in ((np_kernels, native),
+                              (compressed, compressed.asarray(view)),
+                              (compressed, native)):
+            got = kernels.where_present(
+                flat, np_kernels.concat([array("q", evens)]),
+                np_kernels.concat([array("q", odds)]),
+            )
+            assert as_ints(got) == expected
+            # One row at a time (numpy's one-row path).
+            for i, (s, o) in enumerate(needles):
+                alone = kernels.where_present(
+                    flat, np_kernels.concat([array("q", [s])]),
+                    np_kernels.concat([array("q", [o])]),
+                )
+                assert as_ints(alone) == ([0] if i in expected else [])

@@ -5,8 +5,10 @@ and the pattern form ``query(s, p, o)``, which is one pattern through
 the evaluator, against the same filter."""
 
 import functools
+from array import array
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -55,6 +57,14 @@ def check_columns(view, property_id, terms):
         assert by_object[1::2].tolist() == sorted(by_object[1::2].tolist())
     for s, o in itertools.product(terms, repeat=2):
         assert ((s, property_id, o) in view) == ((s, o) in everything)
+    # The row filter: indices of the present pairs, duplicates kept.
+    pairs = list(itertools.product(terms, repeat=2)) + list(everything[:2])
+    subjects, objects = (
+        view.kernels.concat([array("q", column)]) for column in zip(*pairs)
+    )
+    assert view.present(property_id, subjects, objects).tolist() == [
+        i for i, pair in enumerate(pairs) if pair in everything
+    ]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -67,6 +77,12 @@ def test_stored_table_columns_match_triples(backend):
     for property_id in (7, 8, EMPTY, ABSENT):
         check_columns(store, property_id, terms)
     assert rows_of(store.columns(7)) == ROWS[7]
+    # The row filter binary-searches the committed table in place.
+    kernels = type(store.kernels)
+    with mock.patch.object(kernels, "where_present", autospec=True,
+                           side_effect=kernels.where_present) as search:
+        store.present(7, *(store.columns(7)[i::2] for i in (0, 1)))
+    assert search.call_args.args[1] is store.table(7).pairs
     assert len(store.columns(ABSENT)) == len(store.columns(EMPTY)) == 0
     assert store.table_size(ABSENT) == store.table_size(EMPTY) == 0
     assert sorted(store.property_ids()) == [7, 8]
@@ -94,6 +110,27 @@ def test_hybrid_view_columns_match_its_triples(backend):
         check_columns(view, property_id, terms)
     # A property the view has never heard of.
     check_columns(view, 3, [1])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_hybrid_row_filter_enumerates_no_table(backend):
+    """A pattern bound at both ends is answered from the encoding's
+    intervals, one lookup per row: the hybrid view builds no whole
+    virtual table (no ``columns`` cache entry) to answer it."""
+    lubm = "http://example.org/lubm#"
+    query = f"?x a <{lubm}GraduateStudent> . ?x a <{lubm}Person>"
+    hybrid, full = (
+        Store(lubm_like(1, seed=3), ruleset="rdfs-default", backend=backend,
+              materialize=mode)
+        for mode in ("hybrid", "full")
+    )
+    snapshot = hybrid.snapshot()
+    answers = snapshot.solutions(query)
+    assert answers and sorted(map(str, answers)) == sorted(
+        map(str, full.snapshot().solutions(query))
+    )
+    cached = [key for key in snapshot._tables._state if key[0] == "columns"]
+    assert not cached
 
 
 SHAPES = list(itertools.product((False, True), repeat=3))

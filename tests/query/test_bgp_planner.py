@@ -113,37 +113,43 @@ class TestProbeOrMerge:
         assert not bgp._use_probes(0, 0)
 
     #: (second pattern, the rows of ``many`` given the size the rule
-    #: looks at: the table's, or the constant's slice of it).
+    #: looks at: the table's, or the constant's slice of it, and
+    #: whether the pattern binds nothing new — a row filter, taken at
+    #: every size).
     VARIANTS = {
         "new companion": (
             "?x <{ns}many> ?z",
             lambda n: [(f"k{i % 3}", f"z{i}") for i in range(n)],
+            False,
         ),
         "keyed on the object": (
             "?z <{ns}many> ?x",
             lambda n: [(f"z{i}", f"k{i % 3}") for i in range(n)],
+            False,
         ),
         "constant companion": (
             "?x <{ns}many> <{ns}c>",
             lambda n: [(f"k{i}", "c") for i in range(n)],
+            True,
         ),
         "both bound": (
             "?x <{ns}many> ?y",
             lambda n: [(f"k{i % 3}", f"o{i // 3}") for i in range(n)],
+            True,
         ),
     }
 
     @pytest.mark.parametrize("probes", [False, True])
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_both_sides_of_the_rule_agree(self, variant, probes, monkeypatch):
-        second, many_rows = self.VARIANTS[variant]
+        second, many_rows, filters = self.VARIANTS[variant]
         few = [("k0", "o0"), ("k1", "o1")]
         size = len(few) * bgp._ROWS_PER_PROBE + (1 if probes else 0)
         store = Store(
             edges("few", few) + edges("many", many_rows(size)),
             ruleset="rho-df",
         )
-        calls = []
+        calls, searched = [], []
         probe = bgp._Evaluation.probe
 
         def spy(self, *args):
@@ -154,7 +160,23 @@ class TestProbeOrMerge:
         patterns = parse_bgp((f"?x <{NS}few> ?y . " + second).format(ns=NS))
         query = Query(patterns)
         assert planned(query, store)[0].predicate == ex("few")
+        # The read view of either mode: its row filter is ``present``.
+        view, dictionary = bgp._id_view(store)
+        present = type(view).present
+
+        def present_spy(self, *args):
+            searched.append(args)
+            return present(self, *args)
+
+        monkeypatch.setattr(type(view), "present", present_spy)
         answers = multiset(query.execute(store))
-        assert len(calls) == (1 if probes else 0)
+        if filters:
+            # One lookup per bound row, in the second pattern's table.
+            assert not calls and len(searched) == 1
+            property_id, subjects, objects = searched[0]
+            assert property_id == dictionary.id_of(ex("many"))
+            assert len(subjects) == len(objects) == len(few)
+        else:
+            assert len(calls) == (1 if probes else 0) and not searched
         assert answers == multiset(TupleAtATimeQuery(patterns).execute(store))
         assert answers
