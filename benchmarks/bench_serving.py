@@ -303,10 +303,12 @@ def main(argv=None):
 
     for label, phase in report["phases"].items():
         read = phase["read"]
-        line = (
-            f"{label:10s} read p50 {read['p50_ms']:.2f} ms, "
-            f"p99 {read['p99_ms']:.2f} ms, {read['qps']:.0f} q/s"
-        )
+        line = f"{label:10s}"
+        if read["n"]:  # --readers 0 sends none
+            line += (
+                f" read p50 {read['p50_ms']:.2f} ms, "
+                f"p99 {read['p99_ms']:.2f} ms, {read['qps']:.0f} q/s"
+            )
         if "write" in phase:
             write = phase["write"]
             line += (

@@ -406,6 +406,12 @@ def drive_server(base: str) -> None:
     call("/query", json.dumps({"query": "?s ?p ?o", "limit": 5}).encode())
     for text in ("?s ?p ?o", "?c rdfs:subClassOf ?d", "?p rdfs:domain ?c"):
         query(text, limit=20)
+    # An answer of more rows than one render slice (the server's
+    # RENDER_SLICE_ROWS, 2,048), so the render yields between slices:
+    # the product of every type row with every subclass row.
+    product = query("?x a ?c . ?d rdfs:subClassOf ?e", limit=-1)
+    if product["returned"] <= 2048:
+        raise SystemExit("check_reach: the answer fits one render slice")
     # Keyed lookups, by object, by subject and fully bound: in hybrid
     # mode each is answered from the interval encoding.
     for row in query("?x a ?c . ?c rdfs:subClassOf ?d", limit=1)["solutions"]:

@@ -207,10 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(failed flushes keep the writes queued and retry)",
     )
     serve_cmd.add_argument(
-        "--read-workers", type=int, default=4, metavar="N",
-        help="threads answering BGP queries",
-    )
-    serve_cmd.add_argument(
         "--read-timeout", type=float, default=30.0, metavar="SECONDS",
         help="slowloris guard: a started request must finish arriving "
         "within this window or gets 408 (0 disables)",
@@ -509,7 +505,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         announce=announce,
         queue_depth=args.queue_depth,
         retained_epochs=args.retained_epochs,
-        read_workers=args.read_workers,
         read_timeout=args.read_timeout,
         wal=wal,
         checkpoint_path=checkpoint_path,

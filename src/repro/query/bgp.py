@@ -257,10 +257,16 @@ class SolutionTable:
         """The first ``limit`` solutions."""
         if limit >= self._n:
             return self
+        return self.window(0, limit)
+
+    def window(self, start: int, stop: int) -> "SolutionTable":
+        """The solutions from row ``start`` up to, not including,
+        ``stop``, which is cut at the end of the table."""
+        stop = min(stop, self._n)
         return SolutionTable(
             self.variables,
-            [column[:limit] for column in self.columns],
-            limit,
+            [column[start:stop] for column in self.columns],
+            stop - start,
             self._dictionary,
         )
 

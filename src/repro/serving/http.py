@@ -118,6 +118,12 @@ async def read_request(
     and body must complete within ``timeout`` seconds or the request
     fails with ``408 Request Timeout`` (and the connection closes, so
     a half-sent request cannot park a connection task forever).
+
+    The deadline is ``asyncio.timeout`` where it exists (Python 3.11
+    on): a timer on the connection's own task, not the task that
+    ``asyncio.wait_for`` makes per request before Python 3.12.  Either
+    way, only the deadline becomes the 408; another cancellation (a
+    server shutdown cancelling the connection) propagates unchanged.
     """
     first = await reader.read(1)
     if not first:
@@ -126,13 +132,20 @@ async def read_request(
     if timeout is None:
         return await rest
     try:
-        return await asyncio.wait_for(rest, timeout)
+        if _deadline is None:
+            return await asyncio.wait_for(rest, timeout)
+        async with _deadline(timeout):
+            return await rest
     except asyncio.TimeoutError:
         raise HTTPError(
             408,
             f"request read timed out after {timeout:g}s "
             "(line, headers and body must arrive promptly)",
         )
+
+
+#: ``asyncio.timeout`` (Python >= 3.11), else ``None``.
+_deadline = getattr(asyncio, "timeout", None)
 
 
 async def _read_request_after(

@@ -68,6 +68,11 @@ class ServingMetrics:
         self.flushed_triples_total = 0
         self.flush_batch_max = 0
         self.flush_latency = LatencyWindow()
+        #: Wall seconds per answered ``/query``, from evaluation to the
+        #: rendered body (not parsing the request or writing the
+        #: response).  It includes the time the loop spent on other
+        #: requests while this one waited for its evaluation thread or
+        #: yielded between render slices.
         self.read_latency = LatencyWindow()
         #: Epoch lag observed by reads that pinned an older epoch.
         self.read_epoch_lag = LatencyWindow(size=4096)

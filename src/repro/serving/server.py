@@ -7,8 +7,19 @@ query-serving front end):
   publishes an immutable :class:`~repro.core.store_api.Snapshot`; query
   handlers answer from the currently published snapshot (or from an
   older retained epoch pinned via ``?epoch=N``), so a reader never
-  observes a partially flushed closure and readers scale without
-  locking writers.
+  observes a partially flushed closure and a read takes no lock
+  against the writer.
+* **A one-pattern read runs on the event loop.**  One pattern over
+  the materialized closure is a table read, cheaper than a hand-off to
+  a thread, so ``/query`` evaluates it where it arrives.  A BGP of two
+  or more patterns (a join or a product, which can take tens of
+  milliseconds) is evaluated on a thread, so the loop keeps answering
+  other connections.  Either way the answer is decoded and
+  JSON-encoded :data:`RENDER_SLICE_ROWS` rows at a time on the loop,
+  with a yield between slices: a long answer delays a request on
+  another connection by one slice (and a one-pattern read by its table
+  read), not by the whole render.  Flushes and WAL appends run on
+  threads of their own.
 * **All writes funnel through one batching queue.**  ``POST /add`` and
   ``POST /remove`` enqueue; a single writer task drains the whole queue
   into the store and runs *one* incremental flush per batch — bursts
@@ -41,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.store_api import Snapshot, Store
 from ..faults import fire as _fire_fault
-from ..query.bgp import BGPSyntaxError
+from ..query.bgp import BGPSyntaxError, Query, SolutionTable, parse_bgp
 from ..rdf.ntriples import NTriplesError, parse
 from .http import HTTPError, Request, json_body, read_request, render_response
 from .metrics import ServingMetrics
@@ -49,6 +60,12 @@ from .queue import Mutation, MutationQueue, QueueClosed, QueueFull
 from .wal import WriteAheadLog
 
 __all__ = ["FlushFailed", "ReasoningServer"]
+
+#: Solutions rendered between two yields to the event loop.  Answers
+#: are rendered on the loop, so a long answer is decoded and encoded in
+#: slices: a request on another connection waits for one slice, not for
+#: the whole render.
+RENDER_SLICE_ROWS = 2048
 
 #: (status, body, content-type, extra headers) produced by a handler.
 Response = Tuple[int, bytes, str, Dict[str, str]]
@@ -77,8 +94,6 @@ class ReasoningServer:
         older epochs answer ``410 Gone``.
     flush_retry_seconds:
         Back-off before the writer retries a failed flush.
-    read_workers:
-        Threads answering BGP queries off the event loop.
     default_limit:
         Cap on solutions returned when the client sends no ``limit``.
     read_timeout:
@@ -109,7 +124,6 @@ class ReasoningServer:
         queue_depth: int = 256,
         retained_epochs: int = 8,
         flush_retry_seconds: float = 0.5,
-        read_workers: int = 4,
         default_limit: int = 1000,
         max_drain_failures: int = 3,
         read_timeout: Optional[float] = 30.0,
@@ -158,10 +172,6 @@ class ReasoningServer:
         self._flushed_wal_seq = 0
         self._flush_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-flush"
-        )
-        self._read_pool = ThreadPoolExecutor(
-            max_workers=max(1, read_workers),
-            thread_name_prefix="repro-read",
         )
         # WAL appends get a dedicated single thread: they must not sit
         # behind a long materialization on the flush thread (appends
@@ -276,7 +286,6 @@ class ReasoningServer:
         if self._wal_pool is not None:
             self._wal_pool.shutdown(wait=True)
         self._flush_pool.shutdown(wait=True)
-        self._read_pool.shutdown(wait=True)
         if self._wal is not None:
             self._wal.close()
         self._closed.set()
@@ -567,7 +576,9 @@ class ReasoningServer:
             payload = _json_payload(request)
             text = payload.get("query")
             limit = payload.get("limit")
-            if limit is not None and not isinstance(limit, int):
+            if limit is not None and (
+                isinstance(limit, bool) or not isinstance(limit, int)
+            ):
                 raise HTTPError(400, "limit must be an integer")
             if "epoch" in payload and payload["epoch"] is not None:
                 request.query["epoch"] = str(payload["epoch"])
@@ -582,32 +593,23 @@ class ReasoningServer:
             limit = self.default_limit
         snapshot = self._pin_epoch(request)
         started = time.monotonic()
-
-        def run() -> Tuple[int, List[dict]]:
-            # Every solution is counted; only the rows returned are
-            # decoded (limit < 0: all of them).
-            table = snapshot.evaluate(text)
-            returned = table if limit < 0 else table.head(limit)
-            return len(table), returned.bindings()
-
-        loop = asyncio.get_running_loop()
         try:
-            n_total, solutions = await loop.run_in_executor(
-                self._read_pool, run
-            )
+            query = Query(parse_bgp(text))
         except BGPSyntaxError as error:
             raise HTTPError(400, f"bad BGP: {error}")
+        if len(query.patterns) == 1:
+            # One pattern is one table read: cheaper than a hand-off.
+            table = snapshot.evaluate(query)
+        else:
+            # A join or a product can take tens of milliseconds; on a
+            # thread, the loop answers other connections meanwhile.
+            table = await asyncio.to_thread(snapshot.evaluate, query)
+        # Every solution is counted; only the rows returned are decoded
+        # (limit < 0: all of them).
+        returned = table if limit < 0 else table.head(limit)
+        body = await _render_answer(snapshot.epoch, len(table), returned)
         self.metrics.read_latency.observe(time.monotonic() - started)
-        payload = {
-            "epoch": snapshot.epoch,
-            "n": n_total,
-            "returned": len(solutions),
-            "solutions": [
-                {name: term.n3() for name, term in solution.items()}
-                for solution in solutions
-            ],
-        }
-        return 200, json_body(payload), "application/json", {}
+        return 200, body, "application/json", {}
 
     async def _handle_health(self, request: Request) -> Response:
         self.metrics.count_request("health")
@@ -791,6 +793,32 @@ class ReasoningServer:
         """Seconds a 429'd client should back off: roughly one flush."""
         p50 = self.metrics.flush_latency.percentile(0.5) or 0.0
         return max(1, int(p50 + 0.999))
+
+
+# ----------------------------------------------------------------------
+# Rendering an answer
+# ----------------------------------------------------------------------
+async def _render_answer(epoch: int, n: int, table: SolutionTable) -> bytes:
+    """The ``/query`` body: ``json_body`` of ``{"epoch", "n",
+    "returned", "solutions"}``, byte for byte, where ``table`` holds the
+    returned rows of an answer with ``n`` solutions in all.
+
+    The rows are decoded and encoded :data:`RENDER_SLICE_ROWS` at a
+    time, with a yield to the event loop between slices.
+    """
+    names = table.variables
+    pieces: List[bytes] = []
+    for start in range(0, len(table), RENDER_SLICE_ROWS):
+        if pieces:
+            await asyncio.sleep(0)
+        rows = table.window(start, start + RENDER_SLICE_ROWS).term_rows()
+        solutions = [
+            {name: term.n3() for name, term in zip(names, row)}
+            for row in rows
+        ]
+        pieces.append(json_body(solutions)[1:-1])  # the list's items
+    head = json_body({"epoch": epoch, "n": n, "returned": len(table)})
+    return head[:-1] + b',"solutions":[' + b",".join(pieces) + b"]}"
 
 
 # ----------------------------------------------------------------------

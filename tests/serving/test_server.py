@@ -553,6 +553,16 @@ def test_error_shapes(served):
     assert status == 400
 
 
+@pytest.mark.parametrize("limit", [True, False, 1.0, "5"])
+def test_post_query_limit_must_be_an_integer(served, limit):
+    """A JSON ``true`` is a Python ``int``; it must not read as 1."""
+    _, _, client = served
+    body = json.dumps({"query": f"?who a <{EX}mammal>", "limit": limit})
+    status, _, payload = client.request("POST", "/query", body)
+    assert status == 400
+    assert "limit must be an integer" in payload["error"]
+
+
 def test_concurrent_readers_and_writers_stay_consistent(served):
     """Interleaved readers and writers: every response is internally
     consistent (epoch N always answers with epoch N's closure)."""
