@@ -19,9 +19,9 @@ once a second and at exit.  The surfaces:
   pattern shapes, ``stats`` and ``rules``;
 * ``repro serve``, driven here over ``/health``, ``/stats``,
   ``/metrics``, ``/query`` (GET and POST), ``/add`` and ``/remove``, in
-  full mode from a store file (with a WAL and checkpoints), in
-  hybrid mode from an N-Triples file with keyed lookups, and in full
-  mode on the python kernels;
+  full mode from a store file (with a WAL and checkpoints, then booted
+  again over a torn log), in hybrid mode from an N-Triples file with
+  keyed lookups, and in full mode on the python kernels;
 * every script in ``examples/``;
 * the paper scripts (Tables 1–4, Figures 7–8, both ablations) at
   ``--smoke`` size, as CI runs them.
@@ -270,8 +270,14 @@ class Surfaces:
         self.run(*repro, "query", str(ttl), QUERIES[1])
 
     def serve(self, nt: Path) -> None:
-        self._serve(["full.store", "--wal", "serve.wal", "--wal-fsync",
-                     "batch", "--checkpoint-every", "2"])
+        with_wal = ["full.store", "--wal", "serve.wal", "--wal-fsync",
+                    "batch", "--checkpoint-every", "2"]
+        self._serve(with_wal)
+        # Reboot over a log whose last append a crash tore: recovery
+        # truncates the torn bytes away.
+        with open(self.work / "serve.wal", "ab") as log:
+            log.write(b"\0" * 5)
+        self._serve(with_wal)
         self._serve([str(nt), "--materialize", "hybrid"])
         # The reference kernels under small served writes.
         self._serve([str(nt), "--backend", "python"])

@@ -6,7 +6,9 @@ layout.  A file is the magic bytes, a little-endian ``uint32`` header
 length, a JSON header, then the blobs the header describes, in order:
 one per property table, the asserted id triples, and any named
 sections.  The golden files under ``tests/fixtures/stores/`` pin every
-version this build reads.
+version this build reads.  The file reaches disk through
+:func:`repro.durable.write_atomically`, the one atomic replace in the
+package.
 
 The v4 header's scalar-sort key once named the engine's pair sort; the
 sort is now fixed per kernel backend, so the writer always puts
@@ -20,16 +22,14 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import struct
-import tempfile
 import warnings
 import zlib
 from typing import Dict, List, Optional, Tuple
 
+from .. import durable
 from ..dictionary.encoding import Dictionary
 from ..dictionary.triple_column import TripleColumn
-from ..faults import fire as _fire_fault
 from ..rdf.terms import term_from_record, term_to_record
 from ..rules.rulesets import RULESET_NAMES
 from .engine import MATERIALIZE_MODES
@@ -126,13 +126,10 @@ def write_store(engine, path: str) -> int:
     so :func:`read_store` restores the closure in O(read) without
     re-running inference.
 
-    The write is crash-safe: the bytes go to a temporary file in the
-    same directory, which is fsynced and atomically ``os.replace``\\ d
-    over ``path`` (the directory is fsynced too, so the rename itself
-    survives power loss).  A crash at any point leaves either the
-    previous file intact or the complete new one — never a torn mix.
-    Every blob carries a CRC32 in the header (format v4) that
-    :func:`read_store` verifies.
+    The write is crash-safe (:func:`repro.durable.write_atomically`):
+    a crash at any point leaves either the previous file intact or the
+    complete new one — never a torn mix.  Every blob carries a CRC32
+    in the header (format v4) that :func:`read_store` verifies.
     """
     property_terms, resource_terms = engine.dictionary.term_lists()
     table_entries = []
@@ -186,54 +183,9 @@ def write_store(engine, path: str) -> int:
         "sections": sections,
     }
     payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    # Crash safety: write everything to a same-directory temp file,
-    # force it to disk, then atomically rename over the target.  A
-    # fault anywhere in between leaves the previous file untouched.
-    target = os.path.abspath(path)
-    directory = os.path.dirname(target) or os.curdir
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(target) + ".", suffix=".tmp"
+    return durable.write_atomically(
+        path, [STORE_MAGIC, struct.pack("<I", len(payload)), payload, *blobs]
     )
-    written = 0
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            written += handle.write(STORE_MAGIC)
-            written += handle.write(struct.pack("<I", len(payload)))
-            written += handle.write(payload)
-            _fire_fault("persist.write", target)
-            for blob in blobs:
-                written += handle.write(blob)
-            handle.flush()
-            _fire_fault("persist.fsync", target)
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-    _fsync_directory(directory)
-    return written
-
-
-def _fsync_directory(directory: str) -> None:
-    """Force a directory's entry table to disk (best effort).
-
-    Needed after ``os.replace`` for the rename itself to be durable.
-    Some filesystems refuse to fsync a directory fd; that only costs
-    durability of the rename, never atomicity, so failures are ignored.
-    """
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)
 
 
 def _flat_to_le_bytes(flat) -> bytes:

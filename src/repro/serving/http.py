@@ -119,11 +119,10 @@ async def read_request(
     fails with ``408 Request Timeout`` (and the connection closes, so
     a half-sent request cannot park a connection task forever).
 
-    The deadline is ``asyncio.timeout`` where it exists (Python 3.11
-    on): a timer on the connection's own task, not the task that
-    ``asyncio.wait_for`` makes per request before Python 3.12.  Either
-    way, only the deadline becomes the 408; another cancellation (a
-    server shutdown cancelling the connection) propagates unchanged.
+    The deadline is ``asyncio.timeout``: a timer on the connection's
+    own task, not a task per request.  Only the deadline becomes the
+    408; another cancellation (a server shutdown cancelling the
+    connection) propagates unchanged.
     """
     first = await reader.read(1)
     if not first:
@@ -132,9 +131,7 @@ async def read_request(
     if timeout is None:
         return await rest
     try:
-        if _deadline is None:
-            return await asyncio.wait_for(rest, timeout)
-        async with _deadline(timeout):
+        async with asyncio.timeout(timeout):
             return await rest
     except asyncio.TimeoutError:
         raise HTTPError(
@@ -142,10 +139,6 @@ async def read_request(
             f"request read timed out after {timeout:g}s "
             "(line, headers and body must arrive promptly)",
         )
-
-
-#: ``asyncio.timeout`` (Python >= 3.11), else ``None``.
-_deadline = getattr(asyncio, "timeout", None)
 
 
 async def _read_request_after(

@@ -51,7 +51,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.store_api import Snapshot, Store
-from ..faults import fire as _fire_fault
 from ..query.bgp import BGPSyntaxError, Query, SolutionTable, parse_bgp
 from ..rdf.ntriples import NTriplesError, parse
 from .http import HTTPError, Request, json_body, read_request, render_response
@@ -306,7 +305,6 @@ class ReasoningServer:
         the batch left nothing to flush (e.g. removes of triples that
         were never asserted).
         """
-        _fire_fault("serving.flush")
         for mutation in batch:
             if mutation.kind == "add":
                 self._store.add(list(mutation.triples))

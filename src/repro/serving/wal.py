@@ -10,8 +10,9 @@ every record that was not yet covered by a checkpoint.
 Checkpoints bound replay work: after a successful flush the server
 saves the store (``Store.save`` is atomic, format v4) and calls
 :meth:`WriteAheadLog.checkpoint` with the highest flushed sequence
-number, which compacts the log down to the still-unflushed tail via
-the same write-temp-then-``os.replace`` dance.
+number, which compacts the log down to the still-unflushed tail with
+the same atomic replace.  Every append, sync, rewrite and truncate
+goes through :mod:`repro.durable`.
 
 Replay is **at-least-once**: a record whose flush landed but whose
 checkpoint did not is re-applied on boot.  That is safe because
@@ -24,7 +25,9 @@ On-disk layout: an 11-byte magic followed by records of
 ``<I`` CRC32 over header+payload.  A torn tail (partial record from a
 crash mid-append) is detected by length/CRC, dropped with a warning,
 and truncated away — records *behind* it were fsynced before any ack,
-so only never-acknowledged bytes can tear.
+so only never-acknowledged bytes can tear.  A file torn inside the
+magic itself (a crash while the log was being created) opens as an
+empty log.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import warnings
 import zlib
 from typing import IO, List, Optional, Sequence, Tuple
 
-from ..faults import fire as _fire_fault
+from .. import durable
 from ..rdf.ntriples import parse as _parse_ntriples
 from ..rdf.terms import Triple
 
@@ -100,7 +103,10 @@ class WriteAheadLog:
             return
         with open(self.path, "rb") as handle:
             blob = handle.read()
-        if not blob:
+        if len(blob) < len(WAL_MAGIC) and WAL_MAGIC.startswith(blob):
+            # Empty, or torn inside the magic by a crash in _open_fresh
+            # before its fsync: no record can have been acked yet.
+            durable.truncate_file(self.path, 0)
             self._open_fresh()
             return
         if not blob.startswith(WAL_MAGIC):
@@ -132,19 +138,14 @@ class WriteAheadLog:
                 "mid-append; the torn record was never acknowledged)",
                 RuntimeWarning,
             )
-            with open(self.path, "r+b") as handle:
-                handle.truncate(valid_end)
-                handle.flush()
-                os.fsync(handle.fileno())
+            durable.truncate_file(self.path, valid_end)
         self._handle = open(self.path, "ab")
 
     def _open_fresh(self) -> None:
         self._handle = open(self.path, "ab")
         if self._handle.tell() == 0:
-            self._handle.write(WAL_MAGIC)
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            _fsync_parent_dir(self.path)
+            durable.append(self._handle, WAL_MAGIC, fsync=True)
+            durable.fsync_directory(os.path.dirname(self.path))
 
     # ------------------------------------------------------------------
     # Appends
@@ -164,16 +165,13 @@ class WriteAheadLog:
         with self._lock:
             if self._handle is None:
                 raise ValueError("write-ahead log is closed")
-            _fire_fault("serving.wal", self.path)
-            kind_code = _KINDS.index(kind)
             payload = "\n".join(t.n3() for t in triples).encode("utf-8")
             seq = self._next_seq
-            record = _HEADER.pack(seq, kind_code, len(payload)) + payload
-            record += _CRC.pack(zlib.crc32(record))
-            self._handle.write(record)
-            self._handle.flush()
-            if self.fsync_policy == "always":
-                os.fsync(self._handle.fileno())
+            durable.append(
+                self._handle,
+                _frame(seq, kind, payload),
+                fsync=self.fsync_policy == "always",
+            )
             self._next_seq = seq + 1
             self._pending.append((seq, kind, payload))
             self.appended_total += 1
@@ -183,8 +181,7 @@ class WriteAheadLog:
         """Force appended records to disk (used by the batch policy)."""
         with self._lock:
             if self._handle is not None:
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
+                durable.fsync_file(self._handle)
 
     # ------------------------------------------------------------------
     # Replay and checkpointing
@@ -216,57 +213,29 @@ class WriteAheadLog:
             if self._handle is None:
                 raise ValueError("write-ahead log is closed")
             keep = [entry for entry in self._pending if entry[0] > upto_seq]
-            self._handle.flush()
             self._handle.close()
-            self._handle = None
-            tmp_path = f"{self.path}.compact.tmp"
             try:
-                with open(tmp_path, "wb") as handle:
-                    handle.write(WAL_MAGIC)
-                    for seq, kind, payload in keep:
-                        record = _HEADER.pack(
-                            seq, _KINDS.index(kind), len(payload)
-                        )
-                        record += payload
-                        record += _CRC.pack(zlib.crc32(record))
-                        handle.write(record)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_path, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
+                durable.write_atomically(
+                    self.path, [WAL_MAGIC, *(_frame(*entry) for entry in keep)]
+                )
+            finally:
                 self._handle = open(self.path, "ab")
-                raise
-            _fsync_parent_dir(self.path)
             self._pending = keep
             self.checkpoints_total += 1
             self.last_checkpoint_at = time.monotonic()
-            self._handle = open(self.path, "ab")
 
     def close(self) -> None:
         """Flush and close the log handle (the file keeps its records)."""
         with self._lock:
             if self._handle is None:
                 return
-            self._handle.flush()
             if self.fsync_policy != "never":
-                os.fsync(self._handle.fileno())
+                durable.fsync_file(self._handle)
             self._handle.close()
             self._handle = None
 
 
-def _fsync_parent_dir(path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or os.curdir
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)
+def _frame(seq: int, kind: str, payload: bytes) -> bytes:
+    """One on-disk record: header, payload, CRC32 over both."""
+    record = _HEADER.pack(seq, _KINDS.index(kind), len(payload)) + payload
+    return record + _CRC.pack(zlib.crc32(record))

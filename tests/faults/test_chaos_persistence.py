@@ -4,6 +4,8 @@ The invariant under test: ``Store.save`` either fully replaces the
 target file or leaves the previous bytes untouched — a fault (or a
 kill -9) mid-save never yields a half-written store, and never litters
 the directory with temp files that the next boot would trip over.
+Faults are injected by patching :mod:`repro.durable`, through which
+every save reaches disk.
 """
 
 import os
@@ -12,18 +14,42 @@ import sys
 
 import pytest
 
+from repro import durable
 from repro.core.store_api import Store, StoreCorruptionError, is_store_file
-from repro.faults import InjectedFault, inject, reset
-from repro.faults.registry import ENV_VAR, KILL_EXIT_CODE
 from repro.rdf.terms import IRI, Triple
 from repro.rdf.vocabulary import RDF, RDFS
 
+LAUNCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "launch.py")
+KILLED = 70  # launch.KILLED
 
-@pytest.fixture(autouse=True)
-def _clean_registry():
-    reset()
-    yield
-    reset()
+
+class InjectedFault(RuntimeError):
+    pass
+
+
+def fail_mid_write(monkeypatch):
+    """The next atomic write raises after its first chunk."""
+    write_atomically = durable.write_atomically
+
+    def torn(path, chunks):
+        def first_chunk_then_fault():
+            yield next(iter(chunks))
+            raise InjectedFault("mid-write")
+
+        monkeypatch.setattr(durable, "write_atomically", write_atomically)
+        return write_atomically(path, first_chunk_then_fault())
+
+    monkeypatch.setattr(durable, "write_atomically", torn)
+
+
+def fail_at_fsync(monkeypatch):
+    def refuse(handle):
+        raise InjectedFault("fsync")
+
+    monkeypatch.setattr(durable, "fsync_file", refuse)
+
+
+FAULTS = {"persist.write": fail_mid_write, "persist.fsync": fail_at_fsync}
 
 
 def ex(name):
@@ -49,68 +75,59 @@ def no_temp_litter(directory):
 
 
 class TestFaultedSaveAtomicity:
-    @pytest.mark.parametrize("site", ["persist.write", "persist.fsync"])
-    def test_fault_mid_save_keeps_previous_file(self, tmp_path, site):
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_mid_save_keeps_previous_file(
+        self, tmp_path, monkeypatch, fault
+    ):
         target = str(tmp_path / "store.bin")
         make_store().save(target)
         golden = open(target, "rb").read()
-        with inject(site):
-            with pytest.raises(InjectedFault):
-                make_store(MORE).save(target)
+        FAULTS[fault](monkeypatch)
+        with pytest.raises(InjectedFault):
+            make_store(MORE).save(target)
         assert open(target, "rb").read() == golden
         assert no_temp_litter(tmp_path)
         with Store.load(target) as reloaded:
             assert set(reloaded.triples()) == set(make_store().triples())
 
-    @pytest.mark.parametrize("site", ["persist.write", "persist.fsync"])
-    def test_fault_on_fresh_save_leaves_nothing(self, tmp_path, site):
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_on_fresh_save_leaves_nothing(
+        self, tmp_path, monkeypatch, fault
+    ):
         target = str(tmp_path / "store.bin")
-        with inject(site):
-            with pytest.raises(InjectedFault):
-                make_store().save(target)
+        FAULTS[fault](monkeypatch)
+        with pytest.raises(InjectedFault):
+            make_store().save(target)
         assert not os.path.exists(target)
         assert no_temp_litter(tmp_path)
 
-    def test_save_succeeds_after_fault_exhausted(self, tmp_path):
+    def test_save_succeeds_after_fault_exhausted(self, tmp_path, monkeypatch):
         target = str(tmp_path / "store.bin")
-        with inject("persist.write:raise:times=1"):
-            store = make_store()
-            with pytest.raises(InjectedFault):
-                store.save(target)
-            store.save(target)  # the single armed fault was consumed
+        fail_mid_write(monkeypatch)
+        store = make_store()
+        with pytest.raises(InjectedFault):
+            store.save(target)
+        store.save(target)  # the single armed fault was consumed
         with Store.load(target) as reloaded:
             assert reloaded.n_triples == make_store().n_triples
 
 
 class TestKilledSubprocessMidSave:
     def test_kill_mid_save_preserves_previous_file(self, tmp_path):
-        """kill -9 (via os._exit at the seam) mid-save: old file intact."""
+        """kill -9 (via os._exit in the write) mid-save: old file intact."""
         target = str(tmp_path / "store.bin")
         make_store().save(target)
         golden = open(target, "rb").read()
-        code = (
-            "from repro.core.store_api import Store\n"
-            "from repro.rdf.terms import IRI, Triple\n"
-            "from repro.rdf.vocabulary import RDF, RDFS\n"
-            "ex = lambda n: IRI('ex:' + n)\n"
-            "store = Store([\n"
-            "    Triple(ex('human'), RDFS.subClassOf, ex('mammal')),\n"
-            "    Triple(ex('Bart'), RDF.type, ex('human')),\n"
-            "    Triple(ex('Lisa'), RDF.type, ex('human')),\n"
-            "])\n"
-            "store.materialize()\n"
-            f"store.save({target!r})\n"
-            "raise SystemExit(1)\n"
+        data = tmp_path / "data.nt"
+        data.write_text(
+            "".join(t.n3() + "\n" for t in DATA + MORE), encoding="utf-8"
         )
         result = subprocess.run(
-            [sys.executable, "-c", code],
-            env={
-                **os.environ,
-                "PYTHONPATH": _src_path(),
-                ENV_VAR: "persist.write:kill",
-            },
+            [sys.executable, LAUNCH, "kill-mid-save", "save", str(data),
+             "-o", target],
+            env={**os.environ, "PYTHONPATH": _src_path()},
         )
-        assert result.returncode == KILL_EXIT_CODE
+        assert result.returncode == KILLED
         assert open(target, "rb").read() == golden
         assert is_store_file(target)
         with Store.load(target) as reloaded:

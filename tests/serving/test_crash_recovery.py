@@ -1,10 +1,11 @@
 """kill -9 the serving process between ack and flush; prove zero loss.
 
-The full out-of-process durability story: ``python -m repro serve
---wal`` boots in a subprocess with its flush pipeline sabotaged (every
-post-boot flush fails), so an acknowledged write exists *only* in the
-WAL.  SIGKILL — no atexit, no drain, no checkpoint.  A clean restart
-over the same WAL must replay the write and serve it.
+The full out-of-process durability story: ``repro serve --wal`` boots
+in a subprocess with its flush pipeline sabotaged (every post-boot
+flush fails, through ``tests/faults/launch.py broken-flush``), so an
+acknowledged write exists *only* in the WAL.  SIGKILL — no atexit, no
+drain, no checkpoint.  A clean restart over the same WAL must replay
+the write and serve it.
 """
 
 import http.client
@@ -30,6 +31,13 @@ MAMMAL_QUERY = "/query?q=%3Fwho%20a%20%3Chttp%3A%2F%2Fexample.org%2Fmammal%3E"
 
 BOOT_TIMEOUT = 60.0
 
+LAUNCH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    os.pardir,
+    "faults",
+    "launch.py",
+)
+
 
 def _src_path():
     import repro
@@ -37,20 +45,21 @@ def _src_path():
     return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-def _serve(input_path, wal_path, *, env_extra=(), extra_args=()):
-    """Launch ``repro serve`` on an ephemeral port; return (proc, port)."""
+def _serve(input_path, wal_path, *, fault=None, extra_args=()):
+    """Launch ``repro serve`` on an ephemeral port; return (proc, port).
+
+    ``fault`` names a ``tests/faults/launch.py`` fault to install first.
+    """
     env = {
         **os.environ,
         "PYTHONPATH": _src_path(),
         "PYTHONUNBUFFERED": "1",
     }
-    env.pop("REPRO_FAULTS", None)
-    env.update(dict(env_extra))
+    launcher = ["-m", "repro"] if fault is None else [LAUNCH, fault]
     proc = subprocess.Popen(
         [
             sys.executable,
-            "-m",
-            "repro",
+            *launcher,
             "serve",
             input_path,
             "--port",
@@ -108,11 +117,7 @@ class TestKillNineRecovery:
         # Boot with the flush pipeline broken from the second flush on:
         # the boot flush succeeds, so the server comes up, but the
         # write below is acknowledged purely on the strength of the WAL.
-        proc, port = _serve(
-            str(data),
-            wal_path,
-            env_extra=[("REPRO_FAULTS", "serving.flush:raise:after=1:times=-1")],
-        )
+        proc, port = _serve(str(data), wal_path, fault="broken-flush")
         try:
             status, raw = _request(port, "POST", "/add", LISA_NT)
             assert status == 202, raw

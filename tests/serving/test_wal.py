@@ -2,7 +2,9 @@
 
 The durability contract: once the server acknowledges a write, that
 write survives any crash — because the ack only happens after the WAL
-append (and fsync, under the default policy) landed.
+append (and fsync, under the default policy) landed.  Faults are
+injected by patching :mod:`repro.durable` (the log's only route to
+disk) or ``Store.materialize`` (the served flush).
 """
 
 import http.client
@@ -13,20 +15,20 @@ import zlib
 
 import pytest
 
-from repro import Store
+from repro import Store, durable
 from repro.rdf import RDF, RDFS, Triple, iri
 from repro.serving import ServerThread, WALCorruptionError, WriteAheadLog
 from repro.serving.wal import WAL_MAGIC
-from repro.faults import inject, reset
 
 EX = "http://example.org/"
 
 
-@pytest.fixture(autouse=True)
-def _clean_registry():
-    reset()
-    yield
-    reset()
+class InjectedFault(RuntimeError):
+    pass
+
+
+def refuse(*args, **kwargs):
+    raise InjectedFault("injected durable-write failure")
 
 
 def ex(name):
@@ -191,6 +193,96 @@ class TestRecovery:
         wal.close()
         assert open(path, "rb").read() == WAL_MAGIC
 
+    def test_record_bytes_are_pinned(self, tmp_path):
+        # Appends and checkpoint rewrites frame records the same way:
+        # <QBI header, N-Triples payload, CRC32 over both.
+        def record(seq, kind_code, triple):
+            body = triple.n3().encode("utf-8")
+            head = struct.pack("<QBI", seq, kind_code, len(body)) + body
+            return head + struct.pack("<I", zlib.crc32(head))
+
+        path = str(tmp_path / "w.wal")
+        wal = WriteAheadLog(path)
+        wal.append("add", [t("a")])
+        wal.append("remove", [t("b")])
+        wal.close()
+        assert open(path, "rb").read() == (
+            WAL_MAGIC + record(1, 0, t("a")) + record(2, 1, t("b"))
+        )
+        wal = WriteAheadLog(path)
+        wal.checkpoint(1)
+        wal.close()
+        assert open(path, "rb").read() == WAL_MAGIC + record(2, 1, t("b"))
+
+    def test_checkpoint_keeps_the_log_permissions(self, tmp_path):
+        path = str(tmp_path / "w.wal")
+        wal = WriteAheadLog(path)
+        os.chmod(path, 0o640)
+        wal.append("add", [t("a")])
+        wal.checkpoint(1)
+        wal.close()
+        assert os.stat(path).st_mode & 0o777 == 0o640
+
+    @pytest.mark.parametrize("cut", range(1, len(WAL_MAGIC)))
+    def test_log_torn_inside_its_magic_opens_empty(self, tmp_path, cut):
+        # A crash while the log was being created, before the magic's
+        # fsync: no record was ever acked, so the log starts over.
+        path = str(tmp_path / "w.wal")
+        with open(path, "wb") as handle:
+            handle.write(WAL_MAGIC[:cut])
+        wal = WriteAheadLog(path)
+        assert wal.depth == 0
+        assert wal.append("add", [t("a")]) == 1
+        wal.close()
+        reopened = WriteAheadLog(path)
+        assert reopened.depth == 1
+        reopened.close()
+        assert open(path, "rb").read().startswith(WAL_MAGIC)
+
+
+def _closure(store):
+    store.materialize()
+    return sorted(triple.n3() for triple in store.triples())
+
+
+class TestFailedCheckpoint:
+    """A checkpoint that fails at its fsync or its replace leaves the
+    old log whole and the same ``WriteAheadLog`` usable."""
+
+    @pytest.mark.parametrize(
+        "seam", [(durable, "fsync_file"), (durable.os, "replace")],
+        ids=["fsync", "replace"],
+    )
+    def test_old_log_survives(self, tmp_path, monkeypatch, seam):
+        path = str(tmp_path / "w.wal")
+        wal = WriteAheadLog(path)
+        for name in ("a", "b", "c"):
+            wal.append("add", [t(name)])
+        wal.append("remove", [t("b")])
+        before = open(path, "rb").read()
+        with monkeypatch.context() as patch:
+            patch.setattr(*seam, refuse)
+            with pytest.raises(InjectedFault):
+                wal.checkpoint(wal.last_seq)
+        assert open(path, "rb").read() == before
+        assert [n for n in os.listdir(tmp_path) if ".tmp" in n] == []
+        assert wal.depth == 4
+
+        reopened = WriteAheadLog(path)
+        assert reopened.depth == 4
+        replayed = Store(base_triples())
+        assert reopened.replay_into(replayed) == 4
+        reopened.close()
+        direct = Store(base_triples() + [t("a"), t("c")])
+        assert _closure(replayed) == _closure(direct)
+
+        assert wal.append("add", [t("d")]) == 5
+        wal.checkpoint(4)
+        wal.close()
+        reopened = WriteAheadLog(path)
+        assert [entry[0] for entry in reopened._pending] == [5]
+        reopened.close()
+
 
 class TestServerDurability:
     def _post(self, address, path, body):
@@ -202,31 +294,34 @@ class TestServerDurability:
         conn.close()
         return status, raw
 
-    def test_acked_write_survives_crash_via_replay(self, tmp_path):
+    def test_acked_write_survives_crash_via_replay(
+        self, tmp_path, monkeypatch
+    ):
         """Ack with a dead flush pipeline, "crash", reboot, replay.
 
         The flush is broken from the second call on (the boot flush
-        succeeds), so the acknowledged write never reaches the store —
-        only the WAL holds it.  Abandoning the server without a
+        succeeds), so the acknowledged write never reaches the closure
+        — only the WAL holds it.  Abandoning the server without a
         graceful drain plays the part of the crash; a fresh WAL over
         the same file must replay the write into a fresh store.
         """
         wal_path = str(tmp_path / "serve.wal")
         store = Store(base_triples())
         nt = f"<{EX}Lisa> <{RDF.type.value}> <{EX}human> .\n"
-        with inject("serving.flush:raise:after=1:times=-1"):
-            handle = ServerThread(
-                store,
-                port=0,
-                wal=WriteAheadLog(wal_path),
-                flush_retry_seconds=0.01,
-                max_drain_failures=2,
-            ).start()
-            try:
-                status, raw = self._post(handle.address, "/add", nt)
-                assert status == 202, raw  # acked: durably in the WAL
-            finally:
-                handle.stop()  # flush still broken: no final checkpoint
+        handle = ServerThread(
+            store,
+            port=0,
+            wal=WriteAheadLog(wal_path),
+            flush_retry_seconds=0.01,
+            max_drain_failures=2,
+        ).start()
+        monkeypatch.setattr(store, "materialize", refuse)
+        try:
+            status, raw = self._post(handle.address, "/add", nt)
+            assert status == 202, raw  # acked: durably in the WAL
+        finally:
+            handle.stop()  # flush still broken: no final checkpoint
+        assert store.stale  # the write is still queued in the store
         recovered = WriteAheadLog(wal_path)
         assert recovered.depth >= 1
         reborn = Store(base_triples())
@@ -236,14 +331,15 @@ class TestServerDurability:
         assert Triple(ex("Lisa"), RDF.type, ex("mammal")) in reborn
         recovered.close()
 
-    def test_wal_append_failure_rejects_with_503(self, tmp_path):
+    def test_wal_append_failure_rejects_with_503(self, tmp_path, monkeypatch):
         wal_path = str(tmp_path / "serve.wal")
         store = Store(base_triples())
         nt = f"<{EX}Lisa> <{RDF.type.value}> <{EX}human> .\n"
-        with inject("serving.wal:raise:times=-1"):
-            with ServerThread(
-                store, port=0, wal=WriteAheadLog(wal_path)
-            ) as handle:
+        with ServerThread(
+            store, port=0, wal=WriteAheadLog(wal_path)
+        ) as handle:
+            with monkeypatch.context() as patch:
+                patch.setattr(durable, "append", refuse)
                 status, raw = self._post(handle.address, "/add", nt)
         assert status == 503
         assert b"NOT durable" in raw
