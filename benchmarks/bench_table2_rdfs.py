@@ -16,28 +16,20 @@ Backends: python benchmarks/bench_table2_rdfs.py --backend numpy
          runs the Inferray engine under the pure-Python kernels AND the
          requested kernel backend side by side and reports per-cell
          speedups (see repro.kernels).
-Parallel: --workers N (default 4) additionally measures the Inferray
-         engine sequentially vs on the dependency-aware parallel rule
-         scheduler's thread pool with N workers (rdfs-default
-         fragment) and reports per-dataset throughput; --workers 1
-         skips it.
 Repeats: every cell is warmed up --warmup times (default 1) and timed
          --runs times (default 3); cells report the median, and the
          max-min spread rides along in the JSON so reports show noise.
 JSON:    --json [PATH] additionally writes a machine-readable record
          set (default PATH: BENCH_table2.json) — one entry per cell
-         with dataset, engine, backend, ruleset, seconds, n_inferred,
-         plus a top-level "parallel" section with the
-         sequential-vs-parallel cells and the mean speedup.
+         with dataset, engine, backend, ruleset, seconds, n_inferred.
 Smoke:   --smoke restricts to one tiny dataset with a single run per
          cell (the CI smoke job uses --smoke --json and validates the
-         parallel section).
+         report's schema).
 Pytest:  pytest benchmarks/bench_table2_rdfs.py --benchmark-only
 """
 
 import argparse
 import json
-import statistics
 
 import pytest
 
@@ -107,103 +99,6 @@ def run_backend_table(backend, timeout=TIMEOUT, warmup=1, runs=3, subset=None):
     return results
 
 
-def run_parallel_comparison(
-    workers, *, backend="auto", fragment="rdfs-default", timeout=TIMEOUT,
-    warmup=1, runs=3, subset=None
-):
-    """Inferray under workers=1 vs workers=N on each workload.
-
-    Both legs run on the *same* kernel ``backend`` (the one the rest of
-    the invocation measures); the parallel leg runs on the thread pool.
-    Returns the JSON-ready section: per-dataset cells with sequential /
-    parallel seconds + throughput, and the mean ``speedup`` across the
-    cells that completed (the field the CI smoke job asserts on).
-    """
-    from repro.kernels import resolve_backend
-
-    backend_name = resolve_backend(backend).name
-    cells = []
-    speedups = []
-    for dataset_name, data in subset or workloads():
-        seq = run_engine(
-            "inferray", fragment, data, dataset_name=dataset_name,
-            timeout_seconds=timeout, warmup=warmup, runs=runs,
-            engine_kwargs={"workers": 1, "backend": backend},
-            label="sequential",
-        )
-        par = run_engine(
-            "inferray", fragment, data, dataset_name=dataset_name,
-            timeout_seconds=timeout, warmup=warmup, runs=runs,
-            engine_kwargs={"workers": workers, "backend": backend},
-            label=f"workers-{workers}",
-        )
-        speedup = None
-        if seq.seconds and par.seconds:
-            speedup = seq.seconds / par.seconds
-            speedups.append(speedup)
-        cells.append(
-            {
-                "dataset": dataset_name,
-                "ruleset": fragment,
-                "backend": backend_name,
-                "workers": workers,
-                "parallel_mode": par.parallel_mode,
-                "sequential_seconds": seq.seconds,
-                "parallel_seconds": par.seconds,
-                "sequential_spread_seconds": seq.spread_seconds,
-                "parallel_spread_seconds": par.spread_seconds,
-                "sequential_throughput": seq.throughput,
-                "parallel_throughput": par.throughput,
-                "n_inferred": par.n_inferred,
-                "speedup": speedup,
-            }
-        )
-    return {
-        "workers": workers,
-        "ruleset": fragment,
-        "backend": backend_name,
-        "parallel_mode": "thread",
-        "speedup": statistics.fmean(speedups) if speedups else None,
-        "cells": cells,
-    }
-
-
-def measure_parallel_section(
-    args, *, backend="auto", warmup=1, runs=3, subset=None
-):
-    """The seq-vs-parallel section (reported), or ``None`` at
-    ``--workers 1``.  Shared by both branches of ``main``."""
-    if args.workers <= 1:
-        return None
-    parallel = run_parallel_comparison(
-        args.workers, backend=backend, timeout=args.timeout, warmup=warmup,
-        runs=runs, subset=subset,
-    )
-    _report_parallel_comparison(parallel)
-    return parallel
-
-
-def _report_parallel_comparison(section):
-    workers = section["workers"]
-    print(
-        f"\nParallel rule scheduler — sequential vs {workers} "
-        f"{section['parallel_mode']} workers "
-        f"({section['ruleset']}, inferred triples/s)"
-    )
-    for cell in section["cells"]:
-        seq_tps = cell["sequential_throughput"]
-        par_tps = cell["parallel_throughput"]
-        if seq_tps is None or par_tps is None:
-            print(f"  {cell['dataset']}: timeout")
-            continue
-        print(
-            f"  {cell['dataset']}: {seq_tps:,.0f} -> {par_tps:,.0f} "
-            f"triples/s ({cell['speedup']:.2f}x)"
-        )
-    if section["speedup"] is not None:
-        print(f"  mean speedup: {section['speedup']:.2f}x")
-
-
 def _report_backend_comparison(backend, results, timeout=TIMEOUT):
     print(
         f"Table 2 — Inferray kernel backends (python vs {backend}), "
@@ -262,18 +157,16 @@ def _report_backend_comparison(backend, results, timeout=TIMEOUT):
         )
 
 
-def write_json_report(path, results, *, mode, timeout, parallel=None):
+def write_json_report(path, results, *, mode, timeout):
     """Write the cell records as machine-readable JSON (CI artifact).
 
     Each record carries dataset / engine / backend / ruleset /
     seconds (null on timeout) / n_input / n_inferred / n_total.  In
     backend-comparison mode the RunResult's engine column *is* the
     kernel backend label; in engine mode the backend is whatever
-    'auto' resolves to in this environment.  ``parallel`` (from
-    :func:`run_parallel_comparison`) lands as the top-level
-    ``"parallel"`` section — the CI smoke job fails when its
-    ``speedup`` field is absent — schema-checked against the committed
-    baseline ``BENCH_table2.json``.
+    'auto' resolves to in this environment.  The CI smoke job
+    schema-checks the report against the committed baseline
+    ``BENCH_table2.json``.
     """
     from repro.kernels import resolve_backend
 
@@ -304,8 +197,6 @@ def write_json_report(path, results, *, mode, timeout, parallel=None):
         "timeout_seconds": timeout,
         "results": records,
     }
-    if parallel is not None:
-        payload["parallel"] = parallel
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -339,15 +230,6 @@ def main(argv=None):
         "--smoke",
         action="store_true",
         help="tiny single-run configuration for CI smoke checks",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        metavar="N",
-        help="measure the parallel rule scheduler with N workers "
-        "against sequential execution (1 skips the comparison; "
-        "default 4)",
     )
     parser.add_argument(
         "--warmup",
@@ -404,15 +286,9 @@ def main(argv=None):
             print(results_matrix(results, columns=["python"]))
         else:
             _report_backend_comparison(backend, results, timeout=args.timeout)
-        # Seq-vs-parallel on the backend this invocation measured
-        # (availability was proven by the table run above).
-        parallel = measure_parallel_section(
-            args, backend=backend, warmup=warmup, runs=runs, subset=subset
-        )
         if args.json:
             write_json_report(
                 args.json, results, mode="backends", timeout=args.timeout,
-                parallel=parallel,
             )
         return
 
@@ -427,13 +303,9 @@ def main(argv=None):
     print()
     for line in speedup_summary(results):
         print(" ", line)
-    parallel = measure_parallel_section(
-        args, warmup=warmup, runs=runs, subset=subset
-    )
     if args.json:
         write_json_report(
             args.json, results, mode="engines", timeout=args.timeout,
-            parallel=parallel,
         )
 
 

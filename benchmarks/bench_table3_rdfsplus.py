@@ -9,10 +9,6 @@ the stand-ins, under the full RDFS-Plus ruleset (multi-way joins,
 property-as-variable rules, sameAs machinery).
 
 Run:     python benchmarks/bench_table3_rdfsplus.py [--smoke]
-Parallel: --workers N runs the Inferray engine through the parallel
-         rule scheduler (more than one worker is the thread pool), so
-         the RDFS-Plus closure benchmarks exercise the same scheduler
-         the Table-2 harness measures.
 Pytest:  pytest benchmarks/bench_table3_rdfsplus.py --benchmark-only
 """
 
@@ -44,14 +40,7 @@ def workloads(smoke=False):
     ]
 
 
-def inferray_scheduler_kwargs(args):
-    """Engine kwargs for the Inferray cells (baselines take none)."""
-    if args is None or args.workers is None:
-        return None
-    return {"workers": args.workers}
-
-
-def run_table(timeout=TIMEOUT, runs=1, subset=None, scheduler_kwargs=None):
+def run_table(timeout=TIMEOUT, runs=1, subset=None):
     results = []
     for dataset_name, data in subset or workloads():
         for engine in ENGINES:
@@ -64,30 +53,13 @@ def run_table(timeout=TIMEOUT, runs=1, subset=None, scheduler_kwargs=None):
                     timeout_seconds=timeout,
                     warmup=0,
                     runs=runs,
-                    engine_kwargs=(
-                        scheduler_kwargs if engine == "inferray" else None
-                    ),
                 )
             )
     return results
 
 
-def add_scheduler_arguments(parser):
-    """--workers, shared by the closure benchmarks."""
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the Inferray engine under the parallel rule "
-        "scheduler with N workers (0 = all cores; default: "
-        "$REPRO_WORKERS or sequential)",
-    )
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    add_scheduler_arguments(parser)
     parser.add_argument(
         "--timeout", type=float, default=TIMEOUT,
         help=f"per-run timeout in seconds (default {TIMEOUT:.0f})",
@@ -96,18 +68,13 @@ def main(argv=None):
         "--smoke", action="store_true", help="the smallest dataset only"
     )
     args = parser.parse_args(argv)
-    scheduler_kwargs = inferray_scheduler_kwargs(args)
     results = run_table(
-        timeout=args.timeout,
-        subset=workloads(smoke=args.smoke),
-        scheduler_kwargs=scheduler_kwargs,
+        timeout=args.timeout, subset=workloads(smoke=args.smoke)
     )
     print(
         "Table 3 — RDFS-Plus, execution time in ms "
         f"('–' = timeout of {args.timeout:.0f}s; * = synthetic stand-in)"
     )
-    if scheduler_kwargs:
-        print(f"(inferray cells: workers={args.workers})")
     print(results_matrix(results, columns=ENGINES))
     print()
     for line in speedup_summary(results):

@@ -12,10 +12,6 @@ size, the iterative engines blowing up combinatorially and timing out
 at much shorter chains.
 
 Run:     python benchmarks/bench_table4_closure.py [--smoke]
-Parallel: --workers N runs the Inferray engine through the parallel
-         rule scheduler (more than one worker is the thread pool),
-         exercising the θ pre-pass under the scheduler at every chain
-         length.
 Pytest:  pytest benchmarks/bench_table4_closure.py --benchmark-only
 """
 
@@ -36,7 +32,7 @@ TIMEOUT = 30.0
 ENGINES = ["inferray", "hashjoin", "rete", "naive"]
 
 
-def run_table(lengths=None, timeout=TIMEOUT, runs=1, scheduler_kwargs=None):
+def run_table(lengths=None, timeout=TIMEOUT, runs=1):
     results = []
     give_up = set()
     for length in lengths or LENGTHS:
@@ -62,9 +58,6 @@ def run_table(lengths=None, timeout=TIMEOUT, runs=1, scheduler_kwargs=None):
                 timeout_seconds=timeout,
                 warmup=0,
                 runs=runs,
-                engine_kwargs=(
-                    scheduler_kwargs if engine == "inferray" else None
-                ),
             )
             results.append(result)
             if result.seconds is None:
@@ -73,13 +66,7 @@ def run_table(lengths=None, timeout=TIMEOUT, runs=1, scheduler_kwargs=None):
 
 
 def main(argv=None):
-    from bench_table3_rdfsplus import (
-        add_scheduler_arguments,
-        inferray_scheduler_kwargs,
-    )
-
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    add_scheduler_arguments(parser)
     parser.add_argument(
         "--timeout", type=float, default=TIMEOUT,
         help=f"per-run timeout in seconds (default {TIMEOUT:.0f})",
@@ -88,11 +75,8 @@ def main(argv=None):
         "--smoke", action="store_true", help="the shortest chain only"
     )
     args = parser.parse_args(argv)
-    scheduler_kwargs = inferray_scheduler_kwargs(args)
     results = run_table(
-        lengths=LENGTHS[:1] if args.smoke else LENGTHS,
-        timeout=args.timeout,
-        scheduler_kwargs=scheduler_kwargs,
+        lengths=LENGTHS[:1] if args.smoke else LENGTHS, timeout=args.timeout
     )
     by_length = {}
     for result in results:
@@ -107,8 +91,6 @@ def main(argv=None):
         )
     print("Table 4 — transitivity closure wall time (ms; '–' = timeout "
           f"of {args.timeout:.0f}s)")
-    if scheduler_kwargs:
-        print(f"(inferray cells: workers={args.workers})")
     print(format_table(headers, rows))
     inferray_last = [
         r for r in results if r.engine == "inferray" and r.seconds

@@ -72,7 +72,6 @@ REASONS = {
     "error-path": "runs only on bad input, after a failed flush, or "
                   "with an injected fault",
     "timing": "reached in only some of three runs",
-    "item-1": "awaits ROADMAP item 1 (the thread executor's verdict)",
     "item-2c": "awaits ROADMAP item 2(c) (a hybrid ledger leg)",
     "item-19": "awaits ROADMAP item 19 (the store-file format)",
 }
@@ -251,8 +250,6 @@ class Surfaces:
                         "--materialize", mode,
                     )
         self.run(*repro, "infer", str(ttl), "--inferred-only")
-        self.run(*repro, "infer", str(nt), "--workers", "2",
-                 "-o", "closure.nt")
         self.run(*repro, "stats", str(ttl), "--materialize", "hybrid")
         self.run(*repro, "rules", "--ruleset", "rdfs-plus")
         for mode in MODES:

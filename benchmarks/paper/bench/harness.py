@@ -55,9 +55,6 @@ class RunResult:
     n_inferred: int = 0
     n_total: int = 0
     runs: List[float] = field(default_factory=list)
-    #: Executor substrate the (Inferray) engine ran on — None for
-    #: baseline engines.
-    parallel_mode: Optional[str] = None
 
     @property
     def milliseconds(self) -> Optional[float]:
@@ -118,21 +115,15 @@ def run_engine(
     def once() -> Dict[str, int]:
         engine = factory(ruleset, **kwargs)
         engine.load_triples(data)
-        try:
-            started = time.perf_counter()
-            engine.materialize(timeout_seconds=timeout_seconds)
-            elapsed = time.perf_counter() - started
-        finally:
-            close = getattr(engine, "close", None)
-            if close is not None:  # release persistent worker pools
-                close()
+        started = time.perf_counter()
+        engine.materialize(timeout_seconds=timeout_seconds)
+        elapsed = time.perf_counter() - started
         stats = engine.stats  # same shape on Inferray and baselines
         return {
             "n_input": stats.n_input,
             "n_inferred": stats.n_inferred,
             "n_total": stats.n_total,
             "seconds": elapsed,
-            "parallel_mode": getattr(stats, "parallel_mode", None),
         }
 
     median_seconds: Optional[float]
@@ -161,7 +152,6 @@ def run_engine(
         n_inferred=outcome.get("n_inferred", 0),
         n_total=outcome.get("n_total", 0),
         runs=timings,
-        parallel_mode=outcome.get("parallel_mode"),
     )
 
 

@@ -98,11 +98,10 @@ class TracedThetaRule(ThetaRule):
 
 
 def instrumented_engine(ruleset, *, tracer=None, cache_os=True):
-    """A sequential :class:`InferrayEngine` over an instrumented store.
+    """An :class:`InferrayEngine` over an instrumented store.
 
     ``tracer`` (a :class:`paper.memsim.tracer.RecordingTracer`)
-    receives the table and θ-closure scans; the engine runs one worker
-    because a tracer records a single address stream.
+    receives the table and θ-closure scans as one address stream.
     ``cache_os=False`` is the §4.2 ablation: every ⟨o, s⟩ view is
     recomputed on use and none is kept.  Loads and flushes stay
     instrumented; ``retract`` and ``restore`` install a plain store.
@@ -114,7 +113,7 @@ def instrumented_engine(ruleset, *, tracer=None, cache_os=True):
             else rule
             for rule in rules
         ]
-    engine = InferrayEngine(rules, workers=1)
+    engine = InferrayEngine(rules)
     engine.main = InstrumentedStore(backend=engine.kernels)
     engine.main.tracer = tracer
     engine.main.cache_os = cache_os

@@ -55,12 +55,6 @@ def test_op_stream_is_pinned(backend, ruleset, data, n_ops, digest):
     assert hashlib.sha256(repr(tracer.ops).encode()).hexdigest()[:16] == digest
 
 
-def test_traced_engine_is_sequential(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "4")
-    engine = instrumented_engine("rdfs-default", tracer=RecordingTracer())
-    assert engine.workers == 1
-
-
 @pytest.mark.usefixtures("backend")
 class TestOsCacheAblation:
     def test_uncached_view_still_correct(self):

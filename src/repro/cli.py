@@ -23,6 +23,7 @@ import os
 import sys
 from typing import List, Optional
 
+from . import durable
 from .core.engine import MATERIALIZE_MODES
 from .core.store_api import Store, StoreFormatError, is_store_file
 from .kernels import BACKEND_NAMES, KernelUnavailableError
@@ -39,18 +40,6 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         default="auto",
         help="kernel backend for the pair-array hot paths "
         "(default: auto, which is numpy unless $REPRO_KERNELS names another)",
-    )
-
-
-def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="workers for the parallel rule scheduler; more than 1 "
-        "fires the rules on a thread pool "
-        "(0 = all cores; default: $REPRO_WORKERS or 1)",
     )
 
 
@@ -103,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_ruleset_argument(infer_cmd)
     _add_materialize_argument(infer_cmd)
     _add_backend_argument(infer_cmd)
-    _add_workers_argument(infer_cmd)
     infer_cmd.add_argument(
         "--timeout", type=float, default=None,
         help="abort after this many seconds",
@@ -116,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_ruleset_argument(stats_cmd)
     _add_materialize_argument(stats_cmd)
     _add_backend_argument(stats_cmd)
-    _add_workers_argument(stats_cmd)
 
     rules_cmd = commands.add_parser(
         "rules", help="list the rules of a fragment (paper Table 5)"
@@ -135,7 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_ruleset_argument(save_cmd)
     _add_materialize_argument(save_cmd)
     _add_backend_argument(save_cmd)
-    _add_workers_argument(save_cmd)
 
     load_cmd = commands.add_parser(
         "load",
@@ -175,7 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_ruleset_argument(query_cmd, default=None)
     _add_materialize_argument(query_cmd)
     _add_backend_argument(query_cmd)
-    _add_workers_argument(query_cmd)
 
     serve_cmd = commands.add_parser(
         "serve",
@@ -235,7 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_ruleset_argument(serve_cmd, default=None)
     _add_materialize_argument(serve_cmd)
     _add_backend_argument(serve_cmd)
-    _add_workers_argument(serve_cmd)
 
     return parser
 
@@ -243,10 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _open_store(args: argparse.Namespace) -> Store:
     """A Store from either a serialized store or a raw dataset file."""
     ruleset = getattr(args, "ruleset", None)
-    workers = getattr(args, "workers", None)
     materialize = getattr(args, "materialize", None)
     if is_store_file(args.input):
-        options = {"backend": args.backend, "workers": workers}
+        options = {"backend": args.backend}
         if ruleset:
             options["ruleset"] = ruleset
         if materialize:
@@ -256,7 +239,6 @@ def _open_store(args: argparse.Namespace) -> Store:
         args.input,
         ruleset=ruleset or "rdfs-default",
         backend=args.backend,
-        workers=workers,
         materialize=materialize,
     )
 
@@ -266,7 +248,6 @@ def _run_infer(args: argparse.Namespace) -> int:
         ruleset=args.ruleset,
         backend=args.backend,
         timeout_seconds=args.timeout,
-        workers=args.workers,
         materialize=args.materialize,
     ) as store:
         loaded = store.add_file(args.input)
@@ -292,20 +273,15 @@ def _run_stats(args: argparse.Namespace) -> int:
     store = Store(
         ruleset=args.ruleset,
         backend=args.backend,
-        workers=args.workers,
         materialize=args.materialize,
     )
     loaded = store.add_file(args.input)
-    try:
-        stats = store.materialize()
-    finally:
-        store.close()
+    stats = store.materialize()
     print(f"kernel backend:    {store.engine.kernels.name}")
     print(f"materialize mode:  {store.materialize_mode} "
           f"({len(store.absorbed_rules)} absorbed rule(s))")
     if store.hybrid_fallback:
         print(f"hybrid fallback:   {store.hybrid_fallback}")
-    print(f"workers:           {stats.workers} ({stats.parallel_mode})")
     # In hybrid mode the entailed closure is larger than what is
     # stored: report the entailed counts (what queries answer), plus
     # the reduced resident closure.
@@ -322,12 +298,6 @@ def _run_stats(args: argparse.Namespace) -> int:
     print(f"  rule firing:     {stats.inference_seconds * 1000:.1f} ms")
     print(f"  merge/dedup:     {stats.merge_seconds * 1000:.1f} ms")
     print(f"throughput:        {stats.triples_per_second:,.0f} inferred/s")
-    if stats.workers > 1:
-        print(
-            f"rule-firing speedup: {stats.parallel_speedup:.2f}x "
-            f"({stats.rule_busy_seconds * 1000:.1f} ms busy across "
-            f"{stats.workers} {stats.parallel_mode} workers)"
-        )
     if stats.per_rule:
         print("per-rule emissions (raw, pre-dedup):")
         for name, count in sorted(
@@ -357,15 +327,11 @@ def _run_save(args: argparse.Namespace) -> int:
     store = Store(
         ruleset=args.ruleset,
         backend=args.backend,
-        workers=args.workers,
         materialize=args.materialize,
     )
     loaded = store.add_file(args.input)
-    try:
-        stats = store.materialize()
-        written = store.save(args.output)
-    finally:
-        store.close()
+    stats = store.materialize()
+    written = store.save(args.output)
     print(
         f"{args.input}: {loaded} asserted -> {store.n_triples} total "
         f"({store.n_triples - stats.n_input} inferred); wrote "
@@ -391,24 +357,16 @@ def _run_load(args: argparse.Namespace) -> int:
         load_options["materialize"] = args.materialize
     store = Store.load(args.input, **load_options)
     if args.output:
-        try:
-            triples = (
-                store.inferred() if args.inferred_only else store.triples()
-            )
-            count = write_file(triples, args.output)
-        finally:
-            store.close()
+        triples = store.inferred() if args.inferred_only else store.triples()
+        count = write_file(triples, args.output)
         print(
             f"{args.input}: wrote {count} triples to {args.output}",
             file=sys.stderr,
         )
         return 0
-    try:
-        n_asserted = len(store.asserted())
-        n_triples = store.n_triples
-        memory = store.memory_bytes()
-    finally:
-        store.close()
+    n_asserted = len(store.asserted())
+    n_triples = store.n_triples
+    memory = store.memory_bytes()
     print(f"store file:        {args.input}")
     print(f"ruleset:           {store.engine.ruleset_name}")
     print(f"materialize mode:  {store.materialize_mode} "
@@ -434,10 +392,7 @@ def _run_query(args: argparse.Namespace) -> int:
         for var in pattern.variables():
             if var not in variables:
                 variables.append(var)
-    try:
-        solutions = store.query(patterns)
-    finally:
-        store.close()
+    solutions = store.query(patterns)
     if args.limit is not None:
         solutions = solutions[: args.limit]
     if variables:
@@ -460,6 +415,12 @@ def _run_serve(args: argparse.Namespace) -> int:
     checkpoint_path = args.checkpoint
     if args.wal:
         checkpoint_path = checkpoint_path or f"{args.wal}.checkpoint"
+        # A save or log rewrite killed before its rename left its temp
+        # file behind; nothing writes either path yet, so sweep them.
+        for path in (checkpoint_path, args.wal):
+            for name in durable.remove_orphaned_temps(path):
+                print(f"repro: removed orphaned temp file {name}",
+                      file=sys.stderr)
         if os.path.exists(checkpoint_path) and is_store_file(
             checkpoint_path
         ):

@@ -6,13 +6,12 @@ from .engine import (
     MaterializationStats,
     MaterializationTimeout,
 )
-from .scheduler import ParallelRuleScheduler, resolve_workers
+from .scheduler import RuleScheduler
 
 __all__ = [
     "FixedPointError",
     "InferrayEngine",
     "MaterializationStats",
     "MaterializationTimeout",
-    "ParallelRuleScheduler",
-    "resolve_workers",
+    "RuleScheduler",
 ]

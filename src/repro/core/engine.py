@@ -15,13 +15,14 @@ The engine ties everything together:
    (Δ × main and main × Δ; one leg while Δ is main), the inferred
    buffers are sorted/deduplicated and merged per property (Figure 5),
    producing the next ``new`` delta, until an iteration derives nothing.
-4. **Deletion** — delete-and-rederive over the same executors and
+4. **Deletion** — delete-and-rederive over the same scheduler and
    fixed point (:meth:`InferrayEngine.retract_and_rematerialize`).
 """
 
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Union
 
@@ -38,7 +39,7 @@ from ..rules.rulesets import get_ruleset
 from ..rules.derivation import derivable
 from ..rules.spec import Rule, RuleContext, Vocab
 from ..store.triple_store import InferredBuffers, TripleStore
-from .scheduler import ParallelRuleScheduler, resolve_workers
+from .scheduler import RuleScheduler
 
 #: Materialization strategies (see ``InferrayEngine`` / ``repro.Store``).
 MATERIALIZE_MODES = ("full", "hybrid")
@@ -98,19 +99,8 @@ class MaterializationStats:
     per_rule: Dict[str, int] = field(default_factory=dict)
     #: One :class:`IterationRecord` per fixed-point iteration, in order.
     per_iteration: List[IterationRecord] = field(default_factory=list)
-    #: Workers the rule scheduler ran with (1 = sequential).
-    workers: int = 1
-    #: Executor substrate the run used: 'sequential' (``workers=1``)
-    #: or 'thread'.
-    parallel_mode: str = "sequential"
     #: Per-rule firing seconds, summed across iterations.
     per_rule_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Summed per-rule busy time (the sequential-equivalent cost).
-    rule_busy_seconds: float = 0.0
-    #: Effective rule-firing concurrency: summed per-rule busy time over
-    #: wall-clock inference time.  ~1.0 when sequential; approaches the
-    #: worker count under ideal scaling.
-    parallel_speedup: float = 1.0
     #: Materialization strategy this run used ('full' or 'hybrid').
     materialize_mode: str = "full"
     #: Rules the hierarchy encoding absorbed (hybrid runs; empty when
@@ -122,6 +112,11 @@ class MaterializationStats:
     #: A deletion's ``route`` ('dred' or 'rebuild'), ``reason`` (for a
     #: rebuild) and counts ``removed``, ``overdeleted``, ``rederived``.
     deletion: Optional[dict] = None
+
+    #: Constants for readers of the retired executor fields: rules
+    #: always fire inline, so every run is one sequential worker.
+    workers = 1
+    parallel_mode = "sequential"
 
     @property
     def triples_per_second(self) -> float:
@@ -147,17 +142,12 @@ class InferrayEngine:
         instance.
     max_iterations:
         Safety bound on fixed-point iterations.
-    workers:
-        Workers for the dependency-aware rule scheduler
-        (:mod:`repro.core.scheduler`).  ``None`` (default) reads
-        ``$REPRO_WORKERS`` (falling back to 1 — sequential), ``0``
-        means all cores.  It alone picks the executor: 1 fires the
-        rules inline, more fires them on a persistent thread pool.
-    parallel_mode:
-        Accepted only as ``None`` or ``'thread'``, and changes nothing:
-        ``workers`` decides.  It is kept for callers that still pass
-        ``parallel_mode='thread'`` and goes with the thread pool once
-        the pipeline ledger no longer pins it; any other value raises.
+    workers, parallel_mode:
+        Ignored: rules always fire inline.  Both are still accepted
+        because the pipeline ledger passes them; a value other than
+        ``None`` (or ``workers=1``) warns with a
+        :class:`DeprecationWarning`, and a ``parallel_mode`` other than
+        ``None`` or ``'thread'`` raises.
     materialize_mode:
         ``'full'`` (default) materializes the whole closure;
         ``'hybrid'`` runs the LiteMat-style reduced catalogue — rules
@@ -188,12 +178,18 @@ class InferrayEngine:
         self.vocab = Vocab(self.dictionary)
         if parallel_mode not in (None, "thread"):
             raise ValueError(
-                f"unknown parallel mode {parallel_mode!r}; workers alone "
-                "picks the executor (parallel_mode may only be 'thread')"
+                f"unknown parallel mode {parallel_mode!r}; rules fire "
+                "inline (parallel_mode may only be 'thread')"
+            )
+        if workers not in (None, 1) or parallel_mode is not None:
+            warnings.warn(
+                "workers= and parallel_mode= are ignored: rules always "
+                "fire inline",
+                DeprecationWarning,
+                stacklevel=2,
             )
         self.kernels = resolve_backend(backend)
-        self.workers = resolve_workers(workers)
-        self.scheduler = ParallelRuleScheduler(self.rules, workers=self.workers)
+        self.scheduler = RuleScheduler(self.rules)
         self.main = TripleStore(backend=self.kernels)
         self.max_iterations = max_iterations
         self.stats: Optional[MaterializationStats] = None
@@ -209,15 +205,15 @@ class InferrayEngine:
             )
         self.materialize_mode = materialize_mode
         self._hybrid_plan: Optional[HybridPlan] = None
-        self._reduced_scheduler: Optional[ParallelRuleScheduler] = None
+        self._reduced_scheduler: Optional[RuleScheduler] = None
         self._hybrid_encoding: Optional[HierarchyEncoding] = None
         self._hybrid_view: Optional[HybridTripleView] = None
         self._hybrid_fallback_reason: Optional[str] = None
         if materialize_mode == "hybrid":
             self._hybrid_plan = plan_hybrid(self.rules, self.ruleset_name)
             if self._hybrid_plan.absorbed:
-                self._reduced_scheduler = ParallelRuleScheduler(
-                    self._hybrid_plan.reduced_rules, workers=self.workers
+                self._reduced_scheduler = RuleScheduler(
+                    self._hybrid_plan.reduced_rules
                 )
 
     # ------------------------------------------------------------------
@@ -276,20 +272,16 @@ class InferrayEngine:
         elapses (checked between iterations).
         """
         if self._materialized:
-            stats = self._blank_stats(self.scheduler)
+            stats = self._blank_stats()
             stats.n_total = stats.n_input
             stats.absorbed_rules = list(self.absorbed_rule_names)
             return stats
         return self._flush(time.perf_counter(), timeout_seconds)
 
-    def _blank_stats(
-        self, scheduler: ParallelRuleScheduler
-    ) -> MaterializationStats:
+    def _blank_stats(self) -> MaterializationStats:
         """A zero-work record labelled with the engine's current state."""
         return MaterializationStats(
             n_input=self.main.n_triples,
-            workers=self.workers,
-            parallel_mode=scheduler.mode,
             materialize_mode=self.materialize_mode,
             hybrid_fallback=self._hybrid_fallback_reason,
         )
@@ -368,7 +360,7 @@ class InferrayEngine:
 
     def _fixed_point(
         self,
-        scheduler: ParallelRuleScheduler,
+        scheduler: RuleScheduler,
         prepass,
         new: TripleStore,
         iteration: int,
@@ -398,7 +390,7 @@ class InferrayEngine:
             None if timeout_seconds is None else started + timeout_seconds
         )
         first_iteration = iteration
-        stats = self._blank_stats(scheduler)
+        stats = self._blank_stats()
 
         # Line 2: transitivity closures on the dedicated layout.
         closure_started = time.perf_counter()
@@ -410,51 +402,43 @@ class InferrayEngine:
         stats.closure_seconds = time.perf_counter() - closure_started
 
         # Lines 4-8: fixed point, rules fired through the scheduler.
-        with scheduler.session() as executor:
-            while new:
-                iteration += 1
-                if iteration > self.max_iterations:
-                    raise FixedPointError(
-                        f"no fixed point after {self.max_iterations} "
-                        f"iterations (workers={self.workers}, "
-                        f"mode={scheduler.mode})"
-                    )
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise MaterializationTimeout(
-                        f"inferray: timeout after {timeout_seconds}s "
-                        f"(iteration {iteration}, workers={self.workers}, "
-                        f"mode={scheduler.mode})"
-                    )
-                infer_started = time.perf_counter()
-                outcome = scheduler.run_iteration(
-                    main=self.main,
-                    new=new,
-                    vocab=self.vocab,
-                    kernels=self.kernels,
-                    iteration=iteration,
-                    executor=executor,
+        while new:
+            iteration += 1
+            if iteration > self.max_iterations:
+                raise FixedPointError(
+                    f"no fixed point after {self.max_iterations} iterations"
                 )
-                stats.inference_seconds += (
-                    time.perf_counter() - infer_started
+            if deadline is not None and time.perf_counter() > deadline:
+                raise MaterializationTimeout(
+                    f"inferray: timeout after {timeout_seconds}s "
+                    f"(iteration {iteration})"
                 )
-                self._accumulate_outcome(stats, outcome)
+            infer_started = time.perf_counter()
+            outcome = scheduler.run_iteration(
+                main=self.main,
+                new=new,
+                vocab=self.vocab,
+                kernels=self.kernels,
+                iteration=iteration,
+            )
+            stats.inference_seconds += time.perf_counter() - infer_started
+            self._accumulate_outcome(stats, outcome)
 
-                merge_started = time.perf_counter()
-                new = self.main.merge_inferred(outcome.out, outcome.own)
-                merge_seconds = time.perf_counter() - merge_started
-                stats.merge_seconds += merge_seconds
-                stats.per_iteration.append(
-                    IterationRecord(
-                        derived=sum(outcome.rule_counts.values()),
-                        new=new.n_triples,
-                        merge_seconds=merge_seconds,
-                    )
+            merge_started = time.perf_counter()
+            new = self.main.merge_inferred(outcome.out, outcome.own)
+            merge_seconds = time.perf_counter() - merge_started
+            stats.merge_seconds += merge_seconds
+            stats.per_iteration.append(
+                IterationRecord(
+                    derived=sum(outcome.rule_counts.values()),
+                    new=new.n_triples,
+                    merge_seconds=merge_seconds,
                 )
+            )
 
         stats.iterations = iteration - first_iteration
         stats.n_total = self.main.n_triples
         stats.n_inferred = stats.n_total - stats.n_input
-        self._finalize_parallel_stats(stats)
         if self._hybrid_encoding is not None:
             # The hybrid pre-pass encoded the hierarchies: reads compose
             # the absorbed rules' answers back in through this view.
@@ -660,30 +644,9 @@ class InferrayEngine:
         self._activate_hybrid_view()
         return True
 
-    @property
-    def parallel_mode(self) -> str:
-        """The executor substrate: 'sequential' at ``workers == 1``,
-        'thread' otherwise."""
-        return self.scheduler.mode
-
     def close(self) -> None:
-        """Shut down the schedulers' persistent thread pools.
-
-        Idempotent, and the engine stays usable — the next parallel
-        materialization lazily restarts its pool.  Dropping the last
-        reference to an unclosed engine also reaps the pools (the
-        scheduler registers a ``weakref.finalize``), but explicit close
-        is deterministic and is what ``Store.close()`` calls.
-        """
-        for scheduler in self.schedulers:
-            scheduler.close()
-
-    @property
-    def schedulers(self) -> List[ParallelRuleScheduler]:
-        """The full-catalogue scheduler and, in hybrid mode with rules
-        absorbed, the reduced one."""
-        reduced = self._reduced_scheduler
-        return [self.scheduler] + ([reduced] if reduced is not None else [])
+        """Does nothing: the engine holds no thread or file.  Kept for
+        callers that still close engines (the pipeline ledger does)."""
 
     def _accumulate_outcome(self, stats, outcome) -> None:
         """Fold one scheduled iteration's observability into ``stats``."""
@@ -692,15 +655,6 @@ class InferrayEngine:
         for name, seconds in outcome.rule_seconds.items():
             stats.per_rule_seconds[name] = (
                 stats.per_rule_seconds.get(name, 0.0) + seconds
-            )
-
-    @staticmethod
-    def _finalize_parallel_stats(stats) -> None:
-        """Derive the busy-time and effective-speedup summary fields."""
-        stats.rule_busy_seconds = sum(stats.per_rule_seconds.values())
-        if stats.inference_seconds > 0 and stats.rule_busy_seconds > 0:
-            stats.parallel_speedup = (
-                stats.rule_busy_seconds / stats.inference_seconds
             )
 
     def retract(self, triples: Iterable[Triple]) -> None:
@@ -790,27 +744,25 @@ class InferrayEngine:
         scheduler = self.scheduler
         ctx = RuleContext(main=self.main, new=delta, out=InferredBuffers(),
                           vocab=self.vocab, kernels=self.kernels)
-        with scheduler.session() as executor:
-            while delta:
-                ctx.new = delta
-                for rule in scheduler.rules:
-                    if rule.recloses(ctx):
-                        return doomed, (f"{rule.name} re-closes a "
-                                        "property the deletion reaches")
-                if doomed.n_triples > limit:
-                    return doomed, ("overdeleted past the DRed share: "
-                                    f"{doomed.n_triples} > {limit:g}")
-                if deadline is not None and time.perf_counter() > deadline:
-                    raise MaterializationTimeout(
-                        "inferray: timeout while overdeleting"
-                    )
-                iteration += 1
-                outcome = scheduler.run_iteration(
-                    main=self.main, new=delta, vocab=self.vocab,
-                    kernels=self.kernels, iteration=iteration,
-                    executor=executor,
+        while delta:
+            ctx.new = delta
+            for rule in scheduler.rules:
+                if rule.recloses(ctx):
+                    return doomed, (f"{rule.name} re-closes a "
+                                    "property the deletion reaches")
+            if doomed.n_triples > limit:
+                return doomed, ("overdeleted past the DRed share: "
+                                f"{doomed.n_triples} > {limit:g}")
+            if deadline is not None and time.perf_counter() > deadline:
+                raise MaterializationTimeout(
+                    "inferray: timeout while overdeleting"
                 )
-                delta = doomed.merge_inferred(outcome.out, outcome.own)
+            iteration += 1
+            outcome = scheduler.run_iteration(
+                main=self.main, new=delta, vocab=self.vocab,
+                kernels=self.kernels, iteration=iteration,
+            )
+            delta = doomed.merge_inferred(outcome.out, outcome.own)
         return doomed, None
 
     def _rederive(self, doomed: TripleStore, victims: set,

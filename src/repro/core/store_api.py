@@ -95,10 +95,6 @@ class StoreConfig:
     backend: Union[str, KernelBackend] = "auto"
     max_iterations: int = 10_000
     timeout_seconds: Optional[float] = None
-    #: Workers for the parallel rule scheduler; ``None`` reads
-    #: ``$REPRO_WORKERS`` (default 1), ``0`` means all cores.  More
-    #: than one fires the rules on a thread pool.
-    workers: Optional[int] = None
     #: Entailment mode: 'full' materializes the whole closure, 'hybrid'
     #: absorbs the hierarchy-shaped rules into the LiteMat-style
     #: interval encoding (:mod:`repro.litemat`) and answers them at
@@ -125,7 +121,6 @@ class StoreConfig:
             self.ruleset,
             backend=self.backend,
             max_iterations=self.max_iterations,
-            workers=self.workers,
             materialize_mode=self.resolved_materialize,
         )
 
@@ -498,7 +493,6 @@ class Store(_ReadAPI):
         engine = self.config.make_engine()
         engine.load_triples(union)
         self._engine = engine
-        old.close()
         return engine
 
     def _restore_pending(
@@ -579,22 +573,12 @@ class Store(_ReadAPI):
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the store's rule-firing thread pools.
+        """Does nothing: a store holds no thread or file between calls.
 
-        Parallel flushes keep their thread pool alive between flushes
-        so incremental updates never pay a pool cold start; ``close()``
-        shuts it down deterministically.  Idempotent, and the store
-        stays *readable and writable* — the next parallel flush lazily
-        restarts its pool.  Garbage collection would reap the pools too
-        (``weakref.finalize``), but long-lived processes (servers,
-        notebooks) should close explicitly — or use the store as a
-        context manager::
-
-            with Store(triples, workers=4) as store:
-                ...  # pools live here
-            # pools shut down
+        Kept, with the context-manager protocol, for callers that still
+        close stores (the pipeline ledger does); a closed store stays
+        readable and writable.
         """
-        self._engine.close()
 
     def __enter__(self) -> "Store":
         return self

@@ -8,6 +8,8 @@ crash behaviour of this module:
 * :func:`write_atomically` — a same-directory temp file, fsynced, then
   ``os.replace``\\ d over the target and the directory fsynced: a crash
   leaves the old file or the new one, never a mix;
+* :func:`remove_orphaned_temps` — delete the temp files that writes
+  killed before their rename left beside a target;
 * :func:`append` — write, flush to the OS, and fsync when asked;
 * :func:`truncate_file` — cut a file to a length, durably;
 * :func:`fsync_file` / :func:`fsync_directory` — the two syncs the
@@ -23,14 +25,16 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import stat
 import tempfile
-from typing import IO, Iterable
+from typing import IO, Iterable, List
 
 __all__ = [
     "append",
     "fsync_directory",
     "fsync_file",
+    "remove_orphaned_temps",
     "truncate_file",
     "write_atomically",
 ]
@@ -62,6 +66,12 @@ def fsync_directory(directory: str) -> None:
         os.close(dir_fd)
 
 
+#: The part ``mkstemp`` puts between a temp file's prefix and suffix:
+#: eight characters of ``tempfile``'s name alphabet.
+_MKSTEMP_RANDOM = re.compile(r"[a-z0-9_]{8}")
+_TEMP_SUFFIX = ".tmp"
+
+
 def write_atomically(path: str, chunks: Iterable[bytes]) -> int:
     """Replace ``path`` with the concatenated ``chunks``; returns the
     number of bytes written.
@@ -73,7 +83,9 @@ def write_atomically(path: str, chunks: Iterable[bytes]) -> int:
     target = os.path.abspath(path)
     directory = os.path.dirname(target)
     fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(target) + ".", suffix=".tmp"
+        dir=directory,
+        prefix=os.path.basename(target) + ".",
+        suffix=_TEMP_SUFFIX,
     )
     written = 0
     try:
@@ -92,6 +104,37 @@ def write_atomically(path: str, chunks: Iterable[bytes]) -> int:
         raise
     fsync_directory(directory)
     return written
+
+
+def remove_orphaned_temps(path: str) -> List[str]:
+    """Delete the temp files of :func:`write_atomically` calls on
+    ``path`` that died before their rename; returns the names removed.
+
+    A process killed mid-write runs no cleanup, so its
+    ``<name>.<8 random chars>.tmp`` stays beside the target, as large
+    as what it was writing.  Only that exact shape matches: a user's
+    ``<name>.backup.tmp`` survives.  Call it only while no write to
+    ``path`` is in flight.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    prefix = name + "."
+    try:
+        entries = os.listdir(directory)
+    except FileNotFoundError:
+        return []
+    removed = []
+    for entry in entries:
+        if (
+            entry.startswith(prefix)
+            and entry.endswith(_TEMP_SUFFIX)
+            and _MKSTEMP_RANDOM.fullmatch(
+                entry[len(prefix):-len(_TEMP_SUFFIX)]
+            )
+        ):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(directory, entry))
+                removed.append(entry)
+    return removed
 
 
 def append(handle: IO[bytes], data: bytes, *, fsync: bool) -> None:

@@ -18,7 +18,6 @@ import asyncio
 import contextlib
 import signal
 import sys
-from typing import Optional
 
 from ..core.store_api import Store
 from .metrics import LatencyWindow, ServingMetrics
@@ -76,8 +75,3 @@ def run(
     except KeyboardInterrupt:  # platforms without add_signal_handler
         print("repro: interrupted", file=sys.stderr)
         return 130
-    finally:
-        # The writer task's flushes share the store's persistent thread
-        # pool across batches; once the process is done serving, shut
-        # the pool down deterministically.
-        store.close()

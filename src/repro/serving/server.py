@@ -628,8 +628,6 @@ class ReasoningServer:
             "n_triples": self._current.n_triples,
             "ruleset": self._current.ruleset_name,
             "backend": engine.kernels.name,
-            "workers": engine.workers,
-            "parallel_mode": engine.parallel_mode,
             "materialize": engine.materialize_mode,
             "absorbed_rules": list(engine.absorbed_rule_names),
             "hybrid_fallback": engine.hybrid_fallback_reason,

@@ -73,9 +73,10 @@ class InferredBuffers:
     def absorb(self, other: "InferredBuffers") -> None:
         """Adopt another buffer set's contents as chunk references.
 
-        The parallel scheduler gives every rule a private buffer and
-        absorbs them in deterministic rule order; ``other`` must not be
-        mutated afterwards (its tail arrays are aliased, not copied).
+        The rule scheduler gives every rule its own buffer, so a
+        self-fed rule's output can stay apart, and absorbs the others
+        in catalogue order; ``other`` must not be mutated afterwards
+        (its tail arrays are aliased, not copied).
         """
         for property_id, chunks in other.chunk_items():
             own = self._chunks.get(property_id)

@@ -154,49 +154,20 @@ class TestStoreCommands:
         assert "not a serialized store" in capsys.readouterr().err
 
 
-class TestWorkersFlag:
-    def test_infer_with_workers(self, sample_file, capsys):
-        assert main(["infer", sample_file, "--workers", "2"]) == 0
-        assert capsys.readouterr().out.count(" .") == 3
+class TestWorkersFlagIsGone:
+    # Rules always fire inline: --workers is a usage error.
+    @pytest.mark.parametrize("command", ["infer", "stats", "save", "query"])
+    def test_workers_is_an_unknown_option(self, command, sample_file,
+                                          tmp_path, capsys):
+        extra = {"save": ["-o", str(tmp_path / "c.store")],
+                 "query": ["?s rdf:type ?t"]}.get(command, [])
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, sample_file, *extra, "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
-    def test_infer_workers_zero_means_all_cores(self, sample_file, capsys):
-        assert main(["infer", sample_file, "--workers", "0"]) == 0
-        assert capsys.readouterr().out.count(" .") == 3
-
-    def test_stats_reports_workers(self, sample_file, capsys):
-        assert main(["stats", sample_file, "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "workers:           2 (thread)" in out
-        assert "rule-firing speedup:" in out
-
-    def test_stats_sequential_omits_speedup_line(self, sample_file, capsys):
+    def test_stats_reports_no_executor(self, sample_file, capsys):
         assert main(["stats", sample_file]) == 0
         out = capsys.readouterr().out
-        assert "workers:           1" in out
-        assert "rule-firing speedup:" not in out
-
-    def test_save_and_query_accept_workers(
-        self, sample_file, tmp_path, capsys
-    ):
-        store_path = str(tmp_path / "c.store")
-        assert main(
-            ["save", sample_file, "-o", store_path, "--workers", "2"]
-        ) == 0
-        assert main(
-            ["query", store_path, "?s rdf:type ?t", "--workers", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "<http://ex/b>" in out
-
-    def test_thread_parallel_mode_accepted(self, sample_file, capsys):
-        # --workers alone picks the executor: more than one is the pool.
-        assert main(["stats", sample_file, "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "(thread)" in out
-        assert "2 thread workers" in out
-
-    def test_one_worker_reports_sequential(self, sample_file, capsys):
-        assert main(["stats", sample_file, "--workers", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "(sequential)" in out
-        assert "thread" not in out
+        assert "workers:" not in out
+        assert "speedup" not in out

@@ -278,20 +278,6 @@ def test_store_route_follows_the_entailment_mode(unbounded):
     assert set(store.triples()) == set(clean.triples())
 
 
-@pytest.mark.usefixtures("unbounded")
-def test_overdelete_on_the_thread_pool():
-    triples = SCHEMA + PEOPLE + [
-        Triple(ex(f"kid{i}"), ex("knows"), ex(f"kid{i + 1}")) for i in range(30)
-    ]
-    victims = [Triple(ex(f"kid{i}"), ex("knows"), ex(f"kid{i + 1}"))
-               for i in range(0, 30, 3)]
-    stats, engine = delete(triples, victims, workers=4)
-    assert stats.deletion["route"] == "dred"
-    assert stats.parallel_mode == "thread"
-    assert engine.scheduler.thread_pool is not None
-    engine.close()
-
-
 # ----------------------------------------------------------------------
 # Failure atomicity
 # ----------------------------------------------------------------------

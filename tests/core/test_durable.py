@@ -8,6 +8,7 @@ chaos and WAL suites use to inject faults).
 
 import os
 import stat
+import tempfile
 
 import pytest
 
@@ -156,6 +157,31 @@ class TestAppend:
         with open(tmp_path / "log.bin", "ab") as handle:
             with pytest.raises(InjectedFault):
                 durable.append(handle, b"data", fsync=True)
+
+
+class TestRemoveOrphanedTemps:
+    def test_removes_only_write_atomically_temp_files(self, tmp_path):
+        target = str(tmp_path / "x.store")
+        orphans = []
+        for _ in range(3):
+            # What a write killed between mkstemp and os.replace leaves.
+            fd, orphan = tempfile.mkstemp(
+                dir=str(tmp_path), prefix="x.store.", suffix=".tmp"
+            )
+            os.close(fd)
+            orphans.append(os.path.basename(orphan))
+        keep = ["x.store", "x.store.backup.tmp", "x.store.abcdefghi.tmp",
+                "y.store.abcdefgh.tmp", "x.store.abcdefgh.tmp.old"]
+        for name in keep:
+            (tmp_path / name).write_bytes(b"user data")
+        removed = durable.remove_orphaned_temps(target)
+        assert sorted(removed) == sorted(orphans)
+        assert sorted(os.listdir(tmp_path)) == sorted(keep)
+
+    def test_missing_directory_removes_nothing(self, tmp_path):
+        assert durable.remove_orphaned_temps(
+            str(tmp_path / "absent" / "x.store")
+        ) == []
 
 
 class TestTruncateFile:

@@ -3,8 +3,8 @@
 ``InferrayEngine._fixed_point`` is reached four ways — a batch run and
 an incremental flush, each over the full or the hybrid (reduced)
 catalogue.  Everything the driver owns (iteration cap, deadline,
-executor decision, stats, the materialized flag) must behave the same
-whichever set-up called it, sequentially and on an executor.
+stats, the materialized flag) must behave the same whichever set-up
+called it.
 """
 
 import pytest
@@ -44,7 +44,6 @@ SETUPS = [
     for incremental, kind in ((False, "batch"), (True, "incremental"))
     for mode in ("full", "hybrid")
 ]
-WORKERS = [1, 2]
 
 
 def closure(engine):
@@ -59,16 +58,14 @@ def reference_closure(triples):
     return closure(engine)
 
 
-def make_engine(mode, workers):
-    return InferrayEngine(
-        "rdfs-default", materialize_mode=mode, workers=workers
-    )
+def make_engine(mode):
+    return InferrayEngine("rdfs-default", materialize_mode=mode)
 
 
-def run_setup(mode, incremental, workers, *, sabotage=None, **run_options):
+def run_setup(mode, incremental, *, sabotage=None, **run_options):
     """Drive one set-up; ``sabotage(engine)`` runs just before the
     flush under test.  Returns (engine, flush outcome or exception)."""
-    engine = make_engine(mode, workers)
+    engine = make_engine(mode)
     engine.load_triples(BASE)
     if incremental:
         engine.materialize()
@@ -85,27 +82,17 @@ def run_setup(mode, incremental, workers, *, sabotage=None, **run_options):
         return engine, error
 
 
-@pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("mode, incremental", SETUPS)
 class TestEverySetup:
-    def test_closure_matches_a_from_scratch_run(
-        self, mode, incremental, workers
-    ):
-        engine, _ = run_setup(mode, incremental, workers)
+    def test_closure_matches_a_from_scratch_run(self, mode, incremental):
+        engine, _ = run_setup(mode, incremental)
         assert engine.is_materialized
         assert closure(engine) == reference_closure(BASE + EXTRA)
-        engine.close()
 
-    def test_stats_are_filled_the_same_way(
-        self, mode, incremental, workers
-    ):
-        engine, stats = run_setup(mode, incremental, workers)
+    def test_stats_are_filled_the_same_way(self, mode, incremental):
+        engine, stats = run_setup(mode, incremental)
         assert engine.stats is stats
-        assert stats.workers == workers
         assert stats.materialize_mode == mode
-        assert stats.parallel_mode == (
-            "thread" if workers > 1 else "sequential"
-        )
         assert stats.iterations >= 2
         assert sum(stats.per_rule.values()) > 0
         assert set(stats.per_rule_seconds) >= set(stats.per_rule)
@@ -113,42 +100,35 @@ class TestEverySetup:
         assert stats.n_inferred == stats.n_total - stats.n_input > 0
         assert (stats.absorbed_rules != []) == (mode == "hybrid")
         assert stats.hybrid_fallback is None
-        engine.close()
 
-    def test_iteration_cap_raises_and_recovers(
-        self, mode, incremental, workers
-    ):
+    def test_iteration_cap_raises_and_recovers(self, mode, incremental):
         def cap(engine):
             engine.max_iterations = 1
 
-        engine, error = run_setup(mode, incremental, workers, sabotage=cap)
+        engine, error = run_setup(mode, incremental, sabotage=cap)
         assert isinstance(error, FixedPointError)
-        self.assert_aborted_then_recovers(engine, error, workers)
+        self.assert_aborted_then_recovers(engine)
 
-    def test_timeout_raises_and_recovers(self, mode, incremental, workers):
-        engine, error = run_setup(
-            mode, incremental, workers, timeout_seconds=1e-12
-        )
+    def test_timeout_raises_and_recovers(self, mode, incremental):
+        engine, error = run_setup(mode, incremental, timeout_seconds=1e-12)
         assert isinstance(error, MaterializationTimeout)
-        self.assert_aborted_then_recovers(engine, error, workers)
+        assert "iteration" in str(error)
+        self.assert_aborted_then_recovers(engine)
 
     @staticmethod
-    def assert_aborted_then_recovers(engine, error, workers):
-        assert f"workers={workers}" in str(error)
-        assert "mode=" in str(error)
+    def assert_aborted_then_recovers(engine):
         assert not engine.is_materialized
         engine.max_iterations = 10_000
         engine.materialize()
         assert engine.is_materialized
         assert closure(engine) == reference_closure(BASE + EXTRA)
-        engine.close()
 
 
 @pytest.mark.parametrize("mode", ["full", "hybrid"])
 def test_incremental_stats_count_only_derived_triples(mode):
     """``n_input`` includes the asserted delta, so ``n_inferred`` is what
     the rules derived; ``engine.stats`` is the incremental run's record."""
-    engine = make_engine(mode, 1)
+    engine = make_engine(mode)
     engine.load_triples(BASE)
     first = engine.materialize()
     before = engine.main.n_triples
@@ -168,7 +148,7 @@ def test_incremental_stats_count_only_derived_triples(mode):
 
 @pytest.mark.parametrize("incremental", [False, True])
 def test_tripped_schema_guard_falls_back_to_the_full_catalogue(incremental):
-    engine = make_engine("hybrid", 1)
+    engine = make_engine("hybrid")
     engine.load_triples(BASE)
     if incremental:
         # The store holds only the reduced closure when the guard

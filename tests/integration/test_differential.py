@@ -416,18 +416,14 @@ def oracle_closure(catalogue, triples):
 
 
 def inferray_closure(catalogue, first, then=()):
-    """Batch over ``first``, then ``then`` through the incremental path.
-    The rules run on the thread pool whenever ``$REPRO_WORKERS`` > 1."""
+    """Batch over ``first``, then ``then`` through the incremental path."""
     rules = catalogue if isinstance(catalogue, str) else make_rules(catalogue)
     engine = InferrayEngine(rules)
-    try:
-        engine.load_triples(first)
-        engine.materialize()
-        if then:
-            engine.materialize_incremental(then)
-        return set(engine.triples())
-    finally:
-        engine.close()
+    engine.load_triples(first)
+    engine.materialize()
+    if then:
+        engine.materialize_incremental(then)
+    return set(engine.triples())
 
 
 def test_shaped_generator_reaches_every_shape():

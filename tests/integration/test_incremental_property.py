@@ -1,6 +1,6 @@
 """Property tests: incremental materialization ≡ batch materialization,
-and the parallel scheduler's lazy incremental flushes through ``Store``
-≡ a from-scratch sequential rebuild."""
+and lazy incremental flushes through ``Store`` ≡ a from-scratch
+rebuild."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,7 +106,7 @@ def test_retract_all_of_second_batch_restores_first(batch2):
 
 
 # ----------------------------------------------------------------------
-# Parallel-scheduler fuzz: random add/remove interleavings via Store
+# Store fuzz: random add/remove interleavings
 # ----------------------------------------------------------------------
 @settings(max_examples=15, deadline=None)
 @given(
@@ -115,24 +115,22 @@ def test_retract_all_of_second_batch_restores_first(batch2):
     schema_and_data(),
     st.data(),
     st.sampled_from(["rdfs-default", "rdfs-plus"]),
-    st.sampled_from([2, 4]),
 )
-def test_parallel_interleaved_mutations_match_sequential_rebuild(
-    first, second, third, data, ruleset, workers
+def test_interleaved_mutations_match_a_rebuild(
+    first, second, third, data, ruleset
 ):
-    """Lazy incremental flushes under ``workers>1`` ≡ fresh rebuild.
+    """Lazy incremental flushes ≡ fresh rebuild.
 
-    Interleaves adds, reads (which flush semi-naively under the
-    parallel scheduler) and removes (which rebuild), then compares the
-    closure against a from-scratch *sequential* store holding the same
-    surviving asserted set.
+    Interleaves adds, reads (which flush semi-naively) and removes,
+    then compares the closure against a from-scratch store holding the
+    same surviving asserted set.
     """
     removed = data.draw(
         st.lists(st.sampled_from(first), unique=True, max_size=len(first))
         if first
         else st.just([])
     )
-    store = Store(config=StoreConfig(ruleset=ruleset, workers=workers))
+    store = Store(config=StoreConfig(ruleset=ruleset))
     store.add(first)
     assert store.n_triples >= 0  # read: flushes the first batch
     store.add(second)
@@ -146,6 +144,5 @@ def test_parallel_interleaved_mutations_match_sequential_rebuild(
         + [t for t in second if t not in removed_set]
         + list(third)
     )
-    rebuild = Store(surviving, config=StoreConfig(ruleset=ruleset, workers=1))
+    rebuild = Store(surviving, config=StoreConfig(ruleset=ruleset))
     assert set(store.triples()) == set(rebuild.triples())
-    assert store.stats.workers == workers

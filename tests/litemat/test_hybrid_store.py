@@ -4,7 +4,7 @@ The correctness bar for ``Store(materialize="hybrid")`` is byte-equal
 *query answers* — not equal stored closures; the stored closure is
 exactly what the mode shrinks.  Coverage: the conformance fixture
 corpus (every ruleset directive), the differential datasets × kernel
-backends × worker counts, BGP solutions, snapshots, incremental adds,
+backends, BGP solutions, snapshots, incremental adds,
 removals, the schema-of-schema guard fallback, and the
 ``$REPRO_MATERIALIZE`` environment default.
 """
@@ -29,7 +29,7 @@ FIXTURE_DIR = os.path.join(
     os.path.dirname(__file__), "..", "fixtures", "conformance"
 )
 
-BACKENDS = ["python", "numpy"]
+BACKENDS = ["python", "numpy", "compressed"]
 
 DATASETS = {
     "bsbm": bsbm_like(40),
@@ -96,12 +96,11 @@ def test_conformance_fixtures_hybrid_equals_full(name):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("ruleset", ("rdfs-default", "rho-df"))
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
-def test_differential_datasets(dataset, ruleset, workers, backend):
+def test_differential_datasets(dataset, ruleset, backend):
     data = DATASETS[dataset]
-    kwargs = dict(ruleset=ruleset, backend=backend, workers=workers)
+    kwargs = dict(ruleset=ruleset, backend=backend)
     full = Store(data, materialize="full", **kwargs)
     hybrid = Store(data, materialize="hybrid", **kwargs)
     assert answer_set(hybrid) == answer_set(full)

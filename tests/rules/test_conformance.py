@@ -14,9 +14,8 @@ add — no more, no less).  The suite pins:
   equivalentClass, transitive/symmetric/inverse/functional properties),
 * the RDFS-Full axiomatic rules (RDFS4/8/10).
 
-Every fixture runs sequentially *and* under the parallel scheduler
-(workers=2), so the conformance answers double as scheduler-correctness
-checks.
+Every fixture runs on every kernel backend, so the conformance answers
+double as backend-agreement checks.
 """
 
 import glob
@@ -31,6 +30,8 @@ from repro.rules.rulesets import RULESET_NAMES
 FIXTURE_DIR = os.path.join(
     os.path.dirname(__file__), "..", "fixtures", "conformance"
 )
+
+BACKENDS = ["python", "numpy", "compressed"]
 
 FIXTURES = sorted(
     os.path.basename(path)[: -len(".in.nt")]
@@ -64,9 +65,9 @@ def test_suite_is_populated():
         assert list(parse_file(out_path)), f"{out_path} is empty"
 
 
-@pytest.mark.parametrize("workers", (1, 2), ids=("seq", "par"))
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", FIXTURES)
-def test_conformance(name, workers):
+def test_conformance(name, backend):
     in_path, out_path = fixture_paths(name)
     ruleset = fixture_ruleset(in_path)
     asserted = set(parse_file(in_path))
@@ -76,7 +77,7 @@ def test_conformance(name, workers):
         "expected entailments must not repeat asserted triples"
     )
 
-    engine = InferrayEngine(ruleset, workers=workers)
+    engine = InferrayEngine(ruleset, backend=backend)
     engine.load_file(in_path)
     engine.materialize()
     closure = set(engine.triples())
@@ -84,7 +85,7 @@ def test_conformance(name, workers):
     missing = (asserted | expected) - closure
     extra = closure - (asserted | expected)
     assert closure == asserted | expected, (
-        f"{name} ({ruleset}, workers={workers}): "
+        f"{name} ({ruleset}, {backend}): "
         f"missing={sorted(t.n3() for t in missing)[:5]} "
         f"extra={sorted(t.n3() for t in extra)[:5]}"
     )

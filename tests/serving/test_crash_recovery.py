@@ -14,6 +14,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 EX = "http://example.org/"
@@ -30,6 +31,8 @@ LISA_NT = (
 MAMMAL_QUERY = "/query?q=%3Fwho%20a%20%3Chttp%3A%2F%2Fexample.org%2Fmammal%3E"
 
 BOOT_TIMEOUT = 60.0
+#: Exit code of the ``kill-mid-save`` fault (``launch.KILLED``).
+KILLED = 70
 
 LAUNCH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),
@@ -66,8 +69,6 @@ def _serve(input_path, wal_path, *, fault=None, extra_args=()):
             "0",
             "--wal",
             wal_path,
-            "--workers",
-            "1",
             *extra_args,
         ],
         env=env,
@@ -166,3 +167,65 @@ class TestKillNineRecovery:
             proc.send_signal(signal.SIGTERM)
             _wait_exit(proc)
             proc.stderr.close()
+
+
+class TestKilledCheckpointLeavesNoOrphan:
+    def test_boot_sweeps_temp_files_and_replays(self, tmp_path):
+        """A checkpoint killed between mkstemp and os.replace leaves a
+        temp file the size of the closure; the next boot removes it
+        before it opens the checkpoint or the log."""
+        data = tmp_path / "base.nt"
+        data.write_text(BASE_NT)
+        wal_path = str(tmp_path / "serve.wal")
+
+        def orphans():
+            return sorted(n for n in os.listdir(tmp_path) if n.endswith(".tmp"))
+
+        # First run: the write is acked from the WAL, then the flush's
+        # checkpoint dies mid-save.
+        proc, port = _serve(str(data), wal_path, fault="kill-mid-save")
+        try:
+            status, raw = _request(port, "POST", "/add", LISA_NT)
+            assert status == 202, raw
+        finally:
+            code = _wait_exit(proc)
+            proc.stderr.close()
+        assert code == KILLED
+        left = orphans()
+        assert len(left) == 1 and left[0].startswith("serve.wal.checkpoint.")
+
+        # Two more runs die in the boot checkpoint that follows the
+        # replay; each first sweeps what the run before it left.
+        for _ in range(2):
+            result = subprocess.run(
+                [sys.executable, LAUNCH, "kill-mid-save", "serve",
+                 str(data), "--port", "0", "--wal", wal_path],
+                env={**os.environ, "PYTHONPATH": _src_path()},
+                stderr=subprocess.PIPE, text=True, timeout=BOOT_TIMEOUT,
+            )
+            assert result.returncode == KILLED, result.stderr
+            assert f"removed orphaned temp file {left[0]}" in result.stderr
+            left = orphans()
+            assert len(left) == 1
+
+        # A log rewrite killed the same way leaves the log's own orphan.
+        fd, _ = tempfile.mkstemp(dir=str(tmp_path), prefix="serve.wal.",
+                                 suffix=".tmp")
+        os.close(fd)
+        assert len(orphans()) == 2
+
+        proc, port = _serve(str(data), wal_path)
+        try:
+            assert orphans() == []
+            status, raw = _request(port, "GET", MAMMAL_QUERY)
+            assert status == 200, raw
+            names = {s["who"] for s in json.loads(raw)["solutions"]}
+            assert f"<{EX}Lisa>" in names
+            status, raw = _request(port, "GET", "/stats")
+            assert json.loads(raw)["wal"]["replayed_at_boot"] == 1
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            code = _wait_exit(proc)
+            proc.stderr.close()
+        assert code == 0
+        assert orphans() == []
