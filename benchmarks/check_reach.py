@@ -334,10 +334,17 @@ import sys
 from pathlib import Path
 from repro.datasets import bsbm_like, lubm_like
 from repro.rdf import OWL, RDF, RDFS, XSD, BlankNode, Literal, Triple, iri
-from repro.rdf.ntriples import write_file
+from repro.rdf.ntriples import BLOCK_CHARS, write_file
 
 ex = lambda name: iri("http://example.org/" + name)
 triples = lubm_like(1, seed=3) + bsbm_like(40)
+# Canonical filler past the parser's first block, so that one block is
+# taken whole and the last one, with the lines below, falls back.
+filler = Triple(ex("item"), RDF.type, ex("Item")).n3()
+triples += [
+    Triple(ex(f"item{i}"), RDF.type, ex("Item"))
+    for i in range(BLOCK_CHARS // len(filler))
+]
 triples += [
     Triple(ex("knows"), RDF.type, OWL.SymmetricProperty),
     Triple(ex("ancestor"), RDF.type, OWL.TransitiveProperty),
@@ -357,8 +364,9 @@ triples += [
     Triple(ex("a"), OWL.sameAs, ex("a2")),
     Triple(ex("a"), RDF.type, ex("Person")),
     # Escapes put a line outside the fast subset: the cursor parser
-    # reads it.
-    Triple(BlankNode("b1"), ex("label"), Literal('say "hi"', None, "en-GB")),
+    # reads it.  Without a blank in it, the block scan first interns its
+    # block's tokens up to the escaped one, then takes them back.
+    Triple(BlankNode("b1"), ex("label"), Literal('"hi"', None, "en-GB")),
     Triple(BlankNode("b0"), ex("label"), Literal("7", XSD.prefix + "integer")),
 ]
 work = Path(sys.argv[1])

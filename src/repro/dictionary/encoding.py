@@ -36,7 +36,6 @@ arrays rather than hash maps.
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Term, Triple
@@ -114,13 +113,12 @@ class Dictionary:
 
         A term already registered as a property keeps its property id.
         """
-        existing = self._ids.get(term)
-        if existing is not None:
-            return existing
         new_id = PROPERTY_BASE + 1 + len(self._resource_terms)
-        self._resource_terms.append(term)
-        self._ids[term] = new_id
-        return new_id
+        # One hash of the term, whether it is new or not.
+        existing = self._ids.setdefault(term, new_id)
+        if existing == new_id:
+            self._resource_terms.append(term)
+        return existing
 
     def encode_triple(self, triple: Triple) -> EncodedTriple:
         """Encode one triple (predicate gets a property id)."""
@@ -217,45 +215,74 @@ class Dictionary:
         return dictionary
 
 
-#: ``roles`` entry for rdf:type in :func:`_property_positions`: the
-#: subject is a property when the object is a property-marking class.
-_TYPE_ROLE = ("type",)
+def _property_positions(terms: Sequence[Term], flat):
+    """:func:`scan_property_terms` over the flat ``s p o …`` column of
+    table positions: the positions in order of first occurrence by
+    (statement, slot), the predicate's slot first — the order pass 1
+    registers them in."""
+    import numpy as np
+
+    subjects, predicates, objects = flat[0::3], flat[1::3], flat[2::3]
+    distinct, first = np.unique(predicates, return_index=True)
+    # (statement, position) runs; within one statement, concatenation
+    # order is slot order: its predicate, then subject, then object.
+    rows, found = [first], [distinct]
+    for position in distinct.tolist():
+        predicate = terms[position]
+        if predicate == RDF.type:
+            at = np.flatnonzero(predicates == position)
+            marking = [
+                c for c in np.unique(objects[at]).tolist()
+                if terms[c] in PROPERTY_MARKING_TYPES
+            ]
+            at = at[np.isin(objects[at], marking)]
+            columns = [subjects]
+        else:
+            roles = PROPERTY_POSITION_PREDICATES.get(predicate, ())
+            columns = [subjects] if "subject" in roles else []
+            if "object" in roles:
+                columns.append(objects)
+            if columns:
+                at = np.flatnonzero(predicates == position)
+        for column in columns:
+            rows.append(at)
+            found.append(column[at])
+    in_order = np.concatenate(found)[
+        np.argsort(np.concatenate(rows), kind="stable")
+    ]
+    positions, first = np.unique(in_order, return_index=True)
+    return positions[np.argsort(first)]
 
 
-def _property_positions(
-    terms: Sequence[Term],
-    subjects: Sequence[int],
-    predicates: Sequence[int],
-    objects: Sequence[int],
-) -> List[int]:
-    """:func:`scan_property_terms` over term columns, as table positions.
+def _resource_positions(n_terms: int, flat, properties):
+    """The positions of the subjects and objects of the flat ``s p o …``
+    column that are not ``properties``, in order of first occurrence."""
+    import numpy as np
 
-    ``roles[p]`` caches, per predicate, which positions of its
-    statements denote properties.
-    """
-    found: Dict[int, None] = {}
-    roles: List[Optional[tuple]] = [None] * len(terms)
-    for s, p, o in zip(subjects, predicates, objects):
-        positions = roles[p]
-        if positions is None:
-            found.setdefault(p)
-            predicate = terms[p]
-            positions = roles[p] = (
-                _TYPE_ROLE
-                if predicate == RDF.type
-                else PROPERTY_POSITION_PREDICATES.get(predicate, ())
-            )
-        if not positions:
-            continue
-        if positions is _TYPE_ROLE:
-            if terms[o] in PROPERTY_MARKING_TYPES:
-                found.setdefault(s)
-            continue
-        if "subject" in positions:
-            found.setdefault(s)
-        if "object" in positions:
-            found.setdefault(o)
-    return list(found)
+    subjects, objects = flat[0::3], flat[2::3]
+    if _numbered_first_seen(flat):
+        # A non-property occurs in subject and object slots only, so
+        # first-seen numbering orders these positions by occurrence.
+        used = np.zeros(n_terms, dtype=bool)
+        used[subjects] = True
+        used[objects] = True
+        used[properties] = False
+        return np.flatnonzero(used)
+    occurring = np.column_stack((subjects, objects)).ravel()
+    positions, first = np.unique(occurring, return_index=True)
+    positions = positions[np.argsort(first)]
+    return positions[~np.isin(positions, properties)]
+
+
+def _numbered_first_seen(flat) -> bool:
+    """Whether the positions of ``flat`` are numbered 0, 1, 2, … in the
+    order they first occur (a running-max check)."""
+    import numpy as np
+
+    if not len(flat):
+        return True
+    highest = np.maximum.accumulate(flat)
+    return bool(flat[0] == 0 and (flat[1:] <= highest[:-1] + 1).all())
 
 
 def scan_property_terms(triples: Sequence[Triple]) -> List[Term]:
@@ -312,12 +339,23 @@ def encode_columns(
 
     Statement ``i`` is ``(terms[subjects[i]], terms[predicates[i]],
     terms[objects[i]])`` — the shape :func:`repro.rdf.ntriples.read_columns`
-    returns.  The same two passes run in the same order, so the ids are
-    the ones :func:`encode_dataset` would assign to the same statements;
-    the dictionary is probed once per entry of ``terms`` instead of once
-    per occurrence, and every occurrence after that is a list lookup.
-    Two entries may hold equal terms (two spellings in a file): they
-    get one id.
+    returns (int64 arrays; any integer sequences do).  The ids are the
+    ones :func:`encode_dataset` would assign to the same statements, and
+    the work per statement is numpy's:
+
+    * the property positions — each predicate's first occurrence
+      (``np.unique``), plus the subjects and objects of the statements
+      whose predicate puts a property there — are registered in order of
+      (statement, slot), as pass 1 would meet them;
+    * the remaining subject and object positions are resources, in order
+      of first occurrence: position order when the table is numbered
+      first-seen, as ``read_columns`` numbers it (checked in one pass),
+      and found by sorting otherwise;
+    * every occurrence then takes its id by one gather.
+
+    The dictionary is thus probed once per entry of ``terms``.  Two
+    entries may hold equal terms (two spellings in a file): they get one
+    id.
 
     Returns the dictionary, the flat ``⟨s, o⟩`` id pairs of each
     property (keyed by property id, in first-seen order — what
@@ -325,28 +363,25 @@ def encode_columns(
     the encoded triples in input order, as a :class:`TripleColumn`.  A
     :class:`DictionaryError` leaves the dictionary as it was.
     """
+    import numpy as np
+
     if dictionary is None:
         dictionary = Dictionary()
-    ids: List[Optional[int]] = [None] * len(terms)
-    found = _property_positions(terms, subjects, predicates, objects)
-    property_ids = dictionary.encode_properties(
-        [terms[position] for position in found]
+    flat = np.column_stack(
+        [np.asarray(column, dtype=np.int64).reshape(-1)
+         for column in (subjects, predicates, objects)]
+    ).ravel()
+    ids = np.zeros(len(terms), dtype=np.int64)
+    properties = _property_positions(terms, flat)
+    ids[properties] = dictionary.encode_properties(
+        [terms[position] for position in properties.tolist()]
     )
-    for position, property_id in zip(found, property_ids):
-        ids[position] = property_id
-
-    encode_resource = dictionary.encode_resource
-    flat = array("q")
-    append = flat.append
-    for s, p, o in zip(subjects, predicates, objects):
-        subject_id = ids[s]
-        if subject_id is None:
-            subject_id = ids[s] = encode_resource(terms[s])
-        object_id = ids[o]
-        if object_id is None:
-            object_id = ids[o] = encode_resource(terms[o])
-        append(subject_id)
-        append(ids[p])
-        append(object_id)
-    encoded = TripleColumn(flat)
+    resources = _resource_positions(len(terms), flat, properties)
+    resource_terms = map(terms.__getitem__, resources.tolist())
+    ids[resources] = np.fromiter(
+        map(dictionary.encode_resource, resource_terms),
+        np.int64,
+        len(resources),
+    )
+    encoded = TripleColumn(ids[flat])
     return dictionary, dict(encoded.by_property()), encoded

@@ -1,23 +1,33 @@
 """Streaming N-Triples parser and serializer (RDF 1.1 N-Triples).
 
-The parser is line-oriented and allocation-light: comments and blank
-lines are skipped, and a statement line becomes three *interned* terms —
-each distinct term of a parse is built once, however often it occurs.
-It covers the full N-Triples grammar used by the benchmark datasets:
-IRIREF, blank node labels, literals with escapes, language tags and
-datatype IRIs.
+Comments and blank lines are skipped, and a statement line becomes
+three *interned* terms — each distinct term of a parse is built once,
+however often it occurs.  It covers the full N-Triples grammar used by
+the benchmark datasets: IRIREF, blank node labels, literals with
+escapes, language tags and datatype IRIs.
 
-There is one parse entry point, :func:`_scan`.  A compiled pattern
-covering the escape-free subset of the grammar sits in front of the
-cursor parser (:class:`_LineParser`): a line it matches is split into
-three tokens, looked up in the parse's token table, and never reaches
-the cursor; any other line — escapes, comments, blanks, everything
-malformed — goes to the cursor parser, which therefore still produces
-every diagnostic.  :func:`parse` and :func:`parse_file` wrap the
-entry point into ``Triple`` objects;
-:func:`read_columns` returns the same statements as columns of table
-indexes, which is what the bulk load path
+There is one parse entry point, :func:`_scan_text`, and it works a
+block of text at a time: about :data:`BLOCK_CHARS` characters, ending
+on a line boundary.  A block in canonical form — every line exactly
+``s p o .``, single spaces, no comment — is split by ``str.split``, and
+its tokens are looked up in the parse's term table column-wise in C;
+the table checks a token the first time it sees it (:data:`_TOKEN`),
+and a per-block check of term kinds rejects a literal subject or a
+non-IRI predicate.  Any other block goes line by line through
+:func:`_scan`, where a compiled pattern covering the escape-free subset
+of the grammar (:data:`_STATEMENT`) sits in front of the cursor parser
+(:class:`_LineParser`): a line it matches is split into three tokens,
+and any other line — escapes, comments, blanks, everything malformed —
+goes to the cursor parser, which therefore still produces every
+diagnostic, with its line number.  :func:`parse` and
+:func:`parse_file` wrap the entry point into ``Triple`` objects;
+:func:`read_columns` returns the same statements as int64 columns of
+table positions, which is what the bulk load path
 (:func:`repro.dictionary.encoding.encode_columns`) consumes.
+
+Lines end at ``\\n``, ``\\r\\n`` or a bare ``\\r`` (universal newlines) on
+both the file and the string route, and a byte-order mark opening the
+text is skipped.
 
 It deliberately does *not* attempt Turtle prefixes — the paper's datasets
 are distributed as N-Triples, and keeping the grammar small keeps the
@@ -29,12 +39,13 @@ from __future__ import annotations
 
 import io
 import re
+from array import array
 from typing import (
-    Dict,
     Iterable,
     Iterator,
     List,
     NamedTuple,
+    Sequence,
     TextIO,
     Tuple,
     Union,
@@ -149,25 +160,40 @@ class _TermTable(dict):
     term (``"a"`` and ``"\\u0061"``) get two entries holding equal
     terms; consumers that need one id per term key by the term.
 
-    ``table[token]`` builds the term of a token not seen before, which
-    only works for tokens of the escape-free subset (what
-    :data:`_STATEMENT` captures); the cursor parser builds its own terms
-    and registers them with :meth:`add`.
+    ``table[token]`` builds the term of a token not seen before, after
+    checking that it spells one term of the escape-free subset
+    (:data:`_TOKEN`; :class:`_NotCanonical` if not).  The cursor parser
+    builds its own terms and registers them with :meth:`add`.
+    ``heads[i]`` is the first character of the token of ``terms[i]``
+    (``<``, ``_`` or ``"``): its kind, as a byte.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "heads")
 
     def __init__(self) -> None:
         super().__init__()
         self.terms: List[Term] = []
+        self.heads = bytearray()
 
     def __missing__(self, token: str) -> int:
+        if _TOKEN.fullmatch(token) is None:
+            raise _NotCanonical(token)
         return self.add(token, _term_from_token(token))
 
     def add(self, token: str, term: Term) -> int:
         position = self[token] = len(self.terms)
         self.terms.append(term)
+        self.heads.append(ord(token[0]))
         return position
+
+    def truncate(self, size: int, tokens: Iterable[str]) -> None:
+        """Forget the terms from position ``size`` on, every one of which
+        ``tokens`` spells."""
+        for token in tokens:
+            if self.get(token, -1) >= size:
+                del self[token]
+        del self.terms[size:]
+        del self.heads[size:]
 
 
 class _LineParser:
@@ -350,6 +376,15 @@ _STATEMENT = re.compile(
 )
 
 
+#: One term token of the escape-free subset, in any position: what the
+#: term table checks a token against before building its term.
+_TOKEN = re.compile(f"{_IRIREF}|{_BNODE}|{_LITERAL}")
+
+
+class _NotCanonical(Exception):
+    """A block of text the block scan cannot take: it goes line by line."""
+
+
 def _term_from_token(token: str) -> Term:
     """The term a :data:`_STATEMENT` group spells (nothing to unescape)."""
     head = token[0]
@@ -386,24 +421,118 @@ def _scan(
         yield table[s_token], table[p_token], table[o_token]
 
 
+#: Characters per block of :func:`_scan_text`, before the block is
+#: extended to the end of its last line.
+BLOCK_CHARS = 1 << 18
+
+_LITERAL_HEAD = ord('"')
+_IRI_HEAD = ord("<")
+
+
+def _blocks(stream: TextIO) -> Iterator[str]:
+    """The text of ``stream`` in blocks of about :data:`BLOCK_CHARS`
+    characters, each ending on a line boundary (or the end)."""
+    while True:
+        block = stream.read(BLOCK_CHARS)
+        if not block:
+            return
+        if not block.endswith("\n"):
+            block += stream.readline()
+        yield block
+
+
+def _canonical(text: str, table: _TermTable):
+    """The flat ``s p o …`` table positions of ``text`` (lines that each
+    end in ``\\n``) if every line is exactly ``s p o .`` with single
+    spaces; else ``None``, with ``table`` as it was.
+
+    The counts pin the shape.  With ``n`` line ends `` .\\n``, ``3 * n``
+    spaces, ``4 * n`` tokens and ``4 * n`` whitespace characters in all
+    (the length count), the whitespace is those spaces and the ``n``
+    newlines: one blank between neighbouring tokens, and every line
+    ending in a dot.  A dot spells no term, so once the other tokens
+    spell terms the dots are every fourth token: each line is
+    ``T T T .``.  That line is what the cursor parser reads as three
+    terms exactly when each ``T`` spells a term of the kind its position
+    takes: the table checks the spelling of each new token, and the kind
+    check the position.
+    """
+    import numpy as np
+
+    n = text.count(" .\n")
+    if text.count(" ") != 3 * n:
+        return None
+    tokens = text.split()
+    if len(tokens) != 4 * n or sum(map(len, tokens)) + 4 * n != len(text):
+        return None
+    del tokens[3::4]  # the dots, if the block is canonical
+    mark = len(table.terms)
+    try:
+        positions = np.fromiter(
+            map(table.__getitem__, tokens), np.int64, len(tokens)
+        )
+    except _NotCanonical:
+        table.truncate(mark, tokens)
+        return None
+    heads = np.frombuffer(table.heads, np.uint8)
+    wrong_kind = (heads[positions[0::3]] == _LITERAL_HEAD).any() or (
+        heads[positions[1::3]] != _IRI_HEAD
+    ).any()
+    del heads  # a live view would pin the bytearray's size
+    if wrong_kind:
+        table.truncate(mark, tokens)
+        return None
+    return positions
+
+
+def _scan_text(stream: TextIO, table: _TermTable) -> Iterator[object]:
+    """The parse entry point: per block of ``stream``, the flat
+    ``s p o …`` int64 ``table`` positions of its statements, in input
+    order.  A block :func:`_canonical` cannot take goes line by line
+    through :func:`_scan`, which raises on the first malformed line."""
+    import numpy as np
+
+    line_no = 1
+    for block in _blocks(stream):
+        text = block if block.endswith("\n") else block + "\n"
+        positions = _canonical(text, table)
+        if positions is None:
+            flat = array("q")
+            lines = io.StringIO(block, newline="\n")
+            for statement in _scan(lines, table, line_no):
+                flat.extend(statement)
+            positions = np.frombuffer(flat, np.int64)
+            line_no += text.count("\n")
+        else:
+            line_no += len(positions) // 3
+        yield positions
+
+
 def parse(source: Union[str, TextIO]) -> Iterator[Triple]:
     """Parse N-Triples from a string or text stream, yielding triples.
 
     A term spelled the same way twice in one parse is one object: the
-    table that interns them lives as long as the iteration.
+    table that interns them lives as long as the iteration.  Triples
+    come a block of text at a time, so a malformed line raises before
+    any statement of its block is yielded.  A stream's lines end at
+    ``\\n`` only: open it with universal newlines, as ``open`` does by
+    default.
 
     >>> list(parse('<http://a> <http://p> "x" .'))
     [Triple(subject=IRI(value='http://a'), ...)]
     """
     stream: TextIO
     if isinstance(source, str):
-        stream = io.StringIO(source)
+        # As a file is read: universal newlines, no byte-order mark.
+        stream = io.StringIO(source.removeprefix("\ufeff"), newline=None)
     else:
         stream = source
     table = _TermTable()
     terms = table.terms
-    for s, p, o in _scan(stream, table):
-        yield Triple(terms[s], terms[p], terms[o])
+    for positions in _scan_text(stream, table):
+        values = iter(positions.tolist())
+        for s, p, o in zip(values, values, values):
+            yield Triple(terms[s], terms[p], terms[o])
 
 
 def _open(path: str) -> TextIO:
@@ -420,12 +549,13 @@ def parse_file(path: str) -> Iterator[Triple]:
 
 class TermColumns(NamedTuple):
     """A parsed file as columns: statement ``i`` is ``(terms[subjects[i]],
-    terms[predicates[i]], terms[objects[i]])``."""
+    terms[predicates[i]], terms[objects[i]])``; the three columns are
+    int64 arrays."""
 
     terms: List[Term]
-    subjects: List[int]
-    predicates: List[int]
-    objects: List[int]
+    subjects: Sequence[int]
+    predicates: Sequence[int]
+    objects: Sequence[int]
 
 
 def read_columns(path: str) -> TermColumns:
@@ -434,16 +564,15 @@ def read_columns(path: str) -> TermColumns:
     The whole file is read before anything is returned, so a malformed
     line raises with nothing handed over.
     """
+    import numpy as np
+
     table = _TermTable()
-    subjects: List[int] = []
-    predicates: List[int] = []
-    objects: List[int] = []
+    flat = array("q")
     with _open(path) as handle:
-        for s, p, o in _scan(handle, table):
-            subjects.append(s)
-            predicates.append(p)
-            objects.append(o)
-    return TermColumns(table.terms, subjects, predicates, objects)
+        for positions in _scan_text(handle, table):
+            flat.frombytes(positions.tobytes())
+    flat = np.frombuffer(flat, np.int64)
+    return TermColumns(table.terms, flat[0::3], flat[1::3], flat[2::3])
 
 
 def serialize(triples: Iterable[Triple]) -> str:

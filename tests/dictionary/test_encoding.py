@@ -8,6 +8,8 @@ from repro.dictionary.encoding import (
     Dictionary,
     DictionaryError,
     PROPERTY_BASE,
+    _numbered_first_seen,
+    encode_columns,
     encode_dataset,
     scan_property_terms,
 )
@@ -177,3 +179,140 @@ def test_encode_decode_property(raw):
     for original, ids in zip(triples, encoded):
         assert d.decode_triple(ids) == original
         assert ids[1] <= PROPERTY_BASE  # predicates in the property half
+
+
+# ----------------------------------------------------------------------
+# encode_columns ≡ encode_dataset
+# ----------------------------------------------------------------------
+def columns_of(triples, order=None, respelled=()):
+    """``triples`` as term columns.  Terms are numbered first-seen, as
+    ``read_columns`` numbers them, then by ``order`` (a permutation)
+    when given; every other occurrence of a term in ``respelled`` takes
+    a second entry holding an equal term, as a second spelling would."""
+    terms, first = [], {}
+    flat = []
+    for term in (term for triple in triples for term in triple):
+        if term not in first:
+            first[term] = len(terms)
+            terms.append(term)
+        flat.append(first[term])
+    second, uses = {}, {}
+    for i, position in enumerate(flat):
+        term = terms[position]
+        if term in respelled:
+            uses[term] = uses.get(term, 0) + 1
+            if uses[term] % 2 == 0:
+                if term not in second:
+                    second[term] = len(terms)
+                    terms.append(IRI(term.value) if isinstance(term, IRI)
+                                 else term)
+                flat[i] = second[term]
+    if order is not None:
+        order = list(order) + list(range(len(order), len(terms)))
+        terms = [terms[order.index(k)] for k in range(len(terms))]
+        flat = [order[position] for position in flat]
+    return terms, flat[0::3], flat[1::3], flat[2::3]
+
+
+def outcome(encode, dictionary):
+    """Encoded triples and the dictionary after, or the error and the
+    dictionary as it was left."""
+    try:
+        encoded = encode(dictionary)
+    except DictionaryError:
+        return "error", dictionary.term_lists(), len(dictionary)
+    return list(encoded), dictionary.term_lists(), len(dictionary)
+
+
+def check_columns(triples, seed=(), order=None, respelled=()):
+    columns = columns_of(triples, order, respelled)
+
+    def seeded():
+        dictionary = Dictionary()
+        encode_dataset(list(seed), dictionary)
+        return dictionary
+
+    by_objects = outcome(lambda d: encode_dataset(triples, d)[1], seeded())
+    by_columns = outcome(
+        lambda d: encode_columns(*columns, dictionary=d)[2], seeded()
+    )
+    assert by_columns == by_objects
+    return by_objects[0] != "error"
+
+
+SCHEMA_TRIPLES = [
+    Triple(IRI("x"), IRI("knows"), IRI("y")),
+    Triple(IRI("knows"), RDFS.subPropertyOf, IRI("related")),
+    Triple(IRI("y"), IRI("related"), Literal("5")),
+    Triple(IRI("ancestor"), RDF.type, OWL.TransitiveProperty),
+    Triple(IRI("x"), RDF.type, IRI("Person")),
+    Triple(IRI("knows"), RDFS.domain, IRI("Person")),
+    Triple(IRI("z"), IRI("ancestor"), IRI("x")),
+    Triple(IRI("parentOf"), OWL.inverseOf, IRI("childOf")),
+    Triple(IRI("x"), IRI("knows"), IRI("z")),
+]
+
+
+class TestEncodeColumns:
+    def test_first_seen_columns(self):
+        columns = columns_of(SCHEMA_TRIPLES)
+        assert _numbered_first_seen(
+            [p for statement in zip(*columns[1:]) for p in statement]
+        )
+        assert check_columns(SCHEMA_TRIPLES)
+
+    def test_on_a_used_dictionary(self):
+        seed = [Triple(IRI("w"), IRI("seen"), IRI("x")),
+                Triple(IRI("w"), IRI("knows"), IRI("Person"))]
+        assert check_columns(SCHEMA_TRIPLES, seed=seed)
+
+    def test_columns_not_numbered_first_seen(self):
+        order = list(range(len(columns_of(SCHEMA_TRIPLES)[0])))[::-1]
+        columns = columns_of(SCHEMA_TRIPLES, order)
+        assert not _numbered_first_seen(
+            [p for statement in zip(*columns[1:]) for p in statement]
+        )
+        assert check_columns(SCHEMA_TRIPLES, order=order)
+
+    def test_two_spellings_of_one_term(self):
+        respelled = {IRI("x"), IRI("knows"), Literal("5")}
+        terms = columns_of(SCHEMA_TRIPLES, respelled=respelled)[0]
+        assert len(terms) == len(set(terms)) + 2  # the literal occurs once
+        assert check_columns(SCHEMA_TRIPLES, respelled=respelled)
+
+    def test_late_promotion_raises_and_changes_nothing(self):
+        seed = [Triple(IRI("w"), IRI("seen"), IRI("knows"))]
+        assert not check_columns(SCHEMA_TRIPLES, seed=seed)
+
+    def test_empty_columns(self):
+        dictionary, pairs, encoded = encode_columns([], [], [], [])
+        assert len(dictionary) == 0 and pairs == {} and len(encoded) == 0
+
+
+_POOL = [IRI(name) for name in ("a", "b", "c", "p", "q")] + [
+    RDFS.subPropertyOf, RDFS.domain, OWL.inverseOf, RDF.type,
+    OWL.SymmetricProperty, Literal("a"),
+]
+
+
+@st.composite
+def column_cases(draw):
+    resource = st.sampled_from(_POOL[:5] + _POOL[9:10])
+    predicate = st.sampled_from(_POOL[3:9])
+    obj = st.sampled_from(_POOL)
+    triples = draw(st.lists(st.builds(Triple, resource, predicate, obj),
+                            max_size=12))
+    seed = draw(st.lists(st.builds(Triple, resource, predicate, obj),
+                         max_size=3))
+    n_terms = len(columns_of(triples)[0])
+    order = draw(st.one_of(st.none(), st.permutations(range(n_terms))))
+    respelled = draw(st.sets(st.sampled_from(_POOL[:5]), max_size=2))
+    return triples, seed, order, respelled
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          database=None)
+@given(column_cases())
+def test_encode_columns_equals_encode_dataset(case):
+    triples, seed, order, respelled = case
+    check_columns(triples, seed, order, respelled)

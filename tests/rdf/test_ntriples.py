@@ -278,6 +278,55 @@ class TestDocuments:
         ]
 
 
+def _both_routes(text, tmp_path):
+    """``text`` parsed as a string and as the file holding it: each an
+    outcome, the triples or the error's message and line number."""
+    path = tmp_path / "doc.nt"
+    path.write_bytes(text.encode("utf-8"))
+    outcomes = []
+    for route in (lambda: parse(text), lambda: parse_file(str(path))):
+        try:
+            outcomes.append(("ok", list(route())))
+        except NTriplesError as error:
+            outcomes.append(("error", str(error), error.line_no))
+    return outcomes
+
+
+class TestStringRouteSplitsLinesAsFiles:
+    """A string is split into lines as a file is read: universal
+    newlines, and an opening byte-order mark skipped."""
+
+    A, B, C, D = (IRI(f"http://{n}") for n in "abcd")
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n", "\n"])
+    def test_line_ends(self, end, tmp_path):
+        text = f"<http://a> <http://b> <http://c> .{end}" \
+               f"<http://a> <http://b> <http://d> ."
+        expected = [Triple(self.A, self.B, self.C),
+                    Triple(self.A, self.B, self.D)]
+        assert _both_routes(text, tmp_path) == [("ok", expected)] * 2
+
+    def test_byte_order_mark(self, tmp_path):
+        text = "\ufeff<http://a> <http://b> <http://c> .\n"
+        expected = [Triple(self.A, self.B, self.C)]
+        assert _both_routes(text, tmp_path) == [("ok", expected)] * 2
+
+    def test_mixed_line_ends_number_errors_alike(self, tmp_path):
+        text = (
+            "<http://a> <http://b> <http://c> .\r"
+            "# comment\r\n"
+            "<http://a> <http://b> .\r"
+        )
+        string, file = _both_routes(text, tmp_path)
+        assert string == file
+        assert string[0] == "error" and string[2] == 3
+
+    def test_byte_order_mark_only_opening_the_text(self):
+        with pytest.raises(NTriplesError):
+            list(parse("<http://a> <http://b> <http://c> .\n\ufeff"
+                       "<http://a> <http://b> <http://d> .\n"))
+
+
 _iri_strategy = st.builds(
     IRI,
     st.text(

@@ -125,6 +125,21 @@ def test_query_add_remove_round_trip(served):
     assert payload["n"] == 1
 
 
+def test_add_body_splits_lines_as_a_file_does(served):
+    # A bare CR ends a line and an opening byte-order mark is skipped,
+    # as when the same text is loaded from a file.
+    _, _, client = served
+    body = "\ufeff" + nt("Lisa").replace("\n", "\r") + nt("Maggie")
+    status, _, payload = client.request(
+        "POST", "/add?wait=1", body.encode("utf-8")
+    )
+    assert status == 200, payload
+    status, payload = _mammals(client)
+    assert {s["who"] for s in payload["solutions"]} == {
+        f"<{EX}{name}>" for name in ("Bart", "Lisa", "Maggie")
+    }
+
+
 def test_stats_reports_the_last_deletion_route():
     # Padding keeps one person's overdeletion a small share of the store.
     padding = [
